@@ -13,9 +13,6 @@ on that workload:
   re-interpreting the tree per assignment versus
   :func:`repro.solver.models.bounded_model_search` (compiled, unit-pruned,
   cheap-conjunct-first); the acceptance bar is **≥3x**;
-* **vector-search speedup** — the same workload on the columnar numpy
-  backend (:mod:`repro.solver.vector`); the acceptance bar is **≥10x**
-  versus the tree sweep (skipped when numpy is absent);
 * **compile cache behaviour** — cold versus warm closure-compilation hit
   rate, and the unit-propagation prune rate of the searches.
 
@@ -36,14 +33,12 @@ from repro.logic import formula as F
 from repro.logic.compile import compile_formula, compile_stats, reset_compile_stats
 from repro.logic.evaluate import Valuation, evaluate
 from repro.logic.formula import Const, conj, exists, forall, free_symbols, sym, var
-from repro.solver.backend import numpy_available, use_backend
 from repro.solver.models import (
     _candidate_values,
     bounded_model_search,
     reset_search_stats,
     search_stats,
 )
-from repro.solver.vector import reset_vector_stats, vector_stats
 
 RADIUS = 4
 QUANTIFIER_DOMAIN_RADIUS = 6
@@ -141,32 +136,13 @@ def test_compiled_bounded_search_speedup(capsys):
     reset_search_stats()
     start = time.perf_counter()
     search_results = []
-    with use_backend("compiled"):
-        for _ in range(repeats):
-            search_results = [
-                bounded_model_search(formula, radius=RADIUS, max_seconds=None)
-                for formula in workload
-            ]
+    for _ in range(repeats):
+        search_results = [
+            bounded_model_search(formula, radius=RADIUS, max_seconds=None)
+            for formula in workload
+        ]
     compiled_seconds = time.perf_counter() - start
     stats = search_stats()
-
-    # -- the vector backend on the identical workload ------------------------
-    vector_seconds = None
-    vector_results = None
-    vector_counters = None
-    if numpy_available():
-        with use_backend("vector"):  # warm the batch compilation caches
-            [bounded_model_search(f, radius=RADIUS, max_seconds=None) for f in workload]
-        reset_vector_stats()
-        start = time.perf_counter()
-        with use_backend("vector"):
-            for _ in range(repeats):
-                vector_results = [
-                    bounded_model_search(formula, radius=RADIUS, max_seconds=None)
-                    for formula in workload
-                ]
-        vector_seconds = time.perf_counter() - start
-        vector_counters = vector_stats()
 
     # Same verdict per query (a found model may legitimately differ only if
     # the tree sweep was budget-cut; with no cuts here both find the same).
@@ -200,15 +176,6 @@ def test_compiled_bounded_search_speedup(capsys):
         "assignment_space": stats["assignment_space"],
         "warm_compile_hit_rate": warm_stats["hit_rate"],
     }
-    if vector_seconds is not None:
-        payload["vector_search_seconds"] = vector_seconds
-        payload["vector_search_speedup"] = tree_seconds / vector_seconds
-        payload["vector_speedup_vs_compiled"] = compiled_seconds / vector_seconds
-        payload["vector_rows_evaluated"] = vector_counters["rows_evaluated"]
-        payload["vector_batches"] = vector_counters["batches"]
-        payload["vector_rows_per_second"] = (
-            vector_counters["rows_evaluated"] / vector_seconds
-        )
     # Untracked output: the committed bench_eval.json snapshot is refreshed
     # by an explicit copy, not by every local benchmark run.
     output_path = os.path.join(os.path.dirname(__file__), "bench_eval.fresh.json")
@@ -222,35 +189,20 @@ def test_compiled_bounded_search_speedup(capsys):
               f"({compiled_rate / tree_rate:.1f}x)")
         print(f"bounded search          : {tree_seconds:.3f}s tree -> {compiled_seconds:.3f}s compiled "
               f"({speedup:.1f}x)")
-        if vector_seconds is not None:
-            print(f"vector search           : {vector_seconds:.3f}s "
-                  f"({tree_seconds / vector_seconds:.1f}x vs tree, "
-                  f"{compiled_seconds / vector_seconds:.1f}x vs compiled)")
         print(f"unit-propagation pruning: {stats['prune_rate']:.0%} of the assignment space")
         print(f"warm compile hit rate   : {warm_stats['hit_rate']:.0%}")
 
     # Acceptance bar: the compiled+pruned search is at least 3x the
-    # tree-walking sweep on this microbenchmark; the vector backend at
-    # least 10x (the whole workload is error-free, so results agree too).
+    # tree-walking sweep on this microbenchmark.
     assert speedup >= 3.0, f"search speedup {speedup:.2f}x below the 3x bar"
-    if vector_seconds is not None:
-        assert vector_results == search_results
-        vector_speedup = tree_seconds / vector_seconds
-        assert vector_speedup >= 10.0, (
-            f"vector speedup {vector_speedup:.2f}x below the 10x bar"
-        )
     assert warm_stats["hit_rate"] == 1.0
     assert stats["prune_rate"] > 0.0
 
 
 def test_search_and_tree_agree_on_satisfiability():
-    """Cheap correctness cross-check (no timing): same SAT/None per query,
-    on every available backend."""
-    backends = ["compiled"] + (["vector"] if numpy_available() else [])
+    """Cheap correctness cross-check (no timing): same SAT/None per query."""
     for formula in _workload():
         tree_model, _ = _tree_search(formula)
-        for backend in backends:
-            with use_backend(backend):
-                model = bounded_model_search(formula, radius=RADIUS, max_seconds=None)
-            assert (tree_model is None) == (model is None)
-            assert tree_model == model
+        model = bounded_model_search(formula, radius=RADIUS, max_seconds=None)
+        assert (tree_model is None) == (model is None)
+        assert tree_model == model

@@ -19,12 +19,10 @@ from repro.hoare.obligations import ObligationKind
 from repro.logic import formula as F
 from repro.logic.compile import compile_stats, reset_compile_stats
 from repro.logic.formula import Const, Divides, conj, exists, forall, sym, var
-from repro.solver.backend import active_backend, numpy_available, use_backend
 from repro.solver.cooper import decide_closed
 from repro.solver.interface import Solver
 from repro.solver.lia import Status
 from repro.solver.models import reset_search_stats, search_stats
-from repro.solver.vector import reset_vector_stats, vector_stats
 
 
 def _obligation_corpus():
@@ -69,17 +67,12 @@ def _bounded_search_microbench(repeats: int = 80):
             tree_search(query)
     tree_seconds = time.perf_counter() - start
 
-    # The compiled leg is pinned to --backend compiled so speedup_vs_tree
-    # measures the same code path on every host, with or without numpy
-    # (otherwise auto would silently resolve to vector where installed and
-    # the CI regression guard would compare incomparable ratios).
     reset_search_stats()
     reset_compile_stats()
     start = time.perf_counter()
-    with use_backend("compiled"):
-        for _ in range(repeats):
-            for query in queries:
-                bounded_model_search(query, radius=4, max_seconds=None)
+    for _ in range(repeats):
+        for query in queries:
+            bounded_model_search(query, radius=4, max_seconds=None)
     elapsed = time.perf_counter() - start
     stats = search_stats()
     compilation = compile_stats()
@@ -95,34 +88,6 @@ def _bounded_search_microbench(repeats: int = 80):
         ),
         "compile": compilation,
     }
-
-    if numpy_available():
-        with use_backend("vector"):  # warm the vector compilation caches
-            for query in queries:
-                bounded_model_search(query, radius=4, max_seconds=None)
-        reset_vector_stats()
-        start = time.perf_counter()
-        with use_backend("vector"):
-            for _ in range(repeats):
-                for query in queries:
-                    bounded_model_search(query, radius=4, max_seconds=None)
-        vector_elapsed = time.perf_counter() - start
-        counters = vector_stats()
-        result["vector"] = {
-            **counters,
-            "seconds": vector_elapsed,
-            "speedup_vs_tree": (
-                tree_seconds / vector_elapsed if vector_elapsed > 0 else float("inf")
-            ),
-            "speedup_vs_compiled": (
-                elapsed / vector_elapsed if vector_elapsed > 0 else float("inf")
-            ),
-            "rows_per_second": (
-                counters["rows_evaluated"] / vector_elapsed
-                if vector_elapsed > 0
-                else float("inf")
-            ),
-        }
     return result
 
 
@@ -130,7 +95,6 @@ def test_solver_discharges_case_study_corpus(capsys):
     corpus = _obligation_corpus()
     solver = Solver()
     reset_search_stats()
-    reset_vector_stats()
     discharged = 0
     start = time.perf_counter()
     for _name, obligation in corpus:
@@ -144,11 +108,6 @@ def test_solver_discharges_case_study_corpus(capsys):
     corpus_seconds = time.perf_counter() - start
     stats = solver.statistics.as_dict()
     model_search = search_stats()
-    # The corpus decides every obligation inside the cube pipeline — the
-    # bounded fallback never fires here (model_search stays zero by
-    # construction, asserted below), so the corpus-level block records the
-    # counters that *are* real at this level: the backend the run resolved
-    # to and the vector/prefilter work it did.
     payload = {
         "experiment": "E7-solver",
         "obligations": len(corpus),
@@ -157,11 +116,6 @@ def test_solver_discharges_case_study_corpus(capsys):
         ),
         "corpus_seconds": corpus_seconds,
         "solver": stats,
-        "corpus_backend": {
-            "backend": active_backend(),
-            "bounded_searches": model_search["searches"],
-            **vector_stats(),
-        },
         "bounded_search_microbench": _bounded_search_microbench(),
     }
     # Fresh results go to an untracked file so local benchmark runs never
@@ -179,9 +133,7 @@ def test_solver_discharges_case_study_corpus(capsys):
         print(f"cubes solved           : {stats['cube_count']:.0f}")
         print(f"Cooper eliminations    : {stats['cooper_eliminations']:.0f}")
         print(f"bounded fallbacks      : {stats['bounded_fallbacks']:.0f}")
-        print(f"backend                : {active_backend()}"
-              + (f" ({stats['prefiltered_cubes']:.0f} cubes prefiltered)"
-                 if stats["prefiltered_cubes"] else ""))
+        print(f"cubes prefiltered      : {stats['prefiltered_cubes']:.0f}")
         print(f"total solver time      : {stats['total_seconds']:.3f}s")
     assert discharged == len(corpus)
     assert stats["unknown_results"] == 0
@@ -191,10 +143,9 @@ def test_solver_discharges_case_study_corpus(capsys):
     # fragment — that is worth a failing benchmark, not a silent zero.
     assert model_search["searches"] == 0
     assert stats["bounded_fallbacks"] == 0
-    if active_backend() == "vector":
-        # ... and on the vector backend the cube-wave prefilter must have
-        # settled a real share of the corpus cubes.
-        assert stats["prefiltered_cubes"] > 0
+    # ... and the box prefilter must have settled a real share of the
+    # corpus cubes.
+    assert stats["prefiltered_cubes"] > 0
 
 
 @pytest.mark.benchmark(group="E7-solver")

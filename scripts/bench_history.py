@@ -46,22 +46,13 @@ KEY_METRICS: Dict[str, List[str]] = {
         "check_speedup",
         "compiled_search_assignments_per_second",
         "prune_rate",
-        "vector_search_speedup",
-        "vector_rows_per_second",
     ],
     "bench_solver.json": [
         "obligations_per_second",
         "corpus_seconds",
         "bounded_search_microbench.speedup_vs_tree",
         "bounded_search_microbench.assignments_per_second",
-        "bounded_search_microbench.vector.speedup_vs_compiled",
-        "corpus_backend.prefilter_unsat",
-    ],
-    "bench_vector.json": [
-        "speedup_vs_compiled",
-        "rows_per_second",
-        "mean_batch_rows",
-        "prefilter_unsat_rate",
+        "solver.prefiltered_cubes",
     ],
     "bench_telemetry.json": [
         "disabled_overhead_fraction",

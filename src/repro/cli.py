@@ -117,7 +117,7 @@ differential fuzzing (corpus-scale regression):
                                          planted relaxation sites, run each
                                          through lint -> verify -> explore,
                                          and assert parity across every
-                                         layer: tree vs compiled vs vector
+                                         layer: tree vs compiled
                                          evaluation, cold vs warm cache,
                                          exhaustive vs full-width beam
                                          (plus serial vs parallel with
@@ -159,27 +159,6 @@ def _add_trace_argument(command: argparse.ArgumentParser) -> None:
         "JSON (open in Perfetto or chrome://tracing), or a JSONL event "
         "log with a .jsonl suffix; summarise with 'repro trace summarize'",
     )
-
-
-def _add_backend_argument(command: argparse.ArgumentParser) -> None:
-    from .solver.backend import BACKENDS
-
-    command.add_argument(
-        "--backend", choices=BACKENDS, default="auto",
-        help="solver evaluation backend: 'vector' batches candidate "
-        "assignments through numpy (requires the .[vec] extra), "
-        "'compiled' uses the closure compiler, 'tree' the reference "
-        "walker; 'auto' (default) picks vector when numpy is installed",
-    )
-
-
-def _apply_backend(args: argparse.Namespace) -> None:
-    from .solver.backend import BackendUnavailableError, set_backend
-
-    try:
-        set_backend(getattr(args, "backend", "auto"))
-    except BackendUnavailableError as error:
-        raise SystemExit(str(error))
 
 
 def _build_batch_engine(args: argparse.Namespace):
@@ -240,7 +219,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_case_study(args: argparse.Namespace) -> int:
-    _apply_backend(args)
     case_study = _case_study_by_name(args.name)
     engine = None
     # --json promises cache hit/miss counters, so it needs an engine too
@@ -316,7 +294,6 @@ def cmd_simulate_case_study(args: argparse.Namespace) -> int:
 def cmd_verify_batch(args: argparse.Namespace) -> int:
     from .engine import case_study_items, directory_items, verify_batch
 
-    _apply_backend(args)
     if args.dir and args.names:
         raise SystemExit("pass case-study names or --dir, not both")
     try:
@@ -361,7 +338,6 @@ def cmd_verify_batch(args: argparse.Namespace) -> int:
 def cmd_explore(args: argparse.Namespace) -> int:
     from .explore import explore
 
-    _apply_backend(args)
     if args.depth < 0:
         raise SystemExit("--depth must be >= 0")
     if args.samples < 1:
@@ -631,7 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(source span, counterexample model, atom-by-atom evaluation) and "
         "add a 'diagnostics' section to --json output",
     )
-    _add_backend_argument(verify_cmd)
     _add_trace_argument(verify_cmd)
     verify_cmd.set_defaults(func=cmd_verify_case_study)
 
@@ -664,7 +639,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="render a forensic report for every undischarged obligation "
         "across the batch and add a 'diagnostics' section to --json output",
     )
-    _add_backend_argument(batch_cmd)
     _add_trace_argument(batch_cmd)
     batch_cmd.set_defaults(func=cmd_verify_batch)
 
@@ -734,7 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
     explore_cmd.add_argument(
         "--csv", dest="csv_out", help="write the per-candidate CSV to this file ('-' = stdout)"
     )
-    _add_backend_argument(explore_cmd)
     _add_trace_argument(explore_cmd)
     explore_cmd.set_defaults(func=cmd_explore)
 

@@ -6,12 +6,13 @@ owns the one schema they share and the emission plumbing, so the three
 commands cannot drift apart:
 
 * every payload carries the envelope keys ``command`` (which subcommand
-  produced it), ``schema_version`` (currently 5) and ``verified`` (the
+  produced it), ``schema_version`` (currently 6) and ``verified`` (the
   overall boolean the command's exit code is based on);
 * engine-backed commands carry ``engine`` (scheduler/portfolio counters),
   ``solver`` (solver-level counters aggregated across every strategy and
   worker process: ``cube_count``, ``cooper_eliminations``,
-  ``bounded_fallbacks``, ``unknown_results``, ``total_seconds``, ...) and,
+  ``bounded_fallbacks``, ``unknown_results``, ``total_seconds``,
+  ``prefiltered_cubes``, ...) and,
   when a cache is attached, ``cache`` (hit/miss counters with ``hits`` /
   ``misses`` / ``hit_rate``) — injected uniformly by
   :func:`report_payload` from the engine instance;
@@ -30,7 +31,11 @@ commands cannot drift apart:
 
 JSON is serialised deterministically (sorted keys, 2-space indent).
 
-Schema history: version 5 added the ``incremental`` section to the
+Schema history: version 6 dropped ``solver.backend`` and the vector-backend
+counters (``vector_rows``, ``vector_batches``, ``vector_searches``,
+``vector_fallbacks``) from the ``solver`` section, since the solver has one
+evaluation path; ``prefiltered_cubes`` stays and is now required;
+version 5 added the ``incremental`` section to the
 ``explore`` payload (search-session obligation reuse counters: ``reused``,
 ``delta_obligations``, ``total_obligations``, ``reuse_rate``,
 ``store_entries``) along with the ``strategy`` / ``beam_width`` /
@@ -50,9 +55,7 @@ from __future__ import annotations
 import json
 from typing import Dict, Optional
 
-from .solver.backend import RESOLVED_BACKENDS, active_backend
-
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 #: Envelope keys every CLI JSON report carries (tested in
 #: tests/test_cli_report.py; bump SCHEMA_VERSION when this changes).
@@ -81,15 +84,6 @@ def report_payload(
         payload.setdefault("solver", dict(engine.solver_statistics.as_dict()))
         if engine.cache is not None:
             payload.setdefault("cache", engine.cache.stats())
-    # Record the backend queries actually ran on (auto resolved), so a
-    # report is self-describing about how its numbers were produced.  The
-    # solver section may come from ``core`` (batch/explore reports build
-    # their own) or from the engine above; stamp whichever is present.
-    solver_section = payload.get("solver")
-    if isinstance(solver_section, dict):
-        solver_section = dict(solver_section)
-        solver_section.setdefault("backend", active_backend())
-        payload["solver"] = solver_section
     if telemetry_session is not None:
         from .telemetry import telemetry_section
 
@@ -141,28 +135,11 @@ def validate_payload(payload: Dict[str, object]) -> Optional[str]:
             "bounded_fallbacks",
             "unknown_results",
             "total_seconds",
+            "prefiltered_cubes",
         } <= set(solver):
             return (
                 "solver counters must carry cube_count/cooper_eliminations/"
-                "bounded_fallbacks/unknown_results/total_seconds"
-            )
-        missing = {
-            "vector_rows",
-            "vector_batches",
-            "vector_searches",
-            "vector_fallbacks",
-            "prefiltered_cubes",
-        } - set(solver)
-        if missing:
-            return (
-                "solver counters must carry the vector-backend counters "
-                f"(missing: {'/'.join(sorted(missing))})"
-            )
-        backend = solver.get("backend")
-        if backend not in RESOLVED_BACKENDS:
-            return (
-                f"solver.backend must be one of {'/'.join(RESOLVED_BACKENDS)}, "
-                f"got {backend!r}"
+                "bounded_fallbacks/unknown_results/total_seconds/prefiltered_cubes"
             )
     incremental = payload.get("incremental")
     if incremental is not None:

@@ -35,7 +35,6 @@ from ..hoare.obligations import (
     ProofObligation,
     VerificationReport,
 )
-from ..solver.backend import requested_backend
 from ..solver.interface import Solver, SolverResult, SolverStatistics
 from ..solver.lia import Status
 from .cache import ObligationCache
@@ -362,7 +361,6 @@ class ObligationEngine:
                     budget_seconds=self.budget_seconds,
                     collect_telemetry=collect_telemetry,
                     label=label,
-                    backend=requested_backend(),
                 )
             )
         if len(tasks) > 1 and self.jobs > 1:

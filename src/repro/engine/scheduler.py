@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..logic.formula import Formula, Symbol
-from ..solver.backend import BackendUnavailableError, set_backend
 from ..solver.interface import SolverStatistics
 from ..solver.lia import Status
 from .portfolio import SolverStrategy, run_portfolio
@@ -47,11 +46,6 @@ class DischargeTask:
     #: recorded on the worker's discharge span — the obligation itself
     #: never crosses the process boundary, only this summary does.
     label: str = ""
-    #: Requested evaluation backend (:data:`repro.solver.backend.BACKENDS`).
-    #: Backend selection is per-process state, so the dispatcher records its
-    #: request here and every worker re-applies it before solving; spawned
-    #: workers would otherwise silently run on their own default.
-    backend: str = "auto"
 
 
 @dataclass(frozen=True)
@@ -95,12 +89,6 @@ def _discharge_one(task: DischargeTask) -> DischargeOutcome:
 
 def _discharge_inner(task: DischargeTask) -> DischargeOutcome:
     start = time.perf_counter()
-    try:
-        set_backend(task.backend)
-    except BackendUnavailableError:
-        # A spawned worker without the optional extra must still make
-        # progress: degrade to auto (-> compiled) rather than fail the task.
-        set_backend("auto")
     statistics = SolverStatistics()
     with telemetry.span("discharge", index=task.index, kind=task.kind) as span:
         if task.label:

@@ -32,8 +32,6 @@ from typing import Dict, List, Optional, Sequence
 
 from .. import telemetry
 from ..casestudies.base import CaseStudy
-from ..solver.backend import active_backend
-from ..solver.vector import columnar_max, columnar_sum
 from ..lang.ast import Program
 from ..semantics.choosers import make_chooser
 from ..semantics.interpreter import Interpreter, NonTerminationError, precompile_program
@@ -155,23 +153,16 @@ def score_candidate(
                 )
             deviations.append(float(relaxed_interp.relax_deviation))
 
-    # On the vector backend the sample columns aggregate through numpy;
-    # columnar_sum reduces sequentially (cumsum, not pairwise np.sum), so
-    # scores stay bit-identical to the scalar backends on every platform.
-    if active_backend() == "vector":
-        column_sum, column_max = columnar_sum, columnar_max
-    else:
-        column_sum, column_max = (lambda v: float(sum(v))), (lambda v: float(max(v)))
     if all_distortions:
         # The mean characterises typical substrate behaviour, so it averages
         # the non-adversarial runs (falling back to everything when only
         # adversarial policies were requested); the max covers every run.
         mean_basis = typical_distortions or all_distortions
-        score.distortion_mean = column_sum(mean_basis) / len(mean_basis)
-        score.distortion_max = column_max(all_distortions)
+        score.distortion_mean = float(sum(mean_basis)) / len(mean_basis)
+        score.distortion_max = float(max(all_distortions))
     if step_fractions:
-        score.steps_saved_fraction = column_sum(step_fractions) / len(step_fractions)
+        score.steps_saved_fraction = float(sum(step_fractions)) / len(step_fractions)
     if deviations:
-        score.relax_freedom = column_sum(deviations) / len(deviations)
+        score.relax_freedom = float(sum(deviations)) / len(deviations)
     score.savings = estimated_savings(score.steps_saved_fraction, score.relax_freedom)
     return score

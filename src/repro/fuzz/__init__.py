@@ -14,7 +14,7 @@ programs rather than only the hand-written case-study gallery:
 * :mod:`~repro.fuzz.funnel` — the pipeline driver behind ``repro fuzz``:
   every generated program runs the full funnel (``casestudy lint`` →
   ``verify-batch`` → ``explore``) while every layer is differentially
-  tested — tree vs compiled vs vector evaluation, serial vs ``--jobs``
+  tested — tree vs compiled evaluation, serial vs ``--jobs``
   discharge, cold vs warm cache, exhaustive vs full-width beam — asserting
   fingerprint / verdict / counterexample-model / frontier parity;
 * :mod:`~repro.fuzz.shrink` — greedy statement-deletion shrinking of any

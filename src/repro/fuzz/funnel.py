@@ -11,8 +11,8 @@ layer along the way:
   canonical obligation fingerprints, verdict statuses, counterexample
   models and the overall verdict — must be identical across legs:
 
-  - ``backend=tree`` vs ``backend=compiled`` vs ``backend=vector``
-    (the vector leg runs only when numpy is importable),
+  - ``backend=tree`` vs ``backend=compiled`` (the reference tree walker
+    against the compiled closures),
   - serial vs ``--jobs N`` discharge (the process-pool portfolio path),
   - cold vs warm persistent cache (the warm leg replays the cold leg's
     verdicts from disk);
@@ -40,7 +40,7 @@ from .. import telemetry
 from ..casestudies.spec import lint_case_study
 from ..engine import ObligationEngine, VerdictStore, program_items, verify_batch
 from ..explore import explore
-from ..solver.backend import numpy_available, use_backend
+from ..solver.backend import BACKENDS, use_backend
 from .generator import GeneratedProgram, GeneratedStudy, derive_spec, synthesize_corpus
 
 #: The backend every other verify leg is compared against.
@@ -51,11 +51,8 @@ FULL_BEAM_WIDTH = 1_000_000
 
 
 def available_backends() -> Tuple[str, ...]:
-    """The evaluation backends this process can differentially test."""
-    backends = ["tree", "compiled"]
-    if numpy_available():
-        backends.append("vector")
-    return tuple(backends)
+    """The evaluators the verify stage differentially tests."""
+    return BACKENDS
 
 
 def obligations_digest(fingerprints: Sequence[str], statuses: Sequence[str]) -> str:

@@ -9,7 +9,8 @@ obligations live in — quantified linear integer arithmetic with array reads:
   ``check_valid`` / ``find_model``),
 * :mod:`~repro.solver.normalize` — term elimination, Ackermann reduction,
   NNF/DNF, skolemisation,
-* :mod:`~repro.solver.lia` — Fourier–Motzkin + branch-and-bound cube solver,
+* :mod:`~repro.solver.lia` — the interval-box cube prefilter and the
+  Fourier–Motzkin + branch-and-bound cube solver,
 * :mod:`~repro.solver.cooper` — Cooper's quantifier elimination (complete
   backend and testing oracle),
 * :mod:`~repro.solver.models` — bounded model search fallback.

@@ -5,7 +5,8 @@ side conditions.  It combines the passes of this package:
 
 * compound-term elimination and Ackermann reduction of array reads,
 * NNF conversion and skolemisation of positive existentials,
-* DNF expansion and the Fourier–Motzkin / branch-and-bound cube solver,
+* DNF expansion, the interval-box prefilter and the Fourier–Motzkin /
+  branch-and-bound cube solver,
 * Cooper's quantifier elimination for formulas that retain universal
   quantifiers after skolemisation,
 * a bounded model search fallback for non-linear obligations.
@@ -34,12 +35,10 @@ from ..logic.formula import (
     free_symbols,
     neg,
 )
-from .backend import active_backend
 from .cooper import QuantifierEliminationError, eliminate_quantifiers
-from .lia import CubeSolver, Status
+from .lia import PREFILTER_MIN_CUBES, CubeSolver, Status, prefilter_unsat_cubes
 from .linear import NonLinearError
 from .models import bounded_model_search
-from .vector import PREFILTER_MIN_CUBES, prefilter_unsat_cubes, vector_stats
 from .normalize import (
     FormulaTooLargeError,
     UnsupportedFormulaError,
@@ -95,15 +94,8 @@ class SolverStatistics:
     bounded_fallbacks: int = 0
     unknown_results: int = 0
     total_seconds: float = 0.0
-    #: Vector-backend counters (all zero on the scalar backends): rows and
-    #: batches the columnar sweeps evaluated, searches that ran columnar,
-    #: searches that wanted the vector path but fell back to scalar, and
-    #: DNF cubes the wave prefilter discharged as UNSAT without entering
+    #: DNF cubes the box prefilter discharged as UNSAT without entering
     #: the cube solver.
-    vector_rows: int = 0
-    vector_batches: int = 0
-    vector_searches: int = 0
-    vector_fallbacks: int = 0
     prefiltered_cubes: int = 0
     #: Wall-clock seconds attributed to each portfolio strategy (the
     #: serial engine path books under ``"serial"``).  ``total_seconds``
@@ -123,10 +115,6 @@ class SolverStatistics:
             "bounded_fallbacks": self.bounded_fallbacks,
             "unknown_results": self.unknown_results,
             "total_seconds": self.total_seconds,
-            "vector_rows": self.vector_rows,
-            "vector_batches": self.vector_batches,
-            "vector_searches": self.vector_searches,
-            "vector_fallbacks": self.vector_fallbacks,
             "prefiltered_cubes": self.prefiltered_cubes,
         }
         for name, seconds in self.strategy_seconds.items():
@@ -147,10 +135,6 @@ class SolverStatistics:
         self.bounded_fallbacks += int(counters.get("bounded_fallbacks", 0))
         self.unknown_results += int(counters.get("unknown_results", 0))
         self.total_seconds += float(counters.get("total_seconds", 0.0))
-        self.vector_rows += int(counters.get("vector_rows", 0))
-        self.vector_batches += int(counters.get("vector_batches", 0))
-        self.vector_searches += int(counters.get("vector_searches", 0))
-        self.vector_fallbacks += int(counters.get("vector_fallbacks", 0))
         self.prefiltered_cubes += int(counters.get("prefiltered_cubes", 0))
         for key, value in counters.items():
             if key.startswith(STRATEGY_SECONDS_PREFIX):
@@ -205,8 +189,8 @@ class Solver:
                 Status.INVALID, model=negated.model, reason="counterexample found"
             )
         else:
+            # check_sat already counted this UNKNOWN.
             result = SolverResult(Status.UNKNOWN, reason=negated.reason)
-            self.statistics.unknown_results += 1
         result.elapsed_seconds = elapsed
         return result
 
@@ -265,18 +249,17 @@ class Solver:
         except FormulaTooLargeError as error:
             return self._fallback(formula, str(error))
 
-        # Vector backend: decide the whole cube wave's linear content as one
-        # stacked coefficient matrix first.  Prefiltered entries are *proofs*
-        # of integer infeasibility, so skipping their cube-solver runs can
-        # never change a SAT answer (the first SAT cube and its model are
-        # untouched) — it can only turn a budget-exhausted UNKNOWN on an
-        # infeasible cube into the UNSAT it really is.
+        # Box prefilter: refute cubes by interval reasoning over their own
+        # unit bounds first.  Prefiltered entries are *proofs* of integer
+        # infeasibility, so skipping their cube-solver runs can never change
+        # a SAT answer (the first SAT cube and its model are untouched) — it
+        # can only turn a budget-exhausted UNKNOWN on an infeasible cube into
+        # the UNSAT it really is.
         prefiltered = None
-        if len(cubes) >= PREFILTER_MIN_CUBES and active_backend() == "vector":
-            with telemetry.span("solver.vector.prefilter", cubes=len(cubes)):
+        if len(cubes) >= PREFILTER_MIN_CUBES:
+            with telemetry.span("solver.prefilter", cubes=len(cubes)):
                 prefiltered = prefilter_unsat_cubes(cubes)
-            if prefiltered is not None:
-                self.statistics.prefiltered_cubes += sum(prefiltered)
+            self.statistics.prefiltered_cubes += sum(prefiltered)
 
         cube_solver = CubeSolver(branch_depth=self._branch_depth)
         saw_unknown = False
@@ -287,7 +270,7 @@ class Solver:
                 self.statistics.cube_count += 1
                 cubes_solved += 1
                 if prefiltered is not None and prefiltered[cube_index]:
-                    continue  # provably UNSAT, settled by the wave prefilter
+                    continue  # provably UNSAT, settled by the box prefilter
                 try:
                     result = cube_solver.solve(cube)
                 except NonLinearError as error:
@@ -311,15 +294,9 @@ class Solver:
             return SolverResult(Status.UNKNOWN, reason=reason)
         self.statistics.bounded_fallbacks += 1
         telemetry.count("solver.bounded_fallbacks")
-        before = vector_stats()
         model = bounded_model_search(
             formula, radius=self._bounded_radius, max_seconds=self._fallback_seconds
         )
-        after = vector_stats()
-        self.statistics.vector_rows += after["rows_evaluated"] - before["rows_evaluated"]
-        self.statistics.vector_batches += after["batches"] - before["batches"]
-        self.statistics.vector_searches += after["searches"] - before["searches"]
-        self.statistics.vector_fallbacks += after["scalar_fallbacks"] - before["scalar_fallbacks"]
         if model is not None:
             return SolverResult(Status.SAT, model=model, reason=f"bounded search ({reason})")
         return SolverResult(Status.UNKNOWN, reason=reason)

@@ -118,12 +118,10 @@ def cube_inequality_rows(
     canonicalisation :meth:`CubeSolver._translate` applies, with
     equalities expanded into their two one-sided rows.  Literals that
     carry no such content (disequalities, divisibility constraints,
-    non-linear atoms) are *skipped*, which is conservative for the
-    vector backend's wave prefilter: proving the rows infeasible proves
-    the cube UNSAT regardless of what was dropped, and nothing here is
-    ever used to conclude SAT.  (:func:`repro.solver.vector.prefilter_unsat_cubes`
-    stacks these rows across a whole DNF wave into one coefficient
-    matrix.)
+    non-linear atoms) are *skipped*, which is conservative for
+    :func:`prefilter_unsat_cubes`: proving the rows infeasible proves the
+    cube UNSAT regardless of what was dropped, and nothing here is ever
+    used to conclude SAT.
     """
     rows: List[Tuple[Dict[Symbol, int], int]] = []
     for literal in literals:
@@ -150,6 +148,67 @@ def cube_inequality_rows(
             rows.append((negated.as_dict(), negated.constant))
         # Rel.NE carries no one-sided inequality content: skipped.
     return rows
+
+
+#: Minimum DNF wave size worth running the box prefilter on.
+PREFILTER_MIN_CUBES = 8
+
+
+def prefilter_unsat_cubes(cubes: Sequence[Sequence[Formula]]) -> List[bool]:
+    """Which cubes of a DNF wave are provably UNSAT by interval reasoning.
+
+    Each cube's :func:`cube_inequality_rows` are checked against the box
+    its own unit rows (``c*x + k <= 0``) bound: a cube is infeasible when
+    a constant row is positive, when a symbol's integer bounds cross, or
+    when a multi-symbol row's minimum over the box is still positive.  All
+    three are proofs of integer infeasibility, so ``True`` entries can be
+    skipped without consulting the cube solver; ``False`` means "no
+    proof", never "SAT".  Arithmetic is exact (Python integers).
+    """
+    infeasible = [_box_refutes(cube_inequality_rows(cube)) for cube in cubes]
+    count = sum(infeasible)
+    telemetry.count("solver.prefilter.calls")
+    if count:
+        telemetry.count("solver.prefilter.unsat_cubes", count)
+    return infeasible
+
+
+def _box_refutes(rows: Sequence[Tuple[Dict[Symbol, int], int]]) -> bool:
+    """True when ``rows`` (all ``sum(c*x) + k <= 0``) have no integer model
+    inside the bounding box their unit rows induce."""
+    lower: Dict[Symbol, int] = {}
+    upper: Dict[Symbol, int] = {}
+    wide: List[Tuple[Dict[Symbol, int], int]] = []
+    for coeffs, constant in rows:
+        if len(coeffs) >= 2:
+            wide.append((coeffs, constant))
+        elif not coeffs:
+            if constant > 0:
+                return True
+        else:
+            ((symbol, coeff),) = coeffs.items()
+            if coeff > 0:  # x <= floor(-k / c)
+                bound = -constant // coeff
+                if symbol not in upper or bound < upper[symbol]:
+                    upper[symbol] = bound
+            else:  # x >= ceil(-k / c)
+                bound = -(-constant // -coeff)
+                if symbol not in lower or bound > lower[symbol]:
+                    lower[symbol] = bound
+    for symbol, high in upper.items():
+        if symbol in lower and lower[symbol] > high:
+            return True
+    for coeffs, constant in wide:
+        minimum = constant
+        for symbol, coeff in coeffs.items():
+            bound = (lower if coeff > 0 else upper).get(symbol)
+            if bound is None:
+                break  # unbounded in the minimising direction: no proof
+            minimum += coeff * bound
+        else:
+            if minimum > 0:
+                return True
+    return False
 
 
 class CubeSolver:

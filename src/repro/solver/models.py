@@ -51,18 +51,9 @@ obligation corpus is verified byte-identical (``tests``/CI), and
 ``TestUnitPropagation::test_pruned_error_assignments_cannot_abort`` pins
 the direction.
 
-Under the ``vector`` backend (:mod:`repro.solver.backend`, numpy
-installed) the post-prune cartesian space is swept in row *batches*
-instead of per-assignment checks: :mod:`repro.solver.vector` evaluates
-every linear conjunct for thousands of assignments at once and only the
-surviving rows see a scalar closure call.  Accepted rows run the same
-compiled checker as above, so models and errors on them are identical;
-rows rejected in bulk are never evaluated scalarly, which extends the
-pruning divergence (an error-abort the scalar sweep would hit at a
-mask-rejected row is skipped — again ``UNKNOWN`` becoming a conclusive
-answer, never the reverse).  ``--backend tree`` selects the recursive
-tree walker as the checker instead: the slowest path, kept as the
-semantic reference for the three-way differential suite.
+Under the ``tree`` evaluator (:mod:`repro.solver.backend`) the
+recursive tree walker is the checker instead: the slowest path, kept as
+the semantic reference the tests compare the compiled closures against.
 """
 
 from __future__ import annotations
@@ -92,7 +83,6 @@ from ..logic.formula import (
     quantifier_depth,
 )
 from ..logic.traverse import formula_subformulas
-from . import vector
 from .backend import active_backend
 
 
@@ -341,10 +331,10 @@ def _assignment_checker(
     the assignment, where the old sweep would have aborted the whole search
     (see the module docstring's divergence notes).
 
-    Under the ``tree`` backend (:mod:`repro.solver.backend`) the checker is
-    instead the recursive tree walker on the whole formula in original
+    Under the ``tree`` evaluator (:mod:`repro.solver.backend`) the checker
+    is instead the recursive tree walker on the whole formula in original
     operand order — the semantic reference the differential suite compares
-    the compiled and vector backends against.
+    the compiled closures against.
     """
     if active_backend() == "tree":
 
@@ -371,125 +361,6 @@ def _assignment_checker(
             return whole(scalars, {}, domain)
 
     return check
-
-
-# ---------------------------------------------------------------------------
-# Columnar (vector-backend) sweeps
-# ---------------------------------------------------------------------------
-
-
-def _vector_plan(
-    conjuncts: Sequence[Formula],
-    pruned: Sequence[Sequence[int]],
-    domain: Sequence[int],
-):
-    """The batch-evaluation plan for this sweep, or ``None`` to stay scalar.
-
-    ``None`` when the vector backend is not active, nothing in the
-    conjunction vectorises, or a candidate/domain value falls outside the
-    exact-int64 magnitude guard.
-    """
-    if active_backend() != "vector":
-        return None
-    if not vector.values_vectorizable(pruned, domain):
-        telemetry.count("solver.backend.vector.scalar_fallbacks")
-        vector.note_scalar_fallback()
-        return None
-    plan = vector.plan_conjuncts(conjuncts)
-    if plan is None:
-        telemetry.count("solver.backend.vector.scalar_fallbacks")
-        vector.note_scalar_fallback()
-        return None
-    vector.note_search()
-    telemetry.count("solver.backend.vector.searches")
-    return plan
-
-
-def _vector_model_search(
-    plan: "vector.ConjunctPlan",
-    symbols: Sequence[Symbol],
-    pruned: Sequence[Sequence[int]],
-    check: Callable[[Dict[Symbol, int], Optional[Sequence[int]]], bool],
-    domain: Sequence[int],
-    budget: int,
-    deadline: Optional[float],
-) -> Optional[Dict[Symbol, int]]:
-    """The chunked columnar sweep behind :func:`bounded_model_search`.
-
-    Row chunks are generated in ``itertools.product`` order; the batch
-    mask rejects rows in bulk, and every surviving row is confirmed with
-    the *full* scalar checker (so accepted rows — and any errors they
-    surface — reproduce the compiled backend exactly).  When the plan has
-    no residue the mask is the whole conjunction and is total, so the
-    first surviving row is accepted directly.  The budget counts rows
-    exactly as the scalar sweep counts assignments; the deadline is
-    checked per chunk instead of every 256 rows (both cuts only ever turn
-    a late ``None`` into an early one).
-    """
-    total = 1
-    for values in pruned:
-        total *= len(values)
-    start = 0
-    while start < total:
-        if budget <= 0:
-            return None
-        if deadline is not None and time.perf_counter() > deadline:
-            return None
-        stop = min(total, start + min(vector.BATCH_ROWS, budget))
-        cols, rows = vector.candidate_columns(symbols, pruned, start, stop)
-        budget -= rows
-        _SEARCH_STATS.assignments_evaluated += rows
-        mask = plan.mask(cols, rows, domain)
-        if mask.any():
-            for row in (int(index) for index in mask.nonzero()[0]):
-                assignment = {symbol: int(cols[symbol][row]) for symbol in symbols}
-                if not plan.residue:
-                    _SEARCH_STATS.models_found += 1
-                    return assignment
-                try:
-                    if check(assignment, domain):
-                        _SEARCH_STATS.models_found += 1
-                        return assignment
-                except EvaluationError:
-                    return None
-        start = stop
-    return None
-
-
-def _vector_enumerate_models(
-    plan: "vector.ConjunctPlan",
-    symbols: Sequence[Symbol],
-    pruned: Sequence[Sequence[int]],
-    check: Callable[[Dict[Symbol, int], Optional[Sequence[int]]], bool],
-    domain: Sequence[int],
-    limit: int,
-) -> List[Dict[Symbol, int]]:
-    """The columnar sweep behind :func:`enumerate_models` (same contract)."""
-    total = 1
-    for values in pruned:
-        total *= len(values)
-    models: List[Dict[Symbol, int]] = []
-    start = 0
-    while start < total:
-        stop = min(total, start + vector.BATCH_ROWS)
-        cols, rows = vector.candidate_columns(symbols, pruned, start, stop)
-        _SEARCH_STATS.assignments_evaluated += rows
-        mask = plan.mask(cols, rows, domain)
-        if mask.any():
-            for row in (int(index) for index in mask.nonzero()[0]):
-                assignment = {symbol: int(cols[symbol][row]) for symbol in symbols}
-                if plan.residue:
-                    try:
-                        if not check(assignment, domain):
-                            continue
-                    except EvaluationError:
-                        return models
-                _SEARCH_STATS.models_found += 1
-                models.append(assignment)
-                if len(models) >= limit:
-                    return models
-        start = stop
-    return models
 
 
 def bounded_model_search(
@@ -559,9 +430,6 @@ def _bounded_model_search(
     if pruned is None:
         return None
     deadline = time.perf_counter() + max_seconds if max_seconds is not None else None
-    plan = _vector_plan(conjuncts, pruned, domain)
-    if plan is not None:
-        return _vector_model_search(plan, symbols, pruned, check, domain, budget, deadline)
     scalars: Dict[Symbol, int] = {}
     for index, assignment in enumerate(itertools.product(*pruned)):
         budget -= 1
@@ -634,9 +502,6 @@ def enumerate_models(
     pruned = _prune_values(symbols, per_symbol_values, _unit_constraints(conjuncts))
     if pruned is None:
         return []
-    plan = _vector_plan(conjuncts, pruned, domain)
-    if plan is not None:
-        return _vector_enumerate_models(plan, symbols, pruned, check, domain, limit)
     scalars: Dict[Symbol, int] = {}
     for assignment in itertools.product(*pruned):
         for symbol, value in zip(symbols, assignment):

@@ -20,7 +20,6 @@ from repro.cli_report import (
     report_payload,
     validate_payload,
 )
-from repro.solver.backend import RESOLVED_BACKENDS, active_backend
 
 
 class TestReportPayload:
@@ -29,7 +28,7 @@ class TestReportPayload:
         for key in ENVELOPE_KEYS:
             assert key in payload
         assert payload["command"] == "verify-batch"
-        assert payload["schema_version"] == SCHEMA_VERSION
+        assert payload["schema_version"] == SCHEMA_VERSION == 6
         assert payload["verified"] is True
         assert payload["programs"] == []
 
@@ -57,10 +56,6 @@ class TestReportPayload:
                     "bounded_fallbacks": 0,
                     "unknown_results": 0,
                     "total_seconds": 0.25,
-                    "vector_rows": 0,
-                    "vector_batches": 0,
-                    "vector_searches": 0,
-                    "vector_fallbacks": 0,
                     "prefiltered_cubes": 0,
                 }
 
@@ -73,8 +68,6 @@ class TestReportPayload:
         assert payload["engine"] == {"obligations": 4}
         assert payload["cache"]["hit_rate"] == 0.75
         assert payload["solver"]["cube_count"] == 5
-        # the envelope stamps the resolved backend onto the solver section
-        assert payload["solver"]["backend"] in RESOLVED_BACKENDS
         assert validate_payload(payload) is None
 
     def test_existing_counters_are_not_overwritten(self):
@@ -98,15 +91,13 @@ class TestReportPayload:
             engine=FakeEngine(),
         )
         assert payload["engine"] == {"obligations": 7}
-        # Caller-supplied counters win, but the resolved backend is always
-        # stamped so every schema-4 report is self-describing.
-        assert payload["solver"] == {"cube_count": 7, "backend": active_backend()}
+        assert payload["solver"] == {"cube_count": 7}
 
     def test_validate_rejects_incomplete_solver_counters(self):
         payload = report_payload("verify-batch", {"solver": {"cube_count": 1}}, verified=True)
         assert "solver counters" in (validate_payload(payload) or "")
 
-    def test_validate_requires_vector_counters(self):
+    def test_validate_requires_prefiltered_cubes(self):
         solver = {
             "cube_count": 1,
             "cooper_eliminations": 0,
@@ -115,36 +106,28 @@ class TestReportPayload:
             "total_seconds": 0.0,
         }
         payload = report_payload("verify-batch", {"solver": dict(solver)}, verified=True)
-        assert "vector-backend counters" in (validate_payload(payload) or "")
-        solver.update(
-            vector_rows=0,
-            vector_batches=0,
-            vector_searches=0,
-            vector_fallbacks=0,
-            prefiltered_cubes=0,
-        )
+        assert "prefiltered_cubes" in (validate_payload(payload) or "")
+        solver["prefiltered_cubes"] = 0
         payload = report_payload("verify-batch", {"solver": dict(solver)}, verified=True)
         assert validate_payload(payload) is None
 
-    def test_validate_rejects_unknown_backend(self):
-        solver = {
-            "cube_count": 0,
-            "cooper_eliminations": 0,
-            "bounded_fallbacks": 0,
-            "unknown_results": 0,
-            "total_seconds": 0.0,
-            "vector_rows": 0,
-            "vector_batches": 0,
-            "vector_searches": 0,
-            "vector_fallbacks": 0,
-            "prefiltered_cubes": 0,
-            "backend": "quantum",
-        }
-        payload = report_payload("verify-batch", {"solver": solver}, verified=True)
-        assert "solver.backend" in (validate_payload(payload) or "")
-        solver["backend"] = RESOLVED_BACKENDS[0]
-        payload = report_payload("verify-batch", {"solver": solver}, verified=True)
-        assert validate_payload(payload) is None
+    def test_solver_section_carries_no_backend(self):
+        class FakeEngine:
+            cache = None
+
+            class statistics:  # noqa: N801 - attribute-style stub
+                @staticmethod
+                def as_dict():
+                    return {}
+
+            class solver_statistics:  # noqa: N801 - attribute-style stub
+                @staticmethod
+                def as_dict():
+                    return {"cube_count": 3, "prefiltered_cubes": 2}
+
+        payload = report_payload("verify-batch", {}, verified=True, engine=FakeEngine())
+        assert "backend" not in payload["solver"]
+        assert not any(key.startswith("vector_") for key in payload["solver"])
 
     def test_validate_incremental_section(self):
         incremental = {

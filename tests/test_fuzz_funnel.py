@@ -46,8 +46,9 @@ class TestFunnel:
         assert "backend=compiled" in legs
         assert "backend=compiled,jobs=2" in legs
         assert "cache=cold" in legs and "cache=warm" in legs
-        if "vector" in available_backends():
-            assert "backend=vector" in legs
+        assert available_backends() == ("tree", "compiled")
+        assert report.backends == available_backends()
+        assert not any("vector" in leg for leg in legs)
 
     def test_every_program_completed_every_stage(self, report):
         assert len(report.programs) == 6

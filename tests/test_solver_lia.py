@@ -1,10 +1,20 @@
-"""Tests for the cube solver (Fourier–Motzkin + branch-and-bound core)."""
+"""Tests for the cube solver (Fourier–Motzkin + branch-and-bound core)
+and the interval-box prefilter that runs before it."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.logic import formula as F
-from repro.logic.formula import Atom, Const, Divides, Not, Rel, sym, var
-from repro.solver.lia import CubeSolver, Divisibility, Inequality, Status
+from repro.logic.formula import Atom, Const, Divides, Not, Rel, conj, disj, sym, var
+from repro.solver.interface import Solver
+from repro.solver.lia import (
+    CubeSolver,
+    Divisibility,
+    Inequality,
+    Status,
+    prefilter_unsat_cubes,
+)
 from repro.solver.linear import LinearTerm, NonLinearError
 
 
@@ -125,3 +135,90 @@ class TestCubeSolver:
         assert result.status is Status.SAT
         model = result.model
         assert 7 * model[sym("x")] + 5 * model[sym("y")] == 41
+
+
+@st.composite
+def linear_terms(draw):
+    """``sum(c*x) + k`` over a three-symbol pool with small coefficients."""
+    term = Const(draw(st.integers(min_value=-6, max_value=6)))
+    for name in ("x", "y", "z"):
+        coeff = draw(st.integers(min_value=-3, max_value=3))
+        if coeff:
+            term = F.Add(term, F.Mul(Const(coeff), var(name)))
+    return term
+
+
+@st.composite
+def cube_literals(draw):
+    """Linear comparisons (often unit bounds, which feed the box), plus the
+    disequality and divisibility literals the prefilter ignores."""
+    choice = draw(st.integers(min_value=0, max_value=9))
+    if choice == 9:
+        return Divides(draw(st.sampled_from([2, 3])), draw(linear_terms()))
+    rel = draw(st.sampled_from([Rel.LT, Rel.LE, Rel.GT, Rel.GE, Rel.EQ, Rel.NE]))
+    if choice < 5:
+        left = F.Mul(Const(draw(st.sampled_from([-2, -1, 1, 2, 3]))), var(draw(st.sampled_from("xyz"))))
+    else:
+        left = draw(linear_terms())
+    return Atom(rel, left, Const(draw(st.integers(min_value=-6, max_value=6))))
+
+
+class TestBoxPrefilter:
+    def test_constant_row_refutes(self):
+        assert prefilter_unsat_cubes([[atom(Rel.GT, Const(0), Const(1))]]) == [True]
+
+    def test_crossed_unit_bounds_refute(self):
+        # 2x >= 3 and 2x <= 3: x >= 2 and x <= 1 over the integers.
+        cube = [
+            atom(Rel.GE, var("x") * Const(2), Const(3)),
+            atom(Rel.LE, var("x") * Const(2), Const(3)),
+        ]
+        assert prefilter_unsat_cubes([cube]) == [True]
+        assert CubeSolver().solve(cube).status is Status.UNSAT
+
+    def test_wide_row_minimum_refutes(self):
+        # x, y in [0, 2] but x + y >= 5.
+        cube = [
+            atom(Rel.GE, var("x"), Const(0)),
+            atom(Rel.LE, var("x"), Const(2)),
+            atom(Rel.GE, var("y"), Const(0)),
+            atom(Rel.LE, var("y"), Const(2)),
+            atom(Rel.GE, var("x") + var("y"), Const(5)),
+        ]
+        assert prefilter_unsat_cubes([cube]) == [True]
+
+    def test_no_proof_without_bounds(self):
+        cubes = [
+            [atom(Rel.GE, var("x") + var("y"), Const(5))],  # unbounded box
+            [atom(Rel.GE, var("x"), Const(0)), atom(Rel.LE, var("x"), Const(0))],
+            [atom(Rel.NE, var("x"), var("x"))],  # no one-sided content
+        ]
+        assert prefilter_unsat_cubes(cubes) == [False, False, False]
+
+    def test_prefilter_skips_infeasible_cubes(self):
+        x, y = var("x"), var("y")
+        parts = [conj(F.ge(x, Const(i + 100)), F.lt(x, Const(i))) for i in range(10)]
+        parts.append(conj(F.ge(x, Const(1)), F.lt(x, Const(3)), F.eq(y, Const(5))))
+        solver = Solver()
+        result = solver.check_sat(disj(*parts))
+        assert result.status is Status.SAT
+        assert result.model == {sym("x"): 1, sym("y"): 5}
+        assert solver.statistics.prefiltered_cubes == 10
+        assert solver.statistics.cube_count == 11
+
+    def test_small_waves_skip_the_prefilter(self):
+        x = var("x")
+        parts = [conj(F.ge(x, Const(i + 100)), F.lt(x, Const(i))) for i in range(3)]
+        solver = Solver()
+        assert solver.check_sat(disj(*parts)).status is Status.UNSAT
+        assert solver.statistics.prefiltered_cubes == 0
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(st.lists(cube_literals(), min_size=1, max_size=5), min_size=1, max_size=6))
+    def test_prefiltered_cubes_are_not_sat(self, cubes):
+        """Every prefilter refutation is confirmed by the cube solver."""
+        verdicts = prefilter_unsat_cubes(cubes)
+        assert len(verdicts) == len(cubes)
+        for cube, infeasible in zip(cubes, verdicts):
+            if infeasible:
+                assert CubeSolver().solve(cube).status is not Status.SAT, cube

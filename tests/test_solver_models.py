@@ -1,13 +1,98 @@
 """Tests for bounded model search and model enumeration."""
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.casestudies.lu import LUApproximateMemory
+from repro.explore.scoring import score_candidate
 from repro.logic import formula as F
-from repro.logic.formula import Const, Divides, Select, Symbol, conj, exists, sym, var
+from repro.logic.evaluate import Valuation, evaluate
+from repro.logic.formula import (
+    Const,
+    Divides,
+    Exists,
+    Forall,
+    Ite,
+    Select,
+    Symbol,
+    conj,
+    disj,
+    exists,
+    neg,
+    sym,
+    var,
+)
+from repro.solver.backend import BACKENDS, active_backend, use_backend
 from repro.solver.models import (
     bounded_model_search,
     enumerate_models,
     reset_search_stats,
     search_stats,
 )
+
+NAMES = ["x", "y", "z"]
+names = st.sampled_from(NAMES)
+small_ints = st.integers(min_value=-4, max_value=4)
+
+
+@st.composite
+def total_terms(draw, depth=2):
+    """Terms from the *total* fragment: no Div/Mod/Select, so evaluation
+    under a full assignment can never raise."""
+    if depth == 0 or draw(st.booleans()):
+        if draw(st.booleans()):
+            return var(draw(names))
+        return Const(draw(small_ints))
+    choice = draw(st.integers(min_value=0, max_value=5))
+    if choice <= 4:
+        op = draw(st.sampled_from([F.Add, F.Sub, F.Mul, F.Min, F.Max]))
+        return op(draw(total_terms(depth=depth - 1)), draw(total_terms(depth=depth - 1)))
+    return Ite(
+        draw(total_formulas(depth=0)),
+        draw(total_terms(depth=depth - 1)),
+        draw(total_terms(depth=depth - 1)),
+    )
+
+
+@st.composite
+def total_atoms(draw):
+    choice = draw(st.integers(min_value=0, max_value=6))
+    if choice == 6:
+        return Divides(draw(st.sampled_from([-3, -2, 2, 3])), draw(total_terms()))
+    rel = [F.lt, F.le, F.gt, F.ge, F.eq, F.ne][choice]
+    return rel(draw(total_terms()), draw(total_terms()))
+
+
+@st.composite
+def total_formulas(draw, depth=2):
+    if depth == 0:
+        return draw(total_atoms())
+    choice = draw(st.integers(min_value=0, max_value=7))
+    if choice == 0:
+        return draw(total_atoms())
+    if choice == 1:
+        return neg(draw(total_formulas(depth=depth - 1)))
+    if choice == 2:
+        return conj(draw(total_formulas(depth=depth - 1)), draw(total_formulas(depth=depth - 1)))
+    if choice == 3:
+        return disj(draw(total_formulas(depth=depth - 1)), draw(total_formulas(depth=depth - 1)))
+    if choice == 4:
+        return F.Implies(
+            draw(total_formulas(depth=depth - 1)), draw(total_formulas(depth=depth - 1))
+        )
+    if choice == 5:
+        return F.Iff(draw(total_formulas(depth=depth - 1)), draw(total_formulas(depth=depth - 1)))
+    quantifier = Exists if draw(st.booleans()) else Forall
+    return quantifier(sym(draw(names)), draw(total_formulas(depth=depth - 1)))
+
+
+def _search_both_evaluators(formula, **kwargs):
+    results = {}
+    for name in BACKENDS:
+        with use_backend(name):
+            results[name] = bounded_model_search(formula, **kwargs)
+    return results
 
 
 class TestBoundedModelSearch:
@@ -164,3 +249,91 @@ class TestUnitPropagation:
         assert stats["searches"] == 1
         assert stats["models_found"] == 1
         assert 0.0 <= stats["prune_rate"] <= 1.0
+
+
+class TestEvaluatorSwitch:
+    def test_evaluator_universe(self):
+        assert BACKENDS == ("tree", "compiled")
+
+    def test_default_is_compiled(self):
+        assert active_backend() == "compiled"
+
+    def test_unknown_backend_rejected(self):
+        with pytest.raises(ValueError, match="unknown backend"):
+            with use_backend("quantum"):
+                pass
+
+    def test_use_backend_restores_previous(self):
+        before = active_backend()
+        with use_backend("tree"):
+            assert active_backend() == "tree"
+        assert active_backend() == before
+
+    def test_use_backend_none_is_noop(self):
+        before = active_backend()
+        with use_backend(None):
+            assert active_backend() == before
+
+
+class TestEvaluatorParity:
+    """The compiled closures against the reference tree walker."""
+
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(total_formulas())
+    def test_search_parity(self, formula):
+        results = _search_both_evaluators(formula, radius=2, quantifier_domain_radius=2)
+        # Any reported model is a genuine model under the tree semantics.
+        for name, model in results.items():
+            if model is not None:
+                assert evaluate(
+                    formula, Valuation(scalars=dict(model)), range(-2, 3)
+                ), f"{name} reported a non-model"
+        # The total fragment has no error channel, so both must agree
+        # exactly (same model: both sweep the identical candidate order).
+        assert results["tree"] == results["compiled"]
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(total_formulas())
+    def test_enumerate_models_parity(self, formula):
+        outcomes = {}
+        for name in BACKENDS:
+            with use_backend(name):
+                outcomes[name] = enumerate_models(
+                    formula, radius=2, limit=5, quantifier_domain_radius=2
+                )
+        assert outcomes["tree"] == outcomes["compiled"]
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(total_formulas())
+    def test_budget_parity(self, formula):
+        """Both evaluators stop after exactly the same assignment budget."""
+        results = _search_both_evaluators(
+            formula, radius=2, quantifier_domain_radius=2, max_assignments=7
+        )
+        assert results["tree"] == results["compiled"]
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(total_formulas(), st.sampled_from([None, 1]))
+    def test_divergence_direction_only(self, guard, divisor_slot):
+        """Mixing an erroring conjunct in never flips a conclusive answer:
+        a tree-walker model is the compiled model, and a compiled model is
+        a genuine model."""
+        x = var("x")
+        erroring = F.eq(F.Div(Const(6), x), Const(6))
+        formula = conj(erroring, guard) if divisor_slot else conj(guard, erroring)
+        results = _search_both_evaluators(formula, radius=2, quantifier_domain_radius=2)
+        if results["tree"] is not None:
+            assert results["compiled"] == results["tree"]
+        if results["compiled"] is not None:
+            assert evaluate(
+                formula, Valuation(scalars=dict(results["compiled"])), range(-2, 3)
+            )
+
+    def test_monte_carlo_scores_identical(self):
+        case = LUApproximateMemory()
+        program = case.build_program()
+        scores = {}
+        for name in BACKENDS:
+            with use_backend(name):
+                scores[name] = score_candidate(case, program, samples=4, seed=3).as_dict()
+        assert scores["tree"] == scores["compiled"]
