@@ -200,7 +200,9 @@ class _Interned:
     reconstruction and a dataclass-style ``repr`` for free.
     """
 
-    __slots__ = ("_hash", "_free", "_arrays", "_size", "_qdepth", "_compiled", "__weakref__")
+    __slots__ = (
+        "_hash", "_free", "_arrays", "_size", "_qdepth", "_compiled", "_linear", "__weakref__"
+    )
     _fields: Tuple[str, ...] = ()
 
     def __hash__(self) -> int:
@@ -241,6 +243,7 @@ def _mk(cls, args: tuple) -> "_Interned":
     set_(node, "_size", _UNSET)
     set_(node, "_qdepth", _UNSET)
     set_(node, "_compiled", _UNSET)
+    set_(node, "_linear", _UNSET)
     _INTERN[key] = node
     return node
 

@@ -48,7 +48,7 @@ from ..logic.formula import (
     disj,
     neg,
 )
-from .linear import LinearTerm, NonLinearError, linearize
+from .linear import LinearTerm, NonLinearError, atom_linear
 from .normalize import to_nnf
 
 
@@ -76,7 +76,7 @@ def _canonicalize_atom(formula: Formula, symbol: Symbol) -> Formula:
     """Rewrite an atom so that, if it mentions ``symbol``, it is a strict
     ``0 < t`` inequality or a (possibly negated) divisibility atom."""
     if isinstance(formula, Atom):
-        lin = linearize(formula.left).subtract(linearize(formula.right))
+        lin = atom_linear(formula).term
         if lin.coefficient(symbol) == 0:
             return formula
         rel = formula.rel
@@ -104,11 +104,6 @@ def _lt_atom(term: LinearTerm) -> Formula:
     return Atom(Rel.LT, Const(0), term.to_term())
 
 
-def _atom_linear(formula: Atom) -> LinearTerm:
-    """For a canonical ``0 < t`` atom, return ``t`` as a linear term."""
-    return linearize(formula.right).subtract(linearize(formula.left))
-
-
 def _walk_canonical(formula: Formula, symbol: Symbol, handler) -> Formula:
     """Map ``handler`` over the atoms of an NNF formula (leaves only)."""
     if isinstance(formula, (TrueF, FalseF)):
@@ -133,12 +128,12 @@ def _coefficient_lcm(formula: Formula, symbol: Symbol) -> int:
     def visit(f: Formula) -> None:
         nonlocal result
         if isinstance(f, Atom):
-            lin = linearize(f.left).subtract(linearize(f.right))
+            lin = atom_linear(f).term
             coeff = lin.coefficient(symbol)
             if coeff != 0:
                 result = _lcm(result, abs(coeff))
         elif isinstance(f, Divides):
-            lin = linearize(f.term)
+            lin = atom_linear(f).term
             coeff = lin.coefficient(symbol)
             if coeff != 0:
                 result = _lcm(result, abs(coeff))
@@ -170,7 +165,7 @@ def _scale_to_unit(formula: Formula, symbol: Symbol, delta: int) -> Formula:
             new_coeffs[symbol] = 1 if coeff > 0 else -1
             return _lt_atom(LinearTerm.of(new_coeffs, scaled.constant))
         if isinstance(atom, Divides):
-            lin = linearize(atom.term)
+            lin = atom_linear(atom).term
             coeff = lin.coefficient(symbol)
             if coeff == 0:
                 return atom
@@ -189,7 +184,7 @@ def _scale_to_unit(formula: Formula, symbol: Symbol, delta: int) -> Formula:
 
 def _atom_linear_any(atom: Atom) -> LinearTerm:
     """Linear form of an arbitrary canonical ``0 < t`` atom."""
-    return linearize(atom.right).subtract(linearize(atom.left))
+    return atom_linear(atom).term.negate()
 
 
 def _minus_infinity(formula: Formula, symbol: Symbol) -> Formula:
@@ -240,7 +235,7 @@ def _divisor_lcm(formula: Formula, symbol: Symbol) -> int:
     def visit(f: Formula) -> None:
         nonlocal result
         if isinstance(f, Divides):
-            lin = linearize(f.term)
+            lin = atom_linear(f).term
             if lin.coefficient(symbol) != 0:
                 result = _lcm(result, abs(f.divisor))
         elif isinstance(f, Not) and isinstance(f.operand, Divides):
@@ -266,7 +261,7 @@ def _substitute_linear(formula: Formula, symbol: Symbol, value: LinearTerm) -> F
                 return TRUE if substituted.constant > 0 else FALSE
             return _lt_atom(substituted)
         if isinstance(atom, Divides):
-            lin = linearize(atom.term)
+            lin = atom_linear(atom).term
             if lin.coefficient(symbol) == 0:
                 return atom
             substituted = lin.substitute(symbol, value)

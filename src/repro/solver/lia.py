@@ -34,11 +34,11 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple
 
 from .. import telemetry
 from ..logic.formula import Atom, Divides, Formula, Not, Rel, Symbol
-from .linear import LinearTerm, NonLinearError, linearize
+from .linear import ONE, LinearTerm, NonLinearError, atom_linear
 
 
 class Status(enum.Enum):
@@ -70,11 +70,12 @@ class Inequality:
         content = self.term.content()
         if content <= 1:
             return self
-        coeffs = {s: c // content for s, c in self.term.coeffs}
+        # Dividing every (nonzero) coefficient by their positive gcd keeps
+        # the tuple sorted and zero-free.
+        coeffs = tuple([(s, c // content) for s, c in self.term.coeffs])
         # sum(c_i x_i) + k <= 0  <=>  sum(c_i/g x_i) <= -k/g
         # integer left side  =>  sum <= floor(-k/g)  <=>  sum + ceil(k/g) <= 0
-        constant = ceil(Fraction(self.term.constant, content))
-        return Inequality(LinearTerm.of(coeffs, int(constant)))
+        return Inequality(LinearTerm(coeffs, -(-self.term.constant // content)))
 
 
 @dataclass(frozen=True)
@@ -108,45 +109,52 @@ def _lcm(a: int, b: int) -> int:
     return abs(a * b) // gcd(a, b) if a and b else max(abs(a), abs(b), 1)
 
 
-def cube_inequality_rows(
-    literals: Sequence[Formula],
-) -> List[Tuple[Dict[Symbol, int], int]]:
+def _eliminate(
+    term: LinearTerm,
+    eliminations: Sequence[Tuple[Symbol, LinearTerm]],
+    eliminated: AbstractSet[Symbol],
+) -> LinearTerm:
+    """``term`` with each ``(symbol, replacement)`` of ``eliminations``
+    substituted in order, canonicalised once at the end; ``term`` itself
+    when it mentions none of the ``eliminated`` symbols."""
+    for symbol, _ in term.coeffs:
+        if symbol in eliminated:
+            break
+    else:
+        return term
+    coeffs = term.as_dict()
+    constant = term.constant
+    for symbol, replacement in eliminations:
+        coeff = coeffs.pop(symbol, 0)
+        if coeff:
+            for other, other_coeff in replacement.coeffs:
+                coeffs[other] = coeffs.get(other, 0) + coeff * other_coeff
+            constant += coeff * replacement.constant
+    return LinearTerm.of(coeffs, constant)
+
+
+def cube_inequality_rows(literals: Sequence[Formula]) -> List[LinearTerm]:
     """The *hard* linear content of a cube, as ``term <= 0`` rows.
 
-    Each row is ``(coefficients, constant)`` with the invariant that every
-    integer model of the cube satisfies ``sum(c*x) + k <= 0`` — the same
-    canonicalisation :meth:`CubeSolver._translate` applies, with
-    equalities expanded into their two one-sided rows.  Literals that
-    carry no such content (disequalities, divisibility constraints,
-    non-linear atoms) are *skipped*, which is conservative for
+    Each row is a :class:`LinearTerm` ``sum(c*x) + k`` that every integer
+    model of the cube keeps at or below zero: the cached
+    :attr:`LinearAtom.rows <repro.solver.linear.LinearAtom.rows>` of its
+    atoms, which are exactly the inequalities :meth:`CubeSolver._translate`
+    builds plus both sides of its equalities.  The rows are shared with
+    every other cube mentioning the same atom, so they are immutable.
+    Literals that carry no such content (disequalities, divisibility
+    constraints, non-linear atoms) are *skipped*, which is conservative for
     :func:`prefilter_unsat_cubes`: proving the rows infeasible proves the
     cube UNSAT regardless of what was dropped, and nothing here is ever
     used to conclude SAT.
     """
-    rows: List[Tuple[Dict[Symbol, int], int]] = []
+    rows: List[LinearTerm] = []
     for literal in literals:
-        if not isinstance(literal, Atom):
-            continue
-        try:
-            lin = linearize(literal.left).subtract(linearize(literal.right))
-        except NonLinearError:
-            continue
-        rel = literal.rel
-        if rel is Rel.LT:
-            rows.append((lin.as_dict(), lin.constant + 1))
-        elif rel is Rel.LE:
-            rows.append((lin.as_dict(), lin.constant))
-        elif rel is Rel.GT:
-            negated = lin.negate()
-            rows.append((negated.as_dict(), negated.constant + 1))
-        elif rel is Rel.GE:
-            negated = lin.negate()
-            rows.append((negated.as_dict(), negated.constant))
-        elif rel is Rel.EQ:
-            negated = lin.negate()
-            rows.append((lin.as_dict(), lin.constant))
-            rows.append((negated.as_dict(), negated.constant))
-        # Rel.NE carries no one-sided inequality content: skipped.
+        if isinstance(literal, Atom):
+            try:
+                rows.extend(atom_linear(literal).rows)
+            except NonLinearError:
+                continue
     return rows
 
 
@@ -173,20 +181,21 @@ def prefilter_unsat_cubes(cubes: Sequence[Sequence[Formula]]) -> List[bool]:
     return infeasible
 
 
-def _box_refutes(rows: Sequence[Tuple[Dict[Symbol, int], int]]) -> bool:
+def _box_refutes(rows: Sequence[LinearTerm]) -> bool:
     """True when ``rows`` (all ``sum(c*x) + k <= 0``) have no integer model
     inside the bounding box their unit rows induce."""
     lower: Dict[Symbol, int] = {}
     upper: Dict[Symbol, int] = {}
-    wide: List[Tuple[Dict[Symbol, int], int]] = []
-    for coeffs, constant in rows:
+    wide: List[LinearTerm] = []
+    for row in rows:
+        coeffs, constant = row.coeffs, row.constant
         if len(coeffs) >= 2:
-            wide.append((coeffs, constant))
+            wide.append(row)
         elif not coeffs:
             if constant > 0:
                 return True
         else:
-            ((symbol, coeff),) = coeffs.items()
+            ((symbol, coeff),) = coeffs
             if coeff > 0:  # x <= floor(-k / c)
                 bound = -constant // coeff
                 if symbol not in upper or bound < upper[symbol]:
@@ -198,9 +207,9 @@ def _box_refutes(rows: Sequence[Tuple[Dict[Symbol, int], int]]) -> bool:
     for symbol, high in upper.items():
         if symbol in lower and lower[symbol] > high:
             return True
-    for coeffs, constant in wide:
-        minimum = constant
-        for symbol, coeff in coeffs.items():
+    for row in wide:
+        minimum = row.constant
+        for symbol, coeff in row.coeffs:
             bound = (lower if coeff > 0 else upper).get(symbol)
             if bound is None:
                 break  # unbounded in the minimising direction: no proof
@@ -248,33 +257,25 @@ class CubeSolver:
         divisibilities: List[Divisibility] = []
         for literal in literals:
             if isinstance(literal, Atom):
-                lin = linearize(literal.left).subtract(linearize(literal.right))
+                form = atom_linear(literal)
                 rel = literal.rel
-                if rel is Rel.LT:
-                    inequalities.append(Inequality(lin.add(LinearTerm.constant_term(1))))
-                elif rel is Rel.LE:
-                    inequalities.append(Inequality(lin))
-                elif rel is Rel.GT:
-                    inequalities.append(Inequality(lin.negate().add(LinearTerm.constant_term(1))))
-                elif rel is Rel.GE:
-                    inequalities.append(Inequality(lin.negate()))
-                elif rel is Rel.EQ:
-                    equalities.append(Equality(lin))
+                if rel is Rel.EQ:
+                    equalities.append(Equality(form.term))
                 elif rel is Rel.NE:
-                    disequalities.append(lin)
-                else:  # pragma: no cover - exhaustive
-                    raise AssertionError(f"unhandled relation {rel}")
+                    disequalities.append(form.term)
+                else:  # <, <=, >, >=: the atom's single one-sided row
+                    inequalities.append(Inequality(form.rows[0]))
             elif isinstance(literal, Divides):
                 divisor = abs(literal.divisor)
                 if divisor == 0:
                     raise NonLinearError("divisibility by zero")
-                divisibilities.append(Divisibility(divisor, linearize(literal.term), True))
+                divisibilities.append(Divisibility(divisor, atom_linear(literal).term, True))
             elif isinstance(literal, Not) and isinstance(literal.operand, Divides):
                 divides = literal.operand
                 divisor = abs(divides.divisor)
                 if divisor == 0:
                     raise NonLinearError("negated divisibility by zero")
-                divisibilities.append(Divisibility(divisor, linearize(divides.term), False))
+                divisibilities.append(Divisibility(divisor, atom_linear(divides).term, False))
             else:
                 raise NonLinearError(f"unsupported literal {literal}")
         return inequalities, equalities, disequalities, divisibilities
@@ -295,10 +296,7 @@ class CubeSolver:
         first, rest = disequalities[0], disequalities[1:]
         saw_unknown = False
         # term != 0  <=>  term <= -1  or  -term <= -1
-        for branch_term in (
-            first.add(LinearTerm.constant_term(1)),
-            first.negate().add(LinearTerm.constant_term(1)),
-        ):
+        for branch_term in (first.add(ONE), first.negate().add(ONE)):
             result = self._solve_split(
                 inequalities + [Inequality(branch_term)], equalities, rest, divisibilities
             )
@@ -389,13 +387,18 @@ class CubeSolver:
     def _solve_core(
         self, inequalities: List[Inequality], equalities: List[Equality]
     ) -> CubeResult:
+        # Eliminations are substituted lazily: into an equality when it is
+        # popped and into the inequalities once the loop ends.  Applying
+        # them in order then gives the terms an eager substitution after
+        # each elimination would, but leaves every constraint that mentions
+        # no eliminated symbol untouched.
         eliminations: List[Tuple[Symbol, LinearTerm]] = []
+        eliminated: Set[Symbol] = set()
         inequalities = list(inequalities)
         equalities = list(equalities)
 
         while equalities:
-            equality = equalities.pop()
-            term = equality.term
+            term = _eliminate(equalities.pop().term, eliminations, eliminated)
             if term.is_constant():
                 if term.constant != 0:
                     return CubeResult(Status.UNSAT)
@@ -419,13 +422,12 @@ class CubeSolver:
             rest = term.drop(unit_symbol)
             replacement = rest.negate() if unit_coeff == 1 else rest
             eliminations.append((unit_symbol, replacement))
-            equalities = [
-                Equality(eq.term.substitute(unit_symbol, replacement)) for eq in equalities
-            ]
-            inequalities = [
-                Inequality(ineq.term.substitute(unit_symbol, replacement))
-                for ineq in inequalities
-            ]
+            eliminated.add(unit_symbol)
+
+        for index, ineq in enumerate(inequalities):
+            term = _eliminate(ineq.term, eliminations, eliminated)
+            if term is not ineq.term:
+                inequalities[index] = Inequality(term)
 
         result = self._solve_inequalities([ineq.tighten() for ineq in inequalities], 0)
         if result.status is not Status.SAT or result.model is None:

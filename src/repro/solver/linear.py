@@ -12,18 +12,27 @@ canonical atom forms used by Cooper's quantifier elimination:
 
 Equalities and disequalities are rewritten into strict inequalities during
 canonicalisation (over the integers ``a = b`` iff ``a < b + 1 && b < a + 1``).
+
+:func:`atom_linear` linearizes an interned :class:`~repro.logic.formula.Atom`
+or :class:`~repro.logic.formula.Divides` once per process and keeps the
+result on the node (the ``_linear`` slot, like the compiled-closure cache),
+so every cube that mentions the atom reads the same :class:`LinearAtom`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Mapping, Optional, Tuple, Union
 
+from .. import telemetry
 from ..logic.formula import (
+    _UNSET,
     Add,
+    Atom,
     Const,
     Div,
+    Divides,
     Max,
     Min,
     Mod,
@@ -35,6 +44,7 @@ from ..logic.formula import (
     Symbol,
     Term,
     Ite,
+    Rel,
 )
 
 
@@ -46,9 +56,12 @@ class NonLinearError(Exception):
 class LinearTerm:
     """An integer linear combination ``sum(coeffs[s] * s) + constant``.
 
-    Coefficient maps never contain zero entries, so structural equality of
-    two :class:`LinearTerm` values coincides with semantic equality of the
-    linear functions they denote.
+    ``coeffs`` is sorted by symbol and never contains zero entries, so
+    structural equality of two :class:`LinearTerm` values coincides with
+    semantic equality of the linear functions they denote.  :meth:`negate`,
+    :meth:`scale` and :meth:`drop` preserve that invariant coefficient by
+    coefficient and build the tuple directly; only :meth:`of`, :meth:`add`
+    and :meth:`substitute` merge and sort.
     """
 
     coeffs: Tuple[Tuple[Symbol, int], ...]
@@ -95,22 +108,24 @@ class LinearTerm:
         return LinearTerm.of(coeffs, self.constant + other.constant)
 
     def negate(self) -> "LinearTerm":
-        return LinearTerm.of({s: -c for s, c in self.coeffs}, -self.constant)
+        return LinearTerm(tuple([(s, -c) for s, c in self.coeffs]), -self.constant)
 
     def subtract(self, other: "LinearTerm") -> "LinearTerm":
         return self.add(other.negate())
 
     def scale(self, factor: int) -> "LinearTerm":
         if factor == 0:
-            return LinearTerm((), 0)
-        return LinearTerm.of({s: c * factor for s, c in self.coeffs}, self.constant * factor)
+            return ZERO
+        if factor == 1:
+            return self
+        return LinearTerm(tuple([(s, c * factor) for s, c in self.coeffs]), self.constant * factor)
 
     def drop(self, symbol: Symbol) -> "LinearTerm":
         """Remove ``symbol`` from the combination (coefficient becomes 0)."""
-        return LinearTerm.of({s: c for s, c in self.coeffs if s != symbol}, self.constant)
+        return LinearTerm(tuple([p for p in self.coeffs if p[0] is not symbol]), self.constant)
 
     def substitute(self, symbol: Symbol, replacement: "LinearTerm") -> "LinearTerm":
-        """Replace ``symbol`` with another linear term."""
+        """Replace ``symbol`` with another linear term (``self`` when absent)."""
         coeff = self.coefficient(symbol)
         if coeff == 0:
             return self
@@ -200,3 +215,68 @@ def is_linear(term: Term) -> bool:
         return True
     except NonLinearError:
         return False
+
+
+@dataclass(frozen=True)
+class LinearAtom:
+    """The linear content of an interned atom, computed once per atom.
+
+    ``term`` is ``left - right`` for an :class:`Atom` and the linearized
+    term for a :class:`Divides`.  ``rows`` are the one-sided ``t <= 0``
+    forms every integer model of the atom satisfies: one for ``<``, ``<=``,
+    ``>``, ``>=``, the two sides ``term`` and ``-term`` for ``==``, and none
+    for ``!=`` or divisibility.  They are what the cube solver's
+    inequalities and the box prefilter's rows are built from, and are
+    shared by every caller, hence immutable.
+    """
+
+    term: LinearTerm
+    rows: Tuple[LinearTerm, ...]
+
+
+class _NonLinearAtom:
+    """Cached negative result: the atom is not linear, for this reason."""
+
+    __slots__ = ("message",)
+
+    def __init__(self, message: str) -> None:
+        self.message = message
+
+
+def atom_linear(node: Union[Atom, Divides]) -> LinearAtom:
+    """The :class:`LinearAtom` of ``node``, cached on the interned node.
+
+    Raises :class:`NonLinearError` (with the same message every time) when
+    the atom's terms are not linear.
+    """
+    memo = node._linear
+    if memo is _UNSET:
+        memo = _linearize_atom(node)
+        object.__setattr__(node, "_linear", memo)
+    if type(memo) is _NonLinearAtom:
+        raise NonLinearError(memo.message)
+    return memo
+
+
+def _linearize_atom(node: Union[Atom, Divides]) -> Union[LinearAtom, _NonLinearAtom]:
+    telemetry.count("solver.linearize.misses")
+    try:
+        if type(node) is Divides:
+            return LinearAtom(linearize(node.term), ())
+        term = linearize(node.left).subtract(linearize(node.right))
+    except NonLinearError as exc:
+        return _NonLinearAtom(str(exc))
+    rel = node.rel
+    if rel is Rel.LT:
+        rows: Tuple[LinearTerm, ...] = (term.add(ONE),)
+    elif rel is Rel.LE:
+        rows = (term,)
+    elif rel is Rel.GT:
+        rows = (term.negate().add(ONE),)
+    elif rel is Rel.GE:
+        rows = (term.negate(),)
+    elif rel is Rel.EQ:
+        rows = (term, term.negate())
+    else:  # Rel.NE carries no one-sided content
+        rows = ()
+    return LinearAtom(term, rows)

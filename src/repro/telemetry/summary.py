@@ -12,7 +12,9 @@ questions as fixed-width tables:
   attributes (program, candidate, strategy, obligation index);
 * **cache behaviour** — hit/miss counters by tier and the hit rate;
 * **strategy outcomes** — portfolio wins per obligation kind, matching
-  the engine's win table.
+  the engine's win table;
+* **atom reuse** — atoms linearized (``solver.linearize.misses``, once per
+  interned atom per process) against cubes solved (``lia.cube_solves``).
 
 Everything is recomputed from the file — no live session needed — so a
 trace captured in CI can be summarized on a laptop.
@@ -187,6 +189,12 @@ class TraceSummary:
                 for name, value in sorted(table.items(), key=lambda kv: -kv[1]):
                     parts.append(f"{name}({kind[:3]})={value}")
             lines.append("portfolio wins: " + ", ".join(parts))
+        linearized = self.counters.get("solver.linearize.misses", 0.0)
+        if linearized:
+            lines.append(
+                f"linear atoms: {linearized:.0f} linearized for "
+                f"{self.counters.get('lia.cube_solves', 0.0):.0f} cube solves"
+            )
         return "\n".join(lines)
 
 

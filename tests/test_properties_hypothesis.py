@@ -14,7 +14,7 @@ from repro.logic.evaluate import Valuation, evaluate
 from repro.logic.formula import Const, conj, disj, neg, sym, var
 from repro.solver.interface import Solver
 from repro.solver.lia import CubeSolver, Status
-from repro.solver.linear import LinearTerm, linearize
+from repro.solver.linear import LinearTerm, NonLinearError, atom_linear, linearize
 from repro.solver.normalize import to_dnf, to_nnf
 from repro.semantics.interpreter import run_original, run_relaxed
 from repro.semantics.state import State, Terminated
@@ -88,6 +88,36 @@ class TestLinearTermProperties:
         values = {sym(name): value for name, value in assignment.items()}
         roundtripped = linearize(term.to_term())
         assert roundtripped.evaluate(values) == term.evaluate(values)
+
+    @given(linear_terms(), linear_terms(), small_ints, names)
+    def test_operations_keep_terms_canonical(self, a, b_, factor, name):
+        """Every result is sorted and zero-free, i.e. equal to its own
+        re-canonicalisation, so structural equality stays semantic."""
+        symbol = sym(name)
+        results = [
+            a.negate(),
+            a.scale(factor),
+            a.drop(symbol),
+            a.add(b_),
+            a.subtract(b_),
+            a.substitute(symbol, b_),
+        ]
+        for result in results:
+            assert result == LinearTerm.of(result.as_dict(), result.constant)
+
+    @given(atoms())
+    def test_memoized_atom_form_matches_fresh_linearization(self, atom):
+        assert atom_linear(atom).term == linearize(atom.left).subtract(linearize(atom.right))
+
+    @given(names, names, small_ints)
+    def test_non_linear_atom_raises_same_error_twice(self, left, right, constant):
+        atom = F.lt(var(left) * var(right), Const(constant))
+        messages = []
+        for _ in range(2):
+            with pytest.raises(NonLinearError) as error:
+                CubeSolver().solve([atom])
+            messages.append(str(error.value))
+        assert messages[0] == messages[1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Tests for the cube solver (Fourier–Motzkin + branch-and-bound core)
 and the interval-box prefilter that runs before it."""
 
+from collections import Counter
+from fractions import Fraction
+from math import ceil
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -13,6 +17,7 @@ from repro.solver.lia import (
     Divisibility,
     Inequality,
     Status,
+    cube_inequality_rows,
     prefilter_unsat_cubes,
 )
 from repro.solver.linear import LinearTerm, NonLinearError
@@ -32,6 +37,14 @@ class TestInequalityTighten:
     def test_unit_content_unchanged(self):
         ineq = Inequality(LinearTerm.of({sym("x"): 1}, 3))
         assert ineq.tighten() == ineq
+
+    @pytest.mark.parametrize("content", [2, 3, 5, 7])
+    def test_integer_ceiling_matches_fraction(self, content):
+        for constant in range(-25, 26):
+            term = LinearTerm.of({sym("x"): content, sym("y"): -2 * content}, constant)
+            tightened = Inequality(term).tighten().term
+            assert tightened.constant == ceil(Fraction(constant, content)), constant
+            assert tightened == LinearTerm.of({sym("x"): 1, sym("y"): -2}, tightened.constant)
 
 
 class TestCubeSolver:
@@ -212,6 +225,37 @@ class TestBoxPrefilter:
         solver = Solver()
         assert solver.check_sat(disj(*parts)).status is Status.UNSAT
         assert solver.statistics.prefiltered_cubes == 0
+
+    def test_shared_rows_are_read_only(self):
+        # x, y in [0, 2] but x + y >= 5: refuted by the box.
+        cube = [
+            atom(Rel.GE, var("x"), Const(0)),
+            atom(Rel.LE, var("x"), Const(2)),
+            atom(Rel.EQ, var("y"), Const(1)),
+            atom(Rel.GE, var("x") + var("y"), Const(5)),
+        ]
+        assert prefilter_unsat_cubes([cube]) == [True]
+        rows = cube_inequality_rows(cube)
+        snapshot = list(rows)
+        for row in rows:
+            with pytest.raises(TypeError):
+                row.coeffs[0] = (sym("x"), 0)
+            with pytest.raises(AttributeError):
+                row.constant = -100
+        rows.clear()  # the list itself is the caller's own
+        assert cube_inequality_rows(cube) == snapshot
+        assert prefilter_unsat_cubes([cube]) == [True]
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(cube_literals(), min_size=1, max_size=6))
+    def test_rows_match_cube_solver_translation(self, cube):
+        """The prefilter's rows are ``_translate``'s inequalities plus both
+        sides of its equalities."""
+        inequalities, equalities, _, _ = CubeSolver()._translate(cube)
+        expected = [ineq.term for ineq in inequalities]
+        for equality in equalities:
+            expected += [equality.term, equality.term.negate()]
+        assert Counter(cube_inequality_rows(cube)) == Counter(expected)
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.lists(st.lists(cube_literals(), min_size=1, max_size=5), min_size=1, max_size=6))

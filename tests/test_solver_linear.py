@@ -2,9 +2,17 @@
 
 import pytest
 
-from repro.logic.formula import Const, Div, Min, Mul, Select, Symbol, var
-from repro.solver.linear import LinearTerm, NonLinearError, is_linear, linearize
+from repro import telemetry
+from repro.logic.formula import Atom, Const, Div, Divides, Min, Mul, Rel, Select, Symbol, var
+from repro.solver.linear import (
+    LinearTerm,
+    NonLinearError,
+    atom_linear,
+    is_linear,
+    linearize,
+)
 from repro.logic.formula import sym
+from repro.telemetry import TelemetrySession
 
 
 class TestLinearTerm:
@@ -76,3 +84,48 @@ class TestLinearize:
 
     def test_is_linear_true(self):
         assert is_linear(var("x") + 4 * var("y"))
+
+
+class TestAtomLinear:
+    """The per-atom linear form cached on the interned node."""
+
+    def test_rows_per_relation(self):
+        left, right = var("am_x") * 2 + var("am_y"), Const(3)
+        term = linearize(left).subtract(linearize(right))
+        one = LinearTerm.constant_term(1)
+        expected = {
+            Rel.LT: (term.add(one),),
+            Rel.LE: (term,),
+            Rel.GT: (term.negate().add(one),),
+            Rel.GE: (term.negate(),),
+            Rel.EQ: (term, term.negate()),
+            Rel.NE: (),
+        }
+        for rel, rows in expected.items():
+            form = atom_linear(Atom(rel, left, right))
+            assert form.term == term
+            assert form.rows == rows, rel
+
+    def test_divides_term(self):
+        form = atom_linear(Divides(3, var("am_z") + Const(1)))
+        assert form.term == LinearTerm.of({sym("am_z"): 1}, 1)
+        assert form.rows == ()
+
+    def test_memo_is_per_node_and_counted_once(self):
+        node = Atom(Rel.LE, var("am_fresh") * 3, var("am_other"))
+        with telemetry.activated(TelemetrySession()) as session:
+            first = atom_linear(node)
+            assert atom_linear(node) is first
+            assert atom_linear(Atom(Rel.LE, var("am_fresh") * 3, var("am_other"))) is first
+        assert session.counters["solver.linearize.misses"] == 1
+
+    def test_non_linear_atom_raises_every_time(self):
+        node = Atom(Rel.LT, Mul(var("am_p"), var("am_q")), Const(0))
+        with telemetry.activated(TelemetrySession()) as session:
+            messages = []
+            for _ in range(2):
+                with pytest.raises(NonLinearError) as error:
+                    atom_linear(node)
+                messages.append(str(error.value))
+        assert messages[0] == messages[1] and "non-linear" in messages[0]
+        assert session.counters["solver.linearize.misses"] == 1
