@@ -99,9 +99,9 @@ class CaseStudy:
     def verify(self, solver: Optional[Solver] = None, engine=None) -> AcceptabilityReport:
         """Run the ⊢o and ⊢r verifications for this case study.
 
-        ``engine`` optionally routes obligation discharge through an
-        :class:`~repro.engine.core.ObligationEngine` (cache + portfolio +
-        parallel scheduler).
+        Obligations are discharged through ``engine`` (an
+        :class:`~repro.engine.core.ObligationEngine`), or a default engine
+        when none is given.
         """
         program = self.build_program()
         spec = self.acceptability_spec(program)

@@ -220,16 +220,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_verify_case_study(args: argparse.Namespace) -> int:
     case_study = _case_study_by_name(args.name)
-    engine = None
-    # --json promises cache hit/miss counters, so it needs an engine too
-    # (an in-memory cache when no --cache-dir is given).
-    if args.jobs != 1 or args.cache_dir or args.budget is not None or args.json_out:
-        engine = _build_batch_engine(args)
+    engine = _build_batch_engine(args)
     with _tracing(args) as session:
         with telemetry.span("verify-case-study", study=case_study.name):
             report = case_study.verify(engine=engine)
-        if engine is not None:
-            engine.save()  # persist the cache and the portfolio win table
+        engine.save()  # persist the cache and the portfolio win table
     print(report.summary())
     diagnostics = None
     if args.explain:

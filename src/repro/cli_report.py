@@ -6,7 +6,7 @@ owns the one schema they share and the emission plumbing, so the three
 commands cannot drift apart:
 
 * every payload carries the envelope keys ``command`` (which subcommand
-  produced it), ``schema_version`` (currently 6) and ``verified`` (the
+  produced it), ``schema_version`` (currently 7) and ``verified`` (the
   overall boolean the command's exit code is based on);
 * engine-backed commands carry ``engine`` (scheduler/portfolio counters),
   ``solver`` (solver-level counters aggregated across every strategy and
@@ -31,7 +31,10 @@ commands cannot drift apart:
 
 JSON is serialised deterministically (sorted keys, 2-space indent).
 
-Schema history: version 6 dropped ``solver.backend`` and the vector-backend
+Schema history: version 7 dropped ``engine.strategy_attempts``, which
+always equalled ``engine.solver_calls`` once every obligation took the
+portfolio path;
+version 6 dropped ``solver.backend`` and the vector-backend
 counters (``vector_rows``, ``vector_batches``, ``vector_searches``,
 ``vector_fallbacks``) from the ``solver`` section, since the solver has one
 evaluation path; ``prefiltered_cubes`` stays and is now required;
@@ -55,7 +58,7 @@ from __future__ import annotations
 import json
 from typing import Dict, Optional
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 #: Envelope keys every CLI JSON report carries (tested in
 #: tests/test_cli_report.py; bump SCHEMA_VERSION when this changes).

@@ -97,12 +97,8 @@ def explain_case_study(
     spec = case.acceptability_spec(program)
     verifier = AcceptabilityVerifier(solver=solver, engine=engine)
     bundle = verifier.collect(program, spec, study=case.name, sites=tuple(applied))
-    original = discharge(
-        bundle.original, verifier.solver, bundle.program_name, engine=engine
-    )
-    relaxed = discharge(
-        bundle.relaxed, verifier.solver, bundle.program_name, engine=engine
-    )
+    original = discharge(bundle.original, bundle.program_name, engine=engine)
+    relaxed = discharge(bundle.relaxed, bundle.program_name, engine=engine)
     report = AcceptabilityReport(
         program_name=bundle.program_name, original=original, relaxed=relaxed
     )

@@ -24,7 +24,7 @@ obligations) and the solver stack (which decides individual queries):
 """
 
 from .cache import CachedVerdict, ObligationCache
-from .core import EngineStatistics, ObligationEngine, default_engine
+from .core import EngineStatistics, ObligationEngine
 from .fingerprint import canonical_form, fingerprint
 from .incremental import StoredVerdict, VerdictStore
 from .portfolio import (
@@ -63,7 +63,6 @@ __all__ = [
     "VerdictStore",
     "canonical_form",
     "case_study_items",
-    "default_engine",
     "directory_items",
     "fingerprint",
     "is_conclusive",

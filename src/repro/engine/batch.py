@@ -6,7 +6,7 @@ generation is cheap), pooled into a single :meth:`ObligationEngine.
 discharge_all` wave — so independent obligations from different programs
 prove concurrently and share one cache — and the verdicts are then scattered
 back into per-program :class:`~repro.hoare.verifier.AcceptabilityReport`
-objects identical in shape to the serial path's.
+objects identical in shape to :meth:`AcceptabilityVerifier.verify`'s.
 
 Batch items come from the built-in case studies
 (:func:`case_study_items`) or from a directory of ``.rlx`` sources
@@ -37,7 +37,9 @@ from ..lang.ast import Program
 from ..lang.parser import parse_program
 from ..solver.interface import Solver
 from .core import ObligationEngine
-from .fingerprint import fingerprint
+# Unused here since the engine fingerprints; kept because perfbench's tracer
+# test probes this module's ``fingerprint`` binding.
+from .fingerprint import fingerprint  # noqa: F401
 from .incremental import VerdictStore
 
 
@@ -291,11 +293,10 @@ def verify_batch(
 ) -> BatchReport:
     """Verify every batch item through one pooled engine discharge wave.
 
-    When a ``verdict_store`` (a search-session
-    :class:`~repro.engine.incremental.VerdictStore`) is given, pooled
-    obligations whose canonical fingerprint the store has already settled
-    are answered from it without entering the engine — only the delta is
-    discharged — and the delta's verdicts are recorded back.  Per-program
+    A ``verdict_store`` (a search-session
+    :class:`~repro.engine.incremental.VerdictStore`) is handed to
+    :meth:`ObligationEngine.discharge_all`, which answers the obligations
+    the session already settled and discharges only the delta.  Per-program
     reuse counts, obligation fingerprints, and verdict statuses are then
     attached to each :class:`BatchProgramResult` for the explorer.
     """
@@ -343,14 +344,7 @@ def verify_batch(
             )
             pooled.extend(bundle.original.obligations)
             pooled.extend(bundle.relaxed.obligations)
-        if verdict_store is None:
-            results = engine.discharge_all(pooled)
-            fingerprints: Optional[List[str]] = None
-            reused_flags: Optional[List[bool]] = None
-        else:
-            results, fingerprints, reused_flags = _discharge_incremental(
-                engine, pooled, verdict_store
-            )
+        results = engine.discharge_all(pooled, store=verdict_store)
 
         # Phase 3: scatter verdicts back into per-program reports.
         report = BatchReport(jobs=engine.jobs)
@@ -383,81 +377,21 @@ def verify_batch(
                     + relaxed_report.elapsed_seconds,
                     program=bundle.program,
                 )
-                if fingerprints is not None and reused_flags is not None:
-                    end = offset + n_original + n_relaxed
-                    result.obligation_fingerprints = tuple(fingerprints[offset:end])
-                    result.obligation_statuses = tuple(
-                        item_result.status.value for item_result in results[offset:end]
-                    )
-                    result.reused_obligations = sum(reused_flags[offset:end])
-                    result.delta_obligations = (
-                        end - offset - result.reused_obligations
-                    )
+                if verdict_store is not None:
+                    own = results[offset : offset + n_original + n_relaxed]
+                    result.obligation_fingerprints = tuple(r.fingerprint for r in own)
+                    result.obligation_statuses = tuple(r.status.value for r in own)
+                    result.reused_obligations = sum(r.reused for r in own)
+                    result.delta_obligations = len(own) - result.reused_obligations
                 report.programs.append(result)
 
         engine.save()
     report.elapsed_seconds = time.perf_counter() - start
     report.engine_stats = engine.statistics.as_dict()
     report.solver_stats = engine.solver_statistics.as_dict()
-    if engine.cache is not None:
-        report.cache_stats = engine.cache.stats()
-    if engine.portfolio is not None:
-        report.strategy_wins = engine.portfolio.win_table()
+    report.cache_stats = engine.cache.stats()
+    report.strategy_wins = engine.portfolio.win_table()
     return report
-
-
-def _discharge_incremental(
-    engine: ObligationEngine,
-    pooled: Sequence,
-    store: VerdictStore,
-) -> Tuple[List[ObligationResult], List[str], List[bool]]:
-    """Answer pooled obligations from the session store; discharge the delta.
-
-    Returns the results in pooled order plus the parallel canonical
-    fingerprint list and a reused-flag list (True = answered by the store
-    without entering the engine).  The store replays UNKNOWN verdicts on
-    purpose — matching the engine's in-wave dedup contract — so a
-    generational search settles obligations byte-identically to a single
-    exhaustive wave.
-    """
-    with telemetry.span("incremental.gate", obligations=len(pooled)):
-        fingerprints = [
-            fingerprint(obligation.formula, obligation.kind.value)
-            for obligation in pooled
-        ]
-        results: List[Optional[ObligationResult]] = [None] * len(pooled)
-        reused_flags = [False] * len(pooled)
-        delta_indices: List[int] = []
-        for index, (obligation, key) in enumerate(zip(pooled, fingerprints)):
-            verdict = store.get(key)
-            if verdict is None:
-                delta_indices.append(index)
-                continue
-            reused_flags[index] = True
-            results[index] = ObligationResult(
-                obligation=obligation,
-                status=verdict.status,
-                counterexample=(
-                    dict(verdict.model) if verdict.model is not None else None
-                ),
-                elapsed_seconds=0.0,
-                reason=verdict.reason,
-            )
-        reused = len(pooled) - len(delta_indices)
-        telemetry.count("engine.incremental.reused", reused)
-        telemetry.count("engine.incremental.delta", len(delta_indices))
-        engine.statistics.incremental_reused += reused
-        engine.statistics.delta_obligations += len(delta_indices)
-    delta_results = engine.discharge_all([pooled[i] for i in delta_indices])
-    for index, delta_result in zip(delta_indices, delta_results):
-        results[index] = delta_result
-        store.record(fingerprints[index], delta_result)
-    settled = [result for result in results if result is not None]
-    if len(settled) != len(pooled):
-        raise RuntimeError(
-            f"incremental gate settled {len(settled)} of {len(pooled)} obligations"
-        )
-    return settled, fingerprints, reused_flags
 
 
 def _layer_report(

@@ -16,7 +16,9 @@ Caching policy
   (fingerprinting preserves free-symbol names, so cached models remain
   meaningful for every formula mapping to the same key);
 * the on-disk store is written atomically (temp file + rename) and a
-  corrupt or version-mismatched store is discarded rather than trusted.
+  corrupt store, or one written under another store version or another
+  :data:`~repro.solver.interface.SOLVER_SEMANTICS`, is discarded rather
+  than trusted.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..logic.formula import Symbol, Tag
+from ..solver import interface as solver_interface
 from ..solver.lia import Status
 
 _STORE_VERSION = 1
@@ -140,7 +143,10 @@ class ObligationCache:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
-            if payload.get("version") != _STORE_VERSION:
+            if (
+                payload.get("version") != _STORE_VERSION
+                or payload.get("solver_semantics") != solver_interface.SOLVER_SEMANTICS
+            ):
                 return 0
             loaded = 0
             for key, entry in payload.get("entries", {}).items():
@@ -181,6 +187,7 @@ class ObligationCache:
         os.makedirs(self.cache_dir, exist_ok=True)
         payload = {
             "version": _STORE_VERSION,
+            "solver_semantics": solver_interface.SOLVER_SEMANTICS,
             "entries": {
                 key: {
                     "status": entry.status.value,

@@ -1,44 +1,48 @@
-"""The obligation engine: cached, parallel, portfolio-scheduled discharge.
+"""The obligation engine: the one path from a proof obligation to a verdict.
 
 :class:`ObligationEngine` sits between the Hoare layer (which *collects*
 proof obligations) and the solver stack (which *decides* individual
-queries).  For every batch of obligations it:
+queries).  :meth:`ObligationEngine.discharge_all` settles every obligation
+of a wave in five steps:
 
-1. computes each obligation's canonical fingerprint
+1. compute the obligation's canonical fingerprint, once
    (:mod:`repro.engine.fingerprint`);
-2. answers fingerprint hits from the result cache
-   (:mod:`repro.engine.cache`) without touching a solver;
-3. discharges the remaining obligations either serially on a caller-provided
-   :class:`~repro.solver.interface.Solver` (the seed-compatible path) or via
-   the strategy portfolio (:mod:`repro.engine.portfolio`) on the parallel
-   scheduler (:mod:`repro.engine.scheduler`);
-4. stores conclusive verdicts back into the cache and credits the winning
-   strategy so future obligations try it first.
+2. replay a verdict from the search-session
+   :class:`~repro.engine.incremental.VerdictStore`, when one is given
+   (``UNKNOWN`` included);
+3. wait on an earlier obligation of the same wave with the same
+   fingerprint (in-wave dedup);
+4. replay a conclusive verdict from the result cache
+   (:mod:`repro.engine.cache`);
+5. send the rest through the strategy portfolio
+   (:mod:`repro.engine.portfolio`) on the scheduler
+   (:mod:`repro.engine.scheduler`), crediting each winning strategy and
+   recording the new verdicts in the store and the cache.
 
-The engine constructed by :func:`default_engine` — one solver, one job, no
-cache, no portfolio — reproduces the seed's serial discharge loop exactly
-(including its solver-statistics accounting), which is what the thin
-:func:`repro.hoare.obligations.discharge` wrapper uses.
+Every caller takes this path: batch verification, the explorer and the
+fuzz funnel with an engine of their own, and
+:func:`repro.hoare.obligations.discharge` with a default
+``ObligationEngine()`` when the caller passes none.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from .. import telemetry
 from ..hoare.obligations import (
     ObligationCollector,
-    ObligationKind,
     ObligationResult,
     ProofObligation,
     VerificationReport,
 )
-from ..solver.interface import Solver, SolverResult, SolverStatistics
+from ..solver.interface import SolverStatistics
 from ..solver.lia import Status
 from .cache import ObligationCache
 from .fingerprint import fingerprint
+from .incremental import VerdictStore
 from .portfolio import Portfolio, is_conclusive
 from .scheduler import DischargeScheduler, DischargeTask
 
@@ -47,19 +51,18 @@ from .scheduler import DischargeScheduler, DischargeTask
 class EngineStatistics:
     """Aggregate statistics over the lifetime of an engine instance."""
 
+    #: Obligations that passed the session store, i.e. all of them when
+    #: ``discharge_all`` ran without a store.
     obligations: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     dedup_hits: int = 0  # in-wave duplicates answered by a representative
-    #: Obligations answered by a search-session verdict store before they
-    #: reached the engine (the incremental gate; see engine/incremental.py),
-    #: and the complement that was actually discharged as delta.  Both stay
-    #: zero outside incremental searches; ``obligations`` above counts only
-    #: what entered ``discharge_all``, i.e. the delta.
+    #: Obligations the search-session verdict store answered (see
+    #: engine/incremental.py), and the complement that was discharged as
+    #: delta.  Both stay zero when ``discharge_all`` runs without a store.
     incremental_reused: int = 0
     delta_obligations: int = 0
     solver_calls: int = 0
-    strategy_attempts: int = 0
     parallel_batches: int = 0
     unknown_results: int = 0
     total_seconds: float = 0.0
@@ -73,63 +76,67 @@ class EngineStatistics:
             "incremental_reused": float(self.incremental_reused),
             "delta_obligations": float(self.delta_obligations),
             "solver_calls": float(self.solver_calls),
-            "strategy_attempts": float(self.strategy_attempts),
             "parallel_batches": float(self.parallel_batches),
             "unknown_results": float(self.unknown_results),
             "total_seconds": self.total_seconds,
         }
 
 
+def _result(
+    obligation: ProofObligation,
+    key: str,
+    status: Status,
+    model,
+    reason: str,
+    elapsed_seconds: float = 0.0,
+    reused: bool = False,
+) -> ObligationResult:
+    return ObligationResult(
+        obligation=obligation,
+        status=status,
+        counterexample=dict(model) if model is not None else None,
+        elapsed_seconds=elapsed_seconds,
+        reason=reason,
+        fingerprint=key,
+        reused=reused,
+    )
+
+
 class ObligationEngine:
-    """Discharges proof obligations through cache, portfolio and scheduler.
+    """Discharges proof obligations through store, cache and portfolio.
 
     Parameters
     ----------
-    solver:
-        The solver used by the plain serial path (no portfolio, one job).
-        Shared with the Hoare layer so its statistics keep accumulating
-        exactly as in the seed.  Ignored when a portfolio is in play.
     jobs:
-        Worker processes for parallel discharge.  ``jobs > 1`` implies the
-        portfolio path (worker processes build their own solvers).
-    cache / cache_dir:
-        A result cache instance, or a directory to create a persistent one
-        in.  ``None`` disables caching.
+        Worker processes for parallel discharge (``1`` runs in-process).
+    cache_dir:
+        A directory for the persistent result cache and the portfolio win
+        table; ``None`` keeps the cache in memory and the table fresh.
     portfolio:
-        The strategy portfolio; created on demand when ``jobs > 1``.
+        The strategy portfolio; the default strategies when ``None``.
     budget_seconds:
-        Per-obligation wall-clock budget across portfolio strategies
-        (implies the portfolio path, like ``jobs > 1``).
+        Per-obligation wall-clock budget across portfolio strategies.
     """
 
     def __init__(
         self,
-        solver: Optional[Solver] = None,
         jobs: int = 1,
-        cache: Optional[ObligationCache] = None,
         cache_dir: Optional[str] = None,
         portfolio: Optional[Portfolio] = None,
         budget_seconds: Optional[float] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if cache is None and cache_dir is not None:
-            cache = ObligationCache(cache_dir=cache_dir)
-        # Parallelism and per-obligation budgets are portfolio-path features:
-        # create the default portfolio rather than silently ignoring them.
-        if portfolio is None and (jobs > 1 or budget_seconds is not None):
-            portfolio = Portfolio()
-        self.solver = solver
         self.jobs = jobs
-        self.cache = cache
-        self.portfolio = portfolio
+        self.cache = ObligationCache(cache_dir=cache_dir)
+        self.portfolio = portfolio if portfolio is not None else Portfolio()
+        if cache_dir is not None:
+            self.portfolio.load(cache_dir)
         self.budget_seconds = budget_seconds
         self.statistics = EngineStatistics()
-        #: Solver-level counters aggregated across every discharge this
-        #: engine performed: the portfolio path merges worker statistics
-        #: shipped back with each outcome, the serial path merges the shared
-        #: solver's delta per wave (so queries the caller makes on that
-        #: solver outside the engine are not attributed to it).
+        #: Solver-level counters of every discharge this engine performed,
+        #: merged from the statistics each outcome ships back (from worker
+        #: processes too).
         self.solver_statistics = SolverStatistics()
         self._scheduler = DischargeScheduler(jobs=jobs)
 
@@ -140,85 +147,71 @@ class ObligationEngine:
         cache_dir: Optional[str] = None,
         budget_seconds: Optional[float] = None,
     ) -> "ObligationEngine":
-        """An engine configured for batch verification: cache + portfolio.
-
-        When ``cache_dir`` is given, both the obligation cache and the
-        portfolio win table persist across invocations.
-        """
-        portfolio = Portfolio()
-        if cache_dir is not None:
-            portfolio.load(cache_dir)
-        return cls(
-            jobs=jobs,
-            cache=ObligationCache(cache_dir=cache_dir),
-            portfolio=portfolio,
-            budget_seconds=budget_seconds,
-        )
+        """The engine ``repro verify-batch`` and the explorer use."""
+        return cls(jobs=jobs, cache_dir=cache_dir, budget_seconds=budget_seconds)
 
     # -- discharge ---------------------------------------------------------------
 
     def discharge_all(
-        self, obligations: Sequence[ProofObligation]
+        self,
+        obligations: Sequence[ProofObligation],
+        store: Optional[VerdictStore] = None,
     ) -> List[ObligationResult]:
-        """Discharge every obligation, in order, through cache and solvers."""
+        """Settle every obligation; one result per obligation, in order.
+
+        Each result carries the obligation's ``fingerprint`` and whether
+        ``store`` answered it (``reused``).  Without a store every
+        obligation is discharged (or answered by dedup and the cache).
+        """
         start = time.perf_counter()
         results: List[Optional[ObligationResult]] = [None] * len(obligations)
+        keys: List[str] = []
+        reused = 0
         pending: List[int] = []
-        keys: List[Optional[str]] = [None] * len(obligations)
-        # Duplicate obligations inside one wave (e.g. the same entailment
-        # arising in several programs of a batch) are solved once: later
-        # occurrences wait for the representative's verdict.  Dedup applies
-        # whenever fingerprints are computed — with a cache or on the
-        # portfolio path; the plain serial path stays seed-identical (one
-        # solver call per obligation, duplicates included).
-        fingerprinting = self.cache is not None or self.portfolio is not None
         pending_by_key: Dict[str, int] = {}
         duplicates: Dict[int, List[int]] = {}
-        self.statistics.obligations += len(obligations)
 
-        wave_span = telemetry.span("discharge.wave", obligations=len(obligations))
-        with wave_span:
+        with telemetry.span("discharge.wave", obligations=len(obligations)):
             with telemetry.span("fingerprint", obligations=len(obligations)):
                 for index, obligation in enumerate(obligations):
-                    if fingerprinting:
-                        key = fingerprint(obligation.formula, obligation.kind.value)
-                        keys[index] = key
-                        representative = pending_by_key.get(key)
-                        if representative is not None:
-                            duplicates.setdefault(representative, []).append(index)
+                    key = fingerprint(obligation.formula, obligation.kind.value)
+                    keys.append(key)
+                    if store is not None:
+                        stored = store.get(key)
+                        if stored is not None:
+                            reused += 1
+                            results[index] = _result(
+                                obligation, key, stored.status, stored.model,
+                                stored.reason, reused=True,
+                            )
                             continue
-                        if self.cache is not None:
-                            verdict = self.cache.get(key)
-                            if verdict is not None:
-                                self.statistics.cache_hits += 1
-                                telemetry.count("engine.cache.hits." + verdict.origin)
-                                results[index] = ObligationResult(
-                                    obligation=obligation,
-                                    status=verdict.status,
-                                    counterexample=(
-                                        dict(verdict.model)
-                                        if verdict.model is not None
-                                        else None
-                                    ),
-                                    elapsed_seconds=0.0,
-                                    reason=verdict.reason,
-                                )
-                                continue
-                            self.statistics.cache_misses += 1
-                            telemetry.count("engine.cache.misses")
-                        pending_by_key[key] = index
+                    representative = pending_by_key.get(key)
+                    if representative is not None:
+                        duplicates.setdefault(representative, []).append(index)
+                        continue
+                    cached = self.cache.get(key)
+                    if cached is not None:
+                        self.statistics.cache_hits += 1
+                        telemetry.count("engine.cache.hits." + cached.origin)
+                        results[index] = _result(
+                            obligation, key, cached.status, cached.model, cached.reason
+                        )
+                        continue
+                    self.statistics.cache_misses += 1
+                    telemetry.count("engine.cache.misses")
+                    pending_by_key[key] = index
                     pending.append(index)
+            delta = len(obligations) - reused
+            self.statistics.obligations += delta
+            if store is not None:
+                telemetry.count("engine.incremental.reused", reused)
+                telemetry.count("engine.incremental.delta", delta)
+                self.statistics.incremental_reused += reused
+                self.statistics.delta_obligations += delta
 
             if pending:
-                with telemetry.span(
-                    "dispatch", pending=len(pending), jobs=self.jobs
-                ) as dispatch_span:
-                    if self.portfolio is not None:
-                        dispatch_span.set_attribute("path", "portfolio")
-                        self._discharge_portfolio(obligations, pending, keys, results)
-                    else:
-                        dispatch_span.set_attribute("path", "serial")
-                        self._discharge_serial(obligations, pending, keys, results)
+                with telemetry.span("dispatch", pending=len(pending), jobs=self.jobs):
+                    self._discharge(obligations, pending, keys, results)
 
         for representative, followers in duplicates.items():
             settled = results[representative]
@@ -226,20 +219,16 @@ class ObligationEngine:
             for index in followers:
                 self.statistics.dedup_hits += 1
                 telemetry.count("engine.dedup.hits")
-                results[index] = ObligationResult(
-                    obligation=obligations[index],
-                    status=settled.status,
-                    counterexample=(
-                        dict(settled.counterexample)
-                        if settled.counterexample is not None
-                        else None
-                    ),
-                    elapsed_seconds=0.0,
-                    reason=settled.reason,
+                results[index] = _result(
+                    obligations[index], keys[index], settled.status,
+                    settled.counterexample, settled.reason,
                 )
+        if store is not None:
+            for key, result in zip(keys, results):
+                if not result.reused:
+                    store.record(key, result)
 
-        if self.cache is not None:
-            self.cache.save()
+        self.cache.save()
         self.statistics.total_seconds += time.perf_counter() - start
         # Exactly one result per obligation, in input order — the batch
         # layer's offset-based scatter depends on it, so fail loudly rather
@@ -267,79 +256,14 @@ class ObligationEngine:
         report.elapsed_seconds = time.perf_counter() - start
         return report
 
-    # -- discharge paths ---------------------------------------------------------
-
-    def _discharge_serial(
+    def _discharge(
         self,
         obligations: Sequence[ProofObligation],
         pending: Sequence[int],
-        keys: Sequence[Optional[str]],
+        keys: Sequence[str],
         results: List[Optional[ObligationResult]],
     ) -> None:
-        """The seed-compatible path: one shared solver, obligations in order."""
-        solver = self.solver
-        if solver is None:
-            solver = self.solver = Solver()
-        before = solver.statistics.as_dict()
-        for index in pending:
-            obligation = obligations[index]
-            obligation_start = time.perf_counter()
-            with telemetry.span(
-                "discharge",
-                index=index,
-                kind=obligation.kind.value,
-                rule=obligation.rule,
-                strategy="serial",
-            ) as discharge_span:
-                provenance = obligation.provenance
-                if provenance is not None:
-                    if provenance.program:
-                        discharge_span.set_attribute("program", provenance.program)
-                    if provenance.study:
-                        discharge_span.set_attribute("study", provenance.study)
-                    if provenance.span is not None:
-                        discharge_span.set_attribute(
-                            "location", provenance.location()
-                        )
-                    if provenance.sites:
-                        discharge_span.set_attribute(
-                            "sites", ",".join(provenance.sites)
-                        )
-                if obligation.kind is ObligationKind.VALIDITY:
-                    result: SolverResult = solver.check_valid(obligation.formula)
-                else:
-                    result = solver.check_sat(obligation.formula)
-                discharge_span.set_attribute("status", result.status.value)
-            self.statistics.solver_calls += 1
-            if result.status is Status.UNKNOWN:
-                self.statistics.unknown_results += 1
-            results[index] = ObligationResult(
-                obligation=obligation,
-                status=result.status,
-                counterexample=result.model,
-                elapsed_seconds=time.perf_counter() - obligation_start,
-                reason=result.reason,
-            )
-            self._store(keys[index], result.status, result.model, result.reason, "serial")
-        after = solver.statistics.as_dict()
-        self.solver_statistics.merge(
-            {key: after[key] - before.get(key, 0) for key in after}
-        )
-        # The shared solver has no portfolio, so its wave delta is booked
-        # under the pseudo-strategy "serial" — keeping the per-strategy
-        # breakdown total-preserving on both discharge paths.
-        self.solver_statistics.add_strategy_seconds(
-            "serial", after["total_seconds"] - before.get("total_seconds", 0.0)
-        )
-
-    def _discharge_portfolio(
-        self,
-        obligations: Sequence[ProofObligation],
-        pending: Sequence[int],
-        keys: Sequence[Optional[str]],
-        results: List[Optional[ObligationResult]],
-    ) -> None:
-        assert self.portfolio is not None
+        """Run the portfolio on every pending obligation and book the outcomes."""
         collect_telemetry = telemetry.enabled()
         tasks = []
         for index in pending:
@@ -367,8 +291,8 @@ class ObligationEngine:
             self.statistics.parallel_batches += 1
         for outcome in self._scheduler.run(tasks):
             obligation = obligations[outcome.index]
+            kind = obligation.kind.value
             self.statistics.solver_calls += outcome.attempts
-            self.statistics.strategy_attempts += outcome.attempts
             if outcome.status is Status.UNKNOWN:
                 self.statistics.unknown_results += 1
             if outcome.solver_stats is not None:
@@ -378,56 +302,30 @@ class ObligationEngine:
                 # re-parent them under the open dispatch span so the
                 # trace stays one tree across processes.
                 telemetry.merge_exported(outcome.telemetry)
-            if outcome.strategy and is_conclusive(obligation.kind.value, outcome.status):
-                self.portfolio.record_win(obligation.kind.value, outcome.strategy)
-                telemetry.count(
-                    f"portfolio.wins.{obligation.kind.value}.{outcome.strategy}"
-                )
-            results[outcome.index] = ObligationResult(
-                obligation=obligation,
-                status=outcome.status,
-                counterexample=outcome.model,
+            if outcome.strategy and is_conclusive(kind, outcome.status):
+                self.portfolio.record_win(kind, outcome.strategy)
+                telemetry.count(f"portfolio.wins.{kind}.{outcome.strategy}")
+            key = keys[outcome.index]
+            results[outcome.index] = _result(
+                obligation, key, outcome.status, outcome.model, outcome.reason,
                 elapsed_seconds=outcome.elapsed_seconds,
-                reason=outcome.reason,
             )
-            self._store(
-                keys[outcome.index],
-                outcome.status,
-                outcome.model,
-                outcome.reason,
-                outcome.strategy,
+            self.cache.put(
+                key, outcome.status, model=outcome.model, reason=outcome.reason,
+                strategy=outcome.strategy,
             )
-
-    def _store(
-        self,
-        key: Optional[str],
-        status: Status,
-        model,
-        reason: str,
-        strategy: str,
-    ) -> None:
-        if self.cache is not None and key is not None:
-            self.cache.put(key, status, model=model, reason=reason, strategy=strategy)
 
     # -- persistence / reporting --------------------------------------------------
 
     def save(self) -> None:
         """Flush the cache and portfolio win table to their cache directory."""
-        if self.cache is not None:
-            self.cache.save()
-            if self.portfolio is not None and self.cache.cache_dir is not None:
-                self.portfolio.save(self.cache.cache_dir)
+        self.cache.save()
+        if self.cache.cache_dir is not None:
+            self.portfolio.save(self.cache.cache_dir)
 
     def stats(self) -> Dict[str, Dict[str, float]]:
-        report = {
+        return {
             "engine": self.statistics.as_dict(),
             "solver": self.solver_statistics.as_dict(),
+            "cache": self.cache.stats(),
         }
-        if self.cache is not None:
-            report["cache"] = self.cache.stats()
-        return report
-
-
-def default_engine(solver: Optional[Solver] = None) -> ObligationEngine:
-    """The engine behind the classic synchronous discharge path."""
-    return ObligationEngine(solver=solver)

@@ -6,15 +6,16 @@ most of its proof obligations are byte-identical (same canonical
 fingerprint) to obligations the search already settled.  The persistent
 :class:`~repro.engine.cache.ObligationCache` answers *conclusive* verdicts
 across processes, but it deliberately refuses ``UNKNOWN`` (a later run
-with a bigger budget should retry), and every hit still walks the engine's
-fingerprint/dedup machinery per wave.
+with a bigger budget should retry).
 
 :class:`VerdictStore` is the session-scoped layer above it: a plain
-fingerprint → verdict memo that lives exactly as long as one search.  The
-batch layer consults it *before* the pooled discharge wave, hands only the
-delta (obligations the session has never seen) to the engine, and records
-the delta's verdicts back.  Two deliberate semantic differences from the
-persistent cache:
+fingerprint → verdict memo that lives exactly as long as one search.
+:meth:`~repro.engine.core.ObligationEngine.discharge_all` takes it as
+``store``: right after fingerprinting each obligation (once) it asks the
+store, before in-wave dedup and the cache, discharges only the delta
+(obligations the session has never seen), and records the delta's
+verdicts back.  Two deliberate semantic differences from the persistent
+cache:
 
 * **UNKNOWN verdicts replay.**  Within one wave the engine's in-wave dedup
   already answers duplicate obligations with the representative's verdict,
@@ -28,9 +29,9 @@ persistent cache:
 
 The reuse counters (``reused`` / ``delta``) are the evidence the
 incremental gate works: :meth:`stats` feeds the ``incremental`` section of
-the ``repro explore --json`` envelope, and the batch layer mirrors them
-into telemetry (``engine.incremental.reused`` / ``engine.incremental.delta``)
-and the engine statistics.
+the ``repro explore --json`` envelope, and the engine mirrors them into
+telemetry (``engine.incremental.reused`` / ``engine.incremental.delta``)
+and its statistics.
 """
 
 from __future__ import annotations

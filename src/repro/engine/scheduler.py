@@ -9,8 +9,11 @@ outcome (the formula IR is made of frozen dataclasses, so tasks pickle
 as-is).
 
 ``jobs=1`` (or a single task) short-circuits to an in-process loop with no
-executor, which keeps the serial path free of multiprocessing overhead and
-usable from environments where forking is undesirable.
+executor, which keeps single-job runs free of multiprocessing overhead and
+usable from environments where forking is undesirable.  A worker that dies
+mid-wave does not sink the wave: its task, and every task still waiting on
+the broken pool, comes back ``UNKNOWN`` with a ``"worker died: ..."``
+reason.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -126,7 +130,25 @@ class DischargeScheduler:
         if self.jobs == 1 or len(tasks) == 1:
             return [_discharge_one(task) for task in tasks]
         workers = min(self.jobs, len(tasks))
+        outcomes = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_discharge_one, tasks))
-        outcomes.sort(key=lambda outcome: outcome.index)
+            futures = [pool.submit(_discharge_one, task) for task in tasks]
+            for task, future in zip(tasks, futures):
+                try:
+                    outcomes.append(future.result())
+                except BrokenProcessPool as error:
+                    # A dead worker breaks the pool: every task without an
+                    # outcome yet is settled UNKNOWN (never cached), the rest
+                    # of the wave keeps its verdicts.
+                    outcomes.append(
+                        DischargeOutcome(
+                            index=task.index,
+                            status=Status.UNKNOWN,
+                            model=None,
+                            reason=f"worker died: {error}",
+                            strategy="",
+                            attempts=0,
+                            elapsed_seconds=0.0,
+                        )
+                    )
         return outcomes

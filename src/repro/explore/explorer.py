@@ -447,8 +447,7 @@ def explore(
     report.reward_table = scheduler.rewards.as_dict()
     report.engine_stats = engine.statistics.as_dict()
     report.solver_stats = engine.solver_statistics.as_dict()
-    if engine.cache is not None:
-        report.cache_stats = engine.cache.stats()
+    report.cache_stats = engine.cache.stats()
     return report
 
 

@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..lang.ast import Node, Span
 from ..logic.formula import Formula, formula_size
-from ..solver.interface import Solver, SolverResult
 from ..solver.lia import Status
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
@@ -134,6 +133,10 @@ class ObligationResult:
     counterexample: Optional[Dict] = None
     elapsed_seconds: float = 0.0
     reason: str = ""
+    #: The obligation's canonical fingerprint (the engine's cache key) and
+    #: whether a search-session verdict store answered it.
+    fingerprint: str = ""
+    reused: bool = False
 
     @property
     def discharged(self) -> bool:
@@ -285,22 +288,21 @@ class ObligationCollector:
 
 def discharge(
     collector: ObligationCollector,
-    solver: Solver,
     program_name: str,
     engine: Optional["ObligationEngine"] = None,
 ) -> VerificationReport:
     """Discharge every collected obligation and build a report.
 
-    This is now a thin wrapper over the obligation engine
-    (:mod:`repro.engine`): without an explicit ``engine`` it constructs the
-    default serial engine around ``solver``, which reproduces the classic
-    synchronous discharge loop (one solver call per obligation, in order).
-    Passing an engine adds result caching, parallel discharge and portfolio
-    scheduling without changing this call site.
+    A thin wrapper over :meth:`repro.engine.core.ObligationEngine.
+    discharge_collected`: without an explicit ``engine`` it uses a fresh
+    default one (the strategy portfolio, in process, with in-wave dedup
+    and an in-memory cache).  Passing an engine adds a persistent cache,
+    parallel discharge and a learned win table without changing this call
+    site.
     """
     if engine is None:
         # Imported lazily: the engine package imports this module.
         from ..engine.core import ObligationEngine
 
-        engine = ObligationEngine(solver=solver)
+        engine = ObligationEngine()
     return engine.discharge_collected(collector, program_name)

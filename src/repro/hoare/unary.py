@@ -67,7 +67,6 @@ from ..logic.formula import (
 from ..logic.subst import rename_arrays, substitute
 from ..logic.translate import formula_of_bool, term_of_expr
 from ..logic.traverse import TypeDispatcher
-from ..solver.interface import Solver
 from .obligations import (
     ObligationCollector,
     ObligationKind,
@@ -377,7 +376,6 @@ def prove_unary(
     precondition: Union[Formula, BoolExpr],
     postcondition: Union[Formula, BoolExpr],
     system: UnarySystem = UnarySystem.ORIGINAL,
-    solver: Optional[Solver] = None,
     tag: Optional[Tag] = None,
     program_name: Optional[str] = None,
     engine: Optional["ObligationEngine"] = None,
@@ -385,9 +383,9 @@ def prove_unary(
     """Verify ``{precondition} program {postcondition}`` under ⊢o or ⊢i.
 
     Pre/postconditions may be given as program boolean expressions (they are
-    translated with the requested ``tag``) or as logic formulas.  Passing an
-    obligation ``engine`` routes discharge through its cache, portfolio and
-    scheduler; otherwise the classic serial path on ``solver`` is used.
+    translated with the requested ``tag``) or as logic formulas.  The
+    obligations are discharged through ``engine``, or a default
+    :class:`~repro.engine.core.ObligationEngine` when none is given.
     """
     collector, name = collect_unary(
         program_or_stmt,
@@ -397,19 +395,18 @@ def prove_unary(
         tag=tag,
         program_name=program_name,
     )
-    return discharge(collector, solver or Solver(), name, engine=engine)
+    return discharge(collector, name, engine=engine)
 
 
 def prove_original(
     program_or_stmt: Union[Program, Stmt],
     precondition: Union[Formula, BoolExpr],
     postcondition: Union[Formula, BoolExpr],
-    solver: Optional[Solver] = None,
     engine: Optional["ObligationEngine"] = None,
 ) -> VerificationReport:
     """Verify a triple under the axiomatic original semantics ⊢o (Figure 7)."""
     return prove_unary(
-        program_or_stmt, precondition, postcondition, UnarySystem.ORIGINAL, solver,
+        program_or_stmt, precondition, postcondition, UnarySystem.ORIGINAL,
         engine=engine,
     )
 
@@ -418,11 +415,10 @@ def prove_intermediate(
     program_or_stmt: Union[Program, Stmt],
     precondition: Union[Formula, BoolExpr],
     postcondition: Union[Formula, BoolExpr],
-    solver: Optional[Solver] = None,
     engine: Optional["ObligationEngine"] = None,
 ) -> VerificationReport:
     """Verify a triple under the axiomatic intermediate semantics ⊢i (Figure 9)."""
     return prove_unary(
-        program_or_stmt, precondition, postcondition, UnarySystem.INTERMEDIATE, solver,
+        program_or_stmt, precondition, postcondition, UnarySystem.INTERMEDIATE,
         engine=engine,
     )

@@ -136,11 +136,10 @@ class CollectedAcceptability:
 class AcceptabilityVerifier:
     """Verify a relaxed program against an :class:`AcceptabilitySpec`.
 
-    When an obligation ``engine`` is supplied, the side conditions of both
-    proofs are discharged through it (cache, portfolio, parallel scheduler);
-    otherwise the classic serial path on ``solver`` is used.  ``solver`` is
-    always used for the relational prover's convergence checks, which happen
-    during proof construction rather than discharge.
+    The side conditions of both proofs are discharged through ``engine``,
+    or a default :class:`~repro.engine.core.ObligationEngine` when none is
+    given.  ``solver`` is used for the relational prover's convergence
+    checks, which happen during proof construction rather than discharge.
     """
 
     def __init__(
@@ -209,12 +208,8 @@ class AcceptabilityVerifier:
         sites: tuple = (),
     ) -> AcceptabilityReport:
         collected = self.collect(program, spec, study=study, sites=sites)
-        original_report = discharge(
-            collected.original, self.solver, program.name, engine=self.engine
-        )
-        relaxed_report = discharge(
-            collected.relaxed, self.solver, program.name, engine=self.engine
-        )
+        original_report = discharge(collected.original, program.name, engine=self.engine)
+        relaxed_report = discharge(collected.relaxed, program.name, engine=self.engine)
         return AcceptabilityReport(
             program_name=program.name,
             original=original_report,

@@ -97,10 +97,10 @@ class SolverStatistics:
     #: DNF cubes the box prefilter discharged as UNSAT without entering
     #: the cube solver.
     prefiltered_cubes: int = 0
-    #: Wall-clock seconds attributed to each portfolio strategy (the
-    #: serial engine path books under ``"serial"``).  ``total_seconds``
-    #: stays the whole-solver total; this is its per-strategy breakdown,
-    #: so the portfolio win table has matching timing columns.
+    #: Wall-clock seconds attributed to each portfolio strategy.
+    #: ``total_seconds`` stays the whole-solver total; this is its
+    #: per-strategy breakdown, so the portfolio win table has matching
+    #: timing columns.
     strategy_seconds: Dict[str, float] = field(default_factory=dict)
 
     def add_strategy_seconds(self, name: str, seconds: float) -> None:
@@ -141,6 +141,13 @@ class SolverStatistics:
                 self.add_strategy_seconds(
                     key[len(STRATEGY_SECONDS_PREFIX):], float(value)
                 )
+
+
+#: The version of what :class:`Solver` decides: which verdict and which
+#: counterexample model each query gets.  Bump it with any change that can
+#: alter either; persistent verdict stores written under another value are
+#: discarded rather than replayed (see repro.engine.cache).
+SOLVER_SEMANTICS = 1
 
 
 class Solver:

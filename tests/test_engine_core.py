@@ -2,19 +2,28 @@
 
 The key invariants:
 
-* the engine's serial default reproduces the seed's discharge loop (same
-  verdicts, same solver statistics accounting);
+* every obligation takes one path — fingerprint once, session store,
+  in-wave dedup, cache, portfolio — whether or not the caller built an
+  engine;
 * cache hits replay the original verdict without any solver call, and
   ``UNKNOWN`` never enters the cache (budget exhaustion cannot masquerade
-  as a proof);
-* parallel and portfolio discharge produce verdicts identical to the serial
-  path.
+  as a proof), nor does a persistent store written under other solver
+  semantics;
+* parallel discharge produces verdicts identical to in-process discharge,
+  and a dead worker settles its task ``UNKNOWN`` instead of raising.
 """
+
+import multiprocessing
+import os
+import sys
 
 import pytest
 
-from repro.engine.cache import ObligationCache
+from repro import telemetry
+from repro.engine import VerdictStore, case_study_items, verify_batch
+from repro.engine import scheduler as engine_scheduler
 from repro.engine.core import ObligationEngine
+from repro.engine.fingerprint import fingerprint
 from repro.engine.portfolio import (
     DEFAULT_STRATEGIES,
     Portfolio,
@@ -25,13 +34,16 @@ from repro.engine.scheduler import DischargeScheduler, DischargeTask
 from repro.hoare.obligations import (
     ObligationCollector,
     ObligationKind,
+    ObligationResult,
     ProofSystem,
+    discharge,
 )
 from repro.hoare.unary import prove_original
 from repro.lang import builder as b
 from repro.logic.formula import conj, eq, exists, ge, gt, implies, le, lt, sym, var
-from repro.solver.interface import Solver
+from repro.solver import interface as solver_interface
 from repro.solver.lia import Status
+from repro.telemetry import TelemetrySession
 
 
 def _collector(*entries):
@@ -133,6 +145,38 @@ class TestScheduler:
                 assert outcome.solver_stats["sat_queries"] >= 1
 
 
+def _exit_on_unsat_task(formula, kind, strategies, budget_seconds=None, statistics=None):
+    """``run_portfolio`` stand-in whose worker dies on the UNSAT task."""
+    if formula is UNSAT_FORMULA:
+        os._exit(1)
+    return _REAL_RUN_PORTFOLIO(formula, kind, strategies, budget_seconds, statistics)
+
+
+_REAL_RUN_PORTFOLIO = engine_scheduler.run_portfolio
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the dying worker is patched in before the pool forks",
+)
+class TestWorkerDeath:
+    def test_dead_worker_settles_unknown_without_raising(self, monkeypatch):
+        monkeypatch.setattr(engine_scheduler, "run_portfolio", _exit_on_unsat_task)
+        collector = _collector(
+            (VALID_FORMULA, ObligationKind.VALIDITY),
+            (UNSAT_FORMULA, ObligationKind.SATISFIABILITY),
+        )
+        engine = ObligationEngine(jobs=2)
+        results = engine.discharge_all(collector.obligations)
+        assert len(results) == 2
+        dead = results[1]
+        assert dead.status is Status.UNKNOWN
+        assert dead.reason.startswith("worker died: ")
+        # Like any UNKNOWN, a dead worker's verdict is never cached.
+        assert engine.cache.get(dead.fingerprint) is None
+        assert engine.statistics.unknown_results >= 1
+
+
 class TestSolverStatisticsAggregation:
     def test_serial_engine_aggregates_solver_counters(self):
         engine = ObligationEngine()
@@ -141,17 +185,6 @@ class TestSolverStatisticsAggregation:
         stats = engine.solver_statistics.as_dict()
         assert stats["validity_queries"] == 1
         assert stats["total_seconds"] > 0
-
-    def test_serial_delta_excludes_outside_queries(self):
-        solver = Solver()
-        solver.check_sat(SAT_FORMULA)  # made by the caller, not the engine
-        engine = ObligationEngine(solver=solver)
-        collector = _collector((VALID_FORMULA, ObligationKind.VALIDITY))
-        engine.discharge_all(collector.obligations)
-        stats = engine.solver_statistics.as_dict()
-        # One validity query implies one inner sat query — not two.
-        assert stats["sat_queries"] == 1
-        assert stats["validity_queries"] == 1
 
     def test_portfolio_engine_aggregates_worker_counters(self):
         engine = ObligationEngine(jobs=2, portfolio=Portfolio())
@@ -172,21 +205,42 @@ class TestEngineSerialParity:
             (SAT_FORMULA, ObligationKind.SATISFIABILITY),
             (INVALID_FORMULA, ObligationKind.VALIDITY),
         )
-        solver = Solver()
-        report = ObligationEngine(solver=solver).discharge_collected(collector, "demo")
+        report = ObligationEngine().discharge_collected(collector, "demo")
         assert [result.status for result in report.results] == [
             Status.VALID,
             Status.SAT,
             Status.INVALID,
         ]
         assert not report.verified  # the INVALID obligation is undischarged
-        # The shared solver's statistics keep accumulating, as in the seed.
-        assert solver.statistics.validity_queries == 2
-        assert solver.statistics.sat_queries >= 3  # check_valid negates into check_sat
+        assert report.results[2].counterexample
+
+    def test_discharge_without_engine_settles_and_dedups(self):
+        collector = _collector(
+            (VALID_FORMULA, ObligationKind.VALIDITY),
+            (SAT_FORMULA, ObligationKind.SATISFIABILITY),
+            (INVALID_FORMULA, ObligationKind.VALIDITY),
+            (VALID_FORMULA, ObligationKind.VALIDITY),
+        )
+        session = telemetry.install(TelemetrySession())
+        try:
+            report = discharge(collector, "demo")
+        finally:
+            telemetry.uninstall()
+        assert [result.status for result in report.results] == [
+            Status.VALID,
+            Status.SAT,
+            Status.INVALID,
+            Status.VALID,
+        ]
+        model = report.results[2].counterexample
+        assert model is not None
+        # The counterexample refutes x > 1 => x > 2.
+        assert model[sym("x")] == 2
+        assert session.counters["engine.dedup.hits"] == 1
 
     def test_prove_original_accepts_engine(self):
         program = b.program("inc", b.assign("x", b.add(b.v("x"), 1)), variables=("x",))
-        engine = ObligationEngine(cache=ObligationCache(), portfolio=Portfolio())
+        engine = ObligationEngine()
         report = prove_original(program, ge(var("x"), 0), ge(var("x"), 1), engine=engine)
         assert report.verified
         assert engine.statistics.obligations == 1
@@ -198,7 +252,7 @@ class TestEngineCaching:
             (VALID_FORMULA, ObligationKind.VALIDITY),
             (INVALID_FORMULA, ObligationKind.VALIDITY),
         )
-        engine = ObligationEngine(cache=ObligationCache(), portfolio=Portfolio())
+        engine = ObligationEngine()
         first = engine.discharge_all(collector.obligations)
         calls_after_first = engine.statistics.solver_calls
         second = engine.discharge_all(collector.obligations)
@@ -211,7 +265,7 @@ class TestEngineCaching:
     def test_alpha_equivalent_obligation_hits(self):
         left = _collector((exists(sym("x"), gt(var("x"), 0)), ObligationKind.SATISFIABILITY))
         right = _collector((exists(sym("y"), gt(var("y"), 0)), ObligationKind.SATISFIABILITY))
-        engine = ObligationEngine(cache=ObligationCache(), portfolio=Portfolio())
+        engine = ObligationEngine()
         engine.discharge_all(left.obligations)
         engine.discharge_all(right.obligations)
         assert engine.statistics.cache_hits == 1
@@ -221,7 +275,6 @@ class TestEngineCaching:
         unknowable = eq(var("x") * var("x"), 2)
         collector = _collector((unknowable, ObligationKind.SATISFIABILITY))
         engine = ObligationEngine(
-            cache=ObligationCache(),
             portfolio=Portfolio([SolverStrategy("no-fallback", enable_bounded_fallback=False)]),
         )
         first = engine.discharge_all(collector.obligations)
@@ -238,7 +291,7 @@ class TestEngineCaching:
             (SAT_FORMULA, ObligationKind.SATISFIABILITY),
             (SAT_FORMULA, ObligationKind.VALIDITY),
         )
-        engine = ObligationEngine(cache=ObligationCache(), portfolio=Portfolio())
+        engine = ObligationEngine()
         results = engine.discharge_all(collector.obligations)
         assert results[0].status is Status.SAT
         # x in [0, 10] is satisfiable but certainly not valid.
@@ -256,6 +309,25 @@ class TestEngineCaching:
         assert second.statistics.solver_calls == 0
         assert second.statistics.cache_hits == 1
 
+    def test_solver_semantics_change_discards_disk_store(self, tmp_path, monkeypatch):
+        collector = _collector((VALID_FORMULA, ObligationKind.VALIDITY))
+        warm = ObligationEngine(cache_dir=str(tmp_path))
+        warm.discharge_all(collector.obligations)
+        warm.save()
+        monkeypatch.setattr(
+            solver_interface, "SOLVER_SEMANTICS", solver_interface.SOLVER_SEMANTICS + 1
+        )
+        session = telemetry.install(TelemetrySession())
+        try:
+            cold = ObligationEngine(cache_dir=str(tmp_path))
+            results = cold.discharge_all(collector.obligations)
+        finally:
+            telemetry.uninstall()
+        assert results[0].status is Status.VALID
+        assert cold.statistics.solver_calls > 0
+        assert cold.statistics.cache_hits == 0
+        assert session.counters.get("engine.cache.hits.disk", 0.0) == 0.0
+
 
 class TestEngineParallel:
     def test_parallel_verdicts_match_serial(self):
@@ -265,7 +337,7 @@ class TestEngineParallel:
             (UNSAT_FORMULA, ObligationKind.SATISFIABILITY),
             (INVALID_FORMULA, ObligationKind.VALIDITY),
         )
-        serial = ObligationEngine(solver=Solver()).discharge_all(collector.obligations)
+        serial = ObligationEngine().discharge_all(collector.obligations)
         parallel = ObligationEngine(jobs=2).discharge_all(collector.obligations)
         assert [r.status for r in serial] == [r.status for r in parallel]
 
@@ -275,24 +347,12 @@ class TestEngineParallel:
             (VALID_FORMULA, ObligationKind.VALIDITY),
             (VALID_FORMULA, ObligationKind.VALIDITY),
         )
-        engine = ObligationEngine(cache=None, portfolio=Portfolio())
+        # In-wave dedup comes before the (still empty) cache.
+        engine = ObligationEngine()
         results = engine.discharge_all(collector.obligations)
         assert [r.status for r in results] == [Status.VALID] * 3
         assert engine.statistics.solver_calls == 1
         assert engine.statistics.dedup_hits == 2
-
-    def test_plain_serial_path_does_not_dedupe(self):
-        # Seed parity: without cache or portfolio every obligation gets its
-        # own solver call, duplicates included.
-        collector = _collector(
-            (VALID_FORMULA, ObligationKind.VALIDITY),
-            (VALID_FORMULA, ObligationKind.VALIDITY),
-        )
-        solver = Solver()
-        engine = ObligationEngine(solver=solver)
-        engine.discharge_all(collector.obligations)
-        assert solver.statistics.validity_queries == 2
-        assert engine.statistics.dedup_hits == 0
 
     def test_portfolio_wins_are_recorded(self):
         collector = _collector((VALID_FORMULA, ObligationKind.VALIDITY))
@@ -303,3 +363,101 @@ class TestEngineParallel:
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError):
             ObligationEngine(jobs=0)
+
+
+def _obligations(*entries):
+    return _collector(*entries).obligations
+
+
+class TestUnifiedPath:
+    """One path from obligation to verdict: fingerprint once, store, dedup,
+    cache, portfolio."""
+
+    def test_batch_wave_fingerprints_each_pooled_obligation_once(self, monkeypatch):
+        calls = []
+
+        def counting_fingerprint(formula, kind):
+            calls.append(kind)
+            return fingerprint(formula, kind)
+
+        # Count every caller, wherever it imported the function from.
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and getattr(module, "fingerprint", None) is fingerprint:
+                monkeypatch.setattr(module, "fingerprint", counting_fingerprint)
+        report = verify_batch(
+            case_study_items(["lu-approximate-memory", "sum-reduction-perforation"]),
+            engine=ObligationEngine.for_batch(),
+            verdict_store=VerdictStore(),
+        )
+        pooled = sum(
+            len(result.report.original.results) + len(result.report.relaxed.results)
+            for result in report.programs
+        )
+        assert pooled > 0
+        assert len(calls) == pooled
+
+    def test_reused_plus_delta_is_pooled_with_duplicates_as_delta(self):
+        engine, store = ObligationEngine(), VerdictStore()
+        first = engine.discharge_all(
+            _obligations(
+                (VALID_FORMULA, ObligationKind.VALIDITY),
+                (VALID_FORMULA, ObligationKind.VALIDITY),
+                (SAT_FORMULA, ObligationKind.SATISFIABILITY),
+            ),
+            store=store,
+        )
+        # Nothing is reused within the first wave: the in-wave duplicate is
+        # delta, answered by dedup.
+        assert [result.reused for result in first] == [False, False, False]
+        assert (store.reused, store.delta) == (0, 3)
+        assert engine.statistics.dedup_hits == 1
+        second = engine.discharge_all(
+            _obligations(
+                (VALID_FORMULA, ObligationKind.VALIDITY),
+                (UNSAT_FORMULA, ObligationKind.SATISFIABILITY),
+                (UNSAT_FORMULA, ObligationKind.SATISFIABILITY),
+            ),
+            store=store,
+        )
+        assert [result.reused for result in second] == [True, False, False]
+        assert (store.reused, store.delta) == (1, 5)
+        assert store.reused + store.delta == 6
+        stats = engine.statistics
+        assert (stats.incremental_reused, stats.delta_obligations) == (1, 5)
+        assert [result.status for result in second] == [
+            Status.VALID, Status.UNSAT, Status.UNSAT,
+        ]
+        assert second[0].fingerprint == first[0].fingerprint
+
+    def test_stored_unknown_replays_but_never_reaches_the_cache(self):
+        obligations = _obligations((SAT_FORMULA, ObligationKind.SATISFIABILITY))
+        key = fingerprint(SAT_FORMULA, ObligationKind.SATISFIABILITY.value)
+        store = VerdictStore()
+        store.record(
+            key,
+            ObligationResult(
+                obligation=obligations[0], status=Status.UNKNOWN, reason="budget"
+            ),
+        )
+        engine = ObligationEngine()
+        results = engine.discharge_all(obligations, store=store)
+        assert results[0].status is Status.UNKNOWN
+        assert results[0].reused and results[0].reason == "budget"
+        assert engine.statistics.solver_calls == 0
+        assert engine.cache.get(key) is None
+        assert len(engine.cache) == 0
+
+    def test_fresh_unknown_is_stored_for_the_session_only(self):
+        unknowable = eq(var("x") * var("x"), 2)
+        obligations = _obligations((unknowable, ObligationKind.SATISFIABILITY))
+        engine = ObligationEngine(
+            portfolio=Portfolio([SolverStrategy("no-fallback", enable_bounded_fallback=False)]),
+        )
+        store = VerdictStore()
+        first = engine.discharge_all(obligations, store=store)
+        assert first[0].status is Status.UNKNOWN
+        assert len(engine.cache) == 0
+        calls = engine.statistics.solver_calls
+        second = engine.discharge_all(obligations, store=store)
+        assert second[0].status is Status.UNKNOWN and second[0].reused
+        assert engine.statistics.solver_calls == calls
