@@ -8,13 +8,18 @@ to the relaxation site(s) that produced the program under verification.
 
 Entry points
 ------------
-* :func:`diagnose_result` / :func:`diagnose_report` — build
-  :class:`FailureDiagnostic` objects from verification results;
+* :func:`attribute_result` / :func:`attribute_report` — the attribution
+  stage: which rule failed, where, on which sites, under which model
+  (provenance plus the solver's model, no re-check; the explorer's
+  per-candidate ``failures``);
+* :func:`diagnose_result` / :func:`diagnose_report` — the full
+  :class:`FailureDiagnostic`: attribution plus source excerpt, atom table
+  and mechanical re-check (``repro explain``, ``--explain``);
 * :func:`render_diagnostics` — the human-readable forensic report;
 * :func:`reevaluate` — mechanically re-check that the counterexample
   falsifies the obligation formula;
 * :mod:`repro.diagnostics.explain` — the ``repro explain`` driver
-  (seeded failing relaxations, envelope replay, explorer attribution).
+  (seeded failing relaxations, envelope replay).
 """
 
 from .explain import (
@@ -28,6 +33,8 @@ from .explain import (
 from .report import (
     AtomEvaluation,
     FailureDiagnostic,
+    attribute_report,
+    attribute_result,
     diagnose_report,
     diagnose_result,
     reevaluate,
@@ -39,6 +46,8 @@ __all__ = [
     "AtomEvaluation",
     "ExplainReport",
     "FailureDiagnostic",
+    "attribute_report",
+    "attribute_result",
     "batch_diagnostics",
     "diagnose_report",
     "diagnose_result",

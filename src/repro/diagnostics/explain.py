@@ -9,9 +9,9 @@ Three entry points, all built on :mod:`repro.diagnostics.report`:
 * :func:`explain_from_payload` — replay the ``diagnostics`` section of a
   ``--json`` report envelope (written by ``--explain``) without re-running
   the solver at all;
-* :func:`batch_diagnostics` / :func:`report_diagnostics` — failure
-  attribution for ``verify-batch --explain`` and the explorer's
-  per-candidate ``failures`` entries.
+* :func:`batch_diagnostics` / :func:`report_diagnostics` — full
+  diagnostics for ``verify-batch --explain`` / ``verify-case-study
+  --explain``.
 """
 
 from __future__ import annotations

@@ -7,6 +7,11 @@ predicate's denotation is empty).  Either way the obligation's provenance
 (:class:`~repro.hoare.obligations.ObligationProvenance`) anchors the verdict
 to a statement span in the program source.
 
+Diagnostics are built in two composed stages.  :func:`attribute_result`
+reads provenance and the model only (what failed, where, under which
+model); :func:`diagnose_result` adds the source excerpt, the atom table
+and the mechanical re-check of the model on compiled closures.
+
 Everything in a :class:`FailureDiagnostic` is plain data with a lossless
 ``as_dict``/``from_dict`` round-trip, so a diagnostics section embedded in a
 ``--json`` envelope can be replayed by ``repro explain --from-json`` without
@@ -20,7 +25,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..hoare.obligations import ObligationKind, ObligationResult
 from ..lang.ast import Program, Span
-from ..logic.evaluate import EvaluationError, Valuation, evaluate
+from ..logic.compile import evaluate_compiled
+from ..logic.evaluate import EvaluationError, Valuation
 from ..logic.formula import (
     And,
     Atom,
@@ -119,7 +125,7 @@ def reevaluate(formula: Formula, model: Dict[Symbol, int]) -> Optional[bool]:
     if not _enumerable(formula, domain):
         return None
     try:
-        return evaluate(formula, _model_valuation(model), domain)
+        return evaluate_compiled(formula, _model_valuation(model), domain)
     except EvaluationError:
         return None
 
@@ -218,7 +224,9 @@ def _reevaluate_with_arrays(
     arrays = sorted(formula_arrays(formula), key=str)
     if arrays and _enumerable(formula, domain):
         try:
-            value = evaluate(formula, _model_valuation(model, arrays), domain)
+            value = evaluate_compiled(
+                formula, _model_valuation(model, arrays), domain
+            )
             return value, [str(array) for array in arrays], "evaluation"
         except EvaluationError:
             pass
@@ -291,11 +299,11 @@ def evaluate_atoms(
             )
             continue
         try:
-            value = evaluate(atom, valuation, domain)
+            value = evaluate_compiled(atom, valuation, domain)
             evaluations.append(AtomEvaluation(text, bool(value)))
         except EvaluationError as error:
             try:
-                value = evaluate(atom, zero_arrays, domain)
+                value = evaluate_compiled(atom, zero_arrays, domain)
                 evaluations.append(
                     AtomEvaluation(text, bool(value), "array cells assumed 0")
                 )
@@ -462,6 +470,15 @@ class FailureDiagnostic:
             lines.append("  counterexample (concrete assignment):")
             for name in sorted(self.model):
                 lines.append(f"    {name} = {self.model[name]}")
+        elif (
+            self.status == Status.INVALID.value
+            and self.formula_value is False
+            and not self.zero_arrays
+        ):
+            lines.append(
+                "  counterexample: no free symbols: the formula is false "
+                "in every state"
+            )
         elif self.kind == ObligationKind.SATISFIABILITY.value and self.status == "unsat":
             lines.append(
                 "  the relaxation predicate admits no assignment: "
@@ -497,7 +514,7 @@ class FailureDiagnostic:
                 "  WARNING: formula re-evaluates to true under the model "
                 "(evaluation domain may be too narrow)"
             )
-        elif self.model:
+        elif self.model or self.status == Status.INVALID.value:
             lines.append(
                 "  formula could not be re-checked under the model "
                 "(arrays, quantifier depth, or an inconclusive solver query)"
@@ -510,10 +527,16 @@ class FailureDiagnostic:
 # ---------------------------------------------------------------------------
 
 
-def diagnose_result(
+def attribute_result(
     result: ObligationResult, program: Optional[Program] = None
 ) -> Optional[FailureDiagnostic]:
-    """Build a diagnostic for an undischarged result (``None`` if discharged)."""
+    """The attribution stage: provenance plus the rendered model.
+
+    Fills exactly what :meth:`FailureDiagnostic.attribution` reads — which
+    rule failed, where, on which sites, under which model — and nothing
+    that costs evaluation: no excerpt, no atom table, no re-check of the
+    model.  ``None`` if the result is discharged.
+    """
     if result.discharged:
         return None
     obligation = result.obligation
@@ -524,11 +547,8 @@ def diagnose_result(
         kind=obligation.kind.value,
         status=result.status.value,
         reason=result.reason,
-        description=obligation.description,
         statement=obligation.statement,
-        formula_text=str(obligation.formula),
     )
-    source: Optional[str] = None
     if provenance is not None:
         diagnostic.program = provenance.program
         diagnostic.study = provenance.study
@@ -536,19 +556,40 @@ def diagnose_result(
         diagnostic.location = provenance.location()
         if provenance.span is not None:
             diagnostic.span = provenance.span.as_dict()
-        source = provenance.source
         if not diagnostic.statement:
             diagnostic.statement = provenance.statement
-    if program is not None:
-        if not diagnostic.program:
-            diagnostic.program = program.name
-        if source is None:
+    if program is not None and not diagnostic.program:
+        diagnostic.program = program.name
+    if result.counterexample is not None:
+        diagnostic.model = {
+            str(symbol): value for symbol, value in result.counterexample.items()
+        }
+    return diagnostic
+
+
+def diagnose_result(
+    result: ObligationResult, program: Optional[Program] = None
+) -> Optional[FailureDiagnostic]:
+    """The full diagnostic: attribution plus excerpt, atoms and re-check.
+
+    ``None`` if the result is discharged.
+    """
+    diagnostic = attribute_result(result, program)
+    if diagnostic is None:
+        return None
+    obligation = result.obligation
+    provenance = obligation.provenance
+    diagnostic.description = obligation.description
+    diagnostic.formula_text = str(obligation.formula)
+    if provenance is not None and provenance.span is not None:
+        source = provenance.source
+        if source is None and program is not None:
             source = program.source
-    if source is not None and provenance is not None and provenance.span is not None:
-        diagnostic.excerpt = source_excerpt(source, provenance.span)
-    if result.counterexample:
+        if source is not None:
+            diagnostic.excerpt = source_excerpt(source, provenance.span)
+    # An empty model is still a model: a closed formula refuted outright.
+    if result.counterexample is not None:
         model: Dict[Symbol, int] = dict(result.counterexample)
-        diagnostic.model = {str(symbol): value for symbol, value in model.items()}
         diagnostic.atoms = evaluate_atoms(obligation.formula, model)
         (
             diagnostic.formula_value,
@@ -558,25 +599,33 @@ def diagnose_result(
     return diagnostic
 
 
-def diagnose_report(report, program: Optional[Program] = None) -> List[FailureDiagnostic]:
-    """Diagnostics for every undischarged obligation of a report.
-
-    Accepts either a single-layer
-    :class:`~repro.hoare.obligations.VerificationReport` or a combined
-    :class:`~repro.hoare.verifier.AcceptabilityReport`.
-    """
+def _undischarged(report) -> List[ObligationResult]:
+    """Every undischarged result of a single-layer or combined report."""
     layers = (
         [report.original, report.relaxed]
         if hasattr(report, "original") and hasattr(report, "relaxed")
         else [report]
     )
-    diagnostics: List[FailureDiagnostic] = []
-    for layer in layers:
-        for result in layer.undischarged():
-            diagnostic = diagnose_result(result, program)
-            if diagnostic is not None:
-                diagnostics.append(diagnostic)
-    return diagnostics
+    return [result for layer in layers for result in layer.undischarged()]
+
+
+def attribute_report(report, program: Optional[Program] = None) -> List[FailureDiagnostic]:
+    """Attribution-stage diagnostics for every undischarged obligation.
+
+    What the explorer records per rejected candidate; see
+    :func:`diagnose_report` for the full forensic payload.
+    """
+    return [attribute_result(result, program) for result in _undischarged(report)]
+
+
+def diagnose_report(report, program: Optional[Program] = None) -> List[FailureDiagnostic]:
+    """Full diagnostics for every undischarged obligation of a report.
+
+    Accepts either a single-layer
+    :class:`~repro.hoare.obligations.VerificationReport` or a combined
+    :class:`~repro.hoare.verifier.AcceptabilityReport`.
+    """
+    return [diagnose_result(result, program) for result in _undischarged(report)]
 
 
 def render_diagnostics(diagnostics: Sequence[FailureDiagnostic]) -> str:

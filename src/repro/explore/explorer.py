@@ -47,7 +47,9 @@ from .. import telemetry
 from ..analysis.metrics import ExploreRow, format_explore_table
 from ..casestudies import resolve_case_study
 from ..casestudies.base import CaseStudy
+from ..diagnostics.report import attribute_report
 from ..engine import ObligationEngine, VerdictStore, program_items, verify_batch
+from ..engine.batch import BatchProgramResult
 from ..hoare.verifier import AcceptabilitySpec
 from ..lang.ast import Program
 from .candidates import Candidate, CandidateSpace
@@ -486,6 +488,7 @@ def _verify_wave(
     report.verify_seconds += time.perf_counter() - verify_start
 
     outcomes: List[CandidateOutcome] = []
+    rejected: List[Tuple[CandidateOutcome, BatchProgramResult]] = []
     verdicts = {result.name: result for result in batch.programs}
     for candidate in wave:
         outcome = CandidateOutcome(candidate=candidate)
@@ -508,18 +511,21 @@ def _verify_wave(
                         1 for item in layer.results if item.discharged
                     )
                 if not result.verified:
-                    # Attribute the rejection: which rule failed, where
-                    # in the candidate's source, under which model.
-                    from ..diagnostics import diagnose_report
-
-                    outcome.failures = [
-                        diagnostic.attribution()
-                        for diagnostic in diagnose_report(
-                            result.report, program=result.program
-                        )
-                    ]
+                    rejected.append((outcome, result))
         outcomes.append(outcome)
         report.outcomes.append(outcome)
+    # Attribute each rejection from provenance and the solver's model alone:
+    # which rule failed, where in the candidate's source, under which model.
+    # Re-checking the model is left to `repro explain` on the row's sites.
+    if rejected:
+        with telemetry.span("explore.attribute", rejected=len(rejected)):
+            for outcome, result in rejected:
+                outcome.failures = [
+                    diagnostic.attribution()
+                    for diagnostic in attribute_report(
+                        result.report, program=result.program
+                    )
+                ]
     telemetry.count(
         "explore.verified_candidates",
         sum(1 for outcome in outcomes if outcome.verified),

@@ -25,6 +25,7 @@ from repro.diagnostics import (
     AtomEvaluation,
     FailureDiagnostic,
     diagnose_report,
+    diagnose_result,
     render_diagnostics,
     reevaluate,
     source_excerpt,
@@ -37,10 +38,17 @@ from repro.diagnostics.explain import (
 )
 from repro.engine import ObligationEngine
 from repro.engine.cache import ObligationCache
+from repro.hoare.obligations import (
+    ObligationKind,
+    ObligationResult,
+    ProofObligation,
+    ProofSystem,
+)
 from repro.hoare.verifier import AcceptabilitySpec, AcceptabilityVerifier
 from repro.lang.ast import Span
 from repro.lang.parser import parse_program
-from repro.logic.formula import Symbol, Tag
+from repro.logic.formula import FALSE, Symbol, Tag
+from repro.solver.interface import Solver
 from repro.solver.lia import Status
 
 BROKEN_FIXTURE = os.path.join(
@@ -251,6 +259,36 @@ class TestDiagnosticRoundTrip:
         with pytest.raises(ValueError) as excinfo:
             explain_from_payload({"verified": False})
         assert "--explain" in str(excinfo.value)
+
+
+class TestClosedFalseObligation:
+    """A closed obligation refuted outright comes with an empty model."""
+
+    def _diagnostic(self):
+        verdict = Solver().check_valid(FALSE)
+        assert verdict.status is Status.INVALID and verdict.model == {}
+        obligation = ProofObligation(
+            formula=FALSE,
+            kind=ObligationKind.VALIDITY,
+            system=ProofSystem.ORIGINAL,
+            rule="assert",
+            description="assertion holds",
+        )
+        result = ObligationResult(
+            obligation, verdict.status, counterexample=verdict.model
+        )
+        return diagnose_result(result)
+
+    def test_empty_model_is_rechecked(self):
+        diagnostic = self._diagnostic()
+        assert diagnostic.model == {}
+        assert diagnostic.formula_value is False
+        assert diagnostic.check_method == "evaluation"
+
+    def test_empty_model_is_rendered_and_confirmed(self):
+        text = self._diagnostic().render()
+        assert "no free symbols: the formula is false in every state" in text
+        assert "counterexample confirmed mechanically" in text
 
 
 class TestRenderHelpers:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.casestudies.lu import LUApproximateMemory
 from repro.cli import main
+from repro.diagnostics.explain import explain_case_study
 from repro.engine import ObligationEngine, program_items, verify_batch
 from repro.explore import (
     enumerate_candidates,
@@ -155,6 +156,35 @@ class TestExplorePipeline:
             assert outcome.failures == []
             assert "failures" not in outcome.as_dict()
         assert "failures" in rejected[0].as_dict()
+
+    def test_attribution_never_rechecks_the_model(self, monkeypatch):
+        from repro.diagnostics import report as report_module
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("explore must not re-check counterexamples")
+
+        monkeypatch.setattr(report_module, "_reevaluate_with_arrays", forbidden)
+        monkeypatch.setattr(report_module, "evaluate_atoms", forbidden)
+        report = explore("lu", depth=1, samples=2, seed=0)
+        rejected = [
+            o for o in report.outcomes if not o.verified and not o.error
+        ]
+        assert rejected, "expected statically rejected candidates"
+        assert all(outcome.failures for outcome in rejected)
+
+    def test_failures_agree_with_explain(self):
+        # The attribution stage and the full diagnostic share provenance
+        # code, so a row's failures are what `repro explain` attributes.
+        report = explore("lu", depth=1, samples=2, seed=0)
+        rejected = [
+            o for o in report.outcomes if not o.verified and not o.error
+        ]
+        assert rejected, "expected statically rejected candidates"
+        for outcome in rejected:
+            explained = explain_case_study("lu", outcome.candidate.site_ids)
+            assert outcome.failures == [
+                diagnostic.attribution() for diagnostic in explained.diagnostics
+            ]
 
     def test_warm_cache_round_has_strictly_higher_hit_rate(self, tmp_path):
         cache_dir = str(tmp_path / "explore-cache")

@@ -136,7 +136,15 @@ class TestExploreTrace:
         summary = summarize_trace(str(trace_path))
         names = {event.name for event in summary.events}
         assert {"explore", "explore.enumerate", "explore.verify",
-                "explore.score", "batch"} <= names
+                "explore.attribute", "explore.score", "batch"} <= names
+        # rejection attribution runs under its own span, sized by the
+        # number of rejected candidates (sum depth 1 rejects three)
+        attribute = [
+            json.loads(line)
+            for line in trace_path.read_text().splitlines()
+            if '"explore.attribute"' in line
+        ]
+        assert [span["attributes"]["rejected"] for span in attribute] == [3]
         payload = json.loads(report_path.read_text())
         assert validate_payload(payload) is None
         assert payload["telemetry"]["counters"]["explore.samples"] > 0
