@@ -41,18 +41,19 @@ batch verification (the obligation engine):
                                          (default acceptability spec)
   options:
     --jobs N        discharge obligations across N worker processes
-    --cache-dir D   persist the obligation cache and portfolio win table
-                    in D; re-runs answer unchanged obligations from the
-                    cache with zero solver calls
-    --budget S      per-obligation wall-clock budget (seconds) across
-                    portfolio strategies; checked between strategies, a
-                    running strategy is not preempted
+    --cache-dir D   persist the obligation cache in D; re-runs answer
+                    unchanged obligations from the cache with zero
+                    solver calls
+    --budget S      per-obligation wall-clock budget (seconds); the
+                    complete procedures always finish, the budget caps
+                    the bounded fallback search after them, and a spent
+                    budget leaves the obligation UNKNOWN
     --json FILE     write the structured batch report to FILE ('-' for
                     stdout)
 
   The engine fingerprints each obligation (alpha-renaming, conjunct
-  sorting), answers repeats from the cache, and races solver strategy
-  configurations per obligation, learning which strategy wins.
+  sorting), answers repeats from the cache, and sends each remaining
+  obligation to the solver as one query.
 
 relaxation-space exploration (verified autotuning):
   repro explore lu --depth 2 --json -    enumerate candidate relaxed
@@ -110,7 +111,7 @@ observability (--trace):
                                          --json reports.
   repro trace summarize trace.json       aggregate a recorded trace: time
                                          by stage, slowest spans, cache hit
-                                         rates, strategy win/loss counts.
+                                         rates, linearized atoms.
 
 differential fuzzing (corpus-scale regression):
   repro fuzz --seed 0 --count 50         synthesize 50 seeded programs with
@@ -166,13 +167,14 @@ def _build_batch_engine(args: argparse.Namespace):
 
     if args.jobs < 1:
         raise SystemExit("--jobs must be >= 1")
-    if args.budget is not None and args.budget <= 0:
-        raise SystemExit("--budget must be a positive number of seconds")
-    return ObligationEngine.for_batch(
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        budget_seconds=args.budget,
-    )
+    try:
+        return ObligationEngine.for_batch(
+            jobs=args.jobs,
+            cache_dir=args.cache_dir,
+            budget_seconds=args.budget,
+        )
+    except ValueError as error:  # a non-positive --budget
+        raise SystemExit(str(error))
 
 
 def _case_study_by_name(name: str):
@@ -224,7 +226,7 @@ def cmd_verify_case_study(args: argparse.Namespace) -> int:
     with _tracing(args) as session:
         with telemetry.span("verify-case-study", study=case_study.name):
             report = case_study.verify(engine=engine)
-        engine.save()  # persist the cache and the portfolio win table
+        engine.save()  # persist the cache
     print(report.summary())
     diagnostics = None
     if args.explain:
@@ -623,8 +625,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=float,
         default=None,
-        help="per-obligation budget in seconds (checked between portfolio "
-        "strategies; a running strategy is not preempted)",
+        help="per-obligation budget in seconds (caps the bounded fallback "
+        "search; the complete procedures are not preempted)",
     )
     batch_cmd.add_argument(
         "--json", dest="json_out", help="write the JSON report to this file ('-' = stdout)"
@@ -751,7 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
     summarize_cmd = trace_sub.add_parser(
         "summarize",
         help="aggregate a trace: time by stage, slowest spans, cache hit "
-        "rates, strategy outcomes",
+        "rates, linearized atoms",
     )
     summarize_cmd.add_argument("file", help="a --trace output file (Chrome JSON or .jsonl)")
     summarize_cmd.add_argument(

@@ -6,11 +6,11 @@ owns the one schema they share and the emission plumbing, so the three
 commands cannot drift apart:
 
 * every payload carries the envelope keys ``command`` (which subcommand
-  produced it), ``schema_version`` (currently 7) and ``verified`` (the
+  produced it), ``schema_version`` (currently 8) and ``verified`` (the
   overall boolean the command's exit code is based on);
-* engine-backed commands carry ``engine`` (scheduler/portfolio counters),
-  ``solver`` (solver-level counters aggregated across every strategy and
-  worker process: ``cube_count``, ``cooper_eliminations``,
+* engine-backed commands carry ``engine`` (scheduler/cache counters),
+  ``solver`` (solver-level counters aggregated across every worker
+  process: ``cube_count``, ``cooper_eliminations``,
   ``bounded_fallbacks``, ``unknown_results``, ``total_seconds``,
   ``prefiltered_cubes``, ...) and,
   when a cache is attached, ``cache`` (hit/miss counters with ``hits`` /
@@ -31,7 +31,12 @@ commands cannot drift apart:
 
 JSON is serialised deterministically (sorted keys, 2-space indent).
 
-Schema history: version 7 dropped ``engine.strategy_attempts``, which
+Schema history: version 8 dropped the ``verify-batch`` payload's
+per-strategy win table and the ``solver`` section's per-strategy seconds,
+since each discharged obligation is now one solver query under one
+configuration (``engine.solver_calls`` counts one call per discharged
+obligation);
+version 7 dropped ``engine.strategy_attempts``, which
 always equalled ``engine.solver_calls`` once every obligation took the
 portfolio path;
 version 6 dropped ``solver.backend`` and the vector-backend
@@ -58,7 +63,7 @@ from __future__ import annotations
 import json
 from typing import Dict, Optional
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 #: Envelope keys every CLI JSON report carries (tested in
 #: tests/test_cli_report.py; bump SCHEMA_VERSION when this changes).

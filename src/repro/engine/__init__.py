@@ -1,4 +1,4 @@
-"""The obligation engine: cached, parallel, portfolio-scheduled discharge.
+"""The obligation engine: cached, parallel discharge, one solver query per obligation.
 
 This subsystem sits between the Hoare layer (which generates proof
 obligations) and the solver stack (which decides individual queries):
@@ -8,10 +8,8 @@ obligations) and the solver stack (which decides individual queries):
   orientation) hashed into stable cache keys;
 * :mod:`~repro.engine.cache` — an in-memory LRU of conclusive verdicts with
   an optional persistent JSON store (``UNKNOWN`` is never cached);
-* :mod:`~repro.engine.portfolio` — named solver configurations raced in
-  sequence per obligation, with a win table that reorders future attempts;
 * :mod:`~repro.engine.scheduler` — parallel discharge over a
-  ``ProcessPoolExecutor`` with per-obligation budgets;
+  ``ProcessPoolExecutor``, one budgeted solver query per obligation;
 * :mod:`~repro.engine.core` — :class:`ObligationEngine`, the facade tying
   the pieces together behind ``discharge_all`` / ``discharge_collected``;
 * :mod:`~repro.engine.batch` — multi-program batch verification
@@ -27,13 +25,6 @@ from .cache import CachedVerdict, ObligationCache
 from .core import EngineStatistics, ObligationEngine
 from .fingerprint import canonical_form, fingerprint
 from .incremental import StoredVerdict, VerdictStore
-from .portfolio import (
-    DEFAULT_STRATEGIES,
-    Portfolio,
-    SolverStrategy,
-    is_conclusive,
-    run_portfolio,
-)
 from .scheduler import DischargeOutcome, DischargeScheduler, DischargeTask
 from .batch import (
     BatchItem,
@@ -50,23 +41,18 @@ __all__ = [
     "BatchProgramResult",
     "BatchReport",
     "CachedVerdict",
-    "DEFAULT_STRATEGIES",
     "DischargeOutcome",
     "DischargeScheduler",
     "DischargeTask",
     "EngineStatistics",
     "ObligationCache",
     "ObligationEngine",
-    "Portfolio",
-    "SolverStrategy",
     "StoredVerdict",
     "VerdictStore",
     "canonical_form",
     "case_study_items",
     "directory_items",
     "fingerprint",
-    "is_conclusive",
     "program_items",
-    "run_portfolio",
     "verify_batch",
 ]

@@ -222,7 +222,6 @@ class BatchReport:
     engine_stats: Dict[str, float] = field(default_factory=dict)
     solver_stats: Dict[str, float] = field(default_factory=dict)
     cache_stats: Dict[str, float] = field(default_factory=dict)
-    strategy_wins: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
     @property
     def all_verified(self) -> bool:
@@ -237,7 +236,6 @@ class BatchReport:
             "engine": self.engine_stats,
             "solver": self.solver_stats,
             "cache": self.cache_stats,
-            "strategy_wins": self.strategy_wins,
         }
 
     def summary(self) -> str:
@@ -273,12 +271,6 @@ class BatchReport:
                 f"{self.engine_stats.get('cache_hits', 0):.0f} cache hits / "
                 f"{self.engine_stats.get('cache_misses', 0):.0f} misses"
             )
-        if self.strategy_wins:
-            parts = []
-            for kind, table in sorted(self.strategy_wins.items()):
-                for name, count in sorted(table.items(), key=lambda kv: -kv[1]):
-                    parts.append(f"{name}({kind[:3]})={count}")
-            lines.append("portfolio wins: " + ", ".join(parts))
         return "\n".join(lines)
 
 
@@ -390,7 +382,6 @@ def verify_batch(
     report.engine_stats = engine.statistics.as_dict()
     report.solver_stats = engine.solver_statistics.as_dict()
     report.cache_stats = engine.cache.stats()
-    report.strategy_wins = engine.portfolio.win_table()
     return report
 
 

@@ -58,7 +58,6 @@ class CachedVerdict:
     status: Status
     model: Optional[Dict[Symbol, int]] = None
     reason: str = ""
-    strategy: str = ""
     #: Which tier produced the entry: ``"memory"`` for verdicts stored by
     #: this process, ``"disk"`` for entries replayed from the persistent
     #: store — telemetry reports cache hits per tier.
@@ -105,7 +104,6 @@ class ObligationCache:
         status: Status,
         model: Optional[Dict[Symbol, int]] = None,
         reason: str = "",
-        strategy: str = "",
     ) -> bool:
         """Store a verdict; returns False (and stores nothing) for UNKNOWN."""
         if status is Status.UNKNOWN:
@@ -114,7 +112,6 @@ class ObligationCache:
             status=status,
             model=dict(model) if model is not None else None,
             reason=reason,
-            strategy=strategy,
         )
         self._entries.move_to_end(key)
         self.stores += 1
@@ -162,7 +159,6 @@ class ObligationCache:
                         else None
                     ),
                     reason=entry.get("reason", ""),
-                    strategy=entry.get("strategy", ""),
                     origin="disk",
                 )
                 loaded += 1
@@ -197,7 +193,6 @@ class ObligationCache:
                         else None
                     ),
                     "reason": entry.reason,
-                    "strategy": entry.strategy,
                 }
                 for key, entry in self._entries.items()
             },

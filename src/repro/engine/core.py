@@ -14,10 +14,9 @@ of a wave in five steps:
    fingerprint (in-wave dedup);
 4. replay a conclusive verdict from the result cache
    (:mod:`repro.engine.cache`);
-5. send the rest through the strategy portfolio
-   (:mod:`repro.engine.portfolio`) on the scheduler
-   (:mod:`repro.engine.scheduler`), crediting each winning strategy and
-   recording the new verdicts in the store and the cache.
+5. send the rest to the solver, one query per obligation, on the
+   scheduler (:mod:`repro.engine.scheduler`), and record the new
+   verdicts in the store and the cache.
 
 Every caller takes this path: batch verification, the explorer and the
 fuzz funnel with an engine of their own, and
@@ -43,7 +42,6 @@ from ..solver.lia import Status
 from .cache import ObligationCache
 from .fingerprint import fingerprint
 from .incremental import VerdictStore
-from .portfolio import Portfolio, is_conclusive
 from .scheduler import DischargeScheduler, DischargeTask
 
 
@@ -103,35 +101,32 @@ def _result(
 
 
 class ObligationEngine:
-    """Discharges proof obligations through store, cache and portfolio.
+    """Discharges proof obligations through store, cache and solver.
 
     Parameters
     ----------
     jobs:
         Worker processes for parallel discharge (``1`` runs in-process).
     cache_dir:
-        A directory for the persistent result cache and the portfolio win
-        table; ``None`` keeps the cache in memory and the table fresh.
-    portfolio:
-        The strategy portfolio; the default strategies when ``None``.
+        A directory for the persistent result cache; ``None`` keeps the
+        cache in memory.
     budget_seconds:
-        Per-obligation wall-clock budget across portfolio strategies.
+        Per-obligation wall-clock budget (see
+        :class:`~repro.solver.interface.Solver`); must be positive.
     """
 
     def __init__(
         self,
         jobs: int = 1,
         cache_dir: Optional[str] = None,
-        portfolio: Optional[Portfolio] = None,
         budget_seconds: Optional[float] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if budget_seconds is not None and budget_seconds <= 0:
+            raise ValueError("budget must be a positive number of seconds")
         self.jobs = jobs
         self.cache = ObligationCache(cache_dir=cache_dir)
-        self.portfolio = portfolio if portfolio is not None else Portfolio()
-        if cache_dir is not None:
-            self.portfolio.load(cache_dir)
         self.budget_seconds = budget_seconds
         self.statistics = EngineStatistics()
         #: Solver-level counters of every discharge this engine performed,
@@ -263,12 +258,11 @@ class ObligationEngine:
         keys: Sequence[str],
         results: List[Optional[ObligationResult]],
     ) -> None:
-        """Run the portfolio on every pending obligation and book the outcomes."""
+        """Solve every pending obligation and book the outcomes."""
         collect_telemetry = telemetry.enabled()
         tasks = []
         for index in pending:
             obligation = obligations[index]
-            kind = obligation.kind.value
             provenance = obligation.provenance
             label = ""
             if provenance is not None:
@@ -280,8 +274,7 @@ class ObligationEngine:
                 DischargeTask(
                     index=index,
                     formula=obligation.formula,
-                    kind=kind,
-                    strategies=self.portfolio.order_for(kind),
+                    kind=obligation.kind.value,
                     budget_seconds=self.budget_seconds,
                     collect_telemetry=collect_telemetry,
                     label=label,
@@ -289,10 +282,8 @@ class ObligationEngine:
             )
         if len(tasks) > 1 and self.jobs > 1:
             self.statistics.parallel_batches += 1
+        self.statistics.solver_calls += len(tasks)
         for outcome in self._scheduler.run(tasks):
-            obligation = obligations[outcome.index]
-            kind = obligation.kind.value
-            self.statistics.solver_calls += outcome.attempts
             if outcome.status is Status.UNKNOWN:
                 self.statistics.unknown_results += 1
             if outcome.solver_stats is not None:
@@ -302,26 +293,18 @@ class ObligationEngine:
                 # re-parent them under the open dispatch span so the
                 # trace stays one tree across processes.
                 telemetry.merge_exported(outcome.telemetry)
-            if outcome.strategy and is_conclusive(kind, outcome.status):
-                self.portfolio.record_win(kind, outcome.strategy)
-                telemetry.count(f"portfolio.wins.{kind}.{outcome.strategy}")
             key = keys[outcome.index]
             results[outcome.index] = _result(
-                obligation, key, outcome.status, outcome.model, outcome.reason,
-                elapsed_seconds=outcome.elapsed_seconds,
+                obligations[outcome.index], key, outcome.status, outcome.model,
+                outcome.reason, elapsed_seconds=outcome.elapsed_seconds,
             )
-            self.cache.put(
-                key, outcome.status, model=outcome.model, reason=outcome.reason,
-                strategy=outcome.strategy,
-            )
+            self.cache.put(key, outcome.status, model=outcome.model, reason=outcome.reason)
 
     # -- persistence / reporting --------------------------------------------------
 
     def save(self) -> None:
-        """Flush the cache and portfolio win table to their cache directory."""
+        """Flush the cache to its cache directory."""
         self.cache.save()
-        if self.cache.cache_dir is not None:
-            self.portfolio.save(self.cache.cache_dir)
 
     def stats(self) -> Dict[str, Dict[str, float]]:
         return {

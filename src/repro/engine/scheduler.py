@@ -3,8 +3,8 @@
 Proof obligations are independent of each other — each is a closed query
 against the decision procedures — so a batch of them (from one program or
 from many) can be discharged concurrently.  The scheduler fans tasks out to
-a :class:`concurrent.futures.ProcessPoolExecutor`; each worker runs the
-strategy portfolio for its obligation and ships back a compact, picklable
+a :class:`concurrent.futures.ProcessPoolExecutor`; each worker makes one
+solver query for its obligation and ships back a compact, picklable
 outcome (the formula IR is made of frozen dataclasses, so tasks pickle
 as-is).
 
@@ -23,23 +23,21 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .. import telemetry
 from ..logic.formula import Formula, Symbol
-from ..solver.interface import SolverStatistics
+from ..solver.interface import Solver, SolverResult
 from ..solver.lia import Status
-from .portfolio import SolverStrategy, run_portfolio
 
 
 @dataclass(frozen=True)
 class DischargeTask:
-    """One obligation to discharge: position, query, and strategy order."""
+    """One obligation to discharge: position, query and budget."""
 
     index: int
     formula: Formula
     kind: str  # ObligationKind value: "validity" | "satisfiability"
-    strategies: Tuple[SolverStrategy, ...]
     budget_seconds: Optional[float] = None
     #: Whether the worker should record telemetry spans for this task.
     #: Set by the engine when a session is active in the dispatching
@@ -54,17 +52,15 @@ class DischargeTask:
 
 @dataclass(frozen=True)
 class DischargeOutcome:
-    """The portfolio's verdict for one task, matched back by ``index``."""
+    """The solver's verdict for one task, matched back by ``index``."""
 
     index: int
     status: Status
     model: Optional[Dict[Symbol, int]]
     reason: str
-    strategy: str  # winning strategy name, "" if none concluded
-    attempts: int
     elapsed_seconds: float
-    #: Solver counters summed over every strategy attempted for this task
-    #: (picklable, so worker-process statistics survive the trip home).
+    #: The task's solver counters (picklable, so worker-process statistics
+    #: survive the trip home).
     solver_stats: Optional[Dict[str, float]] = None
     #: The worker-local telemetry session, exported
     #: (:meth:`~repro.telemetry.TelemetrySession.export`) for the engine
@@ -91,27 +87,27 @@ def _discharge_one(task: DischargeTask) -> DischargeOutcome:
     return _discharge_inner(task)
 
 
+def _solve(task: DischargeTask, solver: Solver) -> SolverResult:
+    if task.kind == "validity":
+        return solver.check_valid(task.formula)
+    return solver.check_sat(task.formula)
+
+
 def _discharge_inner(task: DischargeTask) -> DischargeOutcome:
     start = time.perf_counter()
-    statistics = SolverStatistics()
+    solver = Solver(budget_seconds=task.budget_seconds)
     with telemetry.span("discharge", index=task.index, kind=task.kind) as span:
         if task.label:
             span.set_attribute("provenance", task.label)
-        result, winner, attempts = run_portfolio(
-            task.formula, task.kind, task.strategies, task.budget_seconds, statistics
-        )
+        result = _solve(task, solver)
         span.set_attribute("status", result.status.value)
-        span.set_attribute("strategy", winner)
-        span.set_attribute("attempts", attempts)
     return DischargeOutcome(
         index=task.index,
         status=result.status,
         model=result.model,
         reason=result.reason,
-        strategy=winner,
-        attempts=attempts,
         elapsed_seconds=time.perf_counter() - start,
-        solver_stats=statistics.as_dict(),
+        solver_stats=solver.statistics.as_dict(),
     )
 
 
@@ -146,8 +142,6 @@ class DischargeScheduler:
                             status=Status.UNKNOWN,
                             model=None,
                             reason=f"worker died: {error}",
-                            strategy="",
-                            attempts=0,
                             elapsed_seconds=0.0,
                         )
                     )

@@ -9,9 +9,8 @@ measured score plus a learned prior over their relaxation-site kinds.
 The prior is a :class:`RewardTable` — per site *kind* (``perforate-loop``,
 ``restrict-relax``, ``dynamic-knob``) it accumulates the empirical reward
 (the verified child's estimated savings; zero for rejected children) of
-expanding along that kind, in the same spirit as the engine portfolio's
-per-kind win table (:mod:`repro.engine.portfolio`): cheap counts, fully
-deterministic, and persisted into the explore report rather than claimed.
+expanding along that kind: cheap counts, fully deterministic, and
+persisted into the explore report rather than claimed.
 Untried kinds carry an optimistic prior so the beam keeps exploring before
 it starts exploiting.
 
@@ -41,7 +40,7 @@ OPTIMISTIC_REWARD = 1.0
 
 @dataclass
 class RewardTable:
-    """Empirical reward per relaxation-site kind (portfolio win-table style)."""
+    """Empirical reward per relaxation-site kind."""
 
     counts: Dict[str, int] = field(default_factory=dict)
     totals: Dict[str, float] = field(default_factory=dict)

@@ -13,7 +13,7 @@ layer along the way:
 
   - ``backend=tree`` vs ``backend=compiled`` (the reference tree walker
     against the compiled closures),
-  - serial vs ``--jobs N`` discharge (the process-pool portfolio path),
+  - serial vs ``--jobs N`` discharge (the process-pool path),
   - cold vs warm persistent cache (the warm leg replays the cold leg's
     verdicts from disk);
 

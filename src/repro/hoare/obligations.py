@@ -295,10 +295,10 @@ def discharge(
 
     A thin wrapper over :meth:`repro.engine.core.ObligationEngine.
     discharge_collected`: without an explicit ``engine`` it uses a fresh
-    default one (the strategy portfolio, in process, with in-wave dedup
-    and an in-memory cache).  Passing an engine adds a persistent cache,
-    parallel discharge and a learned win table without changing this call
-    site.
+    default one (one solver query per obligation, in process, with in-wave
+    dedup and an in-memory cache).  Passing an engine adds a persistent
+    cache, parallel discharge and a per-obligation budget without changing
+    this call site.
     """
     if engine is None:
         # Imported lazily: the engine package imports this module.

@@ -19,7 +19,7 @@ which the verification layer treats as "obligation not discharged".
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .. import telemetry
@@ -77,12 +77,6 @@ class SolverResult:
         return self.status is Status.UNKNOWN
 
 
-#: Key prefix under which per-strategy wall-clock rides in the flat
-#: ``as_dict`` counter format (kept flat so wave-delta subtraction and
-#: worker round-trips stay purely numeric).
-STRATEGY_SECONDS_PREFIX = "strategy_seconds."
-
-
 @dataclass
 class SolverStatistics:
     """Aggregate statistics over the lifetime of a solver instance."""
@@ -97,17 +91,9 @@ class SolverStatistics:
     #: DNF cubes the box prefilter discharged as UNSAT without entering
     #: the cube solver.
     prefiltered_cubes: int = 0
-    #: Wall-clock seconds attributed to each portfolio strategy.
-    #: ``total_seconds`` stays the whole-solver total; this is its
-    #: per-strategy breakdown, so the portfolio win table has matching
-    #: timing columns.
-    strategy_seconds: Dict[str, float] = field(default_factory=dict)
-
-    def add_strategy_seconds(self, name: str, seconds: float) -> None:
-        self.strategy_seconds[name] = self.strategy_seconds.get(name, 0.0) + seconds
 
     def as_dict(self) -> Dict[str, float]:
-        counters = {
+        return {
             "sat_queries": self.sat_queries,
             "validity_queries": self.validity_queries,
             "cube_count": self.cube_count,
@@ -117,16 +103,12 @@ class SolverStatistics:
             "total_seconds": self.total_seconds,
             "prefiltered_cubes": self.prefiltered_cubes,
         }
-        for name, seconds in self.strategy_seconds.items():
-            counters[STRATEGY_SECONDS_PREFIX + name] = seconds
-        return counters
 
     def merge(self, counters: Dict[str, float]) -> None:
         """Add another statistics dict (e.g. from a worker's solver) into this one.
 
         Unknown keys are ignored, so the format can grow without breaking
-        older counters shipped back from worker processes.  Per-strategy
-        seconds travel as flat ``strategy_seconds.<name>`` keys.
+        older counters shipped back from worker processes.
         """
         self.sat_queries += int(counters.get("sat_queries", 0))
         self.validity_queries += int(counters.get("validity_queries", 0))
@@ -136,38 +118,36 @@ class SolverStatistics:
         self.unknown_results += int(counters.get("unknown_results", 0))
         self.total_seconds += float(counters.get("total_seconds", 0.0))
         self.prefiltered_cubes += int(counters.get("prefiltered_cubes", 0))
-        for key, value in counters.items():
-            if key.startswith(STRATEGY_SECONDS_PREFIX):
-                self.add_strategy_seconds(
-                    key[len(STRATEGY_SECONDS_PREFIX):], float(value)
-                )
 
 
 #: The version of what :class:`Solver` decides: which verdict and which
 #: counterexample model each query gets.  Bump it with any change that can
 #: alter either; persistent verdict stores written under another value are
 #: discarded rather than replayed (see repro.engine.cache).
-SOLVER_SEMANTICS = 1
+#: Version 2: one configuration answers every query, so a version-1 store
+#: may hold models that another configuration chose.
+SOLVER_SEMANTICS = 2
+
+#: DNF expansion aborts (and the query falls back) beyond this many cubes.
+MAX_CUBES = 4096
+#: The bounded fallback searches every symbol in ``[-radius, radius]``.
+BOUNDED_RADIUS = 4
+#: Wall-clock cap on one bounded fallback search.
+FALLBACK_SECONDS = 2.0
 
 
 class Solver:
-    """Decision procedures for the assertion logic (the z3py substitute)."""
+    """Decision procedures for the assertion logic (the z3py substitute).
 
-    def __init__(
-        self,
-        max_cubes: int = 4096,
-        branch_depth: int = 40,
-        bounded_radius: int = 4,
-        enable_cooper: bool = True,
-        enable_bounded_fallback: bool = True,
-        fallback_seconds: Optional[float] = 2.0,
-    ) -> None:
-        self._max_cubes = max_cubes
-        self._branch_depth = branch_depth
-        self._bounded_radius = bounded_radius
-        self._enable_cooper = enable_cooper
-        self._enable_bounded_fallback = enable_bounded_fallback
-        self._fallback_seconds = fallback_seconds
+    ``budget_seconds`` bounds each query's wall clock, measured from the
+    call to :meth:`check_sat` / :meth:`check_valid`.  The complete
+    procedures (normalisation, Cooper, DNF, cube solving) always run to
+    the end; the budget caps the bounded fallback that follows them, and
+    a query whose budget is already spent by then is ``UNKNOWN``.
+    """
+
+    def __init__(self, budget_seconds: Optional[float] = None) -> None:
+        self._budget_seconds = budget_seconds
         self.statistics = SolverStatistics()
 
     # -- public API -------------------------------------------------------------
@@ -176,7 +156,7 @@ class Solver:
         """Decide satisfiability of ``formula`` over the integers."""
         start = time.perf_counter()
         self.statistics.sat_queries += 1
-        result = self._check_sat_inner(formula)
+        result = self._check_sat_inner(formula, start)
         result.elapsed_seconds = time.perf_counter() - start
         self.statistics.total_seconds += result.elapsed_seconds
         if result.status is Status.UNKNOWN:
@@ -218,7 +198,7 @@ class Solver:
 
     # -- pipeline ----------------------------------------------------------------
 
-    def _check_sat_inner(self, formula: Formula) -> SolverResult:
+    def _check_sat_inner(self, formula: Formula, start: float) -> SolverResult:
         if isinstance(formula, TrueF):
             return SolverResult(Status.SAT, model={})
         if isinstance(formula, FalseF):
@@ -226,7 +206,7 @@ class Solver:
         try:
             prepared = eliminate_compound_terms(formula)
         except UnsupportedFormulaError as error:
-            return self._fallback(formula, f"unsupported construct: {error}")
+            return self._fallback(formula, start, f"unsupported construct: {error}")
 
         # Skolemise positive existentials *before* the Ackermann reduction so
         # that array reads indexed by (formerly) bound variables become reads
@@ -238,23 +218,21 @@ class Solver:
             stripped = to_nnf(ackermann.combined())
             stripped = strip_positive_existentials(stripped)
         except UnsupportedFormulaError as error:
-            return self._fallback(formula, f"unsupported construct: {error}")
+            return self._fallback(formula, start, f"unsupported construct: {error}")
 
         if has_universal(stripped):
-            if not self._enable_cooper:
-                return self._fallback(formula, "universal quantifier (Cooper disabled)")
             try:
                 self.statistics.cooper_eliminations += 1
                 telemetry.count("solver.cooper_eliminations")
                 stripped = to_nnf(eliminate_quantifiers(stripped))
                 stripped = strip_positive_existentials(stripped)
             except (QuantifierEliminationError, NonLinearError) as error:
-                return self._fallback(formula, f"quantifier elimination failed: {error}")
+                return self._fallback(formula, start, f"quantifier elimination failed: {error}")
 
         try:
-            cubes = to_dnf(stripped, max_cubes=self._max_cubes)
+            cubes = to_dnf(stripped, max_cubes=MAX_CUBES)
         except FormulaTooLargeError as error:
-            return self._fallback(formula, str(error))
+            return self._fallback(formula, start, str(error))
 
         # Box prefilter: refute cubes by interval reasoning over their own
         # unit bounds first.  Prefiltered entries are *proofs* of integer
@@ -268,7 +246,7 @@ class Solver:
                 prefiltered = prefilter_unsat_cubes(cubes)
             self.statistics.prefiltered_cubes += sum(prefiltered)
 
-        cube_solver = CubeSolver(branch_depth=self._branch_depth)
+        cube_solver = CubeSolver()
         saw_unknown = False
         unknown_reason = ""
         cubes_solved = 0
@@ -291,19 +269,27 @@ class Solver:
                     saw_unknown = True
                     unknown_reason = "branch-and-bound budget exhausted"
             if saw_unknown:
-                return self._fallback(formula, unknown_reason)
+                return self._fallback(formula, start, unknown_reason)
             return SolverResult(Status.UNSAT)
         finally:
             telemetry.observe("solver.cubes_per_query", cubes_solved)
 
-    def _fallback(self, formula: Formula, reason: str) -> SolverResult:
-        if not self._enable_bounded_fallback:
-            return SolverResult(Status.UNKNOWN, reason=reason)
+    def _fallback(self, formula: Formula, start: float, reason: str) -> SolverResult:
+        max_seconds = FALLBACK_SECONDS
+        if self._budget_seconds is not None:
+            remaining = self._budget_seconds - (time.perf_counter() - start)
+            if remaining <= 0:
+                return SolverResult(
+                    Status.UNKNOWN,
+                    reason=(
+                        f"per-obligation budget of {self._budget_seconds:g}s "
+                        f"exhausted (last: {reason})"
+                    ),
+                )
+            max_seconds = min(max_seconds, remaining)
         self.statistics.bounded_fallbacks += 1
         telemetry.count("solver.bounded_fallbacks")
-        model = bounded_model_search(
-            formula, radius=self._bounded_radius, max_seconds=self._fallback_seconds
-        )
+        model = bounded_model_search(formula, radius=BOUNDED_RADIUS, max_seconds=max_seconds)
         if model is not None:
             return SolverResult(Status.SAT, model=model, reason=f"bounded search ({reason})")
         return SolverResult(Status.UNKNOWN, reason=reason)

@@ -102,7 +102,7 @@ class Divisibility:
 _MAX_DISEQUALITY_SPLITS = 10
 _MAX_DIV_LCM = 64
 _MAX_DIV_BRANCHES = 4096
-_DEFAULT_BRANCH_DEPTH = 40
+_BRANCH_DEPTH = 40
 
 
 def _lcm(a: int, b: int) -> int:
@@ -223,8 +223,7 @@ def _box_refutes(rows: Sequence[LinearTerm]) -> bool:
 class CubeSolver:
     """Decides integer feasibility of cubes of linear literals."""
 
-    def __init__(self, branch_depth: int = _DEFAULT_BRANCH_DEPTH) -> None:
-        self._branch_depth = branch_depth
+    def __init__(self) -> None:
         self._aux_counter = 0
         self.statistics: Dict[str, int] = {
             "cubes": 0,
@@ -453,7 +452,7 @@ class CubeSolver:
         if not fractional:
             model = {s: int(v) for s, v in point.items()}
             return CubeResult(Status.SAT, model)
-        if depth >= self._branch_depth:
+        if depth >= _BRANCH_DEPTH:
             return CubeResult(Status.UNKNOWN)
         symbol, value = fractional[0]
         lower = int(floor(value))

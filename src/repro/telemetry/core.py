@@ -1,6 +1,6 @@
 """Hierarchical spans and metrics: the runtime half of the telemetry layer.
 
-The engine pools, dedupes, caches and portfolio-schedules obligations
+The engine pools, dedupes, caches and discharges obligations
 across processes; this module is how a run *explains where the time went*.
 It is dependency-free (standard library only) and built around one hard
 constraint: **telemetry off must be indistinguishable from telemetry

@@ -9,10 +9,8 @@ questions as fixed-width tables:
 
 * **time by stage** — wall-clock total/count/max per span name;
 * **slowest spans** — the top-K individual spans with their identifying
-  attributes (program, candidate, strategy, obligation index);
+  attributes (program, candidate, search strategy, obligation index);
 * **cache behaviour** — hit/miss counters by tier and the hit rate;
-* **strategy outcomes** — portfolio wins per obligation kind, matching
-  the engine's win table;
 * **atom reuse** — atoms linearized (``solver.linearize.misses``, once per
   interned atom per process) against cubes solved (``lia.cube_solves``).
 
@@ -33,7 +31,6 @@ _DETAIL_ATTRIBUTES = (
     "candidate",
     "case_study",
     "strategy",
-    "name",
     "kind",
     "index",
     "status",
@@ -42,7 +39,6 @@ _DETAIL_ATTRIBUTES = (
     "error",
 )
 
-_WIN_COUNTER_PREFIX = "portfolio.wins."
 _CACHE_HIT_PREFIX = "engine.cache.hits."
 
 
@@ -105,17 +101,6 @@ class TraceSummary:
         table["dedup_hits"] = self.counters.get("engine.dedup.hits", 0.0)
         return table
 
-    def strategy_wins(self) -> Dict[str, Dict[str, int]]:
-        """``{kind: {strategy: wins}}`` recovered from the win counters."""
-        wins: Dict[str, Dict[str, int]] = {}
-        for key, value in self.counters.items():
-            if not key.startswith(_WIN_COUNTER_PREFIX):
-                continue
-            kind, _, strategy = key[len(_WIN_COUNTER_PREFIX):].partition(".")
-            if strategy:
-                wins.setdefault(kind, {})[strategy] = int(value)
-        return wins
-
     def as_dict(self) -> Dict[str, object]:
         return {
             "trace": self.path,
@@ -138,7 +123,6 @@ class TraceSummary:
                 for event in self.slowest()
             ],
             "cache": self.cache(),
-            "strategy_wins": self.strategy_wins(),
             "counters": dict(self.counters),
             "histograms": {name: dict(h) for name, h in self.histograms.items()},
         }
@@ -182,13 +166,6 @@ class TraceSummary:
                 f"(hit rate {cache['hit_rate']:.0%}, "
                 f"dedup {cache['dedup_hits']:.0f})"
             )
-        wins = self.strategy_wins()
-        if wins:
-            parts = []
-            for kind, table in sorted(wins.items()):
-                for name, value in sorted(table.items(), key=lambda kv: -kv[1]):
-                    parts.append(f"{name}({kind[:3]})={value}")
-            lines.append("portfolio wins: " + ", ".join(parts))
         linearized = self.counters.get("solver.linearize.misses", 0.0)
         if linearized:
             lines.append(

@@ -17,6 +17,9 @@ from repro.engine import (
     directory_items,
     verify_batch,
 )
+from repro.hoare.obligations import ObligationCollector, ObligationKind, ProofSystem
+from repro.logic.formula import eq, var
+from repro.solver.lia import Status
 
 
 @pytest.fixture(scope="module")
@@ -130,9 +133,22 @@ class TestBatchVerification:
         out = capsys.readouterr().out
         assert "ERROR" in out and "good" in out
 
-    def test_budget_implies_portfolio_path(self):
-        engine = ObligationEngine(budget_seconds=30.0)
-        assert engine.portfolio is not None
+    def test_spent_budget_skips_the_bounded_fallback(self):
+        # x*x == 4 is non-linear: only the bounded fallback finds x = -2.
+        collector = ObligationCollector(ProofSystem.ORIGINAL)
+        collector.add(
+            eq(var("x") * var("x"), 4), ObligationKind.SATISFIABILITY,
+            rule="square", description="x*x == 4",
+        )
+        # The complete procedures always run once, and take longer than
+        # this budget, so it is spent before the fallback would start.
+        spent = ObligationEngine(budget_seconds=1e-12)
+        (result,) = spent.discharge_all(collector.obligations)
+        assert result.status is Status.UNKNOWN
+        assert result.reason.startswith("per-obligation budget of")
+        assert len(spent.cache) == 0
+        (unbudgeted,) = ObligationEngine().discharge_all(collector.obligations)
+        assert unbudgeted.status is Status.SAT
 
     def test_unverifiable_program_reports_not_verified(self, tmp_path):
         (tmp_path / "bad.rlx").write_text("vars x; assert x > 0;")

@@ -13,12 +13,11 @@ from repro.solver.lia import Status
 class TestLRU:
     def test_put_get_roundtrip(self):
         cache = ObligationCache(capacity=4)
-        assert cache.put("k1", Status.VALID, reason="proved", strategy="full")
+        assert cache.put("k1", Status.VALID, reason="proved")
         entry = cache.get("k1")
         assert entry is not None
         assert entry.status is Status.VALID
         assert entry.reason == "proved"
-        assert entry.strategy == "full"
 
     def test_miss_counting(self):
         cache = ObligationCache(capacity=4)
@@ -64,7 +63,6 @@ class TestPersistence:
             Status.INVALID,
             model={Symbol("x"): -2, Symbol("y", Tag.ORIGINAL): 7},
             reason="counterexample found",
-            strategy="cube-fast",
         )
         cache.put("k2", Status.VALID)
         path = cache.save()
@@ -74,7 +72,7 @@ class TestPersistence:
         entry = reloaded.get("k1")
         assert entry.status is Status.INVALID
         assert entry.model == {Symbol("x"): -2, Symbol("y", Tag.ORIGINAL): 7}
-        assert entry.strategy == "cube-fast"
+        assert entry.reason == "counterexample found"
         assert reloaded.get("k2").status is Status.VALID
 
     def test_corrupt_store_is_discarded(self, tmp_path):

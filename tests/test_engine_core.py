@@ -1,10 +1,10 @@
-"""Tests for the obligation engine: portfolio, scheduler, caching, parity.
+"""Tests for the obligation engine: single query, scheduler, caching, parity.
 
 The key invariants:
 
 * every obligation takes one path — fingerprint once, session store,
-  in-wave dedup, cache, portfolio — whether or not the caller built an
-  engine;
+  in-wave dedup, cache, one solver query — whether or not the caller
+  built an engine, and that query answers exactly as a bare solver does;
 * cache hits replay the original verdict without any solver call, and
   ``UNKNOWN`` never enters the cache (budget exhaustion cannot masquerade
   as a proof), nor does a persistent store written under other solver
@@ -24,12 +24,6 @@ from repro.engine import VerdictStore, case_study_items, verify_batch
 from repro.engine import scheduler as engine_scheduler
 from repro.engine.core import ObligationEngine
 from repro.engine.fingerprint import fingerprint
-from repro.engine.portfolio import (
-    DEFAULT_STRATEGIES,
-    Portfolio,
-    SolverStrategy,
-    run_portfolio,
-)
 from repro.engine.scheduler import DischargeScheduler, DischargeTask
 from repro.hoare.obligations import (
     ObligationCollector,
@@ -42,6 +36,7 @@ from repro.hoare.unary import prove_original
 from repro.lang import builder as b
 from repro.logic.formula import conj, eq, exists, ge, gt, implies, le, lt, sym, var
 from repro.solver import interface as solver_interface
+from repro.solver.interface import Solver
 from repro.solver.lia import Status
 from repro.telemetry import TelemetrySession
 
@@ -59,53 +54,42 @@ SAT_FORMULA = conj(ge(var("x"), 0), le(var("x"), 10))
 UNSAT_FORMULA = conj(gt(var("x"), 5), lt(var("x"), 3))
 
 
-class TestPortfolio:
-    def test_first_conclusive_strategy_wins(self):
-        result, winner, attempts = run_portfolio(
-            VALID_FORMULA, "validity", DEFAULT_STRATEGIES
-        )
-        assert result.status is Status.VALID
-        assert winner == DEFAULT_STRATEGIES[0].name
-        assert attempts == 1
+#: Non-linear: no complete procedure settles it and the bounded fallback
+#: finds no integer root, so the default solver answers UNKNOWN.
+UNKNOWABLE_FORMULA = eq(var("x") * var("x"), 2)
 
-    def test_sat_kind_conclusiveness(self):
-        result, winner, _ = run_portfolio(SAT_FORMULA, "satisfiability", DEFAULT_STRATEGIES)
-        assert result.status is Status.SAT
-        assert winner
 
-    def test_win_table_reorders_strategies(self):
-        portfolio = Portfolio()
-        last = portfolio.strategies[-1].name
-        for _ in range(5):
-            portfolio.record_win("validity", last)
-        assert portfolio.order_for("validity")[0].name == last
-        # Other kinds keep the declared order.
-        assert portfolio.order_for("satisfiability") == portfolio.strategies
-
-    def test_merge_and_persist_wins(self, tmp_path):
-        portfolio = Portfolio()
-        portfolio.merge_wins({"validity": {"full": 3}})
-        portfolio.save(str(tmp_path))
-        fresh = Portfolio()
-        assert fresh.load(str(tmp_path))
-        assert fresh.wins["validity"]["full"] == 3
-
-    def test_duplicate_strategy_names_rejected(self):
-        with pytest.raises(ValueError):
-            Portfolio([SolverStrategy("a"), SolverStrategy("a")])
-
-    def test_empty_portfolio_rejected(self):
-        with pytest.raises(ValueError):
-            Portfolio([])
+@pytest.mark.parametrize(
+    "formula, kind",
+    [
+        (VALID_FORMULA, ObligationKind.VALIDITY),
+        (INVALID_FORMULA, ObligationKind.VALIDITY),
+        (SAT_FORMULA, ObligationKind.SATISFIABILITY),
+        (UNSAT_FORMULA, ObligationKind.SATISFIABILITY),
+        (UNKNOWABLE_FORMULA, ObligationKind.SATISFIABILITY),
+    ],
+    ids=["valid", "invalid", "sat", "unsat", "unknown"],
+)
+def test_engine_answers_as_a_bare_solver(formula, kind):
+    if kind is ObligationKind.VALIDITY:
+        expected = Solver().check_valid(formula)
+    else:
+        expected = Solver().check_sat(formula)
+    engine = ObligationEngine()
+    (result,) = engine.discharge_all(_collector((formula, kind)).obligations)
+    assert result.status is expected.status
+    assert result.counterexample == expected.model
+    assert result.reason == expected.reason
+    assert engine.statistics.solver_calls == 1
 
 
 class TestScheduler:
     def _tasks(self):
         return [
-            DischargeTask(0, VALID_FORMULA, "validity", DEFAULT_STRATEGIES),
-            DischargeTask(1, UNSAT_FORMULA, "satisfiability", DEFAULT_STRATEGIES),
-            DischargeTask(2, SAT_FORMULA, "satisfiability", DEFAULT_STRATEGIES),
-            DischargeTask(3, INVALID_FORMULA, "validity", DEFAULT_STRATEGIES),
+            DischargeTask(0, VALID_FORMULA, "validity"),
+            DischargeTask(1, UNSAT_FORMULA, "satisfiability"),
+            DischargeTask(2, SAT_FORMULA, "satisfiability"),
+            DischargeTask(3, INVALID_FORMULA, "validity"),
         ]
 
     def test_serial_run(self):
@@ -126,8 +110,8 @@ class TestScheduler:
     def test_counterexample_models_survive_the_pool(self):
         outcomes = DischargeScheduler(jobs=2).run(
             [
-                DischargeTask(0, INVALID_FORMULA, "validity", DEFAULT_STRATEGIES),
-                DischargeTask(1, SAT_FORMULA, "satisfiability", DEFAULT_STRATEGIES),
+                DischargeTask(0, INVALID_FORMULA, "validity"),
+                DischargeTask(1, SAT_FORMULA, "satisfiability"),
             ]
         )
         assert outcomes[0].model is not None
@@ -145,14 +129,14 @@ class TestScheduler:
                 assert outcome.solver_stats["sat_queries"] >= 1
 
 
-def _exit_on_unsat_task(formula, kind, strategies, budget_seconds=None, statistics=None):
-    """``run_portfolio`` stand-in whose worker dies on the UNSAT task."""
-    if formula is UNSAT_FORMULA:
+def _exit_on_unsat_task(task, solver):
+    """The scheduler's per-task solve, except the worker dies on the UNSAT task."""
+    if task.formula is UNSAT_FORMULA:
         os._exit(1)
-    return _REAL_RUN_PORTFOLIO(formula, kind, strategies, budget_seconds, statistics)
+    return _REAL_SOLVE(task, solver)
 
 
-_REAL_RUN_PORTFOLIO = engine_scheduler.run_portfolio
+_REAL_SOLVE = engine_scheduler._solve
 
 
 @pytest.mark.skipif(
@@ -161,7 +145,7 @@ _REAL_RUN_PORTFOLIO = engine_scheduler.run_portfolio
 )
 class TestWorkerDeath:
     def test_dead_worker_settles_unknown_without_raising(self, monkeypatch):
-        monkeypatch.setattr(engine_scheduler, "run_portfolio", _exit_on_unsat_task)
+        monkeypatch.setattr(engine_scheduler, "_solve", _exit_on_unsat_task)
         collector = _collector(
             (VALID_FORMULA, ObligationKind.VALIDITY),
             (UNSAT_FORMULA, ObligationKind.SATISFIABILITY),
@@ -187,7 +171,7 @@ class TestSolverStatisticsAggregation:
         assert stats["total_seconds"] > 0
 
     def test_portfolio_engine_aggregates_worker_counters(self):
-        engine = ObligationEngine(jobs=2, portfolio=Portfolio())
+        engine = ObligationEngine(jobs=2)
         collector = _collector(
             (VALID_FORMULA, ObligationKind.VALIDITY),
             (SAT_FORMULA, ObligationKind.SATISFIABILITY),
@@ -271,12 +255,8 @@ class TestEngineCaching:
         assert engine.statistics.cache_hits == 1
 
     def test_unknown_is_not_cached(self):
-        # A non-linear obligation the procedures cannot settle: x*x == 2.
-        unknowable = eq(var("x") * var("x"), 2)
-        collector = _collector((unknowable, ObligationKind.SATISFIABILITY))
-        engine = ObligationEngine(
-            portfolio=Portfolio([SolverStrategy("no-fallback", enable_bounded_fallback=False)]),
-        )
+        collector = _collector((UNKNOWABLE_FORMULA, ObligationKind.SATISFIABILITY))
+        engine = ObligationEngine()
         first = engine.discharge_all(collector.obligations)
         assert first[0].status is Status.UNKNOWN
         calls = engine.statistics.solver_calls
@@ -354,15 +334,14 @@ class TestEngineParallel:
         assert engine.statistics.solver_calls == 1
         assert engine.statistics.dedup_hits == 2
 
-    def test_portfolio_wins_are_recorded(self):
-        collector = _collector((VALID_FORMULA, ObligationKind.VALIDITY))
-        engine = ObligationEngine(jobs=1, portfolio=Portfolio())
-        engine.discharge_all(collector.obligations)
-        assert sum(engine.portfolio.wins.get("validity", {}).values()) == 1
-
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError):
             ObligationEngine(jobs=0)
+
+    @pytest.mark.parametrize("budget", [0, -1.0])
+    def test_non_positive_budget_rejected(self, budget):
+        with pytest.raises(ValueError):
+            ObligationEngine(budget_seconds=budget)
 
 
 def _obligations(*entries):
@@ -371,7 +350,7 @@ def _obligations(*entries):
 
 class TestUnifiedPath:
     """One path from obligation to verdict: fingerprint once, store, dedup,
-    cache, portfolio."""
+    cache, solver."""
 
     def test_batch_wave_fingerprints_each_pooled_obligation_once(self, monkeypatch):
         calls = []
@@ -448,11 +427,8 @@ class TestUnifiedPath:
         assert len(engine.cache) == 0
 
     def test_fresh_unknown_is_stored_for_the_session_only(self):
-        unknowable = eq(var("x") * var("x"), 2)
-        obligations = _obligations((unknowable, ObligationKind.SATISFIABILITY))
-        engine = ObligationEngine(
-            portfolio=Portfolio([SolverStrategy("no-fallback", enable_bounded_fallback=False)]),
-        )
+        obligations = _obligations((UNKNOWABLE_FORMULA, ObligationKind.SATISFIABILITY))
+        engine = ObligationEngine()
         store = VerdictStore()
         first = engine.discharge_all(obligations, store=store)
         assert first[0].status is Status.UNKNOWN

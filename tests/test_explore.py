@@ -245,6 +245,11 @@ class TestExploreCli:
         with pytest.raises(SystemExit):
             main(["explore", "nonexistent", "--depth", "0"])
 
+    def test_explore_rejects_non_positive_budget(self):
+        with pytest.raises(SystemExit, match="budget") as excinfo:
+            main(["explore", "lu", "--depth", "0", "--budget", "-1"])
+        assert excinfo.value.code not in (0, None)
+
     def test_explore_rejects_bad_flags(self):
         with pytest.raises(SystemExit):
             main(["explore", "lu", "--depth", "-1"])

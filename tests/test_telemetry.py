@@ -182,7 +182,7 @@ class TestWorkerMerge:
         worker = TelemetrySession()
         with telemetry.activated(worker):
             with telemetry.span("discharge", index=3):
-                with telemetry.span("strategy", name="full"):
+                with telemetry.span("solver.prefilter", cubes=5):
                     pass
             telemetry.count("lia.cube_solves", 5)
             telemetry.observe("solver.cubes_per_query", 5)
@@ -196,7 +196,7 @@ class TestWorkerMerge:
             telemetry.merge_exported(payload)
         records = _record_by_name(parent)
         assert records["discharge"].parent_id == records["dispatch"].span_id
-        assert records["strategy"].parent_id == records["discharge"].span_id
+        assert records["solver.prefilter"].parent_id == records["discharge"].span_id
         ids = [record.span_id for record in parent.records]
         assert len(set(ids)) == len(ids)
         assert [record.name for record in parent.roots()] == ["dispatch"]
@@ -292,12 +292,13 @@ class TestSummarize:
     def _session(self):
         session = telemetry.install(TelemetrySession())
         with telemetry.span("batch"):
-            with telemetry.span("discharge", index=0, strategy="full"):
+            with telemetry.span("discharge", index=0, status="valid"):
                 pass
         telemetry.count("engine.cache.hits.memory", 3)
         telemetry.count("engine.cache.misses", 1)
         telemetry.count("engine.dedup.hits", 2)
-        telemetry.count("portfolio.wins.validity.cube-fast", 4)
+        telemetry.count("solver.linearize.misses", 5)
+        telemetry.count("lia.cube_solves", 7)
         telemetry.uninstall()
         return session
 
@@ -317,9 +318,9 @@ class TestSummarize:
         assert cache["misses"] == 1.0
         assert cache["hit_rate"] == pytest.approx(0.75)
         assert cache["dedup_hits"] == 2.0
-        assert summary.strategy_wins() == {"validity": {"cube-fast": 4}}
         rendered = summary.render()
-        assert "slowest" in rendered and "portfolio wins" in rendered
+        assert "slowest" in rendered
+        assert "linear atoms: 5 linearized for 7 cube solves" in rendered
         assert summary.as_dict()["counters"]["engine.cache.misses"] == 1.0
 
     def test_rejects_unrecognised_files(self, tmp_path):
@@ -372,7 +373,7 @@ class TestEngineIntegration:
         ]
         assert worker_records, "jobs=2 must produce worker-process spans"
         for record in worker_records:
-            assert record.name in ("discharge", "strategy", "solver.prefilter")
+            assert record.name in ("discharge", "solver.prefilter")
             parent = by_id[record.parent_id]
             if parent.pid == os.getpid():
                 assert parent.name == "dispatch"
@@ -385,8 +386,9 @@ class TestEngineIntegration:
         section = telemetry_section(session)
         assert summary.counters == section["counters"]
         assert len(summary.events) == section["span_count"]
-        # the trace's win counters agree with the engine's own win table
-        assert summary.strategy_wins() == engine.portfolio.win_table()
+        # one discharge span per solver call, worker spans included
+        discharges = [event for event in summary.events if event.name == "discharge"]
+        assert len(discharges) == engine.statistics.solver_calls
 
     def test_serial_and_jobs_runs_agree_on_counters(self, tmp_path):
         """Satellite: solver counters are identical serial vs --jobs."""
@@ -404,23 +406,11 @@ class TestEngineIntegration:
         jobs = engine_jobs.solver_statistics.as_dict()
         for key in count_keys:
             assert serial[key] == jobs[key], key
-        # both paths carry the per-strategy wall-clock breakdown
-        serial_strategies = {
-            key for key in serial if key.startswith("strategy_seconds.")
-        }
-        jobs_strategies = {key for key in jobs if key.startswith("strategy_seconds.")}
-        assert serial_strategies == jobs_strategies
-        assert serial_strategies, "portfolio runs must book per-strategy seconds"
+        assert set(serial) == set(jobs)
 
     def test_engine_counters_match_report(self, tmp_path):
         engine, session = self._run(1, tmp_path)
         stats = engine.statistics
         assert session.counters.get("engine.cache.misses", 0.0) == stats.cache_misses
-        wins = sum(
-            value
-            for key, value in session.counters.items()
-            if key.startswith("portfolio.wins.")
-        )
-        assert wins == sum(
-            sum(table.values()) for table in engine.portfolio.win_table().values()
-        )
+        # one solver call per discharged obligation
+        assert stats.solver_calls == stats.cache_misses
