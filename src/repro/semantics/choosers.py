@@ -24,17 +24,33 @@ the interpreter then produces the ``wr`` outcome as required by the
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..lang.ast import BoolExpr, Havoc, Relax, Stmt
+from .. import telemetry
 from ..lang.analysis import bool_vars
 from ..logic.evaluate import EvaluationError, Valuation
 from ..logic.evaluate import evaluate as evaluate_formula
-from ..logic.formula import Const, Formula, Symbol, SymTerm, conj, eq
+from ..logic.formula import (
+    And,
+    Atom,
+    Const,
+    FalseF,
+    Formula,
+    Not,
+    Or,
+    Rel,
+    Symbol,
+    SymTerm,
+    TrueF,
+    conj,
+    eq,
+)
 from ..logic.translate import formula_of_bool
 from ..solver.interface import Solver
+from ..solver.linear import LinearTerm, NonLinearError, atom_linear
 from ..solver.models import enumerate_models
 from .state import State
 
@@ -47,17 +63,60 @@ class ChooserError(Exception):
     array target with a predicate that constrains the array contents)."""
 
 
-def _predicate_formula(statement, state: State) -> Tuple[Formula, List[Symbol]]:
+class _WitnessPlan:
+    """What the witness search of one havoc/relax statement reuses.
+
+    Built once per AST node (see :func:`_witness_plan`): the predicate's
+    formula, its sorted free variables, and per scalar target the interval
+    solver of :func:`_interval_solver` (``None`` when the predicate falls
+    outside the interval fragment).
+    """
+
+    __slots__ = ("statement", "formula", "reads", "_solvers")
+
+    def __init__(self, statement) -> None:
+        self.statement = statement
+        self.formula = formula_of_bool(statement.predicate)
+        self.reads: Tuple[str, ...] = tuple(sorted(bool_vars(statement.predicate)))
+        self._solvers: Dict[str, Optional[Tuple["_Solve", Tuple[str, ...]]]] = {}
+
+    def solver(self, target: str) -> Optional[Tuple["_Solve", Tuple[str, ...]]]:
+        """The interval solver for ``target`` and the variables it pins."""
+        if target not in self._solvers:
+            solve = None
+            if target in self.reads:
+                solve = _interval_solver(self.formula, Symbol(target))
+            pinned = tuple(name for name in self.reads if name != target)
+            self._solvers[target] = None if solve is None else (solve, pinned)
+        return self._solvers[target]
+
+
+# Plans keyed by statement identity, like the interpreter's closure caches;
+# each plan holds its statement, so a cached id cannot be reused.
+_PLANS: Dict[int, _WitnessPlan] = {}
+_PLAN_LIMIT = 1 << 16
+
+
+def _witness_plan(statement) -> _WitnessPlan:
+    plan = _PLANS.get(id(statement))
+    if plan is None:
+        plan = _WitnessPlan(statement)
+        if len(_PLANS) >= _PLAN_LIMIT:
+            _PLANS.clear()
+        _PLANS[id(statement)] = plan
+    return plan
+
+
+def _predicate_formula(statement, state: State) -> Formula:
     """Build the satisfiability query for a havoc/relax statement.
 
     Returns the predicate formula with non-target variables fixed to their
-    current values, together with the target symbols (the unknowns).
+    current values; the targets are its unknowns.
     """
-    predicate: BoolExpr = statement.predicate
+    plan = _witness_plan(statement)
     targets = set(statement.targets)
-    formula = formula_of_bool(predicate)
     fixes: List[Formula] = []
-    for name in sorted(bool_vars(predicate)):
+    for name in plan.reads:
         if name in targets:
             continue
         if state.has_scalar(name):
@@ -67,8 +126,29 @@ def _predicate_formula(statement, state: State) -> Tuple[Formula, List[Symbol]]:
                 f"predicate of {statement} reads array {name!r}; array-valued "
                 "havoc/relax predicates must not constrain array contents"
             )
-    unknowns = [Symbol(name) for name in statement.targets if not state.has_array(name)]
-    return conj(formula, *fixes), unknowns
+    return conj(plan.formula, *fixes)
+
+
+def _candidate_spread(state: State, radius: int, max_candidates: int = 200) -> List[int]:
+    """Candidate values for a havoc/relax target, in first-seen order.
+
+    The values lie within ``radius`` of every scalar value currently in the
+    state (plus zero), collected centre by centre in ascending order up to
+    ``max_candidates`` distinct values — so a predicate such as
+    ``y - e <= x <= y + e`` finds witnesses near ``y`` even when ``y`` is
+    far from zero.  Callers try them nearest to zero first, by a stable
+    sort on the absolute value.
+    """
+    centres = sorted(set(state.scalar_map().values()) | {0})
+    # Each centre adds a value no earlier centre reaches (its top value
+    # c + radius), so the cap falls within the first max_candidates centres.
+    spread = dict.fromkeys(
+        itertools.chain.from_iterable(
+            range(centre - radius, centre + radius + 1)
+            for centre in centres[:max_candidates]
+        )
+    )
+    return list(spread)[:max_candidates]
 
 
 def _candidate_values_map(
@@ -76,27 +156,13 @@ def _candidate_values_map(
 ) -> Dict[Symbol, List[int]]:
     """Candidate values per free symbol of a havoc/relax predicate query.
 
-    Non-target variables are pinned to their current value.  Target variables
-    get a candidate list centred around every scalar value currently in the
-    state (plus zero), widened by ``radius`` in each direction — so a
-    predicate such as ``y - e <= x <= y + e`` finds witnesses near ``y`` even
-    when ``y`` is far from zero.
+    Non-target variables are pinned to their current value; target
+    variables get the :func:`_candidate_spread`, nearest to zero first.
     """
     targets = set(statement.targets)
-    centres = sorted(set(list(state.scalar_map().values()) + [0]))
-    spread: List[int] = []
-    for centre in centres:
-        for delta in range(-radius, radius + 1):
-            value = centre + delta
-            if value not in spread:
-                spread.append(value)
-            if len(spread) >= max_candidates:
-                break
-        if len(spread) >= max_candidates:
-            break
-    spread.sort(key=abs)
+    spread = sorted(_candidate_spread(state, radius, max_candidates), key=abs)
     candidates: Dict[Symbol, List[int]] = {}
-    for name in sorted(bool_vars(statement.predicate) | targets):
+    for name in sorted(set(_witness_plan(statement).reads) | targets):
         if state.has_array(name):
             continue
         if name in targets:
@@ -104,6 +170,213 @@ def _candidate_values_map(
         elif state.has_scalar(name):
             candidates[Symbol(name)] = [state.scalar(name)]
     return candidates
+
+
+# ---------------------------------------------------------------------------
+# Interval solving of a predicate in one target
+# ---------------------------------------------------------------------------
+
+#: A set of integers as sorted, disjoint, non-adjacent closed intervals
+#: ``(lo, hi)``; the outermost bounds may be ``-inf``/``inf``.
+Intervals = Tuple[Tuple[float, float], ...]
+_Solve = Callable[[State], Intervals]
+
+_FULL: Intervals = ((-math.inf, math.inf),)
+_EMPTY: Intervals = ()
+
+
+def _intersect(left: Intervals, right: Intervals) -> Intervals:
+    out = []
+    i = j = 0
+    while i < len(left) and j < len(right):
+        lo = max(left[i][0], right[j][0])
+        hi = min(left[i][1], right[j][1])
+        if lo <= hi:
+            out.append((lo, hi))
+        if left[i][1] < right[j][1]:
+            i += 1
+        else:
+            j += 1
+    return tuple(out)
+
+
+def _union(left: Intervals, right: Intervals) -> Intervals:
+    out: List[Tuple[float, float]] = []
+    for lo, hi in sorted(left + right):
+        if out and lo <= out[-1][1] + 1:
+            if hi > out[-1][1]:
+                out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+    return tuple(out)
+
+
+def _complement(intervals: Intervals) -> Intervals:
+    out = []
+    start = -math.inf
+    for lo, hi in intervals:
+        if lo > start:
+            out.append((start, lo - 1))
+        start = hi + 1
+    if start < math.inf:
+        out.append((start, math.inf))
+    return tuple(out)
+
+
+def _contains(intervals: Intervals, value: int) -> bool:
+    for lo, hi in intervals:
+        if value < lo:
+            return False
+        if value <= hi:
+            return True
+    return False
+
+
+def _atom_rows(atom: Atom) -> Optional[Tuple[LinearTerm, ...]]:
+    """The shared ``row <= 0`` rows of ``atom`` (of ``==`` for a ``!=``),
+    or ``None`` when the atom is not linear."""
+    try:
+        linear = atom_linear(atom)
+    except NonLinearError:
+        return None
+    if atom.rel is Rel.NE:
+        return (linear.term, linear.term.negate())
+    return linear.rows
+
+
+def _rows_solver(rows: Sequence[LinearTerm], target: Symbol) -> _Solve:
+    """Solve the conjunction of ``rows`` for ``target``: one interval.
+
+    Every row reads ``a*target + c <= 0`` once the pinned variables are
+    folded into ``c``, so it bounds the target by ``floor(-c/a)`` from
+    above (``a > 0``), by ``ceil(-c/a)`` from below (``a < 0``), or holds
+    outright or never (``a == 0``).
+    """
+    folded = tuple(
+        (
+            row.coefficient(target),
+            tuple((symbol.name, coeff) for symbol, coeff in row.coeffs if symbol is not target),
+            row.constant,
+        )
+        for row in rows
+    )
+
+    def solve(state: State) -> Intervals:
+        lo, hi = -math.inf, math.inf
+        for a, pinned, constant in folded:
+            c = constant
+            for name, coeff in pinned:
+                c += coeff * state.scalar(name)
+            if a > 0:
+                hi = min(hi, -c // a)
+            elif a < 0:
+                lo = max(lo, -(-c // -a))
+            elif c > 0:
+                return _EMPTY
+        return ((lo, hi),) if lo <= hi else _EMPTY
+
+    return solve
+
+
+def _interval_solver(formula: Formula, target: Symbol) -> Optional[_Solve]:
+    """Compile ``formula`` into a function from a state that pins every
+    other variable to the target's satisfying values, as :data:`Intervals`.
+
+    ``And``, ``Or`` and ``Not`` intersect, unite and complement their
+    operands' intervals; ``!=`` is the complement of ``==``, and the rows
+    of a conjunction's other atoms are solved together as one interval.
+    Returns ``None`` outside that fragment: divisibility, non-linear atoms,
+    quantifiers, ``Implies`` and ``Iff``.
+    """
+    kind = type(formula)
+    if kind is TrueF:
+        return lambda state: _FULL
+    if kind is FalseF:
+        return lambda state: _EMPTY
+    if kind is Atom:
+        rows = _atom_rows(formula)
+        if rows is None:
+            return None
+        solve = _rows_solver(rows, target)
+        if formula.rel is Rel.NE:
+            return lambda state: _complement(solve(state))
+        return solve
+    if kind is Not:
+        operand = _interval_solver(formula.operand, target)
+        if operand is None:
+            return None
+        return lambda state: _complement(operand(state))
+    if kind is not And and kind is not Or:
+        return None
+    operands: List[_Solve] = []
+    rows: List[LinearTerm] = []
+    for child in formula.operands:
+        if kind is And and type(child) is Atom and child.rel is not Rel.NE:
+            child_rows = _atom_rows(child)
+            if child_rows is None:
+                return None
+            rows.extend(child_rows)
+            continue
+        operand = _interval_solver(child, target)
+        if operand is None:
+            return None
+        operands.append(operand)
+    if rows:
+        operands.insert(0, _rows_solver(rows, target))
+    if len(operands) == 1:
+        return operands[0]
+    combine = _intersect if kind is And else _union
+    first, rest = operands[0], operands[1:]
+
+    def solve_all(state: State) -> Intervals:
+        intervals = first(state)
+        for operand in rest:
+            intervals = combine(intervals, operand(state))
+        return intervals
+
+    return solve_all
+
+
+def relax_witnesses(statement, state: State, radius: int, limit: int) -> List[ChoiceUpdate]:
+    """The satisfying scalar-target updates of a havoc/relax statement.
+
+    Candidates come from :func:`_candidate_spread`, nearest to zero first;
+    the result keeps the first ``limit`` satisfying ones.  When the
+    statement has exactly one scalar target and the state pins every other
+    variable of the predicate, the predicate is solved as integer intervals
+    in the target and the spread is filtered against them.  Everything
+    else sweeps the spread through
+    :func:`~repro.solver.models.enumerate_models`.  Both give the same
+    list, so seeded choices do not depend on the path.
+    """
+    scalar_targets = _scalar_targets(statement, state)
+    if len(scalar_targets) == 1:
+        target = scalar_targets[0]
+        solver = _witness_plan(statement).solver(target)
+        if solver is not None and all(state.has_scalar(name) for name in solver[1]):
+            telemetry.count("semantics.choose.interval")
+            intervals = solver[0](state)
+            if not intervals:
+                return []
+            spread = _candidate_spread(state, radius)
+            if len(intervals) == 1:
+                lo, hi = intervals[0]
+                values = [value for value in spread if lo <= value <= hi]
+            else:
+                values = [value for value in spread if _contains(intervals, value)]
+            # Filtering before the stable sort keeps the sorted spread's order.
+            values.sort(key=abs)
+            return [{target: value} for value in values[:limit]]
+    telemetry.count("semantics.choose.sweep")
+    models = enumerate_models(
+        _predicate_formula(statement, state),
+        radius=radius,
+        limit=limit,
+        candidates=_candidate_values_map(statement, state, radius),
+    )
+    return [
+        {name: model.get(Symbol(name), 0) for name in scalar_targets} for model in models
+    ]
 
 
 def _scalar_targets(statement, state: State) -> List[str]:
@@ -145,8 +418,7 @@ class SolverChooser(Chooser):
 
     def choose(self, statement, state: State) -> Optional[State]:
         _check_array_targets_unconstrained(statement, state)
-        formula, unknowns = _predicate_formula(statement, state)
-        result = self._solver.check_sat(formula)
+        result = self._solver.check_sat(_predicate_formula(statement, state))
         if not result.is_sat:
             return None
         model = result.model or {}
@@ -176,7 +448,7 @@ class MinimalChangeChooser(Chooser):
                 valuation = Valuation(
                     scalars={Symbol(k): v for k, v in state.scalar_map().items()}
                 )
-                formula = formula_of_bool(statement.predicate)
+                formula = _witness_plan(statement).formula
                 if evaluate_formula(formula, valuation, domain=None):
                     return state
         except EvaluationError:
@@ -195,18 +467,10 @@ class RandomChooser(Chooser):
 
     def choose(self, statement, state: State) -> Optional[State]:
         _check_array_targets_unconstrained(statement, state)
-        formula, unknowns = _predicate_formula(statement, state)
-        candidates = _candidate_values_map(statement, state, self._radius)
-        models = enumerate_models(
-            formula, radius=self._radius, limit=self._limit, candidates=candidates
-        )
-        if not models:
+        witnesses = relax_witnesses(statement, state, self._radius, self._limit)
+        if not witnesses:
             return self._fallback.choose(statement, state)
-        model = self._rng.choice(models)
-        updates: ChoiceUpdate = {}
-        for name in _scalar_targets(statement, state):
-            updates[name] = model.get(Symbol(name), 0)
-        new_state = state.set_scalars(updates)
+        new_state = state.set_scalars(self._rng.choice(witnesses))
         # Array targets with unconstrained predicates: randomly perturb contents.
         for name in _array_targets(statement, state):
             values = state.array(name)
@@ -242,26 +506,15 @@ class AdversarialChooser(Chooser):
 
     def choose(self, statement, state: State) -> Optional[State]:
         _check_array_targets_unconstrained(statement, state)
-        formula, _unknowns = _predicate_formula(statement, state)
-        candidates = _candidate_values_map(statement, state, self._radius)
-        models = enumerate_models(
-            formula, radius=self._radius, limit=self._limit, candidates=candidates
-        )
-        if not models:
+        witnesses = relax_witnesses(statement, state, self._radius, self._limit)
+        if not witnesses:
             return self._fallback.choose(statement, state)
-        targets = _scalar_targets(statement, state)
-
-        def score(model: Dict[Symbol, int]) -> int:
-            return sum(abs(model.get(Symbol(name), 0)) for name in targets)
-
-        scores = [score(model) for model in models]
+        scores = [sum(abs(value) for value in update.values()) for update in witnesses]
         best = max(scores) if self._maximize else min(scores)
         extremes = [
-            model for model, value in zip(models, scores) if value == best
+            update for update, value in zip(witnesses, scores) if value == best
         ]
-        chosen = self._rng.choice(extremes)
-        updates = {name: chosen.get(Symbol(name), 0) for name in targets}
-        return state.set_scalars(updates)
+        return state.set_scalars(self._rng.choice(extremes))
 
 
 class FixedChoiceChooser(Chooser):

@@ -35,10 +35,8 @@ from ..lang.ast import (
     Stmt,
     While,
 )
-from ..logic.formula import Symbol
 from ..logic.traverse import TypeDispatcher
-from ..solver.models import enumerate_models
-from .choosers import _candidate_values_map, _predicate_formula
+from .choosers import relax_witnesses
 from .interpreter import ExpressionError, eval_bool, eval_expr
 from .state import (
     Observation,
@@ -237,21 +235,12 @@ def _run_havoc(
 
     scalar_choices: List[Dict[str, int]]
     if scalar_targets:
-        formula, _unknowns = _predicate_formula(stmt, state)
-        candidates = _candidate_values_map(stmt, state, config.value_radius)
-        models = enumerate_models(
-            formula,
-            radius=config.value_radius,
-            limit=config.max_choices_per_statement,
-            candidates=candidates,
+        scalar_choices = relax_witnesses(
+            stmt, state, config.value_radius, config.max_choices_per_statement
         )
-        if not models:
+        if not scalar_choices:
             yield wrong(f"no assignment satisfies the predicate of {stmt}")
             return
-        scalar_choices = [
-            {name: model.get(Symbol(name), 0) for name in scalar_targets}
-            for model in models
-        ]
     else:
         try:
             if not eval_bool(stmt.predicate, state):

@@ -492,11 +492,9 @@ def enumerate_models(
     for symbol in symbols:
         if candidates is not None and symbol in candidates:
             # Deduplicate while preserving order.
-            seen: List[int] = []
-            for value in candidates[symbol]:
-                if value not in seen:
-                    seen.append(value)
-            per_symbol_values.append(seen or default_values)
+            per_symbol_values.append(
+                list(dict.fromkeys(candidates[symbol])) or default_values
+            )
         else:
             per_symbol_values.append(default_values)
     pruned = _prune_values(symbols, per_symbol_values, _unit_constraints(conjuncts))

@@ -299,3 +299,123 @@ class TestSemanticsProperties:
         updated = state.set_scalar("x", value)
         assert state.scalar("x") == 0
         assert updated.scalar("x") == value
+
+
+# ---------------------------------------------------------------------------
+# Relax witnesses: interval solving versus the enumerate_models sweep
+# ---------------------------------------------------------------------------
+
+coefficients = st.integers(min_value=-3, max_value=3)
+comparisons = st.sampled_from([b.lt, b.le, b.gt, b.ge, b.eq, b.ne])
+
+
+@st.composite
+def linear_exprs(draw, pinned):
+    """``c*t + sum(ci*pi) + k`` with ``t`` always present (``c`` may be 0)."""
+    expr = b.mul(draw(coefficients), "t")
+    for name in pinned:
+        if draw(st.booleans()):
+            expr = b.add(expr, b.mul(draw(coefficients), name))
+    return b.add(expr, draw(small_ints))
+
+
+@st.composite
+def linear_predicates(draw, pinned, depth=3):
+    """Comparisons of linear expressions under nested ``&&``/``||``/``!``."""
+    if depth == 0 or draw(st.booleans()):
+        right = draw(st.one_of(st.sampled_from(pinned), small_ints, linear_exprs(pinned)))
+        return draw(comparisons)(draw(linear_exprs(pinned)), right)
+    kind = draw(st.sampled_from(["and", "or", "not"]))
+    if kind == "not":
+        return b.not_(draw(linear_predicates(pinned, depth - 1)))
+    operands = draw(st.lists(linear_predicates(pinned, depth - 1), min_size=2, max_size=3))
+    return b.and_(*operands) if kind == "and" else b.or_(*operands)
+
+
+@st.composite
+def witness_problems(draw):
+    """A one-target relax whose other variables are all pinned in the state."""
+    pinned = draw(st.lists(st.sampled_from(["p", "q", "r"]), min_size=1, max_size=3, unique=True))
+    statement = b.relax("t", draw(linear_predicates(pinned)))
+    scalars = {name: draw(st.integers(min_value=-20, max_value=20)) for name in pinned}
+    # Unread scalars still move the spread's centres.
+    for name in draw(st.lists(st.sampled_from(["t", "w"]), unique=True)):
+        scalars[name] = draw(st.integers(min_value=-30, max_value=30))
+    radius = draw(st.integers(min_value=0, max_value=6))
+    limit = draw(st.integers(min_value=1, max_value=12))
+    return statement, State.of(scalars), radius, limit
+
+
+def _sweep_witnesses(statement, state, radius, limit):
+    from repro.semantics.choosers import _candidate_values_map, _predicate_formula
+    from repro.solver.models import enumerate_models
+
+    models = enumerate_models(
+        _predicate_formula(statement, state),
+        radius=radius,
+        limit=limit,
+        candidates=_candidate_values_map(statement, state, radius),
+    )
+    return [{"t": model[sym("t")]} for model in models]
+
+
+def _witnesses_and_path(statement, state, radius, limit):
+    from repro import telemetry
+    from repro.semantics.choosers import relax_witnesses
+    from repro.telemetry import TelemetrySession
+
+    with telemetry.activated(TelemetrySession()) as session:
+        witnesses = relax_witnesses(statement, state, radius, limit)
+    paths = {
+        path
+        for path in ("interval", "sweep")
+        if session.counters.get(f"semantics.choose.{path}")
+    }
+    assert len(paths) == 1
+    return witnesses, paths.pop()
+
+
+class TestRelaxWitnessProperties:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(witness_problems())
+    def test_interval_path_equals_enumerate_models(self, problem):
+        statement, state, radius, limit = problem
+        witnesses, path = _witnesses_and_path(statement, state, radius, limit)
+        assert path == "interval"
+        assert witnesses == _sweep_witnesses(statement, state, radius, limit)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(witness_problems(), st.sampled_from(["mul", "div", "mod", "min", "implies"]))
+    def test_non_linear_predicates_take_the_sweep(self, problem, kind):
+        statement, state, radius, limit = problem
+        outside = {
+            "mul": b.le(b.mul("t", "p"), 4),
+            "div": b.eq(b.div("t", 2), "p"),
+            "mod": b.eq(b.mod("t", 3), 1),
+            "min": b.ge(b.min_("t", "p"), -2),
+            "implies": b.implies(b.ge("t", 0), b.le("t", "p")),
+        }[kind]
+        statement = b.relax("t", b.and_(statement.predicate, outside))
+        state = state.set_scalar("p", state.scalar("p") if state.has_scalar("p") else 1)
+        witnesses, path = _witnesses_and_path(statement, state, radius, limit)
+        assert path == "sweep"
+        assert witnesses == _sweep_witnesses(statement, state, radius, limit)
+
+    @settings(max_examples=60, deadline=None)
+    @given(witness_problems(), st.sampled_from(["divides", "exists", "forall", "iff"]))
+    def test_divisibility_and_quantifiers_have_no_interval_solver(self, problem, kind):
+        from repro.logic.translate import formula_of_bool
+        from repro.semantics.choosers import _interval_solver
+
+        statement, _state, _radius, _limit = problem
+        formula = formula_of_bool(statement.predicate)
+        t, k = sym("t"), sym("k")
+        outside = {
+            "divides": F.Divides(2, var("t")),
+            "exists": F.exists(k, F.eq(var("t"), var("k") * 2)),
+            "forall": F.forall(k, F.le(var("k"), var("t"))),
+            "iff": F.iff(F.ge(var("t"), 0), F.le(var("t"), 3)),
+        }[kind]
+        assert _interval_solver(formula, t) is not None
+        assert _interval_solver(conj(formula, outside), t) is None
+        assert _interval_solver(disj(outside, formula), t) is None

@@ -2,6 +2,10 @@
 
 import pytest
 
+from repro import telemetry
+from repro.casestudies import get_case_study
+from repro.explore import explore
+from repro.explore.scoring import score_candidate
 from repro.lang import builder as b
 from repro.lang.parser import parse_program, parse_statement
 from repro.semantics.choosers import (
@@ -11,6 +15,7 @@ from repro.semantics.choosers import (
     MinimalChangeChooser,
     RandomChooser,
     SolverChooser,
+    relax_witnesses,
 )
 from repro.semantics.enumerate import EnumerationConfig, enumerate_executions
 from repro.semantics.observation import (
@@ -19,10 +24,50 @@ from repro.semantics.observation import (
     relational_holds,
 )
 from repro.semantics.state import Observation, State, Terminated, is_error, is_wrong
+from repro.telemetry import TelemetrySession
 
 
 def relax_statement(text="relax (x) st (0 <= x && x <= 3);"):
     return parse_statement(text)
+
+
+class TestRelaxWitnesses:
+    """Which witness path serves each study's relax steps, and what it returns."""
+
+    @staticmethod
+    def _counters(run):
+        with telemetry.activated(TelemetrySession()) as session:
+            run()
+        return {
+            path: session.counters.get(f"semantics.choose.{path}", 0)
+            for path in ("interval", "sweep")
+        }
+
+    def test_lu_depth_one_never_sweeps(self):
+        counters = self._counters(lambda: explore("lu", depth=1, samples=2, seed=0))
+        assert counters["sweep"] == 0
+        assert counters["interval"] > 0
+
+    def test_water_array_relax_sweeps(self):
+        study = get_case_study("water")
+        counters = self._counters(
+            lambda: score_candidate(study, study.build_program(), samples=2, seed=0)
+        )
+        assert counters["sweep"] > 0
+
+    def test_witnesses_follow_the_spread_order(self):
+        stmt = relax_statement("relax (x) st (y - 2 <= x && x <= y + 2 && x != y);")
+        state = State.of({"x": 0, "y": 10})
+        assert relax_witnesses(stmt, state, radius=3, limit=3) == [
+            {"x": 8},
+            {"x": 9},
+            {"x": 11},
+        ]
+
+    def test_unpinned_variable_takes_the_sweep(self):
+        stmt = relax_statement("relax (x) st (x == y);")
+        counters = self._counters(lambda: relax_witnesses(stmt, State.of({}), 1, 8))
+        assert counters == {"interval": 0, "sweep": 1}
 
 
 class TestChoosers:
