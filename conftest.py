@@ -1,9 +1,10 @@
 """Pytest root configuration.
 
-Adds ``src/`` to ``sys.path`` so the test suite and benchmarks run directly
-from a source checkout even when the package has not been installed (the
-evaluation environment has no network access, which can prevent
-``pip install -e .`` from bootstrapping its build dependencies; see README).
+Adds ``src/`` to ``sys.path`` so the test suite runs directly from a source
+checkout even when the package has not been installed (an environment
+without network access may be unable to bootstrap ``pip install -e .``'s
+build dependencies; see README).  The benchmark, ``python3
+perfbench/run.py``, sets up its own path (see perfbench/README.md).
 """
 
 import os

@@ -1,6 +1,6 @@
 """Accuracy metrics, parameter sweeps and proof-effort reports.
 
-The experiments (EXPERIMENTS.md / benchmarks) need three kinds of analysis:
+The CLI reports and the case-study checks need three kinds of analysis:
 
 * **accuracy metrics** for differential executions — absolute/relative
   deviation of results between the original and relaxed executions and the

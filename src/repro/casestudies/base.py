@@ -11,7 +11,7 @@ Each case study packages:
   side by side on generated workloads, check the ``relate`` statements on
   the observed observation lists, and collect accuracy statistics.
 
-The simulation is how the benchmarks regenerate the paper's qualitative
+The simulation is how the tier-1 tests check the paper's qualitative
 claims (the acceptability properties hold on every relaxed execution) and
 the accuracy-envelope figures.
 """

@@ -103,12 +103,10 @@ observability (--trace):
                                          worker processes) as Chrome
                                          trace_event JSON; open it in
                                          Perfetto (https://ui.perfetto.dev)
-                                         or chrome://tracing.  A .jsonl
-                                         suffix writes a line-per-event log
-                                         instead.  --trace also works on
-                                         verify-case-study and explore, and
-                                         adds a "telemetry" section to
-                                         --json reports.
+                                         or chrome://tracing.  --trace also
+                                         works on verify-case-study and
+                                         explore, and adds a "telemetry"
+                                         section to --json reports.
   repro trace summarize trace.json       aggregate a recorded trace: time
                                          by stage, slowest spans, cache hit
                                          rates, linearized atoms.
@@ -156,9 +154,9 @@ def _tracing(args: argparse.Namespace) -> Iterator[Optional[telemetry.TelemetryS
 def _add_trace_argument(command: argparse.ArgumentParser) -> None:
     command.add_argument(
         "--trace", dest="trace_out",
-        help="record a telemetry trace to this file: Chrome trace_event "
-        "JSON (open in Perfetto or chrome://tracing), or a JSONL event "
-        "log with a .jsonl suffix; summarise with 'repro trace summarize'",
+        help="record a telemetry trace to this file as Chrome trace_event "
+        "JSON (open in Perfetto or chrome://tracing); summarise with "
+        "'repro trace summarize'",
     )
 
 
@@ -755,7 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="aggregate a trace: time by stage, slowest spans, cache hit "
         "rates, linearized atoms",
     )
-    summarize_cmd.add_argument("file", help="a --trace output file (Chrome JSON or .jsonl)")
+    summarize_cmd.add_argument("file", help="a --trace output file (Chrome trace JSON)")
     summarize_cmd.add_argument(
         "--top", type=int, default=10, help="how many slowest spans to list"
     )

@@ -42,7 +42,7 @@ from ..solver.lia import Status
 from .cache import ObligationCache
 from .fingerprint import fingerprint
 from .incremental import VerdictStore
-from .scheduler import DischargeScheduler, DischargeTask
+from .scheduler import DischargeScheduler, DischargeTask, raised_reason
 
 
 @dataclass
@@ -169,7 +169,18 @@ class ObligationEngine:
         with telemetry.span("discharge.wave", obligations=len(obligations)):
             with telemetry.span("fingerprint", obligations=len(obligations)):
                 for index, obligation in enumerate(obligations):
-                    key = fingerprint(obligation.formula, obligation.kind.value)
+                    try:
+                        key = fingerprint(obligation.formula, obligation.kind.value)
+                    except RecursionError as error:
+                        # A formula nested past the recursion limit settles
+                        # UNKNOWN without a key: never deduplicated, cached
+                        # or stored.
+                        keys.append("")
+                        self.statistics.unknown_results += 1
+                        results[index] = _result(
+                            obligation, "", Status.UNKNOWN, None, raised_reason(error)
+                        )
+                        continue
                     keys.append(key)
                     if store is not None:
                         stored = store.get(key)
@@ -220,7 +231,7 @@ class ObligationEngine:
                 )
         if store is not None:
             for key, result in zip(keys, results):
-                if not result.reused:
+                if key and not result.reused:
                     store.record(key, result)
 
         self.cache.save()

@@ -77,10 +77,6 @@ class VerdictStore:
             self.reused += 1
         return entry
 
-    def peek(self, key: str) -> Optional[StoredVerdict]:
-        """Like :meth:`get` but without touching the reuse counter."""
-        return self._entries.get(key)
-
     def record(self, key: str, result: ObligationResult) -> None:
         """Store a freshly discharged verdict (counted as a delta)."""
         self.delta += 1

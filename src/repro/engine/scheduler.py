@@ -13,7 +13,10 @@ executor, which keeps single-job runs free of multiprocessing overhead and
 usable from environments where forking is undesirable.  A worker that dies
 mid-wave does not sink the wave: its task, and every task still waiting on
 the broken pool, comes back ``UNKNOWN`` with a ``"worker died: ..."``
-reason.
+reason.  Neither does a task whose discharge raises — in the solver, or
+while pickling it for a worker (a formula nested past the interpreter's
+recursion limit): it comes back ``UNKNOWN`` with a ``"discharge raised
+<Type>: ..."`` reason, and the rest of the wave keeps its verdicts.
 """
 
 from __future__ import annotations
@@ -111,6 +114,28 @@ def _discharge_inner(task: DischargeTask) -> DischargeOutcome:
     )
 
 
+def raised_reason(error: Exception) -> str:
+    """The ``UNKNOWN`` reason of an obligation whose discharge raised ``error``."""
+    return f"discharge raised {type(error).__name__}: {error}"
+
+
+def _unknown(task: DischargeTask, reason: str) -> DischargeOutcome:
+    return DischargeOutcome(
+        index=task.index,
+        status=Status.UNKNOWN,
+        model=None,
+        reason=reason,
+        elapsed_seconds=0.0,
+    )
+
+
+def _discharge_in_process(task: DischargeTask) -> DischargeOutcome:
+    try:
+        return _discharge_one(task)
+    except Exception as error:
+        return _unknown(task, raised_reason(error))
+
+
 class DischargeScheduler:
     """Runs discharge tasks either in-process or across worker processes."""
 
@@ -124,25 +149,20 @@ class DischargeScheduler:
         if not tasks:
             return []
         if self.jobs == 1 or len(tasks) == 1:
-            return [_discharge_one(task) for task in tasks]
+            return [_discharge_in_process(task) for task in tasks]
         workers = min(self.jobs, len(tasks))
         outcomes = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_discharge_one, task) for task in tasks]
             for task, future in zip(tasks, futures):
+                # A dead worker breaks the pool, and a task that raises (in
+                # the worker, or while being pickled for it) fails only its
+                # own future: either way the task is settled UNKNOWN (never
+                # cached) and the rest of the wave keeps its verdicts.
                 try:
                     outcomes.append(future.result())
                 except BrokenProcessPool as error:
-                    # A dead worker breaks the pool: every task without an
-                    # outcome yet is settled UNKNOWN (never cached), the rest
-                    # of the wave keeps its verdicts.
-                    outcomes.append(
-                        DischargeOutcome(
-                            index=task.index,
-                            status=Status.UNKNOWN,
-                            model=None,
-                            reason=f"worker died: {error}",
-                            elapsed_seconds=0.0,
-                        )
-                    )
+                    outcomes.append(_unknown(task, f"worker died: {error}"))
+                except Exception as error:
+                    outcomes.append(_unknown(task, raised_reason(error)))
         return outcomes

@@ -6,8 +6,8 @@ The package splits into a runtime half and a sink half:
   spans, counters/gauges/histograms, and the module-level instrumentation
   API (:func:`span`, :func:`count`, :func:`observe`, :func:`gauge`) whose
   disabled path costs one global read;
-* :mod:`repro.telemetry.sinks` — the envelope section, the JSONL event
-  log, and the Chrome ``trace_event`` exporter behind ``--trace``;
+* :mod:`repro.telemetry.sinks` — the envelope section and the Chrome
+  ``trace_event`` exporter behind ``--trace``;
 * :mod:`repro.telemetry.summary` — the offline analyzer behind
   ``repro trace summarize``.
 
@@ -47,7 +47,6 @@ from .sinks import (
     span_aggregates,
     telemetry_section,
     write_chrome_trace,
-    write_jsonl,
 )
 from .summary import TraceFormatError, TraceSummary, summarize_trace
 
@@ -75,5 +74,4 @@ __all__ = [
     "telemetry_section",
     "uninstall",
     "write_chrome_trace",
-    "write_jsonl",
 ]

@@ -7,8 +7,8 @@ constraint: **telemetry off must be indistinguishable from telemetry
 absent**.  Every instrumentation point in the hot path calls a
 module-level helper (:func:`span`, :func:`count`, :func:`observe`,
 :func:`gauge`) whose disabled path is a single module-global read and a
-``None`` check — no allocation, no string formatting, no clock read
-(``benchmarks/bench_telemetry.py`` pins the cost).
+``None`` check — no allocation, no string formatting, no clock read (the
+untraced ``wall_s`` bounds of ``python3 perfbench/run.py`` cover it).
 
 Concepts
 --------

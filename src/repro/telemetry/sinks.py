@@ -1,9 +1,9 @@
-"""Telemetry sinks: envelope section, JSONL event log, Chrome trace.
+"""Telemetry sinks: envelope section and Chrome trace.
 
 A *sink* consumes a finished :class:`~repro.telemetry.core.TelemetrySession`
 and renders it somewhere; the interface is deliberately just "a callable
 taking the session" so new sinks (a statsd forwarder, an SQLite store)
-plug in without touching the collection side.  Three sinks ship here:
+plug in without touching the collection side.  Two sinks ship here:
 
 :func:`telemetry_section`
     The ``telemetry`` section of the shared CLI JSON envelope
@@ -11,11 +11,6 @@ plug in without touching the collection side.  Three sinks ship here:
     counter/gauge/histogram tables.  Compact by design — the envelope is
     diffed in tests and archived by CI, so it carries aggregates, not the
     full span list.
-
-:func:`write_jsonl`
-    One JSON object per line — ``span`` events (full records) followed by
-    ``counter`` / ``gauge`` / ``histogram`` events.  The append-friendly
-    format for log shippers and ad-hoc ``jq`` analysis.
 
 :func:`write_chrome_trace` / :func:`chrome_trace_payload`
     The Chrome ``trace_event`` JSON-object format (``traceEvents`` +
@@ -30,7 +25,7 @@ plug in without touching the collection side.  Three sinks ship here:
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .core import SpanRecord, TelemetrySession
 
@@ -70,40 +65,6 @@ def telemetry_section(session: TelemetrySession) -> Dict[str, object]:
             for name, histogram in session.histograms.items()
         },
     }
-
-
-def write_jsonl(session: TelemetrySession, destination: str) -> None:
-    """Write the session as a JSONL event log (spans first, then metrics)."""
-    lines: List[str] = []
-    for record in session.records:
-        lines.append(json.dumps({"type": "span", **record.as_dict()}, sort_keys=True))
-    for name in sorted(session.counters):
-        lines.append(
-            json.dumps(
-                {"type": "counter", "name": name, "value": session.counters[name]},
-                sort_keys=True,
-            )
-        )
-    for name in sorted(session.gauges):
-        lines.append(
-            json.dumps(
-                {"type": "gauge", "name": name, "value": session.gauges[name]},
-                sort_keys=True,
-            )
-        )
-    for name in sorted(session.histograms):
-        lines.append(
-            json.dumps(
-                {
-                    "type": "histogram",
-                    "name": name,
-                    **session.histograms[name].as_dict(),
-                },
-                sort_keys=True,
-            )
-        )
-    with open(destination, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + ("\n" if lines else ""))
 
 
 def chrome_trace_payload(session: TelemetrySession) -> Dict[str, object]:
@@ -158,15 +119,7 @@ def chrome_trace_payload(session: TelemetrySession) -> Dict[str, object]:
 
 
 def write_chrome_trace(session: TelemetrySession, destination: str) -> None:
-    """Write the Chrome trace (``.jsonl`` destinations get the JSONL sink).
-
-    One ``--trace FILE`` flag drives both exporters: a ``*.jsonl`` path
-    selects the event-log format, anything else the Chrome trace that
-    Perfetto / ``chrome://tracing`` open directly.
-    """
-    if destination.endswith(".jsonl"):
-        write_jsonl(session, destination)
-        return
+    """Write the session as the Chrome trace behind ``--trace FILE``."""
     payload = chrome_trace_payload(session)
     with open(destination, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)

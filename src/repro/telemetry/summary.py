@@ -1,11 +1,10 @@
 """Offline trace analysis: ``repro trace summarize FILE``.
 
-A saved trace (Chrome ``trace_event`` or the JSONL event log, both
-written by :mod:`repro.telemetry.sinks`) is self-contained: spans carry
-their ids/parents in ``args`` and the counter/histogram tables ride in
-``otherData`` (Chrome) or as trailing events (JSONL).  This module loads
-either format back into plain events and renders the operator's
-questions as fixed-width tables:
+A saved trace (the Chrome ``trace_event`` JSON written by
+:mod:`repro.telemetry.sinks`) is self-contained: spans carry their
+ids/parents in ``args`` and the counter/histogram tables ride in
+``otherData``.  This module loads it back into plain events and renders
+the operator's questions as fixed-width tables:
 
 * **time by stage** — wall-clock total/count/max per span name;
 * **slowest spans** — the top-K individual spans with their identifying
@@ -222,75 +221,16 @@ def _load_chrome(payload: Dict[str, object], path: str, top: int) -> TraceSummar
     )
 
 
-def _load_jsonl(lines: List[str], path: str, top: int) -> TraceSummary:
-    events: List[TraceEvent] = []
-    counters: Dict[str, float] = {}
-    gauges: Dict[str, float] = {}
-    histograms: Dict[str, Dict[str, float]] = {}
-    base: Optional[float] = None
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        item = json.loads(line)
-        kind = item.get("type")
-        if kind == "span":
-            start, end = float(item["start"]), float(item["end"])
-            if base is None or start < base:
-                base = start
-            events.append(
-                TraceEvent(
-                    name=str(item["name"]),
-                    start=start,
-                    duration=end - start,
-                    pid=int(item.get("pid", 0)),
-                    span_id=item.get("span_id"),
-                    parent_id=item.get("parent_id"),
-                    attributes=dict(item.get("attributes", {})),
-                )
-            )
-        elif kind == "counter":
-            counters[item["name"]] = float(item["value"])
-        elif kind == "gauge":
-            gauges[item["name"]] = float(item["value"])
-        elif kind == "histogram":
-            histograms[item["name"]] = {
-                key: float(value)
-                for key, value in item.items()
-                if key not in ("type", "name")
-            }
-    if base:
-        for event in events:
-            event.start -= base
-    return TraceSummary(
-        path=path,
-        events=events,
-        counters=counters,
-        gauges=gauges,
-        histograms=histograms,
-        top=top,
-    )
-
-
 def summarize_trace(path: str, top: int = 10) -> TraceSummary:
-    """Load a saved trace (Chrome JSON or JSONL) and build its summary."""
+    """Load a saved Chrome trace and build its summary."""
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     if not text.strip():
         raise TraceFormatError(f"{path} is empty")
-    # A Chrome trace is one JSON object; the JSONL log is one object per
-    # line (so the whole-file parse fails on it as soon as it has two).
     try:
         payload = json.loads(text)
-    except ValueError:
-        payload = None
-    if isinstance(payload, dict) and "traceEvents" in payload:
-        return _load_chrome(payload, path, top)
-    if isinstance(payload, dict) and "type" not in payload:
+    except ValueError as error:
+        raise TraceFormatError(f"{path} is not a Chrome trace: {error}")
+    if not isinstance(payload, dict) or "traceEvents" not in payload:
         raise TraceFormatError(f"{path} carries no traceEvents section")
-    try:
-        return _load_jsonl(text.splitlines(), path, top)
-    except (ValueError, KeyError, TypeError) as error:
-        raise TraceFormatError(
-            f"{path} is neither a Chrome trace nor a JSONL event log: {error}"
-        )
+    return _load_chrome(payload, path, top)

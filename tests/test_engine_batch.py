@@ -20,6 +20,7 @@ from repro.engine import (
 from repro.hoare.obligations import ObligationCollector, ObligationKind, ProofSystem
 from repro.logic.formula import eq, var
 from repro.solver.lia import Status
+from repro.solver.models import reset_search_stats, search_stats
 
 
 @pytest.fixture(scope="module")
@@ -87,9 +88,17 @@ class TestBatchVerification:
 
     def test_warm_cache_issues_zero_solver_calls(self, tmp_path):
         cold = ObligationEngine.for_batch(cache_dir=str(tmp_path))
+        reset_search_stats()
         cold_report = verify_batch(case_study_items(), engine=cold)
         assert cold_report.all_verified
         assert cold.statistics.solver_calls > 0
+        # The whole study corpus is decided by the complete procedures: no
+        # UNKNOWN, no bounded fallback and no model search, and the box
+        # prefilter settles a real share of the cubes.
+        assert cold.solver_statistics.unknown_results == 0
+        assert cold.solver_statistics.bounded_fallbacks == 0
+        assert search_stats()["searches"] == 0
+        assert cold.solver_statistics.prefiltered_cubes > 0
 
         warm = ObligationEngine.for_batch(cache_dir=str(tmp_path))
         warm_report = verify_batch(case_study_items(), engine=warm)

@@ -10,7 +10,8 @@ The key invariants:
   as a proof), nor does a persistent store written under other solver
   semantics;
 * parallel discharge produces verdicts identical to in-process discharge,
-  and a dead worker settles its task ``UNKNOWN`` instead of raising.
+  and a dead worker, or a discharge that raises, settles its task
+  ``UNKNOWN`` instead of raising.
 """
 
 import multiprocessing
@@ -159,6 +160,57 @@ class TestWorkerDeath:
         # Like any UNKNOWN, a dead worker's verdict is never cached.
         assert engine.cache.get(dead.fingerprint) is None
         assert engine.statistics.unknown_results >= 1
+
+
+def _nested_sum(depth):
+    """``x + 1 + ... + 1 >= 0`` with ``depth`` nested additions."""
+    term = var("x")
+    for _ in range(depth):
+        term = term + 1
+    return ge(term, 0)
+
+
+class TestRaisingDischarge:
+    """A discharge that raises settles UNKNOWN instead of sinking the wave."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_scheduler_settles_a_raising_task_unknown(self, jobs):
+        # 1,200 levels exceed the recursion limit both in the solver and
+        # when pickling the task for a worker.
+        outcomes = DischargeScheduler(jobs=jobs).run(
+            [
+                DischargeTask(0, _nested_sum(1200), "satisfiability"),
+                DischargeTask(1, SAT_FORMULA, "satisfiability"),
+            ]
+        )
+        assert outcomes[0].status is Status.UNKNOWN
+        assert outcomes[0].reason.startswith("discharge raised RecursionError: ")
+        assert outcomes[1].status is Status.SAT
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("depth", [600, 1200])
+    def test_deep_obligation_does_not_sink_the_wave(self, depth, jobs):
+        collector = _collector(
+            (_nested_sum(depth), ObligationKind.SATISFIABILITY),
+            (SAT_FORMULA, ObligationKind.SATISFIABILITY),
+            (VALID_FORMULA, ObligationKind.VALIDITY),
+        )
+        engine = ObligationEngine(jobs=jobs)
+        deep, sat, valid = engine.discharge_all(collector.obligations)
+        assert sat.status is Status.SAT
+        assert valid.status is Status.VALID
+        if depth == 600 and jobs == 1:
+            # Within the recursion limit in-process.  (Pickling 600 levels
+            # for a worker may or may not fit, depending on the interpreter.)
+            assert deep.status is Status.SAT
+        if depth == 1200:
+            assert deep.status is Status.UNKNOWN
+        if deep.status is Status.UNKNOWN:
+            assert deep.reason.startswith("discharge raised RecursionError: ")
+            assert engine.cache.get(deep.fingerprint) is None
+            assert engine.statistics.unknown_results == 1
+        else:
+            assert deep.status is Status.SAT
 
 
 class TestSolverStatisticsAggregation:

@@ -107,13 +107,6 @@ class TestVerdictStore:
         assert stats["store_entries"] == 2.0
         assert len(store) == 2
 
-    def test_peek_does_not_count(self):
-        store = VerdictStore()
-        store.record("a", ObligationResult(obligation=_obligation(1), status=Status.SAT))
-        assert store.peek("a") is not None
-        assert store.peek("missing") is None
-        assert store.reused == 0
-
 
 class TestRewardTable:
     def test_untried_kind_is_optimistic(self):
@@ -329,6 +322,13 @@ class TestIncrementalGate:
             report.engine_stats["delta_obligations"]
             == report.incremental["delta_obligations"]
         )
+
+    def test_depth_four_beam_reuses_parent_verdicts(self):
+        report = explore(
+            "lu", depth=4, samples=5, seed=0, strategy="beam", beam_width=6
+        )
+        assert report.reuse_rate >= 0.6
+        assert any(outcome.candidate.depth >= 3 for outcome in report.outcomes)
 
     def test_warm_cache_rerun_discharges_zero_solver_calls(self, tmp_path):
         cache_dir = str(tmp_path / "cache")

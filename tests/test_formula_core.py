@@ -16,6 +16,9 @@ import pickle
 
 import pytest
 
+from repro.engine.batch import case_study_items
+from repro.engine.fingerprint import _CANON_CACHE, fingerprint
+from repro.hoare.verifier import AcceptabilityVerifier
 from repro.logic import formula as F
 from repro.logic.evaluate import Valuation
 from repro.logic.formula import (
@@ -64,6 +67,16 @@ from repro.logic.traverse import (
     transform,
 )
 from repro.solver.normalize import to_nnf
+
+
+def _study_corpus():
+    """(kind, formula) for every obligation of every registered study."""
+    corpus = []
+    for item in case_study_items():
+        bundle = AcceptabilityVerifier().collect(item.program, item.spec)
+        for collector in (bundle.original, bundle.relaxed):
+            corpus.extend((o.kind.value, o.formula) for o in collector.obligations)
+    return corpus
 
 
 # -- reference recursions (independent of the node caches) --------------------
@@ -133,6 +146,28 @@ class TestInterning:
         assert again is formula
         assert after["hits"] > before["hits"]
         assert 0.0 <= after["hit_rate"] <= 1.0
+
+    def test_recollected_study_corpus_is_shared(self):
+        """Re-collecting every study's obligations rebuilds the very same
+        objects, so the rebuild runs on intern-table hits."""
+        first = _study_corpus()
+        F.reset_intern_stats()
+        second = _study_corpus()
+        assert len(second) == len(first) > 0
+        assert all(a is b for (_, a), (_, b) in zip(first, second))
+        assert intern_stats()["hit_rate"] > 0.5
+        # What makes the no-op substitution and the warm fingerprint pass
+        # cheap on this corpus: a disjoint substitution returns each
+        # obligation itself, and a second fingerprint pass is answered by
+        # the canonical strings cached on the interned nodes.
+        absent = {sym("__absent__"): Const(0)}
+        assert all(substitute(formula, absent) is formula for _, formula in first)
+        _CANON_CACHE.clear()
+        cold = [fingerprint(formula, kind) for kind, formula in first]
+        assert all(formula in _CANON_CACHE for _, formula in first)
+        cached = len(_CANON_CACHE)
+        assert [fingerprint(formula, kind) for kind, formula in first] == cold
+        assert len(_CANON_CACHE) == cached
 
     def test_repr_is_constructor_like(self):
         assert repr(Const(3)) == "Const(value=3)"

@@ -40,6 +40,12 @@ def verified_program():
 
 STATES = [State.of({"x": value, "y": 0, "e": bound}) for value in (0, 3) for bound in (0, 2)]
 CONFIG = EnumerationConfig(value_radius=3, max_choices_per_statement=12)
+#: The wider Section 4 validation grid: more start states and more relax
+#: choices per statement.
+WIDE_STATES = [
+    State.of({"x": value, "y": 0, "e": bound}) for value in (-2, 0, 3) for bound in (0, 1, 2)
+]
+WIDE_CONFIG = EnumerationConfig(value_radius=3, max_choices_per_statement=16)
 
 
 class TestChecksOnVerifiedProgram:
@@ -73,11 +79,15 @@ class TestChecksOnVerifiedProgram:
 
     def test_check_all_report(self, verified_program):
         program, report = verified_program
-        metatheory = check_all(
-            program, STATES, report.original.verified, report.relaxed.verified, CONFIG
-        )
-        assert metatheory.all_hold
-        assert "metatheory checks" in metatheory.summary()
+        for states, config in ((STATES, CONFIG), (WIDE_STATES, WIDE_CONFIG)):
+            metatheory = check_all(
+                program, states, report.original.verified, report.relaxed.verified, config
+            )
+            assert metatheory.all_hold
+            assert "metatheory checks" in metatheory.summary()
+            # Not vacuous: the checks really ran executions.
+            exercised = [c for c in metatheory.checks if c.executions_checked > 0]
+            assert len(exercised) >= 3
 
 
 class TestChecksDetectViolations:
@@ -103,8 +113,9 @@ class TestChecksDetectViolations:
             variables=("x",),
         )
         states = [State.of({"x": 0})]
-        check = check_relational_assertions(program, states, True, CONFIG)
-        assert not check.holds
+        for config in (CONFIG, WIDE_CONFIG):
+            check = check_relational_assertions(program, states, True, config)
+            assert not check.holds
 
     def test_not_applicable_when_unverified(self):
         program = b.program("p", b.assert_(b.false), variables=())

@@ -161,3 +161,83 @@ class TestSynchronizationElimination:
         assert relax_stmt.targets == ("RS",)
         original = run_original(result.program, State.of({"x": 0}, arrays={"RS": {0: 4}}))
         assert original.state.scalar("x") == 4
+
+
+def array_summation_program():
+    loop = While(
+        condition=b.lt("i", "n"),
+        body=b.block(
+            b.assign("s", b.add("s", b.aread("A", "i"))),
+            b.assign("i", b.add("i", 1)),
+        ),
+        invariant=b.true,
+    )
+    program = b.program(
+        "kernel", b.assign("s", 0), b.assign("i", 0), loop,
+        variables=("s", "i", "n"), arrays=("A",),
+    )
+    return program, loop
+
+
+def array_state(n):
+    return State.of({"n": n}, arrays={"A": {i: (i % 5) + 1 for i in range(n)}})
+
+
+class TestMechanismCoverage:
+    """Section 1's mechanism catalogue applied to one array-summation kernel."""
+
+    def test_every_mechanism_preserves_the_original_semantics(self):
+        program, loop = array_summation_program()
+        read = Assign("a", b.aread("A", "i"))
+        reader = b.program(
+            "reader", b.assign("i", 0), read, variables=("a", "i", "e"), arrays=("A",)
+        )
+        transformed = {
+            "loop perforation": (program, perforate_loop(program, loop, counter="i")),
+            "dynamic knobs": (program, dynamic_knob(program, knob="n", floor=10)),
+            "task skipping": (
+                program, skip_tasks(program, remaining_tasks_var="n", max_skipped=4)
+            ),
+            "reduction sampling": (program, sample_reduction(
+                program, sample_count_var="n", population_var="n", minimum_fraction_percent=50
+            )),
+            "approximate memory": (reader, approximate_reads(
+                reader, value_var="a", error_bound_var="e", insert_after=read
+            )),
+            "synchronization elimination": (
+                program, eliminate_synchronization(program, racy_arrays=("A",))
+            ),
+        }
+        assert len(transformed) == 6
+        for name, (baseline_program, result) in transformed.items():
+            state = array_state(48)
+            if name == "approximate memory":
+                state = state.set_scalars({"e": 2, "a": 0})
+            baseline = run_original(baseline_program, state)
+            relaxed_original = run_original(result.program, state)
+            assert isinstance(baseline, Terminated) and isinstance(relaxed_original, Terminated)
+            for variable, value in baseline.state.scalars:
+                assert relaxed_original.state.scalar(variable) == value, name
+
+    def test_perforation_tradeoff_curve(self):
+        """Work falls monotonically with the stride, stride 1 is exact, and
+        the relative error stays well below 100%."""
+        program, loop = array_summation_program()
+        result = perforate_loop(program, loop, counter="i", max_stride=6)
+        state = array_state(60)
+        exact = run_original(result.program, state).state.scalar("s")
+        iterations, errors = [], []
+        for stride in (1, 2, 3, 4, 6):
+            outcome = run_relaxed(
+                result.program, state, chooser=FixedChoiceChooser([{"stride": stride}])
+            )
+            iterations.append((60 + stride - 1) // stride)
+            errors.append(abs(exact - outcome.state.scalar("s")) / exact)
+        assert iterations == sorted(iterations, reverse=True)
+        assert errors[0] == 0.0
+        assert all(error < 0.9 for error in errors)
+        perforated = perforate_loop(program, loop, counter="i", max_stride=4)
+        outcome = run_relaxed(
+            perforated.program, array_state(64), chooser=FixedChoiceChooser([{"stride": 4}])
+        )
+        assert isinstance(outcome, Terminated)

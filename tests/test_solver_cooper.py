@@ -44,6 +44,12 @@ class TestDecideClosed:
             sym("x"), F.implies(Divides(4, var("x")), Divides(2, var("x")))
         )
         assert decide_closed(formula)
+        # ...and multiples of six are multiples of both two and three.
+        formula = forall(
+            sym("x"),
+            F.implies(Divides(6, var("x")), conj(Divides(2, var("x")), Divides(3, var("x")))),
+        )
+        assert decide_closed(formula) is True
 
     def test_even_not_always_multiple_of_four(self):
         formula = forall(

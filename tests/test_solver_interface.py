@@ -56,6 +56,38 @@ class TestValidity:
         goal = conj(F.le(lhs - rhs, e), F.le(rhs - lhs, e))
         assert solver.is_valid(F.implies(hyp, goal))
 
+    def test_swish_post_loop_case_analysis(self, solver):
+        """Section 5.1's post-loop case analysis as one entailment: the
+        formatting loop's result counts under the original and relaxed
+        caps satisfy the paper's relate property."""
+        n, max_o, max_r, num_o, num_r = (
+            var("N"), var("max_o"), var("max_r"), var("num_o"), var("num_r"),
+        )
+
+        def characterise(num, cap):
+            return conj(
+                F.ge(num, Const(0)),
+                F.le(num, n),
+                F.implies(F.le(n, cap), F.eq(num, n)),
+                F.implies(conj(F.ge(cap, Const(0)), F.le(cap, n)), F.eq(num, cap)),
+                F.implies(F.le(cap, Const(0)), F.eq(num, Const(0))),
+            )
+
+        hypothesis = conj(
+            F.ge(n, Const(0)),
+            F.disj(
+                conj(F.le(max_o, Const(10)), F.eq(max_r, max_o)),
+                conj(F.gt(max_o, Const(10)), F.ge(max_r, Const(10))),
+            ),
+            characterise(num_o, max_o),
+            characterise(num_r, max_r),
+        )
+        conclusion = F.disj(
+            conj(F.lt(num_o, Const(10)), F.eq(num_o, num_r)),
+            conj(F.ge(num_o, Const(10)), F.ge(num_r, Const(10))),
+        )
+        assert solver.check_valid(F.implies(hypothesis, conclusion)).is_valid
+
     def test_division_validity(self, solver):
         formula = F.implies(
             F.ge(var("x"), Const(0)),

@@ -1,5 +1,7 @@
 """Tests for bounded model search and model enumeration."""
 
+import itertools
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 from repro.casestudies.lu import LUApproximateMemory
 from repro.explore.scoring import score_candidate
 from repro.logic import formula as F
-from repro.logic.evaluate import Valuation, evaluate
+from repro.logic.compile import compile_formula, compile_stats, reset_compile_stats
+from repro.logic.evaluate import EvaluationError, Valuation, evaluate
 from repro.logic.formula import (
     Const,
     Divides,
@@ -19,12 +22,14 @@ from repro.logic.formula import (
     conj,
     disj,
     exists,
+    forall,
     neg,
     sym,
     var,
 )
 from repro.solver.backend import BACKENDS, active_backend, use_backend
 from repro.solver.models import (
+    _candidate_values,
     bounded_model_search,
     enumerate_models,
     reset_search_stats,
@@ -328,6 +333,55 @@ class TestEvaluatorParity:
             assert evaluate(
                 formula, Valuation(scalars=dict(results["compiled"])), range(-2, 3)
             )
+
+    def test_pruned_search_matches_blind_tree_sweep(self):
+        """Fallback-shaped queries (box-UNSAT sweeps, unit-pinned symbols,
+        non-linear and quantified bodies) against the unpruned reference:
+        every assignment of the ``radius``-4 box in candidate order, checked
+        by the tree walker, stopping at the first model or error."""
+        x, y, z, w, k = var("x"), var("y"), var("z"), var("w"), var("k")
+        queries = [
+            conj(F.eq(x * x + y * y, Const(97)), F.ge(z, Const(0))),
+            conj(
+                F.eq(x, Const(3)),
+                F.eq(y, Const(-2)),
+                F.ge(z, Const(0)),
+                F.le(w, Const(2)),
+                F.eq(x * y + z * w, Const(-7)),
+            ),
+            conj(F.eq(x + y + z, Const(50)), F.le(x, Const(4))),
+            conj(F.eq(x, Const(3)), F.ge(y, Const(1)), F.eq(y * y, Const(9))),
+            conj(F.eq(x, Const(3)), F.ge(y, Const(1)), F.eq(y * y, Const(9)), F.ne(z, Const(0))),
+            conj(F.eq(x * y, Const(6)), F.gt(x, y)),
+            conj(F.ge(x, Const(0)), exists(sym("k"), F.eq(x + y, k * Const(2)))),
+            conj(
+                forall(sym("k"), F.implies(F.ge(k, Const(0)), F.ge(x + k, y))),
+                F.le(x, Const(2)),
+            ),
+        ]
+        domain = range(-6, 7)
+
+        def blind_sweep(formula):
+            symbols = sorted(F.free_symbols(formula))
+            for values in itertools.product(_candidate_values(4), repeat=len(symbols)):
+                model = dict(zip(symbols, values))
+                try:
+                    if evaluate(formula, Valuation(scalars=model), domain):
+                        return model
+                except EvaluationError:
+                    return None
+            return None
+
+        reset_search_stats()
+        for formula in queries:
+            model = bounded_model_search(formula, radius=4, max_seconds=None)
+            assert model == blind_sweep(formula)
+        assert search_stats()["prune_rate"] > 0.0
+        # Every query's closures were compiled by the searches above.
+        reset_compile_stats()
+        for formula in queries:
+            compile_formula(formula)
+        assert compile_stats()["hit_rate"] == 1.0
 
     def test_monte_carlo_scores_identical(self):
         case = LUApproximateMemory()

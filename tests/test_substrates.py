@@ -93,6 +93,20 @@ class TestRacyReduction:
         initial, updates = generate_reduction_workload(cells=3, updates_per_cell=4, seed=5)
         assert simulator.run(initial, updates) == simulator.exact(initial, updates)
 
+    def test_lost_updates_by_thread_count(self):
+        """Section 5.2's accuracy cost of lock elision: one thread loses no
+        update, contention appears only from two threads on."""
+        initial, updates = generate_reduction_workload(cells=8, updates_per_cell=24, seed=5)
+        lost = {}
+        for threads in (1, 2, 4, 8):
+            simulator = RacyReductionSimulator(threads=threads, seed=29)
+            simulator.run(initial, updates)
+            lost[threads] = simulator.lost_updates
+        assert lost[1] == 0
+        assert any(lost[threads] > 0 for threads in (2, 4, 8))
+        initial, updates = generate_reduction_workload(cells=16, updates_per_cell=32, seed=1)
+        assert len(RacyReductionSimulator(threads=4, seed=7).run(initial, updates)) == 16
+
     def test_racy_array_chooser_updates_array(self):
         chooser = RacyArrayChooser(array_name="RS", threads=4, seed=1)
         stmt = parse_statement("relax (RS) st (true);")

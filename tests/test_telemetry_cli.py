@@ -116,8 +116,8 @@ class TestVerifyCaseStudyTrace:
 
 
 class TestExploreTrace:
-    def test_jsonl_trace_and_envelope(self, tmp_path, capsys):
-        trace_path = tmp_path / "trace.jsonl"
+    def test_trace_and_envelope(self, tmp_path, capsys):
+        trace_path = tmp_path / "trace.json"
         report_path = tmp_path / "report.json"
         exit_code = main(
             [
@@ -130,9 +130,6 @@ class TestExploreTrace:
         )
         capsys.readouterr()
         assert exit_code == 0
-        # a .jsonl suffix writes the line-per-event log
-        first = json.loads(trace_path.read_text().splitlines()[0])
-        assert first["type"] == "span"
         summary = summarize_trace(str(trace_path))
         names = {event.name for event in summary.events}
         assert {"explore", "explore.enumerate", "explore.verify",
@@ -140,11 +137,9 @@ class TestExploreTrace:
         # rejection attribution runs under its own span, sized by the
         # number of rejected candidates (sum depth 1 rejects three)
         attribute = [
-            json.loads(line)
-            for line in trace_path.read_text().splitlines()
-            if '"explore.attribute"' in line
+            event for event in summary.events if event.name == "explore.attribute"
         ]
-        assert [span["attributes"]["rejected"] for span in attribute] == [3]
+        assert [event.attributes["rejected"] for event in attribute] == [3]
         payload = json.loads(report_path.read_text())
         assert validate_payload(payload) is None
         assert payload["telemetry"]["counters"]["explore.samples"] > 0

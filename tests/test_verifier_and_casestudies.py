@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.metrics import MetricSeries, fraction_within
 from repro.hoare.verifier import AcceptabilitySpec, AcceptabilityVerifier, verify_acceptability
 from repro.lang import builder as b
 from repro.casestudies import (
@@ -100,14 +101,18 @@ class TestSwishSpecifics:
         assert LUApproximateMemory.paper_proof_lines == 315
 
     def test_relaxed_never_presents_fewer_than_minimum(self):
-        summary = SwishDynamicKnobs().simulate(runs=20, seed=5)
-        for record in summary.records:
-            original = record.metrics.get("presented_original", 0)
-            relaxed = record.metrics.get("presented_relaxed", 0)
-            if original >= MINIMUM_RESULTS:
-                assert relaxed >= MINIMUM_RESULTS
-            else:
-                assert relaxed == original
+        # (90, 17) and (30, 3) are the Section 5.1 differential-table runs.
+        for runs, seed in ((20, 5), (90, 17), (30, 3)):
+            summary = SwishDynamicKnobs().simulate(runs=runs, seed=seed)
+            assert summary.relate_violations == 0
+            assert summary.relaxed_errors == 0
+            for record in summary.records:
+                original = record.metrics.get("presented_original", 0)
+                relaxed = record.metrics.get("presented_relaxed", 0)
+                if original >= MINIMUM_RESULTS:
+                    assert relaxed >= MINIMUM_RESULTS
+                else:
+                    assert relaxed == original
 
     def test_broken_relaxation_is_rejected(self):
         # Lowering the floor to 5 in the relax statement must break the paper's
@@ -144,9 +149,31 @@ class TestSwishSpecifics:
 
 class TestLUSpecifics:
     def test_pivot_deviation_within_bound_dynamically(self):
-        summary = LUApproximateMemory(error_bound=4).simulate(runs=15, seed=2)
-        for record in summary.records:
-            assert record.metrics["pivot_deviation"] <= record.metrics["error_bound"]
+        for runs in (15, 20):
+            summary = LUApproximateMemory(error_bound=4).simulate(runs=runs, seed=2)
+            assert summary.relate_violations == 0
+            for record in summary.records:
+                assert record.metrics["pivot_deviation"] <= record.metrics["error_bound"]
+
+    def test_accuracy_envelope_sweep(self):
+        """Section 5.3's accuracy envelope over the memory error bound ``e``:
+        every observed pivot deviation stays within ``e``, ``e = 0`` is
+        exact, and the envelope does not shrink as ``e`` grows."""
+        worst = []
+        for bound in (0, 1, 2, 4, 8):
+            summary = LUApproximateMemory(error_bound=bound).simulate(
+                runs=50, seed=bound + 1
+            )
+            assert summary.relate_violations == 0
+            deviations = MetricSeries("pivot_deviation")
+            for record in summary.records:
+                if record.initial_state.scalar("e") == bound:
+                    deviations.add(record.metrics["pivot_deviation"])
+            assert deviations.count > 0
+            assert fraction_within(deviations.values, bound) == 1.0
+            worst.append(deviations.maximum)
+        assert worst[0] == 0.0
+        assert worst[-1] >= worst[1]
 
     def test_zero_error_bound_gives_exact_results(self):
         case_study = LUApproximateMemory(error_bound=0)
@@ -163,12 +190,16 @@ class TestLUSpecifics:
 
 class TestWaterSpecifics:
     def test_ff_writes_stay_in_bounds(self):
-        summary = WaterParallelization().simulate(runs=12, seed=7)
-        for record in summary.records:
-            relaxed = record.relaxed
-            assert isinstance(relaxed, Terminated)
-            length = record.initial_state.scalar("len_FF")
-            assert all(index < length for index in relaxed.state.array("FF"))
+        # (60, 23) is the Section 5.2 racy differential run.
+        for runs, seed in ((12, 7), (60, 23)):
+            summary = WaterParallelization().simulate(runs=runs, seed=seed)
+            assert summary.relate_violations == 0
+            assert summary.relaxed_errors == 0
+            for record in summary.records:
+                relaxed = record.relaxed
+                assert isinstance(relaxed, Terminated)
+                length = record.initial_state.scalar("len_FF")
+                assert all(index < length for index in relaxed.state.array("FF"))
 
     def test_racy_updates_observed(self):
         # Across enough runs, at least one relaxed execution should differ from
