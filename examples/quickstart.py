@@ -19,11 +19,12 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.lang import builder as b
+from repro.lang.analysis import gamma
 from repro.lang.pretty import pretty_program
 from repro.hoare.verifier import AcceptabilitySpec, verify_acceptability
 from repro.semantics.choosers import RandomChooser
 from repro.semantics.interpreter import run_original, run_relaxed
-from repro.semantics.observation import check_program_compatibility
+from repro.semantics.observation import check_compatibility
 from repro.semantics.state import State
 
 
@@ -52,8 +53,8 @@ def main() -> int:
     print("=== dynamic semantics ===")
     print(f"original execution final state : {original.state}")
     print(f"relaxed  execution final state : {relaxed.state}")
-    compatibility = check_program_compatibility(
-        program, original.observations, relaxed.observations
+    compatibility = check_compatibility(
+        gamma(program), original.observations, relaxed.observations
     )
     print(f"observations compatible (Γ ⊢ ψ1 ∼ ψ2): {bool(compatibility)}")
 

@@ -23,12 +23,12 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 
 from ..hoare.obligations import VerificationReport
 from ..hoare.verifier import AcceptabilityReport, AcceptabilitySpec, AcceptabilityVerifier
+from ..lang.analysis import gamma as build_gamma
 from ..lang.ast import Program
 from ..semantics.choosers import Chooser
 from ..semantics.interpreter import run_original, run_relaxed
-from ..semantics.observation import check_program_compatibility
+from ..semantics.observation import check_compatibility
 from ..semantics.state import Outcome, State, Terminated, is_error
-from ..solver.interface import Solver
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..relaxations.sites import RelaxationSite
@@ -96,7 +96,7 @@ class CaseStudy:
     def acceptability_spec(self, program: Program) -> AcceptabilitySpec:
         raise NotImplementedError
 
-    def verify(self, solver: Optional[Solver] = None, engine=None) -> AcceptabilityReport:
+    def verify(self, engine=None) -> AcceptabilityReport:
         """Run the ⊢o and ⊢r verifications for this case study.
 
         Obligations are discharged through ``engine`` (an
@@ -105,7 +105,7 @@ class CaseStudy:
         """
         program = self.build_program()
         spec = self.acceptability_spec(program)
-        verifier = AcceptabilityVerifier(solver=solver, engine=engine)
+        verifier = AcceptabilityVerifier(engine=engine)
         return verifier.verify(program, spec, study=self.name)
 
     # -- relaxation-space exploration ----------------------------------------------
@@ -173,6 +173,7 @@ class CaseStudy:
         explicit seed.
         """
         program = self.build_program()
+        gamma = build_gamma(program)
         summary = SimulationSummary()
         factory = chooser_factory or self.relaxed_chooser
         for index, initial in enumerate(self.workloads(runs, seed)):
@@ -182,8 +183,8 @@ class CaseStudy:
             relate_ok = True
             if isinstance(original, Terminated) and isinstance(relaxed, Terminated):
                 relate_ok = bool(
-                    check_program_compatibility(
-                        program, original.observations, relaxed.observations
+                    check_compatibility(
+                        gamma, original.observations, relaxed.observations
                     )
                 )
             summary.records.append(

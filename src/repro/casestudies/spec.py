@@ -148,6 +148,11 @@ class DeclarativeCaseStudy(CaseStudy):
             },
         )
 
+    def __reduce__(self):
+        # The adapter class is made at run time, so pickle cannot find it
+        # by name; a worker process looks the study up in the registry.
+        return (_registered_declarative_study, (self.name,))
+
     # -- CaseStudy interface, delegated to the definition --------------------------
 
     def build_program(self) -> Program:
@@ -177,6 +182,16 @@ class DeclarativeCaseStudy(CaseStudy):
         if self.definition.metrics is None:
             return super().record_metrics(initial, original, relaxed)
         return self.definition.metrics(initial, original, relaxed)
+
+
+def _registered_declarative_study(name: str) -> DeclarativeCaseStudy:
+    """The registered declarative study called exactly ``name`` (unpickling)."""
+    from .registry import all_case_studies
+
+    for cls in all_case_studies():
+        if cls.name == name and issubclass(cls, DeclarativeCaseStudy):
+            return cls()
+    raise LookupError(f"no registered declarative case study {name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from . import telemetry
@@ -221,7 +221,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_verify_case_study(args: argparse.Namespace) -> int:
     case_study = _case_study_by_name(args.name)
     engine = _build_batch_engine(args)
-    with _tracing(args) as session:
+    with engine, _tracing(args) as session:
         with telemetry.span("verify-case-study", study=case_study.name):
             report = case_study.verify(engine=engine)
         engine.save()  # persist the cache
@@ -301,7 +301,7 @@ def cmd_verify_batch(args: argparse.Namespace) -> int:
     if not items:
         raise SystemExit("nothing to verify")
     engine = _build_batch_engine(args)
-    with _tracing(args) as session:
+    with engine, _tracing(args) as session:
         report = verify_batch(items, engine=engine)
     print(report.summary())
     core = report.as_dict()
@@ -410,7 +410,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     engine = None
     if args.jobs != 1 or args.cache_dir or args.budget is not None:
         engine = _build_batch_engine(args)
-    with _tracing(args) as session:
+    with engine or nullcontext(), _tracing(args) as session:
         with telemetry.span("explain", study=args.name):
             try:
                 report = explain_case_study(
@@ -665,7 +665,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples", type=int, default=25, help="Monte Carlo samples per candidate"
     )
     explore_cmd.add_argument(
-        "--jobs", type=int, default=1, help="parallel discharge worker processes"
+        "--jobs", type=int, default=1,
+        help="worker processes for discharge and scoring (one pool per search)",
     )
     explore_cmd.add_argument("--seed", type=int, default=0, help="simulation seed")
     explore_cmd.add_argument(

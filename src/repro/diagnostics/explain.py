@@ -68,7 +68,6 @@ class ExplainReport:
 def explain_case_study(
     name: str,
     site_ids: Sequence[str] = (),
-    solver=None,
     engine=None,
 ) -> ExplainReport:
     """Apply ``site_ids`` to a case study, verify, and diagnose failures.
@@ -95,7 +94,7 @@ def explain_case_study(
         applied.append(site_id)
 
     spec = case.acceptability_spec(program)
-    verifier = AcceptabilityVerifier(solver=solver, engine=engine)
+    verifier = AcceptabilityVerifier(engine=engine)
     bundle = verifier.collect(program, spec, study=case.name, sites=tuple(applied))
     original = discharge(bundle.original, bundle.program_name, engine=engine)
     relaxed = discharge(bundle.relaxed, bundle.program_name, engine=engine)

@@ -8,8 +8,10 @@ obligations) and the solver stack (which decides individual queries):
   orientation) hashed into stable cache keys;
 * :mod:`~repro.engine.cache` — an in-memory LRU of conclusive verdicts with
   an optional persistent JSON store (``UNKNOWN`` is never cached);
-* :mod:`~repro.engine.scheduler` — parallel discharge over a
-  ``ProcessPoolExecutor``, one budgeted solver query per obligation;
+* :mod:`~repro.engine.scheduler` — parallel discharge over one
+  ``ProcessPoolExecutor`` per engine, opened on the first parallel wave
+  and shut down by ``ObligationEngine.close()``, one budgeted solver query
+  per obligation (the explorer scores its survivors on the same pool);
 * :mod:`~repro.engine.core` — :class:`ObligationEngine`, the facade tying
   the pieces together behind ``discharge_all`` / ``discharge_collected``;
 * :mod:`~repro.engine.batch` — multi-program batch verification

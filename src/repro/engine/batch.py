@@ -35,7 +35,6 @@ from ..hoare.verifier import (
 )
 from ..lang.ast import Program
 from ..lang.parser import parse_program
-from ..solver.interface import Solver
 from .core import ObligationEngine
 # Unused here since the engine fingerprints; kept because perfbench's tracer
 # test probes this module's ``fingerprint`` binding.
@@ -280,7 +279,6 @@ def verify_batch(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     budget_seconds: Optional[float] = None,
-    collect_solver: Optional[Solver] = None,
     verdict_store: Optional[VerdictStore] = None,
 ) -> BatchReport:
     """Verify every batch item through one pooled engine discharge wave.
@@ -291,20 +289,25 @@ def verify_batch(
     the session already settled and discharges only the delta.  Per-program
     reuse counts, obligation fingerprints, and verdict statuses are then
     attached to each :class:`BatchProgramResult` for the explorer.
+
+    Without an ``engine`` the batch builds one from ``jobs``,
+    ``cache_dir`` and ``budget_seconds`` and closes it before returning;
+    a caller's engine (and its worker pool) stays open.
     """
     if engine is None:
-        engine = ObligationEngine.for_batch(
+        with ObligationEngine.for_batch(
             jobs=jobs, cache_dir=cache_dir, budget_seconds=budget_seconds
-        )
+        ) as engine:
+            return verify_batch(items, engine=engine, verdict_store=verdict_store)
     start = time.perf_counter()
-    verifier = AcceptabilityVerifier(solver=collect_solver or Solver())
+    verifier = AcceptabilityVerifier(engine=engine)
 
     # The root span every other event of this run nests under — collect
     # spans, the discharge wave, worker spans re-parented by the engine.
     batch_span = telemetry.span("batch", programs=len(items), jobs=engine.jobs)
     with batch_span:
         # Phase 1: collect every program's obligations (VC generation is cheap
-        # and serial; convergence checks use the collection solver).
+        # and serial; convergence premises are decided through the engine).
         collected: List[Tuple[BatchItem, Optional[CollectedAcceptability], str, float]] = []
         for item in items:
             item_start = time.perf_counter()

@@ -89,13 +89,21 @@ class ObligationCache:
 
     # -- lookup / insert ---------------------------------------------------------
 
-    def get(self, key: str) -> Optional[CachedVerdict]:
+    def get(self, key: str, counted: bool = True) -> Optional[CachedVerdict]:
+        """The cached verdict for ``key``, or ``None``.
+
+        ``counted=False`` leaves the hit/miss counters alone: they count
+        obligations, and the engine's premise lookups share the entries
+        but not the counters.
+        """
         entry = self._entries.get(key)
         if entry is None:
-            self.misses += 1
+            if counted:
+                self.misses += 1
             return None
         self._entries.move_to_end(key)
-        self.hits += 1
+        if counted:
+            self.hits += 1
         return entry
 
     def put(

@@ -22,6 +22,14 @@ Every caller takes this path: batch verification, the explorer and the
 fuzz funnel with an engine of their own, and
 :func:`repro.hoare.obligations.discharge` with a default
 ``ObligationEngine()`` when the caller passes none.
+
+The relational prover's convergence premises, decided while obligations
+are collected, go through :meth:`ObligationEngine.check_premise`: the same
+fingerprint, cache and budget, solved in-process.
+
+An engine with ``jobs > 1`` keeps one worker pool from its first parallel
+wave until :meth:`ObligationEngine.close`; use it as a context manager
+(``with engine: ...``) so that no worker outlives the run.
 """
 
 from __future__ import annotations
@@ -33,11 +41,13 @@ from typing import Dict, List, Optional, Sequence
 from .. import telemetry
 from ..hoare.obligations import (
     ObligationCollector,
+    ObligationKind,
     ObligationResult,
     ProofObligation,
     VerificationReport,
 )
-from ..solver.interface import SolverStatistics
+from ..logic.formula import Formula
+from ..solver.interface import Solver, SolverStatistics
 from ..solver.lia import Status
 from .cache import ObligationCache
 from .fingerprint import fingerprint
@@ -61,6 +71,11 @@ class EngineStatistics:
     incremental_reused: int = 0
     delta_obligations: int = 0
     solver_calls: int = 0
+    #: Proof-search premises (:meth:`ObligationEngine.check_premise`)
+    #: answered from the cache, and those that took a solver call.  Kept
+    #: apart from the obligation counters above, which they never move.
+    premise_cache_hits: int = 0
+    premise_solver_calls: int = 0
     parallel_batches: int = 0
     unknown_results: int = 0
     total_seconds: float = 0.0
@@ -74,6 +89,8 @@ class EngineStatistics:
             "incremental_reused": float(self.incremental_reused),
             "delta_obligations": float(self.delta_obligations),
             "solver_calls": float(self.solver_calls),
+            "premise_cache_hits": float(self.premise_cache_hits),
+            "premise_solver_calls": float(self.premise_solver_calls),
             "parallel_batches": float(self.parallel_batches),
             "unknown_results": float(self.unknown_results),
             "total_seconds": self.total_seconds,
@@ -133,7 +150,22 @@ class ObligationEngine:
         #: merged from the statistics each outcome ships back (from worker
         #: processes too).
         self.solver_statistics = SolverStatistics()
-        self._scheduler = DischargeScheduler(jobs=jobs)
+        #: Runs discharge waves, and the explorer's scoring, on one worker
+        #: pool that lives until :meth:`close`.
+        self.scheduler = DischargeScheduler(jobs=jobs)
+
+    def __enter__(self) -> "ObligationEngine":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Shut down the worker pool, if one was opened, and reap its workers.
+
+        The engine stays usable: a later parallel wave opens a fresh pool.
+        """
+        self.scheduler.close()
 
     @classmethod
     def for_batch(
@@ -270,7 +302,6 @@ class ObligationEngine:
         results: List[Optional[ObligationResult]],
     ) -> None:
         """Solve every pending obligation and book the outcomes."""
-        collect_telemetry = telemetry.enabled()
         tasks = []
         for index in pending:
             obligation = obligations[index]
@@ -287,29 +318,53 @@ class ObligationEngine:
                     formula=obligation.formula,
                     kind=obligation.kind.value,
                     budget_seconds=self.budget_seconds,
-                    collect_telemetry=collect_telemetry,
                     label=label,
                 )
             )
         if len(tasks) > 1 and self.jobs > 1:
             self.statistics.parallel_batches += 1
         self.statistics.solver_calls += len(tasks)
-        for outcome in self._scheduler.run(tasks):
+        # Worker-process spans come home with the outcomes and are
+        # re-parented under the open dispatch span, so the trace stays one
+        # tree across processes.
+        for outcome in self.scheduler.run(tasks):
             if outcome.status is Status.UNKNOWN:
                 self.statistics.unknown_results += 1
             if outcome.solver_stats is not None:
                 self.solver_statistics.merge(outcome.solver_stats)
-            if outcome.telemetry is not None:
-                # Worker-process spans arrive as an exported session;
-                # re-parent them under the open dispatch span so the
-                # trace stays one tree across processes.
-                telemetry.merge_exported(outcome.telemetry)
             key = keys[outcome.index]
             results[outcome.index] = _result(
                 obligations[outcome.index], key, outcome.status, outcome.model,
                 outcome.reason, elapsed_seconds=outcome.elapsed_seconds,
             )
             self.cache.put(key, outcome.status, model=outcome.model, reason=outcome.reason)
+
+    def check_premise(self, formula: Formula) -> bool:
+        """Whether the proof-search premise ``formula`` is valid.
+
+        Premises (the relational prover's convergence checks) are decided
+        while obligations are collected, not discharged, so they take a
+        shorter path: the validity fingerprint, the result cache (in memory
+        or on disk), else one in-process solve under ``budget_seconds``
+        whose verdict is cached when conclusive.  An ``UNKNOWN`` verdict, or
+        a premise that raises, answers ``False``: the prover then takes the
+        sound diverge rule.  Premises never move the obligation counters or
+        the cache's hit/miss counts.
+        """
+        try:
+            key = fingerprint(formula, ObligationKind.VALIDITY.value)
+            cached = self.cache.get(key, counted=False)
+            if cached is not None:
+                self.statistics.premise_cache_hits += 1
+                telemetry.count("engine.premise.cache_hits")
+                return cached.status is Status.VALID
+            self.statistics.premise_solver_calls += 1
+            telemetry.count("engine.premise.solver_calls")
+            result = Solver(budget_seconds=self.budget_seconds).check_valid(formula)
+        except Exception:
+            return False
+        self.cache.put(key, result.status, model=result.model, reason=result.reason)
+        return result.status is Status.VALID
 
     # -- persistence / reporting --------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Parallel obligation discharge over a process pool.
+"""Parallel work over one long-lived process pool.
 
 Proof obligations are independent of each other — each is a closed query
 against the decision procedures — so a batch of them (from one program or
@@ -6,32 +6,42 @@ from many) can be discharged concurrently.  The scheduler fans tasks out to
 a :class:`concurrent.futures.ProcessPoolExecutor`; each worker makes one
 solver query for its obligation and ships back a compact, picklable
 outcome (the formula IR is made of frozen dataclasses, so tasks pickle
-as-is).
+as-is).  :meth:`DischargeScheduler.map` is the general form: the explorer
+scores its survivors on the same pool.
 
-``jobs=1`` (or a single task) short-circuits to an in-process loop with no
-executor, which keeps single-job runs free of multiprocessing overhead and
-usable from environments where forking is undesirable.  A worker that dies
-mid-wave does not sink the wave: its task, and every task still waiting on
-the broken pool, comes back ``UNKNOWN`` with a ``"worker died: ..."``
-reason.  Neither does a task whose discharge raises — in the solver, or
-while pickling it for a worker (a formula nested past the interpreter's
-recursion limit): it comes back ``UNKNOWN`` with a ``"discharge raised
-<Type>: ..."`` reason, and the rest of the wave keeps its verdicts.
+The pool is opened lazily, on the first wave that runs in parallel, and
+kept until :meth:`DischargeScheduler.close` (which
+:meth:`~repro.engine.core.ObligationEngine.close` calls), so a whole
+search pays for its workers once.  ``jobs=1`` (or a single task)
+short-circuits to an in-process loop with no executor, which keeps
+single-job runs free of multiprocessing overhead and usable from
+environments where forking is undesirable.
+
+A worker that dies mid-wave does not sink the wave: its task, and every
+task still waiting on the broken pool, comes back ``UNKNOWN`` with a
+``"worker died: ..."`` reason, and the broken pool is dropped so the next
+wave opens a fresh one.  Neither does a task whose discharge raises — in
+the solver, or while pickling it for a worker (a formula nested past the
+interpreter's recursion limit): it comes back ``UNKNOWN`` with a
+``"discharge raised <Type>: ..."`` reason, and the rest of the wave keeps
+its verdicts.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from .. import telemetry
 from ..logic.formula import Formula, Symbol
 from ..solver.interface import Solver, SolverResult
 from ..solver.lia import Status
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -42,11 +52,6 @@ class DischargeTask:
     formula: Formula
     kind: str  # ObligationKind value: "validity" | "satisfiability"
     budget_seconds: Optional[float] = None
-    #: Whether the worker should record telemetry spans for this task.
-    #: Set by the engine when a session is active in the dispatching
-    #: process; worker processes have no session of their own, so they
-    #: build a task-local one and ship the export home on the outcome.
-    collect_telemetry: bool = False
     #: Human-readable provenance label ("program @ line 3, columns 5-12")
     #: recorded on the worker's discharge span — the obligation itself
     #: never crosses the process boundary, only this summary does.
@@ -65,29 +70,25 @@ class DischargeOutcome:
     #: The task's solver counters (picklable, so worker-process statistics
     #: survive the trip home).
     solver_stats: Optional[Dict[str, float]] = None
-    #: The worker-local telemetry session, exported
-    #: (:meth:`~repro.telemetry.TelemetrySession.export`) for the engine
-    #: to re-parent under the dispatching wave's span.  ``None`` when the
-    #: task ran in-process (its spans landed on the ambient session
-    #: directly) or telemetry was off.
-    telemetry: Optional[Dict[str, object]] = None
 
 
-def _discharge_one(task: DischargeTask) -> DischargeOutcome:
-    if task.collect_telemetry:
-        active = telemetry.active_session()
-        if active is None or active.pid != os.getpid():
-            # Worker process: record into a task-local session and ship
-            # the export home for re-parenting.  The pid check matters on
-            # fork-start platforms, where workers inherit a *copy* of the
-            # parent's active session — recording there would be silently
-            # discarded.  In-process discharge (jobs=1) keeps the ambient
-            # session, so spans nest under the wave naturally.
-            session = telemetry.TelemetrySession()
-            with telemetry.activated(session):
-                outcome = _discharge_inner(task)
-            return replace(outcome, telemetry=session.export())
-    return _discharge_inner(task)
+def _in_worker(
+    fn: Callable[[T], R], task: T, collect_telemetry: bool
+) -> Tuple[R, Optional[Dict[str, object]]]:
+    """Run ``fn(task)`` in a worker process, with the telemetry it recorded.
+
+    A worker has no session of its own (on fork-start platforms it holds a
+    stale *copy* of the parent's, where anything recorded is lost), so when
+    the parent is tracing the task records into a task-local session whose
+    export travels home with the result, to be re-parented under the span
+    the parent has open.
+    """
+    if not collect_telemetry:
+        return fn(task), None
+    session = telemetry.TelemetrySession()
+    with telemetry.activated(session):
+        result = fn(task)
+    return result, session.export()
 
 
 def _solve(task: DischargeTask, solver: Solver) -> SolverResult:
@@ -96,7 +97,7 @@ def _solve(task: DischargeTask, solver: Solver) -> SolverResult:
     return solver.check_sat(task.formula)
 
 
-def _discharge_inner(task: DischargeTask) -> DischargeOutcome:
+def _discharge_one(task: DischargeTask) -> DischargeOutcome:
     start = time.perf_counter()
     solver = Solver(budget_seconds=task.budget_seconds)
     with telemetry.span("discharge", index=task.index, kind=task.kind) as span:
@@ -129,40 +130,87 @@ def _unknown(task: DischargeTask, reason: str) -> DischargeOutcome:
     )
 
 
-def _discharge_in_process(task: DischargeTask) -> DischargeOutcome:
+def _discharge_settled(task: DischargeTask) -> DischargeOutcome:
     try:
         return _discharge_one(task)
     except Exception as error:
         return _unknown(task, raised_reason(error))
 
 
+def _discharge_failed(task: DischargeTask, error: Exception) -> DischargeOutcome:
+    # A dead worker breaks the pool, and a task that fails to pickle fails
+    # only its own future: either way the task is settled UNKNOWN (never
+    # cached) and the rest of the wave keeps its verdicts.
+    if isinstance(error, BrokenProcessPool):
+        return _unknown(task, f"worker died: {error}")
+    return _unknown(task, raised_reason(error))
+
+
+def _submit(pool: ProcessPoolExecutor, *args) -> Future:
+    """``pool.submit``, except a pool broken earlier yields a failed future."""
+    try:
+        return pool.submit(*args)
+    except BrokenProcessPool as error:
+        failed: Future = Future()
+        failed.set_exception(error)
+        return failed
+
+
 class DischargeScheduler:
-    """Runs discharge tasks either in-process or across worker processes."""
+    """Runs tasks either in-process or on one long-lived worker pool."""
 
     def __init__(self, jobs: int = 1) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.jobs = jobs
+        self._pool: Optional[ProcessPoolExecutor] = None
 
     def run(self, tasks: Sequence[DischargeTask]) -> List[DischargeOutcome]:
         """Discharge every task; outcomes are returned in task order."""
+        return self.map(_discharge_settled, tasks, on_error=_discharge_failed)
+
+    def map(
+        self,
+        fn: Callable[[T], R],
+        tasks: Sequence[T],
+        on_error: Callable[[T, Exception], R],
+    ) -> List[R]:
+        """``[fn(task) for task in tasks]``, on the pool when it pays.
+
+        ``fn`` and the tasks must pickle (``fn`` by reference: a module-level
+        function).  A task whose worker died, or whose future failed any
+        other way, is settled in this process by ``on_error(task, error)``.
+        Worker telemetry is merged under the span open at the call.
+        """
         if not tasks:
             return []
         if self.jobs == 1 or len(tasks) == 1:
-            return [_discharge_in_process(task) for task in tasks]
-        workers = min(self.jobs, len(tasks))
-        outcomes = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_discharge_one, task) for task in tasks]
-            for task, future in zip(tasks, futures):
-                # A dead worker breaks the pool, and a task that raises (in
-                # the worker, or while being pickled for it) fails only its
-                # own future: either way the task is settled UNKNOWN (never
-                # cached) and the rest of the wave keeps its verdicts.
-                try:
-                    outcomes.append(future.result())
-                except BrokenProcessPool as error:
-                    outcomes.append(_unknown(task, f"worker died: {error}"))
-                except Exception as error:
-                    outcomes.append(_unknown(task, raised_reason(error)))
-        return outcomes
+            return [fn(task) for task in tasks]
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+        collect_telemetry = telemetry.enabled()
+        futures = [
+            _submit(self._pool, _in_worker, fn, task, collect_telemetry)
+            for task in tasks
+        ]
+        results: List[R] = []
+        broken = False
+        for task, future in zip(tasks, futures):
+            try:
+                result, exported = future.result()
+            except Exception as error:
+                broken = broken or isinstance(error, BrokenProcessPool)
+                results.append(on_error(task, error))
+                continue
+            if exported is not None:
+                telemetry.merge_exported(exported)
+            results.append(result)
+        if broken:
+            self.close()
+        return results
+
+    def close(self) -> None:
+        """Shut the pool down and reap its workers (a no-op without one)."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)

@@ -17,7 +17,9 @@ more site to the parents chosen by the frontier scheduler:
    and the persistent cache underneath.
 3. **Score** — candidates that pass the gate (and only those) are scored
    empirically by seeded Monte Carlo differential simulation
-   (:mod:`repro.explore.scoring`).
+   (:mod:`repro.explore.scoring`), fanned out over the engine's worker
+   pool when ``jobs > 1``; every run's seed is explicit, so the scores do
+   not depend on ``jobs``.
 4. **Select** — the frontier scheduler (:mod:`repro.explore.frontier`)
    picks the next generation's parents: all of them (``--strategy
    exhaustive``) or the ``--beam-width`` most promising by score plus a
@@ -55,7 +57,7 @@ from ..lang.ast import Program
 from .candidates import Candidate, CandidateSpace
 from .frontier import STRATEGIES, FrontierScheduler
 from .pareto import pareto_flags
-from .scoring import DEFAULT_POLICIES, CandidateScore, score_candidate
+from .scoring import DEFAULT_POLICIES, CandidateScore, ScoreTask, run_score_task
 
 
 @dataclass
@@ -344,7 +346,6 @@ def explore(
     budget_seconds: Optional[float] = None,
     max_candidates: int = 48,
     policies: Sequence[str] = DEFAULT_POLICIES,
-    engine: Optional[ObligationEngine] = None,
     strategy: str = "exhaustive",
     beam_width: int = 8,
     search_budget_seconds: Optional[float] = None,
@@ -357,6 +358,10 @@ def explore(
     generational, incrementally gated pipeline; ``search_budget_seconds``
     bounds the whole search's wall clock (the report is marked
     ``truncated`` when it bites).
+
+    The search builds its own engine from ``jobs``, ``cache_dir`` and
+    ``budget_seconds``; with ``jobs > 1`` its one worker pool gates and
+    scores every generation and is shut down before this returns.
     """
     case = resolve_case_study(case_study)
     if strategy not in STRATEGIES:
@@ -364,10 +369,9 @@ def explore(
             f"unknown strategy {strategy!r} (expected one of {'/'.join(STRATEGIES)})"
         )
     start = time.perf_counter()
-    if engine is None:
-        engine = ObligationEngine.for_batch(
-            jobs=jobs, cache_dir=cache_dir, budget_seconds=budget_seconds
-        )
+    engine = ObligationEngine.for_batch(
+        jobs=jobs, cache_dir=cache_dir, budget_seconds=budget_seconds
+    )
     store = VerdictStore()
     scheduler = FrontierScheduler(strategy=strategy, beam_width=beam_width)
     report = ExploreReport(
@@ -386,7 +390,7 @@ def explore(
     explore_span = telemetry.span(
         "explore", case_study=case.name, depth=depth, jobs=jobs, strategy=strategy
     )
-    with explore_span:
+    with explore_span, engine:
         enumerate_start = time.perf_counter()
         base_program = case.build_program()
         space = CandidateSpace(
@@ -416,7 +420,7 @@ def explore(
             telemetry.count("explore.candidates", len(wave))
 
             generation = _verify_wave(case, wave, engine, store, report, level)
-            _score_wave(case, generation, samples, seed, policies, report)
+            _score_wave(case, generation, engine, samples, seed, policies, report)
             for outcome in generation:
                 scheduler.observe(outcome)
 
@@ -536,22 +540,28 @@ def _verify_wave(
 def _score_wave(
     case: CaseStudy,
     outcomes: Sequence[CandidateOutcome],
+    engine: ObligationEngine,
     samples: int,
     seed: int,
     policies: Sequence[str],
     report: ExploreReport,
 ) -> None:
-    """Score one generation's survivors (and only the survivors)."""
+    """Score one generation's survivors (and only the survivors).
+
+    The survivors are scored on the engine's worker pool; a task whose
+    worker died is scored again in this process.
+    """
     score_start = time.perf_counter()
+    survivors = [outcome for outcome in outcomes if outcome.verified]
+    tasks = [
+        ScoreTask(case, outcome.name, outcome.candidate.program, samples, seed,
+                  tuple(policies))
+        for outcome in survivors
+    ]
     with telemetry.span("explore.score", samples=samples):
-        for outcome in outcomes:
-            if outcome.verified:
-                with telemetry.span("score", candidate=outcome.name):
-                    outcome.score = score_candidate(
-                        case,
-                        outcome.candidate.program,
-                        samples=samples,
-                        seed=seed,
-                        policies=policies,
-                    )
+        scores = engine.scheduler.map(
+            run_score_task, tasks, on_error=lambda task, _error: run_score_task(task)
+        )
+    for outcome, score in zip(survivors, scores):
+        outcome.score = score
     report.score_seconds += time.perf_counter() - score_start

@@ -32,10 +32,11 @@ from typing import Dict, List, Optional, Sequence
 
 from .. import telemetry
 from ..casestudies.base import CaseStudy
+from ..lang.analysis import gamma as build_gamma
 from ..lang.ast import Program
 from ..semantics.choosers import make_chooser
 from ..semantics.interpreter import Interpreter, NonTerminationError, precompile_program
-from ..semantics.observation import check_program_compatibility
+from ..semantics.observation import check_compatibility
 from ..semantics.state import State, Terminated, is_error
 
 #: Default nondeterminism policies a candidate is scored under.
@@ -104,6 +105,7 @@ def score_candidate(
     # every policy then runs on cached closures (the caches are keyed on the
     # AST nodes, which all runs of this program share).
     precompile_program(program)
+    gamma = build_gamma(program)
     typical_distortions: List[float] = []  # non-adversarial policies only
     all_distortions: List[float] = []
     step_fractions: List[float] = []
@@ -137,8 +139,8 @@ def score_candidate(
                 score.errors += 1
                 continue
             assert isinstance(original, Terminated) and isinstance(relaxed, Terminated)
-            if not check_program_compatibility(
-                program, original.observations, relaxed.observations
+            if not check_compatibility(
+                gamma, original.observations, relaxed.observations
             ):
                 score.relate_violations += 1
                 telemetry.count("explore.relate_violations")
@@ -166,3 +168,30 @@ def score_candidate(
         score.relax_freedom = float(sum(deviations)) / len(deviations)
     score.savings = estimated_savings(score.steps_saved_fraction, score.relax_freedom)
     return score
+
+
+@dataclass(frozen=True)
+class ScoreTask:
+    """One survivor to score; pickles, so it can be scored in a worker."""
+
+    case_study: CaseStudy
+    name: str
+    program: Program
+    samples: int
+    seed: int
+    policies: Sequence[str]
+
+
+def run_score_task(task: ScoreTask) -> CandidateScore:
+    """Score one task under its own ``score`` span.
+
+    The seeds are explicit, so the score is the same in every process.
+    """
+    with telemetry.span("score", candidate=task.name):
+        return score_candidate(
+            task.case_study,
+            task.program,
+            samples=task.samples,
+            seed=task.seed,
+            policies=task.policies,
+        )

@@ -366,8 +366,9 @@ def verify_leg(
     for item in generated:
         program = GeneratedStudy.of(item).build_program()
         entries.append((item.name, program, derive_spec(program)))
-    with use_backend(backend):
-        engine = ObligationEngine.for_batch(jobs=jobs, cache_dir=cache_dir)
+    with use_backend(backend), ObligationEngine.for_batch(
+        jobs=jobs, cache_dir=cache_dir
+    ) as engine:
         report = verify_batch(
             program_items(entries, study="fuzz"),
             engine=engine,

@@ -10,8 +10,9 @@ relational precondition it pushes a relational formula through the program,
 applying the Figure 8 rule for each statement and emitting the rule's side
 conditions as proof obligations.  Control-flow statements use the
 *convergent* rules when the current relational formula forces both
-executions to take the same branch (checked with the solver), and fall back
-to the *diverge* rule otherwise:
+executions to take the same branch (a premise decided through the
+obligation engine, see :meth:`~repro.engine.core.ObligationEngine.check_premise`),
+and fall back to the *diverge* rule otherwise:
 
 * the diverge rule requires ``no_rel(s)`` (no ``relate`` inside the
   divergent region),
@@ -68,7 +69,6 @@ from ..logic.inject import inj_o, inj_r, pair, projection_formula
 from ..logic.subst import rename_arrays, substitute, substitute_term
 from ..logic.translate import formula_of_bool, formula_of_rel_bool, term_of_expr
 from ..logic.traverse import TypeDispatcher
-from ..solver.interface import Solver
 from .obligations import (
     ObligationCollector,
     ObligationKind,
@@ -125,13 +125,17 @@ class RelationalProver:
 
     def __init__(
         self,
-        solver: Optional[Solver] = None,
         config: Optional[RelationalConfig] = None,
         engine: Optional["ObligationEngine"] = None,
         context: Optional[ProvenanceContext] = None,
     ) -> None:
-        self.solver = solver or Solver()
+        if engine is None:
+            from ..engine.core import ObligationEngine  # circular at import time
+
+            engine = ObligationEngine()
         self.config = config or RelationalConfig()
+        #: Decides the convergence premises during collection and, in
+        #: :meth:`prove`, discharges the collected obligations.
         self.engine = engine
         self.context = context if context is not None else ProvenanceContext()
         self.collector = ObligationCollector(ProofSystem.RELAXED, context=self.context)
@@ -173,8 +177,8 @@ class RelationalProver:
 
         Returns the collector (with the diverge-rule unary sub-proofs
         already merged in) plus the program name.  Convergence premises are
-        still checked with ``self.solver`` during construction — those are
-        proof-search queries, not obligations.  Each prover instance should
+        still decided during construction, through ``self.engine`` — those
+        are proof-search queries, not obligations.  Each prover instance should
         collect at most once (the collector accumulates).
         """
         stmt = (
@@ -365,7 +369,7 @@ class RelationalProver:
             pair(neg(formula_of_bool(condition)), neg(formula_of_bool(condition)))
         )
         premise = implies(relation, disj(both_true, both_false))
-        return self.solver.check_valid(premise).is_valid
+        return self.engine.check_premise(premise)
 
     def _sp_if(self, stmt: If, relation: Formula) -> Formula:
         forced = any(stmt is node or stmt == node for node in self.config.force_divergent)
@@ -598,11 +602,10 @@ def prove_relaxed(
     program_or_stmt: Union[Program, Stmt],
     precondition: Union[Formula, RelBoolExpr],
     postcondition: Union[Formula, RelBoolExpr],
-    solver: Optional[Solver] = None,
     config: Optional[RelationalConfig] = None,
     program_name: Optional[str] = None,
     engine: Optional["ObligationEngine"] = None,
 ) -> VerificationReport:
     """Verify ``⊢r {precondition} program {postcondition}`` (Figure 8)."""
-    prover = RelationalProver(solver=solver, config=config, engine=engine)
+    prover = RelationalProver(config=config, engine=engine)
     return prover.prove(program_or_stmt, precondition, postcondition, program_name)

@@ -34,7 +34,6 @@ from ..lang.source import ensure_source
 from ..logic.formula import Formula, TRUE, conj
 from ..logic.inject import relational_frame
 from ..logic.translate import formula_of_bool, formula_of_rel_bool
-from ..solver.interface import Solver
 from .obligations import (
     ObligationCollector,
     ProvenanceContext,
@@ -138,16 +137,12 @@ class AcceptabilityVerifier:
 
     The side conditions of both proofs are discharged through ``engine``,
     or a default :class:`~repro.engine.core.ObligationEngine` when none is
-    given.  ``solver`` is used for the relational prover's convergence
-    checks, which happen during proof construction rather than discharge.
+    given.  The relational prover's convergence premises, which are
+    decided during proof construction rather than discharge, go through
+    the same engine (:meth:`~repro.engine.core.ObligationEngine.check_premise`).
     """
 
-    def __init__(
-        self,
-        solver: Optional[Solver] = None,
-        engine: Optional["ObligationEngine"] = None,
-    ) -> None:
-        self.solver = solver or Solver()
+    def __init__(self, engine: Optional["ObligationEngine"] = None) -> None:
         self.engine = engine
 
     def collect(
@@ -186,8 +181,8 @@ class AcceptabilityVerifier:
         rel_pre = self._relational(spec.rel_precondition, program)
         rel_post = self._relational(spec.rel_postcondition, program, default=TRUE)
         prover = RelationalProver(
-            solver=self.solver,
             config=spec.relational_config,
+            engine=self.engine,
             context=context.child(),
         )
         relaxed_collector, _ = prover.collect(
@@ -247,10 +242,9 @@ class AcceptabilityVerifier:
 def verify_acceptability(
     program: Program,
     spec: Optional[AcceptabilitySpec] = None,
-    solver: Optional[Solver] = None,
     engine: Optional["ObligationEngine"] = None,
 ) -> AcceptabilityReport:
     """Convenience wrapper over :class:`AcceptabilityVerifier`."""
-    return AcceptabilityVerifier(solver=solver, engine=engine).verify(
+    return AcceptabilityVerifier(engine=engine).verify(
         program, spec or AcceptabilitySpec()
     )

@@ -32,7 +32,6 @@ from .interpreter import (
 from .observation import (
     CompatibilityResult,
     check_compatibility,
-    check_program_compatibility,
     pair_valuation,
     relational_holds,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "run_relaxed",
     "CompatibilityResult",
     "check_compatibility",
-    "check_program_compatibility",
     "pair_valuation",
     "relational_holds",
     "BAD_ASSUME",

@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..lang.analysis import gamma as build_gamma
-from ..lang.ast import Program, RelBoolExpr
+from ..lang.ast import RelBoolExpr
 from ..logic.evaluate import EvaluationError, Valuation, evaluate
 from ..logic.formula import Symbol, Tag
 from ..logic.translate import formula_of_rel_bool
@@ -102,14 +101,3 @@ def check_compatibility(
                 failing_index=index,
             )
     return CompatibilityResult(True)
-
-
-def check_program_compatibility(
-    program: Program,
-    original_observations: ObservationList,
-    relaxed_observations: ObservationList,
-) -> CompatibilityResult:
-    """Convenience wrapper building ``Γ`` from the program."""
-    return check_compatibility(
-        build_gamma(program), original_observations, relaxed_observations
-    )

@@ -19,6 +19,7 @@ from repro.engine import (
 )
 from repro.hoare.obligations import ObligationCollector, ObligationKind, ProofSystem
 from repro.logic.formula import eq, var
+from repro.solver.interface import Solver
 from repro.solver.lia import Status
 from repro.solver.models import reset_search_stats, search_stats
 
@@ -86,7 +87,7 @@ class TestBatchVerification:
                     r.status for r in getattr(serial, layer).results
                 ]
 
-    def test_warm_cache_issues_zero_solver_calls(self, tmp_path):
+    def test_warm_cache_issues_zero_solver_calls(self, tmp_path, monkeypatch):
         cold = ObligationEngine.for_batch(cache_dir=str(tmp_path))
         reset_search_stats()
         cold_report = verify_batch(case_study_items(), engine=cold)
@@ -100,10 +101,26 @@ class TestBatchVerification:
         assert search_stats()["searches"] == 0
         assert cold.solver_statistics.prefiltered_cubes > 0
 
+        assert cold.statistics.premise_solver_calls > 0
+
+        # Convergence premises replay from the cache too: the warm pass
+        # never reaches the solver facade.
+        queries = []
+        for name in ("check_valid", "check_sat"):
+            real = getattr(Solver, name)
+            monkeypatch.setattr(
+                Solver, name,
+                lambda self, formula, _real=real, _name=name: (
+                    queries.append(_name) or _real(self, formula)
+                ),
+            )
         warm = ObligationEngine.for_batch(cache_dir=str(tmp_path))
         warm_report = verify_batch(case_study_items(), engine=warm)
         assert warm_report.all_verified
+        assert queries == []
         assert warm.statistics.solver_calls == 0
+        assert warm.statistics.premise_solver_calls == 0
+        assert warm.statistics.premise_cache_hits > 0
         assert warm.statistics.cache_hits == warm.statistics.obligations
         # Verdicts replayed from the cache match the cold run exactly.
         for cold_result, warm_result in zip(cold_report.programs, warm_report.programs):

@@ -151,15 +151,34 @@ class TestWorkerDeath:
             (VALID_FORMULA, ObligationKind.VALIDITY),
             (UNSAT_FORMULA, ObligationKind.SATISFIABILITY),
         )
-        engine = ObligationEngine(jobs=2)
-        results = engine.discharge_all(collector.obligations)
-        assert len(results) == 2
-        dead = results[1]
-        assert dead.status is Status.UNKNOWN
-        assert dead.reason.startswith("worker died: ")
-        # Like any UNKNOWN, a dead worker's verdict is never cached.
-        assert engine.cache.get(dead.fingerprint) is None
-        assert engine.statistics.unknown_results >= 1
+        opened = []
+
+        class CountingPool(engine_scheduler.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(engine_scheduler, "ProcessPoolExecutor", CountingPool)
+        with ObligationEngine(jobs=2) as engine:
+            results = engine.discharge_all(collector.obligations)
+            assert len(results) == 2
+            dead = results[1]
+            assert dead.status is Status.UNKNOWN
+            assert dead.reason.startswith("worker died: ")
+            # Like any UNKNOWN, a dead worker's verdict is never cached.
+            assert engine.cache.get(dead.fingerprint) is None
+            assert engine.statistics.unknown_results >= 1
+            # The broken pool was dropped: the next wave on the same engine
+            # opens a fresh one and settles every task.
+            assert len(opened) == 1
+            again = engine.discharge_all(
+                _collector(
+                    (SAT_FORMULA, ObligationKind.SATISFIABILITY),
+                    (INVALID_FORMULA, ObligationKind.VALIDITY),
+                ).obligations
+            )
+            assert [result.status for result in again] == [Status.SAT, Status.INVALID]
+            assert len(opened) == 2
 
 
 def _nested_sum(depth):
@@ -415,9 +434,10 @@ class TestUnifiedPath:
         for name, module in list(sys.modules.items()):
             if name.startswith("repro") and getattr(module, "fingerprint", None) is fingerprint:
                 monkeypatch.setattr(module, "fingerprint", counting_fingerprint)
+        engine = ObligationEngine.for_batch()
         report = verify_batch(
             case_study_items(["lu-approximate-memory", "sum-reduction-perforation"]),
-            engine=ObligationEngine.for_batch(),
+            engine=engine,
             verdict_store=VerdictStore(),
         )
         pooled = sum(
@@ -425,7 +445,11 @@ class TestUnifiedPath:
             for result in report.programs
         )
         assert pooled > 0
-        assert len(calls) == pooled
+        # Convergence premises take the engine's fingerprint too, once each.
+        stats = engine.statistics
+        premises = stats.premise_cache_hits + stats.premise_solver_calls
+        assert premises > 0
+        assert len(calls) == pooled + premises
 
     def test_reused_plus_delta_is_pooled_with_duplicates_as_delta(self):
         engine, store = ObligationEngine(), VerdictStore()

@@ -10,8 +10,11 @@ from repro.hoare.relational import (
     RelationalProver,
     prove_relaxed,
 )
+from repro.engine import ObligationEngine
 from repro.hoare.obligations import ObligationKind
 from repro.logic.formula import TRUE
+from repro.solver.interface import Solver, SolverResult
+from repro.solver.lia import Status
 
 
 class TestLockstepRules:
@@ -157,6 +160,47 @@ class TestControlFlow:
         assert not report.verified
         failing = {result.obligation.rule for result in report.undischarged()}
         assert "while-preserve" in failing
+
+
+def _raise(self, formula):
+    raise RecursionError("maximum recursion depth exceeded")
+
+
+def _unknown(self, formula):
+    return SolverResult(Status.UNKNOWN, reason="budget")
+
+
+class TestConvergencePremises:
+    """Premises are decided through the engine; anything short of VALID
+    means the sound diverge rule."""
+
+    BRANCH = b.if_(b.ge("x", 0), b.assign("y", 1), b.assign("y", 2))
+
+    def _collect(self, engine):
+        prover = RelationalProver(engine=engine)
+        collector, _ = prover.collect(self.BRANCH, b.all_same("x", "y"), b.same("y"))
+        return collector
+
+    def test_valid_premise_is_cached_and_converges(self):
+        engine = ObligationEngine()
+        assert "if-convergent" in self._collect(engine).rule_applications
+        assert "if-convergent" in self._collect(engine).rule_applications
+        stats = engine.statistics
+        assert (stats.premise_solver_calls, stats.premise_cache_hits) == (1, 1)
+        # Premises never move the obligation counters.
+        assert (stats.obligations, stats.solver_calls, stats.cache_misses) == (0, 0, 0)
+        assert engine.cache.stats()["misses"] == 0
+
+    @pytest.mark.parametrize("check_valid", [_raise, _unknown], ids=["raises", "unknown"])
+    def test_inconclusive_premise_takes_the_diverge_rule(self, monkeypatch, check_valid):
+        monkeypatch.setattr(Solver, "check_valid", check_valid)
+        engine = ObligationEngine()
+        collector = self._collect(engine)
+        assert "diverge" in collector.rule_applications
+        assert "if-convergent" not in collector.rule_applications
+        assert not collector.errors
+        assert engine.statistics.premise_solver_calls == 1
+        assert len(engine.cache) == 0  # an inconclusive premise is never cached
 
 
 class TestSharedArrays:

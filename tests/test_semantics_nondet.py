@@ -7,6 +7,7 @@ from repro.casestudies import get_case_study
 from repro.explore import explore
 from repro.explore.scoring import score_candidate
 from repro.lang import builder as b
+from repro.lang.analysis import gamma
 from repro.lang.parser import parse_program, parse_statement
 from repro.semantics.choosers import (
     AdversarialChooser,
@@ -18,11 +19,7 @@ from repro.semantics.choosers import (
     relax_witnesses,
 )
 from repro.semantics.enumerate import EnumerationConfig, enumerate_executions
-from repro.semantics.observation import (
-    check_compatibility,
-    check_program_compatibility,
-    relational_holds,
-)
+from repro.semantics.observation import check_compatibility, relational_holds
 from repro.semantics.state import Observation, State, Terminated, is_error, is_wrong
 from repro.telemetry import TelemetrySession
 
@@ -211,18 +208,18 @@ class TestCompatibility:
         program = parse_program("vars x; x = x + 0; relate l: x<o> <= x<r>;")
         psi_o = (Observation("l", State.of({"x": 1})),)
         psi_r = (Observation("l", State.of({"x": 2})),)
-        assert check_program_compatibility(program, psi_o, psi_r)
+        assert check_compatibility(gamma(program), psi_o, psi_r)
 
     def test_violated_condition(self):
         program = parse_program("vars x; relate l: x<o> == x<r>;")
         psi_o = (Observation("l", State.of({"x": 1})),)
         psi_r = (Observation("l", State.of({"x": 2})),)
-        result = check_program_compatibility(program, psi_o, psi_r)
+        result = check_compatibility(gamma(program), psi_o, psi_r)
         assert not result and "violated" in result.reason
 
     def test_length_mismatch(self):
         program = parse_program("vars x; relate l: x<o> == x<r>;")
-        result = check_program_compatibility(program, (), (Observation("l", State.of({})),))
+        result = check_compatibility(gamma(program), (), (Observation("l", State.of({})),))
         assert not result and result.failing_index is None
 
     def test_label_mismatch(self):
