@@ -1,19 +1,20 @@
 #!/usr/bin/env python3
 """The case-study registry, end to end: list, lint, verify, simulate.
 
-The corpus of verified case studies is served through a plugin registry
-(`repro.casestudies.registry`).  This walkthrough:
+The corpus of verified case studies is kept by name in one registry
+(`repro.casestudies.registry`).  Every study is a `CaseStudy` value: a
+program in the paper's language plus module-level hooks.  This
+walkthrough:
 
-1. lists the registered corpus (the paper's Section 5 trio plus the four
-   declarative workloads) and resolves studies by name and prefix;
+1. lists the registered corpus (the paper's Section 5 trio plus four
+   further workloads) and resolves studies by name and prefix;
 2. runs the `repro casestudy lint` well-formedness gate over the full
    registry — each program parses and round-trips through the
    pretty-printer, its relaxation sites apply, its obligations collect;
-3. statically verifies one declarative study (the sum-reduction
-   perforation kernel) and differentially simulates it, printing the
+3. statically verifies one study (the sum-reduction perforation kernel)
+   and differentially simulates it, printing the
    additive-distortion-budget metrics its relate statement talks about;
-4. defines, registers and verifies a brand-new study from scratch — the
-   declarative path a plugin package would take (see
+4. defines, registers and verifies a brand-new study from scratch (see
    docs/adding-a-case-study.md for the narrated version).
 """
 
@@ -23,9 +24,8 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.casestudies import (
-    StudyDefinition,
+    CaseStudy,
     all_case_studies,
-    case_study_names,
     get_case_study,
     lint_registry,
     register_case_study,
@@ -35,12 +35,31 @@ from repro.hoare.verifier import AcceptabilitySpec
 from repro.semantics.state import State
 
 
+VOLUME_DIAL = """
+vars v, original_v, e, out;
+assume(0 <= e);
+original_v = v;
+relax (v) st (original_v - e <= v && v <= original_v + e);
+out = v + v;
+relate out: (out<o> - out<r> <= 2 * e<r> && out<r> - out<o> <= 2 * e<r>);
+"""
+
+
+def volume_spec(program):
+    return AcceptabilitySpec()
+
+
+def volume_workloads(count, seed=0):
+    return [
+        State.of({"v": 10 + index, "original_v": 0, "e": index % 3, "out": 0})
+        for index in range(count)
+    ]
+
+
 def main() -> int:
     print("== the registered corpus ==")
-    for cls in all_case_studies():
-        study = cls()
-        kind = "declarative" if hasattr(cls, "definition") else "hand-written"
-        print(f"  {study.name:<26} [{kind}] (paper {study.paper_section})")
+    for study in all_case_studies():
+        print(f"  {study.name:<26} (paper {study.paper_section})")
     print(f"prefix resolution: 'bnb' -> {get_case_study('bnb').name}")
 
     print("\n== casestudy lint over the full registry ==")
@@ -59,25 +78,14 @@ def main() -> int:
     print(f"  always within budget : {summary.mean_metric('within_budget') == 1.0}")
 
     print("\n== registering a study from scratch ==")
-    definition = StudyDefinition(
-        name="example-volume-dial",
-        title="Volume dial on an approximate substrate",
-        source="""
-            vars v, original_v, e, out;
-            assume(0 <= e);
-            original_v = v;
-            relax (v) st (original_v - e <= v && v <= original_v + e);
-            out = v + v;
-            relate out: (out<o> - out<r> <= 2 * e<r>
-                         && out<r> - out<o> <= 2 * e<r>);
-        """,
-        spec=lambda program: AcceptabilitySpec(),
-        workloads=lambda count, seed: [
-            State.of({"v": 10 + index, "original_v": 0, "e": index % 3, "out": 0})
-            for index in range(count)
-        ],
+    register_case_study(
+        CaseStudy(
+            name="example-volume-dial",
+            source=VOLUME_DIAL,
+            spec_hook=volume_spec,
+            workloads_hook=volume_workloads,
+        )
     )
-    register_case_study(definition)
     try:
         fresh = get_case_study("example-volume-dial")
         print(f"  registered: {fresh.name}")

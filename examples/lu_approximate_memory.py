@@ -10,22 +10,23 @@ the relaxed execution differs from the exact pivot value by at most ``e``
 The script verifies the property (the paper's 315-line Coq proof), then
 sweeps the memory error bound and measures the observed pivot deviation on
 synthetic SciMark2-style columns — the accuracy envelope is always within
-the verified bound.
+the verified bound.  The sweep swaps the study's substrate model for one
+with the swept bound through ``simulate``'s ``chooser_factory``.
 """
 
+import functools
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.analysis.metrics import MetricSeries, fraction_within
-from repro.casestudies.lu import LUApproximateMemory
+from repro.casestudies.lu import LU, approx_memory_chooser
 
 
 def main() -> int:
     print("=== static verification (paper: 315 lines of Coq proof script) ===")
-    case_study = LUApproximateMemory(error_bound=2)
-    report = case_study.verify()
+    report = LU.verify()
     print(report.summary())
     if not report.verified:
         return 1
@@ -34,8 +35,8 @@ def main() -> int:
     print("=== error-bound sweep: observed pivot deviation vs verified bound ===")
     print(f"{'error bound e':>14}  {'mean |Δpivot|':>14}  {'max |Δpivot|':>13}  {'within bound':>12}")
     for bound in (0, 1, 2, 4, 8):
-        study = LUApproximateMemory(error_bound=bound)
-        summary = study.simulate(runs=40, seed=bound)
+        chooser = functools.partial(approx_memory_chooser, error_bound=bound)
+        summary = LU.simulate(runs=40, seed=bound, chooser_factory=chooser)
         deviations = MetricSeries("dev")
         observed = []
         for record in summary.records:

@@ -18,12 +18,12 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.analysis.metrics import MetricSeries
-from repro.casestudies.swish import SwishDynamicKnobs
+from repro.casestudies.swish import SWISH
 from repro.substrates.search import generate_query_results, result_quality
 
 
 def main() -> int:
-    case_study = SwishDynamicKnobs()
+    case_study = SWISH
 
     print("=== static verification (paper: 330 lines of Coq proof script) ===")
     report = case_study.verify()

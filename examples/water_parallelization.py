@@ -19,12 +19,12 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.casestudies.water import WaterParallelization
+from repro.casestudies.water import WATER
 from repro.substrates.parallel import RacyReductionSimulator, generate_reduction_workload
 
 
 def main() -> int:
-    case_study = WaterParallelization()
+    case_study = WATER
 
     print("=== static verification (paper: 310 lines of Coq proof script) ===")
     report = case_study.verify()

@@ -1,42 +1,41 @@
-"""The verified case-study corpus, served through a plugin registry.
+"""The verified case-study corpus.
 
-The paper's Section 5 studies, hand-written against the builder DSL:
+Every study is one :class:`~repro.casestudies.base.CaseStudy`: a relaxed
+program written in the paper's language (``SOURCE``), plus module-level
+hooks for its acceptability spec, its workloads and its substrate model.
+The paper's Section 5 studies:
 
-* :class:`~repro.casestudies.swish.SwishDynamicKnobs` — Swish++ dynamic
-  knobs (Section 5.1; relational accuracy property across a divergent loop),
-* :class:`~repro.casestudies.water.WaterParallelization` — lock-elided
-  parallel Water (Section 5.2; integrity assumption preserved under an
-  unconstrained array relaxation),
-* :class:`~repro.casestudies.lu.LUApproximateMemory` — SciMark2 LU pivot
-  selection over approximate memory (Section 5.3; Lipschitz-style accuracy
-  bound as a relational loop invariant).
+* ``swish-dynamic-knobs`` (:mod:`~repro.casestudies.swish`) — Swish++
+  dynamic knobs (Section 5.1; relational accuracy property across a
+  divergent loop),
+* ``water-parallelization`` (:mod:`~repro.casestudies.water`) —
+  lock-elided parallel Water (Section 5.2; integrity assumption preserved
+  under an unconstrained array relaxation),
+* ``lu-approximate-memory`` (:mod:`~repro.casestudies.lu`) — SciMark2 LU
+  pivot selection over approximate memory (Section 5.3; Lipschitz-style
+  accuracy bound as a relational loop invariant).
 
-Four further workloads, defined declaratively (a ``.rlx`` source program
-plus an acceptability spec, workload generator and metric hooks — see
-:mod:`repro.casestudies.spec`):
+Four further workloads:
 
 * ``sum-reduction-perforation`` — a reduction kernel whose relaxed
   execution may drop contributions, with an additive distortion budget,
-* ``stencil-approx-memory`` — a three-tap stencil over approximate memory
-  with *per-cell* error envelopes and an in-loop per-cell relate,
 * ``bnb-early-exit`` — branch-and-bound search whose scan cutoff is a
   dynamic knob (early exit), proved via the diverge rule,
+* ``stencil-approx-memory`` — a three-tap stencil over approximate memory
+  with *per-cell* error envelopes and an in-loop per-cell relate,
 * ``pipeline-two-knobs`` — a two-stage pipeline whose two knobs are
   relaxed *jointly* under a shared drop budget.
 
-Every study registers itself with :mod:`repro.casestudies.registry`
-(``@register_case_study``); the CLI, batch verifier, explorer and
-benchmarks resolve studies exclusively through :func:`all_case_studies` /
-:func:`get_case_study`, and third-party packages can extend the corpus via
-the ``repro.case_studies`` entry-point group.  Each study exposes static
-verification (``verify``) and dynamic differential simulation
+Each study module registers its study with
+:func:`~repro.casestudies.registry.register_case_study`; the CLI, batch
+verifier, explorer and benchmark resolve studies exclusively through
+:func:`all_case_studies` / :func:`get_case_study`.  Each study exposes
+static verification (``verify``) and dynamic differential simulation
 (``simulate``) against its substrate.
 """
 
-import warnings
-
 from . import base, registry, spec
-from .base import CaseStudy, SimulationRecord, SimulationSummary
+from .base import CaseStudy, SimulationRecord, SimulationSummary, random_chooser
 from .registry import (
     DuplicateCaseStudyError,
     UnknownCaseStudyError,
@@ -46,38 +45,15 @@ from .registry import (
     register_case_study,
     unregister_case_study,
 )
-from .spec import (
-    DeclarativeCaseStudy,
-    LintFinding,
-    LintReport,
-    StudyDefinition,
-    lint_case_study,
-    lint_registry,
-)
+from .spec import LintFinding, LintReport, lint_case_study, lint_registry
 
-# Importing the study modules registers them (registration order defines
-# the corpus order everywhere: reports, benchmarks, the CLI); the classic
-# trio keeps its historical order, the declarative studies follow.
-from . import swish, water, lu  # noqa: E402  (classic, hand-written)
-from . import sumredux, bnb, stencil, pipeline  # noqa: E402  (declarative)
-from .lu import LUApproximateMemory
-from .swish import SwishDynamicKnobs
-from .water import WaterParallelization
+# Importing the study modules registers them; registration order is the
+# corpus order everywhere (reports, the benchmark, the CLI).
+from . import swish, water, lu  # noqa: E402
+from . import sumredux, bnb, stencil, pipeline  # noqa: E402
 
 #: Alias kept for the pre-registry API; prefer :func:`get_case_study`.
 resolve_case_study = get_case_study
-
-
-def __getattr__(name):
-    if name == "ALL_CASE_STUDIES":
-        warnings.warn(
-            "ALL_CASE_STUDIES is deprecated; use "
-            "repro.casestudies.all_case_studies()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return all_case_studies()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [
@@ -94,18 +70,14 @@ __all__ = [
     "CaseStudy",
     "SimulationRecord",
     "SimulationSummary",
-    "DeclarativeCaseStudy",
-    "StudyDefinition",
     "LintFinding",
     "LintReport",
     "DuplicateCaseStudyError",
     "UnknownCaseStudyError",
-    "LUApproximateMemory",
-    "SwishDynamicKnobs",
-    "WaterParallelization",
     "all_case_studies",
     "case_study_names",
     "get_case_study",
+    "random_chooser",
     "register_case_study",
     "unregister_case_study",
     "resolve_case_study",

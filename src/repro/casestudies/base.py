@@ -1,37 +1,61 @@
-"""Common infrastructure for the paper's Section 5 case studies.
+"""The one case-study type: a relaxed program in the paper's language, plus hooks.
 
-Each case study packages:
+The paper's method is generic — write the relaxed program in its own
+language, state the acceptability property, prove it — so a
+:class:`CaseStudy` is exactly those parts:
 
-* the relaxed program written in the paper's language (with the loop
-  invariant / relational invariant annotations its verification needs),
-* the acceptability specification (unary and relational pre/postconditions
-  plus the diverge-rule annotations),
-* a static verification entry point (the ⊢o + ⊢r proofs), and
-* a dynamic differential simulation: run the original and relaxed semantics
-  side by side on generated workloads, check the ``relate`` statements on
-  the observed observation lists, and collect accuracy statistics.
+* ``source`` — the relaxed program in the paper's surface language
+  (``relax``/``assume``/``relate`` plus the loop invariant and relational
+  invariant annotations its verification needs), parsed on demand;
+* ``spec_hook`` — maps the parsed program to its
+  :class:`~repro.hoare.verifier.AcceptabilitySpec` (unary and relational
+  pre/postconditions plus the diverge-rule annotations);
+* ``workloads_hook`` — a generator of initial states for differential
+  simulation;
+* optional ``chooser_hook`` (the substrate's nondeterminism strategy),
+  ``distortion_hook`` (the study's accuracy-loss scalar) and
+  ``metrics_hook`` (named per-run measurements).
 
-The simulation is how the tier-1 tests check the paper's qualitative
-claims (the acceptability properties hold on every relaxed execution) and
-the accuracy-envelope figures.
+Every hook is a module-level function or a :func:`functools.partial` of
+one, so a study pickles by value into the explorer's worker processes.
+
+The differential simulation (:meth:`CaseStudy.simulate`) runs the original
+and relaxed semantics side by side on the generated workloads, checks the
+``relate`` statements on the observed observation lists and collects
+accuracy statistics; it is how the tier-1 tests check the paper's
+qualitative claims and the accuracy-envelope figures.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from ..hoare.obligations import VerificationReport
 from ..hoare.verifier import AcceptabilityReport, AcceptabilitySpec, AcceptabilityVerifier
 from ..lang.analysis import gamma as build_gamma
 from ..lang.ast import Program
-from ..semantics.choosers import Chooser
+from ..lang.parser import parse_program
+from ..semantics.choosers import Chooser, make_chooser
 from ..semantics.interpreter import run_original, run_relaxed
 from ..semantics.observation import check_compatibility
 from ..semantics.state import Outcome, State, Terminated, is_error
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..relaxations.sites import RelaxationSite
+
+SpecHook = Callable[[Program], AcceptabilitySpec]
+WorkloadsHook = Callable[[int, int], List[State]]
+ChooserHook = Callable[[int], Optional[Chooser]]
+DistortionHook = Callable[[State, Outcome, Outcome], Optional[float]]
+MetricsHook = Callable[[State, Outcome, Outcome], Dict[str, float]]
+
+_HOOKS = ("spec_hook", "workloads_hook", "chooser_hook", "distortion_hook", "metrics_hook")
+
+
+def random_chooser(seed: int) -> Chooser:
+    """The seeded uniform-random chooser, for studies without a substrate model."""
+    return make_chooser("random", seed=seed)
 
 
 @dataclass
@@ -81,20 +105,46 @@ class SimulationSummary:
         return max(values) if values else 0.0
 
 
-class CaseStudy:
-    """Base class for the three case studies."""
+def _is_module_level(hook: Callable) -> bool:
+    while isinstance(hook, functools.partial):
+        hook = hook.func
+    qualname = getattr(hook, "__qualname__", "")
+    return bool(qualname) and "<" not in qualname
 
-    name: str = "case-study"
+
+@dataclass(frozen=True)
+class CaseStudy:
+    """One case study, described entirely by its source program and hooks."""
+
+    name: str
+    source: str
+    spec_hook: SpecHook
+    workloads_hook: WorkloadsHook
     paper_section: str = ""
     paper_proof_lines: int = 0  # lines of Coq proof script reported by the paper
+    chooser_hook: Optional[ChooserHook] = None
+    distortion_hook: Optional[DistortionHook] = None
+    metrics_hook: Optional[MetricsHook] = None
+
+    def __post_init__(self) -> None:
+        if not self.name:
+            raise ValueError("a case study needs a distinctive 'name'")
+        for hook_name in _HOOKS:
+            hook = getattr(self, hook_name)
+            if hook is not None and not _is_module_level(hook):
+                raise TypeError(
+                    f"case study {self.name!r}: {hook_name} must be a module-level "
+                    f"function or a functools.partial of one, not {hook!r}"
+                )
 
     # -- static verification ------------------------------------------------------
 
     def build_program(self) -> Program:
-        raise NotImplementedError
+        """Parse the study's source program."""
+        return parse_program(self.source, name=self.name)
 
     def acceptability_spec(self, program: Program) -> AcceptabilitySpec:
-        raise NotImplementedError
+        return self.spec_hook(program)
 
     def verify(self, engine=None) -> AcceptabilityReport:
         """Run the ⊢o and ⊢r verifications for this case study.
@@ -113,9 +163,8 @@ class CaseStudy:
     def relaxation_sites(self, program: Program) -> List["RelaxationSite"]:
         """The relaxation sites the explorer may transform for this study.
 
-        The default is syntactic discovery over the program
-        (:func:`repro.relaxations.sites.discover_sites`); case studies can
-        override to prune or parameterise the space.
+        This is syntactic discovery over the program
+        (:func:`repro.relaxations.sites.discover_sites`).
         """
         from ..relaxations.sites import discover_sites
 
@@ -127,11 +176,13 @@ class CaseStudy:
         """The accuracy loss of one relaxed execution against the original.
 
         Returns ``None`` when either execution erred (the pair carries no
-        accuracy information).  The default is the mean absolute deviation
-        over the scalar variables both final states share; case studies
-        override this with their domain metric (pivot deviation, results
-        dropped, differing array cells).
+        accuracy information).  A study's ``distortion_hook`` supplies its
+        domain metric (pivot deviation, results dropped, differing array
+        cells); the default is the mean absolute deviation over the scalar
+        variables both final states share.
         """
+        if self.distortion_hook is not None:
+            return self.distortion_hook(initial, original, relaxed)
         if not (isinstance(original, Terminated) and isinstance(relaxed, Terminated)):
             return None
         original_scalars = original.state.scalar_map()
@@ -147,17 +198,19 @@ class CaseStudy:
 
     def workloads(self, count: int, seed: int = 0) -> List[State]:
         """Generate ``count`` initial states for differential simulation."""
-        raise NotImplementedError
+        return self.workloads_hook(count, seed)
 
     def relaxed_chooser(self, seed: int) -> Optional[Chooser]:
         """The nondeterminism strategy modelling the relaxation substrate."""
-        return None
+        return None if self.chooser_hook is None else self.chooser_hook(seed)
 
     def record_metrics(
         self, initial: State, original: Outcome, relaxed: Outcome
     ) -> Dict[str, float]:
         """Case-study-specific accuracy metrics for one execution pair."""
-        return {}
+        if self.metrics_hook is None:
+            return {}
+        return self.metrics_hook(initial, original, relaxed)
 
     def simulate(
         self,

@@ -22,8 +22,7 @@ the relaxed search still returns a *valid incumbent*:
     relate incumbent: first<r> <= best<r> && best<r> <= UB<r>
                       && first<o> <= best<o> && best<o> <= UB<o>
 
-Defined declaratively: the program is the ``.rlx`` source below; the
-divergence annotation anchors to the loop by positional selector.
+The divergence annotation anchors to the loop by positional selector.
 """
 
 from __future__ import annotations
@@ -35,11 +34,11 @@ from ..hoare.verifier import AcceptabilitySpec
 from ..lang import builder as b
 from ..lang.ast import Program
 from ..lang.parser import parse_bool
-from ..semantics.choosers import make_chooser
 from ..semantics.state import Outcome, State, Terminated
 from ..substrates.workloads import generate_search_workloads
+from .base import CaseStudy, random_chooser
 from .registry import register_case_study
-from .spec import StudyDefinition, loop_at
+from .spec import loop_at
 
 SOURCE = """
 vars i, N, UB, cutoff, original_cutoff, first, v, best;
@@ -142,18 +141,17 @@ def _metrics(initial: State, original: Outcome, relaxed: Outcome) -> Dict[str, f
     return metrics
 
 
-BRANCH_AND_BOUND = StudyDefinition(
-    name="bnb-early-exit",
-    title="Branch-and-bound search with a verified early-exit cutoff knob",
-    paper_section="1 (early-exit / dynamic knobs)",
-    source=SOURCE,
-    spec=_spec,
-    workloads=_workloads,
-    chooser=lambda seed: make_chooser("random", seed=seed),
-    distortion=_distortion,
-    metrics=_metrics,
+BRANCH_AND_BOUND = register_case_study(
+    CaseStudy(
+        name="bnb-early-exit",
+        source=SOURCE,
+        spec_hook=_spec,
+        workloads_hook=_workloads,
+        paper_section="1 (early-exit / dynamic knobs)",
+        chooser_hook=random_chooser,
+        distortion_hook=_distortion,
+        metrics_hook=_metrics,
+    )
 )
-
-register_case_study(BRANCH_AND_BOUND)
 
 __all__ = ["BRANCH_AND_BOUND", "SOURCE"]

@@ -26,8 +26,7 @@ end-to-end guarantee — stagewise monotonicity plus the shared budget:
 reduction of that stage — is exactly the case analysis the solver performs
 when it eliminates the ``min``/``max`` terms).
 
-Defined declaratively: the program is the ``.rlx`` source below; both
-divergence annotations anchor to their loops by positional selector.
+Both divergence annotations anchor to their loops by positional selector.
 """
 
 from __future__ import annotations
@@ -39,11 +38,11 @@ from ..hoare.verifier import AcceptabilitySpec
 from ..lang import builder as b
 from ..lang.ast import Program
 from ..lang.parser import parse_bool
-from ..semantics.choosers import make_chooser
 from ..semantics.state import Outcome, State, Terminated
 from ..substrates.workloads import generate_pipeline_workloads
+from .base import CaseStudy, random_chooser
 from .registry import register_case_study
-from .spec import StudyDefinition, loop_at
+from .spec import loop_at
 
 #: Per-stage floor both knobs must respect (the Swish++ "top results" idea,
 #: applied to each stage of the pipeline).
@@ -152,18 +151,17 @@ def _metrics(initial: State, original: Outcome, relaxed: Outcome) -> Dict[str, f
     return metrics
 
 
-PIPELINE_KNOBS = StudyDefinition(
-    name="pipeline-two-knobs",
-    title="Two-stage pipeline with jointly relaxed knobs under a drop budget",
-    paper_section="5.1 (dynamic knobs, generalised)",
-    source=SOURCE,
-    spec=_spec,
-    workloads=_workloads,
-    chooser=lambda seed: make_chooser("random", seed=seed),
-    distortion=_distortion,
-    metrics=_metrics,
+PIPELINE_KNOBS = register_case_study(
+    CaseStudy(
+        name="pipeline-two-knobs",
+        source=SOURCE,
+        spec_hook=_spec,
+        workloads_hook=_workloads,
+        paper_section="5.1 (dynamic knobs, generalised)",
+        chooser_hook=random_chooser,
+        distortion_hook=_distortion,
+        metrics_hook=_metrics,
+    )
 )
-
-register_case_study(PIPELINE_KNOBS)
 
 __all__ = ["PIPELINE_KNOBS", "SOURCE"]

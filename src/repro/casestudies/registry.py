@@ -1,40 +1,27 @@
-"""The case-study registry: studies as discoverable, pluggable data.
+"""The case-study registry: every study, by name.
 
-The corpus of worked case studies is the evidence base of the whole
-reproduction, so it must be *open*: adding a study should mean writing one
-module and registering it, not editing a hard-coded tuple threaded through
-the CLI, the batch verifier, the explorer and the benchmarks.  This module
-is the single source of truth those consumers share:
+The CLI, the batch verifier, the explorer and the benchmark all resolve
+studies through this module, so adding a study means writing one module
+that registers a :class:`~repro.casestudies.base.CaseStudy`, not editing
+a tuple threaded through every consumer:
 
-* :func:`register_case_study` — decorator (or plain call) that adds a
-  :class:`~repro.casestudies.base.CaseStudy` subclass, or a declarative
-  :class:`~repro.casestudies.spec.StudyDefinition`, to the registry.
-  Registration is keyed by the study's ``name`` and rejects duplicates
-  loudly (:class:`DuplicateCaseStudyError`) — two studies silently shadowing
-  each other would corrupt every downstream report.
+* :func:`register_case_study` adds a study under its ``name`` and rejects
+  a different study under a taken name loudly
+  (:class:`DuplicateCaseStudyError`) — two studies silently shadowing each
+  other would corrupt every downstream report.
 * :func:`all_case_studies` / :func:`case_study_names` — the registered
-  classes / names in registration order (deterministic: module import
-  order, then entry-point name order).
-* :func:`get_case_study` — resolve a study from an instance, a registered
-  name, a class, a class name, or a unique name prefix (so ``repro explore
-  lu`` works).  Unknown references raise :class:`UnknownCaseStudyError`
-  whose message lists every registered study.
-* third-party packages can ship studies through the ``repro.case_studies``
-  entry-point group; each entry point may name a ``CaseStudy`` subclass, a
-  ``StudyDefinition``, or a zero-argument callable that registers studies
-  itself.  Discovery is lazy (first registry query) and defensive: a broken
-  plugin is reported, not fatal.
+  studies / names in registration order (module import order).
+* :func:`get_case_study` resolves an instance, a registered name or a
+  unique name prefix (so ``repro explore lu`` works).  Unknown references
+  raise :class:`UnknownCaseStudyError`, whose message lists every
+  registered study.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, Tuple, Type, Union
+from typing import Dict, Tuple, Union
 
 from .base import CaseStudy
-
-#: Entry-point group third-party packages use to ship additional studies.
-ENTRY_POINT_GROUP = "repro.case_studies"
 
 
 class DuplicateCaseStudyError(ValueError):
@@ -46,131 +33,56 @@ class UnknownCaseStudyError(ValueError):
     lists every registered study so the caller can self-correct."""
 
 
-_REGISTRY: Dict[str, Type[CaseStudy]] = {}
-_entry_points_loaded = False
+_REGISTRY: Dict[str, CaseStudy] = {}
 
 
-def register_case_study(
-    study: Union[Type[CaseStudy], object],
-) -> Union[Type[CaseStudy], object]:
-    """Add a case study to the registry (usable as a class decorator).
+def register_case_study(study: CaseStudy) -> CaseStudy:
+    """Add ``study`` to the registry and return the registered study.
 
-    Accepts a :class:`CaseStudy` subclass or a declarative
-    ``StudyDefinition`` (anything exposing ``as_case_study_class``).
-    Returns its argument unchanged so decorated classes stay usable.
+    Registering a study equal to the registered one is a no-op.
     """
-    cls: Type[CaseStudy]
-    if isinstance(study, type) and issubclass(study, CaseStudy):
-        cls = study
-    elif hasattr(study, "as_case_study_class"):
-        cls = study.as_case_study_class()
-    else:
-        raise TypeError(
-            "register_case_study expects a CaseStudy subclass or a "
-            f"StudyDefinition, not {study!r}"
-        )
-    name = getattr(cls, "name", "")
-    if not name or name == CaseStudy.name:
-        raise ValueError(
-            f"case study {cls.__name__} must define a distinctive 'name' "
-            "class attribute before registration"
-        )
-    existing = _REGISTRY.get(name)
-    if existing is not None and existing is not cls:
+    if not isinstance(study, CaseStudy):
+        raise TypeError(f"register_case_study expects a CaseStudy, not {study!r}")
+    registered = _REGISTRY.setdefault(study.name, study)
+    if registered != study:
         raise DuplicateCaseStudyError(
-            f"case study name {name!r} is already registered by "
-            f"{existing.__module__}.{existing.__qualname__}"
+            f"case study name {study.name!r} is already registered"
         )
-    _REGISTRY[name] = cls
-    return study
+    return registered
 
 
 def unregister_case_study(name: str) -> None:
-    """Remove a study from the registry (plugin teardown and tests)."""
+    """Remove a study from the registry (tests and examples)."""
     _REGISTRY.pop(name, None)
 
 
-def _load_entry_points() -> None:
-    """Discover third-party studies shipped via the entry-point group."""
-    global _entry_points_loaded
-    if _entry_points_loaded:
-        return
-    _entry_points_loaded = True
-    try:
-        from importlib.metadata import entry_points
-    except ImportError:  # pragma: no cover - py<3.8 is unsupported anyway
-        return
-    try:
-        discovered = entry_points(group=ENTRY_POINT_GROUP)
-    except TypeError:  # pragma: no cover - legacy dict API (py<3.10)
-        discovered = entry_points().get(ENTRY_POINT_GROUP, ())
-    except Exception:  # pragma: no cover - broken metadata must not be fatal
-        return
-    for entry in sorted(discovered, key=lambda item: item.name):
-        try:
-            loaded = entry.load()
-            if isinstance(loaded, type) and issubclass(loaded, CaseStudy):
-                register_case_study(loaded)
-            elif hasattr(loaded, "as_case_study_class"):
-                register_case_study(loaded)
-            elif callable(loaded):
-                loaded()  # the plugin registers its studies itself
-        except Exception as error:
-            # A broken plugin (including one that collides with a registered
-            # name) is reported, not fatal: raising here would leave the
-            # registry half-populated for the rest of the process, since
-            # discovery only ever runs once.
-            warnings.warn(
-                f"case-study entry point {entry.name!r} failed to load: {error}",
-                stacklevel=2,
-            )
-
-
-def all_case_studies() -> Tuple[Type[CaseStudy], ...]:
-    """Every registered case-study class, in registration order."""
-    _load_entry_points()
+def all_case_studies() -> Tuple[CaseStudy, ...]:
+    """Every registered case study, in registration order."""
     return tuple(_REGISTRY.values())
 
 
 def case_study_names() -> Tuple[str, ...]:
     """The registered study names, in registration order."""
-    _load_entry_points()
-    return tuple(_REGISTRY.keys())
+    return tuple(_REGISTRY)
 
 
-def _unknown(reference: object) -> UnknownCaseStudyError:
-    names = ", ".join(case_study_names()) or "<none registered>"
-    return UnknownCaseStudyError(
-        f"unknown case study {reference!r}; registered studies: {names}"
-    )
+def get_case_study(reference: Union[str, CaseStudy]) -> CaseStudy:
+    """Resolve ``reference`` to a case study.
 
-
-def get_case_study(reference: Union[str, CaseStudy, Type[CaseStudy]]) -> CaseStudy:
-    """Resolve ``reference`` to a case-study instance.
-
-    Accepts (in resolution order) an instance, a registered class, a
-    registered name, a class name, or a unique prefix of a registered name
-    (so ``get_case_study('lu')`` finds ``lu-approximate-memory``).
+    Accepts an instance (returned as is), a registered name, or a unique
+    prefix of a registered name (so ``get_case_study('lu')`` finds
+    ``lu-approximate-memory``).
     """
-    _load_entry_points()
     if isinstance(reference, CaseStudy):
         return reference
-    if isinstance(reference, type) and issubclass(reference, CaseStudy):
-        for cls in _REGISTRY.values():
-            if cls is reference:
-                return cls()
-        raise _unknown(reference.__name__)
-    if not isinstance(reference, str):
-        raise _unknown(reference)
-    exact = _REGISTRY.get(reference)
-    if exact is not None:
-        return exact()
-    for cls in _REGISTRY.values():
-        if cls.__name__ == reference:
-            return cls()
-    prefix_matches = [
-        cls for name, cls in _REGISTRY.items() if name.startswith(reference)
-    ]
-    if len(prefix_matches) == 1:
-        return prefix_matches[0]()
-    raise _unknown(reference)
+    if isinstance(reference, str):
+        exact = _REGISTRY.get(reference)
+        if exact is not None:
+            return exact
+        matches = [study for name, study in _REGISTRY.items() if name.startswith(reference)]
+        if len(matches) == 1:
+            return matches[0]
+    names = ", ".join(_REGISTRY) or "<none registered>"
+    raise UnknownCaseStudyError(
+        f"unknown case study {reference!r}; registered studies: {names}"
+    )

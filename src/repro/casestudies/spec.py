@@ -1,23 +1,12 @@
-"""Declarative case studies: a study as *data*, not a bespoke class.
+"""Spec-writing helpers and the well-formedness gate for case studies.
 
-The paper's method is generic — write the relaxed program in the paper's
-language, state its acceptability property, prove it — so a case study
-should be expressible as exactly those parts:
-
-* ``source`` — the relaxed program, written in the paper's surface language
-  (``relax``/``assume``/``relate`` plus loop annotations), parsed on demand;
-* ``spec`` — a builder mapping the parsed program to its
-  :class:`~repro.hoare.verifier.AcceptabilitySpec` (divergence annotations
-  anchor to AST nodes through the positional selectors below);
-* ``workloads`` — a generator of initial states for differential simulation;
-* metric hooks — ``distortion`` (the study's accuracy-loss scalar),
-  ``metrics`` (named per-run measurements) and an optional substrate
-  ``chooser``.
-
-:class:`StudyDefinition` packages those parts; ``DeclarativeCaseStudy``
-adapts a definition to the classic :class:`~repro.casestudies.base.CaseStudy`
-interface, so the registry, the batch verifier, the explorer and the
-benchmarks treat hand-written and declarative studies identically.
+A study's ``spec_hook`` anchors :class:`~repro.hoare.relational.
+DivergenceSpec` annotations to AST nodes, which the relational prover
+looks up by node equality.  The positional selectors below find those
+nodes in a parsed program; :func:`source_program` parses a study's own
+source once, so a hook can anchor to the study's unrelaxed statement and
+a transformed candidate finds the annotation exactly when it keeps that
+statement unchanged.
 
 :func:`lint_case_study` is the toolkit's well-formedness gate (surfaced as
 ``repro casestudy lint``): the program parses (pretty/parse round-trip),
@@ -28,24 +17,17 @@ errors, and the workload generator produces states.
 
 from __future__ import annotations
 
-import re
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type, Union
+from typing import Dict, List, Optional, Sequence, Type, Union
 
-from ..hoare.verifier import AcceptabilitySpec, AcceptabilityVerifier
+from ..hoare.verifier import AcceptabilityVerifier
 from ..lang.ast import If, Program, Relate, Relax, Stmt, While
 from ..lang.analysis import used_vars
 from ..lang.parser import parse_program
 from ..lang.pretty import pretty_program
-from ..semantics.choosers import Chooser
-from ..semantics.state import Outcome, State
+from ..semantics.state import State
 from .base import CaseStudy
-
-SpecBuilder = Callable[[Program], AcceptabilitySpec]
-WorkloadBuilder = Callable[[int, int], List[State]]
-ChooserBuilder = Callable[[int], Optional[Chooser]]
-DistortionHook = Callable[[State, Outcome, Outcome], Optional[float]]
-MetricsHook = Callable[[State, Outcome, Outcome], Dict[str, float]]
 
 
 # ---------------------------------------------------------------------------
@@ -56,10 +38,8 @@ MetricsHook = Callable[[State, Outcome, Outcome], Dict[str, float]]
 def nth_statement(program: Program, cls: Type[Stmt], index: int = 0) -> Stmt:
     """The ``index``-th statement of class ``cls`` in syntactic pre-order.
 
-    Spec builders for parsed programs use these selectors to anchor
-    :class:`~repro.hoare.relational.DivergenceSpec` annotations — the
-    declarative analogue of the hand-written studies stashing AST nodes in
-    ``self`` while building the program.
+    Spec hooks use these selectors to anchor
+    :class:`~repro.hoare.relational.DivergenceSpec` annotations.
     """
     nodes = [node for node in program.body.walk() if isinstance(node, cls)]
     if index >= len(nodes):
@@ -85,113 +65,10 @@ def relax_at(program: Program, index: int = 0) -> Relax:
     return nth_statement(program, Relax, index)  # type: ignore[return-value]
 
 
-# ---------------------------------------------------------------------------
-# Declarative definitions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StudyDefinition:
-    """One case study described entirely by data + small hook callables."""
-
-    name: str
-    source: str
-    spec: SpecBuilder
-    workloads: WorkloadBuilder
-    title: str = ""
-    paper_section: str = ""
-    paper_proof_lines: int = 0
-    chooser: Optional[ChooserBuilder] = None
-    distortion: Optional[DistortionHook] = None
-    metrics: Optional[MetricsHook] = None
-
-    def parse(self) -> Program:
-        """Parse the study's source program."""
-        return parse_program(self.source, name=self.name)
-
-    def as_case_study_class(self) -> Type["DeclarativeCaseStudy"]:
-        """The CaseStudy subclass adapter for this definition.
-
-        Memoised per definition: registration is keyed by class identity,
-        so repeated registration of the same definition must be idempotent
-        and ``get_case_study(definition.as_case_study_class())`` must
-        resolve to the registered class.
-        """
-        cached = getattr(self, "_case_study_class", None)
-        if cached is None:
-            cached = DeclarativeCaseStudy.class_for(self)
-            object.__setattr__(self, "_case_study_class", cached)
-        return cached
-
-
-class DeclarativeCaseStudy(CaseStudy):
-    """Adapter presenting a :class:`StudyDefinition` as a classic CaseStudy."""
-
-    definition: StudyDefinition
-
-    @classmethod
-    def class_for(cls, definition: StudyDefinition) -> Type["DeclarativeCaseStudy"]:
-        class_name = (
-            re.sub(r"(?:^|[-_])(\w)", lambda m: m.group(1).upper(), definition.name)
-            or "DeclarativeStudy"
-        )
-        return type(
-            class_name,
-            (cls,),
-            {
-                "definition": definition,
-                "name": definition.name,
-                "paper_section": definition.paper_section,
-                "paper_proof_lines": definition.paper_proof_lines,
-                "__doc__": definition.title or f"Declarative case study {definition.name}",
-                "__module__": cls.__module__,
-            },
-        )
-
-    def __reduce__(self):
-        # The adapter class is made at run time, so pickle cannot find it
-        # by name; a worker process looks the study up in the registry.
-        return (_registered_declarative_study, (self.name,))
-
-    # -- CaseStudy interface, delegated to the definition --------------------------
-
-    def build_program(self) -> Program:
-        return self.definition.parse()
-
-    def acceptability_spec(self, program: Program) -> AcceptabilitySpec:
-        return self.definition.spec(program)
-
-    def workloads(self, count: int, seed: int = 0) -> List[State]:
-        return self.definition.workloads(count, seed)
-
-    def relaxed_chooser(self, seed: int) -> Optional[Chooser]:
-        if self.definition.chooser is None:
-            return super().relaxed_chooser(seed)
-        return self.definition.chooser(seed)
-
-    def distortion(
-        self, initial: State, original: Outcome, relaxed: Outcome
-    ) -> Optional[float]:
-        if self.definition.distortion is None:
-            return super().distortion(initial, original, relaxed)
-        return self.definition.distortion(initial, original, relaxed)
-
-    def record_metrics(
-        self, initial: State, original: Outcome, relaxed: Outcome
-    ) -> Dict[str, float]:
-        if self.definition.metrics is None:
-            return super().record_metrics(initial, original, relaxed)
-        return self.definition.metrics(initial, original, relaxed)
-
-
-def _registered_declarative_study(name: str) -> DeclarativeCaseStudy:
-    """The registered declarative study called exactly ``name`` (unpickling)."""
-    from .registry import all_case_studies
-
-    for cls in all_case_studies():
-        if cls.name == name and issubclass(cls, DeclarativeCaseStudy):
-            return cls()
-    raise LookupError(f"no registered declarative case study {name!r}")
+@functools.lru_cache(maxsize=None)
+def source_program(source: str) -> Program:
+    """``source`` parsed once per process (a read-only anchor for spec hooks)."""
+    return parse_program(source)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +129,7 @@ class LintReport:
         return "\n".join(lines)
 
 
-def lint_case_study(study: Union[str, CaseStudy, Type[CaseStudy]]) -> LintReport:
+def lint_case_study(study: Union[str, CaseStudy]) -> LintReport:
     """Check one study's well-formedness without discharging any obligation.
 
     Runs, in order: the program builds; its pretty-printed form re-parses to
@@ -361,8 +238,6 @@ def lint_registry(
     names: Optional[Sequence[str]] = None,
 ) -> List[LintReport]:
     """Lint the named studies (default: every registered study)."""
-    from .registry import all_case_studies, get_case_study
+    from .registry import all_case_studies
 
-    if names:
-        return [lint_case_study(get_case_study(name)) for name in names]
-    return [lint_case_study(cls()) for cls in all_case_studies()]
+    return [lint_case_study(study) for study in names or all_case_studies()]

@@ -25,8 +25,6 @@ three cells it reads.  The executions stay in lockstep, so the proof is a
 convergent relational loop invariant carrying the window's three per-tap
 envelope bounds; there is no divergence and the per-cell relate is proved
 once per iteration from the invariant plus the relax rule's premises.
-
-Defined declaratively: the program is the ``.rlx`` source below.
 """
 
 from __future__ import annotations
@@ -40,8 +38,8 @@ from ..lang.ast import Program
 from ..semantics.state import Outcome, State, Terminated
 from ..substrates.approxmem import ApproxMemoryChooser, ErrorModel
 from ..substrates.workloads import generate_stencil_workloads
+from .base import CaseStudy
 from .registry import register_case_study
-from .spec import StudyDefinition
 
 SOURCE = """
 vars i, N, el, em, er, left, mid, right, original_right, cell, acc;
@@ -160,18 +158,17 @@ def _metrics(initial: State, original: Outcome, relaxed: Outcome) -> Dict[str, f
     return metrics
 
 
-STENCIL = StudyDefinition(
-    name="stencil-approx-memory",
-    title="Three-tap stencil over approximate memory with per-cell envelopes",
-    paper_section="1 (approximate memory)",
-    source=SOURCE,
-    spec=_spec,
-    workloads=_workloads,
-    chooser=_chooser,
-    distortion=_distortion,
-    metrics=_metrics,
+STENCIL = register_case_study(
+    CaseStudy(
+        name="stencil-approx-memory",
+        source=SOURCE,
+        spec_hook=_spec,
+        workloads_hook=_workloads,
+        paper_section="1 (approximate memory)",
+        chooser_hook=_chooser,
+        distortion_hook=_distortion,
+        metrics_hook=_metrics,
+    )
 )
-
-register_case_study(STENCIL)
 
 __all__ = ["STENCIL", "SOURCE"]

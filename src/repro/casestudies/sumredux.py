@@ -1,4 +1,4 @@
-"""Case study 4 — sum reduction under loop perforation (declarative).
+"""Case study 4 — sum reduction under loop perforation .
 
 The paper's introduction lists loop perforation and reduction sampling as
 canonical relaxations: skip part of a reduction's work and accept a bounded
@@ -25,10 +25,6 @@ no diverge rule at all: the invariant carries the running envelope
 ``s<o> - s<r> <= slack`` and the relax rule's premises re-establish it from
 ``term<r> ∈ {term<o>, 0}`` and the in-loop integrity assumes
 ``0 <= term <= M``.
-
-This study is defined declaratively (:class:`~repro.casestudies.spec.
-StudyDefinition`): the program is the ``.rlx`` source below, parsed on
-demand; there is no bespoke class.
 """
 
 from __future__ import annotations
@@ -39,11 +35,10 @@ from ..hoare.relational import RelationalConfig
 from ..hoare.verifier import AcceptabilitySpec
 from ..lang import builder as b
 from ..lang.ast import Program
-from ..semantics.choosers import make_chooser
 from ..semantics.state import Outcome, State, Terminated
 from ..substrates.workloads import generate_reduction_workloads
+from .base import CaseStudy, random_chooser
 from .registry import register_case_study
-from .spec import StudyDefinition
 
 SOURCE = """
 vars i, N, M, term, original_term, s, slack;
@@ -125,18 +120,17 @@ def _metrics(initial: State, original: Outcome, relaxed: Outcome) -> Dict[str, f
     return metrics
 
 
-SUM_REDUCTION = StudyDefinition(
-    name="sum-reduction-perforation",
-    title="Sum reduction under loop perforation with an additive distortion budget",
-    paper_section="1 (loop perforation / reduction sampling)",
-    source=SOURCE,
-    spec=_spec,
-    workloads=_workloads,
-    chooser=lambda seed: make_chooser("random", seed=seed),
-    distortion=_distortion,
-    metrics=_metrics,
+SUM_REDUCTION = register_case_study(
+    CaseStudy(
+        name="sum-reduction-perforation",
+        source=SOURCE,
+        spec_hook=_spec,
+        workloads_hook=_workloads,
+        paper_section="1 (loop perforation / reduction sampling)",
+        chooser_hook=random_chooser,
+        distortion_hook=_distortion,
+        metrics_hook=_metrics,
+    )
 )
-
-register_case_study(SUM_REDUCTION)
 
 __all__ = ["SUM_REDUCTION", "SOURCE"]

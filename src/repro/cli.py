@@ -457,8 +457,7 @@ def cmd_trace_summarize(args: argparse.Namespace) -> int:
 
 def cmd_effort(args: argparse.Namespace) -> int:
     rows = []
-    for cls in all_case_studies():
-        case_study = cls()
+    for case_study in all_case_studies():
         report = case_study.verify()
         rows.extend(effort_rows(case_study.name, report, case_study.paper_proof_lines))
     print(format_effort_table(rows))
@@ -466,23 +465,19 @@ def cmd_effort(args: argparse.Namespace) -> int:
 
 
 def cmd_casestudy_list(args: argparse.Namespace) -> int:
-    rows = []
-    for cls in all_case_studies():
-        case_study = cls()
-        kind = "declarative" if hasattr(cls, "definition") else "hand-written"
-        rows.append((case_study.name, kind, case_study.paper_section))
+    rows = [(case.name, case.paper_section) for case in all_case_studies()]
     width = max(len(row[0]) for row in rows) if rows else 4
-    print(f"{'name':<{width}}  kind          paper section")
-    print("-" * (width + 30))
-    for name, kind, section in rows:
-        print(f"{name:<{width}}  {kind:<12}  {section}")
+    print(f"{'name':<{width}}  paper section")
+    print("-" * (width + 16))
+    for name, section in rows:
+        print(f"{name:<{width}}  {section}")
     if args.json_out:
         payload = report_payload(
             "casestudy-list",
             {
                 "studies": [
-                    {"name": name, "kind": kind, "paper_section": section}
-                    for name, kind, section in rows
+                    {"name": name, "paper_section": section}
+                    for name, section in rows
                 ]
             },
             verified=bool(rows),

@@ -6,7 +6,7 @@ owns the one schema they share and the emission plumbing, so the three
 commands cannot drift apart:
 
 * every payload carries the envelope keys ``command`` (which subcommand
-  produced it), ``schema_version`` (currently 8) and ``verified`` (the
+  produced it), ``schema_version`` (currently 9) and ``verified`` (the
   overall boolean the command's exit code is based on);
 * engine-backed commands carry ``engine`` (scheduler/cache counters),
   ``solver`` (solver-level counters aggregated across every worker
@@ -31,7 +31,10 @@ commands cannot drift apart:
 
 JSON is serialised deterministically (sorted keys, 2-space indent).
 
-Schema history: version 8 dropped the ``verify-batch`` payload's
+Schema history: version 9 dropped the ``kind`` field ("declarative" or
+"hand-written") from each ``casestudy-list`` study, since every study is
+now the same kind of source program;
+version 8 dropped the ``verify-batch`` payload's
 per-strategy win table and the ``solver`` section's per-strategy seconds,
 since each discharged obligation is now one solver query under one
 configuration (``engine.solver_calls`` counts one call per discharged
@@ -63,7 +66,7 @@ from __future__ import annotations
 import json
 from typing import Dict, Optional
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 #: Envelope keys every CLI JSON report carries (tested in
 #: tests/test_cli_report.py; bump SCHEMA_VERSION when this changes).

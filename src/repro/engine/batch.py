@@ -66,8 +66,8 @@ def case_study_items(names: Optional[Sequence[str]] = None) -> List[BatchItem]:
 
     Names resolve through the case-study registry, so anything
     :func:`repro.casestudies.get_case_study` accepts works here (registered
-    names, class names, unique prefixes); unknown names raise the
-    registry's error, which lists every registered study.
+    names, unique prefixes); unknown names raise the registry's error,
+    which lists every registered study.
     """
     from ..casestudies import get_case_study
 
@@ -80,7 +80,7 @@ def case_study_items(names: Optional[Sequence[str]] = None) -> List[BatchItem]:
             studies_by_name.setdefault(study.name, study)
         studies = list(studies_by_name.values())
     else:
-        studies = [cls() for cls in all_case_studies()]
+        studies = list(all_case_studies())
     items: List[BatchItem] = []
     for case_study in studies:
         program = case_study.build_program()

@@ -9,8 +9,8 @@ programs rather than only the hand-written case-study gallery:
   :func:`repro.relaxations.sites.discover_sites` detects, each paired with
   an auto-derived acceptability specification
   (:func:`~repro.fuzz.generator.derive_spec`) and wrapped as an
-  unregistered :class:`~repro.fuzz.generator.GeneratedStudy` so the lint /
-  explore layers accept it like any case study;
+  unregistered case study (:func:`~repro.fuzz.generator.generated_study`)
+  so the lint / explore layers accept it like any other;
 * :mod:`~repro.fuzz.funnel` — the pipeline driver behind ``repro fuzz``:
   every generated program runs the full funnel (``casestudy lint`` →
   ``verify-batch`` → ``explore``) while every layer is differentially
@@ -27,10 +27,10 @@ programs rather than only the hand-written case-study gallery:
 from .generator import (
     FAMILIES,
     GeneratedProgram,
-    GeneratedStudy,
     PlantedSite,
     ProgramSynthesizer,
     derive_spec,
+    generated_study,
     synthesize_corpus,
 )
 from .funnel import (
@@ -50,12 +50,12 @@ __all__ = [
     "FAMILIES",
     "FuzzReport",
     "GeneratedProgram",
-    "GeneratedStudy",
     "PlantedSite",
     "ProgramSynthesizer",
     "available_backends",
     "derive_spec",
     "explore_signature",
+    "generated_study",
     "normalized_explore_payload",
     "replay_corpus",
     "run_fuzz",

@@ -34,7 +34,7 @@ from .funnel import (
     obligations_digest,
     verify_leg,
 )
-from .generator import GeneratedProgram, GeneratedStudy
+from .generator import GeneratedProgram, generated_study
 
 MANIFEST = "manifest.json"
 PROGRAM_DIR = "programs"
@@ -170,8 +170,8 @@ def _diff_fields(committed: Dict[str, object], replayed: Dict[str, object]) -> s
 def replay_corpus(directory: str) -> CorpusReplayReport:
     """Re-verify every committed program and byte-compare the outcomes.
 
-    The committed sources are rebuilt into :class:`GeneratedStudy` wrappers
-    (spec re-derived from the text alone), batch-verified in one pooled
+    The committed sources are rebuilt into generated case studies (spec
+    re-derived from the text alone), batch-verified in one pooled
     wave on the corpus's recorded baseline backend, and each outcome is
     re-serialised with the canonical encoder.  Equality is asserted on the
     serialised *bytes*: field order, indentation and every fingerprint,
@@ -196,7 +196,7 @@ def replay_corpus(directory: str) -> CorpusReplayReport:
                 seed=manifest["seed"],
                 index=len(generated),
                 family=expected["family"],
-                program=GeneratedStudy(name, source).build_program(),
+                program=generated_study(name, source).build_program(),
                 source=source,
                 expect_verified=expected["expect_verified"],
             )

@@ -41,7 +41,7 @@ from ..casestudies.spec import lint_case_study
 from ..engine import ObligationEngine, VerdictStore, program_items, verify_batch
 from ..explore import explore
 from ..solver.backend import BACKENDS, use_backend
-from .generator import GeneratedProgram, GeneratedStudy, derive_spec, synthesize_corpus
+from .generator import GeneratedProgram, derive_spec, generated_study, synthesize_corpus
 
 #: The backend every other verify leg is compared against.
 BASE_BACKEND = "compiled"
@@ -364,7 +364,7 @@ def verify_leg(
     """Batch-verify the whole corpus under one engine configuration."""
     entries = []
     for item in generated:
-        program = GeneratedStudy.of(item).build_program()
+        program = generated_study(item.name, item.source).build_program()
         entries.append((item.name, program, derive_spec(program)))
     with use_backend(backend), ObligationEngine.for_batch(
         jobs=jobs, cache_dir=cache_dir
@@ -409,7 +409,7 @@ def _explore_once(
     beam_width: int = 8,
 ):
     return explore(
-        GeneratedStudy.of(item),
+        generated_study(item.name, item.source),
         depth=depth,
         samples=samples,
         seed=seed,
@@ -427,7 +427,7 @@ def _probe(item: GeneratedProgram, source: str) -> GeneratedProgram:
         seed=item.seed,
         index=item.index,
         family=item.family,
-        program=GeneratedStudy(item.name, source).build_program(),
+        program=generated_study(item.name, source).build_program(),
         source=source,
         planted=(),
         expect_verified=item.expect_verified,
@@ -489,7 +489,7 @@ def run_fuzz(
         # Stage 1: lint — the same well-formedness gate case studies pass.
         with telemetry.span("fuzz.lint", programs=count):
             for item in generated:
-                lint = lint_case_study(GeneratedStudy.of(item))
+                lint = lint_case_study(generated_study(item.name, item.source))
                 record = records[item.name]
                 record.lint_ok = lint.ok
                 record.lint_errors = [

@@ -35,17 +35,17 @@ be regenerated without generating its predecessors.
 
 from __future__ import annotations
 
+import functools
 import random
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
-from ..casestudies.base import CaseStudy
+from ..casestudies.base import CaseStudy, random_chooser
 from ..hoare.verifier import AcceptabilitySpec
 from ..lang import builder as b
 from ..lang.ast import Program, Relate, Seq, Stmt
 from ..lang.parser import parse_program
 from ..lang.pretty import pretty_program
-from ..semantics.choosers import Chooser, make_chooser
 from ..semantics.state import State
 
 #: The structural templates the synthesizer draws from.
@@ -291,53 +291,40 @@ def derive_spec(program: Program) -> AcceptabilitySpec:
 
 
 # ---------------------------------------------------------------------------
-# Case-study adapter
+# Generated programs as case studies
 # ---------------------------------------------------------------------------
 
 
-class GeneratedStudy(CaseStudy):
-    """A synthesized program wearing the :class:`CaseStudy` interface.
+def generated_study(name: str, source: str) -> CaseStudy:
+    """A synthesized program as an unregistered :class:`CaseStudy`.
 
-    Instances are *not* registered: the registry, lint and explorer all
-    accept case-study instances directly, so generated studies flow through
-    ``casestudy lint`` and ``repro explore`` without polluting the global
-    corpus.  Construction needs only ``(name, source)``, which is exactly
-    what the committed corpus stores — replay builds the same study the
-    generator did.
+    The registry, lint and explorer all accept case-study instances
+    directly, so generated studies flow through ``casestudy lint`` and
+    ``repro explore`` without polluting the global corpus.  Construction
+    needs only ``(name, source)``, which is exactly what the committed
+    corpus stores — replay builds the same study the generator did.
     """
+    return CaseStudy(
+        name=name,
+        source=source,
+        spec_hook=derive_spec,
+        workloads_hook=functools.partial(_generated_workloads, name, source),
+        paper_section="generated",
+        chooser_hook=random_chooser,
+    )
 
-    paper_section = "generated"
 
-    def __init__(self, name: str, source: str):
-        self.name = name
-        self.source = source
+def _generated_workloads(name: str, source: str, count: int, seed: int = 0) -> List[State]:
+    """Seeded initial states over the program's declared scalars.
 
-    @classmethod
-    def of(cls, generated: GeneratedProgram) -> "GeneratedStudy":
-        return cls(generated.name, generated.source)
-
-    def build_program(self) -> Program:
-        return parse_program(self.source, name=self.name)
-
-    def acceptability_spec(self, program: Program) -> AcceptabilitySpec:
-        return derive_spec(program)
-
-    def workloads(self, count: int, seed: int = 0) -> List[State]:
-        """Seeded initial states over the program's declared scalars.
-
-        Every variable is drawn from ``1..4`` — the range the generated
-        ``assume`` bounds are written against — so no workload dies on an
-        assumption and loop trip counts stay small.
-        """
-        program = self.build_program()
-        lo, hi = _WORKLOAD_RANGE
-        states = []
-        for index in range(count):
-            rng = random.Random(f"repro-fuzz-workload:{self.name}:{seed}:{index}")
-            states.append(
-                State.of({name: rng.randint(lo, hi) for name in program.variables})
-            )
-        return states
-
-    def relaxed_chooser(self, seed: int) -> Optional[Chooser]:
-        return make_chooser("random", seed=seed)
+    Every variable is drawn from ``1..4`` — the range the generated
+    ``assume`` bounds are written against — so no workload dies on an
+    assumption and loop trip counts stay small.
+    """
+    program = parse_program(source, name=name)
+    lo, hi = _WORKLOAD_RANGE
+    states = []
+    for index in range(count):
+        rng = random.Random(f"repro-fuzz-workload:{name}:{seed}:{index}")
+        states.append(State.of({var: rng.randint(lo, hi) for var in program.variables}))
+    return states

@@ -28,7 +28,7 @@ class TestReportPayload:
         for key in ENVELOPE_KEYS:
             assert key in payload
         assert payload["command"] == "verify-batch"
-        assert payload["schema_version"] == SCHEMA_VERSION == 8
+        assert payload["schema_version"] == SCHEMA_VERSION == 9
         assert payload["verified"] is True
         assert payload["programs"] == []
 

@@ -129,10 +129,9 @@ class TestUnknownReasonSurfacing:
 
 class TestProvenanceEverywhere:
     @pytest.mark.parametrize(
-        "study_cls", all_case_studies(), ids=lambda cls: cls.name
+        "case", all_case_studies(), ids=lambda case: case.name
     )
-    def test_every_obligation_carries_resolving_provenance(self, study_cls):
-        case = study_cls()
+    def test_every_obligation_carries_resolving_provenance(self, case):
         program = case.build_program()
         spec = case.acceptability_spec(program)
         bundle = AcceptabilityVerifier().collect(program, spec, study=case.name)

@@ -27,20 +27,20 @@ from repro.solver.models import reset_search_stats, search_stats
 @pytest.fixture(scope="module")
 def serial_reports():
     """The classic serial per-program verdicts, as ground truth."""
-    return {cls().name: cls().verify() for cls in all_case_studies()}
+    return {case.name: case.verify() for case in all_case_studies()}
 
 
 class TestBatchItems:
     def test_all_case_studies_by_default(self):
         items = case_study_items()
-        assert [item.name for item in items] == [cls().name for cls in all_case_studies()]
+        assert [item.name for item in items] == [case.name for case in all_case_studies()]
 
     def test_selection_by_name(self):
         items = case_study_items(["water-parallelization"])
         assert len(items) == 1 and items[0].name == "water-parallelization"
 
     def test_aliases_of_one_study_yield_one_item(self):
-        items = case_study_items(["lu", "lu-approximate-memory", "LUApproximateMemory"])
+        items = case_study_items(["lu", "lu-approximate-memory", "lu-approx"])
         assert [item.name for item in items] == ["lu-approximate-memory"]
 
     def test_unknown_name_raises(self):
@@ -205,8 +205,8 @@ class TestVerifyBatchCLI:
         assert main(["verify-batch"]) == 0
         out = capsys.readouterr().out
         assert "ALL VERIFIED" in out
-        for cls in all_case_studies():
-            assert cls().name in out
+        for case in all_case_studies():
+            assert case.name in out
 
     def test_cli_named_case_study_with_json(self, capsys, tmp_path):
         json_path = tmp_path / "report.json"

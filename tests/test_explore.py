@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.casestudies.lu import LUApproximateMemory
+from repro.casestudies.lu import LU
 from repro.cli import main
 from repro.diagnostics.explain import explain_case_study
 from repro.engine import ObligationEngine, program_items, verify_batch
@@ -41,14 +41,14 @@ class TestFingerprint:
 
 class TestEnumeration:
     def test_depth_zero_is_baseline_only(self):
-        case = LUApproximateMemory()
+        case = LU
         program = case.build_program()
         enumeration = enumerate_candidates(program, case.relaxation_sites, depth=0)
         assert [candidate.depth for candidate in enumeration.candidates] == [0]
         assert enumeration.candidates[0].program is program
 
     def test_depth_one_covers_every_site(self):
-        case = LUApproximateMemory()
+        case = LU
         program = case.build_program()
         sites = case.relaxation_sites(program)
         enumeration = enumerate_candidates(program, case.relaxation_sites, depth=1)
@@ -57,7 +57,7 @@ class TestEnumeration:
         assert len(names) == len(set(names))
 
     def test_depth_two_composes_and_dedups(self):
-        case = LUApproximateMemory()
+        case = LU
         program = case.build_program()
         enumeration = enumerate_candidates(
             program, case.relaxation_sites, depth=2, max_candidates=64
@@ -67,7 +67,7 @@ class TestEnumeration:
         assert len(fingerprints) == len(set(fingerprints))
 
     def test_cap_is_reported_not_silent(self):
-        case = LUApproximateMemory()
+        case = LU
         program = case.build_program()
         enumeration = enumerate_candidates(
             program, case.relaxation_sites, depth=2, max_candidates=3
@@ -76,7 +76,7 @@ class TestEnumeration:
         assert enumeration.capped > 0
 
     def test_invalid_parameters(self):
-        case = LUApproximateMemory()
+        case = LU
         program = case.build_program()
         with pytest.raises(ValueError):
             enumerate_candidates(program, case.relaxation_sites, depth=-1)
@@ -103,7 +103,7 @@ class TestScoring:
         assert estimated_savings(1.0, 100.0) == 1.0
 
     def test_score_baseline_lu(self):
-        case = LUApproximateMemory()
+        case = LU
         program = case.build_program()
         score = score_candidate(case, program, samples=4, seed=0)
         assert score.samples == 8  # 4 workloads x 2 policies
@@ -113,7 +113,7 @@ class TestScoring:
         assert 0.0 <= score.savings <= 1.0
 
     def test_score_is_reproducible(self):
-        case = LUApproximateMemory()
+        case = LU
         program = case.build_program()
         one = score_candidate(case, program, samples=4, seed=7)
         two = score_candidate(case, program, samples=4, seed=7)

@@ -30,7 +30,7 @@ from repro.explore import (
     enumerate_candidates,
     explore,
 )
-from repro.casestudies.lu import LUApproximateMemory
+from repro.casestudies.lu import LU
 from repro.hoare.obligations import (
     ObligationKind,
     ObligationResult,
@@ -181,7 +181,7 @@ class TestFrontierScheduler:
 
 class TestCapAccounting:
     def test_capped_counts_distinct_skipped_applications_once(self):
-        case = LUApproximateMemory()
+        case = LU
         program = case.build_program()
         sites = case.relaxation_sites(program)
         enumeration = enumerate_candidates(
@@ -196,7 +196,7 @@ class TestCapAccounting:
         assert enumeration.capped == len(sites) - 2
 
     def test_cap_stops_deeper_generations(self):
-        case = LUApproximateMemory()
+        case = LU
         program = case.build_program()
         space = CandidateSpace(program, case.relaxation_sites, max_candidates=3)
         first = space.expand([space.baseline], level=1)
@@ -209,7 +209,7 @@ class TestCapAccounting:
         assert space.capped == capped_after_stop
 
     def test_parent_links(self):
-        case = LUApproximateMemory()
+        case = LU
         program = case.build_program()
         enumeration = enumerate_candidates(
             program, case.relaxation_sites, depth=2, max_candidates=64
@@ -257,7 +257,7 @@ class TestStrategyParity:
     def test_every_registered_study_is_covered(self):
         from repro.casestudies import all_case_studies
 
-        registered = {cls().name for cls in all_case_studies()}
+        registered = {case.name for case in all_case_studies()}
         assert registered == set(PARITY_CONFIGS), (
             "every registered case study needs a parity configuration; "
             "update PARITY_CONFIGS for new studies"

@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 from repro.fuzz import (
-    GeneratedStudy,
     ProgramSynthesizer,
+    generated_study,
     run_fuzz,
     shrink_program,
     synthesize_corpus,
@@ -150,7 +150,7 @@ class TestShrinking:
 class TestGeneratedStudyAdapter:
     def test_workloads_satisfy_generated_assumes(self):
         generated = ProgramSynthesizer(2).generate(0)
-        study = GeneratedStudy.of(generated)
+        study = generated_study(generated.name, generated.source)
         program = study.build_program()
         for state in study.workloads(5, seed=1):
             for name in program.variables:
@@ -158,6 +158,6 @@ class TestGeneratedStudyAdapter:
 
     def test_workloads_are_seed_deterministic(self):
         generated = ProgramSynthesizer(2).generate(1)
-        study = GeneratedStudy.of(generated)
+        study = generated_study(generated.name, generated.source)
         assert study.workloads(3, seed=9) == study.workloads(3, seed=9)
         assert study.workloads(3, seed=9) != study.workloads(3, seed=10)

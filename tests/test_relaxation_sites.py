@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.casestudies.lu import LUApproximateMemory
-from repro.casestudies.swish import SwishDynamicKnobs
-from repro.casestudies.water import WaterParallelization
+from repro.casestudies.lu import LU
+from repro.casestudies.swish import SWISH
+from repro.casestudies.water import WATER
 from repro.lang import builder as b
 from repro.lang.analysis import check_program
 from repro.lang.ast import Assign, If, Relax, Seq, While
@@ -34,7 +34,7 @@ class TestReplaceStatement:
         assert _replace_statement(body, b.assign("z", 3), b.skip) is body
 
     def test_lu_perforation_actually_changes_the_increment(self):
-        case = LUApproximateMemory()
+        case = LU
         program = case.build_program()
         loop = next(n for n in program.body.walk() if isinstance(n, While))
         result = perforate_loop(program, loop, counter="i", perforation_stride_var="s")
@@ -46,7 +46,7 @@ class TestReplaceStatement:
 
 class TestDiscovery:
     def test_lu_sites(self):
-        program = LUApproximateMemory().build_program()
+        program = LU.build_program()
         sites = discover_sites(program)
         kinds = {site.kind for site in sites}
         assert kinds == {"perforate-loop", "restrict-relax", "dynamic-knob"}
@@ -55,26 +55,26 @@ class TestDiscovery:
         assert any(site.site_id.startswith("restrict:a@") for site in sites)
 
     def test_swish_sites_include_max_r_restriction(self):
-        program = SwishDynamicKnobs().build_program()
+        program = SWISH.build_program()
         assert any(
             site.kind == "restrict-relax" and site.names[0] == "max_r"
             for site in discover_sites(program)
         )
 
     def test_water_has_no_restrict_site_for_array_relax(self):
-        program = WaterParallelization().build_program()
+        program = WATER.build_program()
         assert not any(
             site.kind == "restrict-relax" for site in discover_sites(program)
         )
 
     def test_knob_sites_only_for_unwritten_scalars(self):
-        program = LUApproximateMemory().build_program()
+        program = LU.build_program()
         for site in discover_sites(program):
             if site.kind == "dynamic-knob":
                 assert site.names[0] == "N"
 
     def test_deterministic_order(self):
-        program = LUApproximateMemory().build_program()
+        program = LU.build_program()
         first = [site.site_id for site in discover_sites(program)]
         second = [site.site_id for site in discover_sites(program)]
         assert first == second
@@ -82,14 +82,14 @@ class TestDiscovery:
 
 class TestApplication:
     def test_apply_every_lu_site_yields_well_formed_program(self):
-        case = LUApproximateMemory()
+        case = LU
         program = case.build_program()
         for site in discover_sites(program):
             result = apply_site(program, site)
             assert check_program(result.program).ok
 
     def test_restrict_narrows_the_envelope(self):
-        case = LUApproximateMemory()
+        case = LU
         program = case.build_program()
         site = next(
             s for s in discover_sites(program) if s.site_id.endswith("d0")
@@ -105,7 +105,7 @@ class TestApplication:
         assert original.state.scalar("maxval") == relaxed.state.scalar("maxval")
 
     def test_stale_site_raises(self):
-        program = LUApproximateMemory().build_program()
+        program = LU.build_program()
         sites = discover_sites(program)
         restrict = next(s for s in sites if s.kind == "restrict-relax")
         transformed = apply_site(program, restrict).program
@@ -114,7 +114,7 @@ class TestApplication:
             apply_site(transformed, restrict)
 
     def test_unknown_kind_raises(self):
-        program = LUApproximateMemory().build_program()
+        program = LU.build_program()
         with pytest.raises(ValueError):
             apply_site(program, RelaxationSite(kind="nope", site_id="x"))
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.casestudies.lu import LUApproximateMemory
+from repro.casestudies.lu import LU
 from repro.explore.scoring import score_candidate
 from repro.logic import formula as F
 from repro.logic.compile import compile_formula, compile_stats, reset_compile_stats
@@ -384,7 +384,7 @@ class TestEvaluatorParity:
         assert compile_stats()["hit_rate"] == 1.0
 
     def test_monte_carlo_scores_identical(self):
-        case = LUApproximateMemory()
+        case = LU
         program = case.build_program()
         scores = {}
         for name in BACKENDS:

@@ -1,18 +1,20 @@
 """Tests for the acceptability verifier and the paper's three case studies."""
 
+import functools
+
 import pytest
 
 from repro.analysis.metrics import MetricSeries, fraction_within
 from repro.hoare.verifier import AcceptabilitySpec, AcceptabilityVerifier, verify_acceptability
 from repro.lang import builder as b
-from repro.casestudies import (
-    LUApproximateMemory,
-    SwishDynamicKnobs,
-    WaterParallelization,
-    all_case_studies,
-)
-from repro.casestudies.swish import MINIMUM_RESULTS
+from repro.casestudies import all_case_studies
+from repro.casestudies.lu import LU, approx_memory_chooser
+from repro.casestudies.spec import loop_at
+from repro.casestudies.swish import MINIMUM_RESULTS, SWISH
+from repro.casestudies.water import WATER
 from repro.semantics.state import Terminated
+
+from casestudy_ids import study_id
 
 
 class TestAcceptabilityVerifier:
@@ -64,46 +66,46 @@ class TestAcceptabilityVerifier:
         assert report.verified
 
 
-@pytest.mark.parametrize("case_study_class", all_case_studies())
+@pytest.mark.parametrize("case_study", all_case_studies(), ids=study_id)
 class TestCaseStudyVerification:
-    def test_verifies(self, case_study_class):
-        report = case_study_class().verify()
+    def test_verifies(self, case_study):
+        report = case_study.verify()
         assert report.original.verified, report.original.summary()
         assert report.relaxed.verified, report.relaxed.summary()
         assert all(report.guarantees().values())
 
-    def test_effort_is_nontrivial_and_relational_layer_larger(self, case_study_class):
-        report = case_study_class().verify()
+    def test_effort_is_nontrivial_and_relational_layer_larger(self, case_study):
+        report = case_study.verify()
         effort = report.effort()
         assert effort["original"]["obligations"] >= 1
         assert effort["relaxed"]["obligations"] >= effort["original"]["obligations"]
         assert effort["relaxed"]["obligation_size"] > effort["original"]["obligation_size"]
 
 
-@pytest.mark.parametrize("case_study_class", all_case_studies())
+@pytest.mark.parametrize("case_study", all_case_studies(), ids=study_id)
 class TestCaseStudySimulation:
-    def test_differential_simulation_satisfies_relates(self, case_study_class):
-        summary = case_study_class().simulate(runs=8, seed=3)
+    def test_differential_simulation_satisfies_relates(self, case_study):
+        summary = case_study.simulate(runs=8, seed=3)
         assert summary.runs == 8
         assert summary.relate_violations == 0
         assert summary.original_errors == 0
         assert summary.relaxed_errors == 0
 
-    def test_metrics_recorded(self, case_study_class):
-        summary = case_study_class().simulate(runs=4, seed=1)
+    def test_metrics_recorded(self, case_study):
+        summary = case_study.simulate(runs=4, seed=1)
         assert summary.records[0].metrics
 
 
 class TestSwishSpecifics:
     def test_paper_proof_line_metadata(self):
-        assert SwishDynamicKnobs.paper_proof_lines == 330
-        assert WaterParallelization.paper_proof_lines == 310
-        assert LUApproximateMemory.paper_proof_lines == 315
+        assert SWISH.paper_proof_lines == 330
+        assert WATER.paper_proof_lines == 310
+        assert LU.paper_proof_lines == 315
 
     def test_relaxed_never_presents_fewer_than_minimum(self):
         # (90, 17) and (30, 3) are the Section 5.1 differential-table runs.
         for runs, seed in ((20, 5), (90, 17), (30, 3)):
-            summary = SwishDynamicKnobs().simulate(runs=runs, seed=seed)
+            summary = SWISH.simulate(runs=runs, seed=seed)
             assert summary.relate_violations == 0
             assert summary.relaxed_errors == 0
             for record in summary.records:
@@ -117,9 +119,8 @@ class TestSwishSpecifics:
     def test_broken_relaxation_is_rejected(self):
         # Lowering the floor to 5 in the relax statement must break the paper's
         # relate property (which promises at least 10 results).
-        case_study = SwishDynamicKnobs()
-        program = case_study.build_program()
-        spec = case_study.acceptability_spec(program)
+        program = SWISH.build_program()
+        spec = SWISH.acceptability_spec(program)
 
         broken = b.program(
             program.name,
@@ -133,7 +134,7 @@ class TestSwishSpecifics:
                 ),
             ),
             b.assign("num_r", 0),
-            case_study._format_loop,
+            loop_at(program),
             b.relate(
                 "results",
                 b.ror(
@@ -150,7 +151,11 @@ class TestSwishSpecifics:
 class TestLUSpecifics:
     def test_pivot_deviation_within_bound_dynamically(self):
         for runs in (15, 20):
-            summary = LUApproximateMemory(error_bound=4).simulate(runs=runs, seed=2)
+            summary = LU.simulate(
+                runs=runs,
+                seed=2,
+                chooser_factory=functools.partial(approx_memory_chooser, error_bound=4),
+            )
             assert summary.relate_violations == 0
             for record in summary.records:
                 assert record.metrics["pivot_deviation"] <= record.metrics["error_bound"]
@@ -161,8 +166,10 @@ class TestLUSpecifics:
         exact, and the envelope does not shrink as ``e`` grows."""
         worst = []
         for bound in (0, 1, 2, 4, 8):
-            summary = LUApproximateMemory(error_bound=bound).simulate(
-                runs=50, seed=bound + 1
+            summary = LU.simulate(
+                runs=50,
+                seed=bound + 1,
+                chooser_factory=functools.partial(approx_memory_chooser, error_bound=bound),
             )
             assert summary.relate_violations == 0
             deviations = MetricSeries("pivot_deviation")
@@ -176,14 +183,14 @@ class TestLUSpecifics:
         assert worst[-1] >= worst[1]
 
     def test_zero_error_bound_gives_exact_results(self):
-        case_study = LUApproximateMemory(error_bound=0)
-        states = [s for s in case_study.workloads(10, seed=0) if s.scalar("e") == 0]
-        program = case_study.build_program()
+        states = [s for s in LU.workloads(10, seed=0) if s.scalar("e") == 0]
+        program = LU.build_program()
         from repro.semantics.interpreter import run_original, run_relaxed
 
         for state in states:
             original = run_original(program, state)
-            relaxed = run_relaxed(program, state, chooser=case_study.relaxed_chooser(1))
+            chooser = approx_memory_chooser(1, error_bound=0)
+            relaxed = run_relaxed(program, state, chooser=chooser)
             assert isinstance(original, Terminated) and isinstance(relaxed, Terminated)
             assert original.state.scalar("maxval") == relaxed.state.scalar("maxval")
 
@@ -192,7 +199,7 @@ class TestWaterSpecifics:
     def test_ff_writes_stay_in_bounds(self):
         # (60, 23) is the Section 5.2 racy differential run.
         for runs, seed in ((12, 7), (60, 23)):
-            summary = WaterParallelization().simulate(runs=runs, seed=seed)
+            summary = WATER.simulate(runs=runs, seed=seed)
             assert summary.relate_violations == 0
             assert summary.relaxed_errors == 0
             for record in summary.records:
@@ -204,6 +211,6 @@ class TestWaterSpecifics:
     def test_racy_updates_observed(self):
         # Across enough runs, at least one relaxed execution should differ from
         # the original in RS (otherwise the substrate is not exercising races).
-        summary = WaterParallelization().simulate(runs=12, seed=11)
+        summary = WATER.simulate(runs=12, seed=11)
         deviations = summary.metric_values("rs_total_absolute_deviation")
         assert any(value > 0 for value in deviations)
