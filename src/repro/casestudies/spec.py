@@ -9,7 +9,8 @@ a transformed candidate finds the annotation exactly when it keeps that
 statement unchanged.
 
 :func:`lint_case_study` is the toolkit's well-formedness gate (surfaced as
-``repro casestudy lint``): the program parses (pretty/parse round-trip),
+``repro casestudy lint``): the program parses (its printed text parses
+back to it, with the spans the printer attached),
 declared variables cover the used ones, every discovered relaxation site
 applies, the ⊢o and ⊢r obligations collect without proof-construction
 errors, and the workload generator produces states.
@@ -25,7 +26,7 @@ from ..hoare.verifier import AcceptabilityVerifier
 from ..lang.ast import If, Program, Relate, Relax, Stmt, While
 from ..lang.analysis import used_vars
 from ..lang.parser import parse_program
-from ..lang.pretty import pretty_program
+from ..lang.pretty import print_with_spans
 from ..semantics.state import State
 from .base import CaseStudy
 
@@ -129,12 +130,39 @@ class LintReport:
         return "\n".join(lines)
 
 
+def _round_trip_problem(program: Program) -> Optional[str]:
+    """Why ``program``'s printed text does not parse back to it, or ``None``.
+
+    The verify path takes source spans from
+    :func:`~repro.lang.pretty.print_with_spans` without parsing, so this
+    check is where the printer's output meets the parser: the printed text
+    must parse to the printed program (the input up to Seq association)
+    and every node must get the same span from both.
+    """
+    printed = print_with_spans(program)
+    reparsed = parse_program(printed.source, name=program.name)
+    if (reparsed.body, reparsed.variables, reparsed.arrays) != (
+        printed.body,
+        printed.variables,
+        printed.arrays,
+    ):
+        return "pretty-printed program does not round-trip through the parser"
+    for parsed_node, printed_node in zip(reparsed.body.walk(), printed.body.walk()):
+        if parsed_node.span != printed_node.span:
+            return (
+                f"printer span {printed_node.span} differs from parsed span "
+                f"{parsed_node.span} at {parsed_node}"
+            )
+    return None
+
+
 def lint_case_study(study: Union[str, CaseStudy]) -> LintReport:
     """Check one study's well-formedness without discharging any obligation.
 
     Runs, in order: the program builds; its pretty-printed form re-parses to
-    the same program (so the study stays expressible in the paper's
-    language); declared variables cover the used ones; every discovered
+    the same program with the printer's spans (so the study stays
+    expressible in the paper's language, and the verify path's printed
+    spans stay exact); declared variables cover the used ones; every discovered
     relaxation site applies cleanly; the ⊢o/⊢r obligations collect with no
     proof-construction errors; and the workload generator produces states.
     Later checks are skipped once the program itself fails to build.
@@ -156,13 +184,9 @@ def lint_case_study(study: Union[str, CaseStudy]) -> LintReport:
 
     report.checks_run += 1
     try:
-        printed = pretty_program(program)
-        reparsed = parse_program(printed, name=program.name)
-        if pretty_program(reparsed) != printed:
-            report.error(
-                "program-parses",
-                "pretty-printed program does not round-trip through the parser",
-            )
+        problem = _round_trip_problem(program)
+        if problem is not None:
+            report.error("program-parses", problem)
     except Exception as error:
         report.error("program-parses", f"pretty/parse round-trip failed: {error}")
 

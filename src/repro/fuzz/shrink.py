@@ -104,7 +104,8 @@ def shrink_program(
             candidate_body = _delete_at(current.body, path)
             if candidate_body is None:
                 continue
-            candidate = dataclasses.replace(current, body=candidate_body)
+            # The pre-shrink source text no longer describes the body.
+            candidate = dataclasses.replace(current, body=candidate_body, source=None)
             try:
                 source = pretty_program(candidate)
                 # The shrunk program must stay inside the language the

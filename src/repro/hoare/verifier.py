@@ -155,9 +155,10 @@ class AcceptabilityVerifier:
         """Generate both proofs' obligations without discharging them.
 
         ``study`` and ``sites`` (case-study name, applied relaxation-site
-        identifiers) flow into every obligation's provenance; builder-built
-        programs are round-tripped through the pretty-printer to recover
-        source text and spans (structure-preserving, see
+        identifiers) flow into every obligation's provenance.  Builder-built
+        and transformed programs get source text and spans from the
+        pretty-printer, which attaches the spans the parser would give
+        without parsing (structure-preserving up to Seq association, see
         :func:`repro.lang.source.ensure_source`).
         """
         program = ensure_source(program)

@@ -43,6 +43,7 @@ import re as _re
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from .. import telemetry
 from .ast import (
     ArrayAssign,
     ArrayRead,
@@ -680,6 +681,7 @@ class Parser:
 
 def parse_program(text: str, name: str = "program") -> Program:
     """Parse a full program, retaining ``text`` for diagnostics excerpts."""
+    telemetry.count("lang.parse")
     program = Parser(tokenize(text)).parse_program(name)
     object.__setattr__(program, "source", text)
     if program.body.span is not None:

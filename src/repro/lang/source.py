@@ -1,72 +1,37 @@
-"""Recover concrete source text (and spans) for builder-built programs.
+"""Source text and spans for builder-built and transformed programs.
 
 Programs parsed from text carry their source and per-node spans natively;
 programs assembled with AST constructors (the case-study builders) or
 rewritten by the relaxation transforms have neither.  :func:`ensure_source`
-closes that gap by pretty-printing the program and re-parsing the result:
-the re-parsed program has full span information, and because node equality
-ignores spans, we can check that the round-trip preserved the program before
-adopting it.
+closes that gap with :func:`repro.lang.pretty.print_with_spans`: the
+printer emits the program's concrete syntax and, in the same pass,
+rebuilds it as fresh nodes spanned into that text — exactly the program
+the parser would return for it, without running the parser.
 
-Sequential composition is binary (``Seq(first, second)``), so the same
-statement list can associate differently depending on who built it — the
-parser right-nests, the relaxation transforms splice sub-sequences in
-place.  Association is semantically irrelevant (``;`` is associative, and
-the proof rules fold over the flattened statement list), so the round-trip
-check compares *Seq-normalised* bodies: both sides flattened and re-nested
-the same way.
-
-If the round-trip changes the program beyond Seq association (it should not
-— the repo's case-study lint enforces pretty/parse stability — but the
-check is cheap), the original program is returned untouched and diagnostics
-simply degrade to spanless provenance.
+The rebuilt program equals the input up to ``Seq`` association (every
+block comes back right-nested, as the parser builds it), which is
+semantically irrelevant: ``;`` is associative and the proof rules fold
+over the flattened statement list.  That the printed text parses back to
+the same program with the same spans is not re-checked here, on the
+verify path; it is pinned by a tier-1 differential test over generated
+programs and every study candidate, and by the ``program-parses`` check
+of the case-study lint.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from .ast import If, Program, Seq, Stmt, While
-from .parser import ParseError, parse_program
-from .pretty import pretty_program
-
-
-def _flattened(stmt: Stmt):
-    """Yield the non-Seq statements of a Seq tree, left to right."""
-    if isinstance(stmt, Seq):
-        yield from _flattened(stmt.first)
-        yield from _flattened(stmt.second)
-    else:
-        yield stmt
-
-
-def _normalized(stmt: Stmt) -> Stmt:
-    """Rebuild ``stmt`` with every Seq tree right-nested (recursively)."""
-    if isinstance(stmt, Seq):
-        parts = [_normalized(part) for part in _flattened(stmt)]
-        result = parts[-1]
-        for part in reversed(parts[:-1]):
-            result = Seq(part, result)
-        return result
-    if isinstance(stmt, While):
-        return replace(stmt, body=_normalized(stmt.body))
-    if isinstance(stmt, If):
-        return replace(
-            stmt,
-            then_branch=_normalized(stmt.then_branch),
-            else_branch=_normalized(stmt.else_branch),
-        )
-    return stmt
+from .ast import Program
+from .pretty import print_with_spans
 
 
 def ensure_source(program: Program) -> Program:
     """Return ``program`` with ``source`` text and node spans attached.
 
     A program that carries both source text *and* spans (i.e. one that came
-    out of the parser unmodified) is returned as-is.  A program with stale
-    source — a relaxation transform rebuilt the body, dropping its spans,
-    while :func:`dataclasses.replace` carried the old text along — is
-    re-derived from its pretty-printed form just like a builder program.
+    out of the parser unmodified) is returned as-is.  Any other program —
+    builder-built, or with stale source because a transform rebuilt the
+    body without spans while :func:`dataclasses.replace` carried the old
+    text along — is re-derived from its pretty-printed form.
 
     The returned program is structurally equal to the input up to Seq
     association (node equality is span-blind), so divergence-spec anchors
@@ -74,18 +39,4 @@ def ensure_source(program: Program) -> Program:
     """
     if program.source is not None and program.body.span is not None:
         return program
-    text = pretty_program(program)
-    try:
-        reparsed = parse_program(text, name=program.name)
-    except ParseError:
-        return program
-    if (
-        reparsed.variables == program.variables
-        and reparsed.arrays == program.arrays
-        and (
-            reparsed.body == program.body
-            or _normalized(reparsed.body) == _normalized(program.body)
-        )
-    ):
-        return reparsed
-    return program
+    return print_with_spans(program)

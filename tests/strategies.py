@@ -6,8 +6,10 @@ also consumed by the fuzz synthesizer's own property suite:
 
 * **program side** — ``base_programs`` (the summation-shaped program every
   relaxation transform applies to), ``transform_applications`` (one
-  arbitrary transform with arbitrary small parameters), and
-  ``flatten_stmt`` (AST equality modulo ``Seq`` association);
+  arbitrary transform with arbitrary small parameters), ``any_programs``
+  (every statement and expression form, negative literals, arbitrary
+  ``Seq`` association), and ``flatten_stmt`` (AST equality modulo ``Seq``
+  association);
 * **formula side** — ``terms`` / ``atoms`` / ``formulas`` (with
   quantifiers) / ``array_formulas`` over a tiny name pool and finite
   evaluation ``DOMAIN``, plus the reference recursions ``ref_free`` /
@@ -16,6 +18,7 @@ also consumed by the fuzz synthesizer's own property suite:
 
 from hypothesis import strategies as st
 
+from repro.lang import ast as A
 from repro.lang import builder as b
 from repro.lang.ast import Assign, If, Seq, While
 from repro.logic import formula as F
@@ -138,6 +141,105 @@ def transform_applications(draw):
             b.le(b.sub("original_n", delta), "n"),
             b.le("n", b.add("original_n", delta)),
         ),
+    )
+
+
+program_names = st.sampled_from(["x", "y", "z"])
+array_names = st.sampled_from(["A", "B"])
+executions = st.sampled_from(list(A.Execution))
+literals = st.integers(min_value=-12, max_value=12)
+
+
+@st.composite
+def int_exprs(draw, depth=2, relational=False):
+    """An integer expression (``E``, or ``E*`` when ``relational``)."""
+    choice = draw(st.integers(min_value=0, max_value=3 if depth > 0 else 1))
+    if choice == 0:
+        value = draw(literals)
+        return A.RelIntLit(value) if relational else A.IntLit(value)
+    if choice == 1:
+        name = draw(program_names)
+        return A.RelVar(name, draw(executions)) if relational else A.Var(name)
+    if choice == 2:
+        op = draw(st.sampled_from(list(A.IntOp)))
+        left = draw(int_exprs(depth - 1, relational))
+        right = draw(int_exprs(depth - 1, relational))
+        return A.RelBinOp(op, left, right) if relational else A.BinOp(op, left, right)
+    index = draw(int_exprs(depth - 1, relational))
+    if relational:
+        return A.RelArrayRead(draw(array_names), draw(executions), index)
+    return A.ArrayRead(draw(array_names), index)
+
+
+@st.composite
+def bool_exprs(draw, depth=2, relational=False):
+    """A boolean expression (``B``, or ``B*`` when ``relational``)."""
+    choice = draw(st.integers(min_value=0, max_value=3 if depth > 0 else 1))
+    if choice == 0:
+        value = draw(st.booleans())
+        return A.RelBoolLit(value) if relational else A.BoolLit(value)
+    if choice == 1:
+        op = draw(st.sampled_from(list(A.CmpOp)))
+        left = draw(int_exprs(1, relational))
+        right = draw(int_exprs(1, relational))
+        return A.RelCompare(op, left, right) if relational else A.Compare(op, left, right)
+    if choice == 2:
+        operand = draw(bool_exprs(depth - 1, relational))
+        return A.RelNot(operand) if relational else A.Not(operand)
+    op = draw(st.sampled_from(list(A.BoolOp)))
+    left = draw(bool_exprs(depth - 1, relational))
+    right = draw(bool_exprs(depth - 1, relational))
+    return A.RelBoolBin(op, left, right) if relational else A.BoolBin(op, left, right)
+
+
+@st.composite
+def any_stmts(draw, depth=2):
+    """A statement of any form; blocks are ``Seq`` trees of any association."""
+    choice = draw(st.integers(min_value=0, max_value=10 if depth > 0 else 7))
+    targets = tuple(draw(st.lists(program_names, min_size=1, max_size=2, unique=True)))
+    if choice == 0:
+        return A.Skip()
+    if choice == 1:
+        return A.Assign(draw(program_names), draw(int_exprs()))
+    if choice == 2:
+        return A.ArrayAssign(draw(array_names), draw(int_exprs(1)), draw(int_exprs()))
+    if choice == 3:
+        return A.Havoc(targets, draw(bool_exprs()))
+    if choice == 4:
+        return A.Relax(targets, draw(bool_exprs()))
+    if choice == 5:
+        return A.Assume(draw(bool_exprs()))
+    if choice == 6:
+        return A.Assert(draw(bool_exprs()))
+    if choice == 7:
+        label = f"l{draw(st.integers(min_value=0, max_value=9))}"
+        return A.Relate(label, draw(bool_exprs(relational=True)))
+    if choice == 8:
+        return A.Seq(draw(any_stmts(depth - 1)), draw(any_stmts(depth - 1)))
+    if choice == 9:
+        return A.If(
+            draw(bool_exprs(1)), draw(any_stmts(depth - 1)), draw(any_stmts(depth - 1))
+        )
+    return A.While(
+        draw(bool_exprs(1)),
+        draw(any_stmts(depth - 1)),
+        draw(st.none() | bool_exprs(1)),
+        draw(st.none() | bool_exprs(1, relational=True)),
+    )
+
+
+@st.composite
+def any_programs(draw):
+    """A builder-style program (no source, no spans) over every AST form."""
+    stmts = draw(st.lists(any_stmts(), min_size=1, max_size=4))
+    body = stmts[0]
+    for stmt in stmts[1:]:
+        body = A.Seq(body, stmt)  # left-nested, unlike the parser
+    return A.Program(
+        body=body,
+        name=draw(st.sampled_from(["p", "demo-1", "lu+perforate:i@L0:s2"])),
+        variables=tuple(draw(st.lists(program_names, max_size=3, unique=True))),
+        arrays=tuple(draw(st.lists(array_names, max_size=2, unique=True))),
     )
 
 
