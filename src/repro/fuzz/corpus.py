@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List
 
+from ..lang.parser import parse_program
 from .funnel import (
     BASE_BACKEND,
     FuzzReport,
@@ -34,7 +35,7 @@ from .funnel import (
     obligations_digest,
     verify_leg,
 )
-from .generator import GeneratedProgram, generated_study
+from .generator import GeneratedProgram
 
 MANIFEST = "manifest.json"
 PROGRAM_DIR = "programs"
@@ -196,7 +197,7 @@ def replay_corpus(directory: str) -> CorpusReplayReport:
                 seed=manifest["seed"],
                 index=len(generated),
                 family=expected["family"],
-                program=generated_study(name, source).build_program(),
+                program=parse_program(source, name=name),
                 source=source,
                 expect_verified=expected["expect_verified"],
             )

@@ -40,6 +40,7 @@ from .. import telemetry
 from ..casestudies.spec import lint_case_study
 from ..engine import ObligationEngine, VerdictStore, program_items, verify_batch
 from ..explore import explore
+from ..lang.parser import parse_program
 from ..solver.backend import BACKENDS, use_backend
 from .generator import GeneratedProgram, derive_spec, generated_study, synthesize_corpus
 
@@ -364,7 +365,7 @@ def verify_leg(
     """Batch-verify the whole corpus under one engine configuration."""
     entries = []
     for item in generated:
-        program = generated_study(item.name, item.source).build_program()
+        program = parse_program(item.source, name=item.name)
         entries.append((item.name, program, derive_spec(program)))
     with use_backend(backend), ObligationEngine.for_batch(
         jobs=jobs, cache_dir=cache_dir
@@ -427,7 +428,7 @@ def _probe(item: GeneratedProgram, source: str) -> GeneratedProgram:
         seed=item.seed,
         index=item.index,
         family=item.family,
-        program=generated_study(item.name, source).build_program(),
+        program=parse_program(source, name=item.name),
         source=source,
         planted=(),
         expect_verified=item.expect_verified,

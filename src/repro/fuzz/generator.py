@@ -308,23 +308,26 @@ def generated_study(name: str, source: str) -> CaseStudy:
         name=name,
         source=source,
         spec_hook=derive_spec,
-        workloads_hook=functools.partial(_generated_workloads, name, source),
+        workloads_hook=functools.partial(
+            _generated_workloads, name, parse_program(source, name=name).variables
+        ),
         paper_section="generated",
         chooser_hook=random_chooser,
     )
 
 
-def _generated_workloads(name: str, source: str, count: int, seed: int = 0) -> List[State]:
+def _generated_workloads(
+    name: str, variables: Tuple[str, ...], count: int, seed: int = 0
+) -> List[State]:
     """Seeded initial states over the program's declared scalars.
 
     Every variable is drawn from ``1..4`` — the range the generated
     ``assume`` bounds are written against — so no workload dies on an
     assumption and loop trip counts stay small.
     """
-    program = parse_program(source, name=name)
     lo, hi = _WORKLOAD_RANGE
     states = []
     for index in range(count):
         rng = random.Random(f"repro-fuzz-workload:{name}:{seed}:{index}")
-        states.append(State.of({var: rng.randint(lo, hi) for var in program.variables}))
+        states.append(State.of({var: rng.randint(lo, hi) for var in variables}))
     return states

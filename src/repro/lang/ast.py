@@ -26,8 +26,9 @@ source locations.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +47,11 @@ class IntOp(enum.Enum):
     MIN = "min"
     MAX = "max"
 
+    @property
+    def function(self) -> Callable[[int, int], int]:
+        """The operator as a two-argument function, for compiled evaluators."""
+        return _INT_FUNCTIONS[self]
+
     def apply(self, left: int, right: int) -> int:
         """Apply the operator to two integers using the paper's semantics.
 
@@ -54,21 +60,18 @@ class IntOp(enum.Enum):
         :class:`EvaluationError` at interpretation time; here we raise
         ``ZeroDivisionError`` and let callers wrap it.
         """
-        if self is IntOp.ADD:
-            return left + right
-        if self is IntOp.SUB:
-            return left - right
-        if self is IntOp.MUL:
-            return left * right
-        if self is IntOp.DIV:
-            return left // right
-        if self is IntOp.MOD:
-            return left % right
-        if self is IntOp.MIN:
-            return min(left, right)
-        if self is IntOp.MAX:
-            return max(left, right)
-        raise AssertionError(f"unhandled integer operator {self}")
+        return _INT_FUNCTIONS[self](left, right)
+
+
+_INT_FUNCTIONS = {
+    IntOp.ADD: operator.add,
+    IntOp.SUB: operator.sub,
+    IntOp.MUL: operator.mul,
+    IntOp.DIV: operator.floordiv,
+    IntOp.MOD: operator.mod,
+    IntOp.MIN: min,
+    IntOp.MAX: max,
+}
 
 
 class CmpOp(enum.Enum):
@@ -81,20 +84,13 @@ class CmpOp(enum.Enum):
     EQ = "=="
     NE = "!="
 
+    @property
+    def function(self) -> Callable[[int, int], bool]:
+        """The comparison as a two-argument function, for compiled evaluators."""
+        return _CMP_FUNCTIONS[self]
+
     def apply(self, left: int, right: int) -> bool:
-        if self is CmpOp.LT:
-            return left < right
-        if self is CmpOp.LE:
-            return left <= right
-        if self is CmpOp.GT:
-            return left > right
-        if self is CmpOp.GE:
-            return left >= right
-        if self is CmpOp.EQ:
-            return left == right
-        if self is CmpOp.NE:
-            return left != right
-        raise AssertionError(f"unhandled comparison operator {self}")
+        return _CMP_FUNCTIONS[self](left, right)
 
     def negate(self) -> "CmpOp":
         """Return the comparison denoting the logical negation of this one."""
@@ -104,6 +100,15 @@ class CmpOp(enum.Enum):
         """Return the comparison with operands swapped (e.g. ``<`` -> ``>``)."""
         return _CMP_FLIP[self]
 
+
+_CMP_FUNCTIONS = {
+    CmpOp.LT: operator.lt,
+    CmpOp.LE: operator.le,
+    CmpOp.GT: operator.gt,
+    CmpOp.GE: operator.ge,
+    CmpOp.EQ: operator.eq,
+    CmpOp.NE: operator.ne,
+}
 
 _CMP_NEGATION = {
     CmpOp.LT: CmpOp.GE,

@@ -389,8 +389,11 @@ def _array_targets(statement, state: State) -> List[str]:
 
 def _check_array_targets_unconstrained(statement, state: State) -> None:
     """Array targets are only supported with predicates that do not read them."""
-    predicate_vars = bool_vars(statement.predicate)
-    for name in _array_targets(statement, state):
+    array_targets = _array_targets(statement, state)
+    if not array_targets:
+        return
+    predicate_vars = _witness_plan(statement).reads
+    for name in array_targets:
         if name in predicate_vars:
             raise ChooserError(
                 f"array {name!r} is a havoc/relax target but the predicate "

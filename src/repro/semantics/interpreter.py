@@ -18,12 +18,16 @@ produce ``ba``; both propagate through compound statements.
 The interpreter enforces a *fuel* bound on loop iterations so that
 executions of non-terminating programs raise :class:`NonTerminationError`
 (the paper's metatheory is stated for terminating executions only).
+
+Every statement is compiled once, per semantics, into a closure
+``run(interp, state) -> State | ErrorOutcome``; executing a program calls
+its root closure (see :func:`precompile_program`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..lang.ast import (
     ArrayAssign,
@@ -52,12 +56,12 @@ from ..lang.ast import (
 )
 from .choosers import Chooser, ChooserError, MinimalChangeChooser, SolverChooser
 from .state import (
+    ErrorOutcome,
     Observation,
     Outcome,
     State,
     Terminated,
     bad_assume,
-    is_error,
     wrong,
 )
 
@@ -90,6 +94,9 @@ DEFAULT_FUEL = 100_000
 
 _EXPR_CACHE: Dict[int, Tuple[Expr, Callable[[State], int]]] = {}
 _BOOL_CACHE: Dict[int, Tuple[BoolExpr, Callable[[State], bool]]] = {}
+#: Statement closures, keyed by node identity *and* semantics: ``relax`` is
+#: an assert under ⇓o and a havoc under ⇓r.
+_STMT_CACHE: Dict[Tuple[int, bool], Tuple[Stmt, "StmtFn"]] = {}
 
 #: Flush threshold: the strong references would otherwise pin every AST node
 #: ever evaluated (a long explorer run scores thousands of candidate
@@ -100,14 +107,19 @@ _CACHE_LIMIT = 65_536
 
 
 def expr_cache_stats() -> Dict[str, int]:
-    """Sizes of the compiled-expression caches (tests/benchmarks)."""
-    return {"exprs": len(_EXPR_CACHE), "bools": len(_BOOL_CACHE)}
+    """Sizes of the compiled-closure caches (tests/benchmarks)."""
+    return {
+        "exprs": len(_EXPR_CACHE),
+        "bools": len(_BOOL_CACHE),
+        "stmts": len(_STMT_CACHE),
+    }
 
 
 def clear_expr_cache() -> None:
-    """Drop every compiled expression (releases the cached AST references)."""
+    """Drop every compiled closure (releases the cached AST references)."""
     _EXPR_CACHE.clear()
     _BOOL_CACHE.clear()
+    _STMT_CACHE.clear()
 
 
 def _build_expr(expr: Expr) -> Callable[[State], int]:
@@ -127,7 +139,7 @@ def _build_expr(expr: Expr) -> Callable[[State], int]:
     if isinstance(expr, BinOp):
         left = _compiled_expr(expr.left)
         right = _compiled_expr(expr.right)
-        apply = expr.op.apply
+        apply = expr.op.function
 
         def run_binop(state: State) -> int:
             try:
@@ -158,7 +170,7 @@ def _build_bool(expr: BoolExpr) -> Callable[[State], bool]:
     if isinstance(expr, Compare):
         left = _compiled_expr(expr.left)
         right = _compiled_expr(expr.right)
-        apply = expr.op.apply
+        apply = expr.op.function
         return lambda state: apply(left(state), right(state))
     if isinstance(expr, BoolBin):
         # Both operands are evaluated (no short-circuit), matching the
@@ -174,26 +186,23 @@ def _build_bool(expr: BoolExpr) -> Callable[[State], bool]:
     raise TypeError(f"unknown boolean expression node {expr!r}")
 
 
+def _compiled(cache: Dict, key, node, build: Callable, *args) -> Callable:
+    """``build(node, *args)``, memoised in ``cache`` under ``key``."""
+    entry = cache.get(key)
+    if entry is None:
+        fn = build(node, *args)
+        if len(cache) >= _CACHE_LIMIT:
+            cache.clear()
+        entry = cache[key] = (node, fn)
+    return entry[1]
+
+
 def _compiled_expr(expr: Expr) -> Callable[[State], int]:
-    entry = _EXPR_CACHE.get(id(expr))
-    if entry is not None:
-        return entry[1]
-    fn = _build_expr(expr)
-    if len(_EXPR_CACHE) >= _CACHE_LIMIT:
-        _EXPR_CACHE.clear()
-    _EXPR_CACHE[id(expr)] = (expr, fn)
-    return fn
+    return _compiled(_EXPR_CACHE, id(expr), expr, _build_expr)
 
 
 def _compiled_bool(expr: BoolExpr) -> Callable[[State], bool]:
-    entry = _BOOL_CACHE.get(id(expr))
-    if entry is not None:
-        return entry[1]
-    fn = _build_bool(expr)
-    if len(_BOOL_CACHE) >= _CACHE_LIMIT:
-        _BOOL_CACHE.clear()
-    _BOOL_CACHE[id(expr)] = (expr, fn)
-    return fn
+    return _compiled(_BOOL_CACHE, id(expr), expr, _build_bool)
 
 
 def eval_expr(expr: Expr, state: State) -> int:
@@ -207,45 +216,201 @@ def eval_bool(expr: BoolExpr, state: State) -> bool:
 
 
 def precompile_program(program_or_stmt: Union[Program, Stmt]) -> int:
-    """Compile every expression of a program into the closure caches.
+    """Compile a program's statement closures for both semantics.
 
-    Walks the statement tree and compiles each integer/boolean expression,
-    so subsequent executions (all samples, all policies of a scoring run)
-    pay zero compilation cost inside their loops.  Returns the number of
-    statements visited.  Idempotent and cheap when already compiled.
+    Compiling a statement compiles every expression it evaluates, so all
+    later executions (every sample and policy of a scoring run) pay no
+    compilation cost.  Returns the number of cached statement closures.
+    Idempotent and cheap when already compiled.
     """
-    stmt = (
-        program_or_stmt.body
-        if isinstance(program_or_stmt, Program)
-        else program_or_stmt
-    )
-    visited = 0
-    worklist = [stmt]
+    stmt = _body(program_or_stmt)
+    _compiled_stmt(stmt, False)
+    _compiled_stmt(stmt, True)
+    return len(_STMT_CACHE)
+
+
+# ---------------------------------------------------------------------------
+# Compiled statements
+#
+# A statement closure returns the final state, or the ``ErrorOutcome`` that
+# stopped the run.  It keeps the accounting of a recursive tree walk, so
+# every score built on it is unchanged: ``steps_executed`` gains 1 per
+# statement node entered (each ``Seq`` and ``If``, a ``While`` once); fuel
+# drops by 1 per loop test; errors carry the same kind and message; the
+# chooser sees the same calls in the same order; ``relate`` appends to the
+# run's observation list in execution order.
+# ---------------------------------------------------------------------------
+
+StmtFn = Callable[["Interpreter", State], Union[State, ErrorOutcome]]
+
+
+def _body(program_or_stmt: Union[Program, Stmt]) -> Stmt:
+    if isinstance(program_or_stmt, Program):
+        return program_or_stmt.body
+    return program_or_stmt
+
+
+def _compiled_stmt(stmt: Stmt, relaxed: bool) -> StmtFn:
+    return _compiled(_STMT_CACHE, (id(stmt), relaxed), stmt, _build_stmt, relaxed)
+
+
+def _check(condition: BoolExpr, fail: Callable[[str], ErrorOutcome], what: str) -> StmtFn:
+    """``assert``/``assume``: ``fail(f"{what} failed: {condition}")`` when false."""
+    holds_fn = _compiled_bool(condition)
+
+    def run_check(interp: "Interpreter", state: State):
+        interp.steps_executed += 1
+        try:
+            holds = holds_fn(state)
+        except ExpressionError as error:
+            return wrong(str(error))
+        return state if holds else fail(f"{what} failed: {condition}")
+
+    return run_check
+
+
+def _build_stmt(stmt: Stmt, relaxed: bool) -> StmtFn:
+    kind = type(stmt)
+    if kind is Seq:
+        return _build_block(stmt, relaxed)
+    if kind is Assert:
+        return _check(stmt.condition, wrong, "assertion")
+    if kind is Assume:
+        return _check(stmt.condition, bad_assume, "assumption")
+    if kind is Relax and not relaxed:
+        # Figure 3: in the original semantics relax behaves like assert e.
+        return _check(stmt.predicate, wrong, "assertion")
+    if kind is Skip:
+
+        def run_skip(interp: "Interpreter", state: State):
+            interp.steps_executed += 1
+            return state
+
+        return run_skip
+    if kind is Assign:
+        target, value_fn = stmt.target, _compiled_expr(stmt.value)
+
+        def run_assign(interp: "Interpreter", state: State):
+            interp.steps_executed += 1
+            try:
+                return state.set_scalar(target, value_fn(state))
+            except ExpressionError as error:
+                return wrong(str(error))
+
+        return run_assign
+    if kind is ArrayAssign:
+        array, index_fn = stmt.array, _compiled_expr(stmt.index)
+        value_fn = _compiled_expr(stmt.value)
+
+        def run_array_assign(interp: "Interpreter", state: State):
+            interp.steps_executed += 1
+            try:
+                index = index_fn(state)
+                return state.set_array_element(array, index, value_fn(state))
+            except ExpressionError as error:
+                return wrong(str(error))
+
+        return run_array_assign
+    if kind is Havoc or kind is Relax:
+        # Figure 4: relax executes as havoc in the relaxed semantics, and
+        # how far it moves its scalar targets counts as relax_deviation.
+        predicate = _compiled_bool(stmt.predicate)
+        deviating = stmt.targets if kind is Relax else ()
+
+        def run_choose(interp: "Interpreter", state: State):
+            interp.steps_executed += 1
+            try:
+                new_state = interp.chooser.choose(stmt, state)
+            except ChooserError as error:
+                return wrong(str(error))
+            if new_state is None:
+                return wrong(f"no assignment satisfies the predicate of {stmt}")
+            try:
+                if not predicate(new_state):
+                    return wrong(f"chooser produced a state violating the predicate of {stmt}")
+            except ExpressionError:
+                # Predicates over array contents cannot always be re-checked
+                # here; the chooser is trusted for those.
+                pass
+            for name in deviating:
+                if state.has_scalar(name) and new_state.has_scalar(name):
+                    interp.relax_deviation += abs(new_state.scalar(name) - state.scalar(name))
+            return new_state
+
+        return run_choose
+    if kind is Relate:
+        label = stmt.label
+
+        def run_relate(interp: "Interpreter", state: State):
+            interp.steps_executed += 1
+            interp._observations.append(Observation(label, state))
+            return state
+
+        return run_relate
+    if kind is If:
+        condition = _compiled_bool(stmt.condition)
+        then_fn = _compiled_stmt(stmt.then_branch, relaxed)
+        else_fn = _compiled_stmt(stmt.else_branch, relaxed)
+
+        def run_if(interp: "Interpreter", state: State):
+            interp.steps_executed += 1
+            try:
+                taken = condition(state)
+            except ExpressionError as error:
+                return wrong(str(error))
+            return (then_fn if taken else else_fn)(interp, state)
+
+        return run_if
+    if kind is While:
+        condition = _compiled_bool(stmt.condition)
+        body_fn = _compiled_stmt(stmt.body, relaxed)
+
+        def run_while(interp: "Interpreter", state: State):
+            interp.steps_executed += 1
+            while True:
+                if interp._remaining_fuel <= 0:
+                    raise NonTerminationError(
+                        f"loop exceeded the fuel bound of {interp.fuel} iterations"
+                    )
+                interp._remaining_fuel -= 1
+                try:
+                    if not condition(state):
+                        return state
+                except ExpressionError as error:
+                    return wrong(str(error))
+                state = body_fn(interp, state)
+                if state.__class__ is ErrorOutcome:
+                    return state
+
+        return run_while
+    raise TypeError(f"unknown statement node {stmt!r}")
+
+
+def _build_block(stmt: Seq, relaxed: bool) -> StmtFn:
+    # A Seq tree runs as a flat block of its leaves in execution order, each
+    # paired with the Seq nodes entered just before it (those whose leftmost
+    # leaf it is), so the step count matches a recursive walk.
+    block: List[Tuple[int, StmtFn]] = []
+    entered, worklist = 0, [stmt]
     while worklist:
         node = worklist.pop()
-        visited += 1
-        if isinstance(node, Assign):
-            _compiled_expr(node.value)
-        elif isinstance(node, ArrayAssign):
-            _compiled_expr(node.index)
-            _compiled_expr(node.value)
-        elif isinstance(node, (Assert, Assume)):
-            _compiled_bool(node.condition)
-        elif isinstance(node, (Havoc, Relax)):
-            _compiled_bool(node.predicate)
-        elif isinstance(node, If):
-            _compiled_bool(node.condition)
-            worklist.append(node.then_branch)
-            worklist.append(node.else_branch)
-        elif isinstance(node, While):
-            _compiled_bool(node.condition)
-            worklist.append(node.body)
-        elif isinstance(node, Seq):
-            worklist.append(node.first)
-            worklist.append(node.second)
-        # Skip and Relate evaluate no unary expressions (a Relate predicate
-        # is relational and checked by the observation layer, not here).
-    return visited
+        if type(node) is Seq:
+            entered += 1
+            worklist += (node.second, node.first)
+        else:
+            block.append((entered, _compiled_stmt(node, relaxed)))
+            entered = 0
+    steps = tuple(block)
+
+    def run_block(interp: "Interpreter", state: State):
+        for entered, run in steps:
+            interp.steps_executed += entered
+            state = run(interp, state)
+            if state.__class__ is ErrorOutcome:
+                return state
+        return state
+
+    return run_block
 
 
 @dataclass
@@ -273,136 +438,17 @@ class Interpreter:
         if self.chooser is None:
             self.chooser = MinimalChangeChooser() if not self.relaxed else SolverChooser()
 
-    # -- public API -------------------------------------------------------------
-
     def run(self, program_or_stmt: Union[Program, Stmt], state: State) -> Outcome:
         """Evaluate a program or statement from ``state`` to an outcome."""
-        stmt = (
-            program_or_stmt.body
-            if isinstance(program_or_stmt, Program)
-            else program_or_stmt
-        )
+        run = _compiled_stmt(_body(program_or_stmt), bool(self.relaxed))
         self._remaining_fuel = self.fuel
         self.steps_executed = 0
         self.relax_deviation = 0
-        return self._eval(stmt, state)
-
-    # -- evaluation --------------------------------------------------------------
-
-    def _eval(self, stmt: Stmt, state: State) -> Outcome:
-        self.steps_executed += 1
-        if isinstance(stmt, Skip):
-            return Terminated(state, ())
-        if isinstance(stmt, Assign):
-            try:
-                value = eval_expr(stmt.value, state)
-            except ExpressionError as error:
-                return wrong(str(error))
-            return Terminated(state.set_scalar(stmt.target, value), ())
-        if isinstance(stmt, ArrayAssign):
-            try:
-                index = eval_expr(stmt.index, state)
-                value = eval_expr(stmt.value, state)
-            except ExpressionError as error:
-                return wrong(str(error))
-            return Terminated(state.set_array_element(stmt.array, index, value), ())
-        if isinstance(stmt, Havoc):
-            return self._eval_havoc(stmt, state)
-        if isinstance(stmt, Relax):
-            if self.relaxed:
-                # Figure 4: relax executes as havoc in the relaxed semantics.
-                outcome = self._eval_havoc(stmt, state)
-                if isinstance(outcome, Terminated):
-                    for name in stmt.targets:
-                        if state.has_scalar(name) and outcome.state.has_scalar(name):
-                            self.relax_deviation += abs(
-                                outcome.state.scalar(name) - state.scalar(name)
-                            )
-                return outcome
-            # Figure 3: in the original semantics relax behaves like assert e.
-            return self._eval_assert(Assert(stmt.predicate), state)
-        if isinstance(stmt, Assert):
-            return self._eval_assert(stmt, state)
-        if isinstance(stmt, Assume):
-            try:
-                holds = eval_bool(stmt.condition, state)
-            except ExpressionError as error:
-                return wrong(str(error))
-            if holds:
-                return Terminated(state, ())
-            return bad_assume(f"assumption failed: {stmt.condition}")
-        if isinstance(stmt, Relate):
-            return Terminated(state, (Observation(stmt.label, state),))
-        if isinstance(stmt, If):
-            try:
-                branch_taken = eval_bool(stmt.condition, state)
-            except ExpressionError as error:
-                return wrong(str(error))
-            branch = stmt.then_branch if branch_taken else stmt.else_branch
-            return self._eval(branch, state)
-        if isinstance(stmt, While):
-            return self._eval_while(stmt, state)
-        if isinstance(stmt, Seq):
-            first = self._eval(stmt.first, state)
-            if is_error(first):
-                return first
-            assert isinstance(first, Terminated)
-            second = self._eval(stmt.second, first.state)
-            if is_error(second):
-                return second
-            assert isinstance(second, Terminated)
-            return Terminated(second.state, first.observations + second.observations)
-        raise TypeError(f"unknown statement node {stmt!r}")
-
-    def _eval_assert(self, stmt: Assert, state: State) -> Outcome:
-        try:
-            holds = eval_bool(stmt.condition, state)
-        except ExpressionError as error:
-            return wrong(str(error))
-        if holds:
-            return Terminated(state, ())
-        return wrong(f"assertion failed: {stmt.condition}")
-
-    def _eval_havoc(self, stmt, state: State) -> Outcome:
-        assert self.chooser is not None
-        try:
-            new_state = self.chooser.choose(stmt, state)
-        except ChooserError as error:
-            return wrong(str(error))
-        if new_state is None:
-            return wrong(f"no assignment satisfies the predicate of {stmt}")
-        try:
-            if not eval_bool(stmt.predicate, new_state):
-                return wrong(
-                    f"chooser produced a state violating the predicate of {stmt}"
-                )
-        except ExpressionError:
-            # Predicates over array contents cannot always be re-checked here;
-            # the chooser is trusted for those.
-            pass
-        return Terminated(new_state, ())
-
-    def _eval_while(self, stmt: While, state: State) -> Outcome:
-        observations: Tuple[Observation, ...] = ()
-        current = state
-        while True:
-            if self._remaining_fuel <= 0:
-                raise NonTerminationError(
-                    f"loop exceeded the fuel bound of {self.fuel} iterations"
-                )
-            self._remaining_fuel -= 1
-            try:
-                continue_loop = eval_bool(stmt.condition, current)
-            except ExpressionError as error:
-                return wrong(str(error))
-            if not continue_loop:
-                return Terminated(current, observations)
-            body_outcome = self._eval(stmt.body, current)
-            if is_error(body_outcome):
-                return body_outcome
-            assert isinstance(body_outcome, Terminated)
-            observations = observations + body_outcome.observations
-            current = body_outcome.state
+        self._observations: List[Observation] = []
+        result = run(self, state)
+        if result.__class__ is ErrorOutcome:
+            return result
+        return Terminated(result, tuple(self._observations))
 
 
 def run_original(

@@ -19,7 +19,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..lang.ast import RelBoolExpr
 from ..logic.evaluate import EvaluationError, Valuation, evaluate
-from ..logic.formula import Symbol, Tag
+from ..logic.formula import Formula, Symbol, Tag
 from ..logic.translate import formula_of_rel_bool
 from .state import Observation, ObservationList, State
 
@@ -51,9 +51,20 @@ def pair_valuation(original: State, relaxed: State) -> Valuation:
     return Valuation(scalars=scalars, arrays=arrays)
 
 
+# Translated relate conditions keyed by node identity, like the choosers'
+# witness plans; each entry holds its node, so a cached id cannot be reused.
+_FORMULAS: Dict[int, Tuple[RelBoolExpr, Formula]] = {}
+_FORMULA_LIMIT = 1 << 16
+
+
 def relational_holds(condition: RelBoolExpr, original: State, relaxed: State) -> bool:
     """Evaluate a relational boolean expression over a pair of states."""
-    formula = formula_of_rel_bool(condition)
+    entry = _FORMULAS.get(id(condition))
+    if entry is None:
+        if len(_FORMULAS) >= _FORMULA_LIMIT:
+            _FORMULAS.clear()
+        entry = _FORMULAS[id(condition)] = (condition, formula_of_rel_bool(condition))
+    formula = entry[1]
     valuation = pair_valuation(original, relaxed)
     try:
         return evaluate(formula, valuation)

@@ -84,3 +84,26 @@ def test_derived_spec_collects_obligations_error_free(seed, index):
     assert not collected.relaxed.errors, collected.relaxed.errors
     assert collected.original.obligations
     assert collected.relaxed.obligations
+
+
+def test_generated_workloads_parse_only_at_construction(monkeypatch):
+    """``workloads()`` reuses the variables read at construction (no parse per
+    call), draws the same states as always, and still pickles for workers."""
+    import pickle
+    from pathlib import Path
+
+    from repro.fuzz import generator
+
+    source = (Path(__file__).parent / "corpus" / "programs" / "fuzz-s0-0000.rlx").read_text()
+    study = generator.generated_study("fuzz-s0-0000", source)
+    parses = []
+    monkeypatch.setattr(generator, "parse_program", lambda *a, **k: parses.append(a))
+    states = [state.scalar_map() for state in study.workloads(3, seed=7)]
+    assert parses == []
+    assert states == [
+        {"i": 1, "m": 3, "acc": 2, "t": 2, "j": 1, "result": 2, "original_result": 2},
+        {"i": 4, "m": 2, "acc": 3, "t": 1, "j": 2, "result": 2, "original_result": 2},
+        {"i": 3, "m": 2, "acc": 1, "t": 2, "j": 2, "result": 2, "original_result": 3},
+    ]
+    hook = pickle.loads(pickle.dumps(study.workloads_hook))
+    assert [state.scalar_map() for state in hook(3, seed=7)] == states

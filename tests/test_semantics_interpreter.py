@@ -163,13 +163,33 @@ class TestCompiledExpressionCache:
             "vars x, y; arrays A; x = y + 1; if (x > 0) { A[0] = x * 2; } "
             "while (x < 5) { x = x + 1; } assert x >= 5;"
         )
-        visited = precompile_program(program)
-        assert visited > 0
+        cached = precompile_program(program)
+        assert cached > 0
         stats = expr_cache_stats()
         assert stats["exprs"] > 0 and stats["bools"] > 0
+        # Statement closures, one set per semantics.
+        assert stats["stmts"] == cached and cached % 2 == 0
         # Idempotent: a second pass compiles nothing new.
-        precompile_program(program)
+        assert precompile_program(program) == cached
         assert expr_cache_stats() == stats
+        # Running the program reuses the precompiled closures.
+        run_relaxed(program, State.of({"y": 1}, arrays={"A": {}}))
+        assert expr_cache_stats() == stats
+        clear_expr_cache()
+        assert expr_cache_stats() == {"exprs": 0, "bools": 0, "stmts": 0}
+
+    def test_statement_closures_are_per_semantics(self):
+        from repro.semantics.interpreter import clear_expr_cache, expr_cache_stats
+
+        clear_expr_cache()
+        stmt = parse_statement("relax (x) st (x == 5);")
+        # Under the original semantics relax is an assert...
+        assert is_wrong(run_original(stmt, State.of({"x": 1})))
+        assert expr_cache_stats()["stmts"] == 1
+        # ...under the relaxed semantics a havoc, compiled separately.
+        outcome = run_relaxed(stmt, State.of({"x": 1}))
+        assert outcome.state.scalar("x") == 5
+        assert expr_cache_stats()["stmts"] == 2
 
     def test_eval_uses_cached_closures_across_states(self):
         from repro.semantics.interpreter import expr_cache_stats

@@ -244,3 +244,43 @@ class TestCompatibility:
         original = State.of({"i": 0}, arrays={"A": {0: 7}})
         relaxed = State.of({"i": 0}, arrays={"A": {0: 7}})
         assert relational_holds(condition, original, relaxed)
+
+
+class TestPerRunInvariantsAreHoisted:
+    """Scoring translates each predicate and relate condition once per node,
+    not once per sample, and scores the same as with fresh caches."""
+
+    @staticmethod
+    def _count_calls(monkeypatch, module, name):
+        calls = {}
+        translate = getattr(module, name)
+
+        def counting(node):
+            calls[id(node)] = calls.get(id(node), 0) + 1
+            return translate(node)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("study", ["water-parallelization", "lu-approximate-memory"])
+    def test_predicate_variables_once_per_node(self, monkeypatch, study):
+        from repro.semantics import choosers
+
+        case = get_case_study(study)
+        program = case.build_program()
+        expected = score_candidate(case, program, samples=25, seed=1).as_dict()
+        monkeypatch.setattr(choosers, "_PLANS", {})
+        calls = self._count_calls(monkeypatch, choosers, "bool_vars")
+        assert score_candidate(case, program, samples=25, seed=1).as_dict() == expected
+        assert calls and max(calls.values()) == 1
+
+    def test_relate_conditions_translated_once_per_node(self, monkeypatch):
+        from repro.semantics import observation
+
+        case = get_case_study("lu-approximate-memory")
+        program = case.build_program()
+        expected = score_candidate(case, program, samples=25, seed=1).as_dict()
+        monkeypatch.setattr(observation, "_FORMULAS", {})
+        calls = self._count_calls(monkeypatch, observation, "formula_of_rel_bool")
+        assert score_candidate(case, program, samples=25, seed=1).as_dict() == expected
+        assert calls and max(calls.values()) == 1
