@@ -6,6 +6,12 @@ it covers every candidate's verdict, obligation digest, score and Pareto
 flag.  A change to the interpreter, the choosers or the scoring that moves
 any score changes its study's digest.  The table holds across
 ``PYTHONHASHSEED`` values.
+
+The second table pins the same payload without the fields that depend on
+the printed program text: each result's ``fingerprint`` and ``parent``
+(hashes of the candidate's printed form) and each failure's ``location``
+(a line number into it).  It holds across changes to the concrete syntax
+that keep every verdict, obligation and score.
 """
 
 import hashlib
@@ -28,18 +34,76 @@ DEPTH1_DIGESTS = {
 
 LU_DEPTH3_JOBS2_DIGEST = "7e8140e228559200"
 
+DEPTH1_STABLE_DIGESTS = {
+    "swish-dynamic-knobs": "95e9a2db85234712",
+    "water-parallelization": "b1bb18f770dba929",
+    "lu-approximate-memory": "0874cd6150333505",
+    "sum-reduction-perforation": "fe86c649367790b1",
+    "bnb-early-exit": "1b0cf305bab7db95",
+    "stencil-approx-memory": "1c8007987856e22c",
+    "pipeline-two-knobs": "8700a4f5f0412049",
+}
 
-def _digest(report) -> str:
-    payload = normalized_explore_payload(report.as_dict())
+LU_DEPTH3_JOBS2_STABLE_DIGEST = "364d87425e26f374"
+
+
+def _hash(payload) -> str:
     text = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _digest(report) -> str:
+    return _hash(normalized_explore_payload(report.as_dict()))
+
+
+def _stable_digest(report) -> str:
+    payload = normalized_explore_payload(report.as_dict())
+    results = []
+    for result in payload["results"]:
+        result = {
+            key: value
+            for key, value in result.items()
+            if key not in ("fingerprint", "parent")
+        }
+        if "failures" in result:
+            result["failures"] = [
+                {key: value for key, value in failure.items() if key != "location"}
+                for failure in result["failures"]
+            ]
+        results.append(result)
+    return _hash(dict(payload, results=results))
+
+
+@pytest.fixture(scope="module")
+def depth1_reports():
+    return {}
+
+
+def _depth1(reports, name):
+    if name not in reports:
+        reports[name] = explore(name, depth=1, seed=1)
+    return reports[name]
+
+
+@pytest.fixture(scope="module")
+def lu_depth3_report():
+    return explore("lu-approximate-memory", depth=3, seed=1, jobs=2)
+
+
 @pytest.mark.parametrize("name", sorted(DEPTH1_DIGESTS))
-def test_depth1_explore_digest(name):
-    assert _digest(explore(name, depth=1, seed=1)) == DEPTH1_DIGESTS[name]
+def test_depth1_explore_digest(depth1_reports, name):
+    assert _digest(_depth1(depth1_reports, name)) == DEPTH1_DIGESTS[name]
 
 
-def test_lu_depth3_two_workers_digest():
-    report = explore("lu-approximate-memory", depth=3, seed=1, jobs=2)
-    assert _digest(report) == LU_DEPTH3_JOBS2_DIGEST
+@pytest.mark.parametrize("name", sorted(DEPTH1_STABLE_DIGESTS))
+def test_depth1_explore_stable_digest(depth1_reports, name):
+    report = _depth1(depth1_reports, name)
+    assert _stable_digest(report) == DEPTH1_STABLE_DIGESTS[name]
+
+
+def test_lu_depth3_two_workers_digest(lu_depth3_report):
+    assert _digest(lu_depth3_report) == LU_DEPTH3_JOBS2_DIGEST
+
+
+def test_lu_depth3_two_workers_stable_digest(lu_depth3_report):
+    assert _stable_digest(lu_depth3_report) == LU_DEPTH3_JOBS2_STABLE_DIGEST
