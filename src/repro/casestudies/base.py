@@ -5,11 +5,12 @@ language, state the acceptability property, prove it — so a
 :class:`CaseStudy` is exactly those parts:
 
 * ``source`` — the relaxed program in the paper's surface language
-  (``relax``/``assume``/``relate`` plus the loop invariant and relational
-  invariant annotations its verification needs), parsed on demand;
-* ``spec_hook`` — maps the parsed program to its
-  :class:`~repro.hoare.verifier.AcceptabilitySpec` (unary and relational
-  pre/postconditions plus the diverge-rule annotations);
+  (``relax``/``assume``/``relate``), with every annotation its
+  verification needs: the header clauses (``shared`` arrays, unary and
+  relational pre/postconditions), loop invariants and relational
+  invariants, and ``diverge`` annotations.  It is parsed on demand, and
+  its :class:`~repro.hoare.verifier.AcceptabilitySpec` is read from the
+  parsed program (:meth:`~repro.hoare.verifier.AcceptabilitySpec.of`);
 * ``workloads_hook`` — a generator of initial states for differential
   simulation;
 * optional ``chooser_hook`` (the substrate's nondeterminism strategy),
@@ -44,13 +45,12 @@ from ..semantics.state import Outcome, State, Terminated, is_error
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..relaxations.sites import RelaxationSite
 
-SpecHook = Callable[[Program], AcceptabilitySpec]
 WorkloadsHook = Callable[[int, int], List[State]]
 ChooserHook = Callable[[int], Optional[Chooser]]
 DistortionHook = Callable[[State, Outcome, Outcome], Optional[float]]
 MetricsHook = Callable[[State, Outcome, Outcome], Dict[str, float]]
 
-_HOOKS = ("spec_hook", "workloads_hook", "chooser_hook", "distortion_hook", "metrics_hook")
+_HOOKS = ("workloads_hook", "chooser_hook", "distortion_hook", "metrics_hook")
 
 
 def random_chooser(seed: int) -> Chooser:
@@ -118,7 +118,6 @@ class CaseStudy:
 
     name: str
     source: str
-    spec_hook: SpecHook
     workloads_hook: WorkloadsHook
     paper_section: str = ""
     paper_proof_lines: int = 0  # lines of Coq proof script reported by the paper
@@ -144,7 +143,8 @@ class CaseStudy:
         return parse_program(self.source, name=self.name)
 
     def acceptability_spec(self, program: Program) -> AcceptabilitySpec:
-        return self.spec_hook(program)
+        """The spec ``program`` (the study's or a relaxed candidate) states."""
+        return AcceptabilitySpec.of(program)
 
     def verify(self, engine=None) -> AcceptabilityReport:
         """Run the ⊢o and ⊢r verifications for this case study.

@@ -29,20 +29,18 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..hoare.relational import DivergenceSpec, RelationalConfig
-from ..hoare.verifier import AcceptabilitySpec
-from ..lang import builder as b
-from ..lang.ast import Program
-from ..lang.parser import parse_bool
 from ..semantics.state import Outcome, State, Terminated
 from ..substrates.workloads import generate_search_workloads
 from .base import CaseStudy, random_chooser
 from .registry import register_case_study
-from .spec import loop_at
 
 SOURCE = """
 vars i, N, UB, cutoff, original_cutoff, first, v, best;
 arrays A;
+shared A;
+rel_requires (i<o> == i<r> && N<o> == N<r> && UB<o> == UB<r> && cutoff<o> == cutoff<r>
+              && original_cutoff<o> == original_cutoff<r> && first<o> == first<r>
+              && v<o> == v<r> && best<o> == best<r>);
 assume(N >= 1);
 assume(1 <= cutoff);
 first = A[0];
@@ -51,8 +49,11 @@ best = first;
 original_cutoff = cutoff;
 relax (cutoff) st (1 <= cutoff && cutoff <= original_cutoff);
 i = 1;
+// The scan's trip count depends on the relaxed cutoff, so the loop
+// diverges; both sides keep the incumbent within [first, UB].
 while (i < N && i < cutoff)
     invariant (first <= best && best <= UB && 1 <= i)
+    diverge (first <= best && best <= UB) (first <= best && best <= UB)
 {
     v = A[i];
     v = min(v, UB);
@@ -64,27 +65,6 @@ while (i < N && i < cutoff)
 relate incumbent: (first<r> <= best<r> && best<r> <= UB<r>
                    && first<o> <= best<o> && best<o> <= UB<o>);
 """
-
-
-def _spec(program: Program) -> AcceptabilitySpec:
-    scan_loop = loop_at(program, 0)
-    incumbent = parse_bool("first <= best && best <= UB")
-    return AcceptabilitySpec(
-        rel_precondition=b.all_same(
-            "i", "N", "UB", "cutoff", "original_cutoff", "first", "v", "best"
-        ),
-        relational_config=RelationalConfig(
-            arrays=("A",),
-            shared_arrays=("A",),
-            divergence_specs={
-                scan_loop: DivergenceSpec(
-                    original_post=incumbent,
-                    relaxed_post=incumbent,
-                    comment="scan trip count depends on the relaxed cutoff",
-                )
-            },
-        ),
-    )
 
 
 def _workloads(count: int, seed: int = 0):
@@ -145,7 +125,6 @@ BRANCH_AND_BOUND = register_case_study(
     CaseStudy(
         name="bnb-early-exit",
         source=SOURCE,
-        spec_hook=_spec,
         workloads_hook=_workloads,
         paper_section="1 (early-exit / dynamic knobs)",
         chooser_hook=random_chooser,

@@ -24,7 +24,8 @@ branch that updates the running maximum diverges (it depends on the relaxed
 value), so the invariant is re-established after the branch from the frame
 (the relations over ``a``, ``old_max`` and ``e``) plus the unary
 characterisation ``max = max(old_max, a)`` proved independently on each
-side — the same case analysis the paper performs.
+side (the branch's ``diverge`` annotation) — the same case analysis the
+paper performs.
 
 The substrate model (:func:`approx_memory_chooser`) perturbs each read by
 at most :data:`READ_ERROR_BOUND`; pass ``chooser_factory=`` to
@@ -35,17 +36,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..hoare.relational import DivergenceSpec, RelationalConfig
-from ..hoare.verifier import AcceptabilitySpec
-from ..lang import builder as b
-from ..lang.ast import Program
 from ..semantics.choosers import Chooser
 from ..semantics.state import Outcome, State, Terminated
 from ..substrates.approxmem import ApproxMemoryChooser, ErrorModel
 from ..substrates.workloads import generate_lu_workloads
 from .base import CaseStudy
 from .registry import register_case_study
-from .spec import branch_at, source_program
 
 #: The largest read error the approximate-memory substrate injects.
 READ_ERROR_BOUND = 2
@@ -53,6 +49,10 @@ READ_ERROR_BOUND = 2
 SOURCE = """
 vars i, N, a, original_a, old_max, maxval, p, e;
 arrays A;
+shared A;
+rel_requires (i<o> == i<r> && N<o> == N<r> && maxval<o> == maxval<r> && p<o> == p<r>
+              && e<o> == e<r> && a<o> == a<r> && original_a<o> == original_a<r>
+              && old_max<o> == old_max<r>);
 assume(e >= 0);
 assume(N >= 1);
 maxval = A[0];
@@ -69,7 +69,11 @@ while (i < N)
     original_a = a;
     relax (a) st (original_a - e <= a && a <= original_a + e);
     old_max = maxval;
-    if (a > maxval) {
+    // The max-update branch depends on the relaxed read, so it diverges;
+    // both sides establish that the running maximum is max(old_max, a).
+    if (a > maxval)
+        diverge (maxval == max(old_max, a)) (maxval == max(old_max, a))
+    {
         maxval = a;
         p = i;
     }
@@ -77,32 +81,6 @@ while (i < N)
 }
 relate pivot: (maxval<o> - maxval<r> <= e<r> && maxval<r> - maxval<o> <= e<r>);
 """
-
-
-def _spec(program: Program) -> AcceptabilitySpec:
-    # The unary characterisation of the branch: the running maximum becomes
-    # the larger of its previous value and the (possibly approximate) read.
-    branch_post = b.eq("maxval", b.max_("old_max", "a"))
-    config = RelationalConfig(
-        arrays=("A",),
-        shared_arrays=("A",),
-        divergence_specs={
-            branch_at(source_program(SOURCE)): DivergenceSpec(
-                original_post=branch_post,
-                relaxed_post=branch_post,
-                comment="the max-update branch depends on the relaxed read",
-            )
-        },
-    )
-    return AcceptabilitySpec(
-        precondition=b.true,
-        postcondition=b.true,
-        rel_precondition=b.all_same(
-            "i", "N", "maxval", "p", "e", "a", "original_a", "old_max"
-        ),
-        rel_postcondition=None,
-        relational_config=config,
-    )
 
 
 def _workloads(count: int, seed: int = 0) -> List[State]:
@@ -164,7 +142,6 @@ LU = register_case_study(
     CaseStudy(
         name="lu-approximate-memory",
         source=SOURCE,
-        spec_hook=_spec,
         workloads_hook=_workloads,
         paper_section="5.3",
         paper_proof_lines=315,

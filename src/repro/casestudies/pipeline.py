@@ -33,16 +33,10 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..hoare.relational import DivergenceSpec, RelationalConfig
-from ..hoare.verifier import AcceptabilitySpec
-from ..lang import builder as b
-from ..lang.ast import Program
-from ..lang.parser import parse_bool
 from ..semantics.state import Outcome, State, Terminated
 from ..substrates.workloads import generate_pipeline_workloads
 from .base import CaseStudy, random_chooser
 from .registry import register_case_study
-from .spec import loop_at
 
 #: Per-stage floor both knobs must respect (the Swish++ "top results" idea,
 #: applied to each stage of the pipeline).
@@ -50,6 +44,9 @@ STAGE_FLOOR = 4
 
 SOURCE = """
 vars N1, N2, k1, k2, original_k1, original_k2, budget, n1, n2;
+rel_requires (N1<o> == N1<r> && N2<o> == N2<r> && k1<o> == k1<r> && k2<o> == k2<r>
+              && original_k1<o> == original_k1<r> && original_k2<o> == original_k2<r>
+              && budget<o> == budget<r> && n1<o> == n1<r> && n2<o> == n2<r>);
 assume(N1 >= 0);
 assume(N2 >= 0);
 assume(0 <= budget);
@@ -60,45 +57,26 @@ original_k2 = k2;
 relax (k1, k2) st (4 <= k1 && k1 <= original_k1 && 4 <= k2 && k2 <= original_k2
                    && (original_k1 - k1) + (original_k2 - k2) <= budget);
 n1 = 0;
+// Each stage's trip count depends on its relaxed knob, so both loops
+// diverge; each side characterises the stage's count as min(N, max(k, 0)).
 while (n1 < N1 && n1 < k1)
     invariant (0 <= n1 && n1 <= N1 && (n1 <= k1 || n1 == 0) && 0 <= N1 && 0 <= N2)
+    diverge (0 <= n1 && n1 == min(N1, max(k1, 0)))
+            (0 <= n1 && n1 == min(N1, max(k1, 0)))
 {
     n1 = n1 + 1;
 }
 n2 = 0;
 while (n2 < N2 && n2 < k2)
     invariant (0 <= n2 && n2 <= N2 && (n2 <= k2 || n2 == 0) && 0 <= N2)
+    diverge (0 <= n2 && n2 == min(N2, max(k2, 0)))
+            (0 <= n2 && n2 == min(N2, max(k2, 0)))
 {
     n2 = n2 + 1;
 }
 relate throughput: (n1<r> <= n1<o> && n2<r> <= n2<o>
                     && (n1<o> - n1<r>) + (n2<o> - n2<r>) <= budget<r>);
 """
-
-
-def _spec(program: Program) -> AcceptabilitySpec:
-    stage1 = loop_at(program, 0)
-    stage2 = loop_at(program, 1)
-    char1 = parse_bool("0 <= n1 && n1 == min(N1, max(k1, 0))")
-    char2 = parse_bool("0 <= n2 && n2 == min(N2, max(k2, 0))")
-    return AcceptabilitySpec(
-        rel_precondition=b.all_same(
-            "N1", "N2", "k1", "k2", "original_k1", "original_k2",
-            "budget", "n1", "n2",
-        ),
-        relational_config=RelationalConfig(
-            divergence_specs={
-                stage1: DivergenceSpec(
-                    original_post=char1, relaxed_post=char1,
-                    comment="stage-1 trip count depends on the relaxed k1",
-                ),
-                stage2: DivergenceSpec(
-                    original_post=char2, relaxed_post=char2,
-                    comment="stage-2 trip count depends on the relaxed k2",
-                ),
-            },
-        ),
-    )
 
 
 def _workloads(count: int, seed: int = 0):
@@ -155,7 +133,6 @@ PIPELINE_KNOBS = register_case_study(
     CaseStudy(
         name="pipeline-two-knobs",
         source=SOURCE,
-        spec_hook=_spec,
         workloads_hook=_workloads,
         paper_section="5.1 (dynamic knobs, generalised)",
         chooser_hook=random_chooser,

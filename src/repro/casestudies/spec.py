@@ -1,75 +1,26 @@
-"""Spec-writing helpers and the well-formedness gate for case studies.
-
-A study's ``spec_hook`` anchors :class:`~repro.hoare.relational.
-DivergenceSpec` annotations to AST nodes, which the relational prover
-looks up by node equality.  The positional selectors below find those
-nodes in a parsed program; :func:`source_program` parses a study's own
-source once, so a hook can anchor to the study's unrelaxed statement and
-a transformed candidate finds the annotation exactly when it keeps that
-statement unchanged.
+"""The well-formedness gate for case studies.
 
 :func:`lint_case_study` is the toolkit's well-formedness gate (surfaced as
 ``repro casestudy lint``): the program parses (its printed text parses
-back to it, with the spans the printer attached),
-declared variables cover the used ones, every discovered relaxation site
-applies, the ⊢o and ⊢r obligations collect without proof-construction
-errors, and the workload generator produces states.
+back to it, header clauses and annotations included, with the spans the
+printer attached), declared variables cover the used ones, every
+discovered relaxation site applies, the ⊢o and ⊢r obligations collect
+without proof-construction errors, every ``diverge`` annotation is used by
+the diverge rule, and the workload generator produces states.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Type, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from ..hoare.verifier import AcceptabilityVerifier
-from ..lang.ast import If, Program, Relate, Relax, Stmt, While
+from ..lang.ast import If, Program, Relate, While
 from ..lang.analysis import used_vars
 from ..lang.parser import parse_program
 from ..lang.pretty import print_with_spans
 from ..semantics.state import State
 from .base import CaseStudy
-
-
-# ---------------------------------------------------------------------------
-# Positional AST selectors (divergence-spec anchors for parsed programs)
-# ---------------------------------------------------------------------------
-
-
-def nth_statement(program: Program, cls: Type[Stmt], index: int = 0) -> Stmt:
-    """The ``index``-th statement of class ``cls`` in syntactic pre-order.
-
-    Spec hooks use these selectors to anchor
-    :class:`~repro.hoare.relational.DivergenceSpec` annotations.
-    """
-    nodes = [node for node in program.body.walk() if isinstance(node, cls)]
-    if index >= len(nodes):
-        raise IndexError(
-            f"program {program.name!r} has {len(nodes)} {cls.__name__} "
-            f"statements; selector asked for index {index}"
-        )
-    return nodes[index]
-
-
-def loop_at(program: Program, index: int = 0) -> While:
-    """The ``index``-th ``while`` loop of the program."""
-    return nth_statement(program, While, index)  # type: ignore[return-value]
-
-
-def branch_at(program: Program, index: int = 0) -> If:
-    """The ``index``-th ``if`` statement of the program."""
-    return nth_statement(program, If, index)  # type: ignore[return-value]
-
-
-def relax_at(program: Program, index: int = 0) -> Relax:
-    """The ``index``-th ``relax`` statement of the program."""
-    return nth_statement(program, Relax, index)  # type: ignore[return-value]
-
-
-@functools.lru_cache(maxsize=None)
-def source_program(source: str) -> Program:
-    """``source`` parsed once per process (a read-only anchor for spec hooks)."""
-    return parse_program(source)
 
 
 # ---------------------------------------------------------------------------
@@ -136,16 +87,13 @@ def _round_trip_problem(program: Program) -> Optional[str]:
     The verify path takes source spans from
     :func:`~repro.lang.pretty.print_with_spans` without parsing, so this
     check is where the printer's output meets the parser: the printed text
-    must parse to the printed program (the input up to Seq association)
-    and every node must get the same span from both.
+    must parse to the printed program (the input up to Seq association,
+    declarations, header clauses and annotations included) and every node
+    must get the same span from both.
     """
     printed = print_with_spans(program)
     reparsed = parse_program(printed.source, name=program.name)
-    if (reparsed.body, reparsed.variables, reparsed.arrays) != (
-        printed.body,
-        printed.variables,
-        printed.arrays,
-    ):
+    if reparsed != printed:
         return "pretty-printed program does not round-trip through the parser"
     for parsed_node, printed_node in zip(reparsed.body.walk(), printed.body.walk()):
         if parsed_node.span != printed_node.span:
@@ -164,7 +112,9 @@ def lint_case_study(study: Union[str, CaseStudy]) -> LintReport:
     expressible in the paper's language, and the verify path's printed
     spans stay exact); declared variables cover the used ones; every discovered
     relaxation site applies cleanly; the ⊢o/⊢r obligations collect with no
-    proof-construction errors; and the workload generator produces states.
+    proof-construction errors; every ``diverge`` annotation sits on a
+    statement the ⊢r proof verifies with the diverge rule; and the
+    workload generator produces states.
     Later checks are skipped once the program itself fails to build.
     """
     from .registry import get_case_study
@@ -236,6 +186,20 @@ def lint_case_study(study: Union[str, CaseStudy]) -> LintReport:
             report.error("obligations-collect", "no proof obligations collected")
     except Exception as error:
         report.error("obligations-collect", f"collection raised: {error}")
+        collected = None
+
+    report.checks_run += 1
+    if collected is not None:
+        diverged = {id(node) for node in collected.diverged}
+        for node in collected.program.body.walk():
+            if isinstance(node, (If, While)) and node.diverge is not None:
+                if id(node) not in diverged:
+                    where = node.span.describe() if node.span else "unknown location"
+                    report.error(
+                        "diverge-used",
+                        f"the diverge annotation at {where} is unused: the "
+                        "relational proof does not take the diverge rule there",
+                    )
 
     report.checks_run += 1
     try:

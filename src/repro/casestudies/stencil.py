@@ -31,10 +31,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..hoare.relational import RelationalConfig
-from ..hoare.verifier import AcceptabilitySpec
-from ..lang import builder as b
-from ..lang.ast import Program
 from ..semantics.state import Outcome, State, Terminated
 from ..substrates.approxmem import ApproxMemoryChooser, ErrorModel
 from ..substrates.workloads import generate_stencil_workloads
@@ -44,6 +40,11 @@ from .registry import register_case_study
 SOURCE = """
 vars i, N, el, em, er, left, mid, right, original_right, cell, acc;
 arrays A, E;
+shared A, E;
+rel_requires (i<o> == i<r> && N<o> == N<r> && el<o> == el<r> && em<o> == em<r>
+              && er<o> == er<r> && left<o> == left<r> && mid<o> == mid<r>
+              && right<o> == right<r> && original_right<o> == original_right<r>
+              && cell<o> == cell<r> && acc<o> == acc<r>);
 assume(N >= 1);
 left = 0;
 mid = 0;
@@ -79,18 +80,6 @@ while (i < N)
     i = i + 1;
 }
 """
-
-
-def _spec(program: Program) -> AcceptabilitySpec:
-    return AcceptabilitySpec(
-        rel_precondition=b.all_same(
-            "i", "N", "el", "em", "er", "left", "mid", "right",
-            "original_right", "cell", "acc",
-        ),
-        relational_config=RelationalConfig(
-            arrays=("A", "E"), shared_arrays=("A", "E")
-        ),
-    )
 
 
 def _workloads(count: int, seed: int = 0):
@@ -162,7 +151,6 @@ STENCIL = register_case_study(
     CaseStudy(
         name="stencil-approx-memory",
         source=SOURCE,
-        spec_hook=_spec,
         workloads_hook=_workloads,
         paper_section="1 (approximate memory)",
         chooser_hook=_chooser,

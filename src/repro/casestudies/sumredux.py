@@ -31,10 +31,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..hoare.relational import RelationalConfig
-from ..hoare.verifier import AcceptabilitySpec
-from ..lang import builder as b
-from ..lang.ast import Program
 from ..semantics.state import Outcome, State, Terminated
 from ..substrates.workloads import generate_reduction_workloads
 from .base import CaseStudy, random_chooser
@@ -43,6 +39,10 @@ from .registry import register_case_study
 SOURCE = """
 vars i, N, M, term, original_term, s, slack;
 arrays A;
+shared A;
+rel_requires (i<o> == i<r> && N<o> == N<r> && M<o> == M<r> && term<o> == term<r>
+              && original_term<o> == original_term<r> && s<o> == s<r>
+              && slack<o> == slack<r>);
 assume(N >= 1);
 assume(M >= 0);
 s = 0;
@@ -65,15 +65,6 @@ while (i < N)
 }
 relate sum: (s<r> <= s<o> && s<o> - s<r> <= slack<r>);
 """
-
-
-def _spec(program: Program) -> AcceptabilitySpec:
-    return AcceptabilitySpec(
-        rel_precondition=b.all_same(
-            "i", "N", "M", "term", "original_term", "s", "slack"
-        ),
-        relational_config=RelationalConfig(arrays=("A",), shared_arrays=("A",)),
-    )
 
 
 def _workloads(count: int, seed: int = 0):
@@ -124,7 +115,6 @@ SUM_REDUCTION = register_case_study(
     CaseStudy(
         name="sum-reduction-perforation",
         source=SOURCE,
-        spec_hook=_spec,
         workloads_hook=_workloads,
         paper_section="1 (loop perforation / reduction sampling)",
         chooser_hook=random_chooser,

@@ -34,17 +34,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..hoare.relational import DivergenceSpec, RelationalConfig
-from ..hoare.verifier import AcceptabilitySpec
-from ..lang import builder as b
-from ..lang.ast import Program
 from ..semantics.choosers import Chooser
 from ..semantics.state import Outcome, State, Terminated
 from ..substrates.search import DynamicKnobChooser, DynamicKnobController, LoadModel
 from ..substrates.workloads import generate_swish_workloads
 from .base import CaseStudy
 from .registry import register_case_study
-from .spec import loop_at, source_program
 
 #: The number of results the relaxed program must always keep (paper value;
 #: the ``10`` in the relax predicate and the relate condition below).
@@ -52,54 +47,29 @@ MINIMUM_RESULTS = 10
 
 SOURCE = """
 vars N, max_r, original_max_r, num_r;
+rel_requires (N<o> == N<r> && max_r<o> == max_r<r>
+              && original_max_r<o> == original_max_r<r> && num_r<o> == num_r<r>);
 assume(N >= 0);
 original_max_r = max_r;
 relax (max_r) st ((original_max_r <= 10 && max_r == original_max_r)
                   || (original_max_r > 10 && max_r >= 10));
 num_r = 0;
+// The trip count depends on the relaxed max_r, so the loop diverges; both
+// sides establish num_r = min(N, max(max_r, 0)) as guarded implications.
 while (num_r < N && num_r < max_r)
     invariant (num_r >= 0 && num_r <= N && (num_r <= max_r || num_r == 0))
+    diverge (num_r >= 0 && num_r <= N && (N <= max_r ==> num_r == N)
+             && ((max_r >= 0 && max_r <= N) ==> num_r == max_r)
+             && (max_r <= 0 ==> num_r == 0))
+            (num_r >= 0 && num_r <= N && (N <= max_r ==> num_r == N)
+             && ((max_r >= 0 && max_r <= N) ==> num_r == max_r)
+             && (max_r <= 0 ==> num_r == 0))
 {
     num_r = num_r + 1;
 }
 relate results: ((num_r<o> < 10 && num_r<o> == num_r<r>)
                  || (num_r<o> >= 10 && num_r<r> >= 10));
 """
-
-
-def loop_result_characterisation() -> "b.BoolExpr":
-    """The unary postcondition of the formatting loop.
-
-    ``num_r = min(N, max(max_r, 0))`` expressed as guarded linear implications
-    so the obligation stays in the decidable fragment:
-    """
-    return b.and_(
-        b.ge("num_r", 0),
-        b.le("num_r", "N"),
-        b.implies(b.le("N", "max_r"), b.eq("num_r", "N")),
-        b.implies(b.and_(b.ge("max_r", 0), b.le("max_r", "N")), b.eq("num_r", "max_r")),
-        b.implies(b.le("max_r", 0), b.eq("num_r", 0)),
-    )
-
-
-def _spec(program: Program) -> AcceptabilitySpec:
-    characterisation = loop_result_characterisation()
-    config = RelationalConfig(
-        divergence_specs={
-            loop_at(source_program(SOURCE)): DivergenceSpec(
-                original_post=characterisation,
-                relaxed_post=characterisation,
-                comment="formatting loop: trip count depends on the relaxed max_r",
-            )
-        },
-    )
-    return AcceptabilitySpec(
-        precondition=b.true,
-        postcondition=b.true,
-        rel_precondition=b.all_same("N", "max_r", "original_max_r", "num_r"),
-        rel_postcondition=None,
-        relational_config=config,
-    )
 
 
 def _workloads(count: int, seed: int = 0) -> List[State]:
@@ -155,7 +125,6 @@ SWISH = register_case_study(
     CaseStudy(
         name="swish-dynamic-knobs",
         source=SOURCE,
-        spec_hook=_spec,
         workloads_hook=_workloads,
         paper_section="5.1",
         paper_proof_lines=330,
@@ -165,4 +134,4 @@ SWISH = register_case_study(
     )
 )
 
-__all__ = ["SWISH", "SOURCE", "MINIMUM_RESULTS", "loop_result_characterisation"]
+__all__ = ["SWISH", "SOURCE", "MINIMUM_RESULTS"]

@@ -33,21 +33,18 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..hoare.relational import DivergenceSpec, RelationalConfig
-from ..hoare.verifier import AcceptabilitySpec
-from ..lang import builder as b
-from ..lang.ast import Program
 from ..semantics.choosers import Chooser
 from ..semantics.state import Outcome, State, Terminated
 from ..substrates.parallel import RacyArrayChooser
 from ..substrates.workloads import generate_water_workloads
 from .base import CaseStudy
 from .registry import register_case_study
-from .spec import branch_at, source_program
 
 SOURCE = """
 vars K, N, len_FF, gCUT2;
 arrays RS, FF;
+rel_requires (K<o> == K<r> && N<o> == N<r> && len_FF<o> == len_FF<r>
+              && gCUT2<o> == gCUT2<r>);
 assume(N >= 0);
 // The parallel phase: lock elision makes RS nondeterministic.
 relax (RS) st (true);
@@ -59,7 +56,9 @@ while (K < N)
 {
     assume(K < len_FF);
     // EXP(RS[K]) is modelled by a linear expression; its exact shape is
-    // irrelevant to the integrity property being verified.
+    // irrelevant to the integrity property being verified.  The branch on
+    // RS[K] diverges with no diverge annotation: the relational frame
+    // carries the propagated outer assume, which re-establishes the inner one.
     if (RS[K] < gCUT2) {
         assume(K < len_FF);
         FF[K] = 2 * RS[K] + 1;
@@ -68,29 +67,6 @@ while (K < N)
 }
 relate bounds: (K<o> == K<r> && len_FF<o> == len_FF<r>);
 """
-
-
-def _spec(program: Program) -> AcceptabilitySpec:
-    config = RelationalConfig(
-        arrays=("RS", "FF"),
-        divergence_specs={
-            branch_at(source_program(SOURCE)): DivergenceSpec(
-                original_post=b.true,
-                relaxed_post=b.true,
-                comment=(
-                    "the branch on RS[K] diverges; the inner assume is "
-                    "re-established from the propagated outer assume"
-                ),
-            )
-        },
-    )
-    return AcceptabilitySpec(
-        precondition=b.true,
-        postcondition=b.true,
-        rel_precondition=b.all_same("K", "N", "len_FF", "gCUT2"),
-        rel_postcondition=None,
-        relational_config=config,
-    )
 
 
 def _workloads(count: int, seed: int = 0) -> List[State]:
@@ -158,7 +134,6 @@ WATER = register_case_study(
     CaseStudy(
         name="water-parallelization",
         source=SOURCE,
-        spec_hook=_spec,
         workloads_hook=_workloads,
         paper_section="5.2",
         paper_proof_lines=310,

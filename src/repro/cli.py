@@ -38,7 +38,7 @@ batch verification (the obligation engine):
   repro verify-batch                     verify every registered case study
   repro verify-batch NAME [NAME ...]     verify selected case studies
   repro verify-batch --dir DIR           verify every .rlx program in DIR
-                                         (default acceptability spec)
+                                         against its own clauses
   options:
     --jobs N        discharge obligations across N worker processes
     --cache-dir D   persist the obligation cache in D; re-runs answer
@@ -607,7 +607,13 @@ def build_parser() -> argparse.ArgumentParser:
     batch_cmd.add_argument(
         "names", nargs="*", help="case-study names (default: every registered case study)"
     )
-    batch_cmd.add_argument("--dir", help="verify every .rlx program in this directory")
+    batch_cmd.add_argument(
+        "--dir",
+        help=(
+            "verify every .rlx program in this directory against the spec its "
+            "own header clauses and diverge annotations state"
+        ),
+    )
     batch_cmd.add_argument(
         "--jobs", type=int, default=1, help="parallel discharge worker processes"
     )

@@ -10,8 +10,8 @@ objects identical in shape to :meth:`AcceptabilityVerifier.verify`'s.
 
 Batch items come from the built-in case studies
 (:func:`case_study_items`) or from a directory of ``.rlx`` sources
-(:func:`directory_items`, verified against the default acceptability
-specification).  The resulting :class:`BatchReport` renders both as a
+(:func:`directory_items`, each verified against the specification its own
+header clauses and annotations state).  The resulting :class:`BatchReport` renders both as a
 fixed-width table (via :func:`repro.analysis.metrics.format_batch_table`)
 and as a structured JSON document for downstream tooling.
 """
@@ -137,10 +137,11 @@ def program_items(
 def directory_items(directory: str, pattern_suffix: str = ".rlx") -> List[BatchItem]:
     """Batch items for every ``*.rlx`` program in ``directory``.
 
-    Programs from a directory carry no annotations beyond what is in their
-    source, so they are verified against the default acceptability
-    specification (trivial unary pre/postconditions, noninterference as the
-    relational precondition).
+    Each program is verified against the specification it states
+    (:meth:`~repro.hoare.verifier.AcceptabilitySpec.of`): its header
+    clauses, with the defaults (trivial unary pre/postconditions,
+    noninterference as the relational precondition) for the ones it omits,
+    and its ``diverge`` annotations.
     """
     if not os.path.isdir(directory):
         raise ValueError(f"not a directory: {directory!r}")
@@ -163,7 +164,9 @@ def directory_items(directory: str, pattern_suffix: str = ".rlx") -> List[BatchI
                 )
             )
             continue
-        items.append(BatchItem(name=program.name, program=program, spec=AcceptabilitySpec()))
+        items.append(
+            BatchItem(name=program.name, program=program, spec=AcceptabilitySpec.of(program))
+        )
     return items
 
 

@@ -6,9 +6,9 @@ programs rather than only the hand-written case-study gallery:
 * :mod:`~repro.fuzz.generator` — a seeded synthesizer emitting random,
   well-formed ``.rlx`` programs whose loops, relax envelopes and
   configuration variables are *planted* to match the syntactic shapes
-  :func:`repro.relaxations.sites.discover_sites` detects, each paired with
-  an auto-derived acceptability specification
-  (:func:`~repro.fuzz.generator.derive_spec`) and wrapped as an
+  :func:`repro.relaxations.sites.discover_sites` detects, each stating its
+  acceptability property in its own ``rel_ensures`` clause
+  (:func:`~repro.fuzz.generator.derive_spec` reads it) and wrapped as an
   unregistered case study (:func:`~repro.fuzz.generator.generated_study`)
   so the lint / explore layers accept it like any other;
 * :mod:`~repro.fuzz.funnel` — the pipeline driver behind ``repro fuzz``:

@@ -172,7 +172,7 @@ def replay_corpus(directory: str) -> CorpusReplayReport:
     """Re-verify every committed program and byte-compare the outcomes.
 
     The committed sources are rebuilt into generated case studies (spec
-    re-derived from the text alone), batch-verified in one pooled
+    read from each source's own clauses), batch-verified in one pooled
     wave on the corpus's recorded baseline backend, and each outcome is
     re-serialised with the canonical encoder.  Equality is asserted on the
     serialised *bytes*: field order, indentation and every fingerprint,

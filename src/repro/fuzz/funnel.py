@@ -40,9 +40,10 @@ from .. import telemetry
 from ..casestudies.spec import lint_case_study
 from ..engine import ObligationEngine, VerdictStore, program_items, verify_batch
 from ..explore import explore
+from ..hoare.verifier import AcceptabilitySpec
 from ..lang.parser import parse_program
 from ..solver.backend import BACKENDS, use_backend
-from .generator import GeneratedProgram, derive_spec, generated_study, synthesize_corpus
+from .generator import GeneratedProgram, generated_study, synthesize_corpus
 
 #: The backend every other verify leg is compared against.
 BASE_BACKEND = "compiled"
@@ -366,7 +367,7 @@ def verify_leg(
     entries = []
     for item in generated:
         program = parse_program(item.source, name=item.name)
-        entries.append((item.name, program, derive_spec(program)))
+        entries.append((item.name, program, AcceptabilitySpec.of(program)))
     with use_backend(backend), ObligationEngine.for_batch(
         jobs=jobs, cache_dir=cache_dir
     ) as engine:

@@ -43,7 +43,7 @@ from typing import List, Optional, Tuple
 from ..casestudies.base import CaseStudy, random_chooser
 from ..hoare.verifier import AcceptabilitySpec
 from ..lang import builder as b
-from ..lang.ast import Program, Relate, Seq, Stmt
+from ..lang.ast import Program, Stmt
 from ..lang.parser import parse_program
 from ..lang.pretty import pretty_program
 from ..semantics.state import State
@@ -229,13 +229,23 @@ def _build_family(
         # The broken family claims an envelope one unit tighter than the
         # relax grants: INVALID with a concrete counterexample model.
         claimed = delta if family == "lockstep-envelope" else delta - 1
-        body.append(b.relate("envelope", b.within(relax_target, claimed)))
-        body.append(b.relate("agreement", b.same(acc)))
+        relates = [
+            b.relate("envelope", b.within(relax_target, claimed)),
+            b.relate("agreement", b.same(acc)),
+        ]
     else:
         names = [acc] + ([branch_var] if use_branch else [])
-        body.append(b.relate("sync", b.all_same(*names)))
+        relates = [b.relate("sync", b.all_same(*names))]
+    body.extend(relates)
 
-    program = b.program(name, *body, variables=tuple(variables))
+    # The trailing relates describe the final state, so the acceptability
+    # properties the program declares must also hold of its final states.
+    program = Program(
+        body=b.block(*body),
+        name=name,
+        variables=tuple(variables),
+        rel_ensures=b.rand(*[relate.condition for relate in relates]),
+    )
     return program, planted
 
 
@@ -257,37 +267,10 @@ def _target_expression(acc: str, counter: str, rng: random.Random):
     return b.add(acc, counter)
 
 
-# ---------------------------------------------------------------------------
-# Auto-derived acceptability specification
-# ---------------------------------------------------------------------------
-
-
-def _toplevel_relates(stmt: Stmt) -> List[Relate]:
-    """``relate`` statements in straight-line position (not under a loop
-    or branch) — the ones whose conditions describe the final state."""
-    if isinstance(stmt, Seq):
-        return _toplevel_relates(stmt.first) + _toplevel_relates(stmt.second)
-    if isinstance(stmt, Relate):
-        return [stmt]
-    return []
-
-
-def derive_spec(program: Program) -> AcceptabilitySpec:
-    """Derive the acceptability spec of a generated program from its source.
-
-    The derivation is a pure function of the program text, so the corpus
-    replayer reconstructs byte-identical obligations from committed ``.rlx``
-    sources alone: trivial unary pre/postconditions, the default
-    noninterference relational precondition (both executions start equal),
-    and a relational *postcondition* assembled from the straight-line
-    ``relate`` statements — the acceptability properties the program itself
-    declares must also hold of its final states.
-    """
-    relates = _toplevel_relates(program.body)
-    rel_postcondition = (
-        b.rand(*[relate.condition for relate in relates]) if relates else None
-    )
-    return AcceptabilitySpec(rel_postcondition=rel_postcondition)
+#: The spec a generated program states (its ``rel_ensures`` clause, the
+#: default noninterference precondition and trivial unary conditions), read
+#: from the program like every other program's.
+derive_spec = AcceptabilitySpec.of
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +290,6 @@ def generated_study(name: str, source: str) -> CaseStudy:
     return CaseStudy(
         name=name,
         source=source,
-        spec_hook=derive_spec,
         workloads_hook=functools.partial(
             _generated_workloads, name, parse_program(source, name=name).variables
         ),

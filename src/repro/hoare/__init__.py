@@ -23,7 +23,6 @@ from .obligations import (
     discharge,
 )
 from .relational import (
-    DivergenceSpec,
     RelationalConfig,
     RelationalProofError,
     RelationalProver,
@@ -57,7 +56,6 @@ __all__ = [
     "ProofSystem",
     "VerificationReport",
     "discharge",
-    "DivergenceSpec",
     "RelationalConfig",
     "RelationalProofError",
     "RelationalProver",

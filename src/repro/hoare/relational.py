@@ -19,7 +19,7 @@ and fall back to the *diverge* rule otherwise:
 * the projections of the current relational formula become the
   preconditions of independent unary proofs — ⊢o for the original side and
   ⊢i for the relaxed side (Figure 9) — whose postconditions are supplied by
-  a :class:`DivergenceSpec` annotation (or default to ``true``),
+  the statement's ``diverge`` annotation (or default to ``true``),
 * relationships over variables *not modified* by the divergent region are
   preserved by the relational frame rule (implemented by existentially
   quantifying the modified variables of the pre-state relation).
@@ -27,8 +27,8 @@ and fall back to the *diverge* rule otherwise:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..lang.analysis import modified_vars, no_rel
 from ..lang.ast import (
@@ -83,36 +83,16 @@ if TYPE_CHECKING:  # pragma: no cover - only for annotations
     from ..engine.core import ObligationEngine
 
 
-@dataclass(frozen=True)
-class DivergenceSpec:
-    """Annotations for a statement verified with the diverge rule.
-
-    ``original_post`` / ``relaxed_post`` are *unary* boolean expressions (or
-    formulas over untagged symbols) that the original (⊢o) and intermediate
-    (⊢i) systems must establish for the divergent region.  When omitted they
-    default to ``true`` — sound, but all knowledge about modified variables
-    is lost and only the relational frame survives the region.
-    """
-
-    original_post: Optional[Union[BoolExpr, Formula]] = None
-    relaxed_post: Optional[Union[BoolExpr, Formula]] = None
-    comment: str = ""
-
-
 @dataclass
 class RelationalConfig:
     """Configuration of the relational prover."""
 
-    # Statements (AST nodes) mapped to their divergence annotations.
-    divergence_specs: Mapping[Stmt, DivergenceSpec] = field(default_factory=dict)
     # Names of array variables (array havoc/relax targets are renamed wholesale).
     arrays: Sequence[str] = ()
     # Read-only arrays whose contents are identical in the original and relaxed
     # executions (program inputs); they are translated as a single shared symbol,
     # which gives the relational proofs "array noninterference" for free.
     shared_arrays: Sequence[str] = ()
-    # Force the diverge rule for these statements even if control flow converges.
-    force_divergent: Sequence[Stmt] = ()
 
 
 class RelationalProofError(Exception):
@@ -140,6 +120,9 @@ class RelationalProver:
         self.context = context if context is not None else ProvenanceContext()
         self.collector = ObligationCollector(ProofSystem.RELAXED, context=self.context)
         self.unary_collectors: List[ObligationCollector] = []
+        #: The ``if``/``while`` statements proved with the diverge rule, in
+        #: proof order.
+        self.diverged: List[Union[If, While]] = []
         self._fresh = FreshSymbols()
 
     # -- translation helpers (shared-array aware) ---------------------------------
@@ -372,8 +355,7 @@ class RelationalProver:
         return self.engine.check_premise(premise)
 
     def _sp_if(self, stmt: If, relation: Formula) -> Formula:
-        forced = any(stmt is node or stmt == node for node in self.config.force_divergent)
-        if not forced and self._converges(stmt.condition, relation):
+        if self._converges(stmt.condition, relation):
             self.collector.record_rule("if-convergent")
             both_true = self._share(
                 pair(formula_of_bool(stmt.condition), formula_of_bool(stmt.condition))
@@ -394,8 +376,7 @@ class RelationalProver:
             if stmt.rel_invariant is not None
             else None
         )
-        forced = any(stmt is node or stmt == node for node in self.config.force_divergent)
-        if rel_invariant is not None and not forced:
+        if rel_invariant is not None:
             # Convergent while rule: the invariant must force lockstep branching.
             if self._converges(condition, rel_invariant):
                 self.collector.record_rule("while-convergent")
@@ -426,16 +407,19 @@ class RelationalProver:
         self.collector.record_rule("diverge")
         return self._sp_diverge(stmt, relation)
 
-    def _sp_diverge(self, stmt: Stmt, relation: Formula) -> Formula:
+    def _sp_diverge(self, stmt: Union[If, While], relation: Formula) -> Formula:
         """The diverge rule: independent unary proofs plus the relational frame."""
         if not no_rel(stmt):
             raise RelationalProofError(
                 "the diverge rule requires no_rel(s): a relate statement occurs "
                 f"inside the divergent region {pretty_stmt(stmt)!r}"
             )
-        spec = self._lookup_spec(stmt)
-        original_post = self._as_unary_formula(spec.original_post if spec else None)
-        relaxed_post = self._as_unary_formula(spec.relaxed_post if spec else None)
+        self.diverged.append(stmt)
+        annotation = stmt.diverge
+        original_post = relaxed_post = TRUE
+        if annotation is not None:
+            original_post = formula_of_bool(annotation.original_post)
+            relaxed_post = formula_of_bool(annotation.relaxed_post)
 
         # Projections of the current relation become the unary preconditions.
         original_pre = projection_formula(relation, Tag.ORIGINAL)
@@ -496,23 +480,6 @@ class RelationalProver:
             frame = exists(fresh_scalars, substitute(frame, renaming_scalars))
 
         return conj(frame, inj_o(original_post), inj_r(relaxed_post))
-
-    # -- helpers -----------------------------------------------------------------------
-
-    def _lookup_spec(self, stmt: Stmt) -> Optional[DivergenceSpec]:
-        for node, spec in self.config.divergence_specs.items():
-            if node is stmt or node == stmt:
-                return spec
-        return None
-
-    @staticmethod
-    def _as_unary_formula(value: Optional[Union[BoolExpr, Formula]]) -> Formula:
-        if value is None:
-            return TRUE
-        if isinstance(value, Formula):
-            return value
-        return formula_of_bool(value)
-
 
 # -- the sp rule table ---------------------------------------------------------
 #

@@ -26,7 +26,7 @@ guarantees the supplied annotations establish.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from ..lang.analysis import modified_vars, used_vars
 from ..lang.ast import BoolExpr, Program, RelBoolExpr, Stmt
@@ -63,6 +63,26 @@ class AcceptabilitySpec:
     rel_precondition: Union[RelBoolExpr, Formula, None] = None
     rel_postcondition: Union[RelBoolExpr, Formula, None] = None
     relational_config: Optional[RelationalConfig] = None
+
+    @classmethod
+    def of(cls, program: Program) -> "AcceptabilitySpec":
+        """The specification ``program`` states in its header clauses.
+
+        ``requires``/``ensures`` and ``rel_requires``/``rel_ensures`` become
+        the pre/postconditions (absent ones take the defaults above), and
+        the ``arrays``/``shared`` declarations configure the relational
+        prover.  The diverge annotations stay on their statements, where
+        the prover reads them.
+        """
+        return cls(
+            precondition=program.requires,
+            postcondition=program.ensures,
+            rel_precondition=program.rel_requires,
+            rel_postcondition=program.rel_ensures,
+            relational_config=RelationalConfig(
+                arrays=tuple(program.arrays), shared_arrays=tuple(program.shared)
+            ),
+        )
 
 
 @dataclass
@@ -130,6 +150,9 @@ class CollectedAcceptability:
     # The program the obligations were collected from, with source text and
     # spans attached when recoverable — the anchor for forensic reports.
     program: Optional[Program] = None
+    # The statements of ``program`` the ⊢r proof verified with the diverge
+    # rule (the statements a ``diverge`` annotation is used on).
+    diverged: Tuple[Stmt, ...] = ()
 
 
 class AcceptabilityVerifier:
@@ -194,6 +217,7 @@ class AcceptabilityVerifier:
             original=original_collector,
             relaxed=relaxed_collector,
             program=program,
+            diverged=tuple(prover.diverged),
         )
 
     def verify(
@@ -245,7 +269,8 @@ def verify_acceptability(
     spec: Optional[AcceptabilitySpec] = None,
     engine: Optional["ObligationEngine"] = None,
 ) -> AcceptabilityReport:
-    """Convenience wrapper over :class:`AcceptabilityVerifier`."""
+    """Convenience wrapper over :class:`AcceptabilityVerifier`; the spec
+    defaults to the one the program states (:meth:`AcceptabilitySpec.of`)."""
     return AcceptabilityVerifier(engine=engine).verify(
-        program, spec or AcceptabilitySpec()
+        program, spec or AcceptabilitySpec.of(program)
     )

@@ -589,12 +589,32 @@ class Relate(Stmt):
 
 
 @dataclass(frozen=True)
+class Diverge:
+    """The ``diverge (original_post) (relaxed_post)`` annotation.
+
+    It sits on an ``if`` or ``while`` and gives the unary postconditions
+    that the original (⊢o) and intermediate (⊢i) proofs establish when the
+    relational prover verifies the statement with the diverge rule.
+    Without one both default to ``true``: sound, but only the relational
+    frame survives the divergent region.
+    """
+
+    original_post: BoolExpr
+    relaxed_post: BoolExpr
+
+
+@dataclass(frozen=True)
 class If(Stmt):
-    """``if (B) {S1} else {S2}``."""
+    """``if (B) [diverge (B1) (B2)] {S1} else {S2}``.
+
+    The optional ``diverge`` annotation is not part of the dynamic
+    semantics.
+    """
 
     condition: BoolExpr
     then_branch: Stmt
     else_branch: Stmt
+    diverge: Optional[Diverge] = None
 
     def children(self) -> Tuple[Node, ...]:
         return (self.condition, self.then_branch, self.else_branch)
@@ -610,15 +630,16 @@ class If(Stmt):
 class While(Stmt):
     """``while (B) {S}``.
 
-    The optional ``invariant`` / ``rel_invariant`` fields carry the loop
-    annotations used by the Hoare-logic verification front ends.  They are
-    not part of the dynamic semantics.
+    The optional ``invariant`` / ``rel_invariant`` / ``diverge`` fields
+    carry the loop annotations used by the Hoare-logic verification front
+    ends.  They are not part of the dynamic semantics.
     """
 
     condition: BoolExpr
     body: Stmt
     invariant: Optional[BoolExpr] = None
     rel_invariant: Optional[RelBoolExpr] = None
+    diverge: Optional[Diverge] = None
 
     def children(self) -> Tuple[Node, ...]:
         return (self.condition, self.body)
@@ -654,12 +675,24 @@ class Program:
     declarations of the variables and arrays it uses.  Declarations are not
     required by the dynamic semantics (states are finite maps that grow on
     assignment) but allow well-formedness checking and nicer error messages.
+
+    The header clauses state the program's acceptability specification:
+    ``shared`` names the declared arrays both executions read identically,
+    ``requires``/``ensures`` are the unary pre/postconditions of the ⊢o
+    proof and ``rel_requires``/``rel_ensures`` the relational ones of the
+    ⊢r proof (``None`` means the default, see
+    :meth:`repro.hoare.verifier.AcceptabilitySpec.of`).
     """
 
     body: Stmt
     name: str = "program"
     variables: Tuple[str, ...] = field(default_factory=tuple)
     arrays: Tuple[str, ...] = field(default_factory=tuple)
+    shared: Tuple[str, ...] = field(default_factory=tuple)
+    requires: Optional[BoolExpr] = None
+    ensures: Optional[BoolExpr] = None
+    rel_requires: Optional[RelBoolExpr] = None
+    rel_ensures: Optional[RelBoolExpr] = None
     #: The concrete syntax this program was parsed from (``None`` for
     #: programs assembled with the builder API).  Excluded from equality
     #: and hashing, like node spans.
@@ -721,7 +754,7 @@ def replace_statement(stmt: Stmt, target: Stmt, replacement: Stmt) -> Stmt:
 
     Returns ``stmt`` itself (same object) when ``target`` does not occur, so
     callers and the recursion itself can detect "no replacement happened"
-    with an identity check.  ``While`` loops keep their invariant
+    with an identity check.  ``If`` and ``While`` statements keep their
     annotations through the rebuild.
     """
     import dataclasses as _dataclasses

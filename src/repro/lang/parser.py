@@ -3,7 +3,12 @@
 The accepted grammar (statement separators are semicolons; ``//`` comments
 run to end of line)::
 
-    program   := [ "vars" idlist ";" ] [ "arrays" idlist ";" ] stmts
+    program   := [ "vars" idlist ";" ] [ "arrays" idlist ";" ]
+                 [ "shared" idlist ";" ]
+                 [ "requires" "(" bexpr ")" ";" ] [ "ensures" "(" bexpr ")" ";" ]
+                 [ "rel_requires" "(" rbexpr ")" ";" ]
+                 [ "rel_ensures" "(" rbexpr ")" ";" ]
+                 stmts
     stmts     := stmt*
     stmt      := "skip" ";"
                | ident "=" expr ";"
@@ -13,9 +18,12 @@ run to end of line)::
                | "assume" bexpr ";"
                | "assert" bexpr ";"
                | "relate" ident ":" rbexpr ";"
-               | "if" "(" bexpr ")" "{" stmts "}" [ "else" "{" stmts "}" ]
+               | "if" "(" bexpr ")" [ diverge ] "{" stmts "}"
+                     [ "else" "{" stmts "}" ]
                | "while" "(" bexpr ")" [ "invariant" "(" bexpr ")" ]
-                     [ "rel_invariant" "(" rbexpr ")" ] "{" stmts "}"
+                     [ "rel_invariant" "(" rbexpr ")" ] [ diverge ]
+                     "{" stmts "}"
+    diverge   := "diverge" "(" bexpr ")" "(" bexpr ")"
 
     bexpr     := bor;  bor := band ("||" band)*;  band := bimp ("&&" bimp)*
     bimp      := bnot [ "==>" bimp ]
@@ -31,6 +39,11 @@ run to end of line)::
 
 Relational expressions (``rbexpr`` / ``rexpr``) follow the same structure but
 variables carry an execution tag: ``x<o>``, ``x<r>``, ``A<o>[i]``.
+
+The header clauses state the acceptability specification; every ``shared``
+array must also be declared by ``arrays``.  A ``diverge`` annotation gives
+the unary postconditions of the original and relaxed sides for the diverge
+rule of the relational proof.
 
 The parser distinguishes a parenthesised comparison ``(x < y) && b`` from a
 parenthesised arithmetic expression ``(x + y) < z`` by backtracking at the
@@ -57,6 +70,7 @@ from .ast import (
     BoolOp,
     CmpOp,
     Compare,
+    Diverge,
     Execution,
     Expr,
     Havoc,
@@ -128,6 +142,12 @@ _KEYWORDS = {
     "max",
     "vars",
     "arrays",
+    "shared",
+    "requires",
+    "ensures",
+    "rel_requires",
+    "rel_ensures",
+    "diverge",
 }
 
 _TOKEN_SPEC = [
@@ -271,19 +291,36 @@ class Parser:
     # -- entry points -------------------------------------------------------
 
     def parse_program(self, name: str = "program") -> Program:
-        variables: Tuple[str, ...] = ()
-        arrays: Tuple[str, ...] = ()
-        if self._check("KEYWORD", "vars"):
-            self._advance()
-            variables = tuple(self._parse_ident_list())
-            self._expect("OP", ";")
-        if self._check("KEYWORD", "arrays"):
-            self._advance()
-            arrays = tuple(self._parse_ident_list())
-            self._expect("OP", ";")
+        variables = self._parse_declaration("vars")
+        arrays = self._parse_declaration("arrays")
+        shared_token = self._peek()
+        shared = self._parse_declaration("shared")
+        for array in shared:
+            if array not in arrays:
+                raise ParseError(
+                    f"shared array {array!r} is not declared by 'arrays'",
+                    shared_token.line,
+                    shared_token.column,
+                )
+        clauses = {
+            keyword: self._parse_clause(keyword, parse)
+            for keyword, parse in (
+                ("requires", self._parse_bexpr),
+                ("ensures", self._parse_bexpr),
+                ("rel_requires", self._parse_rbexpr),
+                ("rel_ensures", self._parse_rbexpr),
+            )
+        }
         body = self._parse_statements()
         self._expect("EOF")
-        return Program(body=body, name=name, variables=variables, arrays=arrays)
+        return Program(
+            body=body,
+            name=name,
+            variables=variables,
+            arrays=arrays,
+            shared=shared,
+            **clauses,
+        )
 
     def parse_statement_block(self) -> Stmt:
         body = self._parse_statements()
@@ -306,6 +343,34 @@ class Parser:
         return expr
 
     # -- statements ----------------------------------------------------------
+
+    def _parse_declaration(self, keyword: str) -> Tuple[str, ...]:
+        """``keyword idlist ;`` if present, else no names."""
+        if not self._accept("KEYWORD", keyword):
+            return ()
+        names = tuple(self._parse_ident_list())
+        self._expect("OP", ";")
+        return names
+
+    def _parse_clause(self, keyword: str, parse):
+        """``keyword ( expr ) ;`` if present, else ``None``."""
+        if not self._accept("KEYWORD", keyword):
+            return None
+        value = self._parse_parenthesised(parse)
+        self._expect("OP", ";")
+        return value
+
+    def _parse_parenthesised(self, parse):
+        self._expect("OP", "(")
+        value = parse()
+        self._expect("OP", ")")
+        return value
+
+    def _parse_diverge(self) -> Optional[Diverge]:
+        if not self._accept("KEYWORD", "diverge"):
+            return None
+        original_post = self._parse_parenthesised(self._parse_bexpr)
+        return Diverge(original_post, self._parse_parenthesised(self._parse_bexpr))
 
     def _parse_ident_list(self) -> List[str]:
         names = [self._expect("IDENT").text]
@@ -391,6 +456,7 @@ class Parser:
         self._expect("OP", "(")
         condition = self._parse_bexpr()
         self._expect("OP", ")")
+        diverge = self._parse_diverge()
         self._expect("OP", "{")
         then_branch = self._parse_statements()
         self._expect("OP", "}")
@@ -399,7 +465,7 @@ class Parser:
             self._expect("OP", "{")
             else_branch = self._parse_statements()
             self._expect("OP", "}")
-        return If(condition, then_branch, else_branch)
+        return If(condition, then_branch, else_branch, diverge)
 
     def _parse_while(self) -> Stmt:
         self._expect("KEYWORD", "while")
@@ -409,17 +475,14 @@ class Parser:
         invariant: Optional[BoolExpr] = None
         rel_invariant: Optional[RelBoolExpr] = None
         if self._accept("KEYWORD", "invariant"):
-            self._expect("OP", "(")
-            invariant = self._parse_bexpr()
-            self._expect("OP", ")")
+            invariant = self._parse_parenthesised(self._parse_bexpr)
         if self._accept("KEYWORD", "rel_invariant"):
-            self._expect("OP", "(")
-            rel_invariant = self._parse_rbexpr()
-            self._expect("OP", ")")
+            rel_invariant = self._parse_parenthesised(self._parse_rbexpr)
+        diverge = self._parse_diverge()
         self._expect("OP", "{")
         body = self._parse_statements()
         self._expect("OP", "}")
-        return While(condition, body, invariant, rel_invariant)
+        return While(condition, body, invariant, rel_invariant, diverge)
 
     # -- boolean expressions --------------------------------------------------
 

@@ -27,7 +27,7 @@ case-study lint checks it for every registered study.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from .ast import (
     ArrayAssign,
@@ -40,6 +40,7 @@ from .ast import (
     BoolExpr,
     BoolLit,
     Compare,
+    Diverge,
     Expr,
     Havoc,
     If,
@@ -164,7 +165,8 @@ def _pretty_stmt(stmt: Stmt, indent: int, lines: List[str]) -> None:
     elif isinstance(stmt, Relate):
         lines.append(f"{pad}relate {stmt.label}: {pretty_rel_bool(stmt.condition)};")
     elif isinstance(stmt, If):
-        lines.append(f"{pad}if ({pretty_bool(stmt.condition)}) {{")
+        header = f"{pad}if ({pretty_bool(stmt.condition)})"
+        lines.append(header + _pretty_diverge(stmt.diverge) + " {")
         _pretty_stmt(stmt.then_branch, indent + 1, lines)
         lines.append(f"{pad}}} else {{")
         _pretty_stmt(stmt.else_branch, indent + 1, lines)
@@ -175,7 +177,7 @@ def _pretty_stmt(stmt: Stmt, indent: int, lines: List[str]) -> None:
             header += f" invariant ({pretty_bool(stmt.invariant)})"
         if stmt.rel_invariant is not None:
             header += f" rel_invariant ({pretty_rel_bool(stmt.rel_invariant)})"
-        lines.append(header + " {")
+        lines.append(header + _pretty_diverge(stmt.diverge) + " {")
         _pretty_stmt(stmt.body, indent + 1, lines)
         lines.append(f"{pad}}}")
     elif isinstance(stmt, Seq):
@@ -185,6 +187,15 @@ def _pretty_stmt(stmt: Stmt, indent: int, lines: List[str]) -> None:
         raise TypeError(f"unknown statement node {stmt!r}")
 
 
+def _pretty_diverge(diverge: Optional[Diverge]) -> str:
+    if diverge is None:
+        return ""
+    return (
+        f" diverge ({pretty_bool(diverge.original_post)})"
+        f" ({pretty_bool(diverge.relaxed_post)})"
+    )
+
+
 def pretty_stmt(stmt: Stmt, indent: int = 0) -> str:
     """Render a statement as an indented multi-line block."""
     lines: List[str] = []
@@ -192,18 +203,36 @@ def pretty_stmt(stmt: Stmt, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
-def _header(program: Program) -> List[str]:
-    """The name comment and declaration lines that precede the body."""
+#: The header clauses in the order the parser accepts them.
+_CLAUSES = ("requires", "ensures", "rel_requires", "rel_ensures")
+
+
+def _declarations(program: Program) -> List[str]:
+    """The name comment and declaration lines that open the header."""
     lines = [f"// program: {program.name}"]
-    if program.variables:
-        lines.append(f"vars {', '.join(program.variables)};")
-    if program.arrays:
-        lines.append(f"arrays {', '.join(program.arrays)};")
+    for keyword, names in (
+        ("vars", program.variables),
+        ("arrays", program.arrays),
+        ("shared", program.shared),
+    ):
+        if names:
+            lines.append(f"{keyword} {', '.join(names)};")
+    return lines
+
+
+def _header(program: Program) -> List[str]:
+    """The declaration and specification lines that precede the body."""
+    lines = _declarations(program)
+    for keyword in _CLAUSES:
+        clause = getattr(program, keyword)
+        if clause is not None:
+            printer = pretty_rel_bool if keyword.startswith("rel_") else pretty_bool
+            lines.append(f"{keyword} ({printer(clause)});")
     return lines
 
 
 def pretty_program(program: Program) -> str:
-    """Render a full program, including variable declarations."""
+    """Render a full program, including its declarations and clauses."""
     lines = _header(program)
     lines.append(pretty_stmt(program.body))
     return "\n".join(lines) + "\n"
@@ -361,35 +390,72 @@ class _SpanPrinter:
         if isinstance(stmt, If):
             self.write("if (")
             condition = self.cond(stmt.condition)
-            self.write(") {")
+            self.write(")")
+            diverge = self.diverge(stmt.diverge)
+            self.write(" {")
             self.newline()
             then_branch = self.block(stmt.then_branch, indent + 1)
             self.write(f"{pad}}} else {{")
             self.newline()
             else_branch = self.block(stmt.else_branch, indent + 1)
             self.write(f"{pad}}}")
-            return If(condition, then_branch, else_branch, span=self.span(line, start))
+            return If(
+                condition, then_branch, else_branch, diverge, span=self.span(line, start)
+            )
         if isinstance(stmt, While):
             self.write("while (")
             condition = self.cond(stmt.condition)
             self.write(")")
-            invariant = rel_invariant = None
-            if stmt.invariant is not None:
-                self.write(" invariant (")
-                invariant = self.cond(stmt.invariant)
-                self.write(")")
-            if stmt.rel_invariant is not None:
-                self.write(" rel_invariant (")
-                rel_invariant = self.cond(stmt.rel_invariant)
-                self.write(")")
+            invariant = self.annotation("invariant", stmt.invariant)
+            rel_invariant = self.annotation("rel_invariant", stmt.rel_invariant)
+            diverge = self.diverge(stmt.diverge)
             self.write(" {")
             self.newline()
             body = self.block(stmt.body, indent + 1)
             self.write(f"{pad}}}")
             return While(
-                condition, body, invariant, rel_invariant, span=self.span(line, start)
+                condition,
+                body,
+                invariant,
+                rel_invariant,
+                diverge,
+                span=self.span(line, start),
             )
         raise TypeError(f"unknown statement node {stmt!r}")
+
+    def annotation(self, keyword: str, expr):
+        """`` keyword (expr)`` when ``expr`` is given; returns the rebuilt expr."""
+        if expr is None:
+            return None
+        self.write(f" {keyword} (")
+        expr = self.cond(expr)
+        self.write(")")
+        return expr
+
+    def diverge(self, diverge: Optional[Diverge]) -> Optional[Diverge]:
+        if diverge is None:
+            return None
+        original_post = self.annotation("diverge", diverge.original_post)
+        self.write(" (")
+        relaxed_post = self.cond(diverge.relaxed_post)
+        self.write(")")
+        return Diverge(original_post, relaxed_post)
+
+    def header(self, program: Program) -> dict:
+        """Print the header; returns its clauses rebuilt with spans."""
+        for text in _declarations(program):
+            self.write(text)
+            self.newline()
+        clauses = {}
+        for keyword in _CLAUSES:
+            clause = getattr(program, keyword)
+            if clause is not None:
+                self.write(f"{keyword} (")
+                clause = self.cond(clause)
+                self.write(");")
+                self.newline()
+            clauses[keyword] = clause
+        return clauses
 
 
 def print_with_spans(program: Program) -> Program:
@@ -400,16 +466,16 @@ def print_with_spans(program: Program) -> Program:
     docstring for the contract); ``program`` itself is left untouched.
     """
     printer = _SpanPrinter()
-    header = "\n".join(_header(program)) + "\n"
-    printer.parts.append(header)
-    printer.line += header.count("\n")
+    clauses = printer.header(program)
     body = printer.block(program.body, 0)
     result = Program(
         body=body,
         name=program.name,
         variables=tuple(program.variables),
         arrays=tuple(program.arrays),
+        shared=tuple(program.shared),
         source="".join(printer.parts),
+        **clauses,
     )
     object.__setattr__(result, "span", body.span)
     return result

@@ -16,7 +16,8 @@ program acceptable is the job of :mod:`repro.hoare`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..lang import builder as b
@@ -48,12 +49,19 @@ class RelaxationResult:
     knob_variables: Tuple[str, ...] = ()
 
 
-def _with_body(program: Program, body: Stmt, suffix: str) -> Program:
-    return Program(
+def _with_body(
+    program: Program, body: Stmt, suffix: str, added_variables: Sequence[str] = ()
+) -> Program:
+    """``program`` with a new body, a suffixed name and any added variables.
+
+    The declarations and header clauses carry over unchanged.
+    """
+    return dataclasses.replace(
+        program,
         body=body,
         name=f"{program.name}-{suffix}",
-        variables=program.variables,
-        arrays=program.arrays,
+        variables=tuple(dict.fromkeys(tuple(program.variables) + tuple(added_variables))),
+        source=None,
     )
 
 
@@ -87,16 +95,13 @@ def perforate_loop(
         Assign(counter, b.add(counter, 1)),
         Assign(counter, b.add(counter, perforation_stride_var)),
     )
-    new_loop = While(loop.condition, new_body, loop.invariant, loop.rel_invariant)
+    new_loop = While(
+        loop.condition, new_body, loop.invariant, loop.rel_invariant, loop.diverge
+    )
     body = _replace_statement(program.body, loop, seq(relax_stmt, new_loop))
     # In the original semantics the stride must be 1 for identical behaviour.
     body = seq(Assign(perforation_stride_var, b.n(1)), body)
-    new_program = Program(
-        body=body,
-        name=f"{program.name}-perforated",
-        variables=tuple(program.variables) + (perforation_stride_var,),
-        arrays=program.arrays,
-    )
+    new_program = _with_body(program, body, "perforated", (perforation_stride_var,))
     return RelaxationResult(
         program=new_program,
         description=(
@@ -138,12 +143,7 @@ def dynamic_knob(
         body = _replace_statement(program.body, insert_before, seq(prefix, insert_before))
     else:
         body = seq(prefix, program.body)
-    new_program = Program(
-        body=body,
-        name=f"{program.name}-knobbed",
-        variables=tuple(dict.fromkeys(tuple(program.variables) + (saved,))),
-        arrays=program.arrays,
-    )
+    new_program = _with_body(program, body, "knobbed", (saved,))
     return RelaxationResult(
         program=new_program,
         description=f"dynamic knob on {knob!r} with floor {floor}",
@@ -184,12 +184,7 @@ def skip_tasks(
         body = _replace_statement(program.body, insert_before, seq(prefix, insert_before))
     else:
         body = seq(prefix, program.body)
-    new_program = Program(
-        body=body,
-        name=f"{program.name}-taskskip",
-        variables=tuple(dict.fromkeys(tuple(program.variables) + (saved,))),
-        arrays=program.arrays,
-    )
+    new_program = _with_body(program, body, "taskskip", (saved,))
     suggested = Relate(
         "tasks",
         b.rand(
@@ -273,12 +268,7 @@ def approximate_reads(
     )
     injected = seq(insert_after, Assign(saved, b.v(value_var)), relax_stmt)
     body = _replace_statement(program.body, insert_after, injected)
-    new_program = Program(
-        body=body,
-        name=f"{program.name}-approxmem",
-        variables=tuple(dict.fromkeys(tuple(program.variables) + (saved,))),
-        arrays=program.arrays,
-    )
+    new_program = _with_body(program, body, "approxmem", (saved,))
     suggested = Relate(
         f"approx_{value_var}",
         b.within(value_var, b.r(error_bound_var)),
@@ -398,12 +388,7 @@ def approximate_memoization(
     )
     injected = seq(insert_after, Assign(saved, b.v(result_var)), relax_stmt)
     body = _replace_statement(program.body, insert_after, injected)
-    new_program = Program(
-        body=body,
-        name=f"{program.name}-memoized",
-        variables=tuple(dict.fromkeys(tuple(program.variables) + (saved,))),
-        arrays=program.arrays,
-    )
+    new_program = _with_body(program, body, "memoized", (saved,))
     suggested = Relate(
         f"memo_{result_var}",
         b.within(result_var, result_tolerance),

@@ -20,7 +20,6 @@ from repro.casestudies import (
     unregister_case_study,
 )
 from repro.casestudies.lu import LU
-from repro.casestudies.spec import branch_at, loop_at, relax_at
 from repro.casestudies.swish import SWISH
 from repro.casestudies.water import WATER
 from repro.cli import main
@@ -46,18 +45,12 @@ EXPECTED_NAMES = (
 TOY_SOURCE = "vars x; relax (x) st (x == x); relate l: (x<o> == x<o>);"
 
 
-def _toy_spec(program):
-    return AcceptabilitySpec()
-
-
 def _toy_workloads(count, seed):
     return [State.of({"x": 0}) for _ in range(count)]
 
 
 def _toy_study(name: str, source: str = TOY_SOURCE) -> CaseStudy:
-    return CaseStudy(
-        name=name, source=source, spec_hook=_toy_spec, workloads_hook=_toy_workloads
-    )
+    return CaseStudy(name=name, source=source, workloads_hook=_toy_workloads)
 
 
 class TestRegistryContents:
@@ -152,22 +145,21 @@ class TestHooks:
             CaseStudy(
                 name="toy-lambda-study",
                 source=TOY_SOURCE,
-                spec_hook=_toy_spec,
                 workloads_hook=_toy_workloads,
                 chooser_hook=lambda seed: None,
             )
 
     @pytest.mark.parametrize("case", all_case_studies(), ids=study_id)
     def test_fresh_instance_builds_spec_without_build_program(self, case):
-        # A fresh copy of the study, and a program it never built: every
-        # divergence annotation must still anchor to a node of that program.
+        # A fresh copy of the study reads the same spec from a program it
+        # never built: the spec is the program's, not the study's.
         fresh = pickle.loads(pickle.dumps(case))
         program = parse_program(case.source, name=case.name)
         spec = fresh.acceptability_spec(program)
-        nodes = list(program.body.walk())
-        for node in spec.relational_config.divergence_specs:
-            assert node in nodes
+        assert spec == AcceptabilitySpec.of(program)
         assert spec == case.acceptability_spec(case.build_program())
+        assert tuple(spec.relational_config.arrays) == program.arrays
+        assert tuple(spec.relational_config.shared_arrays) == program.shared
 
     def test_lu_verifies_under_optimized_python(self):
         # ``python -O`` strips asserts, so no spec may depend on one.
@@ -198,22 +190,6 @@ class TestHooks:
             assert program == case.build_program()
             assert copy.acceptability_spec(program) == case.acceptability_spec(program)
             assert copy.workloads(2, seed=1) == case.workloads(2, seed=1)
-
-
-class TestSelectors:
-    def test_selectors_find_positional_nodes(self):
-        program = parse_program(
-            "vars x; relax (x) st (x == x);"
-            "while (x < 3) invariant (true) { if (x < 1) { x = x + 1; } }"
-        )
-        assert loop_at(program, 0).condition is not None
-        assert branch_at(program, 0).condition is not None
-        assert relax_at(program, 0).targets == ("x",)
-
-    def test_selector_out_of_range(self):
-        program = parse_program("vars x; x = 1;")
-        with pytest.raises(IndexError, match="0 While"):
-            loop_at(program, 0)
 
 
 class TestLint:
@@ -260,6 +236,50 @@ class TestLint:
         assert not report.ok
         assert any(
             finding.check == "obligations-collect" for finding in report.findings
+        )
+
+    def test_lint_flags_unused_diverge_annotation(self):
+        # y is equal on both sides, so the branch converges: the relational
+        # proof never takes the diverge rule its annotation is meant for.
+        report = lint_case_study(
+            _toy_study(
+                "toy-unused-diverge-study",
+                "vars x, y; if (y > 0) diverge (true) (true) { x = 1; }"
+                "relax (x) st (x == x); relate l: (y<o> == y<r>);",
+            )
+        )
+        errors = [finding for finding in report.findings if finding.level == "error"]
+        assert [finding.check for finding in errors] == ["diverge-used"]
+        assert "line 1" in errors[0].message
+
+    def test_lint_accepts_used_diverge_annotation(self):
+        report = lint_case_study(
+            _toy_study(
+                "toy-used-diverge-study",
+                "vars x, y; relax (x) st (x == x);"
+                "if (x > 0) diverge (y == 1) (y == 1) { y = 1; } else { y = 1; }"
+                "relate l: (y<o> == y<r>);",
+            )
+        )
+        assert report.ok, report.summary()
+
+    def test_lint_round_trip_compares_header_clauses(self, monkeypatch):
+        # A printer that dropped the 'shared' line would change the spec a
+        # re-parsed program states; program-parses must catch it.
+        from repro.lang import pretty
+
+        declarations = pretty._declarations
+        monkeypatch.setattr(
+            pretty,
+            "_declarations",
+            lambda program: [
+                line for line in declarations(program) if not line.startswith("shared")
+            ],
+        )
+        report = lint_case_study(LU)
+        assert any(
+            finding.check == "program-parses" and finding.level == "error"
+            for finding in report.findings
         )
 
     def test_lint_warns_without_relate(self):

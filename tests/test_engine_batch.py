@@ -6,6 +6,7 @@ identical to the serial per-program path.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -18,10 +19,15 @@ from repro.engine import (
     verify_batch,
 )
 from repro.hoare.obligations import ObligationCollector, ObligationKind, ProofSystem
+from repro.hoare.verifier import AcceptabilitySpec
 from repro.logic.formula import eq, var
 from repro.solver.interface import Solver
 from repro.solver.lia import Status
 from repro.solver.models import reset_search_stats, search_stats
+
+
+#: Two programs that state their own specs; only the annotated one verifies.
+SPECS = Path(__file__).parent / "fixtures" / "specs"
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +59,17 @@ class TestBatchItems:
         (tmp_path / "ignored.txt").write_text("not a program")
         items = directory_items(str(tmp_path))
         assert [item.name for item in items] == ["a", "b"]
+
+    def test_directory_items_read_each_programs_spec(self):
+        items = directory_items(str(SPECS))
+        assert [item.name for item in items] == [
+            "diverge_annotated",
+            "diverge_unannotated",
+        ]
+        for item in items:
+            assert item.spec == AcceptabilitySpec.of(item.program)
+            assert item.spec.precondition is not None
+            assert item.spec.rel_postcondition is not None
 
     def test_directory_items_requires_directory(self, tmp_path):
         with pytest.raises(ValueError, match="not a directory"):
@@ -230,6 +247,15 @@ class TestVerifyBatchCLI:
         (tmp_path / "bad.rlx").write_text("vars x; assert x > 0;")
         assert main(["verify-batch", "--dir", str(tmp_path)]) == 1
         assert "NOT" in capsys.readouterr().out
+
+    def test_cli_directory_mode_verifies_each_program_against_its_clauses(
+        self, capsys, tmp_path
+    ):
+        json_path = tmp_path / "specs.json"
+        assert main(["verify-batch", "--dir", str(SPECS), "--json", str(json_path)]) == 1
+        payload = json.loads(json_path.read_text())
+        verdicts = {program["name"]: program["verified"] for program in payload["programs"]}
+        assert verdicts == {"diverge_annotated": True, "diverge_unannotated": False}
 
     def test_cli_rejects_names_and_dir_together(self, tmp_path):
         with pytest.raises(SystemExit):

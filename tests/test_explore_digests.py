@@ -23,19 +23,19 @@ from repro.explore import explore
 from repro.fuzz.funnel import normalized_explore_payload
 
 DEPTH1_DIGESTS = {
-    "swish-dynamic-knobs": "3f4769fafb2fcb7b",
-    "water-parallelization": "fb649a8992f5d4ef",
-    "lu-approximate-memory": "1bcf4a3cd4c5a348",
-    "sum-reduction-perforation": "7f9406da6524b630",
-    "bnb-early-exit": "91761033ec1af2d8",
-    "stencil-approx-memory": "9f4faa2ce54d6291",
-    "pipeline-two-knobs": "cdc6650ada0d99c6",
+    "swish-dynamic-knobs": "b39f5d38c4a7f09c",
+    "water-parallelization": "70a6bb836cb6ef2b",
+    "lu-approximate-memory": "b5d8c2107ee28179",
+    "sum-reduction-perforation": "160eb8cb29894cc3",
+    "bnb-early-exit": "bd4c9c5792be2a29",
+    "stencil-approx-memory": "d05e350962dde386",
+    "pipeline-two-knobs": "a2e64f2877a0de7f",
 }
 
-LU_DEPTH3_JOBS2_DIGEST = "7e8140e228559200"
+LU_DEPTH3_JOBS2_DIGEST = "cf94cbb904885c03"
 
 DEPTH1_STABLE_DIGESTS = {
-    "swish-dynamic-knobs": "95e9a2db85234712",
+    "swish-dynamic-knobs": "e0e8654d47f0afea",
     "water-parallelization": "b1bb18f770dba929",
     "lu-approximate-memory": "0874cd6150333505",
     "sum-reduction-perforation": "fe86c649367790b1",

@@ -1,20 +1,28 @@
 """Tests for the relational proof system ⊢r (Figure 8)."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.lang import builder as b
 from repro.lang.ast import While
-from repro.hoare.relational import (
-    DivergenceSpec,
-    RelationalConfig,
-    RelationalProver,
-    prove_relaxed,
-)
+from repro.lang.parser import parse_program
+from repro.hoare.relational import RelationalProver, prove_relaxed
+from repro.hoare.verifier import AcceptabilitySpec, AcceptabilityVerifier
 from repro.engine import ObligationEngine
 from repro.hoare.obligations import ObligationKind
 from repro.logic.formula import TRUE
 from repro.solver.interface import Solver, SolverResult
 from repro.solver.lia import Status
+
+
+SPECS = Path(__file__).parent / "fixtures" / "specs"
+
+
+def _prove_source(source):
+    """The ⊢r report of a source program against the spec it states."""
+    program = parse_program(source)
+    return AcceptabilityVerifier().verify(program, AcceptabilitySpec.of(program)).relaxed
 
 
 class TestLockstepRules:
@@ -101,13 +109,25 @@ class TestControlFlow:
         assert not report.verified
 
     def test_divergence_spec_restores_postcondition(self):
-        branch = b.if_(b.gt("x", 0), b.assign("y", 1), b.assign("y", 1))
-        program = b.block(b.relax("x", b.and_(b.ge("x", 0), b.le("x", 1))), branch)
-        config = RelationalConfig(
-            divergence_specs={branch: DivergenceSpec(b.eq("y", 1), b.eq("y", 1))}
-        )
-        report = prove_relaxed(program, b.all_same("x", "y"), b.same("y"), config=config)
+        annotated = (SPECS / "diverge_annotated.rlx").read_text()
+        report = _prove_source(annotated)
         assert report.verified
+        assert "diverge" in report.rule_applications
+        unannotated = (SPECS / "diverge_unannotated.rlx").read_text()
+        assert parse_program(unannotated).body == parse_program(
+            annotated.replace(" diverge (y == 1) (y == 1)", "")
+        ).body
+        assert not _prove_source(unannotated).verified
+
+    def test_diverge_annotation_is_ignored_by_convergent_rules(self):
+        # y is equal on both sides, so the branch converges and its
+        # annotation (which would lose every fact about x) plays no part.
+        report = _prove_source(
+            "vars x, y; rel_ensures (x<o> == x<r>);"
+            "if (y > 0) diverge (true) (true) { x = 1; } else { x = 2; }"
+        )
+        assert report.verified
+        assert "diverge" not in report.rule_applications
 
     def test_diverge_rule_rejects_relate_inside(self):
         program = b.block(
@@ -138,13 +158,6 @@ class TestControlFlow:
         report = prove_relaxed(loop, b.all_same("i", "n"), TRUE)
         assert report.verified
         assert "diverge" in report.rule_applications
-
-    def test_force_divergent_override(self):
-        branch = b.if_(b.ge("x", 0), b.assign("y", 1), b.assign("y", 2))
-        config = RelationalConfig(force_divergent=(branch,))
-        report = prove_relaxed(branch, b.all_same("x", "y"), b.same("y"), config=config)
-        assert "diverge" in report.rule_applications
-        assert not report.verified
 
     def test_bad_relational_invariant_rejected(self):
         # The invariant converges (i and n stay equal) but its d<o> == 0 part is
@@ -204,24 +217,26 @@ class TestConvergencePremises:
 
 
 class TestSharedArrays:
+    READ = """
+    vars v, i;
+    arrays A;
+    shared A;
+    rel_requires (i<o> == i<r>);
+    v = A[i];
+    relate l: (v<o> == v<r>);
+    """
+
     def test_shared_array_read_gives_noninterference(self):
-        program = b.block(b.assign("v", b.aread("A", "i")), b.relate("l", b.same("v")))
-        config = RelationalConfig(shared_arrays=("A",))
-        report = prove_relaxed(program, b.same("i"), TRUE, config=config)
-        assert report.verified
+        assert _prove_source(self.READ).verified
 
     def test_unshared_array_read_does_not(self):
-        program = b.block(b.assign("v", b.aread("A", "i")), b.relate("l", b.same("v")))
-        report = prove_relaxed(program, b.same("i"), TRUE)
-        assert not report.verified
+        unshared = self.READ.replace("shared A;", "")
+        assert unshared != self.READ
+        assert not _prove_source(unshared).verified
 
     def test_array_relax_forgets_relational_facts(self):
-        program = b.block(
-            b.relax("RS", b.true),
-            b.relate("l", b.req(b.oread("RS", 0), b.rread("RS", 0))),
-        )
-        config = RelationalConfig(arrays=("RS",))
-        report = prove_relaxed(
-            program, b.req(b.oread("RS", 0), b.rread("RS", 0)), TRUE, config=config
+        report = _prove_source(
+            "arrays RS; rel_requires (RS<o>[0] == RS<r>[0]);"
+            "relax (RS) st (true); relate l: (RS<o>[0] == RS<r>[0]);"
         )
         assert not report.verified

@@ -198,3 +198,55 @@ class TestProgramParsing:
         with pytest.raises(ParseError) as excinfo:
             parse_program("x = ;")
         assert "line" in str(excinfo.value)
+
+
+class TestSpecificationClauses:
+    SOURCE = """
+    vars x, y;
+    arrays A, B;
+    shared A;
+    requires (0 <= x);
+    ensures (y == 1);
+    rel_requires (x<o> == x<r>);
+    rel_ensures (y<o> == y<r>);
+    relax (x) st (0 <= x);
+    if (x > 0) diverge (y == 1) (y == 1) { y = 1; } else { y = A[0]; }
+    while (x < 3) invariant (true) diverge (true) (x >= 3) { x = x + 1; }
+    """
+
+    def test_header_clauses(self):
+        program = parse_program(self.SOURCE)
+        assert program.shared == ("A",)
+        assert program.requires == parse_bool("0 <= x")
+        assert program.ensures == parse_bool("y == 1")
+        assert program.rel_requires == parse_rel_bool("x<o> == x<r>")
+        assert program.rel_ensures == parse_rel_bool("y<o> == y<r>")
+
+    def test_absent_clauses_are_none(self):
+        program = parse_program("vars x; x = 1;")
+        assert program.shared == ()
+        assert (program.requires, program.ensures) == (None, None)
+        assert (program.rel_requires, program.rel_ensures) == (None, None)
+
+    def test_diverge_annotations(self):
+        program = parse_program(self.SOURCE)
+        branch, loop = [
+            node for node in program.body.walk() if isinstance(node, (If, While))
+        ]
+        assert branch.diverge.original_post == parse_bool("y == 1")
+        assert loop.invariant == parse_bool("true")
+        assert loop.diverge.relaxed_post == parse_bool("x >= 3")
+
+    def test_roundtrip_preserves_clauses_and_annotations(self):
+        program = parse_program(self.SOURCE, "demo")
+        assert parse_program(pretty_program(program), "demo") == program
+
+    def test_shared_array_must_be_declared(self):
+        with pytest.raises(ParseError, match="shared array 'B' is not declared"):
+            parse_program("vars x; arrays A; shared A, B; x = 1;")
+        with pytest.raises(ParseError, match="shared array 'A'"):
+            parse_program("shared A; skip;")
+
+    def test_clauses_come_in_order(self):
+        with pytest.raises(ParseError):
+            parse_program("vars x; ensures (x == 1); requires (x == 1); x = 1;")
