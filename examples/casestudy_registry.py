@@ -3,8 +3,8 @@
 
 The corpus of verified case studies is kept by name in one registry
 (`repro.casestudies.registry`).  Every study is a `CaseStudy` value: a
-program in the paper's language plus module-level hooks.  This
-walkthrough:
+program in the paper's language, which states its own acceptability
+spec, plus module-level hooks.  This walkthrough:
 
 1. lists the registered corpus (the paper's Section 5 trio plus four
    further workloads) and resolves studies by name and prefix;
@@ -31,22 +31,20 @@ from repro.casestudies import (
     register_case_study,
     unregister_case_study,
 )
-from repro.hoare.verifier import AcceptabilitySpec
 from repro.semantics.state import State
 
 
+# The spec lives in the source: no rel_requires clause means the default,
+# noninterference (both executions start from the same state).
 VOLUME_DIAL = """
 vars v, original_v, e, out;
+rel_ensures (out<o> - out<r> <= 2 * e<r> && out<r> - out<o> <= 2 * e<r>);
 assume(0 <= e);
 original_v = v;
 relax (v) st (original_v - e <= v && v <= original_v + e);
 out = v + v;
 relate out: (out<o> - out<r> <= 2 * e<r> && out<r> - out<o> <= 2 * e<r>);
 """
-
-
-def volume_spec(program):
-    return AcceptabilitySpec()
 
 
 def volume_workloads(count, seed=0):
@@ -82,7 +80,6 @@ def main() -> int:
         CaseStudy(
             name="example-volume-dial",
             source=VOLUME_DIAL,
-            spec_hook=volume_spec,
             workloads_hook=volume_workloads,
         )
     )

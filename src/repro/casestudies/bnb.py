@@ -22,7 +22,8 @@ the relaxed search still returns a *valid incumbent*:
     relate incumbent: first<r> <= best<r> && best<r> <= UB<r>
                       && first<o> <= best<o> && best<o> <= UB<o>
 
-The divergence annotation anchors to the loop by positional selector.
+The characterisation is the loop's ``diverge`` annotation, so it travels
+with the loop into every relaxed candidate.
 """
 
 from __future__ import annotations

@@ -8,13 +8,15 @@ also consumed by the fuzz synthesizer's own property suite:
   relaxation transform applies to), ``transform_applications`` (one
   arbitrary transform with arbitrary small parameters), ``any_programs``
   (every statement and expression form, negative literals, arbitrary
-  ``Seq`` association), and ``flatten_stmt`` (AST equality modulo ``Seq``
-  association);
+  ``Seq`` association, header clauses and ``diverge`` annotations), and
+  ``flatten_stmt`` (AST equality modulo ``Seq`` association);
 * **formula side** — ``terms`` / ``atoms`` / ``formulas`` (with
   quantifiers) / ``array_formulas`` over a tiny name pool and finite
   evaluation ``DOMAIN``, plus the reference recursions ``ref_free`` /
   ``ref_size`` the cached structural queries are pinned against.
 """
+
+import dataclasses
 
 from hypothesis import strategies as st
 
@@ -45,6 +47,15 @@ bounds = st.integers(min_value=1, max_value=9)
 
 
 @st.composite
+def diverges(draw, depth=1):
+    """A ``diverge (original_post) (relaxed_post)`` annotation."""
+    return A.Diverge(draw(bool_exprs(depth)), draw(bool_exprs(depth)))
+
+
+optional_diverges = st.none() | diverges()
+
+
+@st.composite
 def base_programs(draw):
     """A summation-style program plus the handles transforms need.
 
@@ -58,9 +69,11 @@ def base_programs(draw):
     body = [b.assign("s", b.add("s", counter))]
     if use_branch:
         body.append(
-            b.if_(
+            If(
                 b.gt("s", extra),
                 b.block(b.assign("t", "s"), b.assign("s", b.sub("s", 1))),
+                b.skip,
+                draw(optional_diverges),
             )
         )
     body.append(b.assign(counter, b.add(counter, 1)))
@@ -68,6 +81,7 @@ def base_programs(draw):
         condition=b.lt(counter, "n"),
         body=b.block(*body),
         invariant=b.true,
+        diverge=draw(optional_diverges),
     )
     read = Assign("v", b.aread("A", counter))
     compute = Assign("r", b.mul("arg", 2))
@@ -85,13 +99,29 @@ def base_programs(draw):
         ),
         arrays=("A", "RS"),
     )
+    program = dataclasses.replace(
+        program,
+        shared=draw(st.sampled_from([(), ("A",)])),
+        requires=draw(st.none() | bool_exprs(1)),
+        rel_ensures=draw(st.none() | bool_exprs(1, relational=True)),
+    )
     return program, loop, read, compute, counter
 
 
 @st.composite
 def transform_applications(draw):
     """Apply one arbitrary transform with arbitrary small parameters."""
-    program, loop, read, compute, counter = draw(base_programs())
+    return _apply_transform(draw, *draw(base_programs()))
+
+
+@st.composite
+def transform_pairs(draw):
+    """``(program, result)``: one arbitrary transform of a base program."""
+    drawn = draw(base_programs())
+    return drawn[0], _apply_transform(draw, *drawn)
+
+
+def _apply_transform(draw, program, loop, read, compute, counter):
     choice = draw(st.integers(min_value=0, max_value=7))
     if choice == 0:
         return perforate_loop(
@@ -218,13 +248,17 @@ def any_stmts(draw, depth=2):
         return A.Seq(draw(any_stmts(depth - 1)), draw(any_stmts(depth - 1)))
     if choice == 9:
         return A.If(
-            draw(bool_exprs(1)), draw(any_stmts(depth - 1)), draw(any_stmts(depth - 1))
+            draw(bool_exprs(1)),
+            draw(any_stmts(depth - 1)),
+            draw(any_stmts(depth - 1)),
+            draw(optional_diverges),
         )
     return A.While(
         draw(bool_exprs(1)),
         draw(any_stmts(depth - 1)),
         draw(st.none() | bool_exprs(1)),
         draw(st.none() | bool_exprs(1, relational=True)),
+        draw(optional_diverges),
     )
 
 
@@ -235,11 +269,19 @@ def any_programs(draw):
     body = stmts[0]
     for stmt in stmts[1:]:
         body = A.Seq(body, stmt)  # left-nested, unlike the parser
+    arrays = tuple(draw(st.lists(array_names, max_size=2, unique=True)))
     return A.Program(
         body=body,
         name=draw(st.sampled_from(["p", "demo-1", "lu+perforate:i@L0:s2"])),
         variables=tuple(draw(st.lists(program_names, max_size=3, unique=True))),
-        arrays=tuple(draw(st.lists(array_names, max_size=2, unique=True))),
+        arrays=arrays,
+        shared=tuple(draw(st.lists(st.sampled_from(arrays), unique=True)))
+        if arrays
+        else (),
+        requires=draw(st.none() | bool_exprs(1)),
+        ensures=draw(st.none() | bool_exprs(1)),
+        rel_requires=draw(st.none() | bool_exprs(1, relational=True)),
+        rel_ensures=draw(st.none() | bool_exprs(1, relational=True)),
     )
 
 
@@ -253,6 +295,7 @@ def flatten_stmt(stmt):
             (
                 "if",
                 stmt.condition,
+                stmt.diverge,
                 tuple(flatten_stmt(stmt.then_branch)),
                 tuple(flatten_stmt(stmt.else_branch)),
             )
@@ -264,6 +307,7 @@ def flatten_stmt(stmt):
                 stmt.condition,
                 stmt.invariant,
                 stmt.rel_invariant,
+                stmt.diverge,
                 tuple(flatten_stmt(stmt.body)),
             )
         ]

@@ -27,7 +27,7 @@ from repro.explore.explorer import explore
 from repro.fuzz import shrink_program
 from repro.lang import builder as b
 from repro.lang import parser as parser_module
-from repro.lang.ast import Assign, Program, Var, While
+from repro.lang.ast import Assign, If, Program, Var, While
 from repro.lang.parser import parse_program
 from repro.lang.pretty import pretty_program, pretty_stmt, print_with_spans
 from repro.lang.source import ensure_source
@@ -35,29 +35,47 @@ from repro.telemetry import TelemetrySession
 
 
 def all_nodes(node):
-    """Every node in pre-order, loop annotations included (``walk`` skips them)."""
+    """Every node in pre-order, annotations included (``walk`` skips them)."""
     yield node
+    annotations = []
     if isinstance(node, While):
-        for annotation in (node.invariant, node.rel_invariant):
-            if annotation is not None:
-                yield from all_nodes(annotation)
+        annotations += [node.invariant, node.rel_invariant]
+    if isinstance(node, (If, While)) and node.diverge is not None:
+        annotations += [node.diverge.original_post, node.diverge.relaxed_post]
+    for annotation in annotations:
+        if annotation is not None:
+            yield from all_nodes(annotation)
     for child in node.children():
         yield from all_nodes(child)
+
+
+CLAUSES = ("requires", "ensures", "rel_requires", "rel_ensures")
+
+
+def program_nodes(program: Program):
+    """Every node of the header clauses, then of the body."""
+    for keyword in CLAUSES:
+        clause = getattr(program, keyword)
+        if clause is not None:
+            yield from all_nodes(clause)
+    yield from all_nodes(program.body)
+
+
+def header(program: Program):
+    return (program.name, program.variables, program.arrays, program.shared) + tuple(
+        getattr(program, keyword) for keyword in CLAUSES
+    )
 
 
 def assert_printer_is_the_parser(program: Program) -> Program:
     printed = print_with_spans(program)
     parsed = parse_program(pretty_program(program), name=program.name)
     assert printed.source == parsed.source
-    # Seq equality is structural, so == also checks the Seq nesting.
-    assert printed.body == parsed.body
-    assert (printed.name, printed.variables, printed.arrays) == (
-        parsed.name,
-        parsed.variables,
-        parsed.arrays,
-    )
-    printed_nodes = list(all_nodes(printed.body))
-    parsed_nodes = list(all_nodes(parsed.body))
+    # Seq equality is structural, so == also checks the Seq nesting; program
+    # equality covers the declarations and header clauses.
+    assert printed == parsed
+    printed_nodes = list(program_nodes(printed))
+    parsed_nodes = list(program_nodes(parsed))
     assert len(printed_nodes) == len(parsed_nodes)
     for printed_node, parsed_node in zip(printed_nodes, parsed_nodes):
         assert type(printed_node) is type(parsed_node)
@@ -66,6 +84,7 @@ def assert_printer_is_the_parser(program: Program) -> Program:
     # The check ensure_source used to run on every call: the result is the
     # input up to Seq association.
     assert flatten_stmt(printed.body) == flatten_stmt(program.body)
+    assert header(printed) == header(program)
     return printed
 
 
@@ -212,9 +231,8 @@ class TestNoParseOnTheVerifyPath:
         monkeypatch.setattr(parser_module, "tokenize", recording)
         report = explore(case.name, depth=2, samples=2)
         assert len(report.outcomes) > 1
-        # build_program, plus spec.source_program unless already cached
-        assert 1 <= len(parsed) <= 2
-        assert set(parsed) == {case.source}
+        # build_program only: candidates carry their annotations and clauses
+        assert parsed == [case.source]
 
     def test_parse_program_is_counted(self):
         with telemetry.activated(TelemetrySession()) as session:
