@@ -11,9 +11,10 @@ objects identical in shape to :meth:`AcceptabilityVerifier.verify`'s.
 Batch items come from the built-in case studies
 (:func:`case_study_items`) or from a directory of ``.rlx`` sources
 (:func:`directory_items`, each verified against the specification its own
-header clauses and annotations state).  The resulting :class:`BatchReport` renders both as a
-fixed-width table (via :func:`repro.analysis.metrics.format_batch_table`)
-and as a structured JSON document for downstream tooling.
+header clauses and annotations state).  The resulting :class:`BatchReport`
+renders both as a fixed-width table (via
+:func:`repro.analysis.metrics.format_batch_table`) and as a structured
+JSON document for downstream tooling.
 """
 
 from __future__ import annotations
