@@ -45,8 +45,8 @@ batch verification (the obligation engine):
                     unchanged obligations from the cache with zero
                     solver calls
     --budget S      per-obligation wall-clock budget (seconds); the
-                    complete procedures always finish, the budget caps
-                    the bounded fallback search after them, and a spent
+                    cube search stops between cubes once it is spent,
+                    it caps the bounded fallback search, and a spent
                     budget leaves the obligation UNKNOWN
     --json FILE     write the structured batch report to FILE ('-' for
                     stdout)
@@ -624,8 +624,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=float,
         default=None,
-        help="per-obligation budget in seconds (caps the bounded fallback "
-        "search; the complete procedures are not preempted)",
+        help="per-obligation budget in seconds (checked between DNF cubes and "
+        "caps the bounded fallback search; normalisation and Cooper are not "
+        "preempted)",
     )
     batch_cmd.add_argument(
         "--json", dest="json_out", help="write the JSON report to this file ('-' = stdout)"

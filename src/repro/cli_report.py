@@ -12,10 +12,14 @@ commands cannot drift apart:
   ``solver`` (solver-level counters aggregated across every worker
   process: ``cube_count``, ``cooper_eliminations``,
   ``bounded_fallbacks``, ``unknown_results``, ``total_seconds``,
-  ``prefiltered_cubes``, ...) and,
-  when a cache is attached, ``cache`` (hit/miss counters with ``hits`` /
-  ``misses`` / ``hit_rate``) — injected uniformly by
-  :func:`report_payload` from the engine instance;
+  ``prefiltered_cubes``, ...) and, when a cache is attached, ``cache``
+  (hit/miss counters with ``hits`` / ``misses`` / ``hit_rate``) —
+  injected uniformly by :func:`report_payload` from the engine instance;
+* both cube counters stop at each query's deciding cube (its first SAT
+  cube, else its last): ``cube_count`` counts the cubes walked, pruned
+  or solved, and ``prefiltered_cubes`` the ones the interval box pruned.
+  Before the solver walked the DNF depth-first, ``prefiltered_cubes``
+  also counted the pruned cubes after a SAT cube;
 * when the command ran under ``--trace`` (an active telemetry session),
   the payload carries a ``telemetry`` section — span aggregates by name
   plus the session's counters/gauges/histograms

@@ -5,8 +5,9 @@ side conditions.  It combines the passes of this package:
 
 * compound-term elimination and Ackermann reduction of array reads,
 * NNF conversion and skolemisation of positive existentials,
-* DNF expansion, the interval-box prefilter and the Fourier–Motzkin /
-  branch-and-bound cube solver,
+* a depth-first walk of the DNF, pruned by an interval box, whose
+  surviving cubes go to the Fourier–Motzkin / branch-and-bound cube
+  solver,
 * Cooper's quantifier elimination for formulas that retain universal
   quantifiers after skolemisation,
 * a bounded model search fallback for non-linear obligations.
@@ -36,10 +37,17 @@ from ..logic.formula import (
     neg,
 )
 from .cooper import QuantifierEliminationError, eliminate_quantifiers
-from .lia import PREFILTER_MIN_CUBES, CubeSolver, Status, prefilter_unsat_cubes
+from .lia import (  # noqa: F401 - prefilter_unsat_cubes: perfbench wraps it by name
+    PREFILTER_MIN_CUBES,
+    CubeSolver,
+    IntervalBox,
+    Status,
+    prefilter_unsat_cubes,
+)
 from .linear import NonLinearError
 from .models import bounded_model_search
-from .normalize import (
+from .normalize import (  # noqa: F401 - to_dnf: perfbench wraps it by name
+    DnfWalk,
     FormulaTooLargeError,
     UnsupportedFormulaError,
     ackermannize,
@@ -139,11 +147,26 @@ FALLBACK_SECONDS = 2.0
 class Solver:
     """Decision procedures for the assertion logic (the z3py substitute).
 
+    A query is normalised (compound terms, Ackermann reduction, NNF,
+    skolemisation, Cooper for residual universals) and its DNF is walked
+    depth-first (:class:`~repro.solver.normalize.DnfWalk`): waves of at
+    least ``PREFILTER_MIN_CUBES`` cubes are pruned by an
+    :class:`~repro.solver.lia.IntervalBox`, and every surviving cube goes
+    to :meth:`CubeSolver.solve <repro.solver.lia.CubeSolver.solve>` until
+    one is SAT.  A DNF over ``MAX_CUBES`` cubes, a non-linear cube or an
+    UNKNOWN cube sends the query to the bounded model search.
+
     ``budget_seconds`` bounds each query's wall clock, measured from the
-    call to :meth:`check_sat` / :meth:`check_valid`.  The complete
-    procedures (normalisation, Cooper, DNF, cube solving) always run to
-    the end; the budget caps the bounded fallback that follows them, and
-    a query whose budget is already spent by then is ``UNKNOWN``.
+    call to :meth:`check_sat` / :meth:`check_valid`.  Normalisation and
+    Cooper run to the end; the cube search checks the budget before each
+    cube it solves, and the budget caps the bounded fallback.  A query
+    whose budget is spent is ``UNKNOWN`` with the reason ``per-obligation
+    budget of ...s exhausted (last: ...)``, which the engine never caches.
+    Without a budget every query runs to its answer.
+
+    :attr:`statistics` counts, per query, the cubes up to the deciding
+    one: ``cube_count`` the pruned and the solved ones,
+    ``prefiltered_cubes`` the pruned ones.
     """
 
     def __init__(self, budget_seconds: Optional[float] = None) -> None:
@@ -230,62 +253,73 @@ class Solver:
                 return self._fallback(formula, start, f"quantifier elimination failed: {error}")
 
         try:
-            cubes = to_dnf(stripped, max_cubes=MAX_CUBES)
+            walk = DnfWalk(stripped, max_cubes=MAX_CUBES)
         except FormulaTooLargeError as error:
             return self._fallback(formula, start, str(error))
 
-        # Box prefilter: refute cubes by interval reasoning over their own
-        # unit bounds first.  Prefiltered entries are *proofs* of integer
-        # infeasibility, so skipping their cube-solver runs can never change
-        # a SAT answer (the first SAT cube and its model are untouched) — it
-        # can only turn a budget-exhausted UNKNOWN on an infeasible cube into
-        # the UNSAT it really is.
-        prefiltered = None
-        if len(cubes) >= PREFILTER_MIN_CUBES:
-            with telemetry.span("solver.prefilter", cubes=len(cubes)):
-                prefiltered = prefilter_unsat_cubes(cubes)
-            self.statistics.prefiltered_cubes += sum(prefiltered)
-
+        # The box prefilter prunes the walk: a refuted prefix is a proof of
+        # integer infeasibility for every cube below it, so skipping their
+        # cube-solver runs can never change a SAT answer (the first SAT cube
+        # and its model are untouched) — it can only turn a budget-exhausted
+        # UNKNOWN on an infeasible cube into the UNSAT it really is.
+        prune = walk.size >= PREFILTER_MIN_CUBES
         cube_solver = CubeSolver()
         saw_unknown = False
         unknown_reason = ""
-        cubes_solved = 0
+        solved = 0
+        wave = telemetry.span("solver.dnf", cubes=walk.size)
         try:
-            for cube_index, cube in enumerate(cubes):
-                self.statistics.cube_count += 1
-                cubes_solved += 1
-                if prefiltered is not None and prefiltered[cube_index]:
-                    continue  # provably UNSAT, settled by the box prefilter
-                try:
-                    result = cube_solver.solve(cube)
-                except NonLinearError as error:
-                    saw_unknown = True
-                    unknown_reason = f"non-linear cube: {error}"
-                    continue
-                if result.status is Status.SAT:
-                    model = self._project_model(result.model or {}, formula)
-                    return SolverResult(Status.SAT, model=model)
-                if result.status is Status.UNKNOWN:
-                    saw_unknown = True
-                    unknown_reason = "branch-and-bound budget exhausted"
+            with wave:
+                for cube in walk.cubes(IntervalBox() if prune else None):
+                    if self._spent(start):
+                        return self._budget_exhausted("cube search")
+                    solved += 1
+                    try:
+                        result = cube_solver.solve(cube)
+                    except NonLinearError as error:
+                        saw_unknown = True
+                        unknown_reason = f"non-linear cube: {error}"
+                        continue
+                    if result.status is Status.SAT:
+                        model = self._project_model(result.model or {}, formula)
+                        return SolverResult(Status.SAT, model=model)
+                    if result.status is Status.UNKNOWN:
+                        saw_unknown = True
+                        unknown_reason = "branch-and-bound budget exhausted"
             if saw_unknown:
                 return self._fallback(formula, start, unknown_reason)
             return SolverResult(Status.UNSAT)
         finally:
-            telemetry.observe("solver.cubes_per_query", cubes_solved)
+            # Cubes up to the deciding one, pruned or solved.
+            wave.set_attribute("pruned", walk.pruned)
+            wave.set_attribute("solved", solved)
+            self.statistics.cube_count += walk.pruned + solved
+            if prune:
+                self.statistics.prefiltered_cubes += walk.pruned
+                telemetry.count("solver.prefilter.calls")
+                if walk.pruned:
+                    telemetry.count("solver.prefilter.unsat_cubes", walk.pruned)
+            telemetry.observe("solver.cubes_per_query", walk.pruned + solved)
+
+    def _spent(self, start: float) -> bool:
+        """Whether the query's budget (if any) has run out."""
+        return (
+            self._budget_seconds is not None
+            and time.perf_counter() - start >= self._budget_seconds
+        )
+
+    def _budget_exhausted(self, last: str) -> SolverResult:
+        return SolverResult(
+            Status.UNKNOWN,
+            reason=f"per-obligation budget of {self._budget_seconds:g}s exhausted (last: {last})",
+        )
 
     def _fallback(self, formula: Formula, start: float, reason: str) -> SolverResult:
         max_seconds = FALLBACK_SECONDS
         if self._budget_seconds is not None:
             remaining = self._budget_seconds - (time.perf_counter() - start)
             if remaining <= 0:
-                return SolverResult(
-                    Status.UNKNOWN,
-                    reason=(
-                        f"per-obligation budget of {self._budget_seconds:g}s "
-                        f"exhausted (last: {reason})"
-                    ),
-                )
+                return self._budget_exhausted(reason)
             max_seconds = min(max_seconds, remaining)
         self.statistics.bounded_fallbacks += 1
         telemetry.count("solver.bounded_fallbacks")

@@ -8,13 +8,17 @@ procedure is:
    :class:`~repro.solver.linear.LinearTerm`: inequalities ``t <= 0``,
    equalities ``t == 0``, disequalities ``t != 0`` and (possibly negated)
    divisibility constraints ``d | t``;
-2. split disequalities into strict inequalities (case split);
-3. eliminate divisibility constraints by residue enumeration: substitute
+2. eliminate equalities that contain a unit-coefficient variable by
+   substitution (recording the eliminations for model reconstruction),
+   apply the GCD test to the rest, and substitute the eliminations into
+   the cube's inequalities — once per cube;
+3. split disequalities into strict inequalities (case split); each branch
+   substitutes only its own branch inequalities;
+4. a cube with divisibility constraints instead keeps the order split →
+   residue → eliminate: after the split, residue enumeration substitutes
    ``x = L*x' + r`` for the lcm ``L`` of the relevant divisors and each
-   residue ``r``, which makes the constraints ground one variable at a time;
-4. eliminate equalities that contain a unit-coefficient variable by
-   substitution (recording the eliminations for model reconstruction), and
-   apply the GCD test to the rest;
+   residue ``r``, which makes the constraints ground one variable at a
+   time, and step 2 then runs in every residue branch;
 5. tighten each inequality by dividing through by the gcd of its
    coefficients (integer rounding), run Fourier–Motzkin elimination (with
    the same tightening applied to derived constraints) to decide
@@ -26,6 +30,10 @@ Steps 5–6 with integer tightening constitute a sound and, up to the
 configured budgets, complete decision procedure for quantifier-free linear
 integer arithmetic cubes; when a budget is exhausted the result is
 ``UNKNOWN`` (never a wrong answer).
+
+:class:`IntervalBox` is the cheap refutation the solver's DNF walk runs
+before any of this: interval reasoning over the cube's rows, pushed one
+literal at a time and undone on backtracking.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import ceil, floor, gcd
 from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -133,6 +142,73 @@ def _eliminate(
     return LinearTerm.of(coeffs, constant)
 
 
+def _eliminate_equalities(
+    equalities: Sequence[Equality],
+) -> Optional[Tuple[List[Tuple[Symbol, LinearTerm]], Set[Symbol], List[LinearTerm]]]:
+    """Eliminate ``equalities`` by unit-coefficient substitution.
+
+    Returns the eliminations in order, the eliminated symbols, and the
+    ``term <= 0`` pairs standing for equalities without a unit
+    coefficient (which the tightened Fourier-Motzkin / branch and bound
+    enforce); ``None`` when an equality is refuted outright (a nonzero
+    constant, or the GCD test).  Eliminations are substituted lazily: into
+    an equality when it is popped, and by :func:`_substituted` into the
+    inequalities afterwards.  Applying them in order gives the terms an
+    eager substitution after each elimination would, but leaves every
+    constraint that mentions no eliminated symbol untouched.
+    """
+    eliminations: List[Tuple[Symbol, LinearTerm]] = []
+    eliminated: Set[Symbol] = set()
+    pairs: List[LinearTerm] = []
+    pending = list(equalities)
+    while pending:
+        term = _eliminate(pending.pop().term, eliminations, eliminated)
+        if term.is_constant():
+            if term.constant != 0:
+                return None
+            continue
+        unit_symbol = None
+        unit_coeff = 0
+        for symbol, coeff in term.coeffs:
+            if abs(coeff) == 1:
+                unit_symbol, unit_coeff = symbol, coeff
+                break
+        if unit_symbol is None:
+            content = term.content()
+            if term.constant % content != 0:
+                return None
+            pairs.append(term)
+            pairs.append(term.negate())
+            continue
+        # unit_coeff * x + rest = 0  =>  x = -rest / unit_coeff
+        rest = term.drop(unit_symbol)
+        replacement = rest.negate() if unit_coeff == 1 else rest
+        eliminations.append((unit_symbol, replacement))
+        eliminated.add(unit_symbol)
+    return eliminations, eliminated, pairs
+
+
+def _substituted(
+    terms: Sequence[LinearTerm],
+    eliminations: Sequence[Tuple[Symbol, LinearTerm]],
+    eliminated: AbstractSet[Symbol],
+) -> List[Inequality]:
+    """The tightened inequalities ``term <= 0`` of ``terms`` after the
+    eliminations."""
+    return [Inequality(_eliminate(term, eliminations, eliminated)).tighten() for term in terms]
+
+
+def _literal_rows(literal: Formula) -> Tuple[LinearTerm, ...]:
+    """The shared ``term <= 0`` rows of one literal (see
+    :func:`cube_inequality_rows`); none for a literal without such content."""
+    if isinstance(literal, Atom):
+        try:
+            return atom_linear(literal).rows
+        except NonLinearError:
+            pass
+    return ()
+
+
 def cube_inequality_rows(literals: Sequence[Formula]) -> List[LinearTerm]:
     """The *hard* linear content of a cube, as ``term <= 0`` rows.
 
@@ -144,17 +220,13 @@ def cube_inequality_rows(literals: Sequence[Formula]) -> List[LinearTerm]:
     every other cube mentioning the same atom, so they are immutable.
     Literals that carry no such content (disequalities, divisibility
     constraints, non-linear atoms) are *skipped*, which is conservative for
-    :func:`prefilter_unsat_cubes`: proving the rows infeasible proves the
-    cube UNSAT regardless of what was dropped, and nothing here is ever
-    used to conclude SAT.
+    :class:`IntervalBox`: proving the rows infeasible proves the cube UNSAT
+    regardless of what was dropped, and nothing here is ever used to
+    conclude SAT.
     """
     rows: List[LinearTerm] = []
     for literal in literals:
-        if isinstance(literal, Atom):
-            try:
-                rows.extend(atom_linear(literal).rows)
-            except NonLinearError:
-                continue
+        rows.extend(_literal_rows(literal))
     return rows
 
 
@@ -162,62 +234,127 @@ def cube_inequality_rows(literals: Sequence[Formula]) -> List[LinearTerm]:
 PREFILTER_MIN_CUBES = 8
 
 
-def prefilter_unsat_cubes(cubes: Sequence[Sequence[Formula]]) -> List[bool]:
-    """Which cubes of a DNF wave are provably UNSAT by interval reasoning.
+class IntervalBox:
+    """Interval reasoning over a growing set of ``term <= 0`` rows.
 
-    Each cube's :func:`cube_inequality_rows` are checked against the box
-    its own unit rows (``c*x + k <= 0``) bound: a cube is infeasible when
-    a constant row is positive, when a symbol's integer bounds cross, or
-    when a multi-symbol row's minimum over the box is still positive.  All
-    three are proofs of integer infeasibility, so ``True`` entries can be
-    skipped without consulting the cube solver; ``False`` means "no
-    proof", never "SAT".  Arithmetic is exact (Python integers).
+    :meth:`push` adds a literal's :func:`cube_inequality_rows` and reports
+    whether the rows pushed so far are provably infeasible over the
+    integers: a constant row is positive, a symbol's integer bounds (from
+    its unit rows ``c*x + k <= 0``) cross, or a multi-symbol row's minimum
+    over the box is still positive.  All three are proofs, so a refuted
+    set of rows refutes every cube that contains it; "not refuted" means
+    "no proof", never "SAT".  Arithmetic is exact (Python integers).
+
+    The check is incremental: a new unit row tightens one bound and
+    rechecks only the wide rows whose minimum reads that bound, and a new
+    wide row is checked once.  Pushing rows only ever tightens the box, so
+    the answer for a row set does not depend on the order the rows
+    arrived in, and a refuted prefix stays refuted whatever follows it.
+    Every change goes on an undo trail: :meth:`undo` returns to an earlier
+    :meth:`mark`, which is how the DNF walk backtracks.  A refuted box
+    must be undone (or dropped) before its next push.
     """
-    infeasible = [_box_refutes(cube_inequality_rows(cube)) for cube in cubes]
-    count = sum(infeasible)
-    telemetry.count("solver.prefilter.calls")
-    if count:
-        telemetry.count("solver.prefilter.unsat_cubes", count)
-    return infeasible
 
+    __slots__ = ("_lower", "_upper", "_reads_lower", "_reads_upper", "_trail")
 
-def _box_refutes(rows: Sequence[LinearTerm]) -> bool:
-    """True when ``rows`` (all ``sum(c*x) + k <= 0``) have no integer model
-    inside the bounding box their unit rows induce."""
-    lower: Dict[Symbol, int] = {}
-    upper: Dict[Symbol, int] = {}
-    wide: List[LinearTerm] = []
-    for row in rows:
-        coeffs, constant = row.coeffs, row.constant
-        if len(coeffs) >= 2:
-            wide.append(row)
-        elif not coeffs:
-            if constant > 0:
+    def __init__(self) -> None:
+        self._lower: Dict[Symbol, int] = {}
+        self._upper: Dict[Symbol, int] = {}
+        #: Wide rows by a symbol whose lower (positive coefficient) or
+        #: upper (negative coefficient) bound their minimum reads.
+        self._reads_lower: Dict[Symbol, List[LinearTerm]] = {}
+        self._reads_upper: Dict[Symbol, List[LinearTerm]] = {}
+        #: ``(bounds, symbol, previous bound)`` per tightened bound, and the
+        #: reader list itself per appended wide row.
+        self._trail: List[object] = []
+
+    def mark(self) -> int:
+        return len(self._trail)
+
+    def undo(self, mark: int) -> None:
+        trail = self._trail
+        while len(trail) > mark:
+            entry = trail.pop()
+            if type(entry) is list:
+                entry.pop()
+                continue
+            bounds, symbol, previous = entry
+            if previous is None:
+                del bounds[symbol]
+            else:
+                bounds[symbol] = previous
+
+    def push(self, literal: Formula) -> bool:
+        """Add ``literal``'s rows; True when the box is now refuted."""
+        for row in _literal_rows(literal):
+            if self._add_row(row):
                 return True
-        else:
-            ((symbol, coeff),) = coeffs
-            if coeff > 0:  # x <= floor(-k / c)
-                bound = -constant // coeff
-                if symbol not in upper or bound < upper[symbol]:
-                    upper[symbol] = bound
-            else:  # x >= ceil(-k / c)
-                bound = -(-constant // -coeff)
-                if symbol not in lower or bound > lower[symbol]:
-                    lower[symbol] = bound
-    for symbol, high in upper.items():
-        if symbol in lower and lower[symbol] > high:
-            return True
-    for row in wide:
+        return False
+
+    def _add_row(self, row: LinearTerm) -> bool:
+        coeffs = row.coeffs
+        if not coeffs:
+            return row.constant > 0
+        if len(coeffs) >= 2:
+            for symbol, coeff in coeffs:
+                readers = (self._reads_lower if coeff > 0 else self._reads_upper).setdefault(
+                    symbol, []
+                )
+                readers.append(row)
+                self._trail.append(readers)
+            return self._minimum_positive(row)
+        ((symbol, coeff),) = coeffs
+        if coeff > 0:  # x <= floor(-k / c)
+            bound = -row.constant // coeff
+            previous = self._upper.get(symbol)
+            if previous is not None and previous <= bound:
+                return False
+            self._upper[symbol] = bound
+            self._trail.append((self._upper, symbol, previous))
+            low = self._lower.get(symbol)
+            if low is not None and low > bound:
+                return True
+            readers = self._reads_upper.get(symbol, ())
+        else:  # x >= ceil(-k / c)
+            bound = -(-row.constant // -coeff)
+            previous = self._lower.get(symbol)
+            if previous is not None and previous >= bound:
+                return False
+            self._lower[symbol] = bound
+            self._trail.append((self._lower, symbol, previous))
+            high = self._upper.get(symbol)
+            if high is not None and bound > high:
+                return True
+            readers = self._reads_lower.get(symbol, ())
+        for wide in readers:
+            if self._minimum_positive(wide):
+                return True
+        return False
+
+    def _minimum_positive(self, row: LinearTerm) -> bool:
         minimum = row.constant
         for symbol, coeff in row.coeffs:
-            bound = (lower if coeff > 0 else upper).get(symbol)
+            bound = (self._lower if coeff > 0 else self._upper).get(symbol)
             if bound is None:
-                break  # unbounded in the minimising direction: no proof
+                return False  # unbounded in the minimising direction: no proof
             minimum += coeff * bound
-        else:
-            if minimum > 0:
-                return True
-    return False
+        return minimum > 0
+
+
+def prefilter_unsat_cubes(cubes: Sequence[Sequence[Formula]]) -> List[bool]:
+    """Which cubes of a DNF wave are provably UNSAT by interval reasoning:
+    each cube's literals pushed into a fresh :class:`IntervalBox`.
+
+    The solver does not call this: its DNF walk
+    (:class:`~repro.solver.normalize.DnfWalk`) pushes the literals of a
+    shared prefix once and drops every cube below a refuted one, which
+    refutes exactly the cubes this marks ``True``.
+    """
+    infeasible: List[bool] = []
+    for cube in cubes:
+        box = IntervalBox()
+        infeasible.append(any(box.push(literal) for literal in cube))
+    return infeasible
 
 
 class CubeSolver:
@@ -239,7 +376,11 @@ class CubeSolver:
         self.statistics["cubes"] += 1
         telemetry.count("lia.cube_solves")
         inequalities, equalities, disequalities, divisibilities = self._translate(literals)
-        return self._solve_split(inequalities, equalities, disequalities, divisibilities)
+        if len(disequalities) > _MAX_DISEQUALITY_SPLITS:
+            return CubeResult(Status.UNKNOWN)
+        if divisibilities:
+            return self._solve_split(inequalities, equalities, disequalities, divisibilities)
+        return self._solve_linear(inequalities, equalities, disequalities)
 
     # -- literal translation ----------------------------------------------------
 
@@ -288,8 +429,6 @@ class CubeSolver:
         disequalities: List[LinearTerm],
         divisibilities: List[Divisibility],
     ) -> CubeResult:
-        if len(disequalities) > _MAX_DISEQUALITY_SPLITS:
-            return CubeResult(Status.UNKNOWN)
         if not disequalities:
             return self._solve_divisibility(inequalities, equalities, divisibilities, _MAX_DIV_BRANCHES)
         first, rest = disequalities[0], disequalities[1:]
@@ -383,52 +522,56 @@ class CubeSolver:
 
     # -- equality elimination -------------------------------------------------------
 
+    def _solve_linear(
+        self,
+        inequalities: List[Inequality],
+        equalities: List[Equality],
+        disequalities: List[LinearTerm],
+    ) -> CubeResult:
+        """A cube without divisibility constraints: its equalities are
+        eliminated, and substituted into its inequalities, once; each
+        disequality branch substitutes only its own branch inequalities.
+
+        The branches come in :meth:`_solve_split`'s order, and each one
+        solves exactly the inequalities :meth:`_solve_core` would build
+        for it, so the first SAT branch and its model are unchanged.
+        """
+        eliminated = _eliminate_equalities(equalities)
+        if eliminated is None:
+            return CubeResult(Status.UNSAT)
+        eliminations, symbols, pairs = eliminated
+        base = _substituted([ineq.term for ineq in inequalities], eliminations, symbols)
+        pairs = _substituted(pairs, eliminations, symbols)
+        saw_unknown = False
+        # term != 0  <=>  term <= -1  or  -term <= -1
+        for branch in product(*[(term.add(ONE), term.negate().add(ONE)) for term in disequalities]):
+            result = self._solve_eliminated(
+                base + _substituted(branch, eliminations, symbols) + pairs, eliminations
+            )
+            if result.status is Status.SAT:
+                return result
+            if result.status is Status.UNKNOWN:
+                saw_unknown = True
+        return CubeResult(Status.UNKNOWN if saw_unknown else Status.UNSAT)
+
     def _solve_core(
         self, inequalities: List[Inequality], equalities: List[Equality]
     ) -> CubeResult:
-        # Eliminations are substituted lazily: into an equality when it is
-        # popped and into the inequalities once the loop ends.  Applying
-        # them in order then gives the terms an eager substitution after
-        # each elimination would, but leaves every constraint that mentions
-        # no eliminated symbol untouched.
-        eliminations: List[Tuple[Symbol, LinearTerm]] = []
-        eliminated: Set[Symbol] = set()
-        inequalities = list(inequalities)
-        equalities = list(equalities)
+        eliminated = _eliminate_equalities(equalities)
+        if eliminated is None:
+            return CubeResult(Status.UNSAT)
+        eliminations, symbols, pairs = eliminated
+        terms = [ineq.term for ineq in inequalities] + pairs
+        return self._solve_eliminated(_substituted(terms, eliminations, symbols), eliminations)
 
-        while equalities:
-            term = _eliminate(equalities.pop().term, eliminations, eliminated)
-            if term.is_constant():
-                if term.constant != 0:
-                    return CubeResult(Status.UNSAT)
-                continue
-            unit_symbol = None
-            unit_coeff = 0
-            for symbol, coeff in term.coeffs:
-                if abs(coeff) == 1:
-                    unit_symbol, unit_coeff = symbol, coeff
-                    break
-            if unit_symbol is None:
-                content = term.content()
-                if term.constant % content != 0:
-                    return CubeResult(Status.UNSAT)
-                # No unit coefficient: express as a pair of inequalities and let
-                # the tightened Fourier-Motzkin / branch and bound enforce it.
-                inequalities.append(Inequality(term))
-                inequalities.append(Inequality(term.negate()))
-                continue
-            # unit_coeff * x + rest = 0  =>  x = -rest / unit_coeff
-            rest = term.drop(unit_symbol)
-            replacement = rest.negate() if unit_coeff == 1 else rest
-            eliminations.append((unit_symbol, replacement))
-            eliminated.add(unit_symbol)
-
-        for index, ineq in enumerate(inequalities):
-            term = _eliminate(ineq.term, eliminations, eliminated)
-            if term is not ineq.term:
-                inequalities[index] = Inequality(term)
-
-        result = self._solve_inequalities([ineq.tighten() for ineq in inequalities], 0)
+    def _solve_eliminated(
+        self,
+        inequalities: List[Inequality],
+        eliminations: Sequence[Tuple[Symbol, LinearTerm]],
+    ) -> CubeResult:
+        """Solve the substituted, tightened ``inequalities``, then extend a
+        model over the eliminated symbols."""
+        result = self._solve_inequalities(inequalities, 0)
         if result.status is not Status.SAT or result.model is None:
             return result
         model = dict(result.model)

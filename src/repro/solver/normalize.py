@@ -14,14 +14,16 @@ The pipeline applied by :class:`repro.solver.interface.Solver` is:
 4. :func:`strip_positive_existentials` — skolemise top-level existential
    quantifiers of a satisfiability query by renaming the bound variables to
    fresh free symbols.
-5. :func:`to_dnf` — disjunctive normal form (with a size cap), after which
-   each cube is decided by the linear-arithmetic core.
+5. :class:`DnfWalk` — a depth-first search of the disjunctive normal form
+   (with :func:`to_dnf`'s size cap and cube order), pruned by an interval
+   box, whose surviving cubes are decided by the linear-arithmetic core.
+   :func:`to_dnf` builds the same cubes as a list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..logic.formula import (
     Add,
@@ -62,6 +64,9 @@ from ..logic.formula import (
 )
 from ..logic.subst import substitute
 from ..logic.traverse import iter_nodes, map_atom_terms, replace_node
+
+if TYPE_CHECKING:
+    from .lia import IntervalBox
 
 
 class UnsupportedFormulaError(Exception):
@@ -501,3 +506,114 @@ def to_dnf(formula: Formula, max_cubes: int = 4096) -> List[Cube]:
     if isinstance(formula, (Exists, Forall)):
         raise AssertionError("quantifiers must be eliminated before DNF conversion")
     raise TypeError(f"unknown formula {formula!r}")
+
+
+class DnfWalk:
+    """The cubes of :func:`to_dnf`, found by a depth-first search instead
+    of built as a list.
+
+    Constructing a walk counts the DNF's cubes (:attr:`size`) and raises
+    :class:`FormulaTooLargeError` exactly where :func:`to_dnf` would: an
+    ``Or`` whose running count, or an ``And`` whose running product,
+    exceeds ``max_cubes``.  :meth:`cubes` then visits ``And`` operands left
+    to right and ``Or`` operands in order, so it yields the cubes in
+    ``to_dnf``'s order and as the same literal tuples.
+
+    Given an :class:`~repro.solver.lia.IntervalBox`, the walk pushes each
+    literal of the current prefix into it once, and backtracks it with the
+    prefix.  A prefix the box refutes is dropped with every cube below it;
+    their number, counted from the subformula sizes, accumulates in
+    :attr:`pruned`.  The box check is monotone (more rows only tighten
+    it), so the dropped cubes are exactly those whose own rows the box
+    refutes.  Every dropped cube comes before the next yielded one, so
+    after any yield ``pruned`` plus the cubes yielded so far is the
+    position in ``to_dnf``'s list.
+    """
+
+    def __init__(self, formula: Formula, max_cubes: int = 4096) -> None:
+        self.formula = formula
+        self.max_cubes = max_cubes
+        self._sizes: Dict[Formula, int] = {}
+        self.size = self._size(formula)
+        self.pruned = 0
+
+    def _size(self, formula: Formula) -> int:
+        size = self._sizes.get(formula)
+        if size is not None:
+            return size
+        if isinstance(formula, TrueF):
+            size = 1
+        elif isinstance(formula, FalseF):
+            size = 0
+        elif isinstance(formula, (Atom, Divides)):
+            size = 1
+        elif isinstance(formula, Not):
+            if not isinstance(formula.operand, Divides):
+                raise AssertionError("formula is not in NNF")
+            size = 1
+        elif isinstance(formula, Or):
+            size = 0
+            for operand in formula.operands:
+                size += self._size(operand)
+                if size > self.max_cubes:
+                    raise FormulaTooLargeError(f"DNF expansion exceeded {self.max_cubes} cubes")
+        elif isinstance(formula, And):
+            size = 1
+            for operand in formula.operands:
+                size *= self._size(operand)
+                if size > self.max_cubes:
+                    raise FormulaTooLargeError(f"DNF expansion exceeded {self.max_cubes} cubes")
+        elif isinstance(formula, (Exists, Forall)):
+            raise AssertionError("quantifiers must be eliminated before DNF conversion")
+        else:
+            raise TypeError(f"unknown formula {formula!r}")
+        self._sizes[formula] = size
+        return size
+
+    def cubes(self, box: Optional["IntervalBox"] = None) -> Iterator[Cube]:
+        """Yield the cubes in :func:`to_dnf` order, without those below a
+        prefix ``box`` refutes (none when ``box`` is ``None``)."""
+        sizes = self._sizes
+        prefix: List[Formula] = []
+        # What is left to expand after the prefix is a linked list of
+        # conjuncts ``(formula, rest, cubes)``, where ``cubes`` counts the
+        # cubes the list expands to (``None`` is the empty list, one cube).
+        # Each open ``Or`` is a choice point ``[operands, next operand,
+        # rest, box mark, prefix length]``.
+        choices: List[list] = [[(self.formula,), 0, None, box.mark() if box else 0, 0]]
+        while choices:
+            choice = choices[-1]
+            operands, index, rest = choice[0], choice[1], choice[2]
+            if index == len(operands):
+                choices.pop()
+                continue
+            choice[1] = index + 1
+            del prefix[choice[4]:]
+            if box is not None:
+                box.undo(choice[3])
+            head = operands[index]
+            below = sizes[head] * (1 if rest is None else rest[2])
+            if not below:
+                continue
+            todo = (head, rest, below)
+            while todo is not None:
+                formula, rest, _ = todo
+                if type(formula) is And:
+                    for operand in reversed(formula.operands):
+                        rest = (operand, rest, sizes[operand] * (1 if rest is None else rest[2]))
+                    todo = rest
+                elif type(formula) is Or:
+                    choices.append(
+                        [formula.operands, 0, rest, box.mark() if box else 0, len(prefix)]
+                    )
+                    break
+                elif type(formula) is TrueF:
+                    todo = rest
+                else:  # a literal: nothing below has zero cubes, so not FALSE
+                    prefix.append(formula)
+                    if box is not None and box.push(formula):
+                        self.pruned += 1 if rest is None else rest[2]
+                        break
+                    todo = rest
+            else:
+                yield tuple(prefix)

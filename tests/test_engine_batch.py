@@ -183,8 +183,8 @@ class TestBatchVerification:
             eq(var("x") * var("x"), 4), ObligationKind.SATISFIABILITY,
             rule="square", description="x*x == 4",
         )
-        # The complete procedures always run once, and take longer than
-        # this budget, so it is spent before the fallback would start.
+        # Normalisation takes longer than this budget, so it is spent
+        # before the first cube is solved.
         spent = ObligationEngine(budget_seconds=1e-12)
         (result,) = spent.discharge_all(collector.obligations)
         assert result.status is Status.UNKNOWN

@@ -6,6 +6,8 @@ arrive here negated) and hashes the sorted lines
 digest, the model written as its sorted ``symbol=value`` pairs.  A change
 to the solver's passes that moves any query's status, reason or model
 changes its run's digest; one that only makes the passes faster does not.
+The runs also pin how many DNF cubes the queries walked and how many of
+those the interval box pruned, which shows the same waves were walked.
 """
 
 import hashlib
@@ -18,8 +20,8 @@ from repro.hoare.verifier import AcceptabilitySpec
 from repro.solver.interface import Solver
 
 EXPECTED = {
-    "studies": ("79 queries", "2091f11b9e1e43a1"),
-    "corpus": ("46 queries", "5350ce1b16f5c022"),
+    "studies": ("79 queries", "2091f11b9e1e43a1", "3894 cubes", "2773 pruned"),
+    "corpus": ("46 queries", "5350ce1b16f5c022", "136 cubes", "0 pruned"),
 }
 
 
@@ -37,12 +39,17 @@ RUNS = {
 }
 
 
-def _answer_lines(monkeypatch, items):
+def _answers(monkeypatch, items):
     lines = []
+    cubes = pruned = 0
     check_sat = Solver.check_sat
 
     def recording(self, formula):
+        nonlocal cubes, pruned
+        before = self.statistics.cube_count, self.statistics.prefiltered_cubes
         result = check_sat(self, formula)
+        cubes += self.statistics.cube_count - before[0]
+        pruned += self.statistics.prefiltered_cubes - before[1]
         model = sorted(f"{symbol}={value}" for symbol, value in (result.model or {}).items())
         lines.append(
             f"{fingerprint(formula, 'satisfiability')}:{result.status.value}:"
@@ -52,11 +59,11 @@ def _answer_lines(monkeypatch, items):
 
     monkeypatch.setattr(Solver, "check_sat", recording)
     verify_batch(items)
-    return sorted(lines)
+    lines.sort()
+    digest = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()[:16]
+    return (f"{len(lines)} queries", digest, f"{cubes} cubes", f"{pruned} pruned")
 
 
 @pytest.mark.parametrize("run", sorted(RUNS))
 def test_answer_digest(monkeypatch, run):
-    lines = _answer_lines(monkeypatch, RUNS[run]())
-    digest = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()[:16]
-    assert (f"{len(lines)} queries", digest) == EXPECTED[run]
+    assert _answers(monkeypatch, RUNS[run]()) == EXPECTED[run]

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.engine import ObligationEngine
+from repro.hoare.obligations import ObligationCollector, ObligationKind, ProofSystem
 from repro.logic import formula as F
 from repro.logic.evaluate import Valuation, evaluate
-from repro.logic.formula import Const, Divides, Select, Symbol, conj, exists, forall, sym, var
+from repro.logic.formula import Const, Divides, Select, Symbol, conj, disj, exists, forall, sym, var
 from repro.solver.interface import Solver, default_solver
 from repro.solver.lia import Status
 
@@ -210,3 +212,44 @@ class TestStatisticsAndDefaults:
         result = solver.check_valid(F.neg(F.eq(var("x") * var("x"), Const(2))))
         assert result.status is Status.UNKNOWN
         assert solver.statistics.unknown_results == 1
+
+
+def _parity_wave(width=12):
+    """2x == 2y + 1 under ``width`` two-way splits: 2**width cubes, none of
+    which the box refutes, and each of which the cube solver refutes."""
+    x, y = var("x"), var("y")
+    parity = F.eq(x * Const(2), y * Const(2) + Const(1))
+    splits = [
+        disj(F.le(var(f"z{i}"), Const(0)), F.ge(var(f"z{i}"), Const(1))) for i in range(width)
+    ]
+    return conj(parity, *splits)
+
+
+class TestBudget:
+    def test_unbudgeted_wave_runs_to_the_end(self):
+        solver = Solver()
+        assert solver.check_sat(_parity_wave()).status is Status.UNSAT
+        assert solver.statistics.cube_count == 4096
+        assert solver.statistics.prefiltered_cubes == 0
+
+    def test_cube_loop_honours_the_budget(self):
+        budget = 0.01
+        solver = Solver(budget_seconds=budget)
+        result = solver.check_sat(_parity_wave())
+        assert result.status is Status.UNKNOWN
+        assert result.reason == "per-obligation budget of 0.01s exhausted (last: cube search)"
+        assert result.elapsed_seconds < 2 * budget
+        assert solver.statistics.cube_count < 4096
+        assert solver.statistics.bounded_fallbacks == 0
+
+    def test_budget_exhausted_wave_is_not_cached(self):
+        collector = ObligationCollector(ProofSystem.ORIGINAL)
+        collector.add(
+            _parity_wave(), ObligationKind.SATISFIABILITY,
+            rule="parity", description="2x == 2y + 1 under 12 splits",
+        )
+        engine = ObligationEngine(budget_seconds=0.01)
+        (result,) = engine.discharge_all(collector.obligations)
+        assert result.status is Status.UNKNOWN
+        assert result.reason.endswith("exhausted (last: cube search)")
+        assert len(engine.cache) == 0

@@ -1,5 +1,5 @@
 """Tests for the cube solver (Fourier–Motzkin + branch-and-bound core)
-and the interval-box prefilter that runs before it."""
+and the interval box that prunes the DNF walk before it."""
 
 from collections import Counter
 from fractions import Fraction
@@ -13,14 +13,16 @@ from repro.logic import formula as F
 from repro.logic.formula import Atom, Const, Divides, Not, Rel, conj, disj, sym, var
 from repro.solver.interface import Solver
 from repro.solver.lia import (
+    CubeResult,
     CubeSolver,
     Divisibility,
     Inequality,
+    IntervalBox,
     Status,
     cube_inequality_rows,
     prefilter_unsat_cubes,
 )
-from repro.solver.linear import LinearTerm, NonLinearError
+from repro.solver.linear import ONE, LinearTerm, NonLinearError
 
 
 def atom(rel, left, right):
@@ -176,6 +178,20 @@ def cube_literals(draw):
     return Atom(rel, left, Const(draw(st.integers(min_value=-6, max_value=6))))
 
 
+@st.composite
+def boxed_cubes(draw):
+    """A few :func:`cube_literals` among bounds on ``x``, ``y`` and ``z``,
+    in any order: wide rows whose minimum over the box is defined, and
+    bounds that arrive before or after the rows that read them."""
+    literals = draw(st.lists(cube_literals(), min_size=1, max_size=4))
+    for name in "xyz":
+        for rel in (Rel.GE, Rel.LE):
+            if draw(st.integers(min_value=0, max_value=3)):
+                bound = Const(draw(st.integers(min_value=-3, max_value=3)))
+                literals.append(atom(rel, var(name), bound))
+    return draw(st.permutations(literals))
+
+
 class TestBoxPrefilter:
     def test_constant_row_refutes(self):
         assert prefilter_unsat_cubes([[atom(Rel.GT, Const(0), Const(1))]]) == [True]
@@ -266,3 +282,179 @@ class TestBoxPrefilter:
         for cube, infeasible in zip(cubes, verdicts):
             if infeasible:
                 assert CubeSolver().solve(cube).status is not Status.SAT, cube
+
+    def test_tightened_bound_rechecks_earlier_wide_rows(self):
+        # x + y >= 5 arrives first; only the last bound makes its minimum positive.
+        cube = [
+            atom(Rel.GE, var("x") + var("y"), Const(5)),
+            atom(Rel.GE, var("x"), Const(0)),
+            atom(Rel.LE, var("x"), Const(2)),
+            atom(Rel.GE, var("y"), Const(0)),
+            atom(Rel.LE, var("y"), Const(2)),
+        ]
+        box = IntervalBox()
+        assert [box.push(literal) for literal in cube] == [False] * 4 + [True]
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.one_of(st.lists(cube_literals(), min_size=1, max_size=8), boxed_cubes()))
+    def test_incremental_box_matches_the_whole_cube_check(self, cube):
+        """Pushing a cube's literals one at a time refutes it exactly when
+        the bounds of all its unit rows refute one of its rows."""
+        assert prefilter_unsat_cubes([cube]) == [_box_refutes(cube_inequality_rows(cube))]
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(cube_literals(), min_size=1, max_size=6), st.data())
+    def test_refutation_ignores_order_and_survives_undo(self, cube, data):
+        """The box's verdict on a row set does not depend on the order the
+        rows arrive in, and undoing a detour leaves the box as if the
+        detour's literals had never been pushed."""
+        (expected,) = prefilter_unsat_cubes([cube])
+        shuffled = data.draw(st.permutations(cube))
+        detour = data.draw(st.lists(cube_literals(), max_size=4))
+        box = IntervalBox()
+        refuted = False
+        for index, literal in enumerate(shuffled):
+            mark = box.mark()
+            for other in detour[index:index + 1]:
+                box.push(other)  # refuted or not, undone before the next push
+            box.undo(mark)
+            if box.push(literal):
+                refuted = True
+                break
+        assert refuted == expected
+
+
+def _box_refutes(rows):
+    """The whole-cube box check: bounds from every unit row at once, then
+    a constant row, crossed bounds or a wide row's minimum refute."""
+    lower, upper, wide = {}, {}, []
+    for row in rows:
+        if not row.coeffs:
+            if row.constant > 0:
+                return True
+        elif len(row.coeffs) >= 2:
+            wide.append(row)
+        else:
+            ((symbol, coeff),) = row.coeffs
+            if coeff > 0:
+                bound = -row.constant // coeff
+                upper[symbol] = min(upper.get(symbol, bound), bound)
+            else:
+                bound = -(-row.constant // -coeff)
+                lower[symbol] = max(lower.get(symbol, bound), bound)
+    if any(symbol in upper and lower[symbol] > upper[symbol] for symbol in lower):
+        return True
+    for row in wide:
+        bounds = [(lower if coeff > 0 else upper).get(symbol) for symbol, coeff in row.coeffs]
+        if None not in bounds:
+            minimum = row.constant + sum(c * b for (_, c), b in zip(row.coeffs, bounds))
+            if minimum > 0:
+                return True
+    return False
+
+
+# -- the split-then-eliminate reference -------------------------------------------
+#
+# The cube solver eliminates a cube's equalities once and then tries each
+# disequality branch.  The reference below is the older recursion: split
+# the disequalities first, then eliminate the equalities afresh in every
+# branch, substituting each elimination eagerly.  Both must agree on status
+# and model.
+
+
+def _reference_solve(literals):
+    solver = CubeSolver()
+    inequalities, equalities, disequalities, divisibilities = solver._translate(literals)
+    assert not divisibilities
+    return _reference_split(solver, inequalities, equalities, disequalities)
+
+
+def _reference_split(solver, inequalities, equalities, disequalities):
+    if not disequalities:
+        return _reference_core(solver, inequalities, equalities)
+    first, rest = disequalities[0], disequalities[1:]
+    saw_unknown = False
+    for branch_term in (first.add(ONE), first.negate().add(ONE)):
+        branch = inequalities + [Inequality(branch_term)]
+        result = _reference_split(solver, branch, equalities, rest)
+        if result.status is Status.SAT:
+            return result
+        saw_unknown = saw_unknown or result.status is Status.UNKNOWN
+    return CubeResult(Status.UNKNOWN if saw_unknown else Status.UNSAT)
+
+
+def _reference_core(solver, inequalities, equalities):
+    terms = [ineq.term for ineq in inequalities]
+    pending = [eq.term for eq in equalities]
+    eliminations = []
+    while pending:
+        term = pending.pop()
+        if term.is_constant():
+            if term.constant != 0:
+                return CubeResult(Status.UNSAT)
+            continue
+        units = [(s, c) for s, c in term.coeffs if abs(c) == 1]
+        if not units:
+            if term.constant % term.content() != 0:
+                return CubeResult(Status.UNSAT)
+            terms += [term, term.negate()]
+            continue
+        symbol, coeff = units[0]
+        rest = term.drop(symbol)
+        replacement = rest.negate() if coeff == 1 else rest
+        eliminations.append((symbol, replacement))
+        pending = [t.substitute(symbol, replacement) for t in pending]
+        terms = [t.substitute(symbol, replacement) for t in terms]
+    result = solver._solve_inequalities([Inequality(t).tighten() for t in terms], 0)
+    if result.status is not Status.SAT:
+        return result
+    model = dict(result.model)
+    for symbol, replacement in reversed(eliminations):
+        for s in replacement.symbols():
+            model.setdefault(s, 0)
+        model[symbol] = replacement.evaluate(model)
+    return CubeResult(Status.SAT, model)
+
+
+@st.composite
+def linear_cubes(draw):
+    """Comparisons and equalities over ``x, y, z``, plus 0-3 disequalities."""
+    rels = st.sampled_from([Rel.LT, Rel.LE, Rel.GT, Rel.GE, Rel.EQ, Rel.EQ])
+    hard = draw(st.lists(st.tuples(rels, linear_terms()), min_size=1, max_size=6))
+    soft = draw(st.lists(linear_terms(), max_size=3))
+    literals = [Atom(rel, term, Const(0)) for rel, term in hard]
+    literals += [Atom(Rel.NE, term, Const(0)) for term in soft]
+    return draw(st.permutations(literals))
+
+
+class TestEliminateOnce:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(linear_cubes())
+    def test_matches_split_then_eliminate(self, cube):
+        result = CubeSolver().solve(cube)
+        reference = _reference_solve(cube)
+        assert (result.status, result.model) == (reference.status, reference.model)
+
+    def test_refuted_equalities_settle_every_branch(self):
+        # 2x == 2y + 1 has no integer solution, whatever x != 0 and y != 0 say.
+        cube = [
+            atom(Rel.EQ, var("x") * Const(2), var("y") * Const(2) + Const(1)),
+            atom(Rel.NE, var("x"), Const(0)),
+            atom(Rel.NE, var("y"), Const(0)),
+        ]
+        assert CubeSolver().solve(cube).status is Status.UNSAT
+        assert _reference_solve(cube).status is Status.UNSAT
+
+    def test_branches_share_the_eliminated_model(self):
+        # x is eliminated as y + 1, once; x != 1 rules out the first branch's
+        # zero-preferring model y = 0.
+        cube = [
+            atom(Rel.EQ, var("x"), var("y") + Const(1)),
+            atom(Rel.GE, var("y"), Const(0)),
+            atom(Rel.LE, var("y"), Const(3)),
+            atom(Rel.NE, var("x"), Const(1)),
+        ]
+        result = CubeSolver().solve(cube)
+        assert result.status is Status.SAT
+        assert result.model[sym("x")] == result.model[sym("y")] + 1 != 1
+        assert result.model == _reference_solve(cube).model

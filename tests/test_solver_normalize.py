@@ -1,9 +1,13 @@
 """Tests for the normalisation passes: term elimination, NNF, DNF, Ackermann."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.logic import formula as F
 from repro.logic.formula import (
+    And,
+    Atom,
     Const,
     Divides,
     Exists,
@@ -13,6 +17,7 @@ from repro.logic.formula import (
     Min,
     Not,
     Or,
+    Rel,
     Select,
     Symbol,
     conj,
@@ -26,7 +31,9 @@ from repro.logic.formula import (
     var,
 )
 from repro.logic.evaluate import Valuation, evaluate
+from repro.solver.lia import IntervalBox, prefilter_unsat_cubes
 from repro.solver.normalize import (
+    DnfWalk,
     FormulaTooLargeError,
     UnsupportedFormulaError,
     ackermannize,
@@ -149,6 +156,103 @@ class TestDNF:
         disjuncts = [disj(F.eq(var(f"x{i}"), 0), F.eq(var(f"x{i}"), 1)) for i in range(12)]
         with pytest.raises(FormulaTooLargeError):
             to_dnf(conj(*disjuncts), max_cubes=64)
+
+
+@st.composite
+def walk_literals(draw):
+    """Literals of the DNF walk's box: mostly unit bounds over a small
+    symbol pool, so random prefixes do get refuted, plus wide rows,
+    disequalities and (negated) divisibility, which push no rows."""
+    choice = draw(st.integers(min_value=0, max_value=9))
+    x, y = var(draw(st.sampled_from("xy"))), var(draw(st.sampled_from("yz")))
+    if choice == 9:
+        divides = Divides(draw(st.sampled_from([2, 3])), x)
+        return divides if draw(st.booleans()) else Not(divides)
+    rel = draw(st.sampled_from([Rel.LT, Rel.LE, Rel.GT, Rel.GE, Rel.EQ, Rel.NE]))
+    left = x * Const(draw(st.sampled_from([-2, -1, 1, 3]))) if choice < 6 else x + y
+    return Atom(rel, left, Const(draw(st.integers(min_value=-3, max_value=3))))
+
+
+def nnf_formulas():
+    """NNF formulas built from raw ``And``/``Or`` nodes (nested, unflattened,
+    possibly empty) over :func:`walk_literals` and the constants, and
+    conjunctions of such disjunctions, whose DNF waves are wide and share
+    long prefixes."""
+    leaves = st.one_of(walk_literals(), st.sampled_from([F.TRUE, F.FALSE]))
+    nested = st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4).map(lambda ops: And(tuple(ops))),
+            st.lists(children, max_size=4).map(lambda ops: Or(tuple(ops))),
+        ),
+        max_leaves=12,
+    )
+    clause = st.lists(st.one_of(walk_literals(), nested), min_size=1, max_size=3)
+    products = st.lists(clause.map(lambda ops: Or(tuple(ops))), min_size=1, max_size=6)
+    return st.one_of(nested, products.map(lambda ops: And(tuple(ops))))
+
+
+def _dnf_or_overflow(formula, max_cubes):
+    try:
+        return to_dnf(formula, max_cubes)
+    except FormulaTooLargeError:
+        return None
+
+
+class TestDnfWalk:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(nnf_formulas())
+    def test_walk_yields_the_unrefuted_cubes_of_to_dnf_in_order(self, formula):
+        cubes = to_dnf(formula, max_cubes=10**6)
+        walk = DnfWalk(formula, max_cubes=10**6)
+        assert walk.size == len(cubes)
+        assert list(walk.cubes()) == cubes and walk.pruned == 0
+
+        refuted = prefilter_unsat_cubes(cubes)
+        expected = [cube for cube, infeasible in zip(cubes, refuted) if not infeasible]
+        walk = DnfWalk(formula, max_cubes=10**6)
+        yielded = []
+        for cube in walk.cubes(IntervalBox()):
+            yielded.append(cube)
+            # Every pruned cube comes before the one just yielded.
+            assert cubes[walk.pruned + len(yielded) - 1] == cube
+        assert yielded == expected
+        assert walk.pruned + len(yielded) == len(cubes)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(nnf_formulas(), st.integers(min_value=0, max_value=12))
+    def test_walk_overflows_exactly_where_to_dnf_does(self, formula, max_cubes):
+        cubes = _dnf_or_overflow(formula, max_cubes)
+        if cubes is None:
+            with pytest.raises(FormulaTooLargeError, match=f"exceeded {max_cubes} cubes"):
+                DnfWalk(formula, max_cubes)
+        else:
+            assert list(DnfWalk(formula, max_cubes).cubes()) == cubes
+
+    def test_false_operand_after_an_overflowing_prefix(self):
+        pair = [Or((F.eq(var(name), 0), F.eq(var(name), 1))) for name in "abc"]
+        # 2 * 2 * 2 cubes exceed the cap before FALSE empties the product ...
+        late = And((*pair, F.FALSE))
+        assert _dnf_or_overflow(late, 4) is None
+        with pytest.raises(FormulaTooLargeError):
+            DnfWalk(late, 4)
+        # ... but FALSE first keeps every later product at zero.
+        early = And((F.FALSE, *pair))
+        assert _dnf_or_overflow(early, 4) == []
+        walk = DnfWalk(early, 4)
+        assert walk.size == 0 and list(walk.cubes(IntervalBox())) == []
+
+    def test_a_refuted_prefix_prunes_its_whole_subtree(self):
+        x = var("x")
+        wide = And(tuple(Or((F.eq(var(f"y{i}"), 0), F.eq(var(f"y{i}"), 1))) for i in range(5)))
+        formula = Or((And((F.ge(x, 1), F.le(x, 0), wide)), F.eq(x, 7)))
+        walk = DnfWalk(formula)
+        assert list(walk.cubes(IntervalBox())) == [(F.eq(x, 7),)]
+        assert walk.pruned == 32
+
+    def test_non_nnf_input_is_rejected(self):
+        with pytest.raises(AssertionError):
+            DnfWalk(neg(F.eq(var("x"), 0)))
 
 
 class TestAckermann:

@@ -181,7 +181,7 @@ class TestWorkerMerge:
         worker = TelemetrySession()
         with telemetry.activated(worker):
             with telemetry.span("discharge", index=3):
-                with telemetry.span("solver.prefilter", cubes=5):
+                with telemetry.span("solver.dnf", cubes=5):
                     pass
             telemetry.count("lia.cube_solves", 5)
             telemetry.observe("solver.cubes_per_query", 5)
@@ -195,7 +195,7 @@ class TestWorkerMerge:
             telemetry.merge_exported(payload)
         records = _record_by_name(parent)
         assert records["discharge"].parent_id == records["dispatch"].span_id
-        assert records["solver.prefilter"].parent_id == records["discharge"].span_id
+        assert records["solver.dnf"].parent_id == records["discharge"].span_id
         ids = [record.span_id for record in parent.records]
         assert len(set(ids)) == len(ids)
         assert [record.name for record in parent.roots()] == ["dispatch"]
@@ -362,7 +362,7 @@ class TestEngineIntegration:
         ]
         assert worker_records, "jobs=2 must produce worker-process spans"
         for record in worker_records:
-            assert record.name in ("discharge", "solver.prefilter")
+            assert record.name in ("discharge", "solver.dnf")
             parent = by_id[record.parent_id]
             if parent.pid == os.getpid():
                 assert parent.name == "dispatch"
