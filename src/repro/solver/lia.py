@@ -462,7 +462,7 @@ class CubeSolver:
             else:
                 pending.append(constraint)
         if not pending:
-            return self._solve_core(inequalities, equalities)
+            return self._solve_linear(inequalities, equalities, [])
 
         # Pick a variable occurring in a divisibility constraint and enumerate
         # its residues modulo the lcm of the divisors that mention it.
@@ -528,13 +528,14 @@ class CubeSolver:
         equalities: List[Equality],
         disequalities: List[LinearTerm],
     ) -> CubeResult:
-        """A cube without divisibility constraints: its equalities are
-        eliminated, and substituted into its inequalities, once; each
-        disequality branch substitutes only its own branch inequalities.
+        """A cube, or a residue branch of one, without divisibility
+        constraints: its equalities are eliminated, and substituted into its
+        inequalities, once; each disequality branch substitutes only its own
+        branch inequalities.
 
-        The branches come in :meth:`_solve_split`'s order, and each one
-        solves exactly the inequalities :meth:`_solve_core` would build
-        for it, so the first SAT branch and its model are unchanged.
+        The branches come in the order :meth:`_solve_split` splits them
+        (the ``term <= -1`` side first), so the first SAT branch and its
+        model are those a split before the elimination would find.
         """
         eliminated = _eliminate_equalities(equalities)
         if eliminated is None:
@@ -545,42 +546,18 @@ class CubeSolver:
         saw_unknown = False
         # term != 0  <=>  term <= -1  or  -term <= -1
         for branch in product(*[(term.add(ONE), term.negate().add(ONE)) for term in disequalities]):
-            result = self._solve_eliminated(
-                base + _substituted(branch, eliminations, symbols) + pairs, eliminations
-            )
+            branch_inequalities = _substituted(branch, eliminations, symbols)
+            result = self._solve_inequalities(base + branch_inequalities + pairs, 0)
             if result.status is Status.SAT:
-                return result
+                model = dict(result.model or {})
+                for symbol, replacement in reversed(eliminations):
+                    for s in replacement.symbols():
+                        model.setdefault(s, 0)
+                    model[symbol] = replacement.evaluate(model)
+                return CubeResult(Status.SAT, model)
             if result.status is Status.UNKNOWN:
                 saw_unknown = True
         return CubeResult(Status.UNKNOWN if saw_unknown else Status.UNSAT)
-
-    def _solve_core(
-        self, inequalities: List[Inequality], equalities: List[Equality]
-    ) -> CubeResult:
-        eliminated = _eliminate_equalities(equalities)
-        if eliminated is None:
-            return CubeResult(Status.UNSAT)
-        eliminations, symbols, pairs = eliminated
-        terms = [ineq.term for ineq in inequalities] + pairs
-        return self._solve_eliminated(_substituted(terms, eliminations, symbols), eliminations)
-
-    def _solve_eliminated(
-        self,
-        inequalities: List[Inequality],
-        eliminations: Sequence[Tuple[Symbol, LinearTerm]],
-    ) -> CubeResult:
-        """Solve the substituted, tightened ``inequalities``, then extend a
-        model over the eliminated symbols."""
-        result = self._solve_inequalities(inequalities, 0)
-        if result.status is not Status.SAT or result.model is None:
-            return result
-        model = dict(result.model)
-        for symbol, replacement in reversed(eliminations):
-            missing = [s for s in replacement.symbols() if s not in model]
-            for s in missing:
-                model[s] = 0
-            model[symbol] = replacement.evaluate(model)
-        return CubeResult(Status.SAT, model)
 
     # -- inequalities: Fourier-Motzkin + branch and bound -----------------------------
 
