@@ -6,7 +6,7 @@ owns the one schema they share and the emission plumbing, so the three
 commands cannot drift apart:
 
 * every payload carries the envelope keys ``command`` (which subcommand
-  produced it), ``schema_version`` (currently 9) and ``verified`` (the
+  produced it), ``schema_version`` (currently 10) and ``verified`` (the
   overall boolean the command's exit code is based on);
 * engine-backed commands carry ``engine`` (scheduler/cache counters),
   ``solver`` (solver-level counters aggregated across every worker
@@ -35,7 +35,11 @@ commands cannot drift apart:
 
 JSON is serialised deterministically (sorted keys, 2-space indent).
 
-Schema history: version 9 dropped the ``kind`` field ("declarative" or
+Schema history: version 10 added the engine counters ``prefetched``
+(discharges started on the worker pool as soon as their program was
+collected) and ``prefetch_unused`` (those no wave booked) to the
+``engine`` section;
+version 9 dropped the ``kind`` field ("declarative" or
 "hand-written") from each ``casestudy-list`` study, since every study is
 now the same kind of source program;
 version 8 dropped the ``verify-batch`` payload's
@@ -70,7 +74,7 @@ from __future__ import annotations
 import json
 from typing import Dict, Optional
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 #: Envelope keys every CLI JSON report carries (tested in
 #: tests/test_cli_report.py; bump SCHEMA_VERSION when this changes).

@@ -8,6 +8,14 @@ prove concurrently and share one cache — and the verdicts are then scattered
 back into per-program :class:`~repro.hoare.verifier.AcceptabilityReport`
 objects identical in shape to :meth:`AcceptabilityVerifier.verify`'s.
 
+:func:`verify_batch` is two phases, also callable apart.
+:func:`collect_batch` collects each program and hands its obligations to
+:meth:`ObligationEngine.prefetch` straight away, so that with ``jobs > 1``
+the workers solve one program's obligations while the next is collected.
+:func:`finish_batch` books the pooled wave through ``discharge_all`` and
+scatters the verdicts.  The exhaustive explorer collects one generation before it
+finishes the previous one.
+
 Batch items come from the built-in case studies
 (:func:`case_study_items`) or from a directory of ``.rlx`` sources
 (:func:`directory_items`, each verified against the specification its own
@@ -27,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .. import telemetry
 from ..analysis.metrics import BatchRow, format_batch_table
 from ..casestudies import all_case_studies
-from ..hoare.obligations import ObligationResult, VerificationReport
+from ..hoare.obligations import ObligationResult, ProofObligation, VerificationReport
 from ..hoare.verifier import (
     AcceptabilityReport,
     AcceptabilitySpec,
@@ -277,6 +285,26 @@ class BatchReport:
         return "\n".join(lines)
 
 
+@dataclass
+class CollectedBatch:
+    """A batch after its collect phase (:func:`collect_batch`).
+
+    One entry per item in ``programs`` — ``(item, bundle, error, collect
+    seconds)``, ``bundle`` ``None`` for an item that failed — and the
+    pooled wave: every obligation in order (each program's original layer,
+    then its relaxed one), their fingerprints, and each program's
+    ``(offset, #original, #relaxed)`` slice of it.
+    """
+
+    engine: ObligationEngine
+    verdict_store: Optional[VerdictStore]
+    programs: List[Tuple[BatchItem, Optional[CollectedAcceptability], str, float]]
+    pooled: List[ProofObligation] = field(default_factory=list)
+    fingerprints: List[Optional[str]] = field(default_factory=list)
+    slices: List[Tuple[int, int, int]] = field(default_factory=list)
+    seconds: float = 0.0
+
+
 def verify_batch(
     items: Sequence[BatchItem],
     engine: Optional[ObligationEngine] = None,
@@ -303,89 +331,123 @@ def verify_batch(
             jobs=jobs, cache_dir=cache_dir, budget_seconds=budget_seconds
         ) as engine:
             return verify_batch(items, engine=engine, verdict_store=verdict_store)
-    start = time.perf_counter()
-    verifier = AcceptabilityVerifier(engine=engine)
-
     # The root span every other event of this run nests under — collect
     # spans, the discharge wave, worker spans re-parented by the engine.
-    batch_span = telemetry.span("batch", programs=len(items), jobs=engine.jobs)
-    with batch_span:
-        # Phase 1: collect every program's obligations (VC generation is cheap
-        # and serial; convergence premises are decided through the engine).
-        collected: List[Tuple[BatchItem, Optional[CollectedAcceptability], str, float]] = []
-        for item in items:
-            item_start = time.perf_counter()
-            if item.program is None:
-                collected.append((item, None, item.error or "no program", 0.0))
-                continue
-            try:
-                with telemetry.span("collect", program=item.name):
-                    bundle = verifier.collect(
-                        item.program, item.spec, study=item.study, sites=item.sites
-                    )
-                collected.append(
-                    (item, bundle, "", time.perf_counter() - item_start)
-                )
-            except Exception as error:  # defensive: one bad program must not sink the batch
-                collected.append(
-                    (item, None, str(error), time.perf_counter() - item_start)
-                )
+    with telemetry.span("batch", programs=len(items), jobs=engine.jobs):
+        return _finish(_collect(items, engine, verdict_store))
 
-        # Phase 2: pool all obligations into one discharge wave.
-        pooled = []
-        spans: List[Tuple[int, int, int]] = []  # (offset, #original, #relaxed)
-        for _item, bundle, _error, _elapsed in collected:
-            if bundle is None:
-                spans.append((len(pooled), 0, 0))
-                continue
-            spans.append(
-                (len(pooled), len(bundle.original.obligations), len(bundle.relaxed.obligations))
+
+def collect_batch(
+    items: Sequence[BatchItem],
+    engine: ObligationEngine,
+    verdict_store: Optional[VerdictStore] = None,
+) -> CollectedBatch:
+    """The collect phase of :func:`verify_batch`, under its own ``batch`` span.
+
+    ``verdict_store`` must be the store :func:`finish_batch` will book
+    against.
+    """
+    with telemetry.span("batch", programs=len(items), jobs=engine.jobs, phase="collect"):
+        return _collect(items, engine, verdict_store)
+
+
+def finish_batch(collected: CollectedBatch) -> BatchReport:
+    """The finish phase of :func:`verify_batch`, under its own ``batch`` span."""
+    with telemetry.span(
+        "batch", programs=len(collected.programs), jobs=collected.engine.jobs,
+        phase="finish",
+    ):
+        return _finish(collected)
+
+
+def _collect(
+    items: Sequence[BatchItem],
+    engine: ObligationEngine,
+    verdict_store: Optional[VerdictStore],
+) -> CollectedBatch:
+    # VC generation is serial; convergence premises are decided through the
+    # engine, and each program's obligations are prefetched as soon as
+    # they are collected.
+    start = time.perf_counter()
+    verifier = AcceptabilityVerifier(engine=engine)
+    collected = CollectedBatch(engine=engine, verdict_store=verdict_store, programs=[])
+    for item in items:
+        item_start = time.perf_counter()
+        offset = len(collected.pooled)
+        if item.program is None:
+            collected.programs.append((item, None, item.error or "no program", 0.0))
+            collected.slices.append((offset, 0, 0))
+            continue
+        try:
+            with telemetry.span("collect", program=item.name):
+                bundle = verifier.collect(
+                    item.program, item.spec, study=item.study, sites=item.sites
+                )
+        except Exception as error:  # defensive: one bad program must not sink the batch
+            collected.programs.append(
+                (item, None, str(error), time.perf_counter() - item_start)
             )
-            pooled.extend(bundle.original.obligations)
-            pooled.extend(bundle.relaxed.obligations)
-        results = engine.discharge_all(pooled, store=verdict_store)
+            collected.slices.append((offset, 0, 0))
+            continue
+        obligations = bundle.original.obligations + bundle.relaxed.obligations
+        collected.pooled.extend(obligations)
+        collected.fingerprints.extend(engine.prefetch(obligations, verdict_store))
+        collected.slices.append(
+            (offset, len(bundle.original.obligations), len(bundle.relaxed.obligations))
+        )
+        collected.programs.append((item, bundle, "", time.perf_counter() - item_start))
+    collected.seconds = time.perf_counter() - start
+    return collected
 
-        # Phase 3: scatter verdicts back into per-program reports.
-        report = BatchReport(jobs=engine.jobs)
-        with telemetry.span("scatter", programs=len(collected)):
-            for (item, bundle, error, collect_elapsed), (offset, n_original, n_relaxed) in zip(
-                collected, spans
-            ):
-                if bundle is None:
-                    report.programs.append(
-                        BatchProgramResult(
-                            name=item.name, report=None, error=error,
-                            elapsed_seconds=collect_elapsed,
-                        )
+
+def _finish(collected: CollectedBatch) -> BatchReport:
+    start = time.perf_counter()
+    engine, verdict_store = collected.engine, collected.verdict_store
+    results = engine.discharge_all(
+        collected.pooled, store=verdict_store, fingerprints=collected.fingerprints
+    )
+
+    # Scatter the verdicts back into per-program reports.
+    report = BatchReport(jobs=engine.jobs)
+    with telemetry.span("scatter", programs=len(collected.programs)):
+        for (item, bundle, error, collect_elapsed), (offset, n_original, n_relaxed) in zip(
+            collected.programs, collected.slices
+        ):
+            if bundle is None:
+                report.programs.append(
+                    BatchProgramResult(
+                        name=item.name, report=None, error=error,
+                        elapsed_seconds=collect_elapsed,
                     )
-                    continue
-                original_results = results[offset : offset + n_original]
-                relaxed_results = results[offset + n_original : offset + n_original + n_relaxed]
-                original_report = _layer_report(bundle, item.name, original_results, relaxed=False)
-                relaxed_report = _layer_report(bundle, item.name, relaxed_results, relaxed=True)
-                acceptability = AcceptabilityReport(
-                    program_name=item.name,
-                    original=original_report,
-                    relaxed=relaxed_report,
                 )
-                result = BatchProgramResult(
-                    name=item.name,
-                    report=acceptability,
-                    elapsed_seconds=collect_elapsed
-                    + original_report.elapsed_seconds
-                    + relaxed_report.elapsed_seconds,
-                    program=bundle.program,
-                )
-                if verdict_store is not None:
-                    own = results[offset : offset + n_original + n_relaxed]
-                    result.obligation_fingerprints = tuple(r.fingerprint for r in own)
-                    result.obligation_statuses = tuple(r.status.value for r in own)
-                    result.reused_obligations = sum(r.reused for r in own)
-                    result.delta_obligations = len(own) - result.reused_obligations
-                report.programs.append(result)
+                continue
+            original_results = results[offset : offset + n_original]
+            relaxed_results = results[offset + n_original : offset + n_original + n_relaxed]
+            original_report = _layer_report(bundle, item.name, original_results, relaxed=False)
+            relaxed_report = _layer_report(bundle, item.name, relaxed_results, relaxed=True)
+            acceptability = AcceptabilityReport(
+                program_name=item.name,
+                original=original_report,
+                relaxed=relaxed_report,
+            )
+            result = BatchProgramResult(
+                name=item.name,
+                report=acceptability,
+                elapsed_seconds=collect_elapsed
+                + original_report.elapsed_seconds
+                + relaxed_report.elapsed_seconds,
+                program=bundle.program,
+            )
+            if verdict_store is not None:
+                own = results[offset : offset + n_original + n_relaxed]
+                result.obligation_fingerprints = tuple(r.fingerprint for r in own)
+                result.obligation_statuses = tuple(r.status.value for r in own)
+                result.reused_obligations = sum(r.reused for r in own)
+                result.delta_obligations = len(own) - result.reused_obligations
+            report.programs.append(result)
 
-        engine.save()
-    report.elapsed_seconds = time.perf_counter() - start
+    engine.save()
+    report.elapsed_seconds = collected.seconds + time.perf_counter() - start
     report.engine_stats = engine.statistics.as_dict()
     report.solver_stats = engine.solver_statistics.as_dict()
     report.cache_stats = engine.cache.stats()

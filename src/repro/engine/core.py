@@ -18,6 +18,19 @@ of a wave in five steps:
    scheduler (:mod:`repro.engine.scheduler`), and record the new
    verdicts in the store and the cache.
 
+:meth:`ObligationEngine.prefetch` runs step 1 early, as soon as a
+program's obligations are collected, and with ``jobs > 1`` already starts
+step 5 on the worker pool for every obligation that neither the store, an
+earlier prefetch nor the cache (peeked without counting) answers.  That
+is speculation only: ``discharge_all`` still takes the five steps in
+index order and alone decides which obligations reach the solver.  A
+pending obligation joins its prefetched discharge instead of submitting
+one; a prefetched discharge that the wave does not need (a convergence
+premise put its verdict in the cache meanwhile) is cancelled and counted
+as unused; and one lost to a pool that another task broke is run once
+more, so that only a discharge submitted at booking settles as ``worker
+died``.
+
 Every caller takes this path: batch verification, the explorer and the
 fuzz funnel with an engine of their own, and
 :func:`repro.hoare.obligations.discharge` with a default
@@ -52,7 +65,13 @@ from ..solver.lia import Status
 from .cache import ObligationCache
 from .fingerprint import fingerprint
 from .incremental import VerdictStore
-from .scheduler import DischargeScheduler, DischargeTask, raised_reason
+from .scheduler import (
+    DischargeOutcome,
+    DischargeScheduler,
+    DischargeTask,
+    JoinHandle,
+    raised_reason,
+)
 
 
 @dataclass
@@ -77,6 +96,12 @@ class EngineStatistics:
     premise_cache_hits: int = 0
     premise_solver_calls: int = 0
     parallel_batches: int = 0
+    #: Discharges :meth:`ObligationEngine.prefetch` started on the pool,
+    #: and those that no wave booked (cancelled, or left when the engine
+    #: closed).  Every other prefetched discharge is one of the
+    #: ``solver_calls``.
+    prefetched: int = 0
+    prefetch_unused: int = 0
     unknown_results: int = 0
     total_seconds: float = 0.0
 
@@ -92,6 +117,8 @@ class EngineStatistics:
             "premise_cache_hits": float(self.premise_cache_hits),
             "premise_solver_calls": float(self.premise_solver_calls),
             "parallel_batches": float(self.parallel_batches),
+            "prefetched": float(self.prefetched),
+            "prefetch_unused": float(self.prefetch_unused),
             "unknown_results": float(self.unknown_results),
             "total_seconds": self.total_seconds,
         }
@@ -114,6 +141,25 @@ def _result(
         reason=reason,
         fingerprint=key,
         reused=reused,
+    )
+
+
+def _discharge_task(
+    index: int, obligation: ProofObligation, budget_seconds: Optional[float]
+) -> DischargeTask:
+    provenance = obligation.provenance
+    label = ""
+    if provenance is not None:
+        parts = [provenance.program or provenance.study]
+        if provenance.span is not None:
+            parts.append(provenance.location())
+        label = " @ ".join(part for part in parts if part)
+    return DischargeTask(
+        index=index,
+        formula=obligation.formula,
+        kind=obligation.kind.value,
+        budget_seconds=budget_seconds,
+        label=label,
     )
 
 
@@ -153,6 +199,8 @@ class ObligationEngine:
         #: Runs discharge waves, and the explorer's scoring, on one worker
         #: pool that lives until :meth:`close`.
         self.scheduler = DischargeScheduler(jobs=jobs)
+        #: Prefetched discharges no wave has booked yet, by fingerprint.
+        self._speculative: Dict[str, JoinHandle] = {}
 
     def __enter__(self) -> "ObligationEngine":
         return self
@@ -164,7 +212,10 @@ class ObligationEngine:
         """Shut down the worker pool, if one was opened, and reap its workers.
 
         The engine stays usable: a later parallel wave opens a fresh pool.
+        Prefetched discharges that no wave booked are cancelled.
         """
+        for key in list(self._speculative):
+            self._drop_speculation(key)
         self.scheduler.close()
 
     @classmethod
@@ -179,16 +230,68 @@ class ObligationEngine:
 
     # -- discharge ---------------------------------------------------------------
 
+    def prefetch(
+        self,
+        obligations: Sequence[ProofObligation],
+        store: Optional[VerdictStore] = None,
+    ) -> List[Optional[str]]:
+        """Fingerprint obligations a later wave will book, and start solving them.
+
+        Returns each obligation's fingerprint (``None`` when fingerprinting
+        raised), to be handed to :meth:`discharge_all` as ``fingerprints``.
+        With ``jobs > 1`` every obligation whose key ``store`` does not
+        hold, no earlier prefetch took and the cache does not answer is
+        submitted to the pool straight away; ``store`` should be the one
+        the booking wave will use.  With ``jobs=1`` nothing is submitted.
+        """
+        keys: List[Optional[str]] = []
+        submitted = 0
+        with telemetry.span("prefetch", obligations=len(obligations)):
+            for index, obligation in enumerate(obligations):
+                try:
+                    key = fingerprint(obligation.formula, obligation.kind.value)
+                except RecursionError:
+                    keys.append(None)  # discharge_all settles it UNKNOWN
+                    continue
+                keys.append(key)
+                if (
+                    self.jobs == 1
+                    or key in self._speculative
+                    or (store is not None and key in store)
+                    or self.cache.get(key, counted=False) is not None
+                ):
+                    continue
+                self._speculative[key] = self.scheduler.discharge(
+                    _discharge_task(index, obligation, self.budget_seconds),
+                    speculative=True,
+                )
+                submitted += 1
+        if submitted:
+            self.statistics.prefetched += submitted
+            telemetry.count("engine.prefetch.submitted", submitted)
+        return keys
+
+    def _drop_speculation(self, key: str) -> None:
+        """Cancel a prefetched discharge of ``key`` that no wave will book."""
+        handle = self._speculative.pop(key, None)
+        if handle is not None:
+            handle.cancel()
+            self.statistics.prefetch_unused += 1
+            telemetry.count("engine.prefetch.unused")
+
     def discharge_all(
         self,
         obligations: Sequence[ProofObligation],
         store: Optional[VerdictStore] = None,
+        fingerprints: Optional[Sequence[Optional[str]]] = None,
     ) -> List[ObligationResult]:
         """Settle every obligation; one result per obligation, in order.
 
         Each result carries the obligation's ``fingerprint`` and whether
         ``store`` answered it (``reused``).  Without a store every
         obligation is discharged (or answered by dedup and the cache).
+        ``fingerprints`` are the keys :meth:`prefetch` returned for these
+        obligations, so they are not computed again.
         """
         start = time.perf_counter()
         results: List[Optional[ObligationResult]] = [None] * len(obligations)
@@ -202,7 +305,9 @@ class ObligationEngine:
             with telemetry.span("fingerprint", obligations=len(obligations)):
                 for index, obligation in enumerate(obligations):
                     try:
-                        key = fingerprint(obligation.formula, obligation.kind.value)
+                        key = fingerprints[index] if fingerprints is not None else None
+                        if key is None:
+                            key = fingerprint(obligation.formula, obligation.kind.value)
                     except RecursionError as error:
                         # A formula nested past the recursion limit settles
                         # UNKNOWN without a key: never deduplicated, cached
@@ -218,6 +323,7 @@ class ObligationEngine:
                         stored = store.get(key)
                         if stored is not None:
                             reused += 1
+                            self._drop_speculation(key)
                             results[index] = _result(
                                 obligation, key, stored.status, stored.model,
                                 stored.reason, reused=True,
@@ -229,6 +335,7 @@ class ObligationEngine:
                         continue
                     cached = self.cache.get(key)
                     if cached is not None:
+                        self._drop_speculation(key)
                         self.statistics.cache_hits += 1
                         telemetry.count("engine.cache.hits." + cached.origin)
                         results[index] = _result(
@@ -248,8 +355,11 @@ class ObligationEngine:
                 self.statistics.delta_obligations += delta
 
             if pending:
-                with telemetry.span("dispatch", pending=len(pending), jobs=self.jobs):
-                    self._discharge(obligations, pending, keys, results)
+                with telemetry.span(
+                    "dispatch", pending=len(pending), jobs=self.jobs
+                ) as dispatch:
+                    prefetched = self._discharge(obligations, pending, keys, results)
+                    dispatch.set_attribute("prefetched", prefetched)
 
         for representative, followers in duplicates.items():
             settled = results[representative]
@@ -300,44 +410,53 @@ class ObligationEngine:
         pending: Sequence[int],
         keys: Sequence[str],
         results: List[Optional[ObligationResult]],
-    ) -> None:
-        """Solve every pending obligation and book the outcomes."""
-        tasks = []
+    ) -> int:
+        """Solve every pending obligation and book the outcomes.
+
+        Returns how many of them joined a prefetched discharge.
+        """
+        handles: List[JoinHandle] = []
+        prefetched = 0
         for index in pending:
-            obligation = obligations[index]
-            provenance = obligation.provenance
-            label = ""
-            if provenance is not None:
-                parts = [provenance.program or provenance.study]
-                if provenance.span is not None:
-                    parts.append(provenance.location())
-                label = " @ ".join(part for part in parts if part)
-            tasks.append(
-                DischargeTask(
-                    index=index,
-                    formula=obligation.formula,
-                    kind=obligation.kind.value,
-                    budget_seconds=self.budget_seconds,
-                    label=label,
+            handle = self._speculative.pop(keys[index], None)
+            if handle is None:
+                handle = self.scheduler.discharge(
+                    _discharge_task(index, obligations[index], self.budget_seconds)
                 )
-            )
-        if len(tasks) > 1 and self.jobs > 1:
+            else:
+                prefetched += 1
+            handles.append(handle)
+        if len(handles) > 1 and self.jobs > 1:
             self.statistics.parallel_batches += 1
-        self.statistics.solver_calls += len(tasks)
+        self.statistics.solver_calls += len(handles)
         # Worker-process spans come home with the outcomes and are
         # re-parented under the open dispatch span, so the trace stays one
         # tree across processes.
-        for outcome in self.scheduler.run(tasks):
+        outcomes: List[Optional[DischargeOutcome]] = [
+            handle.join() for handle in handles
+        ]
+        lost = [position for position, outcome in enumerate(outcomes) if outcome is None]
+        if lost:
+            # Prefetched discharges lost to a pool another task broke run
+            # once more, on a fresh pool: the current one first finishes
+            # what is queued on it, so nothing queued ahead of them (a
+            # dying scorer, say) can break the pool under them again.
+            self.scheduler.close(cancel_futures=False)
+            retries = [self.scheduler.discharge(handles[position].task) for position in lost]
+            for position, retry in zip(lost, retries):
+                outcomes[position] = retry.join()
+        for index, outcome in zip(pending, outcomes):
             if outcome.status is Status.UNKNOWN:
                 self.statistics.unknown_results += 1
             if outcome.solver_stats is not None:
                 self.solver_statistics.merge(outcome.solver_stats)
-            key = keys[outcome.index]
-            results[outcome.index] = _result(
-                obligations[outcome.index], key, outcome.status, outcome.model,
+            key = keys[index]
+            results[index] = _result(
+                obligations[index], key, outcome.status, outcome.model,
                 outcome.reason, elapsed_seconds=outcome.elapsed_seconds,
             )
             self.cache.put(key, outcome.status, model=outcome.model, reason=outcome.reason)
+        return prefetched
 
     def check_premise(self, formula: Formula) -> bool:
         """Whether the proof-search premise ``formula`` is valid.

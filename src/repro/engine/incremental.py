@@ -70,6 +70,10 @@ class VerdictStore:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def __contains__(self, key: str) -> bool:
+        """Whether ``key`` is stored (a peek: counts nothing)."""
+        return key in self._entries
+
     def get(self, key: str) -> Optional[StoredVerdict]:
         """The stored verdict for ``key`` (counted as a reuse), or None."""
         entry = self._entries.get(key)

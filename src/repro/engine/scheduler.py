@@ -6,25 +6,34 @@ from many) can be discharged concurrently.  The scheduler fans tasks out to
 a :class:`concurrent.futures.ProcessPoolExecutor`; each worker makes one
 solver query for its obligation and ships back a compact, picklable
 outcome (the formula IR is made of frozen dataclasses, so tasks pickle
-as-is).  :meth:`DischargeScheduler.map` is the general form: the explorer
-scores its survivors on the same pool.
+as-is).
 
-The pool is opened lazily, on the first wave that runs in parallel, and
+:meth:`DischargeScheduler.submit` is the one primitive: it starts a task
+and returns a :class:`JoinHandle`, which the caller joins when it needs
+the result.  That lets the parent keep working while the workers run —
+the engine submits an obligation as soon as it is collected, and the
+explorer scores survivors while it gates the next generation.
+:meth:`~DischargeScheduler.map` and :meth:`~DischargeScheduler.run` submit
+every task and then join them in order.
+
+The pool is opened lazily, on the first submission with ``jobs > 1``, and
 kept until :meth:`DischargeScheduler.close` (which
 :meth:`~repro.engine.core.ObligationEngine.close` calls), so a whole
-search pays for its workers once.  ``jobs=1`` (or a single task)
-short-circuits to an in-process loop with no executor, which keeps
-single-job runs free of multiprocessing overhead and usable from
-environments where forking is undesirable.
+search pays for its workers once.  With ``jobs=1`` a handle runs its task
+in-process when it is joined, with no executor, which keeps single-job
+runs free of multiprocessing overhead and usable from environments where
+forking is undesirable.
 
-A worker that dies mid-wave does not sink the wave: its task, and every
-task still waiting on the broken pool, comes back ``UNKNOWN`` with a
-``"worker died: ..."`` reason, and the broken pool is dropped so the next
-wave opens a fresh one.  Neither does a task whose discharge raises — in
-the solver, or while pickling it for a worker (a formula nested past the
+A worker that dies does not sink the run: its task, and every task still
+waiting on the broken pool, is settled in the parent by the ``on_error``
+it was submitted with (a discharge comes back ``UNKNOWN`` with a
+``"worker died: ..."`` reason), and joining such a handle closes the
+broken pool, so the next submission opens a fresh one.  A broken pool is
+never reused.  Neither does a task whose discharge raises — in the
+solver, or while pickling it for a worker (a formula nested past the
 interpreter's recursion limit): it comes back ``UNKNOWN`` with a
-``"discharge raised <Type>: ..."`` reason, and the rest of the wave keeps
-its verdicts.
+``"discharge raised <Type>: ..."`` reason, and the other tasks keep their
+verdicts.
 """
 
 from __future__ import annotations
@@ -33,7 +42,8 @@ import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from functools import partial
+from typing import Callable, Dict, Generic, List, Optional, Sequence, Tuple, TypeVar
 
 from .. import telemetry
 from ..logic.formula import Formula, Symbol
@@ -146,6 +156,13 @@ def _discharge_failed(task: DischargeTask, error: Exception) -> DischargeOutcome
     return _unknown(task, raised_reason(error))
 
 
+def _discharge_lost(task: DischargeTask, error: Exception) -> Optional[DischargeOutcome]:
+    """``None`` for a task lost to a broken pool, else :func:`_discharge_failed`."""
+    if isinstance(error, BrokenProcessPool):
+        return None
+    return _discharge_failed(task, error)
+
+
 def _submit(pool: ProcessPoolExecutor, *args) -> Future:
     """``pool.submit``, except a pool broken earlier yields a failed future."""
     try:
@@ -154,6 +171,48 @@ def _submit(pool: ProcessPoolExecutor, *args) -> Future:
         failed: Future = Future()
         failed.set_exception(error)
         return failed
+
+
+class JoinHandle(Generic[T, R]):
+    """One submitted task's result, to be joined once, in the parent.
+
+    ``join`` returns ``fn(task)``: from the worker's future, or — without
+    one (``jobs=1``) — computed in-process at that moment.  A failed
+    future is settled by ``on_error(task, error)``; the worker's telemetry
+    is merged under the span open at the join.
+    """
+
+    def __init__(
+        self,
+        fn: Callable[[T], R],
+        task: T,
+        on_error: Callable[[T, Exception], R],
+        future: Optional[Future] = None,
+        on_broken: Callable[[], None] = lambda: None,
+    ) -> None:
+        self._fn = fn
+        self.task = task
+        self._on_error = on_error
+        self._future = future
+        self._on_broken = on_broken
+
+    def join(self) -> R:
+        if self._future is None:
+            return self._fn(self.task)
+        try:
+            result, exported = self._future.result()
+        except Exception as error:
+            if isinstance(error, BrokenProcessPool):
+                self._on_broken()
+            return self._on_error(self.task, error)
+        if exported is not None:
+            telemetry.merge_exported(exported)
+        return result
+
+    def cancel(self) -> None:
+        """Drop a result nobody will join (a running task still finishes)."""
+        if self._future is not None:
+            self._future.cancel()
 
 
 class DischargeScheduler:
@@ -169,48 +228,59 @@ class DischargeScheduler:
         """Discharge every task; outcomes are returned in task order."""
         return self.map(_discharge_settled, tasks, on_error=_discharge_failed)
 
+    def discharge(
+        self, task: DischargeTask, speculative: bool = False
+    ) -> JoinHandle[DischargeTask, Optional[DischargeOutcome]]:
+        """Submit one discharge.
+
+        A ``speculative`` one joins as ``None`` when it was lost to a
+        broken pool, so that the caller may run it again rather than
+        settle it ``UNKNOWN``.
+        """
+        on_error = _discharge_lost if speculative else _discharge_failed
+        return self.submit(_discharge_settled, task, on_error)
+
     def map(
         self,
         fn: Callable[[T], R],
         tasks: Sequence[T],
         on_error: Callable[[T, Exception], R],
     ) -> List[R]:
-        """``[fn(task) for task in tasks]``, on the pool when it pays.
+        """``[fn(task) for task in tasks]``: submit them all, then join in order."""
+        handles = [self.submit(fn, task, on_error) for task in tasks]
+        return [handle.join() for handle in handles]
 
-        ``fn`` and the tasks must pickle (``fn`` by reference: a module-level
-        function).  A task whose worker died, or whose future failed any
-        other way, is settled in this process by ``on_error(task, error)``.
-        Worker telemetry is merged under the span open at the call.
+    def submit(
+        self,
+        fn: Callable[[T], R],
+        task: T,
+        on_error: Callable[[T, Exception], R],
+    ) -> JoinHandle[T, R]:
+        """Start ``fn(task)`` on the pool (``jobs > 1``) and return its handle.
+
+        ``fn`` and the task must pickle (``fn`` by reference: a module-level
+        function); ``on_error`` runs in this process only.  With ``jobs=1``
+        nothing runs until the handle is joined.
         """
-        if not tasks:
-            return []
-        if self.jobs == 1 or len(tasks) == 1:
-            return [fn(task) for task in tasks]
+        if self.jobs == 1:
+            return JoinHandle(fn, task, on_error)
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self.jobs)
-        collect_telemetry = telemetry.enabled()
-        futures = [
-            _submit(self._pool, _in_worker, fn, task, collect_telemetry)
-            for task in tasks
-        ]
-        results: List[R] = []
-        broken = False
-        for task, future in zip(tasks, futures):
-            try:
-                result, exported = future.result()
-            except Exception as error:
-                broken = broken or isinstance(error, BrokenProcessPool)
-                results.append(on_error(task, error))
-                continue
-            if exported is not None:
-                telemetry.merge_exported(exported)
-            results.append(result)
-        if broken:
-            self.close()
-        return results
+        future = _submit(self._pool, _in_worker, fn, task, telemetry.enabled())
+        return JoinHandle(fn, task, on_error, future, partial(self._discard, self._pool))
 
-    def close(self) -> None:
-        """Shut the pool down and reap its workers (a no-op without one)."""
+    def _discard(self, pool: ProcessPoolExecutor) -> None:
+        """Close ``pool``, which broke, unless it was replaced already."""
+        if pool is self._pool:
+            self.close()
+
+    def close(self, cancel_futures: bool = True) -> None:
+        """Shut the pool down and reap its workers (a no-op without one).
+
+        ``cancel_futures=False`` lets the pool finish the tasks queued on
+        it first; their handles still join.  Either way the next
+        submission opens a fresh pool.
+        """
         pool, self._pool = self._pool, None
         if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
+            pool.shutdown(wait=True, cancel_futures=cancel_futures)

@@ -7,25 +7,37 @@ more site to the parents chosen by the frontier scheduler:
 1. **Expand** — :mod:`repro.explore.candidates` applies every discoverable
    site to the selected parents, deduplicating by program fingerprint
    (:class:`~repro.explore.candidates.CandidateSpace`).
-2. **Gate, incrementally** — the generation is verified as one pooled
-   batch through the obligation engine (:func:`repro.engine.verify_batch`)
-   layered over a search-session verdict store
-   (:class:`~repro.engine.incremental.VerdictStore`): obligations the
-   search already settled — a child shares most of its parent's — are
-   answered from the store by canonical fingerprint, and only the delta is
-   discharged.  Sibling candidates still share the engine's in-wave dedup
-   and the persistent cache underneath.
-3. **Score** — candidates that pass the gate (and only those) are scored
+2. **Collect** — each candidate's obligations are collected and handed to
+   the engine at once (:func:`repro.engine.collect_batch`), which with
+   ``jobs > 1`` starts solving them on its worker pool while the next
+   candidate is collected.
+3. **Gate, incrementally** — the generation is booked as one pooled
+   batch (:func:`repro.engine.finish_batch`) layered over a search-session
+   verdict store (:class:`~repro.engine.incremental.VerdictStore`):
+   obligations the search already settled — a child shares most of its
+   parent's — are answered from the store by canonical fingerprint, and
+   only the delta is discharged.  Sibling candidates still share the
+   engine's in-wave dedup and the persistent cache underneath.
+4. **Score** — candidates that pass the gate (and only those) are scored
    empirically by seeded Monte Carlo differential simulation
-   (:mod:`repro.explore.scoring`), fanned out over the engine's worker
-   pool when ``jobs > 1``; every run's seed is explicit, so the scores do
-   not depend on ``jobs``.
-4. **Select** — the frontier scheduler (:mod:`repro.explore.frontier`)
+   (:mod:`repro.explore.scoring`).  Their tasks are submitted to the
+   engine's worker pool (``jobs > 1``) when the generation is booked and
+   joined only when a score is needed; every run's seed is explicit, so
+   the scores do not depend on ``jobs``.
+5. **Select** — the frontier scheduler (:mod:`repro.explore.frontier`)
    picks the next generation's parents: all of them (``--strategy
    exhaustive``) or the ``--beam-width`` most promising by score plus a
    learned site-kind reward prior (``--strategy beam``).  After the last
    generation, the Pareto frontier over (distortion, estimated savings)
    (:mod:`repro.explore.pareto`) plus a JSON/CSV report.
+
+Only the beam needs scores to select, so it joins each generation's
+scores before it expands the next.  Exhaustive selection keeps every
+candidate, so the explorer expands and collects generation k+1 *before*
+it books generation k — the workers solve both while the parent
+collects — and joins every score after the last generation.  Either way
+the frontier scheduler observes the outcomes in generation order, so its
+reward table does not depend on when scores arrive.
 
 Statically rejected candidates are *never* executed: the verdict is the
 paper's acceptability guarantee, and the explorer treats it as a hard gate
@@ -50,7 +62,15 @@ from ..analysis.metrics import ExploreRow, format_explore_table
 from ..casestudies import resolve_case_study
 from ..casestudies.base import CaseStudy
 from ..diagnostics.report import attribute_report
-from ..engine import ObligationEngine, VerdictStore, program_items, verify_batch
+from ..engine import (
+    CollectedBatch,
+    JoinHandle,
+    ObligationEngine,
+    VerdictStore,
+    collect_batch,
+    finish_batch,
+    program_items,
+)
 from ..engine.batch import BatchProgramResult
 from ..hoare.verifier import AcceptabilitySpec
 from ..lang.ast import Program
@@ -159,6 +179,8 @@ class ExploreReport:
     reward_table: Dict[str, Dict[str, float]] = field(default_factory=dict)
     enumerate_seconds: float = 0.0
     verify_seconds: float = 0.0
+    #: Time spent waiting for scores: with ``jobs > 1`` the workers score
+    #: while the parent gates, so this is the join wait only.
     score_seconds: float = 0.0
     elapsed_seconds: float = 0.0
     engine_stats: Dict[str, float] = field(default_factory=dict)
@@ -361,7 +383,8 @@ def explore(
 
     The search builds its own engine from ``jobs``, ``cache_dir`` and
     ``budget_seconds``; with ``jobs > 1`` its one worker pool gates and
-    scores every generation and is shut down before this returns.
+    scores every generation and is shut down before this returns.  A
+    search the budget stops reports only the generations it gated.
     """
     case = resolve_case_study(case_study)
     if strategy not in STRATEGIES:
@@ -385,8 +408,14 @@ def explore(
         beam_width=beam_width,
     )
 
+    def budget_spent() -> bool:
+        return (
+            search_budget_seconds is not None
+            and time.perf_counter() - start >= search_budget_seconds
+        )
+
     # The root span every explorer event nests under (when no outer batch
-    # span exists); verify_batch opens its own "batch" child below it.
+    # span exists); the batch phases open their own "batch" children.
     explore_span = telemetry.span(
         "explore", case_study=case.name, depth=depth, jobs=jobs, strategy=strategy
     )
@@ -398,39 +427,58 @@ def explore(
         )
         report.enumerate_seconds += time.perf_counter() - enumerate_start
 
-        generation: List[CandidateOutcome] = []
-        for level in range(0, depth + 1):
-            if level == 0:
-                wave: List[Candidate] = [space.baseline]
-            else:
-                parents = scheduler.select(generation)
-                enumerate_start = time.perf_counter()
-                with telemetry.span(
-                    "explore.enumerate",
-                    level=level,
-                    parents=len(parents),
-                    max_candidates=max_candidates,
-                ):
-                    wave = space.expand(
-                        [outcome.candidate for outcome in parents], level
-                    )
-                report.enumerate_seconds += time.perf_counter() - enumerate_start
-                if not wave:
-                    break
-            telemetry.count("explore.candidates", len(wave))
-
-            generation = _verify_wave(case, wave, engine, store, report, level)
-            _score_wave(case, generation, engine, samples, seed, policies, report)
-            for outcome in generation:
-                scheduler.observe(outcome)
-
-            if (
-                search_budget_seconds is not None
-                and level < depth
-                and time.perf_counter() - start >= search_budget_seconds
+        def gather(parents: Sequence[Candidate], level: int) -> Optional[_CollectedWave]:
+            """Expand and collect generation ``level`` (``None`` when empty)."""
+            enumerate_start = time.perf_counter()
+            with telemetry.span(
+                "explore.enumerate",
+                level=level,
+                parents=len(parents),
+                max_candidates=max_candidates,
             ):
-                report.truncated = True
+                wave = space.expand(parents, level)
+            report.enumerate_seconds += time.perf_counter() - enumerate_start
+            return _collect_wave(case, wave, engine, store, report, level) if wave else None
+
+        # Survivors whose scores are not joined yet, and the outcomes the
+        # frontier scheduler has not observed yet, both in generation order.
+        scoring: List[Tuple[CandidateOutcome, JoinHandle]] = []
+        unobserved: List[CandidateOutcome] = []
+        gated_counts: Optional[Tuple[int, int, int]] = None
+        gate: Optional[_CollectedWave] = _collect_wave(
+            case, [space.baseline], engine, store, report, 0
+        )
+        level = 0
+        while gate is not None:
+            ahead: Optional[_CollectedWave] = None
+            before_ahead: Optional[Tuple[int, int, int]] = None
+            if scheduler.expands_all and level < depth and not budget_spent():
+                # Every candidate is a parent: collect the next generation
+                # while the workers still solve this one.
+                before_ahead = _space_counts(space)
+                ahead = gather(gate.wave, level + 1)
+
+            generation = _finish_wave(case, gate, report, level)
+            unobserved.extend(generation)
+            scoring.extend(
+                _submit_scores(case, generation, engine, samples, seed, policies)
+            )
+            if not scheduler.expands_all:
+                _join_scores(scoring, unobserved, scheduler, samples, report)
+
+            if level == depth:
                 break
+            if budget_spent():
+                report.truncated = True
+                # A lookahead generation was never gated: drop its counts.
+                gated_counts = before_ahead
+                break
+            if not scheduler.expands_all:
+                parents = scheduler.select(generation)
+                ahead = gather([outcome.candidate for outcome in parents], level + 1)
+            gate = ahead
+            level += 1
+        _join_scores(scoring, unobserved, scheduler, samples, report)
 
         # The Pareto frontier over (distortion, savings), across the whole
         # search (scored candidates only — i.e. verified ones).
@@ -445,9 +493,11 @@ def explore(
             outcome.pareto = flag
 
     report.elapsed_seconds = time.perf_counter() - start
-    report.inapplicable_sites = space.inapplicable
-    report.capped_candidates = space.capped
-    report.duplicate_candidates = space.duplicates
+    (
+        report.inapplicable_sites,
+        report.capped_candidates,
+        report.duplicate_candidates,
+    ) = gated_counts or _space_counts(space)
     report.beam_pruned = scheduler.pruned
     report.incremental = store.stats()
     report.reward_table = scheduler.rewards.as_dict()
@@ -457,17 +507,33 @@ def explore(
     return report
 
 
-def _verify_wave(
+def _space_counts(space: CandidateSpace) -> Tuple[int, int, int]:
+    """The space's (inapplicable, capped, duplicate) counts so far."""
+    return space.inapplicable, space.capped, space.duplicates
+
+
+@dataclass
+class _CollectedWave:
+    """One generation after its collect phase, awaiting its booking."""
+
+    wave: Sequence[Candidate]
+    spec_errors: Dict[str, str]
+    batch: CollectedBatch
+
+
+def _collect_wave(
     case: CaseStudy,
     wave: Sequence[Candidate],
     engine: ObligationEngine,
     store: VerdictStore,
     report: ExploreReport,
     level: int,
-) -> List[CandidateOutcome]:
-    """Gate one generation through the incremental pooled batch wave."""
+) -> _CollectedWave:
+    """Collect one generation, prefetching each candidate's obligations."""
     verify_start = time.perf_counter()
-    with telemetry.span("explore.verify", candidates=len(wave), level=level):
+    with telemetry.span(
+        "explore.verify", candidates=len(wave), level=level, phase="collect"
+    ):
         entries: List[
             Tuple[str, Optional[Program], AcceptabilitySpec, Tuple[str, ...]]
         ] = []
@@ -484,12 +550,26 @@ def _verify_wave(
             entries.append(
                 (candidate.name, candidate.program, spec, candidate.site_ids)
             )
-        batch = verify_batch(
-            program_items(entries, study=case.name),
-            engine=engine,
-            verdict_store=store,
-        )
+        batch = collect_batch(program_items(entries, study=case.name), engine, store)
     report.verify_seconds += time.perf_counter() - verify_start
+    return _CollectedWave(wave=wave, spec_errors=spec_errors, batch=batch)
+
+
+def _finish_wave(
+    case: CaseStudy,
+    collected: _CollectedWave,
+    report: ExploreReport,
+    level: int,
+) -> List[CandidateOutcome]:
+    """Gate one collected generation through the incremental pooled wave."""
+    wave = collected.wave
+    verify_start = time.perf_counter()
+    with telemetry.span(
+        "explore.verify", candidates=len(wave), level=level, phase="finish"
+    ):
+        batch = finish_batch(collected.batch)
+    report.verify_seconds += time.perf_counter() - verify_start
+    telemetry.count("explore.candidates", len(wave))
 
     outcomes: List[CandidateOutcome] = []
     rejected: List[Tuple[CandidateOutcome, BatchProgramResult]] = []
@@ -497,8 +577,8 @@ def _verify_wave(
     for candidate in wave:
         outcome = CandidateOutcome(candidate=candidate)
         result = verdicts.get(candidate.name)
-        if candidate.name in spec_errors:
-            outcome.error = spec_errors[candidate.name]
+        if candidate.name in collected.spec_errors:
+            outcome.error = collected.spec_errors[candidate.name]
         elif result is None:
             outcome.error = "no batch verdict (internal error)"
         else:
@@ -537,31 +617,53 @@ def _verify_wave(
     return outcomes
 
 
-def _score_wave(
+def _score_in_process(task: ScoreTask, _error: Exception) -> CandidateScore:
+    """Score a survivor whose worker died (or whose task failed) here."""
+    return run_score_task(task)
+
+
+def _submit_scores(
     case: CaseStudy,
     outcomes: Sequence[CandidateOutcome],
     engine: ObligationEngine,
     samples: int,
     seed: int,
     policies: Sequence[str],
+) -> List[Tuple[CandidateOutcome, JoinHandle]]:
+    """Start scoring one generation's survivors (and only the survivors)."""
+    return [
+        (
+            outcome,
+            engine.scheduler.submit(
+                run_score_task,
+                ScoreTask(case, outcome.name, outcome.candidate.program, samples,
+                          seed, tuple(policies)),
+                on_error=_score_in_process,
+            ),
+        )
+        for outcome in outcomes
+        if outcome.verified
+    ]
+
+
+def _join_scores(
+    scoring: List[Tuple[CandidateOutcome, JoinHandle]],
+    unobserved: List[CandidateOutcome],
+    scheduler: FrontierScheduler,
+    samples: int,
     report: ExploreReport,
 ) -> None:
-    """Score one generation's survivors (and only the survivors).
+    """Join the submitted scores, then let ``scheduler`` observe the outcomes.
 
-    The survivors are scored on the engine's worker pool; a task whose
-    worker died is scored again in this process.
+    Empties both lists.  The outcomes are observed in generation order,
+    so the reward table is the same whenever the scores arrive.
     """
     score_start = time.perf_counter()
-    survivors = [outcome for outcome in outcomes if outcome.verified]
-    tasks = [
-        ScoreTask(case, outcome.name, outcome.candidate.program, samples, seed,
-                  tuple(policies))
-        for outcome in survivors
-    ]
     with telemetry.span("explore.score", samples=samples):
-        scores = engine.scheduler.map(
-            run_score_task, tasks, on_error=lambda task, _error: run_score_task(task)
-        )
-    for outcome, score in zip(survivors, scores):
-        outcome.score = score
+        for outcome, handle in scoring:
+            outcome.score = handle.join()
     report.score_seconds += time.perf_counter() - score_start
+    for outcome in unobserved:
+        scheduler.observe(outcome)
+    scoring.clear()
+    unobserved.clear()

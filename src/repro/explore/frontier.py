@@ -93,6 +93,15 @@ class FrontierScheduler:
         #: Candidates dropped from the frontier by beam truncation.
         self.pruned = 0
 
+    @property
+    def expands_all(self) -> bool:
+        """Whether :meth:`select` keeps every outcome (``exhaustive``).
+
+        Then a generation's children are known from its candidates alone,
+        before the generation is gated or scored.
+        """
+        return self.strategy == "exhaustive"
+
     def priority(self, outcome) -> float:
         """The expansion priority of one scored candidate outcome."""
         score = outcome.score.savings if outcome.score is not None else 0.0

@@ -181,6 +181,66 @@ class TestWorkerDeath:
             assert len(opened) == 2
 
 
+_RECORDED = []
+
+
+def _record(task):
+    _RECORDED.append(task)
+    return task
+
+
+def test_serial_handle_runs_at_join():
+    _RECORDED.clear()
+    handle = DischargeScheduler(jobs=1).submit(_record, "task", on_error=None)
+    assert _RECORDED == []
+    assert handle.join() == "task"
+    assert _RECORDED == ["task"]
+
+
+def _die(_task):
+    os._exit(1)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the dying task is defined in the test module",
+)
+class TestBrokenPool:
+    def test_joining_a_broken_handle_replaces_the_pool(self, monkeypatch):
+        opened = []
+
+        class CountingPool(engine_scheduler.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(engine_scheduler, "ProcessPoolExecutor", CountingPool)
+        scheduler = DischargeScheduler(jobs=2)
+        try:
+            dead = scheduler.submit(_die, "x", on_error=lambda task, error: "settled")
+            assert dead.join() == "settled"
+            assert scheduler.map(_record, ["a", "b"], on_error=None) == ["a", "b"]
+            assert len(opened) == 2
+        finally:
+            scheduler.close()
+
+    def test_prefetch_lost_to_another_task_is_run_again(self):
+        obligations = _obligations(
+            (INVALID_FORMULA, ObligationKind.VALIDITY),
+            (SAT_FORMULA, ObligationKind.SATISFIABILITY),
+        )
+        with ObligationEngine(jobs=2) as engine:
+            # Tasks queued ahead of the prefetches kill both workers, and
+            # the broken pool loses the prefetches.
+            for _ in range(2):
+                engine.scheduler.submit(_die, "x", on_error=lambda task, error: None)
+            keys = engine.prefetch(obligations)
+            results = engine.discharge_all(obligations, fingerprints=keys)
+            assert [result.status for result in results] == [Status.INVALID, Status.SAT]
+            assert engine.statistics.solver_calls == 2
+            assert engine.statistics.unknown_results == 0
+
+
 def _nested_sum(depth):
     """``x + 1 + ... + 1 >= 0`` with ``depth`` nested additions."""
     term = var("x")
@@ -434,22 +494,73 @@ class TestUnifiedPath:
         for name, module in list(sys.modules.items()):
             if name.startswith("repro") and getattr(module, "fingerprint", None) is fingerprint:
                 monkeypatch.setattr(module, "fingerprint", counting_fingerprint)
-        engine = ObligationEngine.for_batch()
-        report = verify_batch(
-            case_study_items(["lu-approximate-memory", "sum-reduction-perforation"]),
-            engine=engine,
-            verdict_store=VerdictStore(),
+        # With workers the keys are computed at collection, by prefetch.
+        for jobs in (1, 2):
+            calls.clear()
+            with ObligationEngine.for_batch(jobs=jobs) as engine:
+                report = verify_batch(
+                    case_study_items(["lu-approximate-memory", "sum-reduction-perforation"]),
+                    engine=engine,
+                    verdict_store=VerdictStore(),
+                )
+            pooled = sum(
+                len(result.report.original.results) + len(result.report.relaxed.results)
+                for result in report.programs
+            )
+            assert pooled > 0
+            # Convergence premises take the engine's fingerprint too, once each.
+            stats = engine.statistics
+            premises = stats.premise_cache_hits + stats.premise_solver_calls
+            assert premises > 0
+            assert len(calls) == pooled + premises
+            # With workers, every solved obligation was prefetched.
+            assert stats.prefetched == (stats.solver_calls if jobs > 1 else 0)
+            assert stats.prefetch_unused == 0
+
+    def test_prefetch_is_speculation_that_booking_may_drop(self):
+        obligations = _obligations((INVALID_FORMULA, ObligationKind.VALIDITY))
+        expected = Solver().check_valid(INVALID_FORMULA)
+        with ObligationEngine(jobs=2) as engine:
+            keys = engine.prefetch(obligations)
+            assert keys == [fingerprint(INVALID_FORMULA, "validity")]
+            assert engine.statistics.prefetched == 1
+            # A verdict reaches the cache between collection and booking
+            # (as a convergence premise's would): booking answers from the
+            # cache and drops the prefetched discharge.
+            engine.cache.put(keys[0], Status.INVALID, model=expected.model)
+            (result,) = engine.discharge_all(obligations, fingerprints=keys)
+            assert result.status is Status.INVALID
+            assert result.counterexample == expected.model
+            stats = engine.statistics
+            assert (stats.cache_hits, stats.solver_calls) == (1, 0)
+            assert stats.prefetch_unused == 1
+
+    def test_booking_joins_the_prefetched_discharge(self):
+        obligations = _obligations(
+            (INVALID_FORMULA, ObligationKind.VALIDITY),
+            (SAT_FORMULA, ObligationKind.SATISFIABILITY),
+            (INVALID_FORMULA, ObligationKind.VALIDITY),
         )
-        pooled = sum(
-            len(result.report.original.results) + len(result.report.relaxed.results)
-            for result in report.programs
-        )
-        assert pooled > 0
-        # Convergence premises take the engine's fingerprint too, once each.
-        stats = engine.statistics
-        premises = stats.premise_cache_hits + stats.premise_solver_calls
-        assert premises > 0
-        assert len(calls) == pooled + premises
+        serial = ObligationEngine().discharge_all(obligations)
+        with ObligationEngine(jobs=2) as engine:
+            keys = engine.prefetch(obligations)
+            # A second prefetch of the same keys submits nothing new.
+            engine.prefetch(obligations)
+            results = engine.discharge_all(obligations, fingerprints=keys)
+            stats = engine.statistics
+            assert (stats.prefetched, stats.solver_calls, stats.dedup_hits) == (2, 2, 1)
+            assert stats.prefetch_unused == 0
+        assert [(r.status, r.counterexample, r.reason) for r in results] == [
+            (r.status, r.counterexample, r.reason) for r in serial
+        ]
+
+    def test_serial_prefetch_submits_nothing(self):
+        engine = ObligationEngine()
+        obligations = _obligations((VALID_FORMULA, ObligationKind.VALIDITY))
+        keys = engine.prefetch(obligations)
+        assert engine.statistics.prefetched == 0
+        engine.discharge_all(obligations, fingerprints=keys)
+        assert engine.statistics.solver_calls == 1
 
     def test_reused_plus_delta_is_pooled_with_duplicates_as_delta(self):
         engine, store = ObligationEngine(), VerdictStore()

@@ -46,6 +46,19 @@ DEPTH1_STABLE_DIGESTS = {
 
 LU_DEPTH3_JOBS2_STABLE_DIGEST = "364d87425e26f374"
 
+#: The engine counters of the LU depth-3 run with two workers, which
+#: prefetching must not move: speculation never decides what is solved.
+LU_DEPTH3_JOBS2_ENGINE = {
+    "obligations": 138,
+    "cache_misses": 106,
+    "dedup_hits": 32,
+    "incremental_reused": 483,
+    "solver_calls": 106,
+    "premise_cache_hits": 88,
+    "premise_solver_calls": 8,
+    "parallel_batches": 4,
+}
+
 
 def _hash(payload) -> str:
     text = json.dumps(payload, sort_keys=True, default=str)
@@ -107,3 +120,12 @@ def test_lu_depth3_two_workers_digest(lu_depth3_report):
 
 def test_lu_depth3_two_workers_stable_digest(lu_depth3_report):
     assert _stable_digest(lu_depth3_report) == LU_DEPTH3_JOBS2_STABLE_DIGEST
+
+
+def test_lu_depth3_two_workers_engine_counters(lu_depth3_report):
+    engine = lu_depth3_report.engine_stats
+    assert {key: engine[key] for key in LU_DEPTH3_JOBS2_ENGINE} == LU_DEPTH3_JOBS2_ENGINE
+    # Every solved obligation was prefetched as it was collected, and
+    # booking used every prefetch.
+    assert engine["prefetched"] == engine["solver_calls"]
+    assert engine["prefetch_unused"] == 0

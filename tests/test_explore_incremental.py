@@ -17,6 +17,7 @@ solver calls — verdicts are unaffected (the cache replays, never decides).
 """
 
 import json
+import time
 
 import pytest
 
@@ -369,6 +370,47 @@ class TestIncrementalGate:
         assert report.truncated
         # Only the baseline generation ran before the budget bit.
         assert all(outcome.candidate.depth == 0 for outcome in report.outcomes)
+
+    def test_search_budget_drops_the_ungated_lookahead_generation(self, monkeypatch):
+        # The exhaustive search collects generation 2 before it books
+        # generation 1; a budget that runs out at that booking must report
+        # generations 0 and 1 only, as a depth-1 search does.
+        from repro.explore import explorer
+
+        class Clock:
+            offset = 0.0
+
+            @staticmethod
+            def perf_counter():
+                return time.perf_counter() + Clock.offset
+
+        finish_wave = explorer._finish_wave
+
+        def finish_then_spend_the_budget(case, collected, report, level):
+            outcomes = finish_wave(case, collected, report, level)
+            if level == 1:
+                Clock.offset = 1000.0
+            return outcomes
+
+        monkeypatch.setattr(explorer, "time", Clock)
+        monkeypatch.setattr(explorer, "_finish_wave", finish_then_spend_the_budget)
+        truncated = explore("lu", depth=2, samples=2, seed=0, search_budget_seconds=100)
+        monkeypatch.undo()
+        depth1 = explore("lu", depth=1, samples=2, seed=0)
+        assert truncated.truncated
+        assert [o.candidate.fingerprint for o in truncated.outcomes] == [
+            o.candidate.fingerprint for o in depth1.outcomes
+        ]
+        def counts(report):
+            return (
+                report.inapplicable_sites,
+                report.capped_candidates,
+                report.duplicate_candidates,
+            )
+
+        assert counts(truncated) == counts(depth1)
+        # Generation 2 folds duplicates, so the drop is visible.
+        assert explore("lu", depth=2, samples=2, seed=0).duplicate_candidates > 0
 
     def test_invalid_strategy_rejected(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,10 @@ scores, Pareto frontier, reward table — is a pure function of
 ``(study, depth, samples, seed)`` and never of the worker count.
 ``--jobs`` fans obligation discharge and survivor scoring out over one
 worker pool per explore; every scoring run draws from its own explicitly
-seeded stream, so where a candidate is scored does not matter.
+seeded stream, so where a candidate is scored does not matter.  Neither
+does when: with workers, obligations are prefetched as they are collected
+and scores are joined only when needed, and the envelope is still the
+serial one.
 """
 
 import multiprocessing
@@ -15,6 +18,8 @@ import os
 import pytest
 
 from repro import telemetry
+from repro.casestudies import all_case_studies
+from repro.engine import ObligationEngine
 from repro.engine import scheduler as engine_scheduler
 from repro.explore import explore, scoring
 from repro.fuzz import normalized_explore_payload
@@ -30,6 +35,17 @@ def test_identical_seed_identical_envelope_across_jobs(jobs):
         "sum-reduction-perforation", depth=1, samples=4, seed=7, jobs=jobs
     ).as_dict()
     assert normalized_explore_payload(serial) == normalized_explore_payload(parallel)
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "beam"])
+@pytest.mark.parametrize("study", [case.name for case in all_case_studies()])
+def test_depth2_envelope_is_the_serial_one_with_workers(study, strategy):
+    runs = [
+        explore(study, depth=2, samples=2, seed=5, jobs=jobs, strategy=strategy,
+                beam_width=2).as_dict()
+        for jobs in (1, 2)
+    ]
+    assert normalized_explore_payload(runs[0]) == normalized_explore_payload(runs[1])
 
 
 @pytest.fixture
@@ -97,8 +113,36 @@ def test_survivors_whose_scoring_worker_died_are_scored_in_process(
     serial = explore("sum-reduction-perforation", depth=2, samples=4, seed=7)
     monkeypatch.setattr(scoring, "score_candidate", _score_or_die_in_a_worker)
     parallel = explore("sum-reduction-perforation", depth=2, samples=4, seed=7, jobs=2)
-    # Level 1's survivors broke the first pool, so level 2 opened a second.
-    assert len(opened_pools) == 2
+    # Survivors broke the first pool, so a second was opened: a broken pool
+    # is replaced, never reused.
+    assert len(opened_pools) >= 2
+    assert normalized_explore_payload(parallel.as_dict()) == normalized_explore_payload(
+        serial.as_dict()
+    )
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the dying scorer is patched in before the pool forks",
+)
+def test_a_dying_scorer_does_not_settle_prefetched_obligations(monkeypatch, opened_pools):
+    serial = explore("lu-approximate-memory", depth=2, samples=4, seed=7)
+    reasons = []
+    discharge_all = ObligationEngine.discharge_all
+
+    def recording_discharge_all(self, *args, **kwargs):
+        results = discharge_all(self, *args, **kwargs)
+        reasons.extend(result.reason for result in results)
+        return results
+
+    monkeypatch.setattr(ObligationEngine, "discharge_all", recording_discharge_all)
+    monkeypatch.setattr(scoring, "score_candidate", _score_or_die_in_a_worker)
+    parallel = explore("lu-approximate-memory", depth=2, samples=4, seed=7, jobs=2)
+    # Scores share the pool's queue with the next generations' prefetched
+    # discharges; those that a dying scorer lost were run again.
+    assert reasons
+    assert not [reason for reason in reasons if reason.startswith("worker died")]
+    assert len(opened_pools) >= 2
     assert normalized_explore_payload(parallel.as_dict()) == normalized_explore_payload(
         serial.as_dict()
     )
