@@ -116,13 +116,12 @@ differential fuzzing (corpus-scale regression):
                                          planted relaxation sites, run each
                                          through lint -> verify -> explore,
                                          and assert parity across every
-                                         layer: tree vs compiled
-                                         evaluation, cold vs warm cache,
+                                         layer: cold vs warm cache,
                                          exhaustive vs full-width beam
-                                         (plus serial vs parallel with
-                                         --jobs N).  Any mismatch is
-                                         shrunk to a minimal reproducer
-                                         (--divergence-dir D).
+                                         (plus serial vs parallel verify
+                                         and explore with --jobs N).  Any
+                                         mismatch is shrunk to a minimal
+                                         reproducer (--divergence-dir D).
   repro fuzz --replay tests/corpus       re-verify the committed corpus and
                                          byte-compare fingerprints and
                                          verdicts against the committed
@@ -228,10 +227,10 @@ def cmd_verify_case_study(args: argparse.Namespace) -> int:
     print(report.summary())
     diagnostics = None
     if args.explain:
-        from .diagnostics import render_diagnostics
-        from .diagnostics.explain import diagnostics_section, report_diagnostics
+        from .diagnostics import diagnose_report, render_diagnostics
+        from .diagnostics.explain import diagnostics_section
 
-        found = report_diagnostics(report)
+        found = diagnose_report(report)
         diagnostics = diagnostics_section(found)
         if found:
             print()

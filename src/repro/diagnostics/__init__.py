@@ -28,7 +28,6 @@ from .explain import (
     diagnostics_section,
     explain_case_study,
     explain_from_payload,
-    report_diagnostics,
 )
 from .report import (
     AtomEvaluation,
@@ -56,6 +55,5 @@ __all__ = [
     "explain_from_payload",
     "reevaluate",
     "render_diagnostics",
-    "report_diagnostics",
     "source_excerpt",
 ]

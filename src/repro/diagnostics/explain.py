@@ -9,9 +9,9 @@ Three entry points, all built on :mod:`repro.diagnostics.report`:
 * :func:`explain_from_payload` — replay the ``diagnostics`` section of a
   ``--json`` report envelope (written by ``--explain``) without re-running
   the solver at all;
-* :func:`batch_diagnostics` / :func:`report_diagnostics` — full
-  diagnostics for ``verify-batch --explain`` / ``verify-case-study
-  --explain``.
+* :func:`batch_diagnostics` — full diagnostics for ``verify-batch
+  --explain`` (``verify-case-study --explain`` calls
+  :func:`~repro.diagnostics.report.diagnose_report` directly).
 """
 
 from __future__ import annotations
@@ -140,11 +140,6 @@ def explain_from_payload(payload: Dict[str, object]) -> ExplainReport:
         diagnostics=diagnostics,
         replayed=True,
     )
-
-
-def report_diagnostics(report, program=None) -> List[FailureDiagnostic]:
-    """Diagnostics for one acceptability (or single-layer) report."""
-    return diagnose_report(report, program=program)
 
 
 def batch_diagnostics(batch_report) -> List[FailureDiagnostic]:

@@ -1,7 +1,7 @@
 """Build and render forensic reports for failed proof obligations.
 
 A failed VALIDITY obligation comes with a counterexample model (an integer
-assignment to the formula's free symbols) found by the bounded model search;
+assignment to the formula's free symbols) found by the cube solver;
 a failed SATISFIABILITY obligation comes with none (the relaxation
 predicate's denotation is empty).  Either way the obligation's provenance
 (:class:`~repro.hoare.obligations.ObligationProvenance`) anchors the verdict
@@ -40,6 +40,7 @@ from ..logic.formula import (
     Or,
     Symbol,
     formula_arrays,
+    quantifier_depth,
 )
 from ..solver.lia import Status
 
@@ -87,26 +88,8 @@ def _model_domain(model: Dict[Symbol, int]) -> List[int]:
     return list(range(low, high + 1))
 
 
-def _quantifier_depth(formula: Formula) -> int:
-    """Maximum quantifier nesting depth (enumeration cost exponent)."""
-    if isinstance(formula, (Exists, Forall)):
-        return 1 + _quantifier_depth(formula.body)
-    if isinstance(formula, Not):
-        return _quantifier_depth(formula.operand)
-    if isinstance(formula, (And, Or)):
-        return max((_quantifier_depth(op) for op in formula.operands), default=0)
-    if isinstance(formula, Implies):
-        return max(
-            _quantifier_depth(formula.antecedent),
-            _quantifier_depth(formula.consequent),
-        )
-    if isinstance(formula, Iff):
-        return max(_quantifier_depth(formula.left), _quantifier_depth(formula.right))
-    return 0
-
-
 def _enumerable(formula: Formula, domain: List[int]) -> bool:
-    depth = _quantifier_depth(formula)
+    depth = quantifier_depth(formula)
     try:
         return len(domain) ** depth <= ENUMERATION_BUDGET
     except OverflowError:  # pragma: no cover - astronomically deep

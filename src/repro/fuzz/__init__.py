@@ -14,9 +14,9 @@ programs rather than only the hand-written case-study gallery:
 * :mod:`~repro.fuzz.funnel` — the pipeline driver behind ``repro fuzz``:
   every generated program runs the full funnel (``casestudy lint`` →
   ``verify-batch`` → ``explore``) while every layer is differentially
-  tested — tree vs compiled evaluation, serial vs ``--jobs``
-  discharge, cold vs warm cache, exhaustive vs full-width beam — asserting
-  fingerprint / verdict / counterexample-model / frontier parity;
+  tested — cold vs warm cache and serial vs ``--jobs`` discharge,
+  exhaustive vs full-width beam and serial vs ``--jobs`` explore —
+  asserting fingerprint / verdict / counterexample-model / envelope parity;
 * :mod:`~repro.fuzz.shrink` — greedy statement-deletion shrinking of any
   divergence down to a minimal reproducer fixture on disk;
 * :mod:`~repro.fuzz.corpus` — the standing committed corpus
@@ -36,8 +36,6 @@ from .generator import (
 from .funnel import (
     Divergence,
     FuzzReport,
-    available_backends,
-    explore_signature,
     normalized_explore_payload,
     run_fuzz,
 )
@@ -52,9 +50,7 @@ __all__ = [
     "GeneratedProgram",
     "PlantedSite",
     "ProgramSynthesizer",
-    "available_backends",
     "derive_spec",
-    "explore_signature",
     "generated_study",
     "normalized_explore_payload",
     "replay_corpus",

@@ -3,7 +3,7 @@
 ``tests/corpus/`` is the fuzzing pipeline's permanent residue — a
 fixed-seed generated population whose verify outcomes are committed to the
 repository and re-checked **byte-identically** in CI.  Future performance
-work (new backends, cache layouts, scheduler changes) must reproduce every
+work (solver passes, cache layouts, scheduler changes) must reproduce every
 committed obligation fingerprint, verdict status and digest exactly; any
 drift is a semantic change, not an optimisation.
 
@@ -28,13 +28,7 @@ from pathlib import Path
 from typing import Dict, List
 
 from ..lang.parser import parse_program
-from .funnel import (
-    BASE_BACKEND,
-    FuzzReport,
-    VerifySignature,
-    obligations_digest,
-    verify_leg,
-)
+from .funnel import FuzzReport, VerifySignature, obligations_digest, verify_leg
 from .generator import GeneratedProgram
 
 MANIFEST = "manifest.json"
@@ -104,7 +98,6 @@ def write_corpus(directory: str, report: FuzzReport) -> List[str]:
                 "generator": "repro fuzz",
                 "seed": report.seed,
                 "count": report.count,
-                "backend": BASE_BACKEND,
                 "programs": names,
             }
         ),
@@ -173,8 +166,7 @@ def replay_corpus(directory: str) -> CorpusReplayReport:
 
     The committed sources are rebuilt into generated case studies (spec
     read from each source's own clauses), batch-verified in one pooled
-    wave on the corpus's recorded baseline backend, and each outcome is
-    re-serialised with the canonical encoder.  Equality is asserted on the
+    wave, and each outcome is re-serialised with the canonical encoder.  Equality is asserted on the
     serialised *bytes*: field order, indentation and every fingerprint,
     status and digest must match the committed file exactly.
     """
@@ -204,7 +196,7 @@ def replay_corpus(directory: str) -> CorpusReplayReport:
         )
     report.programs = len(generated)
 
-    signatures = verify_leg(generated, backend=manifest.get("backend", BASE_BACKEND))
+    signatures = verify_leg(generated)
     for item in generated:
         replayed = _expected_payload(
             item.name, item.family, item.expect_verified, signatures[item.name]

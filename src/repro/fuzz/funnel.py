@@ -6,27 +6,25 @@ layer along the way:
 
 * **lint** — every program must pass ``casestudy lint`` (build, pretty /
   parse round-trip, declared variables, sites apply, obligations collect);
-* **verify** — the corpus is batch-verified once per *leg* (a named
-  engine/backend configuration) and each program's verify signature —
-  canonical obligation fingerprints, verdict statuses, counterexample
-  models and the overall verdict — must be identical across legs:
+* **verify** and **explore** — each stage runs the corpus once per *leg*
+  (:func:`funnel_legs`).  A leg is the stage's baseline with exactly one
+  setting changed, and each program's observation under it must equal the
+  baseline's field by field:
 
-  - ``backend=tree`` vs ``backend=compiled`` (the reference tree walker
-    against the compiled closures),
-  - serial vs ``--jobs N`` discharge (the process-pool path),
-  - cold vs warm persistent cache (the warm leg replays the cold leg's
-    verdicts from disk);
-
-* **explore** — each program's relaxation space is searched twice
-  (exhaustive, and beam at effectively infinite width) and the full
-  candidate signature — fingerprint, parent, verdict, obligations digest,
-  score — plus the Pareto frontier must agree; with ``jobs > 1`` a third
-  run checks the whole explore envelope is ``--jobs``-invariant.
+  - verify (canonical obligation fingerprints, verdict statuses,
+    counterexample models and the overall verdict): a cold persistent
+    cache (the baseline), a warm cache replaying the baseline's verdicts
+    from disk, and ``--jobs N`` process-pool discharge;
+  - explore (the whole report envelope minus timings and the engine,
+    solver and cache counters):
+    exhaustive search (the baseline), beam search at effectively infinite
+    width, and ``--jobs N``.
 
 Any mismatch becomes a :class:`Divergence`; the driver then shrinks the
-offending program to a minimal statement sequence that still diverges
-(:mod:`repro.fuzz.shrink`) and, when a divergence directory is configured,
-writes a committed-style reproducer fixture (source + divergence record).
+offending program to a minimal statement sequence on which the same leg
+still diverges from its baseline (:mod:`repro.fuzz.shrink`) and, when a
+divergence directory is configured, writes a committed-style reproducer
+fixture (source + divergence record).
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..casestudies.spec import lint_case_study
@@ -42,19 +40,10 @@ from ..engine import ObligationEngine, VerdictStore, program_items, verify_batch
 from ..explore import explore
 from ..hoare.verifier import AcceptabilitySpec
 from ..lang.parser import parse_program
-from ..solver.backend import BACKENDS, use_backend
 from .generator import GeneratedProgram, generated_study, synthesize_corpus
-
-#: The backend every other verify leg is compared against.
-BASE_BACKEND = "compiled"
 
 #: Beam width that turns the beam scheduler into an exhaustive walk.
 FULL_BEAM_WIDTH = 1_000_000
-
-
-def available_backends() -> Tuple[str, ...]:
-    """The evaluators the verify stage differentially tests."""
-    return BACKENDS
 
 
 def obligations_digest(fingerprints: Sequence[str], statuses: Sequence[str]) -> str:
@@ -67,7 +56,7 @@ def obligations_digest(fingerprints: Sequence[str], statuses: Sequence[str]) -> 
 
 
 # ---------------------------------------------------------------------------
-# Signatures: the parity currency
+# Observations: the parity currency
 # ---------------------------------------------------------------------------
 
 
@@ -119,43 +108,8 @@ def signature_of(result) -> VerifySignature:
     )
 
 
-def explore_signature(payload: Dict[str, object]) -> Dict[str, object]:
-    """The deterministic core of an explore report dict.
-
-    Timings and engine/solver/cache counters are machine- and
-    configuration-dependent; everything else — the candidate set in order,
-    each candidate's obligations digest, verdict and score, and the Pareto
-    frontier — must be identical across search strategies and job counts.
-    """
-    results = payload["results"]
-    return {
-        "candidates": [
-            (
-                row["fingerprint"],
-                row["parent"],
-                row["verified"],
-                row["obligations_digest"],
-                _score_key(row.get("score")),
-            )
-            for row in results
-        ],
-        "frontier": sorted(
-            (row["fingerprint"], row["obligations_digest"])
-            for row in results
-            if row["pareto"]
-        ),
-        "verified_candidates": payload["verified_candidates"],
-    }
-
-
-def _score_key(score) -> Optional[Tuple[Tuple[str, object], ...]]:
-    if score is None:
-        return None
-    return tuple(sorted(score.items()))
-
-
-#: Report sections that legitimately differ across machines / job counts /
-#: strategies; everything else participates in the jobs-parity equality.
+#: Report sections that legitimately differ across machines / job counts;
+#: everything else participates in every explore leg's equality.
 _VOLATILE_EXPLORE_KEYS = ("timings", "engine", "solver", "cache", "jobs")
 
 
@@ -205,41 +159,29 @@ class Divergence:
         return payload
 
 
-def compare_signatures(
+def compare_observations(
+    stage: str,
     name: str,
     left_label: str,
-    left: VerifySignature,
+    left: Dict[str, object],
     right_label: str,
-    right: VerifySignature,
+    right: Dict[str, object],
 ) -> Optional[Divergence]:
-    """The first mismatch between two verify signatures, or ``None``."""
-    checks = (
-        ("verdict", left.verified, right.verified),
-        ("error", left.error, right.error),
-        ("obligation fingerprints", left.fingerprints, right.fingerprints),
-        ("obligation statuses", left.statuses, right.statuses),
-        ("counterexample models", left.models, right.models),
+    """Every field on which two legs' observations of one program differ,
+    as one :class:`Divergence`, or ``None`` when they agree."""
+    fields = list(left) + [key for key in right if key not in left]
+    differing = [key for key in fields if left.get(key) != right.get(key)]
+    if not differing:
+        return None
+    return Divergence(
+        program=name,
+        stage=stage,
+        left=left_label,
+        right=right_label,
+        detail=f"{', '.join(differing)} differ between {left_label} and {right_label}",
+        left_value={key: left.get(key) for key in differing},
+        right_value={key: right.get(key) for key in differing},
     )
-    for what, left_value, right_value in checks:
-        if left_value != right_value:
-            return Divergence(
-                program=name,
-                stage="verify",
-                left=left_label,
-                right=right_label,
-                detail=f"{what} differ between {left_label} and {right_label}",
-                left_value=_jsonable(left_value),
-                right_value=_jsonable(right_value),
-            )
-    return None
-
-
-def _jsonable(value):
-    if isinstance(value, (tuple, list)):
-        return [_jsonable(item) for item in value]
-    if isinstance(value, dict):
-        return {str(key): _jsonable(item) for key, item in value.items()}
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +191,7 @@ def _jsonable(value):
 
 @dataclass
 class FuzzProgramRecord:
-    """Per-program funnel outcome (baseline leg)."""
+    """Per-program funnel outcome (baseline legs)."""
 
     name: str
     family: str
@@ -288,8 +230,8 @@ class FuzzReport:
     depth: int
     jobs: int
     samples: int
-    backends: Tuple[str, ...] = ()
     verify_legs: List[str] = field(default_factory=list)
+    explore_legs: List[str] = field(default_factory=list)
     programs: List[FuzzProgramRecord] = field(default_factory=list)
     divergences: List[Divergence] = field(default_factory=list)
     #: Verdict mismatches against the family's expectation (a verified
@@ -320,8 +262,8 @@ class FuzzReport:
             "depth": self.depth,
             "jobs": self.jobs,
             "samples": self.samples,
-            "backends": list(self.backends),
             "verify_legs": list(self.verify_legs),
+            "explore_legs": list(self.explore_legs),
             "lint_failures": self.lint_failures,
             "divergences": [divergence.as_dict() for divergence in self.divergences],
             "expectation_failures": list(self.expectation_failures),
@@ -332,7 +274,8 @@ class FuzzReport:
     def summary(self) -> str:
         lines = [
             f"fuzz: seed {self.seed}, {self.count} programs, depth {self.depth}, "
-            f"verify legs [{', '.join(self.verify_legs)}]"
+            f"verify legs [{', '.join(self.verify_legs)}], "
+            f"explore legs [{', '.join(self.explore_legs)}]"
         ]
         verified = sum(1 for record in self.programs if record.verified)
         lines.append(
@@ -357,9 +300,40 @@ class FuzzReport:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Leg:
+    """One named stage configuration: the baseline with one setting changed."""
+
+    stage: str  # "verify" | "explore"
+    label: str
+    jobs: int = 1
+    #: verify: replay the cache directory the baseline's cold run filled.
+    warm: bool = False
+    #: explore: the search strategy (a beam runs at :data:`FULL_BEAM_WIDTH`).
+    strategy: str = "exhaustive"
+
+
+def funnel_legs(jobs: int = 1) -> Dict[str, Tuple[Leg, ...]]:
+    """Each stage's legs, its baseline first."""
+    verify_legs = [Leg("verify", "cache=cold"), Leg("verify", "cache=warm", warm=True)]
+    explore_legs = [
+        Leg("explore", "strategy=exhaustive"),
+        Leg("explore", f"strategy=beam,width={FULL_BEAM_WIDTH}", strategy="beam"),
+    ]
+    if jobs > 1:
+        verify_legs.append(Leg("verify", f"jobs={jobs}", jobs=jobs))
+        explore_legs.append(Leg("explore", f"jobs={jobs}", jobs=jobs))
+    return {"verify": tuple(verify_legs), "explore": tuple(explore_legs)}
+
+
+class _ExploreSettings(NamedTuple):
+    seed: int
+    depth: int
+    samples: int
+
+
 def verify_leg(
     generated: Sequence[GeneratedProgram],
-    backend: str = BASE_BACKEND,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
 ) -> Dict[str, VerifySignature]:
@@ -368,9 +342,7 @@ def verify_leg(
     for item in generated:
         program = parse_program(item.source, name=item.name)
         entries.append((item.name, program, AcceptabilitySpec.of(program)))
-    with use_backend(backend), ObligationEngine.for_batch(
-        jobs=jobs, cache_dir=cache_dir
-    ) as engine:
+    with ObligationEngine.for_batch(jobs=jobs, cache_dir=cache_dir) as engine:
         report = verify_batch(
             program_items(entries, study="fuzz"),
             engine=engine,
@@ -379,46 +351,71 @@ def verify_leg(
     return {result.name: signature_of(result) for result in report.programs}
 
 
-def _leg_for_label(
-    label: str, generated: Sequence[GeneratedProgram]
-) -> Dict[str, VerifySignature]:
-    """Re-run one named verify leg (used by divergence shrinking).
+def _observe(
+    leg: Leg,
+    generated: Sequence[GeneratedProgram],
+    settings: _ExploreSettings,
+    cache_dir: str,
+) -> Dict[str, object]:
+    """One leg's observation of every program, by program name."""
+    if leg.stage == "verify":
+        return verify_leg(generated, jobs=leg.jobs, cache_dir=cache_dir)
+    return {
+        item.name: explore(
+            generated_study(item.name, item.source),
+            depth=settings.depth,
+            samples=settings.samples,
+            seed=settings.seed + item.index,
+            jobs=leg.jobs,
+            strategy=leg.strategy,
+            beam_width=FULL_BEAM_WIDTH,
+            max_candidates=24,
+        ).as_dict()
+        for item in generated
+    }
 
-    Cache legs re-check against a *fresh* temporary directory: a cold/warm
-    divergence is chased against reproducible state, not the original
-    cache contents.
+
+def _run_stage(
+    legs: Sequence[Leg],
+    generated: Sequence[GeneratedProgram],
+    settings: _ExploreSettings,
+) -> Dict[str, Dict[str, object]]:
+    """Run ``legs`` (the baseline first) over the corpus: label → name → observation.
+
+    The baseline fills a fresh cache directory cold and a warm leg replays
+    it; every other leg starts cold in a directory of its own.  (Explore
+    legs run without a cache and ignore theirs.)
     """
-    if label.startswith("backend="):
-        spec = label[len("backend="):]
-        backend, _, jobs_part = spec.partition(",jobs=")
-        return verify_leg(generated, backend=backend, jobs=int(jobs_part or 1))
-    if label == "cache=cold":
-        return verify_leg(generated)
-    if label == "cache=warm":
-        with tempfile.TemporaryDirectory(prefix="repro-fuzz-reshrink-") as tmp:
-            verify_leg(generated, cache_dir=tmp)
-            return verify_leg(generated, cache_dir=tmp)
-    raise ValueError(f"unknown verify leg {label!r}")
+    runs: Dict[str, Dict[str, object]] = {}
+    with tempfile.TemporaryDirectory(prefix="repro-fuzz-cache-") as shared:
+        for leg in legs:
+            if leg is legs[0] or leg.warm:
+                runs[leg.label] = _observe(leg, generated, settings, shared)
+                continue
+            with tempfile.TemporaryDirectory(prefix="repro-fuzz-cache-") as own:
+                runs[leg.label] = _observe(leg, generated, settings, own)
+    return runs
 
 
-def _explore_once(
-    item: GeneratedProgram,
-    depth: int,
-    samples: int,
-    seed: int,
-    jobs: int = 1,
-    strategy: str = "exhaustive",
-    beam_width: int = 8,
-):
-    return explore(
-        generated_study(item.name, item.source),
-        depth=depth,
-        samples=samples,
-        seed=seed,
-        jobs=jobs,
-        strategy=strategy,
-        beam_width=beam_width,
-        max_candidates=24,
+def _comparable(stage: str, observation) -> Dict[str, object]:
+    if stage == "verify":
+        return observation.as_dict()
+    payload = normalized_explore_payload(observation)
+    del payload["strategy"]  # the one setting a strategy leg changes
+    return payload
+
+
+def _leg_divergence(
+    base: Leg, leg: Leg, name: str, runs: Dict[str, Dict[str, object]]
+) -> Optional[Divergence]:
+    """How ``leg`` diverges from its stage baseline on program ``name``."""
+    return compare_observations(
+        leg.stage,
+        name,
+        base.label,
+        _comparable(leg.stage, runs[base.label][name]),
+        leg.label,
+        _comparable(leg.stage, runs[leg.label][name]),
     )
 
 
@@ -439,11 +436,22 @@ def _probe(item: GeneratedProgram, source: str) -> GeneratedProgram:
 def _shrink_and_record(
     divergence: Divergence,
     item: GeneratedProgram,
-    still_diverges: Callable[[str], bool],
+    base: Leg,
+    leg: Leg,
+    settings: _ExploreSettings,
     divergence_dir: Optional[str],
 ) -> Divergence:
-    """Shrink the diverging program and persist a reproducer fixture."""
+    """Shrink the diverging program and persist a reproducer fixture.
+
+    Each probe re-runs the baseline and the diverging leg from scratch
+    (fresh cache directories), so the divergence is chased against
+    reproducible state rather than the original run's cache contents.
+    """
     from .shrink import shrink_source, write_reproducer
+
+    def still_diverges(source: str) -> bool:
+        runs = _run_stage((base, leg), [_probe(item, source)], settings)
+        return _leg_divergence(base, leg, item.name, runs) is not None
 
     try:
         divergence.shrunk_source = shrink_source(item.source, still_diverges)
@@ -462,18 +470,19 @@ def run_fuzz(
     depth: int = 1,
     jobs: int = 1,
     samples: int = 4,
-    backends: Optional[Sequence[str]] = None,
     divergence_dir: Optional[str] = None,
 ) -> FuzzReport:
     """Generate a corpus and drive it through the differential funnel."""
-    resolved_backends = tuple(backends) if backends else available_backends()
+    legs = funnel_legs(jobs)
+    settings = _ExploreSettings(seed, depth, samples)
     report = FuzzReport(
         seed=seed,
         count=count,
         depth=depth,
         jobs=jobs,
         samples=samples,
-        backends=resolved_backends,
+        verify_legs=[leg.label for leg in legs["verify"]],
+        explore_legs=[leg.label for leg in legs["explore"]],
     )
     with telemetry.span("fuzz", seed=seed, count=count, depth=depth):
         generated = synthesize_corpus(seed, count)
@@ -500,26 +509,17 @@ def run_fuzz(
                     if finding.level == "error"
                 ]
 
-        # Stage 2: verify legs + cross-leg parity.
-        legs: Dict[str, Dict[str, VerifySignature]] = {}
-        with telemetry.span("fuzz.verify", legs=len(resolved_backends)):
-            for backend in resolved_backends:
-                legs[f"backend={backend}"] = verify_leg(generated, backend=backend)
-            if jobs > 1:
-                legs[f"backend={BASE_BACKEND},jobs={jobs}"] = verify_leg(
-                    generated, jobs=jobs
-                )
-            with tempfile.TemporaryDirectory(prefix="repro-fuzz-cache-") as tmp:
-                legs["cache=cold"] = verify_leg(generated, cache_dir=tmp)
-                legs["cache=warm"] = verify_leg(generated, cache_dir=tmp)
-        report.verify_legs = list(legs)
+        # Stages 2 and 3: every leg of verify, then of explore.
+        with telemetry.span("fuzz.verify", legs=len(legs["verify"])):
+            verify_runs = _run_stage(legs["verify"], generated, settings)
+        with telemetry.span("fuzz.explore", programs=count, depth=depth):
+            explore_runs = _run_stage(legs["explore"], generated, settings)
 
-        baseline_label = f"backend={BASE_BACKEND}"
-        baseline = legs[baseline_label]
-        report.baseline = baseline
+        report.baseline = verify_runs[legs["verify"][0].label]
+        exhaustive = explore_runs[legs["explore"][0].label]
         for item in generated:
             record = records[item.name]
-            signature = baseline[item.name]
+            signature = report.baseline[item.name]
             record.verified = signature.verified
             record.obligations = len(signature.statuses)
             record.obligations_digest = obligations_digest(
@@ -530,130 +530,20 @@ def run_fuzz(
                     f"{item.name} ({item.family}): expected "
                     f"verified={item.expect_verified}, got {signature.verified}"
                 )
+            record.explore_candidates = exhaustive[item.name]["candidates"]
+            record.explore_survivors = exhaustive[item.name]["verified_candidates"]
 
-        for label, leg in legs.items():
-            if label == baseline_label:
-                continue
-            for item in generated:
-                divergence = compare_signatures(
-                    item.name,
-                    baseline_label,
-                    baseline[item.name],
-                    label,
-                    leg[item.name],
-                )
-                if divergence is None:
-                    continue
-                records[item.name].divergences += 1
-
-                def still_diverges(source, _item=item, _label=label):
-                    probe = _probe(_item, source)
-                    left = verify_leg([probe])
-                    right = _leg_for_label(_label, [probe])
-                    return (
-                        compare_signatures(
-                            _item.name,
-                            baseline_label,
-                            left[_item.name],
-                            _label,
-                            right[_item.name],
+        for stage, runs in (("verify", verify_runs), ("explore", explore_runs)):
+            base, *others = legs[stage]
+            for leg in others:
+                for item in generated:
+                    divergence = _leg_divergence(base, leg, item.name, runs)
+                    if divergence is None:
+                        continue
+                    records[item.name].divergences += 1
+                    report.divergences.append(
+                        _shrink_and_record(
+                            divergence, item, base, leg, settings, divergence_dir
                         )
-                        is not None
                     )
-
-                report.divergences.append(
-                    _shrink_and_record(divergence, item, still_diverges, divergence_dir)
-                )
-
-        # Stage 3: explore legs + strategy/jobs parity.
-        with telemetry.span("fuzz.explore", programs=count, depth=depth):
-            for index, item in enumerate(generated):
-                record = records[item.name]
-                explore_seed = seed + index
-                exhaustive = _explore_once(item, depth, samples, explore_seed).as_dict()
-                record.explore_candidates = exhaustive["candidates"]
-                record.explore_survivors = exhaustive["verified_candidates"]
-
-                beam = _explore_once(
-                    item,
-                    depth,
-                    samples,
-                    explore_seed,
-                    strategy="beam",
-                    beam_width=FULL_BEAM_WIDTH,
-                ).as_dict()
-                record.divergences += _explore_parity(
-                    report, item, exhaustive, beam, divergence_dir,
-                    depth, samples, explore_seed,
-                )
-
-                if jobs > 1:
-                    parallel = _explore_once(
-                        item, depth, samples, explore_seed, jobs=jobs
-                    ).as_dict()
-                    if normalized_explore_payload(parallel) != normalized_explore_payload(
-                        exhaustive
-                    ):
-                        record.divergences += 1
-                        report.divergences.append(
-                            Divergence(
-                                program=item.name,
-                                stage="explore",
-                                left="explore jobs=1",
-                                right=f"explore jobs={jobs}",
-                                detail="explore envelope differs across --jobs",
-                                left_value=explore_signature(exhaustive),
-                                right_value=explore_signature(parallel),
-                            )
-                        )
     return report
-
-
-def _explore_parity(
-    report: FuzzReport,
-    item: GeneratedProgram,
-    exhaustive: Dict[str, object],
-    beam: Dict[str, object],
-    divergence_dir: Optional[str],
-    depth: int,
-    samples: int,
-    explore_seed: int,
-) -> int:
-    """Compare exhaustive vs full-width beam; record any divergence."""
-    problems = []
-    if beam["beam_pruned"]:
-        problems.append(f"full-width beam pruned {beam['beam_pruned']} candidates")
-    if explore_signature(exhaustive) != explore_signature(beam):
-        problems.append("candidate signature / frontier differ")
-    if not problems:
-        return 0
-
-    divergence = Divergence(
-        program=item.name,
-        stage="explore",
-        left="strategy=exhaustive",
-        right=f"strategy=beam,width={FULL_BEAM_WIDTH}",
-        detail="; ".join(problems),
-        left_value=explore_signature(exhaustive),
-        right_value=explore_signature(beam),
-    )
-
-    def still_diverges(source, _item=item):
-        probe = _probe(_item, source)
-        left = _explore_once(probe, depth, samples, explore_seed).as_dict()
-        right = _explore_once(
-            probe,
-            depth,
-            samples,
-            explore_seed,
-            strategy="beam",
-            beam_width=FULL_BEAM_WIDTH,
-        ).as_dict()
-        return bool(right["beam_pruned"]) or explore_signature(
-            left
-        ) != explore_signature(right)
-
-    report.divergences.append(
-        _shrink_and_record(divergence, item, still_diverges, divergence_dir)
-    )
-    return 1

@@ -23,7 +23,7 @@ trailing ``relate`` envelope follows directly from the relax predicate.
 The ``broken-envelope`` family deliberately asserts an envelope one unit
 tighter than its relax allows — its relaxed-layer obligations are INVALID
 with a concrete counterexample model, giving the differential oracle
-failing verdicts (and models) to compare across backends, not just passing
+failing verdicts (and models) to compare across legs, not just passing
 ones.
 
 Seeding is hierarchical and stringly keyed (``random.Random`` hashes

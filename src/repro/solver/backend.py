@@ -10,8 +10,8 @@ assignments with one of two interchangeable evaluators:
 ``tree``
     The recursive tree walker (:func:`repro.logic.evaluate.evaluate`),
     checking one assignment at a time.  The slowest path, kept as the
-    semantic reference: the fuzz funnel's ``backend=tree`` leg and the
-    tests compare the compiled closures against it.
+    semantic reference: ``tests/test_solver_models.py`` compares the
+    compiled closures against it.
 
 The selection is per-process state; :func:`use_backend` switches it for
 the duration of a ``with`` block.  It changes *how* assignments are
@@ -24,8 +24,7 @@ from __future__ import annotations
 import contextlib
 from typing import Iterator, Optional
 
-#: Every evaluator the switch accepts (the fuzz funnel runs one verify
-#: leg per entry, in this order).
+#: Every evaluator the switch accepts.
 BACKENDS = ("tree", "compiled")
 
 _active: str = "compiled"
@@ -38,7 +37,7 @@ def active_backend() -> str:
 
 @contextlib.contextmanager
 def use_backend(name: Optional[str]) -> Iterator[None]:
-    """Temporarily select an evaluator (tests and the fuzz funnel); ``None`` is a no-op."""
+    """Temporarily select an evaluator (tests); ``None`` is a no-op."""
     global _active
     if name is None:
         yield

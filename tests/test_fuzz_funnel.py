@@ -2,10 +2,11 @@
 
 A small fixed-seed corpus runs the real funnel end-to-end (this is the
 CI ``fuzz-smoke`` job's little sibling); the shrinking and fixture-writing
-machinery is additionally exercised on a *synthetic* divergence, since a
-healthy tree never produces a real one.
+machinery is additionally exercised on *planted* divergences, one per leg,
+since a healthy tree never produces a real one.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -18,12 +19,12 @@ from repro.fuzz import (
     shrink_program,
     synthesize_corpus,
 )
+from repro.fuzz import funnel
 from repro.fuzz.funnel import (
     Divergence,
     VerifySignature,
-    available_backends,
-    compare_signatures,
-    verify_leg,
+    compare_observations,
+    funnel_legs,
 )
 from repro.fuzz.shrink import shrink_source, write_reproducer
 from repro.lang.parser import parse_program
@@ -41,14 +42,16 @@ class TestFunnel:
         assert not report.expectation_failures
 
     def test_all_parity_legs_ran(self, report):
-        legs = set(report.verify_legs)
-        assert "backend=tree" in legs
-        assert "backend=compiled" in legs
-        assert "backend=compiled,jobs=2" in legs
-        assert "cache=cold" in legs and "cache=warm" in legs
-        assert available_backends() == ("tree", "compiled")
-        assert report.backends == available_backends()
-        assert not any("vector" in leg for leg in legs)
+        assert report.verify_legs == ["cache=cold", "cache=warm", "jobs=2"]
+        assert report.explore_legs == [
+            "strategy=exhaustive",
+            "strategy=beam,width=1000000",
+            "jobs=2",
+        ]
+        payload = report.as_dict()
+        assert "backends" not in payload
+        assert payload["verify_legs"] == report.verify_legs
+        assert payload["explore_legs"] == report.explore_legs
 
     def test_every_program_completed_every_stage(self, report):
         assert len(report.programs) == 6
@@ -68,17 +71,15 @@ class TestFunnel:
 class TestVerifyLegs:
     def test_legs_agree_signature_by_signature(self):
         generated = synthesize_corpus(5, 4)
-        left = verify_leg(generated, backend="tree")
-        right = verify_leg(generated, backend="compiled")
-        for item in generated:
-            assert (
-                compare_signatures(
-                    item.name, "tree", left[item.name], "compiled", right[item.name]
-                )
-                is None
-            )
+        legs = funnel_legs(jobs=2)["verify"]
+        runs = funnel._run_stage(legs, generated, funnel._ExploreSettings(5, 1, 3))
+        assert list(runs) == ["cache=cold", "cache=warm", "jobs=2"]
+        base, *others = legs
+        for leg in others:
+            for item in generated:
+                assert funnel._leg_divergence(base, leg, item.name, runs) is None
 
-    def test_compare_signatures_reports_first_mismatch(self):
+    def test_compare_observations_reports_every_differing_field(self):
         a = VerifySignature(
             verified=True, error="", fingerprints=("f1",), statuses=("valid",),
             models=(None,),
@@ -87,10 +88,77 @@ class TestVerifyLegs:
             verified=False, error="", fingerprints=("f1",), statuses=("invalid",),
             models=((("x", "0"),),),
         )
-        divergence = compare_signatures("p", "left", a, "right", b)
+        divergence = compare_observations(
+            "verify", "p", "left", a.as_dict(), "right", b.as_dict()
+        )
         assert divergence is not None
         assert divergence.stage == "verify"
-        assert "verdict" in divergence.detail
+        assert divergence.detail == (
+            "verified, statuses, models differ between left and right"
+        )
+        assert divergence.left_value == {
+            "verified": True, "statuses": ["valid"], "models": [None],
+        }
+        assert compare_observations(
+            "verify", "p", "left", a.as_dict(), "right", a.as_dict()
+        ) is None
+
+
+def _perturb(observation):
+    """A leg's observation of one program, deliberately made to disagree."""
+    if isinstance(observation, VerifySignature):
+        return dataclasses.replace(observation, verified=not observation.verified)
+    return dict(observation, verified_candidates=observation["verified_candidates"] + 1)
+
+
+_PLANTED = [
+    (stage, leg.label)
+    for stage, legs in funnel_legs(jobs=2).items()
+    for leg in legs[1:]
+]
+
+
+class TestPlantedDivergences:
+    """Every non-baseline leg records, shrinks and writes its divergence."""
+
+    @pytest.mark.parametrize(
+        "stage,label", _PLANTED, ids=[f"{stage}-{label}" for stage, label in _PLANTED]
+    )
+    def test_divergence_is_recorded_shrunk_and_written(
+        self, stage, label, monkeypatch, tmp_path
+    ):
+        generated = synthesize_corpus(4, 2)
+        target = generated[0]
+        observe = funnel._observe
+
+        def planted(leg, programs, settings, cache_dir):
+            runs = observe(leg, programs, settings, cache_dir)
+            if (leg.stage, leg.label) == (stage, label) and target.name in runs:
+                runs[target.name] = _perturb(runs[target.name])
+            return runs
+
+        monkeypatch.setattr(funnel, "_observe", planted)
+        report = run_fuzz(
+            seed=4, count=2, depth=1, jobs=2, samples=2,
+            divergence_dir=str(tmp_path),
+        )
+        assert not report.ok
+        assert [(d.program, d.stage, d.right) for d in report.divergences] == [
+            (target.name, stage, label)
+        ]
+        assert [record.divergences for record in report.programs] == [1, 0]
+        divergence = report.divergences[0]
+        assert divergence.left == funnel_legs(jobs=2)[stage][0].label
+        # The plant survives every deletion, so the shrinker must make progress.
+        assert divergence.shrunk_source
+        assert len(divergence.shrunk_source) < len(target.source)
+        fixture = Path(divergence.fixture_dir)
+        assert fixture.parent == tmp_path
+        assert (fixture / "program.rlx").read_text() == divergence.shrunk_source
+        record = json.loads((fixture / "divergence.json").read_text())
+        assert (record["stage"], record["left"], record["right"]) == (
+            stage, divergence.left, label,
+        )
 
 
 class TestShrinking:
@@ -132,8 +200,8 @@ class TestShrinking:
         divergence = Divergence(
             program="fuzz-s0-0001",
             stage="verify",
-            left="backend=compiled",
-            right="backend=tree",
+            left="cache=cold",
+            right="cache=warm",
             detail="obligation statuses differ",
             left_value=["valid"],
             right_value=["invalid"],
@@ -143,7 +211,7 @@ class TestShrinking:
         assert (fixture / "program.rlx").read_text().startswith("// program")
         record = json.loads((fixture / "divergence.json").read_text())
         assert record["stage"] == "verify"
-        assert record["left"] == "backend=compiled"
+        assert record["left"] == "cache=cold"
         assert record["shrunk_source"]
 
 
