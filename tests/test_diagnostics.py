@@ -15,6 +15,9 @@ Covers the acceptance criteria of the forensics PR:
   ``repro explain --from-json``.
 """
 
+import glob
+import hashlib
+import json
 import os
 import pickle
 
@@ -51,9 +54,22 @@ from repro.logic.formula import FALSE, Symbol, Tag
 from repro.solver.interface import Solver
 from repro.solver.lia import Status
 
-BROKEN_FIXTURE = os.path.join(
-    os.path.dirname(__file__), "fixtures", "broken", "broken_relax.rlx"
+TESTS = os.path.dirname(__file__)
+BROKEN_FIXTURE = os.path.join(TESTS, "fixtures", "broken", "broken_relax.rlx")
+
+#: Every ``.rlx`` program the tests verify: the fuzz corpus and the fixtures.
+RLX_PROGRAMS = sorted(
+    glob.glob(os.path.join(TESTS, "corpus", "programs", "*.rlx"))
+    + glob.glob(os.path.join(TESTS, "fixtures", "*", "*.rlx"))
 )
+
+#: ``explain lu`` of rejected depth-1 candidates, pinned by the sha256
+#: prefix of the sorted-key JSON of ``ExplainReport.as_dict()``.
+EXPLAIN_DIGESTS = {
+    "knob:N:f1": "cc85f78ece9c5b30",
+    "perforate:i@L0:s2": "cb8ed5014fcd3806",
+    "perforate:i@L0:s4": "fff8082de35c4a7b",
+}
 
 #: Registered case studies with a seeded knob relaxation known to FAIL
 #: verification with a concrete counterexample (acceptance set: >= 3).
@@ -92,6 +108,14 @@ class TestSeededFailures:
         assert all(isinstance(v, int) for v in diagnostic.model.values())
         assert diagnostic.formula_value is False
         assert diagnostic.check_method in ("evaluation", "solver-substitution")
+
+    @pytest.mark.parametrize("site", sorted(EXPLAIN_DIGESTS))
+    def test_explain_payload_is_pinned(self, site):
+        report = explain_case_study("lu", [site])
+        assert not report.verified and report.diagnostics
+        payload = json.dumps(report.as_dict(), sort_keys=True, default=str)
+        digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
+        assert digest == EXPLAIN_DIGESTS[site]
 
     def test_unknown_site_raises_with_applicable_sites(self):
         with pytest.raises(ValueError) as excinfo:
@@ -153,6 +177,29 @@ class TestProvenanceEverywhere:
                 # The span resolves into the recovered source text.
                 assert 1 <= span.line <= span.end_line <= len(lines)
                 assert span.column >= 1 and span.end_column >= 1
+
+    @pytest.mark.parametrize(
+        "name",
+        [case.name for case in all_case_studies()]
+        + [os.path.relpath(path, TESTS) for path in RLX_PROGRAMS],
+    )
+    def test_every_obligation_names_its_program_and_source(self, name):
+        # Provenance alone anchors a diagnostic: no program object needed.
+        if name.endswith(".rlx"):
+            with open(os.path.join(TESTS, name), "r", encoding="utf-8") as handle:
+                stem = os.path.splitext(os.path.basename(name))[0]
+                program = parse_program(handle.read(), name=stem)
+            spec = AcceptabilitySpec.of(program)
+        else:
+            case = get_case_study(name)
+            program = case.build_program()
+            spec = case.acceptability_spec(program)
+        bundle = AcceptabilityVerifier().collect(program, spec)
+        obligations = bundle.original.obligations + bundle.relaxed.obligations
+        assert obligations
+        for obligation in obligations:
+            assert obligation.provenance.program
+            assert obligation.provenance.source
 
     def test_provenance_survives_pickling(self):
         case = get_case_study("lu")

@@ -76,6 +76,16 @@ class TestBatchItems:
             directory_items(str(tmp_path / "missing"))
 
 
+def _pooled_verdicts(report):
+    """Each result of both layers in pooled order (original, then relaxed):
+    its fingerprint, status, counterexample and reason."""
+    return [
+        (r.fingerprint, r.status, r.counterexample, r.reason)
+        for layer in (report.original, report.relaxed)
+        for r in layer.results
+    ]
+
+
 class TestBatchVerification:
     def test_batch_matches_serial_verdicts(self, serial_reports):
         report = verify_batch(case_study_items())
@@ -89,20 +99,16 @@ class TestBatchVerification:
                 batch_layer = getattr(result.report, layer)
                 serial_layer = getattr(serial, layer)
                 assert len(batch_layer.results) == len(serial_layer.results)
-                assert [r.status for r in batch_layer.results] == [
-                    r.status for r in serial_layer.results
-                ]
+            assert _pooled_verdicts(result.report) == _pooled_verdicts(serial)
 
     def test_parallel_batch_matches_serial_verdicts(self, serial_reports):
         engine = ObligationEngine(jobs=2)
         report = verify_batch(case_study_items(), engine=engine)
         assert report.all_verified
         for result in report.programs:
-            serial = serial_reports[result.name]
-            for layer in ("original", "relaxed"):
-                assert [r.status for r in getattr(result.report, layer).results] == [
-                    r.status for r in getattr(serial, layer).results
-                ]
+            assert _pooled_verdicts(result.report) == _pooled_verdicts(
+                serial_reports[result.name]
+            )
 
     def test_warm_cache_issues_zero_solver_calls(self, tmp_path, monkeypatch):
         cold = ObligationEngine.for_batch(cache_dir=str(tmp_path))
