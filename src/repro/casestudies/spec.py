@@ -179,9 +179,7 @@ def lint_case_study(study: Union[str, CaseStudy]) -> LintReport:
                 report.error(
                     "obligations-collect", f"{layer_name} layer: {message}"
                 )
-        report.obligations = len(collected.original.obligations) + len(
-            collected.relaxed.obligations
-        )
+        report.obligations = len(collected.obligations)
         if report.obligations == 0:
             report.error("obligations-collect", "no proof obligations collected")
     except Exception as error:

@@ -17,11 +17,10 @@ Three entry points, all built on :mod:`repro.diagnostics.report`:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..casestudies import resolve_case_study
-from ..hoare.obligations import discharge
-from ..hoare.verifier import AcceptabilityReport, AcceptabilityVerifier
+from ..hoare.verifier import AcceptabilityVerifier
 from ..relaxations.sites import apply_site
 from .report import FailureDiagnostic, diagnose_report, render_diagnostics
 
@@ -93,20 +92,16 @@ def explain_case_study(
         program = apply_site(program, available[site_id]).program
         applied.append(site_id)
 
-    spec = case.acceptability_spec(program)
-    verifier = AcceptabilityVerifier(engine=engine)
-    bundle = verifier.collect(program, spec, study=case.name, sites=tuple(applied))
-    original = discharge(bundle.original, bundle.program_name, engine=engine)
-    relaxed = discharge(bundle.relaxed, bundle.program_name, engine=engine)
-    report = AcceptabilityReport(
-        program_name=bundle.program_name, original=original, relaxed=relaxed
+    report = AcceptabilityVerifier(engine=engine).verify(
+        program, case.acceptability_spec(program), study=case.name,
+        sites=tuple(applied),
     )
     return ExplainReport(
         study=case.name,
-        program=bundle.program_name,
+        program=report.program_name,
         sites=tuple(applied),
         verified=report.verified,
-        diagnostics=diagnose_report(report, program=bundle.program),
+        diagnostics=diagnose_report(report),
     )
 
 
@@ -148,9 +143,7 @@ def batch_diagnostics(batch_report) -> List[FailureDiagnostic]:
     for result in batch_report.programs:
         if result.report is None or result.verified:
             continue
-        diagnostics.extend(
-            diagnose_report(result.report, program=result.program)
-        )
+        diagnostics.extend(diagnose_report(result.report))
     return diagnostics
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..hoare.obligations import ObligationKind, ObligationResult
-from ..lang.ast import Program, Span
+from ..lang.ast import Span
 from ..logic.compile import evaluate_compiled
 from ..logic.evaluate import EvaluationError, Valuation
 from ..logic.formula import (
@@ -510,9 +510,7 @@ class FailureDiagnostic:
 # ---------------------------------------------------------------------------
 
 
-def attribute_result(
-    result: ObligationResult, program: Optional[Program] = None
-) -> Optional[FailureDiagnostic]:
+def attribute_result(result: ObligationResult) -> Optional[FailureDiagnostic]:
     """The attribution stage: provenance plus the rendered model.
 
     Fills exactly what :meth:`FailureDiagnostic.attribution` reads — which
@@ -541,8 +539,6 @@ def attribute_result(
             diagnostic.span = provenance.span.as_dict()
         if not diagnostic.statement:
             diagnostic.statement = provenance.statement
-    if program is not None and not diagnostic.program:
-        diagnostic.program = program.name
     if result.counterexample is not None:
         diagnostic.model = {
             str(symbol): value for symbol, value in result.counterexample.items()
@@ -550,26 +546,24 @@ def attribute_result(
     return diagnostic
 
 
-def diagnose_result(
-    result: ObligationResult, program: Optional[Program] = None
-) -> Optional[FailureDiagnostic]:
+def diagnose_result(result: ObligationResult) -> Optional[FailureDiagnostic]:
     """The full diagnostic: attribution plus excerpt, atoms and re-check.
 
     ``None`` if the result is discharged.
     """
-    diagnostic = attribute_result(result, program)
+    diagnostic = attribute_result(result)
     if diagnostic is None:
         return None
     obligation = result.obligation
     provenance = obligation.provenance
     diagnostic.description = obligation.description
     diagnostic.formula_text = str(obligation.formula)
-    if provenance is not None and provenance.span is not None:
-        source = provenance.source
-        if source is None and program is not None:
-            source = program.source
-        if source is not None:
-            diagnostic.excerpt = source_excerpt(source, provenance.span)
+    if (
+        provenance is not None
+        and provenance.span is not None
+        and provenance.source is not None
+    ):
+        diagnostic.excerpt = source_excerpt(provenance.source, provenance.span)
     # An empty model is still a model: a closed formula refuted outright.
     if result.counterexample is not None:
         model: Dict[Symbol, int] = dict(result.counterexample)
@@ -584,31 +578,26 @@ def diagnose_result(
 
 def _undischarged(report) -> List[ObligationResult]:
     """Every undischarged result of a single-layer or combined report."""
-    layers = (
-        [report.original, report.relaxed]
-        if hasattr(report, "original") and hasattr(report, "relaxed")
-        else [report]
-    )
-    return [result for layer in layers for result in layer.undischarged()]
+    return [result for result in report.results if not result.discharged]
 
 
-def attribute_report(report, program: Optional[Program] = None) -> List[FailureDiagnostic]:
+def attribute_report(report) -> List[FailureDiagnostic]:
     """Attribution-stage diagnostics for every undischarged obligation.
 
     What the explorer records per rejected candidate; see
     :func:`diagnose_report` for the full forensic payload.
     """
-    return [attribute_result(result, program) for result in _undischarged(report)]
+    return [attribute_result(result) for result in _undischarged(report)]
 
 
-def diagnose_report(report, program: Optional[Program] = None) -> List[FailureDiagnostic]:
+def diagnose_report(report) -> List[FailureDiagnostic]:
     """Full diagnostics for every undischarged obligation of a report.
 
     Accepts either a single-layer
     :class:`~repro.hoare.obligations.VerificationReport` or a combined
     :class:`~repro.hoare.verifier.AcceptabilityReport`.
     """
-    return [diagnose_result(result, program) for result in _undischarged(report)]
+    return [diagnose_result(result) for result in _undischarged(report)]
 
 
 def render_diagnostics(diagnostics: Sequence[FailureDiagnostic]) -> str:

@@ -15,8 +15,8 @@ obligations) and the solver stack (which decides individual queries):
   parent keeps working while the workers run (the explorer scores its
   survivors on the same pool);
 * :mod:`~repro.engine.core` — :class:`ObligationEngine`, the facade tying
-  the pieces together behind ``prefetch`` / ``discharge_all`` /
-  ``discharge_collected``;
+  the pieces together behind ``prefetch`` / ``discharge_all`` (a
+  collector's ``report`` turns a wave's results into a report);
 * :mod:`~repro.engine.batch` — multi-program batch verification
   (``repro verify-batch``) pooling every program's obligations into one
   discharge wave and emitting a structured report, as a collect phase

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .. import telemetry
 from ..analysis.metrics import BatchRow, format_batch_table
 from ..casestudies import all_case_studies
-from ..hoare.obligations import ObligationResult, ProofObligation, VerificationReport
+from ..hoare.obligations import ProofObligation
 from ..hoare.verifier import (
     AcceptabilityReport,
     AcceptabilitySpec,
@@ -181,26 +181,18 @@ def directory_items(directory: str, pattern_suffix: str = ".rlx") -> List[BatchI
 
 @dataclass
 class BatchProgramResult:
-    """The verdict for one batch item."""
+    """The verdict for one batch item.
+
+    Everything per obligation — fingerprint, status, model, whether the
+    search session's store answered it — is on ``report``'s results, and
+    each obligation's provenance names its program and carries its source
+    for forensics.
+    """
 
     name: str
     report: Optional[AcceptabilityReport]
     error: str = ""
     elapsed_seconds: float = 0.0
-    #: The verified program with source/spans attached (not serialised) —
-    #: kept so ``--explain`` can render annotated excerpts post-hoc.
-    program: Optional[Program] = None
-    #: Incremental-gate accounting, populated only when ``verify_batch``
-    #: ran with a :class:`~repro.engine.incremental.VerdictStore`: how many
-    #: of this program's pooled obligations were answered by the search
-    #: session's store vs discharged as fresh delta, plus the canonical
-    #: fingerprint and verdict status of every obligation in pooled order
-    #: (original layer then relaxed).  Not serialised by ``as_dict`` — the
-    #: explorer folds them into its own per-candidate records.
-    reused_obligations: int = 0
-    delta_obligations: int = 0
-    obligation_fingerprints: Tuple[str, ...] = ()
-    obligation_statuses: Tuple[str, ...] = ()
 
     @property
     def verified(self) -> bool:
@@ -252,17 +244,13 @@ class BatchReport:
     def summary(self) -> str:
         rows = []
         for result in self.programs:
-            obligations = discharged = 0
-            if result.report is not None:
-                for verification in (result.report.original, result.report.relaxed):
-                    obligations += len(verification.results)
-                    discharged += sum(1 for r in verification.results if r.discharged)
+            results = result.report.results if result.report is not None else []
             rows.append(
                 BatchRow(
                     program=result.name,
                     verified=result.verified,
-                    obligations=obligations,
-                    discharged=discharged,
+                    obligations=len(results),
+                    discharged=sum(1 for r in results if r.discharged),
                     elapsed_seconds=result.elapsed_seconds,
                     error=result.error,
                 )
@@ -291,9 +279,8 @@ class CollectedBatch:
 
     One entry per item in ``programs`` — ``(item, bundle, error, collect
     seconds)``, ``bundle`` ``None`` for an item that failed — and the
-    pooled wave: every obligation in order (each program's original layer,
-    then its relaxed one), their fingerprints, and each program's
-    ``(offset, #original, #relaxed)`` slice of it.
+    pooled wave: every bundle's obligations in item order, and their
+    fingerprints.
     """
 
     engine: ObligationEngine
@@ -301,7 +288,6 @@ class CollectedBatch:
     programs: List[Tuple[BatchItem, Optional[CollectedAcceptability], str, float]]
     pooled: List[ProofObligation] = field(default_factory=list)
     fingerprints: List[Optional[str]] = field(default_factory=list)
-    slices: List[Tuple[int, int, int]] = field(default_factory=list)
     seconds: float = 0.0
 
 
@@ -318,9 +304,8 @@ def verify_batch(
     A ``verdict_store`` (a search-session
     :class:`~repro.engine.incremental.VerdictStore`) is handed to
     :meth:`ObligationEngine.discharge_all`, which answers the obligations
-    the session already settled and discharges only the delta.  Per-program
-    reuse counts, obligation fingerprints, and verdict statuses are then
-    attached to each :class:`BatchProgramResult` for the explorer.
+    the session already settled and discharges only the delta; each
+    result records whether the store answered it (``reused``).
 
     Without an ``engine`` the batch builds one from ``jobs``,
     ``cache_dir`` and ``budget_seconds`` and closes it before returning;
@@ -373,10 +358,8 @@ def _collect(
     collected = CollectedBatch(engine=engine, verdict_store=verdict_store, programs=[])
     for item in items:
         item_start = time.perf_counter()
-        offset = len(collected.pooled)
         if item.program is None:
             collected.programs.append((item, None, item.error or "no program", 0.0))
-            collected.slices.append((offset, 0, 0))
             continue
         try:
             with telemetry.span("collect", program=item.name):
@@ -387,14 +370,10 @@ def _collect(
             collected.programs.append(
                 (item, None, str(error), time.perf_counter() - item_start)
             )
-            collected.slices.append((offset, 0, 0))
             continue
-        obligations = bundle.original.obligations + bundle.relaxed.obligations
+        obligations = bundle.obligations
         collected.pooled.extend(obligations)
         collected.fingerprints.extend(engine.prefetch(obligations, verdict_store))
-        collected.slices.append(
-            (offset, len(bundle.original.obligations), len(bundle.relaxed.obligations))
-        )
         collected.programs.append((item, bundle, "", time.perf_counter() - item_start))
     collected.seconds = time.perf_counter() - start
     return collected
@@ -409,10 +388,9 @@ def _finish(collected: CollectedBatch) -> BatchReport:
 
     # Scatter the verdicts back into per-program reports.
     report = BatchReport(jobs=engine.jobs)
+    offset = 0
     with telemetry.span("scatter", programs=len(collected.programs)):
-        for (item, bundle, error, collect_elapsed), (offset, n_original, n_relaxed) in zip(
-            collected.programs, collected.slices
-        ):
+        for item, bundle, error, collect_elapsed in collected.programs:
             if bundle is None:
                 report.programs.append(
                     BatchProgramResult(
@@ -421,30 +399,18 @@ def _finish(collected: CollectedBatch) -> BatchReport:
                     )
                 )
                 continue
-            original_results = results[offset : offset + n_original]
-            relaxed_results = results[offset + n_original : offset + n_original + n_relaxed]
-            original_report = _layer_report(bundle, item.name, original_results, relaxed=False)
-            relaxed_report = _layer_report(bundle, item.name, relaxed_results, relaxed=True)
-            acceptability = AcceptabilityReport(
-                program_name=item.name,
-                original=original_report,
-                relaxed=relaxed_report,
+            end = offset + len(bundle.obligations)
+            acceptability = bundle.report(results[offset:end])
+            offset = end
+            report.programs.append(
+                BatchProgramResult(
+                    name=item.name,
+                    report=acceptability,
+                    elapsed_seconds=collect_elapsed
+                    + acceptability.original.elapsed_seconds
+                    + acceptability.relaxed.elapsed_seconds,
+                )
             )
-            result = BatchProgramResult(
-                name=item.name,
-                report=acceptability,
-                elapsed_seconds=collect_elapsed
-                + original_report.elapsed_seconds
-                + relaxed_report.elapsed_seconds,
-                program=bundle.program,
-            )
-            if verdict_store is not None:
-                own = results[offset : offset + n_original + n_relaxed]
-                result.obligation_fingerprints = tuple(r.fingerprint for r in own)
-                result.obligation_statuses = tuple(r.status.value for r in own)
-                result.reused_obligations = sum(r.reused for r in own)
-                result.delta_obligations = len(own) - result.reused_obligations
-            report.programs.append(result)
 
     engine.save()
     report.elapsed_seconds = collected.seconds + time.perf_counter() - start
@@ -453,19 +419,3 @@ def _finish(collected: CollectedBatch) -> BatchReport:
     report.cache_stats = engine.cache.stats()
     return report
 
-
-def _layer_report(
-    bundle: CollectedAcceptability,
-    program_name: str,
-    results: List[ObligationResult],
-    relaxed: bool,
-) -> VerificationReport:
-    collector = bundle.relaxed if relaxed else bundle.original
-    return VerificationReport(
-        system=collector.system,
-        program_name=program_name,
-        results=list(results),
-        errors=list(collector.errors),
-        rule_applications=dict(collector.rule_applications),
-        elapsed_seconds=sum(result.elapsed_seconds for result in results),
-    )

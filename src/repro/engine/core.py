@@ -31,10 +31,14 @@ as unused; and one lost to a pool that another task broke is run once
 more, so that only a discharge submitted at booking settles as ``worker
 died``.
 
-Every caller takes this path: batch verification, the explorer and the
-fuzz funnel with an engine of their own, and
-:func:`repro.hoare.obligations.discharge` with a default
-``ObligationEngine()`` when the caller passes none.
+Every caller takes this path, one wave per collected proof: batch
+verification, the explorer and the fuzz funnel with an engine of their
+own; :meth:`~repro.hoare.verifier.AcceptabilityVerifier.verify` (and so
+``repro explain``) with the caller's engine or one default
+``ObligationEngine()`` for both premises and wave; and
+:func:`repro.hoare.obligations.discharge` for a single layer.  Each turns
+the results into a report through
+:meth:`~repro.hoare.obligations.ObligationCollector.report`.
 
 The relational prover's convergence premises, decided while obligations
 are collected, go through :meth:`ObligationEngine.check_premise`: the same
@@ -52,13 +56,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from .. import telemetry
-from ..hoare.obligations import (
-    ObligationCollector,
-    ObligationKind,
-    ObligationResult,
-    ProofObligation,
-    VerificationReport,
-)
+from ..hoare.obligations import ObligationKind, ObligationResult, ProofObligation
 from ..logic.formula import Formula
 from ..solver.interface import Solver, SolverStatistics
 from ..solver.lia import Status
@@ -388,21 +386,6 @@ class ObligationEngine:
                 f"{len(obligations)} obligations"
             )
         return settled_results
-
-    def discharge_collected(
-        self, collector: ObligationCollector, program_name: str
-    ) -> VerificationReport:
-        """Build a :class:`VerificationReport` for a collector's obligations."""
-        start = time.perf_counter()
-        report = VerificationReport(
-            system=collector.system,
-            program_name=program_name,
-            rule_applications=dict(collector.rule_applications),
-            errors=list(collector.errors),
-        )
-        report.results = self.discharge_all(collector.obligations)
-        report.elapsed_seconds = time.perf_counter() - start
-        return report
 
     def _discharge(
         self,

@@ -584,16 +584,18 @@ def _finish_wave(
         else:
             outcome.verified = result.verified
             outcome.error = result.error
-            outcome.reused_obligations = result.reused_obligations
-            outcome.delta_obligations = result.delta_obligations
-            outcome.obligation_fingerprints = result.obligation_fingerprints
-            outcome.obligation_statuses = result.obligation_statuses
             if result.report is not None:
-                for layer in (result.report.original, result.report.relaxed):
-                    outcome.obligations += len(layer.results)
-                    outcome.discharged += sum(
-                        1 for item in layer.results if item.discharged
-                    )
+                results = result.report.results
+                outcome.obligations = len(results)
+                outcome.discharged = sum(1 for item in results if item.discharged)
+                outcome.reused_obligations = sum(item.reused for item in results)
+                outcome.delta_obligations = len(results) - outcome.reused_obligations
+                outcome.obligation_fingerprints = tuple(
+                    item.fingerprint for item in results
+                )
+                outcome.obligation_statuses = tuple(
+                    item.status.value for item in results
+                )
                 if not result.verified:
                     rejected.append((outcome, result))
         outcomes.append(outcome)
@@ -606,9 +608,7 @@ def _finish_wave(
             for outcome, result in rejected:
                 outcome.failures = [
                     diagnostic.attribution()
-                    for diagnostic in attribute_report(
-                        result.report, program=result.program
-                    )
+                    for diagnostic in attribute_report(result.report)
                 ]
     telemetry.count(
         "explore.verified_candidates",

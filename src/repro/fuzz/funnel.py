@@ -36,7 +36,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..casestudies.spec import lint_case_study
-from ..engine import ObligationEngine, VerdictStore, program_items, verify_batch
+from ..engine import ObligationEngine, program_items, verify_batch
 from ..explore import explore
 from ..hoare.verifier import AcceptabilitySpec
 from ..lang.parser import parse_program
@@ -94,17 +94,13 @@ def _normalize_model(model) -> Optional[Tuple[Tuple[str, str], ...]]:
 
 def signature_of(result) -> VerifySignature:
     """The :class:`VerifySignature` of one ``BatchProgramResult``."""
-    models: List[Optional[Tuple[Tuple[str, str], ...]]] = []
-    if result.report is not None:
-        for layer in (result.report.original, result.report.relaxed):
-            for obligation_result in layer.results:
-                models.append(_normalize_model(obligation_result.counterexample))
+    results = result.report.results if result.report is not None else []
     return VerifySignature(
         verified=result.verified,
         error=result.error,
-        fingerprints=tuple(result.obligation_fingerprints),
-        statuses=tuple(result.obligation_statuses),
-        models=tuple(models),
+        fingerprints=tuple(item.fingerprint for item in results),
+        statuses=tuple(item.status.value for item in results),
+        models=tuple(_normalize_model(item.counterexample) for item in results),
     )
 
 
@@ -343,11 +339,7 @@ def verify_leg(
         program = parse_program(item.source, name=item.name)
         entries.append((item.name, program, AcceptabilitySpec.of(program)))
     with ObligationEngine.for_batch(jobs=jobs, cache_dir=cache_dir) as engine:
-        report = verify_batch(
-            program_items(entries, study="fuzz"),
-            engine=engine,
-            verdict_store=VerdictStore(),
-        )
+        report = verify_batch(program_items(entries, study="fuzz"), engine=engine)
     return {result.name: signature_of(result) for result in report.programs}
 
 

@@ -285,24 +285,40 @@ class ObligationCollector:
     def error(self, message: str) -> None:
         self.errors.append(message)
 
+    def report(
+        self, program_name: str, results: Sequence[ObligationResult]
+    ) -> VerificationReport:
+        """The layer's report, given one result per collected obligation.
+
+        The one place a report is built: ``results`` come from an engine
+        wave in obligation order, alone or pooled with other layers' and
+        programs' obligations.
+        """
+        return VerificationReport(
+            system=self.system,
+            program_name=program_name,
+            results=list(results),
+            errors=list(self.errors),
+            rule_applications=dict(self.rule_applications),
+            elapsed_seconds=sum(result.elapsed_seconds for result in results),
+        )
+
 
 def discharge(
     collector: ObligationCollector,
     program_name: str,
     engine: Optional["ObligationEngine"] = None,
 ) -> VerificationReport:
-    """Discharge every collected obligation and build a report.
+    """Discharge every collected obligation in one engine wave and report.
 
-    A thin wrapper over :meth:`repro.engine.core.ObligationEngine.
-    discharge_collected`: without an explicit ``engine`` it uses a fresh
-    default one (one solver query per obligation, in process, with in-wave
-    dedup and an in-memory cache).  Passing an engine adds a persistent
-    cache, parallel discharge and a per-obligation budget without changing
-    this call site.
+    Without an explicit ``engine`` it uses a fresh default one (one solver
+    query per obligation, in process, with in-wave dedup and an in-memory
+    cache).  Passing an engine adds a persistent cache, parallel discharge
+    and a per-obligation budget without changing this call site.
     """
     if engine is None:
         # Imported lazily: the engine package imports this module.
         from ..engine.core import ObligationEngine
 
         engine = ObligationEngine()
-    return engine.discharge_collected(collector, program_name)
+    return collector.report(program_name, engine.discharge_all(collector.obligations))

@@ -48,7 +48,7 @@ from ..lang.ast import (
     Stmt,
     While,
 )
-from ..lang.pretty import pretty_bool, pretty_stmt
+from ..lang.pretty import pretty_stmt
 from ..logic.formula import (
     Formula,
     FreshSymbols,
@@ -278,7 +278,7 @@ class RelationalProver:
             ObligationKind.VALIDITY,
             rule=rule,
             description=(
-                f"the relation transfers {rule} {pretty_bool(condition)} from the "
+                f"the relation transfers {rule} {condition} from the "
                 "original to the relaxed execution"
             ),
             statement=statement_text,
@@ -391,7 +391,7 @@ class RelationalProver:
                     ObligationKind.VALIDITY,
                     rule="while-entry",
                     description="relational loop invariant holds on entry",
-                    statement=pretty_bool(condition),
+                    statement=str(condition),
                     node=stmt,
                 )
                 body_post = self.sp(stmt.body, conj(rel_invariant, both_true))
@@ -400,7 +400,7 @@ class RelationalProver:
                     ObligationKind.VALIDITY,
                     rule="while-preserve",
                     description="relational loop invariant is preserved by the body",
-                    statement=pretty_bool(condition),
+                    statement=str(condition),
                     node=stmt,
                 )
                 return conj(rel_invariant, both_false)

@@ -47,7 +47,7 @@ from ..lang.ast import (
     Stmt,
     While,
 )
-from ..lang.pretty import pretty_bool, pretty_stmt
+from ..lang.pretty import pretty_stmt
 from ..logic.formula import (
     Formula,
     FreshSymbols,
@@ -208,7 +208,7 @@ class UnaryVCGenerator:
         self.collector.record_rule("while")
         if stmt.invariant is None:
             raise MissingInvariantError(
-                f"while loop {pretty_bool(stmt.condition)} needs an 'invariant' "
+                f"while loop {stmt.condition} needs an 'invariant' "
                 "annotation for verification-condition generation"
             )
         invariant = _condition_formula(stmt.invariant, self.tag)
@@ -219,7 +219,7 @@ class UnaryVCGenerator:
             ObligationKind.VALIDITY,
             rule="while-preserve",
             description="loop invariant is preserved by the loop body",
-            statement=pretty_bool(stmt.condition),
+            statement=str(stmt.condition),
             node=stmt,
         )
         self.collector.add(
@@ -227,7 +227,7 @@ class UnaryVCGenerator:
             ObligationKind.VALIDITY,
             rule="while-exit",
             description="loop invariant and exit condition establish the postcondition",
-            statement=pretty_bool(stmt.condition),
+            statement=str(stmt.condition),
             node=stmt,
         )
         return invariant
@@ -336,9 +336,12 @@ def collect_unary(
 ) -> Tuple[ObligationCollector, str]:
     """Generate (but do not discharge) the VCs of a unary triple.
 
-    Returns the populated obligation collector plus the program name, ready
-    to be discharged by :func:`~repro.hoare.obligations.discharge` or pooled
-    with other programs' obligations in an obligation engine batch.
+    Returns the populated obligation collector plus the program name.  An
+    engine wave discharges the collector's obligations — alone
+    (:func:`~repro.hoare.obligations.discharge`) or pooled with the ⊢r
+    layer's and other programs' — and
+    :meth:`~repro.hoare.obligations.ObligationCollector.report` turns its
+    results into the layer's report.
     """
     stmt = program_or_stmt.body if isinstance(program_or_stmt, Program) else program_or_stmt
     name = program_name or (

@@ -25,20 +25,21 @@ guarantees the supplied annotations establish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..lang.analysis import modified_vars, used_vars
+from ..lang.analysis import used_vars
 from ..lang.ast import BoolExpr, Program, RelBoolExpr, Stmt
 from ..lang.source import ensure_source
-from ..logic.formula import Formula, TRUE, conj
+from ..logic.formula import Formula, TRUE
 from ..logic.inject import relational_frame
 from ..logic.translate import formula_of_bool, formula_of_rel_bool
 from .obligations import (
     ObligationCollector,
+    ObligationResult,
+    ProofObligation,
     ProvenanceContext,
     VerificationReport,
-    discharge,
 )
 from .relational import RelationalConfig, RelationalProver
 from .unary import UnarySystem, collect_unary
@@ -97,6 +98,11 @@ class AcceptabilityReport:
     def verified(self) -> bool:
         return self.original.verified and self.relaxed.verified
 
+    @property
+    def results(self) -> List[ObligationResult]:
+        """Both layers' results in pooled order: original, then relaxed."""
+        return self.original.results + self.relaxed.results
+
     def guarantees(self) -> Dict[str, bool]:
         """Which of the paper's semantic guarantees the proofs establish."""
         return {
@@ -139,30 +145,51 @@ class AcceptabilityReport:
 class CollectedAcceptability:
     """The undischarged obligations of one program's ⊢o and ⊢r proofs.
 
-    Produced by :meth:`AcceptabilityVerifier.collect`; the batch layer pools
-    the obligations of many programs into one engine discharge wave and then
-    scatters the results back into per-program reports.
+    Produced by :meth:`AcceptabilityVerifier.collect`.  Every caller
+    discharges :attr:`obligations` in an engine wave — alone, or pooled
+    with other programs' as the batch layer does — and hands the results
+    to :meth:`report`.
     """
 
     program_name: str
     original: ObligationCollector
     relaxed: ObligationCollector
     # The program the obligations were collected from, with source text and
-    # spans attached when recoverable — the anchor for forensic reports.
+    # spans attached; ``diverged`` holds nodes of this very program.
     program: Optional[Program] = None
     # The statements of ``program`` the ⊢r proof verified with the diverge
     # rule (the statements a ``diverge`` annotation is used on).
     diverged: Tuple[Stmt, ...] = ()
 
+    @property
+    def obligations(self) -> List[ProofObligation]:
+        """Both layers' obligations in pooled order: original, then relaxed."""
+        return self.original.obligations + self.relaxed.obligations
+
+    def report(self, results: Sequence[ObligationResult]) -> AcceptabilityReport:
+        """The report, given one result per obligation of :attr:`obligations`."""
+        split = len(self.original.obligations)
+        if len(results) != split + len(self.relaxed.obligations):
+            raise ValueError(
+                f"{len(results)} results for {len(self.obligations)} obligations"
+            )
+        return AcceptabilityReport(
+            program_name=self.program_name,
+            original=self.original.report(self.program_name, results[:split]),
+            relaxed=self.relaxed.report(self.program_name, results[split:]),
+        )
+
 
 class AcceptabilityVerifier:
     """Verify a relaxed program against an :class:`AcceptabilitySpec`.
 
-    The side conditions of both proofs are discharged through ``engine``,
-    or a default :class:`~repro.engine.core.ObligationEngine` when none is
-    given.  The relational prover's convergence premises, which are
-    decided during proof construction rather than discharge, go through
-    the same engine (:meth:`~repro.engine.core.ObligationEngine.check_premise`).
+    The side conditions of both proofs are discharged through ``engine``
+    in one wave, or through a fresh default
+    :class:`~repro.engine.core.ObligationEngine` per :meth:`verify` when
+    none is given.  The relational prover's convergence premises, which
+    are decided during proof construction rather than discharge, go
+    through the same engine
+    (:meth:`~repro.engine.core.ObligationEngine.check_premise`).
     """
 
     def __init__(self, engine: Optional["ObligationEngine"] = None) -> None:
@@ -227,14 +254,16 @@ class AcceptabilityVerifier:
         study: str = "",
         sites: tuple = (),
     ) -> AcceptabilityReport:
+        """Collect both proofs and discharge them in one engine wave."""
+        if self.engine is None:
+            # Imported lazily: the engine package imports this module.
+            from ..engine.core import ObligationEngine
+
+            with ObligationEngine() as engine:
+                verifier = AcceptabilityVerifier(engine=engine)
+                return verifier.verify(program, spec, study=study, sites=sites)
         collected = self.collect(program, spec, study=study, sites=sites)
-        original_report = discharge(collected.original, program.name, engine=self.engine)
-        relaxed_report = discharge(collected.relaxed, program.name, engine=self.engine)
-        return AcceptabilityReport(
-            program_name=program.name,
-            original=original_report,
-            relaxed=relaxed_report,
-        )
+        return collected.report(self.engine.discharge_all(collected.obligations))
 
     # -- helpers -----------------------------------------------------------------
 

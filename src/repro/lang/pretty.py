@@ -37,11 +37,9 @@ from .ast import (
     Assume,
     BinOp,
     BoolBin,
-    BoolExpr,
     BoolLit,
     Compare,
     Diverge,
-    Expr,
     Havoc,
     If,
     IntLit,
@@ -53,10 +51,8 @@ from .ast import (
     RelArrayRead,
     RelBinOp,
     RelBoolBin,
-    RelBoolExpr,
     RelBoolLit,
     RelCompare,
-    RelExpr,
     RelIntLit,
     RelNot,
     RelVar,
@@ -71,112 +67,42 @@ from .ast import (
 _INDENT = "  "
 
 
-def pretty_expr(expr: Expr) -> str:
-    """Render an integer expression."""
-    if isinstance(expr, IntLit):
-        return str(expr.value)
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, BinOp):
-        if expr.op in (IntOp.MIN, IntOp.MAX):
-            return f"{expr.op.value}({pretty_expr(expr.left)}, {pretty_expr(expr.right)})"
-        return f"({pretty_expr(expr.left)} {expr.op.value} {pretty_expr(expr.right)})"
-    if isinstance(expr, ArrayRead):
-        return f"{expr.array}[{pretty_expr(expr.index)}]"
-    raise TypeError(f"unknown expression node {expr!r}")
-
-
-def pretty_bool(expr: BoolExpr) -> str:
-    """Render a boolean expression."""
-    if isinstance(expr, BoolLit):
-        return "true" if expr.value else "false"
-    if isinstance(expr, Compare):
-        return f"({pretty_expr(expr.left)} {expr.op.value} {pretty_expr(expr.right)})"
-    if isinstance(expr, BoolBin):
-        return f"({pretty_bool(expr.left)} {expr.op.value} {pretty_bool(expr.right)})"
-    if isinstance(expr, Not):
-        return f"!({pretty_bool(expr.operand)})"
-    raise TypeError(f"unknown boolean expression node {expr!r}")
-
-
-def pretty_rel_expr(expr: RelExpr) -> str:
-    """Render a relational integer expression."""
-    if isinstance(expr, RelIntLit):
-        return str(expr.value)
-    if isinstance(expr, RelVar):
-        return f"{expr.name}<{expr.execution.value}>"
-    if isinstance(expr, RelBinOp):
-        if expr.op in (IntOp.MIN, IntOp.MAX):
-            return (
-                f"{expr.op.value}({pretty_rel_expr(expr.left)}, "
-                f"{pretty_rel_expr(expr.right)})"
-            )
-        return (
-            f"({pretty_rel_expr(expr.left)} {expr.op.value} "
-            f"{pretty_rel_expr(expr.right)})"
-        )
-    if isinstance(expr, RelArrayRead):
-        return (
-            f"{expr.array}<{expr.execution.value}>[{pretty_rel_expr(expr.index)}]"
-        )
-    raise TypeError(f"unknown relational expression node {expr!r}")
-
-
-def pretty_rel_bool(expr: RelBoolExpr) -> str:
-    """Render a relational boolean expression."""
-    if isinstance(expr, RelBoolLit):
-        return "true" if expr.value else "false"
-    if isinstance(expr, RelCompare):
-        return (
-            f"({pretty_rel_expr(expr.left)} {expr.op.value} "
-            f"{pretty_rel_expr(expr.right)})"
-        )
-    if isinstance(expr, RelBoolBin):
-        return (
-            f"({pretty_rel_bool(expr.left)} {expr.op.value} "
-            f"{pretty_rel_bool(expr.right)})"
-        )
-    if isinstance(expr, RelNot):
-        return f"!({pretty_rel_bool(expr.operand)})"
-    raise TypeError(f"unknown relational boolean node {expr!r}")
-
-
 def _pretty_stmt(stmt: Stmt, indent: int, lines: List[str]) -> None:
     pad = _INDENT * indent
     if isinstance(stmt, Skip):
         lines.append(f"{pad}skip;")
     elif isinstance(stmt, Assign):
-        lines.append(f"{pad}{stmt.target} = {pretty_expr(stmt.value)};")
+        lines.append(f"{pad}{stmt.target} = {stmt.value};")
     elif isinstance(stmt, ArrayAssign):
         lines.append(
-            f"{pad}{stmt.array}[{pretty_expr(stmt.index)}] = "
-            f"{pretty_expr(stmt.value)};"
+            f"{pad}{stmt.array}[{stmt.index}] = "
+            f"{stmt.value};"
         )
     elif isinstance(stmt, Havoc):
         targets = ", ".join(stmt.targets)
-        lines.append(f"{pad}havoc ({targets}) st ({pretty_bool(stmt.predicate)});")
+        lines.append(f"{pad}havoc ({targets}) st ({stmt.predicate});")
     elif isinstance(stmt, Relax):
         targets = ", ".join(stmt.targets)
-        lines.append(f"{pad}relax ({targets}) st ({pretty_bool(stmt.predicate)});")
+        lines.append(f"{pad}relax ({targets}) st ({stmt.predicate});")
     elif isinstance(stmt, Assume):
-        lines.append(f"{pad}assume {pretty_bool(stmt.condition)};")
+        lines.append(f"{pad}assume {stmt.condition};")
     elif isinstance(stmt, Assert):
-        lines.append(f"{pad}assert {pretty_bool(stmt.condition)};")
+        lines.append(f"{pad}assert {stmt.condition};")
     elif isinstance(stmt, Relate):
-        lines.append(f"{pad}relate {stmt.label}: {pretty_rel_bool(stmt.condition)};")
+        lines.append(f"{pad}relate {stmt.label}: {stmt.condition};")
     elif isinstance(stmt, If):
-        header = f"{pad}if ({pretty_bool(stmt.condition)})"
+        header = f"{pad}if ({stmt.condition})"
         lines.append(header + _pretty_diverge(stmt.diverge) + " {")
         _pretty_stmt(stmt.then_branch, indent + 1, lines)
         lines.append(f"{pad}}} else {{")
         _pretty_stmt(stmt.else_branch, indent + 1, lines)
         lines.append(f"{pad}}}")
     elif isinstance(stmt, While):
-        header = f"{pad}while ({pretty_bool(stmt.condition)})"
+        header = f"{pad}while ({stmt.condition})"
         if stmt.invariant is not None:
-            header += f" invariant ({pretty_bool(stmt.invariant)})"
+            header += f" invariant ({stmt.invariant})"
         if stmt.rel_invariant is not None:
-            header += f" rel_invariant ({pretty_rel_bool(stmt.rel_invariant)})"
+            header += f" rel_invariant ({stmt.rel_invariant})"
         lines.append(header + _pretty_diverge(stmt.diverge) + " {")
         _pretty_stmt(stmt.body, indent + 1, lines)
         lines.append(f"{pad}}}")
@@ -191,8 +117,8 @@ def _pretty_diverge(diverge: Optional[Diverge]) -> str:
     if diverge is None:
         return ""
     return (
-        f" diverge ({pretty_bool(diverge.original_post)})"
-        f" ({pretty_bool(diverge.relaxed_post)})"
+        f" diverge ({diverge.original_post})"
+        f" ({diverge.relaxed_post})"
     )
 
 
@@ -226,8 +152,7 @@ def _header(program: Program) -> List[str]:
     for keyword in _CLAUSES:
         clause = getattr(program, keyword)
         if clause is not None:
-            printer = pretty_rel_bool if keyword.startswith("rel_") else pretty_bool
-            lines.append(f"{keyword} ({printer(clause)});")
+            lines.append(f"{keyword} ({clause});")
     return lines
 
 

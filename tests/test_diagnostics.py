@@ -271,7 +271,7 @@ class TestDiagnosticRoundTrip:
     def _diagnostic(self):
         program = _broken_program()
         report = AcceptabilityVerifier().verify(program, AcceptabilitySpec())
-        diagnostics = diagnose_report(report, program=program)
+        diagnostics = diagnose_report(report)
         assert diagnostics
         return diagnostics[0]
 
@@ -291,7 +291,7 @@ class TestDiagnosticRoundTrip:
     def test_explain_from_payload_replays_losslessly(self):
         program = _broken_program()
         report = AcceptabilityVerifier().verify(program, AcceptabilitySpec())
-        diagnostics = diagnose_report(report, program=program)
+        diagnostics = diagnose_report(report)
         payload = {
             "program": program.name,
             "verified": False,

@@ -110,6 +110,26 @@ class TestBatchVerification:
                 serial_reports[result.name]
             )
 
+    @pytest.mark.parametrize(
+        "case", all_case_studies(), ids=lambda case: case.name
+    )
+    def test_verify_runs_the_solver_as_often_as_a_batch(self, case, monkeypatch):
+        # One engine for premises and both layers: an obligation the layers
+        # share, or one a premise already decided, is not solved again.
+        solvers = []
+        real = Solver.__init__
+        monkeypatch.setattr(
+            Solver, "__init__",
+            lambda self, *args, **kwargs: (
+                solvers.append(self) or real(self, *args, **kwargs)
+            ),
+        )
+        assert case.verify().verified
+        serial = len(solvers)
+        solvers.clear()
+        assert verify_batch(case_study_items([case.name])).all_verified
+        assert serial == len(solvers) > 0
+
     def test_warm_cache_issues_zero_solver_calls(self, tmp_path, monkeypatch):
         cold = ObligationEngine.for_batch(cache_dir=str(tmp_path))
         reset_search_stats()

@@ -320,7 +320,7 @@ class TestEngineSerialParity:
             (SAT_FORMULA, ObligationKind.SATISFIABILITY),
             (INVALID_FORMULA, ObligationKind.VALIDITY),
         )
-        report = ObligationEngine().discharge_collected(collector, "demo")
+        report = discharge(collector, "demo", engine=ObligationEngine())
         assert [result.status for result in report.results] == [
             Status.VALID,
             Status.SAT,
