@@ -18,8 +18,7 @@ module centralises that structure once:
 * :func:`map_atom_terms` — rewrite the terms of every atom, preserving the
   formula skeleton;
 * :class:`TypeDispatcher` — an O(1) type-indexed dispatch table used by the
-  Hoare VC generators and the dynamic-semantics enumerator in place of
-  linear ``isinstance`` chains.
+  Hoare VC generators in place of linear ``isinstance`` chains.
 
 Traversal memo tables are keyed by node identity, which interning makes
 equivalent to keying by structure.  Memoisation is only safe for
@@ -281,8 +280,7 @@ class TypeDispatcher:
     handler registered for ``type(node)``.
 
     Replaces linear ``isinstance`` ladders with one dict lookup; used for
-    statement dispatch in the Hoare VC generators and the dynamic-semantics
-    enumerator as well as for formula traversals.
+    statement dispatch in the Hoare VC generators.
     """
 
     __slots__ = ("label", "_handlers")

@@ -5,7 +5,11 @@ Coq.  Without a proof assistant we cannot mechanise the induction proofs,
 but every statement is a universally quantified property over executions,
 so it can be *checked* on concrete programs by bounded exhaustive
 differential execution: enumerate the (box-bounded) executions of the
-original and relaxed semantics and test the property on every pair.
+original and relaxed semantics and test the property on every pair.  The
+executions come from :func:`~repro.semantics.enumerate.enumerate_executions`,
+which runs the compiled interpreter down every path of the choice tree, so
+the checks test the same statement closures that scoring and simulation
+run.  An enumeration over budget raises ``EnumerationBudgetError``.
 
 A check that passes is evidence (not proof); a check that fails is a real
 counterexample — which is exactly what the test suite uses these functions

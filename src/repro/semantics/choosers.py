@@ -13,7 +13,7 @@ that nondeterminism; a :class:`Chooser` encapsulates the policy:
   they already satisfy the predicate (models "the relaxed execution follows
   the original unless it chooses otherwise"),
 * :class:`FixedChoiceChooser` — replay a scripted sequence of choices
-  (used by tests and by the exhaustive execution enumerator),
+  (used by tests),
 * :class:`AdversarialChooser` — prefer extreme values within the bounded
   box (useful for stress-testing acceptability properties dynamically).
 

@@ -4,8 +4,13 @@ The dynamic relaxed semantics is nondeterministic: every ``havoc`` and (in
 the relaxed semantics) every ``relax`` may pick any satisfying assignment.
 For the metatheory harness we need the *set* of reachable outcomes — e.g.
 Theorem 7 quantifies over all relaxed executions.  This module explores the
-choice tree exhaustively, restricting each nondeterministic choice to the
-satisfying assignments found inside a bounded box of integers.
+choice tree depth first on the compiled
+:class:`~repro.semantics.interpreter.Interpreter`, so the oracle checks the
+same statement closures that every other dynamic check runs, not a second
+copy of Figures 3-4.  A branching chooser restricts each choice point to the
+satisfying assignments found inside a bounded box of integers; the driver
+re-runs the interpreter once per path of the tree, replaying the choices
+the path names and taking the first alternative at every later point.
 
 The enumeration is sound for refutation (every enumerated execution is a
 real execution) and complete relative to the box: executions whose
@@ -16,37 +21,14 @@ the usual bounded-model-checking compromise.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..lang.analysis import bool_vars
-from ..lang.ast import (
-    ArrayAssign,
-    Assert,
-    Assign,
-    Assume,
-    Havoc,
-    If,
-    Program,
-    Relate,
-    Relax,
-    Seq,
-    Skip,
-    Stmt,
-    While,
-)
-from ..logic.traverse import TypeDispatcher
-from .choosers import relax_witnesses
-from .interpreter import ExpressionError, eval_bool, eval_expr
-from .state import (
-    Observation,
-    Outcome,
-    State,
-    Terminated,
-    bad_assume,
-    is_error,
-    wrong,
-)
+from ..lang.ast import Program, Stmt
+from .choosers import Chooser, ChooserError, relax_witnesses
+from .interpreter import ExpressionError, Interpreter, NonTerminationError, eval_bool
+from .state import Outcome, State
 
 
 class EnumerationBudgetError(Exception):
@@ -55,7 +37,11 @@ class EnumerationBudgetError(Exception):
 
 @dataclass
 class EnumerationConfig:
-    """Budgets for exhaustive execution enumeration."""
+    """Budgets for exhaustive execution enumeration.
+
+    ``max_loop_iterations`` is the interpreter's fuel: the loop tests one
+    execution may make, summed over all of its loops.
+    """
 
     value_radius: int = 4
     max_choices_per_statement: int = 16
@@ -63,12 +49,6 @@ class EnumerationConfig:
     max_loop_iterations: int = 256
     array_choice_values: Tuple[int, ...] = (-1, 0, 1)
     max_array_cells_for_choice: int = 3
-
-
-@dataclass
-class _Execution:
-    state: State
-    observations: Tuple[Observation, ...] = ()
 
 
 def enumerate_executions(
@@ -84,256 +64,120 @@ def enumerate_executions(
     ``assert``).
     """
     config = config or EnumerationConfig()
-    stmt = program_or_stmt.body if isinstance(program_or_stmt, Program) else program_or_stmt
+    chooser = _BranchingChooser(config)
+    interpreter = Interpreter(relaxed=relaxed, chooser=chooser, fuel=config.max_loop_iterations)
     outcomes: List[Outcome] = []
-    for outcome in _run(stmt, _Execution(initial_state), relaxed, config, [0]):
-        outcomes.append(outcome)
+    path: List[int] = []
+    while True:
+        chooser.path, chooser.taken = path, []
+        try:
+            outcomes.append(interpreter.run(program_or_stmt, initial_state))
+        except NonTerminationError as error:
+            raise EnumerationBudgetError(str(error)) from error
+        except _Unsupported as escape:
+            raise escape.error from None
         if len(outcomes) > config.max_executions:
             raise EnumerationBudgetError(
                 f"more than {config.max_executions} executions enumerated"
             )
-    return outcomes
+        # The next path in depth-first order: move the deepest choice point
+        # that has an untried alternative on to it.
+        taken = chooser.taken
+        while taken and taken[-1][0] + 1 == taken[-1][1]:
+            taken.pop()
+        if not taken:
+            return outcomes
+        path = [index for index, _ in taken]
+        path[-1] += 1
 
 
-def _run(
-    stmt: Stmt,
-    execution: _Execution,
-    relaxed: bool,
-    config: EnumerationConfig,
-    fuel_cell: List[int],
-) -> Iterator[Outcome]:
-    """Yield the outcome of every execution of ``stmt`` from ``execution``.
+class _Unsupported(Exception):
+    """Carries a witness search's :class:`ChooserError` past the interpreter.
 
-    Statement dispatch goes through the shared
-    :class:`~repro.logic.traverse.TypeDispatcher`; each handler is a
-    generator over outcomes.
+    The interpreter turns a ``ChooserError`` into ``wr``, an outcome the
+    semantics does not have here: the enumeration does not support the
+    fragment, so it must raise instead.
     """
-    return _ENUM(stmt, execution, relaxed, config, fuel_cell)
+
+    def __init__(self, error: ChooserError) -> None:
+        super().__init__(str(error))
+        self.error = error
 
 
-_ENUM = TypeDispatcher("statement")
+class _BranchingChooser(Chooser):
+    """Takes the alternative that ``path`` names at each choice point.
+
+    Past the end of ``path`` it takes the first alternative.  ``taken``
+    records the ``(index, width)`` of every choice point the run passes.
+    Alternatives are memoised by statement identity and state, so replaying
+    a path's prefix does not search for its witnesses again.
+    """
+
+    def __init__(self, config: EnumerationConfig) -> None:
+        self._config = config
+        self._memo: Dict[Tuple[int, State], Union[Tuple[State, ...], str]] = {}
+        self.path: List[int] = []
+        self.taken: List[Tuple[int, int]] = []
+
+    def choose(self, statement, state: State) -> Optional[State]:
+        key = (id(statement), state)
+        alternatives = self._memo.get(key)
+        if alternatives is None:
+            alternatives = self._memo[key] = _alternatives(statement, state, self._config)
+        if isinstance(alternatives, str):
+            raise ChooserError(alternatives)
+        depth = len(self.taken)
+        index = self.path[depth] if depth < len(self.path) else 0
+        self.taken.append((index, len(alternatives)))
+        return alternatives[index]
 
 
-@_ENUM.register(Skip)
-def _enum_skip(stmt, execution, relaxed, config, fuel_cell) -> Iterator[Outcome]:
-    yield Terminated(execution.state, execution.observations)
-
-
-@_ENUM.register(Assign)
-def _enum_assign(stmt, execution, relaxed, config, fuel_cell) -> Iterator[Outcome]:
-    try:
-        value = eval_expr(stmt.value, execution.state)
-    except ExpressionError as error:
-        yield wrong(str(error))
-        return
-    yield Terminated(
-        execution.state.set_scalar(stmt.target, value), execution.observations
-    )
-
-
-@_ENUM.register(ArrayAssign)
-def _enum_array_assign(stmt, execution, relaxed, config, fuel_cell) -> Iterator[Outcome]:
-    try:
-        index = eval_expr(stmt.index, execution.state)
-        value = eval_expr(stmt.value, execution.state)
-    except ExpressionError as error:
-        yield wrong(str(error))
-        return
-    yield Terminated(
-        execution.state.set_array_element(stmt.array, index, value),
-        execution.observations,
-    )
-
-
-@_ENUM.register(Assert)
-def _enum_assert(stmt, execution, relaxed, config, fuel_cell) -> Iterator[Outcome]:
-    try:
-        holds = eval_bool(stmt.condition, execution.state)
-    except ExpressionError as error:
-        yield wrong(str(error))
-        return
-    if holds:
-        yield Terminated(execution.state, execution.observations)
-    else:
-        yield wrong(f"assertion failed: {stmt.condition}")
-
-
-@_ENUM.register(Assume)
-def _enum_assume(stmt, execution, relaxed, config, fuel_cell) -> Iterator[Outcome]:
-    try:
-        holds = eval_bool(stmt.condition, execution.state)
-    except ExpressionError as error:
-        yield wrong(str(error))
-        return
-    if holds:
-        yield Terminated(execution.state, execution.observations)
-    else:
-        yield bad_assume(f"assumption failed: {stmt.condition}")
-
-
-@_ENUM.register(Relate)
-def _enum_relate(stmt, execution, relaxed, config, fuel_cell) -> Iterator[Outcome]:
-    yield Terminated(
-        execution.state,
-        execution.observations + (Observation(stmt.label, execution.state),),
-    )
-
-
-@_ENUM.register(Relax)
-def _enum_relax(stmt, execution, relaxed, config, fuel_cell) -> Iterator[Outcome]:
-    if not relaxed:
-        # Original semantics: relax behaves as assert of its predicate.
-        yield from _run(Assert(stmt.predicate), execution, relaxed, config, fuel_cell)
-        return
-    yield from _run_havoc(stmt, execution, config)
-
-
-@_ENUM.register(Havoc)
-def _enum_havoc(stmt, execution, relaxed, config, fuel_cell) -> Iterator[Outcome]:
-    yield from _run_havoc(stmt, execution, config)
-
-
-@_ENUM.register(If)
-def _enum_if(stmt, execution, relaxed, config, fuel_cell) -> Iterator[Outcome]:
-    try:
-        branch_taken = eval_bool(stmt.condition, execution.state)
-    except ExpressionError as error:
-        yield wrong(str(error))
-        return
-    branch = stmt.then_branch if branch_taken else stmt.else_branch
-    yield from _run(branch, execution, relaxed, config, fuel_cell)
-
-
-@_ENUM.register(While)
-def _enum_while(stmt, execution, relaxed, config, fuel_cell) -> Iterator[Outcome]:
-    yield from _run_while(stmt, execution, relaxed, config, fuel_cell)
-
-
-@_ENUM.register(Seq)
-def _enum_seq(stmt, execution, relaxed, config, fuel_cell) -> Iterator[Outcome]:
-    for first in _run(stmt.first, execution, relaxed, config, fuel_cell):
-        if is_error(first):
-            yield first
-            continue
-        assert isinstance(first, Terminated)
-        yield from _run(
-            stmt.second,
-            _Execution(first.state, first.observations),
-            relaxed,
-            config,
-            fuel_cell,
-        )
-
-
-def _run_havoc(
-    stmt: Union[Havoc, Relax], execution: _Execution, config: EnumerationConfig
-) -> Iterator[Outcome]:
-    state = execution.state
-    scalar_targets = [name for name in stmt.targets if not state.has_array(name)]
-    array_targets = [name for name in stmt.targets if state.has_array(name)]
-    predicate_reads = bool_vars(stmt.predicate)
-
-    scalar_choices: List[Dict[str, int]]
-    if scalar_targets:
-        scalar_choices = relax_witnesses(
-            stmt, state, config.value_radius, config.max_choices_per_statement
-        )
-        if not scalar_choices:
-            yield wrong(f"no assignment satisfies the predicate of {stmt}")
-            return
+def _alternatives(
+    statement, state: State, config: EnumerationConfig
+) -> Union[Tuple[State, ...], str]:
+    """The successor states of a havoc/relax point in enumeration order, or
+    the ``wr`` message when the point has none."""
+    no_witness = f"no assignment satisfies the predicate of {statement}"
+    array_targets = [name for name in statement.targets if state.has_array(name)]
+    if len(array_targets) < len(statement.targets):
+        try:
+            witnesses = relax_witnesses(
+                statement, state, config.value_radius, config.max_choices_per_statement
+            )
+        except ChooserError as error:
+            raise _Unsupported(error) from error
+        if not witnesses:
+            return no_witness
     else:
         try:
-            if not eval_bool(stmt.predicate, state):
-                yield wrong(f"no assignment satisfies the predicate of {stmt}")
-                return
+            if not eval_bool(statement.predicate, state):
+                return no_witness
         except ExpressionError:
             pass
-        scalar_choices = [{}]
+        witnesses = [{}]
 
-    array_choice_sets: List[Dict[str, Dict[int, int]]] = [{}]
+    array_choices: List[Dict[str, Dict[int, int]]] = [{}]
+    reads = bool_vars(statement.predicate)
     for name in array_targets:
-        if name in predicate_reads:
-            yield wrong(
-                f"array {name!r} is constrained by the predicate of {stmt}; "
+        if name in reads:
+            return (
+                f"array {name!r} is constrained by the predicate of {statement}; "
                 "enumeration does not support this fragment"
             )
-            return
-        cells = sorted(state.array(name).keys())[: config.max_array_cells_for_choice]
-        new_sets: List[Dict[str, Dict[int, int]]] = []
-        for existing in array_choice_sets:
-            new_sets.extend(
-                {**existing, name: dict(zip(cells, values))}
-                for values in _cartesian(config.array_choice_values, len(cells))
-            )
-        array_choice_sets = new_sets
+        cells = sorted(state.array(name))[: config.max_array_cells_for_choice]
+        # Every value tuple over the cells, the first cell varying fastest.
+        combos = list(itertools.product(config.array_choice_values, repeat=len(cells)))
+        array_choices = [
+            {**existing, name: dict(zip(cells, combo[::-1]))}
+            for existing in array_choices
+            for combo in combos
+        ]
 
-    for scalars in scalar_choices:
-        for arrays in array_choice_sets:
-            new_state = state.set_scalars(scalars)
-            for name, values in arrays.items():
-                # state.array() returns a fresh copy (State never hands out
-                # its internal storage), so updating it here cannot leak one
-                # sibling choice's writes into another — pinned by
-                # test_sibling_array_choices_do_not_alias.
-                contents = state.array(name)
-                contents.update(values)
-                new_state = new_state.set_array(name, contents)
-            yield Terminated(new_state, execution.observations)
-
-
-def _cartesian(values: Sequence[int], length: int) -> Iterator[Tuple[int, ...]]:
-    """All value tuples of the given length, first position varying fastest.
-
-    ``itertools.product`` builds the tuples (no per-level tuple rebuilding
-    or per-cell recursion) but varies the *last* position fastest; reversing
-    each tuple restores the historical first-fastest order the enumeration
-    tests pin.
-    """
-    return (combo[::-1] for combo in itertools.product(values, repeat=length))
-
-
-def _run_while(
-    stmt: While,
-    execution: _Execution,
-    relaxed: bool,
-    config: EnumerationConfig,
-    fuel_cell: List[int],
-) -> Iterator[Outcome]:
-    fuel_cell[0] += 1
-    if fuel_cell[0] > config.max_loop_iterations * max(1, config.max_executions):
-        raise EnumerationBudgetError("loop exploration budget exceeded")
-    try:
-        continue_loop = eval_bool(stmt.condition, execution.state)
-    except ExpressionError as error:
-        yield wrong(str(error))
-        return
-    if not continue_loop:
-        yield Terminated(execution.state, execution.observations)
-        return
-    iterations = 0
-    pending = [execution]
-    # Unroll the loop breadth-first over the nondeterministic choice tree.
-    while pending:
-        iterations += 1
-        if iterations > config.max_loop_iterations:
-            raise EnumerationBudgetError(
-                f"loop exceeded {config.max_loop_iterations} unrollings during enumeration"
-            )
-        next_pending: List[_Execution] = []
-        for current in pending:
-            for body_outcome in _run(stmt.body, current, relaxed, config, fuel_cell):
-                if is_error(body_outcome):
-                    yield body_outcome
-                    continue
-                assert isinstance(body_outcome, Terminated)
-                continuation = _Execution(body_outcome.state, body_outcome.observations)
-                try:
-                    still_looping = eval_bool(stmt.condition, continuation.state)
-                except ExpressionError as error:
-                    yield wrong(str(error))
-                    continue
-                if still_looping:
-                    next_pending.append(continuation)
-                else:
-                    yield Terminated(continuation.state, continuation.observations)
-        pending = next_pending
+    successors = []
+    for scalars in witnesses:
+        for arrays in array_choices:
+            successor = state.set_scalars(scalars)
+            for name, cells in arrays.items():
+                successor = successor.set_array(name, {**state.array(name), **cells})
+            successors.append(successor)
+    return tuple(successors)

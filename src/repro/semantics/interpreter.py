@@ -82,8 +82,8 @@ DEFAULT_FUEL = 100_000
 # Compiled expressions
 #
 # ``eval_expr``/``eval_bool`` are the innermost operations of every dynamic
-# hot path — the interpreter, the exhaustive execution enumerator and the
-# Monte Carlo scoring loops all evaluate the *same* expression nodes under
+# hot path — the interpreter (which the execution enumerator drives) and
+# the Monte Carlo scoring loops evaluate the *same* expression nodes under
 # thousands of different states.  Each distinct node is therefore compiled
 # once into a closure ``state -> value`` and reused.  Program AST nodes are
 # plain frozen dataclasses (not hash-consed like the logic IR), so the cache

@@ -180,3 +180,14 @@ def test_nontermination_overruns_the_budget():
     for relaxed in (False, True):
         with pytest.raises(EnumerationBudgetError):
             enumerate_executions(program, State.of({"x": 0}), relaxed)
+
+
+def test_two_array_targets_take_every_combination():
+    program = parse_program("vars x; arrays A, B; havoc (A, B) st (x == 0);")
+    state = State.of({"x": 0}, arrays={"A": {0: 5}, "B": {0: 6, 1: 7}})
+    config = EnumerationConfig(array_choice_values=(0, 1))
+    outcomes = enumerate_executions(program, state, True, config)
+    cells = [
+        (o.state.array("A")[0], o.state.array("B")[0], o.state.array("B")[1]) for o in outcomes
+    ]
+    assert sorted(cells) == [(a, b0, b1) for a in (0, 1) for b0 in (0, 1) for b1 in (0, 1)]
