@@ -137,7 +137,6 @@ def _alternatives(
 ) -> Union[Tuple[State, ...], str]:
     """The successor states of a havoc/relax point in enumeration order, or
     the ``wr`` message when the point has none."""
-    no_witness = f"no assignment satisfies the predicate of {statement}"
     array_targets = [name for name in statement.targets if state.has_array(name)]
     if len(array_targets) < len(statement.targets):
         try:
@@ -146,15 +145,15 @@ def _alternatives(
             )
         except ChooserError as error:
             raise _Unsupported(error) from error
-        if not witnesses:
-            return no_witness
     else:
+        witnesses = [{}]
         try:
             if not eval_bool(statement.predicate, state):
-                return no_witness
+                witnesses = []
         except ExpressionError:
             pass
-        witnesses = [{}]
+    if not witnesses:
+        return f"no assignment satisfies the predicate of {statement}"
 
     array_choices: List[Dict[str, Dict[int, int]]] = [{}]
     reads = bool_vars(statement.predicate)
