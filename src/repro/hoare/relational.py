@@ -345,24 +345,21 @@ class RelationalProver:
 
     # -- control flow: convergent rules and the diverge rule ---------------------------
 
-    def _converges(self, condition: BoolExpr, relation: Formula) -> bool:
+    def _lockstep(self, condition: BoolExpr) -> Tuple[Formula, Formula]:
+        """``<b.b>`` and ``<¬b.¬b>``: both executions branch the same way."""
+        holds = formula_of_bool(condition)
+        fails = neg(holds)
+        return self._share(pair(holds, holds)), self._share(pair(fails, fails))
+
+    def _converges(self, relation: Formula, both_true: Formula, both_false: Formula) -> bool:
         """Check the convergence premise ``P* ⇒ <b.b> ∨ <¬b.¬b>``."""
-        both_true = self._share(pair(formula_of_bool(condition), formula_of_bool(condition)))
-        both_false = self._share(
-            pair(neg(formula_of_bool(condition)), neg(formula_of_bool(condition)))
-        )
         premise = implies(relation, disj(both_true, both_false))
         return self.engine.check_premise(premise)
 
     def _sp_if(self, stmt: If, relation: Formula) -> Formula:
-        if self._converges(stmt.condition, relation):
+        both_true, both_false = self._lockstep(stmt.condition)
+        if self._converges(relation, both_true, both_false):
             self.collector.record_rule("if-convergent")
-            both_true = self._share(
-                pair(formula_of_bool(stmt.condition), formula_of_bool(stmt.condition))
-            )
-            both_false = self._share(
-                pair(neg(formula_of_bool(stmt.condition)), neg(formula_of_bool(stmt.condition)))
-            )
             then_post = self.sp(stmt.then_branch, conj(relation, both_true))
             else_post = self.sp(stmt.else_branch, conj(relation, both_false))
             return disj(then_post, else_post)
@@ -378,14 +375,9 @@ class RelationalProver:
         )
         if rel_invariant is not None:
             # Convergent while rule: the invariant must force lockstep branching.
-            if self._converges(condition, rel_invariant):
+            both_true, both_false = self._lockstep(condition)
+            if self._converges(rel_invariant, both_true, both_false):
                 self.collector.record_rule("while-convergent")
-                both_true = self._share(
-                    pair(formula_of_bool(condition), formula_of_bool(condition))
-                )
-                both_false = self._share(
-                    pair(neg(formula_of_bool(condition)), neg(formula_of_bool(condition)))
-                )
                 self.collector.add(
                     implies(relation, rel_invariant),
                     ObligationKind.VALIDITY,

@@ -10,14 +10,29 @@ a substitution would otherwise capture them.
 With the interned IR the implementation is a memoised traversal with a
 structural short-circuit: any subtree whose cached free symbols (and array
 symbols) are disjoint from the substitution domain is returned as-is — no
-walk, no rebuild.  Shared subtrees are rewritten once per substitution
-(results are memoised by node identity for the duration of one mapping).
+walk, no rebuild.
+
+Rewriting is a pure function of the node and the mapping (fresh names for
+captured binders are derived from the formula and the mapping alone), so
+its results are kept across calls in one process-wide *rewrite memo*: one
+pass per distinct ``(symbol mapping, array mapping)`` pair, keyed by
+``(frozenset(mapping.items()), frozenset(arrays.items()))``, each holding
+the rewritten result of every sub-formula and sub-term it has seen, keyed
+by the interned node itself.  Interned nodes live for the whole process, so
+a node key is never reused for another node.  Sibling relaxation
+candidates, and repeated verifications of one program, share most
+sub-formulas, and the proof rules reuse the same mappings (the retagging of
+:mod:`repro.logic.inject`, the fresh-symbol renamings of sp and wp), so
+their rewrites hit.  The narrowed mapping below a binder in the domain and
+the renaming of a captured binder are passes of their own.  The memo is
+bounded: it is cleared whole once it holds :data:`_MEMO_LIMIT` results.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Mapping, Optional
+from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
+from .. import telemetry
 from .formula import (
     Atom,
     Divides,
@@ -31,10 +46,10 @@ from .formula import (
     SymTerm,
     Symbol,
     Term,
+    _arrays_of,
+    _free_of,
     free_symbols,
-    term_arrays,
     term_symbols,
-    formula_arrays,
 )
 from .traverse import node_children, rebuild
 
@@ -42,25 +57,92 @@ Substitution = Mapping[Symbol, Term]
 ArraySubstitution = Mapping[Symbol, "Term"]  # array symbol -> Store/Symbol-rooted term
 
 
-def _free_of(node) -> FrozenSet[Symbol]:
-    return term_symbols(node) if isinstance(node, Term) else free_symbols(node)
+# ---------------------------------------------------------------------------
+# The rewrite memo
+# ---------------------------------------------------------------------------
+
+#: Flush threshold, in memoised results over all passes, checked at each
+#: top-level call.  Keys and results are interned nodes, which the intern
+#: table keeps alive anyway, so an entry costs one dict slot.  A depth-3 LU
+#: exploration holds about 3,600 and the studies batch about 5,000.
+_MEMO_LIMIT = 65_536
 
 
-def _arrays_of(node) -> FrozenSet[Symbol]:
-    return term_arrays(node) if isinstance(node, Term) else formula_arrays(node)
+class _MemoStats:
+    """Rewrite-memo counters: results held, top-level hits and misses."""
+
+    __slots__ = ("entries", "hits", "misses")
+
+    def __init__(self) -> None:
+        self.entries = 0
+        self.hits = 0
+        self.misses = 0
+
+
+_PASSES: Dict[Tuple[FrozenSet, FrozenSet], "_Subst"] = {}
+_MEMO_STATS = _MemoStats()
+
+
+def rewrite_memo_stats() -> Dict[str, int]:
+    """Rewrite-memo counters: passes, memoised results, top-level hits/misses."""
+    return {
+        "passes": len(_PASSES),
+        "entries": _MEMO_STATS.entries,
+        "hits": _MEMO_STATS.hits,
+        "misses": _MEMO_STATS.misses,
+    }
+
+
+def clear_rewrite_memo() -> None:
+    """Drop every memoised rewrite and zero the counters."""
+    _PASSES.clear()
+    _MEMO_STATS.entries = 0
+    _MEMO_STATS.hits = 0
+    _MEMO_STATS.misses = 0
+
+
+def _pass(mapping: Substitution, arrays: Mapping[Symbol, Term]) -> "_Subst":
+    """The memoised pass of one ``(mapping, arrays)`` pair."""
+    key = (frozenset(mapping.items()), frozenset(arrays.items()))
+    ctx = _PASSES.get(key)
+    if ctx is None:
+        # Copies: a caller may reuse its dicts after the call.
+        ctx = _PASSES[key] = _Subst(dict(mapping), dict(arrays))
+    return ctx
+
+
+def _rewrite(node, mapping: Substitution, arrays: Mapping[Symbol, Term]):
+    """Top-level entry: rewrite ``node`` (a term or a formula) through the memo."""
+    if _MEMO_STATS.entries >= _MEMO_LIMIT:
+        _PASSES.clear()
+        _MEMO_STATS.entries = 0
+    ctx = _pass(mapping, arrays)
+    if ctx.untouched(node):
+        return node
+    done = ctx.memo.get(node)
+    if done is not None:
+        _MEMO_STATS.hits += 1
+        telemetry.count("logic.rewrite.hits")
+        return done
+    _MEMO_STATS.misses += 1
+    telemetry.count("logic.rewrite.misses")
+    return ctx.term(node) if isinstance(node, Term) else ctx.formula(node)
 
 
 class _Subst:
-    """One substitution pass: fixed mapping, per-pass identity memo."""
+    """One substitution pass: a fixed mapping and its memo of results."""
 
-    __slots__ = ("mapping", "arrays", "sym_domain", "arr_domain", "memo")
+    __slots__ = ("mapping", "arrays", "sym_domain", "arr_domain", "range_symbols", "memo")
 
     def __init__(self, mapping: Substitution, arrays: Mapping[Symbol, Term]) -> None:
         self.mapping = mapping
         self.arrays = arrays
         self.sym_domain = frozenset(mapping)
         self.arr_domain = frozenset(arrays)
-        self.memo: Dict[int, object] = {}
+        # The symbols the replacement terms mention: a binder among them is
+        # captured.
+        self.range_symbols = frozenset().union(*map(term_symbols, mapping.values()))
+        self.memo: Dict[object, object] = {}
 
     def untouched(self, node) -> bool:
         if self.sym_domain and not self.sym_domain.isdisjoint(_free_of(node)):
@@ -69,17 +151,20 @@ class _Subst:
             return False
         return True
 
+    def _remember(self, node, result):
+        self.memo[node] = result
+        _MEMO_STATS.entries += 1
+        return result
+
     # -- terms -----------------------------------------------------------------
 
     def term(self, term: Term) -> Term:
         if self.untouched(term):
             return term
-        done = self.memo.get(id(term))
+        done = self.memo.get(term)
         if done is not None:
             return done  # type: ignore[return-value]
-        result = self._term(term)
-        self.memo[id(term)] = result
-        return result
+        return self._remember(term, self._term(term))
 
     def _term(self, term: Term) -> Term:
         if isinstance(term, SymTerm):
@@ -117,12 +202,10 @@ class _Subst:
     def formula(self, formula: Formula) -> Formula:
         if self.untouched(formula):
             return formula
-        done = self.memo.get(id(formula))
+        done = self.memo.get(formula)
         if done is not None:
             return done  # type: ignore[return-value]
-        result = self._formula(formula)
-        self.memo[id(formula)] = result
-        return result
+        return self._remember(formula, self._formula(formula))
 
     def _formula(self, formula: Formula) -> Formula:
         if isinstance(formula, Atom):
@@ -140,27 +223,20 @@ class _Subst:
         bound = formula.symbol
         if bound in self.mapping:
             # Drop the binding of the bound variable itself; the narrowed
-            # mapping is a different substitution, so it gets its own pass
-            # (the identity memo is only valid for one fixed mapping).
+            # mapping is a different substitution, so it is a pass of its own.
             narrowed = {k: v for k, v in self.mapping.items() if k != bound}
             if not narrowed and not self.arrays:
                 return formula
-            ctx = _Subst(narrowed, self.arrays)
+            ctx = _pass(narrowed, self.arrays)
         else:
             ctx = self
         # Rename the bound variable if any replacement term mentions it (capture).
-        capture = any(bound in term_symbols(value) for value in ctx.mapping.values())
-        if capture:
-            used = {s.name for s in free_symbols(formula.body)}
-            used.update(
-                s.name for value in ctx.mapping.values() for s in term_symbols(value)
-            )
-            fresh = FreshSymbols(sorted(used))
-            renamed = fresh.fresh(bound.name, bound.tag)
-            body = substitute(formula.body, {bound: SymTerm(renamed)})
+        body = formula.body
+        if bound in ctx.range_symbols:
+            used = {s.name for s in free_symbols(body) | ctx.range_symbols}
+            renamed = FreshSymbols(sorted(used)).fresh(bound.name, bound.tag)
+            body = _pass({bound: SymTerm(renamed)}, {}).formula(body)
             bound = renamed
-        else:
-            body = formula.body
         return type(formula)(bound, ctx.formula(body))
 
 
@@ -176,7 +252,7 @@ def substitute_term(
     arrays = arrays or {}
     if not mapping and not arrays:
         return term
-    return _Subst(mapping, arrays).term(term)
+    return _rewrite(term, mapping, arrays)
 
 
 def substitute(
@@ -186,7 +262,7 @@ def substitute(
     arrays = arrays or {}
     if not mapping and not arrays:
         return formula
-    return _Subst(mapping, arrays).formula(formula)
+    return _rewrite(formula, mapping, arrays)
 
 
 def _select_from(array_term: Term, index: Term) -> Term:
@@ -219,55 +295,11 @@ def rename_symbols(formula: Formula, renaming: Mapping[Symbol, Symbol]) -> Formu
 
 
 def rename_arrays(formula: Formula, renaming: Mapping[Symbol, Symbol]) -> Formula:
-    """Rename array symbols appearing in Select/Store terms."""
+    """Rename array symbols appearing in Select/Store terms.
+
+    A renaming is the array substitution whose replacements are symbols, so
+    it shares the memoised passes of :func:`substitute`.
+    """
     if not renaming:
         return formula
-    domain = frozenset(renaming)
-    memo: Dict[int, object] = {}
-
-    def rename_term(term: Term) -> Term:
-        if domain.isdisjoint(term_arrays(term)):
-            return term
-        done = memo.get(id(term))
-        if done is not None:
-            return done  # type: ignore[return-value]
-        if isinstance(term, Select):
-            result: Term = Select(
-                renaming.get(term.array, term.array), rename_term(term.index)
-            )
-        elif isinstance(term, Store):
-            array = term.array
-            if isinstance(array, Symbol):
-                array = renaming.get(array, array)
-            else:
-                renamed = rename_term(array)
-                assert isinstance(renamed, Store)
-                array = renamed
-            result = Store(array, rename_term(term.index), rename_term(term.value))
-        elif isinstance(term, Ite):
-            result = Ite(
-                rename_formula(term.condition),
-                rename_term(term.then_term),
-                rename_term(term.else_term),
-            )
-        else:
-            result = rebuild(term, tuple(rename_term(c) for c in node_children(term)))
-        memo[id(term)] = result
-        return result
-
-    def rename_formula(f: Formula) -> Formula:
-        if domain.isdisjoint(formula_arrays(f)):
-            return f
-        done = memo.get(id(f))
-        if done is not None:
-            return done  # type: ignore[return-value]
-        if isinstance(f, Atom):
-            result: Formula = Atom(f.rel, rename_term(f.left), rename_term(f.right))
-        elif isinstance(f, Divides):
-            result = Divides(f.divisor, rename_term(f.term))
-        else:
-            result = rebuild(f, tuple(rename_formula(c) for c in node_children(f)))
-        memo[id(f)] = result
-        return result
-
-    return rename_formula(formula)
+    return _rewrite(formula, {}, renaming)

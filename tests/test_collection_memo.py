@@ -23,13 +23,6 @@ from repro.hoare.verifier import AcceptabilityVerifier
 from repro.logic import subst
 
 
-def clear_memo():
-    # The rewrite memo, where the logic layer keeps one.
-    clear = getattr(subst, "clear_rewrite_memo", None)
-    if clear is not None:
-        clear()
-
-
 def obligation_rows(collected):
     return [
         (
@@ -49,7 +42,7 @@ def collect_all(verifier, case, candidates, fresh):
     rows = []
     for candidate in candidates:
         if fresh:
-            clear_memo()
+            subst.clear_rewrite_memo()
         spec = case.acceptability_spec(candidate.program)
         collected = verifier.collect(
             candidate.program, spec, study=case.name, sites=candidate.site_ids

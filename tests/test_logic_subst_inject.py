@@ -1,13 +1,20 @@
 """Tests for substitution, injections, projections and translation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from strategies import NAMES, array_formulas, formulas, terms
+
+from repro import telemetry
 from repro.lang import builder as b
+from repro.logic import subst
 from repro.logic import formula as F
 from repro.logic.evaluate import Valuation, evaluate
 from repro.logic.formula import (
     Const,
     Exists,
+    Forall,
     Select,
     Store,
     Symbol,
@@ -29,6 +36,7 @@ from repro.logic.inject import (
     projection_formula,
     relational_frame,
     strip_o,
+    strip_r,
 )
 from repro.logic.subst import rename_arrays, rename_symbols, substitute, substitute_term
 from repro.logic.translate import (
@@ -37,7 +45,9 @@ from repro.logic.translate import (
     term_of_expr,
     term_of_rel_expr,
 )
+from repro.logic.traverse import iter_nodes
 from repro.solver.interface import Solver
+from repro.telemetry import TelemetrySession
 
 
 class TestSubstitution:
@@ -159,3 +169,148 @@ class TestTranslation:
     def test_min_max_translation(self):
         formula = formula_of_bool(b.eq(b.max_("x", "y"), "x"))
         assert "max" in str(formula)
+
+
+# ---------------------------------------------------------------------------
+# The rewrite memo: results kept across calls are the results of a fresh pass
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def capturing_substitutions(draw):
+    """A formula and a mapping that exercise both binder cases.
+
+    ``shadowed`` is bound by an ``exists`` and is in the mapping's domain, so
+    the pass below that binder uses the narrowed mapping; the replacement of
+    ``free`` mentions ``captured``, which a ``forall`` binds above a free
+    occurrence of ``free``, so that binder must be renamed.
+    """
+    shadowed, captured, free = draw(st.permutations(NAMES))
+    formula = F.conj(
+        Exists(
+            sym(shadowed),
+            F.conj(F.le(var(shadowed), var(free)), draw(formulas(depth=1))),
+        ),
+        Forall(
+            sym(captured),
+            F.conj(F.lt(var(captured), var(free)), draw(formulas(depth=2))),
+        ),
+        draw(formulas(depth=2)),
+    )
+    mapping = {
+        sym(shadowed): draw(terms()),
+        sym(free): F.Add(var(captured), draw(terms())),
+    }
+    return formula, mapping, sym(captured)
+
+
+@st.composite
+def relational_formulas(draw):
+    """A relation over both executions, arrays included."""
+    return F.conj(
+        inj_o(draw(formulas(depth=2))),
+        inj_r(draw(formulas(depth=2))),
+        inj_r(draw(array_formulas())),
+        draw(formulas(depth=1)),
+    )
+
+
+def warm_matches_cold(rewrite, formula, *others):
+    """``rewrite(formula)`` through a memo warmed by rewriting every
+    sub-formula, with ``rewrite`` and with the ``others`` (other mappings
+    over the same nodes), is the very node a cleared memo gives."""
+    subst.clear_rewrite_memo()
+    cold = rewrite(formula)
+    subst.clear_rewrite_memo()
+    for node in iter_nodes(formula):
+        if isinstance(node, F.Formula):
+            for warm_up in (*others, rewrite):
+                warm_up(node)
+    warm = rewrite(formula)
+    assert warm is cold
+    assert rewrite(formula) is cold
+    return cold
+
+
+class TestRewriteMemo:
+    @settings(max_examples=150, deadline=None)
+    @given(capturing_substitutions())
+    def test_substitute_with_capture_and_shadowing(self, case):
+        formula, mapping, captured = case
+        shifted = {key: F.Add(value, Const(1)) for key, value in mapping.items()}
+        result = warm_matches_cold(
+            lambda f: substitute(f, mapping), formula, lambda f: substitute(f, shifted)
+        )
+        # The replacement brings the captured name in free; the binder of that
+        # name was renamed rather than capturing it.
+        assert captured in free_symbols(result)
+
+    @settings(max_examples=100, deadline=None)
+    @given(formulas(depth=3), st.dictionaries(st.sampled_from(NAMES), terms(), max_size=3))
+    def test_substitute_any_mapping(self, formula, drawn):
+        mapping = {sym(name): term for name, term in drawn.items()}
+        shifted = {key: F.Add(value, Const(1)) for key, value in mapping.items()}
+        warm_matches_cold(
+            lambda f: substitute(f, mapping), formula, lambda f: substitute(f, shifted)
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(array_formulas(depth=2), st.permutations([Symbol("B"), Symbol("A", Tag.RELAXED)]))
+    def test_rename_arrays(self, formula, targets):
+        target, other = targets
+        renamed = warm_matches_cold(
+            lambda f: rename_arrays(f, {Symbol("A"): target}),
+            formula,
+            lambda f: rename_arrays(f, {Symbol("A"): other}),
+            lambda f: substitute(f, {}, {Symbol("A"): Store(Symbol("A"), Const(0), Const(1))}),
+        )
+        assert F.formula_arrays(renamed) == {target}
+
+    @settings(max_examples=100, deadline=None)
+    @given(formulas(depth=3), array_formulas())
+    def test_injections(self, formula, array_formula):
+        unary = F.conj(formula, array_formula)
+        rewrites = (inj_o, inj_r, strip_o, strip_r)
+        for inject, strip in ((inj_o, strip_o), (inj_r, strip_r)):
+            injected = warm_matches_cold(inject, unary, *rewrites)
+            warm_matches_cold(strip, injected, *rewrites)
+
+    @settings(max_examples=100, deadline=None)
+    @given(relational_formulas())
+    def test_projection(self, relation):
+        projections = [
+            lambda f, keep=keep: projection_formula(f, keep)
+            for keep in (Tag.ORIGINAL, Tag.RELAXED)
+        ]
+        for projection in projections:
+            warm_matches_cold(projection, relation, *projections, inj_o, strip_r)
+
+    def test_table_is_cleared_at_its_limit(self, monkeypatch):
+        monkeypatch.setattr(subst, "_MEMO_LIMIT", 8)
+        subst.clear_rewrite_memo()
+        formula = F.conj(*(F.lt(var("x"), var("y") + Const(k)) for k in range(10)))
+        first = substitute(formula, {sym("x"): Const(1)})
+        full = subst.rewrite_memo_stats()
+        assert full["entries"] >= 8 and full["passes"] == 1
+        # The next top-level call finds the table full and starts it afresh:
+        # it then holds that call's pass alone, as after an explicit clear.
+        second = substitute(formula, {sym("y"): Const(1)})
+        after = subst.rewrite_memo_stats()
+        assert after["passes"] == 1
+        subst.clear_rewrite_memo()
+        assert substitute(formula, {sym("y"): Const(1)}) is second
+        assert subst.rewrite_memo_stats()["entries"] == after["entries"]
+        assert substitute(formula, {sym("x"): Const(1)}) is first
+
+    def test_top_level_hits_are_counted(self):
+        subst.clear_rewrite_memo()
+        formula = exists(sym("y"), F.lt(var("x"), var("y")))
+        with telemetry.activated(TelemetrySession()) as session:
+            first = substitute(formula, {sym("x"): Const(2)})
+            again = substitute(formula, {sym("x"): Const(2)})
+            untouched = substitute(formula, {sym("z"): Const(2)})
+        assert again is first and untouched is formula
+        assert session.counters["logic.rewrite.misses"] == 1
+        assert session.counters["logic.rewrite.hits"] == 1
+        stats = subst.rewrite_memo_stats()
+        assert (stats["hits"], stats["misses"]) == (1, 1)
