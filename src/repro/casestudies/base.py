@@ -100,10 +100,6 @@ class SimulationSummary:
         values = self.metric_values(name)
         return sum(values) / len(values) if values else 0.0
 
-    def max_metric(self, name: str) -> float:
-        values = self.metric_values(name)
-        return max(values) if values else 0.0
-
 
 def _is_module_level(hook: Callable) -> bool:
     while isinstance(hook, functools.partial):

@@ -244,7 +244,7 @@ def _build_family(
         body=b.block(*body),
         name=name,
         variables=tuple(variables),
-        rel_ensures=b.rand(*[relate.condition for relate in relates]),
+        rel_ensures=b.and_(*[relate.condition for relate in relates]),
     )
     return program, planted
 

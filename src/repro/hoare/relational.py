@@ -42,7 +42,6 @@ from ..lang.ast import (
     Program,
     Relate,
     Relax,
-    RelBoolExpr,
     Seq,
     Skip,
     Stmt,
@@ -144,7 +143,7 @@ class RelationalProver:
     def _bool(self, condition: BoolExpr, tag: Optional[Tag]) -> Formula:
         return self._share(formula_of_bool(condition, tag))
 
-    def _rbool(self, condition: RelBoolExpr) -> Formula:
+    def _rbool(self, condition: BoolExpr) -> Formula:
         return self._share(formula_of_rel_bool(condition))
 
     # -- public API ----------------------------------------------------------------
@@ -152,8 +151,8 @@ class RelationalProver:
     def collect(
         self,
         program_or_stmt: Union[Program, Stmt],
-        precondition: Union[Formula, RelBoolExpr],
-        postcondition: Union[Formula, RelBoolExpr],
+        precondition: Union[Formula, BoolExpr],
+        postcondition: Union[Formula, BoolExpr],
         program_name: Optional[str] = None,
     ) -> Tuple[ObligationCollector, str]:
         """Run the ⊢r proof construction without discharging obligations.
@@ -216,8 +215,8 @@ class RelationalProver:
     def prove(
         self,
         program_or_stmt: Union[Program, Stmt],
-        precondition: Union[Formula, RelBoolExpr],
-        postcondition: Union[Formula, RelBoolExpr],
+        precondition: Union[Formula, BoolExpr],
+        postcondition: Union[Formula, BoolExpr],
         program_name: Optional[str] = None,
     ) -> VerificationReport:
         """Verify ``⊢r {precondition} program {postcondition}``."""
@@ -559,8 +558,8 @@ def _sp_seq(stmt: Seq, prover: RelationalProver, relation: Formula) -> Formula:
 
 def prove_relaxed(
     program_or_stmt: Union[Program, Stmt],
-    precondition: Union[Formula, RelBoolExpr],
-    postcondition: Union[Formula, RelBoolExpr],
+    precondition: Union[Formula, BoolExpr],
+    postcondition: Union[Formula, BoolExpr],
     config: Optional[RelationalConfig] = None,
     program_name: Optional[str] = None,
     engine: Optional["ObligationEngine"] = None,

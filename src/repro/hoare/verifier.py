@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..lang.analysis import used_vars
-from ..lang.ast import BoolExpr, Program, RelBoolExpr, Stmt
+from ..lang.ast import BoolExpr, Program, Stmt
 from ..lang.source import ensure_source
 from ..logic.formula import Formula, TRUE
 from ..logic.inject import relational_frame
@@ -61,8 +61,8 @@ class AcceptabilitySpec:
 
     precondition: Union[BoolExpr, Formula, None] = None
     postcondition: Union[BoolExpr, Formula, None] = None
-    rel_precondition: Union[RelBoolExpr, Formula, None] = None
-    rel_postcondition: Union[RelBoolExpr, Formula, None] = None
+    rel_precondition: Union[BoolExpr, Formula, None] = None
+    rel_postcondition: Union[BoolExpr, Formula, None] = None
     relational_config: Optional[RelationalConfig] = None
 
     @classmethod
@@ -277,7 +277,7 @@ class AcceptabilityVerifier:
 
     @staticmethod
     def _relational(
-        value: Union[RelBoolExpr, Formula, None],
+        value: Union[BoolExpr, Formula, None],
         program: Program,
         default: Optional[Formula] = None,
     ) -> Formula:

@@ -2,8 +2,8 @@
 
 This package implements Figure 1 of Carbin et al. (PLDI 2012) — the small
 imperative language with ``havoc``, ``relax``, ``assume``, ``assert`` and
-``relate`` statements — together with relational expressions (``x<o>`` /
-``x<r>``), a concrete-syntax parser, a pretty printer, a fluent program
+``relate`` statements — together with relational expressions (the same
+expressions with tagged reads ``x<o>`` / ``x<r>``), a concrete-syntax parser, a pretty printer, a fluent program
 builder and the syntactic analyses (``no_rel``, free/modified variables,
 well-formedness, the ``Γ`` label map) that the proof rules rely on.
 """
@@ -45,14 +45,6 @@ from .ast import (
     Relate,
     Relax,
     RelArrayRead,
-    RelBinOp,
-    RelBoolBin,
-    RelBoolExpr,
-    RelBoolLit,
-    RelCompare,
-    RelExpr,
-    RelIntLit,
-    RelNot,
     RelVar,
     Seq,
     Skip,
@@ -104,14 +96,6 @@ __all__ = [
     "Relate",
     "Relax",
     "RelArrayRead",
-    "RelBinOp",
-    "RelBoolBin",
-    "RelBoolExpr",
-    "RelBoolLit",
-    "RelCompare",
-    "RelExpr",
-    "RelIntLit",
-    "RelNot",
     "RelVar",
     "Seq",
     "Skip",

@@ -2,7 +2,7 @@
 
 These are the small syntactic analyses the paper's proof rules rely on:
 
-* free variables of expressions, boolean expressions and relational formulas,
+* free variables of expressions and the tagged reads of relational ones,
 * the set of variables a statement may modify,
 * the ``no_rel(s)`` predicate guarding the ``diverge`` rule (Figure 8),
 * well-formedness of programs: unique ``relate`` labels, use of declared
@@ -38,14 +38,6 @@ from .ast import (
     Relate,
     Relax,
     RelArrayRead,
-    RelBinOp,
-    RelBoolBin,
-    RelBoolExpr,
-    RelBoolLit,
-    RelCompare,
-    RelExpr,
-    RelIntLit,
-    RelNot,
     RelVar,
     Seq,
     Skip,
@@ -90,36 +82,21 @@ def bool_vars(expr: BoolExpr) -> FrozenSet[str]:
     raise TypeError(f"unknown boolean expression node {expr!r}")
 
 
-def rel_expr_vars(expr: RelExpr) -> FrozenSet[Tuple[str, str]]:
-    """Return free relational variables as ``(name, tag)`` pairs.
+def rel_bool_vars(expr: BoolExpr) -> FrozenSet[Tuple[str, str]]:
+    """Return the reads of a relational expression as ``(name, tag)`` pairs.
 
-    The tag is ``"o"`` for original-execution references and ``"r"`` for
-    relaxed-execution references, matching the paper's ``x<o>`` / ``x<r>``.
+    The tag is ``"o"`` for original-execution reads and ``"r"`` for
+    relaxed-execution reads, matching the paper's ``x<o>`` / ``x<r>``.
     """
-    if isinstance(expr, RelIntLit):
-        return frozenset()
-    if isinstance(expr, RelVar):
-        return frozenset({(expr.name, expr.execution.value)})
-    if isinstance(expr, RelBinOp):
-        return rel_expr_vars(expr.left) | rel_expr_vars(expr.right)
-    if isinstance(expr, RelArrayRead):
-        return frozenset({(expr.array, expr.execution.value)}) | rel_expr_vars(
-            expr.index
-        )
-    raise TypeError(f"unknown relational expression node {expr!r}")
-
-
-def rel_bool_vars(expr: RelBoolExpr) -> FrozenSet[Tuple[str, str]]:
-    """Return free relational variables of a relational boolean expression."""
-    if isinstance(expr, RelBoolLit):
-        return frozenset()
-    if isinstance(expr, RelCompare):
-        return rel_expr_vars(expr.left) | rel_expr_vars(expr.right)
-    if isinstance(expr, RelBoolBin):
-        return rel_bool_vars(expr.left) | rel_bool_vars(expr.right)
-    if isinstance(expr, RelNot):
-        return rel_bool_vars(expr.operand)
-    raise TypeError(f"unknown relational boolean node {expr!r}")
+    reads = set()
+    for node in expr.walk():
+        if isinstance(node, RelVar):
+            reads.add((node.name, node.execution.value))
+        elif isinstance(node, RelArrayRead):
+            reads.add((node.array, node.execution.value))
+        elif isinstance(node, (Var, ArrayRead)):
+            raise TypeError(f"untagged read {node} in a relational expression")
+    return frozenset(reads)
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +182,14 @@ def relate_statements(stmt: Stmt) -> List[Relate]:
     return [node for node in stmt.walk() if isinstance(node, Relate)]
 
 
-def gamma(program: Program) -> Dict[str, RelBoolExpr]:
+def gamma(program: Program) -> Dict[str, BoolExpr]:
     """Build the label map ``Γ : L -> B*`` of Theorem 6.
 
     ``Γ`` maps each ``relate`` label in the program to its relational boolean
     expression.  Well-formed programs have uniquely labelled ``relate``
     statements; duplicates raise :class:`WellFormednessError`.
     """
-    mapping: Dict[str, RelBoolExpr] = {}
+    mapping: Dict[str, BoolExpr] = {}
     for stmt in relate_statements(program.body):
         if stmt.label in mapping:
             raise WellFormednessError(

@@ -3,9 +3,10 @@
 The language (Figure 1 of the paper) is a small imperative language with:
 
 * integer expressions ``E`` and boolean expressions ``B``,
-* *relational* integer expressions ``E*`` and boolean expressions ``B*`` that
-  may refer to the value of a variable in the original execution (``x<o>``)
-  or in the relaxed execution (``x<r>``),
+* *relational* expressions ``E*`` / ``B*``, which have exactly the grammar
+  of ``E`` / ``B`` except that each read names its execution: ``x<o>`` or
+  ``A<o>[i]`` in the original execution, ``x<r>`` or ``A<r>[i]`` in the
+  relaxed one,
 * statements: ``skip``, assignment, ``havoc (X) st (B)``,
   ``relax (X) st (B)``, ``if``, ``while``, ``assume B``, ``assert B``,
   ``relate l : B*`` and sequential composition.
@@ -14,6 +15,12 @@ Every AST node is an immutable (frozen) dataclass so nodes can be hashed,
 compared structurally, and safely shared between programs.  The module also
 provides the array extension mentioned in Section 5 of the paper
 (``ArrayRead`` / ``ArrayWrite`` and the corresponding statement form).
+
+There is one expression tree for both kinds.  A relational expression is a
+:class:`BoolExpr` whose reads are the tagged :class:`RelVar` /
+:class:`RelArrayRead` nodes, and a program expression is one whose reads
+are the plain :class:`Var` / :class:`ArrayRead` nodes; the parser and the
+translation into formulas keep the two apart.
 
 Nodes carry an optional source :class:`Span` (filled in by the parser).
 The span is deliberately excluded from equality, hashing and repr: two
@@ -150,7 +157,7 @@ class BoolOp(enum.Enum):
 
 
 class Execution(enum.Enum):
-    """Which execution a relational variable reference talks about.
+    """Which execution a tagged read talks about.
 
     ``ORIGINAL`` corresponds to ``x<o>`` and ``RELAXED`` to ``x<r>`` in the
     paper's relational expression syntax.
@@ -201,7 +208,7 @@ class Span:
 
 
 # ---------------------------------------------------------------------------
-# Expressions (non-relational)
+# Integer expressions
 # ---------------------------------------------------------------------------
 
 
@@ -285,8 +292,34 @@ class ArrayRead(Expr):
         return f"{self.array}[{self.index}]"
 
 
+@dataclass(frozen=True)
+class RelVar(Expr):
+    """A tagged read ``x<o>`` or ``x<r>``, legal only in a relational expression."""
+
+    name: str
+    execution: Execution
+
+    def __str__(self) -> str:
+        return f"{self.name}<{self.execution.value}>"
+
+
+@dataclass(frozen=True)
+class RelArrayRead(Expr):
+    """A tagged array read ``A<o>[index]`` or ``A<r>[index]``."""
+
+    array: str
+    execution: Execution
+    index: Expr
+
+    def children(self) -> Tuple[Node, ...]:
+        return (self.index,)
+
+    def __str__(self) -> str:
+        return f"{self.array}<{self.execution.value}>[{self.index}]"
+
+
 # ---------------------------------------------------------------------------
-# Boolean expressions (non-relational)
+# Boolean expressions
 # ---------------------------------------------------------------------------
 
 
@@ -341,129 +374,6 @@ class Not(BoolExpr):
     """Boolean negation ``¬B``."""
 
     operand: BoolExpr
-
-    def children(self) -> Tuple[Node, ...]:
-        return (self.operand,)
-
-    def __str__(self) -> str:
-        return f"!({self.operand})"
-
-
-# ---------------------------------------------------------------------------
-# Relational expressions
-# ---------------------------------------------------------------------------
-
-
-class RelExpr(Node):
-    """Base class of relational integer expressions (``E*``)."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class RelIntLit(RelExpr):
-    """An integer literal inside a relational expression."""
-
-    value: int
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
-@dataclass(frozen=True)
-class RelVar(RelExpr):
-    """A tagged variable reference ``x<o>`` or ``x<r>``."""
-
-    name: str
-    execution: Execution
-
-    def __str__(self) -> str:
-        return f"{self.name}<{self.execution.value}>"
-
-
-@dataclass(frozen=True)
-class RelBinOp(RelExpr):
-    """A binary operation over relational integer expressions."""
-
-    op: IntOp
-    left: RelExpr
-    right: RelExpr
-
-    def children(self) -> Tuple[Node, ...]:
-        return (self.left, self.right)
-
-    def __str__(self) -> str:
-        if self.op in (IntOp.MIN, IntOp.MAX):
-            return f"{self.op.value}({self.left}, {self.right})"
-        return f"({self.left} {self.op.value} {self.right})"
-
-
-@dataclass(frozen=True)
-class RelArrayRead(RelExpr):
-    """A tagged array read ``A<o>[index]`` or ``A<r>[index]``."""
-
-    array: str
-    execution: Execution
-    index: RelExpr
-
-    def children(self) -> Tuple[Node, ...]:
-        return (self.index,)
-
-    def __str__(self) -> str:
-        return f"{self.array}<{self.execution.value}>[{self.index}]"
-
-
-class RelBoolExpr(Node):
-    """Base class of relational boolean expressions (``B*``)."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class RelBoolLit(RelBoolExpr):
-    """``true`` / ``false`` as a relational boolean expression."""
-
-    value: bool
-
-    def __str__(self) -> str:
-        return "true" if self.value else "false"
-
-
-@dataclass(frozen=True)
-class RelCompare(RelBoolExpr):
-    """A comparison of relational integer expressions ``E* cmp E*``."""
-
-    op: CmpOp
-    left: RelExpr
-    right: RelExpr
-
-    def children(self) -> Tuple[Node, ...]:
-        return (self.left, self.right)
-
-    def __str__(self) -> str:
-        return f"({self.left} {self.op.value} {self.right})"
-
-
-@dataclass(frozen=True)
-class RelBoolBin(RelBoolExpr):
-    """A boolean connective over relational boolean expressions."""
-
-    op: BoolOp
-    left: RelBoolExpr
-    right: RelBoolExpr
-
-    def children(self) -> Tuple[Node, ...]:
-        return (self.left, self.right)
-
-    def __str__(self) -> str:
-        return f"({self.left} {self.op.value} {self.right})"
-
-
-@dataclass(frozen=True)
-class RelNot(RelBoolExpr):
-    """Negation of a relational boolean expression."""
-
-    operand: RelBoolExpr
 
     def children(self) -> Tuple[Node, ...]:
         return (self.operand,)
@@ -579,7 +489,7 @@ class Relate(Stmt):
     """``relate l : B*`` — a labelled relational acceptability assertion."""
 
     label: str
-    condition: RelBoolExpr
+    condition: BoolExpr
 
     def children(self) -> Tuple[Node, ...]:
         return (self.condition,)
@@ -638,7 +548,7 @@ class While(Stmt):
     condition: BoolExpr
     body: Stmt
     invariant: Optional[BoolExpr] = None
-    rel_invariant: Optional[RelBoolExpr] = None
+    rel_invariant: Optional[BoolExpr] = None
     diverge: Optional[Diverge] = None
 
     def children(self) -> Tuple[Node, ...]:
@@ -691,8 +601,8 @@ class Program:
     shared: Tuple[str, ...] = field(default_factory=tuple)
     requires: Optional[BoolExpr] = None
     ensures: Optional[BoolExpr] = None
-    rel_requires: Optional[RelBoolExpr] = None
-    rel_ensures: Optional[RelBoolExpr] = None
+    rel_requires: Optional[BoolExpr] = None
+    rel_ensures: Optional[BoolExpr] = None
     #: The concrete syntax this program was parsed from (``None`` for
     #: programs assembled with the builder API).  Excluded from equality
     #: and hashing, like node spans.
@@ -712,16 +622,11 @@ class Program:
 
 
 # ---------------------------------------------------------------------------
-# Convenience aliases and helpers
+# Convenience constants and helpers
 # ---------------------------------------------------------------------------
-
-AnyExpr = Union[Expr, RelExpr]
-AnyBoolExpr = Union[BoolExpr, RelBoolExpr]
 
 TRUE = BoolLit(True)
 FALSE = BoolLit(False)
-REL_TRUE = RelBoolLit(True)
-REL_FALSE = RelBoolLit(False)
 SKIP = Skip()
 
 
@@ -792,26 +697,6 @@ def disj(*exprs: BoolExpr) -> BoolExpr:
     return result
 
 
-def rel_conj(*exprs: RelBoolExpr) -> RelBoolExpr:
-    """Conjoin relational boolean expressions; ``rel_conj()`` is ``true``."""
-    if not exprs:
-        return REL_TRUE
-    result = exprs[0]
-    for expr in exprs[1:]:
-        result = RelBoolBin(BoolOp.AND, result, expr)
-    return result
-
-
-def rel_disj(*exprs: RelBoolExpr) -> RelBoolExpr:
-    """Disjoin relational boolean expressions; ``rel_disj()`` is ``false``."""
-    if not exprs:
-        return REL_FALSE
-    result = exprs[0]
-    for expr in exprs[1:]:
-        result = RelBoolBin(BoolOp.OR, result, expr)
-    return result
-
-
 def int_expr(value: Union[int, str, Expr]) -> Expr:
     """Coerce an int, variable name or expression into an :class:`Expr`."""
     if isinstance(value, Expr):
@@ -823,24 +708,3 @@ def int_expr(value: Union[int, str, Expr]) -> Expr:
     if isinstance(value, str):
         return Var(value)
     raise TypeError(f"cannot coerce {value!r} to an integer expression")
-
-
-def rel_expr(value: Union[int, RelExpr]) -> RelExpr:
-    """Coerce an int or relational expression into a :class:`RelExpr`."""
-    if isinstance(value, RelExpr):
-        return value
-    if isinstance(value, bool):
-        raise TypeError("booleans are not relational integer expressions")
-    if isinstance(value, int):
-        return RelIntLit(value)
-    raise TypeError(f"cannot coerce {value!r} to a relational integer expression")
-
-
-def original(name: str) -> RelVar:
-    """Build the relational reference ``name<o>``."""
-    return RelVar(name, Execution.ORIGINAL)
-
-
-def relaxed(name: str) -> RelVar:
-    """Build the relational reference ``name<r>``."""
-    return RelVar(name, Execution.RELAXED)

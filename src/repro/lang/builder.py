@@ -13,8 +13,12 @@ and examples instead use this builder:
 ... )
 
 Expression helpers accept ``int`` literals, variable-name strings, or AST
-nodes and coerce them appropriately.  Relational expression helpers use the
-``o("x")`` / ``r("x")`` constructors for ``x<o>`` / ``x<r>``.
+nodes and coerce them appropriately.  Relational expressions are built with
+the same helpers: a relational expression is one whose reads are tagged,
+and ``o("x")`` / ``r("x")`` / ``oread`` / ``rread`` build those reads
+(``x<o>``, ``x<r>``, ``A<o>[i]``, ``A<r>[i]``), as in
+``b.le(b.sub(b.o("x"), b.r("x")), 1)``.  A variable-name string always
+coerces to an untagged read, so it has no place in a relational expression.
 """
 
 from __future__ import annotations
@@ -45,13 +49,6 @@ from .ast import (
     Relate,
     Relax,
     RelArrayRead,
-    RelBinOp,
-    RelBoolBin,
-    RelBoolExpr,
-    RelBoolLit,
-    RelCompare,
-    RelExpr,
-    RelNot,
     RelVar,
     Skip,
     Stmt,
@@ -59,9 +56,7 @@ from .ast import (
 )
 
 IntLike = Union[int, str, Expr]
-RelIntLike = Union[int, RelExpr]
 BoolLike = Union[bool, BoolExpr]
-RelBoolLike = Union[bool, RelBoolExpr]
 
 
 # ---------------------------------------------------------------------------
@@ -176,124 +171,55 @@ def not_(operand: BoolLike) -> BoolExpr:
 
 
 # ---------------------------------------------------------------------------
-# Relational expression constructors
+# Tagged reads (the leaves of relational expressions)
 # ---------------------------------------------------------------------------
 
 
-def re(value: RelIntLike) -> RelExpr:
-    """Coerce ``value`` into a relational integer expression."""
-    return ast.rel_expr(value)
-
-
 def o(name: str) -> RelVar:
-    """The original-execution reference ``name<o>``."""
+    """The original-execution read ``name<o>``."""
     return RelVar(name, Execution.ORIGINAL)
 
 
 def r(name: str) -> RelVar:
-    """The relaxed-execution reference ``name<r>``."""
+    """The relaxed-execution read ``name<r>``."""
     return RelVar(name, Execution.RELAXED)
 
 
-def oread(array: str, index: RelIntLike) -> RelExpr:
+def oread(array: str, index: IntLike) -> Expr:
     """Original-execution array read ``array<o>[index]``."""
-    return RelArrayRead(array, Execution.ORIGINAL, re(index))
+    return RelArrayRead(array, Execution.ORIGINAL, e(index))
 
 
-def rread(array: str, index: RelIntLike) -> RelExpr:
+def rread(array: str, index: IntLike) -> Expr:
     """Relaxed-execution array read ``array<r>[index]``."""
-    return RelArrayRead(array, Execution.RELAXED, re(index))
+    return RelArrayRead(array, Execution.RELAXED, e(index))
 
 
-def radd(left: RelIntLike, right: RelIntLike) -> RelExpr:
-    return RelBinOp(IntOp.ADD, re(left), re(right))
-
-
-def rsub(left: RelIntLike, right: RelIntLike) -> RelExpr:
-    return RelBinOp(IntOp.SUB, re(left), re(right))
-
-
-def rmul(left: RelIntLike, right: RelIntLike) -> RelExpr:
-    return RelBinOp(IntOp.MUL, re(left), re(right))
-
-
-def rbl(value: RelBoolLike) -> RelBoolExpr:
-    if isinstance(value, RelBoolExpr):
-        return value
-    if isinstance(value, bool):
-        return RelBoolLit(value)
-    raise TypeError(f"cannot coerce {value!r} to a relational boolean expression")
-
-
-rel_true = RelBoolLit(True)
-rel_false = RelBoolLit(False)
-
-
-def rlt(left: RelIntLike, right: RelIntLike) -> RelBoolExpr:
-    return RelCompare(CmpOp.LT, re(left), re(right))
-
-
-def rle(left: RelIntLike, right: RelIntLike) -> RelBoolExpr:
-    return RelCompare(CmpOp.LE, re(left), re(right))
-
-
-def rgt(left: RelIntLike, right: RelIntLike) -> RelBoolExpr:
-    return RelCompare(CmpOp.GT, re(left), re(right))
-
-
-def rge(left: RelIntLike, right: RelIntLike) -> RelBoolExpr:
-    return RelCompare(CmpOp.GE, re(left), re(right))
-
-
-def req(left: RelIntLike, right: RelIntLike) -> RelBoolExpr:
-    return RelCompare(CmpOp.EQ, re(left), re(right))
-
-
-def rne(left: RelIntLike, right: RelIntLike) -> RelBoolExpr:
-    return RelCompare(CmpOp.NE, re(left), re(right))
-
-
-def rand(*operands: RelBoolLike) -> RelBoolExpr:
-    return ast.rel_conj(*[rbl(op) for op in operands])
-
-
-def ror(*operands: RelBoolLike) -> RelBoolExpr:
-    return ast.rel_disj(*[rbl(op) for op in operands])
-
-
-def rimplies(left: RelBoolLike, right: RelBoolLike) -> RelBoolExpr:
-    return RelBoolBin(BoolOp.IMPLIES, rbl(left), rbl(right))
-
-
-def rnot(operand: RelBoolLike) -> RelBoolExpr:
-    return RelNot(rbl(operand))
-
-
-def same(name: str) -> RelBoolExpr:
+def same(name: str) -> BoolExpr:
     """The noninterference atom ``name<o> == name<r>``.
 
     The paper's example proofs lean heavily on this shape of relational
     invariant ("relational assertions that establish the equality of values
     of variables in the original and relaxed executions").
     """
-    return req(o(name), r(name))
+    return eq(o(name), r(name))
 
 
-def all_same(*names: str) -> RelBoolExpr:
+def all_same(*names: str) -> BoolExpr:
     """Conjunction of :func:`same` over several variable names."""
-    return rand(*[same(name) for name in names])
+    return and_(*[same(name) for name in names])
 
 
-def within(name: str, bound: RelIntLike) -> RelBoolExpr:
+def within(name: str, bound: IntLike) -> BoolExpr:
     """The accuracy envelope ``|name<o> - name<r>| <= bound``.
 
     Expressed without absolute value as the conjunction
     ``name<o> - name<r> <= bound && name<r> - name<o> <= bound`` exactly as
     in the paper's LU decomposition example (Section 5.3).
     """
-    return rand(
-        rle(rsub(o(name), r(name)), re(bound)),
-        rle(rsub(r(name), o(name)), re(bound)),
+    return and_(
+        le(sub(o(name), r(name)), bound),
+        le(sub(r(name), o(name)), bound),
     )
 
 
@@ -329,8 +255,8 @@ def assert_(condition: BoolLike) -> Stmt:
     return Assert(bl(condition))
 
 
-def relate(label: str, condition: RelBoolLike) -> Stmt:
-    return Relate(label, rbl(condition))
+def relate(label: str, condition: BoolLike) -> Stmt:
+    return Relate(label, bl(condition))
 
 
 def if_(condition: BoolLike, then_branch: Stmt, else_branch: Stmt = skip) -> Stmt:
@@ -341,7 +267,7 @@ def while_(
     condition: BoolLike,
     *body: Stmt,
     invariant: Optional[BoolExpr] = None,
-    rel_invariant: Optional[RelBoolExpr] = None,
+    rel_invariant: Optional[BoolExpr] = None,
 ) -> Stmt:
     return While(bl(condition), block(*body), invariant, rel_invariant)
 

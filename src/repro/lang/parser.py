@@ -33,12 +33,19 @@ run to end of line)::
 
     expr      := term (("+" | "-") term)*
     term      := factor (("*" | "/" | "%") factor)*
-    factor    := int | "-" factor | ident | ident "[" expr "]"
+    factor    := int | "-" factor | read
                | "min" "(" expr "," expr ")" | "max" "(" expr "," expr ")"
                | "(" expr ")"
+    read      := ident [ tag ] [ "[" expr "]" ]
+    tag       := "<" ( "o" | "r" ) ">"
 
-Relational expressions (``rbexpr`` / ``rexpr``) follow the same structure but
-variables carry an execution tag: ``x<o>``, ``x<r>``, ``A<o>[i]``.
+    rbexpr    := bexpr, with a tag on every read
+
+There is one expression grammar.  A relational expression (``rbexpr``) is a
+``bexpr`` whose reads all name their execution (``x<o>``, ``x<r>``,
+``A<o>[i]``); a program expression is one whose reads name none.  The tag
+is required in ``rel_requires``, ``rel_ensures``, ``relate`` and
+``rel_invariant`` and accepted nowhere else.
 
 The header clauses state the acceptability specification; every ``shared``
 array must also be declared by ``arrays``.  A ``diverge`` annotation gives
@@ -82,14 +89,6 @@ from .ast import (
     Relate,
     Relax,
     RelArrayRead,
-    RelBinOp,
-    RelBoolBin,
-    RelBoolExpr,
-    RelBoolLit,
-    RelCompare,
-    RelExpr,
-    RelIntLit,
-    RelNot,
     RelVar,
     Seq,
     Skip,
@@ -213,6 +212,8 @@ class Parser:
     def __init__(self, tokens: List[Token]) -> None:
         self._tokens = tokens
         self._pos = 0
+        #: Inside a relational clause every read must carry an execution tag.
+        self._relational = False
 
     # -- token utilities ----------------------------------------------------
 
@@ -307,8 +308,8 @@ class Parser:
             for keyword, parse in (
                 ("requires", self._parse_bexpr),
                 ("ensures", self._parse_bexpr),
-                ("rel_requires", self._parse_rbexpr),
-                ("rel_ensures", self._parse_rbexpr),
+                ("rel_requires", self._parse_rel_bexpr),
+                ("rel_ensures", self._parse_rel_bexpr),
             )
         }
         body = self._parse_statements()
@@ -332,8 +333,8 @@ class Parser:
         self._expect("EOF")
         return expr
 
-    def parse_rel_bool_expression(self) -> RelBoolExpr:
-        expr = self._parse_rbexpr()
+    def parse_rel_bool_expression(self) -> BoolExpr:
+        expr = self._parse_rel_bexpr()
         self._expect("EOF")
         return expr
 
@@ -413,7 +414,7 @@ class Parser:
                 self._advance()
                 label = self._expect("IDENT").text
                 self._expect("OP", ":")
-                condition = self._parse_rbexpr()
+                condition = self._parse_rel_bexpr()
                 self._expect("OP", ";")
                 return Relate(label, condition)
             if token.text == "if":
@@ -473,11 +474,11 @@ class Parser:
         condition = self._parse_bexpr()
         self._expect("OP", ")")
         invariant: Optional[BoolExpr] = None
-        rel_invariant: Optional[RelBoolExpr] = None
+        rel_invariant: Optional[BoolExpr] = None
         if self._accept("KEYWORD", "invariant"):
             invariant = self._parse_parenthesised(self._parse_bexpr)
         if self._accept("KEYWORD", "rel_invariant"):
-            rel_invariant = self._parse_parenthesised(self._parse_rbexpr)
+            rel_invariant = self._parse_parenthesised(self._parse_rel_bexpr)
         diverge = self._parse_diverge()
         self._expect("OP", "{")
         body = self._parse_statements()
@@ -488,6 +489,14 @@ class Parser:
 
     def _parse_bexpr(self) -> BoolExpr:
         return self._parse_bor()
+
+    def _parse_rel_bexpr(self) -> BoolExpr:
+        """A relational boolean expression: a ``bexpr`` whose reads are tagged."""
+        self._relational = True
+        try:
+            return self._parse_bexpr()
+        finally:
+            self._relational = False
 
     def _parse_bor(self) -> BoolExpr:
         start = self._peek()
@@ -548,7 +557,8 @@ class Parser:
             inner = self._parse_bexpr()
             self._expect("OP", ")")
             return inner
-        raise self._error("expected a boolean expression")
+        kind = "relational boolean" if self._relational else "boolean"
+        raise self._error(f"expected a {kind} expression")
 
     # -- integer expressions ---------------------------------------------------
 
@@ -592,139 +602,23 @@ class Parser:
             return self._spanned(BinOp(op, left, right), token)
         if token.kind == "IDENT":
             self._advance()
+            tag = self._parse_execution_tag() if self._relational else None
             if self._accept("OP", "["):
                 index = self._parse_expr()
                 self._expect("OP", "]")
-                return self._spanned(ArrayRead(token.text, index), token)
-            return self._spanned(Var(token.text), token)
+                if tag is None:
+                    return self._spanned(ArrayRead(token.text, index), token)
+                return self._spanned(RelArrayRead(token.text, tag, index), token)
+            if tag is None:
+                return self._spanned(Var(token.text), token)
+            return self._spanned(RelVar(token.text, tag), token)
         if token.kind == "OP" and token.text == "(":
             self._advance()
             inner = self._parse_expr()
             self._expect("OP", ")")
             return inner
-        raise self._error(f"expected an integer expression, found {token.text!r}")
-
-    # -- relational expressions -------------------------------------------------
-
-    def _parse_rbexpr(self) -> RelBoolExpr:
-        return self._parse_rbor()
-
-    def _parse_rbor(self) -> RelBoolExpr:
-        start = self._peek()
-        left = self._parse_rband()
-        while self._check("OP", "||"):
-            self._advance()
-            right = self._parse_rband()
-            left = self._spanned(RelBoolBin(BoolOp.OR, left, right), start)
-        return left
-
-    def _parse_rband(self) -> RelBoolExpr:
-        start = self._peek()
-        left = self._parse_rbimp()
-        while self._check("OP", "&&"):
-            self._advance()
-            right = self._parse_rbimp()
-            left = self._spanned(RelBoolBin(BoolOp.AND, left, right), start)
-        return left
-
-    def _parse_rbimp(self) -> RelBoolExpr:
-        start = self._peek()
-        left = self._parse_rbnot()
-        if self._accept("OP", "==>"):
-            right = self._parse_rbimp()
-            return self._spanned(RelBoolBin(BoolOp.IMPLIES, left, right), start)
-        if self._accept("OP", "<=>"):
-            right = self._parse_rbimp()
-            return self._spanned(RelBoolBin(BoolOp.IFF, left, right), start)
-        return left
-
-    def _parse_rbnot(self) -> RelBoolExpr:
-        start = self._peek()
-        if self._accept("OP", "!"):
-            return self._spanned(RelNot(self._parse_rbnot()), start)
-        return self._parse_rbprimary()
-
-    def _parse_rbprimary(self) -> RelBoolExpr:
-        start = self._peek()
-        if self._check("KEYWORD", "true"):
-            self._advance()
-            return self._spanned(RelBoolLit(True), start)
-        if self._check("KEYWORD", "false"):
-            self._advance()
-            return self._spanned(RelBoolLit(False), start)
-        saved = self._pos
-        try:
-            left = self._parse_rexpr()
-            op_token = self._peek()
-            if op_token.kind == "OP" and op_token.text in _CMP_OPS:
-                self._advance()
-                right = self._parse_rexpr()
-                return self._spanned(
-                    RelCompare(_CMP_OPS[op_token.text], left, right), start
-                )
-            raise self._error("expected a comparison operator")
-        except ParseError:
-            self._pos = saved
-        if self._accept("OP", "("):
-            inner = self._parse_rbexpr()
-            self._expect("OP", ")")
-            return inner
-        raise self._error("expected a relational boolean expression")
-
-    def _parse_rexpr(self) -> RelExpr:
-        start = self._peek()
-        left = self._parse_rterm()
-        while self._peek().kind == "OP" and self._peek().text in _ADD_OPS:
-            op = _ADD_OPS[self._advance().text]
-            right = self._parse_rterm()
-            left = self._spanned(RelBinOp(op, left, right), start)
-        return left
-
-    def _parse_rterm(self) -> RelExpr:
-        start = self._peek()
-        left = self._parse_rfactor()
-        while self._peek().kind == "OP" and self._peek().text in _MUL_OPS:
-            op = _MUL_OPS[self._advance().text]
-            right = self._parse_rfactor()
-            left = self._spanned(RelBinOp(op, left, right), start)
-        return left
-
-    def _parse_rfactor(self) -> RelExpr:
-        token = self._peek()
-        if token.kind == "INT":
-            self._advance()
-            return self._spanned(RelIntLit(int(token.text)), token)
-        if token.kind == "OP" and token.text == "-":
-            self._advance()
-            operand = self._parse_rfactor()
-            if isinstance(operand, RelIntLit):
-                return self._spanned(RelIntLit(-operand.value), token)
-            return self._spanned(RelBinOp(IntOp.SUB, RelIntLit(0), operand), token)
-        if token.kind == "KEYWORD" and token.text in ("min", "max"):
-            self._advance()
-            self._expect("OP", "(")
-            left = self._parse_rexpr()
-            self._expect("OP", ",")
-            right = self._parse_rexpr()
-            self._expect("OP", ")")
-            op = IntOp.MIN if token.text == "min" else IntOp.MAX
-            return self._spanned(RelBinOp(op, left, right), token)
-        if token.kind == "IDENT":
-            self._advance()
-            execution = self._parse_execution_tag()
-            if self._accept("OP", "["):
-                index = self._parse_rexpr()
-                self._expect("OP", "]")
-                return self._spanned(RelArrayRead(token.text, execution, index), token)
-            return self._spanned(RelVar(token.text, execution), token)
-        if token.kind == "OP" and token.text == "(":
-            self._advance()
-            inner = self._parse_rexpr()
-            self._expect("OP", ")")
-            return inner
-        raise self._error(
-            f"expected a relational integer expression, found {token.text!r}"
-        )
+        kind = "a relational integer" if self._relational else "an integer"
+        raise self._error(f"expected {kind} expression, found {token.text!r}")
 
     def _parse_execution_tag(self) -> Execution:
         self._expect("OP", "<")
@@ -762,8 +656,8 @@ def parse_bool(text: str) -> BoolExpr:
     return Parser(tokenize(text)).parse_bool_expression()
 
 
-def parse_rel_bool(text: str) -> RelBoolExpr:
-    """Parse a relational boolean expression."""
+def parse_rel_bool(text: str) -> BoolExpr:
+    """Parse a relational boolean expression (every read tagged)."""
     return Parser(tokenize(text)).parse_rel_bool_expression()
 
 

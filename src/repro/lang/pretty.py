@@ -49,12 +49,6 @@ from .ast import (
     Relate,
     Relax,
     RelArrayRead,
-    RelBinOp,
-    RelBoolBin,
-    RelBoolLit,
-    RelCompare,
-    RelIntLit,
-    RelNot,
     RelVar,
     Seq,
     Skip,
@@ -208,10 +202,10 @@ class _SpanPrinter:
         if isinstance(expr, Var):
             self.write(expr.name)
             return Var(expr.name, span=self.span(self.line, start))
-        if isinstance(expr, (IntLit, RelIntLit)):
+        if isinstance(expr, IntLit):
             self.write(str(expr.value))
-            return type(expr)(expr.value, span=self.span(self.line, start))
-        if isinstance(expr, (BinOp, RelBinOp)):
+            return IntLit(expr.value, span=self.span(self.line, start))
+        if isinstance(expr, BinOp):
             if expr.op in (IntOp.MIN, IntOp.MAX):
                 self.write(f"{expr.op.value}(")
                 left = self.expr(expr.left)
@@ -221,7 +215,7 @@ class _SpanPrinter:
                 span = self.span(self.line, start)
             else:
                 left, right, span = self.infix(expr, self.expr)
-            return type(expr)(expr.op, left, right, span=span)
+            return BinOp(expr.op, left, right, span=span)
         if isinstance(expr, RelVar):
             self.write(f"{expr.name}<{expr.execution.value}>")
             return RelVar(expr.name, expr.execution, span=self.span(self.line, start))
@@ -242,20 +236,20 @@ class _SpanPrinter:
     def cond(self, expr):
         """A boolean expression, relational or not."""
         start = self.column
-        if isinstance(expr, (Compare, RelCompare)):
+        if isinstance(expr, Compare):
             left, right, span = self.infix(expr, self.expr)
-            return type(expr)(expr.op, left, right, span=span)
-        if isinstance(expr, (BoolBin, RelBoolBin)):
+            return Compare(expr.op, left, right, span=span)
+        if isinstance(expr, BoolBin):
             left, right, span = self.infix(expr, self.cond)
-            return type(expr)(expr.op, left, right, span=span)
-        if isinstance(expr, (Not, RelNot)):
+            return BoolBin(expr.op, left, right, span=span)
+        if isinstance(expr, Not):
             self.write("!(")
             operand = self.cond(expr.operand)
             self.write(")")
-            return type(expr)(operand, span=self.span(self.line, start))
-        if isinstance(expr, (BoolLit, RelBoolLit)):
+            return Not(operand, span=self.span(self.line, start))
+        if isinstance(expr, BoolLit):
             self.write("true" if expr.value else "false")
-            return type(expr)(expr.value, span=self.span(self.line, start))
+            return BoolLit(expr.value, span=self.span(self.line, start))
         raise TypeError(f"unknown boolean expression node {expr!r}")
 
     # -- statements ------------------------------------------------------------------

@@ -113,9 +113,6 @@ class Symbol:
             return self
         return Symbol(self.name, tag)
 
-    def sort_key(self) -> Tuple[str, str]:
-        return self._key
-
     def __lt__(self, other: "Symbol") -> bool:
         if not isinstance(other, Symbol):
             return NotImplemented
@@ -953,13 +950,6 @@ def term_symbols(term: Term) -> FrozenSet[Symbol]:
     return _free_of(term)
 
 
-def term_arrays(term: Term) -> FrozenSet[Symbol]:
-    """Return the array symbols occurring in a term."""
-    if not isinstance(term, Term):
-        raise TypeError(f"unknown term {term!r}")
-    return _arrays_of(term)
-
-
 def free_symbols(formula: Formula) -> FrozenSet[Symbol]:
     """Return the free integer symbols of a formula."""
     if not isinstance(formula, Formula):
@@ -979,10 +969,6 @@ def formula_size(formula: Formula) -> int:
     if not isinstance(formula, Formula):
         raise TypeError(f"unknown formula {formula!r}")
     return _size_of(formula)
-
-
-def _term_size(term: Term) -> int:
-    return _size_of(term)
 
 
 def quantifier_depth(formula: Formula) -> int:

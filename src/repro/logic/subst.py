@@ -132,16 +132,13 @@ def _rewrite(node, mapping: Substitution, arrays: Mapping[Symbol, Term]):
 class _Subst:
     """One substitution pass: a fixed mapping and its memo of results."""
 
-    __slots__ = ("mapping", "arrays", "sym_domain", "arr_domain", "range_symbols", "memo")
+    __slots__ = ("mapping", "arrays", "sym_domain", "arr_domain", "memo")
 
     def __init__(self, mapping: Substitution, arrays: Mapping[Symbol, Term]) -> None:
         self.mapping = mapping
         self.arrays = arrays
         self.sym_domain = frozenset(mapping)
         self.arr_domain = frozenset(arrays)
-        # The symbols the replacement terms mention: a binder among them is
-        # captured.
-        self.range_symbols = frozenset().union(*map(term_symbols, mapping.values()))
         self.memo: Dict[object, object] = {}
 
     def untouched(self, node) -> bool:
@@ -150,6 +147,18 @@ class _Subst:
         if self.arr_domain and not self.arr_domain.isdisjoint(_arrays_of(node)):
             return False
         return True
+
+    def captures(self, body: Formula) -> FrozenSet[Symbol]:
+        """The symbols that the replacements of ``body``'s free symbols and
+        arrays mention: a binder over ``body`` among them would capture them."""
+        captured: FrozenSet[Symbol] = frozenset()
+        for symbol in self.sym_domain.intersection(_free_of(body)):
+            captured |= term_symbols(self.mapping[symbol])
+        for array in self.arr_domain.intersection(_arrays_of(body)):
+            replacement = self.arrays[array]
+            if isinstance(replacement, Term):
+                captured |= term_symbols(replacement)
+        return captured
 
     def _remember(self, node, result):
         self.memo[node] = result
@@ -230,10 +239,12 @@ class _Subst:
             ctx = _pass(narrowed, self.arrays)
         else:
             ctx = self
-        # Rename the bound variable if any replacement term mentions it (capture).
+        # Rename the bound variable if a replacement that reaches the body
+        # mentions it (capture).
         body = formula.body
-        if bound in ctx.range_symbols:
-            used = {s.name for s in free_symbols(body) | ctx.range_symbols}
+        captured = ctx.captures(body)
+        if bound in captured:
+            used = {s.name for s in free_symbols(body) | captured}
             renamed = FreshSymbols(sorted(used)).fresh(bound.name, bound.tag)
             body = _pass({bound: SymTerm(renamed)}, {}).formula(body)
             bound = renamed

@@ -1,20 +1,23 @@
 """Translation of program expressions into the assertion-logic formula IR.
 
 The axiomatic semantics reason about program boolean expressions ``B`` and
-relational boolean expressions ``B*`` as logical formulas.  This module
-performs those translations:
+relational boolean expressions ``B*`` as logical formulas.  Both kinds are
+one expression tree and go through one translation:
 
 * :func:`term_of_expr` / :func:`formula_of_bool` — translate ``E`` / ``B``
   into terms/formulas.  The optional ``tag`` argument chooses which
   execution's copy of the variables the result talks about, implementing the
   injections ``inj_o`` / ``inj_r`` of the paper directly at translation time.
-* :func:`term_of_rel_expr` / :func:`formula_of_rel_bool` — translate
-  ``E*`` / ``B*`` into formulas over tagged symbols.
+* :func:`formula_of_rel_bool` — translate ``B*``: the same walk, in the mode
+  where each (tagged) read supplies its own tag.
+
+Reads of the wrong kind are rejected with :class:`TypeError`: a tagged read
+in a program expression, and an untagged read in a relational one.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 from ..lang.ast import (
     ArrayRead,
@@ -31,14 +34,6 @@ from ..lang.ast import (
     IntOp,
     Not as AstNot,
     RelArrayRead,
-    RelBinOp,
-    RelBoolBin,
-    RelBoolExpr,
-    RelBoolLit,
-    RelCompare,
-    RelExpr,
-    RelIntLit,
-    RelNot,
     RelVar,
     Var,
 )
@@ -88,19 +83,41 @@ def tag_of_execution(execution: Execution) -> Tag:
     return _EXEC_TO_TAG[execution]
 
 
+#: The ``tag`` of a relational translation: each read supplies its own.
+_OWN_TAGS = object()
+
+
 def term_of_expr(expr: Expr, tag: Optional[Tag] = None) -> Term:
     """Translate an integer expression ``E``; variables receive ``tag``."""
     if isinstance(expr, IntLit):
         return Const(expr.value)
     if isinstance(expr, Var):
-        return SymTerm(Symbol(expr.name, tag))
+        return SymTerm(Symbol(expr.name, _plain_tag(expr, tag)))
     if isinstance(expr, BinOp):
         left = term_of_expr(expr.left, tag)
         right = term_of_expr(expr.right, tag)
         return _apply_int_op(expr.op, left, right)
     if isinstance(expr, ArrayRead):
-        return Select(Symbol(expr.array, tag), term_of_expr(expr.index, tag))
+        array = Symbol(expr.array, _plain_tag(expr, tag))
+        return Select(array, term_of_expr(expr.index, tag))
+    if isinstance(expr, RelVar):
+        return SymTerm(Symbol(expr.name, _own_tag(expr, tag)))
+    if isinstance(expr, RelArrayRead):
+        array = Symbol(expr.array, _own_tag(expr, tag))
+        return Select(array, term_of_expr(expr.index, tag))
     raise TypeError(f"unknown expression node {expr!r}")
+
+
+def _plain_tag(read: Expr, tag: object) -> Optional[Tag]:
+    if tag is _OWN_TAGS:
+        raise TypeError(f"untagged read {read} in a relational expression")
+    return tag
+
+
+def _own_tag(read: Union[RelVar, RelArrayRead], tag: object) -> Tag:
+    if tag is not _OWN_TAGS:
+        raise TypeError(f"tagged read {read} in a program expression")
+    return tag_of_execution(read.execution)
 
 
 def _apply_int_op(op: IntOp, left: Term, right: Term) -> Term:
@@ -152,46 +169,6 @@ def formula_of_bool(expr: BoolExpr, tag: Optional[Tag] = None) -> Formula:
     raise TypeError(f"unknown boolean expression node {expr!r}")
 
 
-def term_of_rel_expr(expr: RelExpr) -> Term:
-    """Translate a relational integer expression ``E*``."""
-    if isinstance(expr, RelIntLit):
-        return Const(expr.value)
-    if isinstance(expr, RelVar):
-        return SymTerm(Symbol(expr.name, tag_of_execution(expr.execution)))
-    if isinstance(expr, RelBinOp):
-        left = term_of_rel_expr(expr.left)
-        right = term_of_rel_expr(expr.right)
-        return _apply_int_op(expr.op, left, right)
-    if isinstance(expr, RelArrayRead):
-        return Select(
-            Symbol(expr.array, tag_of_execution(expr.execution)),
-            term_of_rel_expr(expr.index),
-        )
-    raise TypeError(f"unknown relational expression node {expr!r}")
-
-
-def formula_of_rel_bool(expr: RelBoolExpr) -> Formula:
-    """Translate a relational boolean expression ``B*``."""
-    if isinstance(expr, RelBoolLit):
-        return TRUE if expr.value else FALSE
-    if isinstance(expr, RelCompare):
-        return Atom(
-            _CMP_TO_REL[expr.op],
-            term_of_rel_expr(expr.left),
-            term_of_rel_expr(expr.right),
-        )
-    if isinstance(expr, RelBoolBin):
-        left = formula_of_rel_bool(expr.left)
-        right = formula_of_rel_bool(expr.right)
-        if expr.op is BoolOp.AND:
-            return conj(left, right)
-        if expr.op is BoolOp.OR:
-            return disj(left, right)
-        if expr.op is BoolOp.IMPLIES:
-            return Implies(left, right)
-        if expr.op is BoolOp.IFF:
-            return Iff(left, right)
-        raise AssertionError(f"unhandled boolean operator {expr.op}")
-    if isinstance(expr, RelNot):
-        return neg(formula_of_rel_bool(expr.operand))
-    raise TypeError(f"unknown relational boolean node {expr!r}")
+def formula_of_rel_bool(expr: BoolExpr) -> Formula:
+    """Translate a relational boolean expression ``B*`` (every read tagged)."""
+    return formula_of_bool(expr, _OWN_TAGS)  # type: ignore[arg-type]

@@ -28,7 +28,6 @@ from ..lang.ast import (
     Program,
     Relate,
     Relax,
-    RelBoolExpr,
     Seq,
     Skip,
     Stmt,
@@ -187,9 +186,9 @@ def skip_tasks(
     new_program = _with_body(program, body, "taskskip", (saved,))
     suggested = Relate(
         "tasks",
-        b.rand(
-            b.rle(b.r(remaining_tasks_var), b.o(remaining_tasks_var)),
-            b.rge(b.r(remaining_tasks_var), b.rsub(b.o(remaining_tasks_var), max_skipped)),
+        b.and_(
+            b.le(b.r(remaining_tasks_var), b.o(remaining_tasks_var)),
+            b.ge(b.r(remaining_tasks_var), b.sub(b.o(remaining_tasks_var), max_skipped)),
         ),
     )
     return RelaxationResult(

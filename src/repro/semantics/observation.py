@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..lang.ast import RelBoolExpr
+from ..lang.ast import BoolExpr
 from ..logic.evaluate import EvaluationError, Valuation, evaluate
 from ..logic.formula import Formula, Symbol, Tag
 from ..logic.translate import formula_of_rel_bool
@@ -53,11 +53,11 @@ def pair_valuation(original: State, relaxed: State) -> Valuation:
 
 # Translated relate conditions keyed by node identity, like the choosers'
 # witness plans; each entry holds its node, so a cached id cannot be reused.
-_FORMULAS: Dict[int, Tuple[RelBoolExpr, Formula]] = {}
+_FORMULAS: Dict[int, Tuple[BoolExpr, Formula]] = {}
 _FORMULA_LIMIT = 1 << 16
 
 
-def relational_holds(condition: RelBoolExpr, original: State, relaxed: State) -> bool:
+def relational_holds(condition: BoolExpr, original: State, relaxed: State) -> bool:
     """Evaluate a relational boolean expression over a pair of states."""
     entry = _FORMULAS.get(id(condition))
     if entry is None:
@@ -73,7 +73,7 @@ def relational_holds(condition: RelBoolExpr, original: State, relaxed: State) ->
 
 
 def check_compatibility(
-    gamma: Mapping[str, RelBoolExpr],
+    gamma: Mapping[str, BoolExpr],
     original_observations: ObservationList,
     relaxed_observations: ObservationList,
 ) -> CompatibilityResult:

@@ -71,9 +71,6 @@ class ApproximateMemory:
         for offset, value in enumerate(values):
             self.write(base_address + offset, value)
 
-    def read_exact(self, address: int) -> int:
-        return self._cells[address]
-
     def read(self, address: int) -> int:
         exact = self._cells[address]
         observed = self.error_model.perturb(exact, self._rng)

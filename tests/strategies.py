@@ -185,8 +185,7 @@ def int_exprs(draw, depth=2, relational=False):
     """An integer expression (``E``, or ``E*`` when ``relational``)."""
     choice = draw(st.integers(min_value=0, max_value=3 if depth > 0 else 1))
     if choice == 0:
-        value = draw(literals)
-        return A.RelIntLit(value) if relational else A.IntLit(value)
+        return A.IntLit(draw(literals))
     if choice == 1:
         name = draw(program_names)
         return A.RelVar(name, draw(executions)) if relational else A.Var(name)
@@ -194,7 +193,7 @@ def int_exprs(draw, depth=2, relational=False):
         op = draw(st.sampled_from(list(A.IntOp)))
         left = draw(int_exprs(depth - 1, relational))
         right = draw(int_exprs(depth - 1, relational))
-        return A.RelBinOp(op, left, right) if relational else A.BinOp(op, left, right)
+        return A.BinOp(op, left, right)
     index = draw(int_exprs(depth - 1, relational))
     if relational:
         return A.RelArrayRead(draw(array_names), draw(executions), index)
@@ -206,20 +205,16 @@ def bool_exprs(draw, depth=2, relational=False):
     """A boolean expression (``B``, or ``B*`` when ``relational``)."""
     choice = draw(st.integers(min_value=0, max_value=3 if depth > 0 else 1))
     if choice == 0:
-        value = draw(st.booleans())
-        return A.RelBoolLit(value) if relational else A.BoolLit(value)
+        return A.BoolLit(draw(st.booleans()))
     if choice == 1:
         op = draw(st.sampled_from(list(A.CmpOp)))
-        left = draw(int_exprs(1, relational))
-        right = draw(int_exprs(1, relational))
-        return A.RelCompare(op, left, right) if relational else A.Compare(op, left, right)
+        return A.Compare(op, draw(int_exprs(1, relational)), draw(int_exprs(1, relational)))
     if choice == 2:
-        operand = draw(bool_exprs(depth - 1, relational))
-        return A.RelNot(operand) if relational else A.Not(operand)
+        return A.Not(draw(bool_exprs(depth - 1, relational)))
     op = draw(st.sampled_from(list(A.BoolOp)))
     left = draw(bool_exprs(depth - 1, relational))
     right = draw(bool_exprs(depth - 1, relational))
-    return A.RelBoolBin(op, left, right) if relational else A.BoolBin(op, left, right)
+    return A.BoolBin(op, left, right)
 
 
 @st.composite

@@ -34,14 +34,14 @@ class TestLockstepRules:
     def test_relate_requires_relation(self):
         program = b.relate("l", b.same("x"))
         assert prove_relaxed(program, b.same("x"), TRUE).verified
-        assert not prove_relaxed(program, b.rle(b.o("x"), b.r("x")), TRUE).verified
+        assert not prove_relaxed(program, b.le(b.o("x"), b.r("x")), TRUE).verified
 
     def test_relax_constrains_only_relaxed_side(self):
         program = b.block(
             b.relax("x", b.and_(b.ge("x", 0), b.le("x", 2))),
-            b.relate("l", b.rand(b.rge(b.r("x"), 0), b.rle(b.r("x"), 2), b.req(b.o("x"), 1))),
+            b.relate("l", b.and_(b.ge(b.r("x"), 0), b.le(b.r("x"), 2), b.eq(b.o("x"), 1))),
         )
-        report = prove_relaxed(program, b.rand(b.same("x"), b.req(b.o("x"), 1)), TRUE)
+        report = prove_relaxed(program, b.and_(b.same("x"), b.eq(b.o("x"), 1)), TRUE)
         assert report.verified
 
     def test_relax_emits_satisfiability_obligation(self):
@@ -62,7 +62,7 @@ class TestLockstepRules:
 
     def test_assert_not_transferred_without_relation(self):
         program = b.assert_(b.ge("x", 0))
-        report = prove_relaxed(program, b.rbl(True), TRUE)
+        report = prove_relaxed(program, b.bl(True), TRUE)
         assert not report.verified
 
     def test_assume_transfer_mirrors_assert(self):
@@ -77,7 +77,7 @@ class TestLockstepRules:
         assert not report.verified
         # ... but the havoc predicate holds on both sides.
         report_ok = prove_relaxed(
-            program, b.same("x"), b.rand(b.rge(b.r("x"), 0), b.rge(b.o("x"), 0))
+            program, b.same("x"), b.and_(b.ge(b.r("x"), 0), b.ge(b.o("x"), 0))
         )
         assert report_ok.verified
 
@@ -166,9 +166,9 @@ class TestControlFlow:
             condition=b.lt("i", "n"),
             body=b.block(b.assign("i", b.add("i", 1)), b.assign("d", b.add("d", 1))),
             invariant=b.true,
-            rel_invariant=b.rand(b.all_same("i", "n"), b.req(b.o("d"), 0)),
+            rel_invariant=b.and_(b.all_same("i", "n"), b.eq(b.o("d"), 0)),
         )
-        precondition = b.rand(b.all_same("i", "n", "d"), b.req(b.o("d"), 0))
+        precondition = b.and_(b.all_same("i", "n", "d"), b.eq(b.o("d"), 0))
         report = prove_relaxed(loop, precondition, TRUE)
         assert not report.verified
         failing = {result.obligation.rule for result in report.undischarged()}

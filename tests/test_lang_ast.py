@@ -114,13 +114,9 @@ class TestConstructors:
         with pytest.raises(TypeError):
             ast.int_expr(True)
 
-    def test_rel_expr_rejects_bool(self):
-        with pytest.raises(TypeError):
-            ast.rel_expr(True)
-
     def test_original_and_relaxed_tags(self):
-        assert ast.original("x").execution is Execution.ORIGINAL
-        assert ast.relaxed("x").execution is Execution.RELAXED
+        assert b.o("x").execution is Execution.ORIGINAL
+        assert b.r("x").execution is Execution.RELAXED
 
 
 class TestBuilder:

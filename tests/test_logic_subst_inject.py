@@ -43,7 +43,6 @@ from repro.logic.translate import (
     formula_of_bool,
     formula_of_rel_bool,
     term_of_expr,
-    term_of_rel_expr,
 )
 from repro.logic.traverse import iter_nodes
 from repro.solver.interface import Solver
@@ -87,6 +86,28 @@ class TestSubstitution:
         )
         assert "ite" in str(result)
 
+    def test_array_substitution_avoids_capture(self):
+        # [store(A, i, 5)/A] in (forall i . A[0] > i) brings a free i into
+        # the body, so the bound i must be renamed.
+        formula = Forall(sym("i"), F.gt(Select(Symbol("A"), Const(0)), var("i")))
+        store = Store(Symbol("A"), var("i"), Const(5))
+        result = substitute(formula, {}, arrays={Symbol("A"): store})
+        assert isinstance(result, Forall)
+        assert result.symbol != sym("i")
+        assert free_symbols(result) == {sym("i")}
+
+    def test_binder_not_renamed_without_capture(self):
+        # Only y<o> is free under the binder, and its replacement does not
+        # mention x: the replacement of x<o>, which does, never reaches it.
+        formula = F.conj(
+            F.gt(var("x", Tag.ORIGINAL), 0),
+            Forall(sym("x"), F.lt(var("x"), var("y", Tag.ORIGINAL))),
+        )
+        result = substitute(
+            formula, {sym_o("x"): SymTerm(sym("x")), sym_o("y"): SymTerm(sym("y"))}
+        )
+        assert result == F.conj(F.gt(var("x"), 0), Forall(sym("x"), F.lt(var("x"), var("y"))))
+
     def test_rename_symbols(self):
         formula = F.lt(var("x"), Const(0))
         renamed = rename_symbols(formula, {sym("x"): sym_o("x")})
@@ -110,6 +131,13 @@ class TestInjections:
     def test_strip_o_inverts_inj_o(self):
         formula = F.lt(var("x"), Const(1))
         assert strip_o(inj_o(formula)) == formula
+
+    @settings(max_examples=3000, deadline=None)
+    @given(formulas(), array_formulas())
+    def test_strip_inverts_inject_exactly(self, formula, array_formula):
+        unary = conj(formula, array_formula)
+        assert strip_o(inj_o(unary)) is unary
+        assert strip_r(inj_r(unary)) is unary
 
     def test_pair_combines_both_sides(self):
         combined = pair(F.lt(var("x"), 0), F.gt(var("x"), 0))
@@ -162,9 +190,9 @@ class TestTranslation:
         formula = formula_of_rel_bool(condition)
         assert {sym_o("x"), sym_r("x")} <= free_symbols(formula)
 
-    def test_term_of_rel_expr_array(self):
-        term = term_of_rel_expr(b.oread("A", b.o("i")))
-        assert "A<o>" in str(term)
+    def test_formula_of_rel_bool_array(self):
+        formula = formula_of_rel_bool(b.eq(b.oread("A", b.o("i")), 0))
+        assert "A<o>" in str(formula)
 
     def test_min_max_translation(self):
         formula = formula_of_bool(b.eq(b.max_("x", "y"), "x"))

@@ -31,7 +31,7 @@ def verified_program():
     )
     spec = AcceptabilitySpec(
         precondition=b.true,
-        rel_precondition=b.rand(b.all_same("x", "e"), b.rge(b.r("e"), 0)),
+        rel_precondition=b.and_(b.all_same("x", "e"), b.ge(b.r("e"), 0)),
     )
     report = verify_acceptability(program, spec)
     assert report.verified

@@ -240,7 +240,7 @@ class TestCompatibility:
         assert not result
 
     def test_relational_holds_with_arrays(self):
-        condition = b.req(b.oread("A", b.o("i")), b.rread("A", b.r("i")))
+        condition = b.eq(b.oread("A", b.o("i")), b.rread("A", b.r("i")))
         original = State.of({"i": 0}, arrays={"A": {0: 7}})
         relaxed = State.of({"i": 0}, arrays={"A": {0: 7}})
         assert relational_holds(condition, original, relaxed)
