@@ -12,8 +12,10 @@ also consumed by the fuzz synthesizer's own property suite:
   ``flatten_stmt`` (AST equality modulo ``Seq`` association);
 * **formula side** — ``terms`` / ``atoms`` / ``formulas`` (with
   quantifiers) / ``array_formulas`` over a tiny name pool and finite
-  evaluation ``DOMAIN``, plus the reference recursions ``ref_free`` /
-  ``ref_size`` the cached structural queries are pinned against.
+  evaluation ``DOMAIN``; ``wide_terms`` / ``wide_formulas`` over every
+  interned class; and the reference recursions (``ref_children``,
+  ``ref_free``, ``ref_arrays``, ``ref_size``, ``ref_qdepth``) the IR's
+  shape and its cached structural queries are pinned against.
 """
 
 import dataclasses
@@ -26,7 +28,6 @@ from repro.lang.ast import Assign, If, Seq, While
 from repro.logic import formula as F
 from repro.logic.evaluate import Valuation
 from repro.logic.formula import Const, Exists, Forall, Select, SymTerm, var, sym
-from repro.logic.traverse import node_children
 from repro.relaxations.transforms import (
     approximate_memoization,
     approximate_reads,
@@ -380,21 +381,169 @@ def full_valuation(draw):
     return Valuation(scalars={sym(name): draw(small_ints) for name in NAMES})
 
 
+# -- every interned class ------------------------------------------------------
+#
+# ``terms``/``formulas`` stay inside the evaluable fragment the substitution
+# lemma is checked on; ``wide_terms``/``wide_formulas`` build every interned
+# class (division, ``ite`` with a formula condition, array reads, chained
+# stores, implication, bi-implication, divisibility, raw n-ary connectives)
+# for the shape properties, which never evaluate.
+
+ARRAYS = [sym("A"), sym("B")]
+arrays = st.sampled_from(ARRAYS)
+
+
+@st.composite
+def stores(draw, depth=1):
+    """A ``store`` over an array symbol, sometimes chained on another store."""
+    array = draw(arrays)
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        array = F.Store(
+            array, draw(wide_terms(depth=depth - 1)), draw(wide_terms(depth=depth - 1))
+        )
+    return array
+
+
+@st.composite
+def wide_terms(draw, depth=2):
+    if depth <= 0 or draw(st.integers(min_value=0, max_value=5)) == 0:
+        if draw(st.booleans()):
+            return var(draw(names))
+        return Const(draw(small_ints))
+    sub = wide_terms(depth=depth - 1)
+    kind = draw(st.sampled_from(["binary", "ite", "select", "store"]))
+    if kind == "binary":
+        op = draw(st.sampled_from([F.Add, F.Sub, F.Mul, F.Div, F.Mod, F.Min, F.Max]))
+        return op(draw(sub), draw(sub))
+    if kind == "ite":
+        return F.Ite(draw(wide_formulas(depth=depth - 1)), draw(sub), draw(sub))
+    if kind == "select":
+        return Select(draw(arrays), draw(sub))
+    return draw(stores(depth=depth))
+
+
+@st.composite
+def wide_formulas(draw, depth=2):
+    if depth <= 0:
+        rel = draw(st.sampled_from(list(F.Rel)))
+        return F.Atom(rel, draw(wide_terms(depth=0)), draw(wide_terms(depth=0)))
+    sub = wide_formulas(depth=depth - 1)
+    kind = draw(
+        st.sampled_from(
+            ["atom", "divides", "constant", "and", "or", "not", "implies", "iff", "binder"]
+        )
+    )
+    if kind == "atom":
+        rel = draw(st.sampled_from(list(F.Rel)))
+        return F.Atom(rel, draw(wide_terms(depth=depth)), draw(wide_terms(depth=depth)))
+    if kind == "divides":
+        return F.Divides(draw(st.integers(min_value=2, max_value=5)), draw(wide_terms(depth=depth)))
+    if kind == "constant":
+        return F.TRUE if draw(st.booleans()) else F.FALSE
+    if kind in ("and", "or"):
+        connective = F.And if kind == "and" else F.Or
+        return connective(tuple(draw(st.lists(sub, max_size=3))))
+    if kind == "not":
+        return F.Not(draw(sub))
+    if kind == "implies":
+        return F.Implies(draw(sub), draw(sub))
+    if kind == "iff":
+        return F.Iff(draw(sub), draw(sub))
+    quantifier = Exists if draw(st.booleans()) else Forall
+    return quantifier(sym(draw(names)), draw(sub))
+
+
+#: One formula holding a node of every interned class, including a chained
+#: ``store`` and an ``ite`` whose condition mentions a bound symbol.
+EVERY_CLASS_FORMULA = F.Not(
+    F.Iff(
+        F.Implies(F.TRUE, F.Or((F.FALSE, F.Divides(3, var("x") - var("y"))))),
+        Forall(
+            sym("x"),
+            F.And(
+                (
+                    F.eq(
+                        Select(sym("A"), F.Mod(F.Div(var("x"), Const(2)), var("z"))),
+                        F.Ite(
+                            F.lt(var("x"), var("y")),
+                            F.Min(var("x"), Const(1)),
+                            F.Max(var("y"), Const(2)) * 3,
+                        ),
+                    ),
+                    Exists(
+                        sym("z"),
+                        F.le(
+                            F.Store(F.Store(sym("B"), var("z"), Const(1)), Const(0), var("x")) + 1,
+                            0,
+                        ),
+                    ),
+                )
+            ),
+        ),
+    )
+)
+
+
 # -- reference recursions the cached structural queries are pinned against ---
+#
+# Each reads every class's fields by hand, so none depends on the shape
+# rule of ``repro.logic.traverse.node_children`` it is compared with.
+
+
+def ref_children(node):
+    """The term and formula children of ``node``, in field order."""
+    if isinstance(node, (Const, SymTerm, F.TrueF, F.FalseF)):
+        return ()
+    if isinstance(node, (F.Add, F.Sub, F.Mul, F.Div, F.Mod, F.Min, F.Max)):
+        return (node.left, node.right)
+    if isinstance(node, F.Ite):
+        return (node.condition, node.then_term, node.else_term)
+    if isinstance(node, Select):
+        return (node.index,)
+    if isinstance(node, F.Store):
+        chained = (node.array,) if isinstance(node.array, F.Store) else ()
+        return chained + (node.index, node.value)
+    if isinstance(node, F.Atom):
+        return (node.left, node.right)
+    if isinstance(node, F.Divides):
+        return (node.term,)
+    if isinstance(node, (F.And, F.Or)):
+        return tuple(node.operands)
+    if isinstance(node, F.Not):
+        return (node.operand,)
+    if isinstance(node, F.Implies):
+        return (node.antecedent, node.consequent)
+    if isinstance(node, F.Iff):
+        return (node.left, node.right)
+    if isinstance(node, (Exists, Forall)):
+        return (node.body,)
+    raise TypeError(f"unknown node {node!r}")
 
 
 def ref_free(node, bound=frozenset()):
-    if isinstance(node, Const) or isinstance(node, (F.TrueF, F.FalseF)):
-        return frozenset()
     if isinstance(node, SymTerm):
         return frozenset() if node.symbol in bound else frozenset({node.symbol})
     if isinstance(node, (Exists, Forall)):
         return ref_free(node.body, bound | {node.symbol})
     result = frozenset()
-    for child in node_children(node):
+    for child in ref_children(node):
         result |= ref_free(child, bound)
     return result
 
 
+def ref_arrays(node):
+    result = frozenset()
+    if isinstance(node, (Select, F.Store)) and not isinstance(node.array, F.Store):
+        result = frozenset({node.array})
+    for child in ref_children(node):
+        result |= ref_arrays(child)
+    return result
+
+
 def ref_size(node):
-    return 1 + sum(ref_size(child) for child in node_children(node))
+    return 1 + sum(ref_size(child) for child in ref_children(node))
+
+
+def ref_qdepth(node):
+    inner = max((ref_qdepth(child) for child in ref_children(node)), default=0)
+    return 1 + inner if isinstance(node, (Exists, Forall)) else inner

@@ -67,6 +67,7 @@ from repro.logic.traverse import (
     transform,
 )
 from repro.solver.normalize import to_nnf
+from strategies import ref_free, ref_qdepth, ref_size
 
 
 def _study_corpus():
@@ -77,30 +78,6 @@ def _study_corpus():
         for collector in (bundle.original, bundle.relaxed):
             corpus.extend((o.kind.value, o.formula) for o in collector.obligations)
     return corpus
-
-
-# -- reference recursions (independent of the node caches) --------------------
-
-
-def ref_free(node, bound=frozenset()):
-    if isinstance(node, Const) or isinstance(node, (F.TrueF, F.FalseF)):
-        return frozenset()
-    if isinstance(node, SymTerm):
-        return frozenset() if node.symbol in bound else frozenset({node.symbol})
-    if isinstance(node, (Exists, Forall)):
-        return ref_free(node.body, bound | {node.symbol})
-    return frozenset().union(*[ref_free(c, bound) for c in node_children(node)] or [frozenset()])
-
-
-def ref_size(node):
-    return 1 + sum(ref_size(c) for c in node_children(node))
-
-
-def ref_qdepth(node):
-    inner = max((ref_qdepth(c) for c in node_children(node)), default=0)
-    if isinstance(node, (Exists, Forall)):
-        return 1 + inner
-    return inner
 
 
 # -- interning ----------------------------------------------------------------
@@ -197,6 +174,10 @@ class TestCachedQueries:
     @pytest.mark.parametrize("formula", SAMPLE_FORMULAS, ids=str)
     def test_quantifier_depth_matches_reference(self, formula):
         assert quantifier_depth(formula) == ref_qdepth(formula)
+
+    @pytest.mark.parametrize("formula", SAMPLE_FORMULAS, ids=str)
+    def test_formula_size_matches_reference(self, formula):
+        assert formula_size(formula) == ref_size(formula)
 
     def test_formula_size_counts_nodes(self):
         # Size counts terms and connectives but not array symbols, exactly

@@ -6,8 +6,10 @@ evaluating ``P`` under ``v[x := eval(t, v)]`` — including under ``exists`` /
 ``forall`` binders that shadow or would capture the substituted variable.
 A second group checks array-store substitution (the weakest precondition of
 array assignment) against direct evaluation over updated array valuations,
-and a third pins the cached structural queries (``free_symbols``, ``size``)
-against reference recursions after transforms.
+a third pins the cached structural queries (``free_symbols``, ``size``)
+against reference recursions after transforms, and a fourth pins the IR's
+shape — ``node_children``, ``rebuild`` and all four cached queries — over
+formulas built from every interned class.
 
 The formula generators and reference recursions live in the shared
 ``tests/strategies.py`` module (also consumed by the relaxation-transform
@@ -19,30 +21,40 @@ from hypothesis import strategies as st
 
 from strategies import (
     DOMAIN,
+    EVERY_CLASS_FORMULA,
     NAMES,
     array_formulas,
     formulas,
     full_valuation,
     names,
+    ref_arrays,
+    ref_children,
     ref_free,
+    ref_qdepth,
     ref_size,
     small_ints,
     terms,
+    wide_formulas,
 )
 
+from repro.logic import formula as F
 from repro.logic.evaluate import Valuation, evaluate, evaluate_term
 from repro.logic.formula import (
     Const,
     Exists,
     Forall,
+    Formula,
     Store,
+    formula_arrays,
     formula_size,
     free_symbols,
+    quantifier_depth,
     sym,
     term_symbols,
     var,
 )
 from repro.logic.subst import substitute
+from repro.logic.traverse import iter_nodes, node_children, rebuild
 from repro.solver.normalize import to_nnf
 
 
@@ -177,3 +189,61 @@ class TestCachePinning:
             else formula
         )
         assert rebuilt is formula
+
+
+# -- the IR's shape over every interned class ---------------------------------
+
+
+def _concrete_classes(base=F._Interned):
+    found = set()
+    for cls in base.__subclasses__():
+        found |= _concrete_classes(cls) if cls.__subclasses__() else {cls}
+    return found
+
+
+def _other(child):
+    """A node of the same sort as ``child`` (formula, store or term), but not it."""
+    if isinstance(child, Formula):
+        return F.FALSE if child is F.TRUE else F.TRUE
+    if isinstance(child, Store):
+        other = Store(sym("C"), Const(0), Const(0))
+    else:
+        other = Const(99)
+    return other if other is not child else Const(98)
+
+
+def _assert_shape(formula):
+    assert free_symbols(formula) == ref_free(formula)
+    assert formula_arrays(formula) == ref_arrays(formula)
+    assert formula_size(formula) == ref_size(formula)
+    assert quantifier_depth(formula) == ref_qdepth(formula)
+    for node in iter_nodes(formula):
+        children = node_children(node)
+        assert children == ref_children(node)
+        assert rebuild(node, children) is node
+        for position, child in enumerate(children):
+            replaced = children[:position] + (_other(child),) + children[position + 1:]
+            rebuilt = rebuild(node, replaced)
+            assert type(rebuilt) is type(node)
+            assert ref_children(rebuilt) == replaced
+            # The non-child fields (relation, divisor, binder, array) survive.
+            assert rebuild(rebuilt, children) is node
+
+
+class TestShape:
+    def test_every_class_formula_covers_every_class(self):
+        classes = {type(node) for node in iter_nodes(EVERY_CLASS_FORMULA)}
+        assert classes == _concrete_classes()
+
+    def test_every_class_formula_shape(self):
+        _assert_shape(EVERY_CLASS_FORMULA)
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(wide_formulas(depth=3))
+    def test_shape_and_cached_queries_match_reference(self, formula):
+        _assert_shape(formula)
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(wide_formulas(depth=3), st.sampled_from(NAMES), terms())
+    def test_cached_queries_after_substitution(self, formula, name, replacement):
+        _assert_shape(substitute(formula, {sym(name): replacement}))
