@@ -18,7 +18,6 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ..hoare.obligations import ProofSystem, VerificationReport
 from ..hoare.verifier import AcceptabilityReport
 
 

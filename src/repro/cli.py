@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager, nullcontext
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, Optional, Sequence
 
 from . import telemetry
 from .analysis.metrics import effort_rows, format_effort_table
@@ -47,7 +47,8 @@ batch verification (the obligation engine):
     --budget S      per-obligation wall-clock budget (seconds); the
                     cube search stops between cubes once it is spent,
                     it caps the bounded fallback search, and a spent
-                    budget leaves the obligation UNKNOWN
+                    budget leaves the obligation UNKNOWN; with --explain
+                    it also bounds each re-check query of the diagnostics
     --json FILE     write the structured batch report to FILE ('-' for
                     stdout)
 
@@ -230,7 +231,7 @@ def cmd_verify_case_study(args: argparse.Namespace) -> int:
         from .diagnostics import diagnose_report, render_diagnostics
         from .diagnostics.explain import diagnostics_section
 
-        found = diagnose_report(report)
+        found = diagnose_report(report, args.budget)
         diagnostics = diagnostics_section(found)
         if found:
             print()
@@ -308,7 +309,7 @@ def cmd_verify_batch(args: argparse.Namespace) -> int:
         from .diagnostics import render_diagnostics
         from .diagnostics.explain import batch_diagnostics, diagnostics_section
 
-        found = batch_diagnostics(report)
+        found = batch_diagnostics(report, args.budget)
         core["diagnostics"] = diagnostics_section(found)
         if found:
             print()
@@ -625,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="per-obligation budget in seconds (checked between DNF cubes and "
         "caps the bounded fallback search; normalisation and Cooper are not "
-        "preempted)",
+        "preempted); with --explain it also bounds each re-check query",
     )
     batch_cmd.add_argument(
         "--json", dest="json_out", help="write the JSON report to this file ('-' = stdout)"

@@ -17,7 +17,7 @@ Three entry points, all built on :mod:`repro.diagnostics.report`:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..casestudies import resolve_case_study
 from ..hoare.verifier import AcceptabilityVerifier
@@ -76,7 +76,8 @@ def explain_case_study(
     that does not resolve raises :class:`ValueError` listing the sites that
     are currently applicable.  When ``engine`` carries a persistent cache,
     previously answered obligations replay from disk with no solver calls —
-    including their stored counterexample models.
+    including their stored counterexample models — and when it carries a
+    budget, the diagnostics' re-check queries run under it too.
     """
     case = resolve_case_study(name)
     program = case.build_program()
@@ -101,7 +102,9 @@ def explain_case_study(
         program=report.program_name,
         sites=tuple(applied),
         verified=report.verified,
-        diagnostics=diagnose_report(report),
+        diagnostics=diagnose_report(
+            report, engine.budget_seconds if engine is not None else None
+        ),
     )
 
 
@@ -137,13 +140,16 @@ def explain_from_payload(payload: Dict[str, object]) -> ExplainReport:
     )
 
 
-def batch_diagnostics(batch_report) -> List[FailureDiagnostic]:
-    """Diagnostics for every failed program of a ``verify-batch`` report."""
+def batch_diagnostics(
+    batch_report, budget_seconds: Optional[float] = None
+) -> List[FailureDiagnostic]:
+    """Diagnostics for every failed program of a ``verify-batch`` report,
+    each re-check query bounded by ``budget_seconds``."""
     diagnostics: List[FailureDiagnostic] = []
     for result in batch_report.programs:
         if result.report is None or result.verified:
             continue
-        diagnostics.extend(diagnose_report(result.report))
+        diagnostics.extend(diagnose_report(result.report, budget_seconds))
     return diagnostics
 
 

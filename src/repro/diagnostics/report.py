@@ -28,19 +28,21 @@ from ..lang.ast import Span
 from ..logic.compile import evaluate_compiled
 from ..logic.evaluate import EvaluationError, Valuation
 from ..logic.formula import (
-    And,
     Atom,
+    Const,
     Divides,
     Exists,
     Forall,
     Formula,
-    Iff,
-    Implies,
-    Not,
-    Or,
+    Ite,
+    Rel,
+    Select,
+    Store,
     Symbol,
     formula_arrays,
+    node_children,
     quantifier_depth,
+    rebuild,
 )
 from ..solver.lia import Status
 
@@ -121,11 +123,6 @@ def _zero_selects(node):
     array reads, so the decision procedures apply without Ackermannisation
     (which cannot handle quantified indexes).
     """
-    from ..logic.formula import Const, Ite, Rel, Select, Store, Term
-    from ..logic.formula import Formula as FormulaBase
-
-    if isinstance(node, tuple):
-        return tuple(_zero_selects(part) for part in node)
     if isinstance(node, Select):
         index = _zero_selects(node.index)
         array = node.array
@@ -137,17 +134,11 @@ def _zero_selects(node):
                 _zero_selects(Select(array.array, node.index)),
             )
         return Const(0)
-    if isinstance(node, (Symbol, Const)):
-        return node
-    if isinstance(node, (Term, FormulaBase)):
-        return type(node)(
-            *(_zero_selects(getattr(node, name)) for name in node._fields)
-        )
-    return node
+    return rebuild(node, tuple(_zero_selects(child) for child in node_children(node)))
 
 
 def _solver_check(
-    formula: Formula, model: Dict[Symbol, int]
+    formula: Formula, model: Dict[Symbol, int], budget_seconds: Optional[float] = None
 ) -> Tuple[Optional[bool], List[str]]:
     """Decide the grounded formula with the decision procedures.
 
@@ -158,8 +149,8 @@ def _solver_check(
     When that query is inconclusive (e.g. quantified array indexes defeat
     the Ackermann reduction), the arrays are interpreted as all-zeros
     syntactically and the query retried; returns ``(value, zero_arrays)``.
+    Each query runs under ``budget_seconds`` (unbounded when ``None``).
     """
-    from ..logic.formula import Const
     from ..logic.subst import substitute
     from ..solver.interface import Solver
 
@@ -167,7 +158,7 @@ def _solver_check(
         formula, {symbol: Const(value) for symbol, value in model.items()}
     )
     try:
-        result = Solver().check_sat(grounded)
+        result = Solver(budget_seconds).check_sat(grounded)
     except Exception:  # pragma: no cover - defensive: diagnosis must not raise
         return None, []
     if result.status is Status.UNSAT:
@@ -179,7 +170,7 @@ def _solver_check(
         return None, []
     try:
         zeroed = _zero_selects(grounded)
-        result = Solver().check_sat(zeroed)
+        result = Solver(budget_seconds).check_sat(zeroed)
     except Exception:  # pragma: no cover - defensive
         return None, []
     names = [str(array) for array in arrays]
@@ -191,7 +182,7 @@ def _solver_check(
 
 
 def _reevaluate_with_arrays(
-    formula: Formula, model: Dict[Symbol, int]
+    formula: Formula, model: Dict[Symbol, int], budget_seconds: Optional[float] = None
 ) -> Tuple[Optional[bool], List[str], str]:
     """The full mechanical-confirmation cascade for one counterexample.
 
@@ -213,7 +204,7 @@ def _reevaluate_with_arrays(
             return value, [str(array) for array in arrays], "evaluation"
         except EvaluationError:
             pass
-    value, zero_arrays = _solver_check(formula, model)
+    value, zero_arrays = _solver_check(formula, model, budget_seconds)
     if value is not None:
         return value, zero_arrays, "solver-substitution"
     return None, [], ""
@@ -223,19 +214,10 @@ def _atoms_of(formula: Formula, under_quantifier: bool = False):
     """Yield ``(atomic formula, under_quantifier)`` leaves, in syntax order."""
     if isinstance(formula, (Atom, Divides)):
         yield formula, under_quantifier
-    elif isinstance(formula, Not):
-        yield from _atoms_of(formula.operand, under_quantifier)
-    elif isinstance(formula, (And, Or)):
-        for operand in formula.operands:
-            yield from _atoms_of(operand, under_quantifier)
-    elif isinstance(formula, Implies):
-        yield from _atoms_of(formula.antecedent, under_quantifier)
-        yield from _atoms_of(formula.consequent, under_quantifier)
-    elif isinstance(formula, Iff):
-        yield from _atoms_of(formula.left, under_quantifier)
-        yield from _atoms_of(formula.right, under_quantifier)
-    elif isinstance(formula, (Exists, Forall)):
-        yield from _atoms_of(formula.body, True)
+        return
+    under_quantifier = under_quantifier or isinstance(formula, (Exists, Forall))
+    for child in node_children(formula):
+        yield from _atoms_of(child, under_quantifier)
 
 
 @dataclass(frozen=True)
@@ -546,10 +528,14 @@ def attribute_result(result: ObligationResult) -> Optional[FailureDiagnostic]:
     return diagnostic
 
 
-def diagnose_result(result: ObligationResult) -> Optional[FailureDiagnostic]:
+def diagnose_result(
+    result: ObligationResult, budget_seconds: Optional[float] = None
+) -> Optional[FailureDiagnostic]:
     """The full diagnostic: attribution plus excerpt, atoms and re-check.
 
-    ``None`` if the result is discharged.
+    ``budget_seconds`` bounds each solver query of the re-check, as the
+    engine's budget bounds each obligation.  ``None`` if the result is
+    discharged.
     """
     diagnostic = attribute_result(result)
     if diagnostic is None:
@@ -572,7 +558,7 @@ def diagnose_result(result: ObligationResult) -> Optional[FailureDiagnostic]:
             diagnostic.formula_value,
             diagnostic.zero_arrays,
             diagnostic.check_method,
-        ) = _reevaluate_with_arrays(obligation.formula, model)
+        ) = _reevaluate_with_arrays(obligation.formula, model, budget_seconds)
     return diagnostic
 
 
@@ -590,14 +576,19 @@ def attribute_report(report) -> List[FailureDiagnostic]:
     return [attribute_result(result) for result in _undischarged(report)]
 
 
-def diagnose_report(report) -> List[FailureDiagnostic]:
+def diagnose_report(
+    report, budget_seconds: Optional[float] = None
+) -> List[FailureDiagnostic]:
     """Full diagnostics for every undischarged obligation of a report.
 
     Accepts either a single-layer
     :class:`~repro.hoare.obligations.VerificationReport` or a combined
-    :class:`~repro.hoare.verifier.AcceptabilityReport`.
+    :class:`~repro.hoare.verifier.AcceptabilityReport`; ``budget_seconds``
+    bounds each re-check query (see :func:`diagnose_result`).
     """
-    return [diagnose_result(result) for result in _undischarged(report)]
+    return [
+        diagnose_result(result, budget_seconds) for result in _undischarged(report)
+    ]
 
 
 def render_diagnostics(diagnostics: Sequence[FailureDiagnostic]) -> str:

@@ -27,8 +27,8 @@ Two scores come out of every candidate:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Sequence
 
 from .. import telemetry
 from ..casestudies.base import CaseStudy
@@ -37,7 +37,7 @@ from ..lang.ast import Program
 from ..semantics.choosers import make_chooser
 from ..semantics.interpreter import Interpreter, NonTerminationError, precompile_program
 from ..semantics.observation import check_compatibility
-from ..semantics.state import State, Terminated, is_error
+from ..semantics.state import Terminated, is_error
 
 #: Default nondeterminism policies a candidate is scored under.
 DEFAULT_POLICIES = ("random", "adversarial")

@@ -55,12 +55,10 @@ from ..logic.formula import (
     Symbol,
     SymTerm,
     Tag,
-    TRUE,
     conj,
     exists,
     forall,
     formula_arrays,
-    free_symbols,
     implies,
     neg,
 )

@@ -32,7 +32,6 @@ from .ast import (
     Havoc,
     If,
     IntLit,
-    Node,
     Not,
     Program,
     Relate,

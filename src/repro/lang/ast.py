@@ -35,7 +35,7 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, Optional, Tuple, Union
 
 
 # ---------------------------------------------------------------------------

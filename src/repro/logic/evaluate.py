@@ -14,7 +14,7 @@ unbounded reasoning, use the decision procedures in :mod:`repro.solver`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from .formula import (
     Add,

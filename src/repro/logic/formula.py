@@ -39,6 +39,9 @@ on throughout the codebase:
   symbols, array symbols, node count and quantifier depth, so
   ``free_symbols`` / ``formula_size`` / friends are O(1) after the first
   query on a subterm — even when that subterm is shared by many formulas;
+* a node's children are read off its class's ``_fields``
+  (:func:`node_children`), the one statement of the IR's shape that
+  :func:`rebuild`, the cached queries and every generic walk derive from;
 * nodes pickle by reconstruction (:meth:`_Interned.__reduce__`), so they
   re-intern on arrival in obligation-discharge worker processes.
 
@@ -55,7 +58,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Dict, FrozenSet, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple, Union
 
 
 class Tag(enum.Enum):
@@ -735,52 +738,49 @@ def ne(left: TermLike, right: TermLike) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Traversals
+# The shape of the IR
 # ---------------------------------------------------------------------------
 
 
-def term_children(term: Term) -> Tuple[Term, ...]:
-    """Return the immediate sub-terms of a term."""
-    if isinstance(term, (Const, SymTerm)):
-        return ()
-    if isinstance(term, _BinTerm):
-        return (term.left, term.right)
-    if isinstance(term, Ite):
-        return (term.then_term, term.else_term)
-    if isinstance(term, Select):
-        return (term.index,)
-    if isinstance(term, Store):
-        parts: Tuple[Term, ...] = (term.index, term.value)
-        if isinstance(term.array, Store):
-            parts = (term.array,) + parts
-        return parts
-    raise TypeError(f"unknown term {term!r}")
+def node_children(node: _Interned) -> Tuple[_Interned, ...]:
+    """The term and formula children of ``node``, in field order.
+
+    This is the one statement of the IR's shape, read off each class's
+    ``_fields``: a child is a field value that is itself a node, or an
+    element of a tuple field (the operands of ``And``/``Or``).  Symbols,
+    relations and integers (an array symbol, a binder symbol,
+    ``Divides.divisor``) are labels, not children; a ``Store`` in an array
+    position (a chained store, or a read of one) is a child.
+    """
+    children: Tuple[_Interned, ...] = ()
+    for name in node._fields:
+        value = getattr(node, name)
+        if isinstance(value, _Interned):
+            children += (value,)
+        elif type(value) is tuple:
+            children += value
+    return children
 
 
-def formula_terms(formula: Formula) -> Iterator[Term]:
-    """Yield the top-level terms appearing in a formula's atoms."""
-    if isinstance(formula, Atom):
-        yield formula.left
-        yield formula.right
-    elif isinstance(formula, Divides):
-        yield formula.term
-    elif isinstance(formula, (And, Or)):
-        for operand in formula.operands:
-            yield from formula_terms(operand)
-    elif isinstance(formula, Not):
-        yield from formula_terms(formula.operand)
-    elif isinstance(formula, Implies):
-        yield from formula_terms(formula.antecedent)
-        yield from formula_terms(formula.consequent)
-    elif isinstance(formula, Iff):
-        yield from formula_terms(formula.left)
-        yield from formula_terms(formula.right)
-    elif isinstance(formula, (Exists, Forall)):
-        yield from formula_terms(formula.body)
-    elif isinstance(formula, (TrueF, FalseF)):
-        return
-    else:
-        raise TypeError(f"unknown formula {formula!r}")
+def rebuild(node: _Interned, children: Tuple[_Interned, ...]) -> _Interned:
+    """Reconstruct ``node`` with its children replaced (same order as
+    :func:`node_children`, whose rule picks the fields to fill), returning
+    ``node`` itself when nothing changed."""
+    old = node_children(node)
+    if len(children) != len(old):
+        raise ValueError(f"child arity mismatch rebuilding {node!r}")
+    if all(new is prev for new, prev in zip(children, old)):
+        return node
+    remaining = iter(children)
+    args = []
+    for name in node._fields:
+        value = getattr(node, name)
+        if isinstance(value, _Interned):
+            value = next(remaining)
+        elif type(value) is tuple:
+            value = tuple(next(remaining) for _ in value)
+        args.append(value)
+    return type(node)(*args)
 
 
 # -- cached structural queries ----------------------------------------------
@@ -788,7 +788,19 @@ def formula_terms(formula: Formula) -> Iterator[Term]:
 # Each query is computed once per interned node and cached on it; with heavy
 # subterm sharing (the common case across obligations of one program, and
 # across sibling candidates in the explorer) the amortised cost of a query
-# on a fresh formula is proportional to its *new* nodes only.
+# on a fresh formula is proportional to its *new* nodes only.  Each folds
+# its children's answers and adds only its own special cases.
+
+_EMPTY: FrozenSet[Symbol] = frozenset()
+
+
+def _union(left: FrozenSet[Symbol], right: FrozenSet[Symbol]) -> FrozenSet[Symbol]:
+    """``left | right``, reusing an operand that already holds the other."""
+    if right <= left:
+        return left
+    if left <= right:
+        return right
+    return left | right
 
 
 def _free_of(node: _Interned) -> FrozenSet[Symbol]:
@@ -796,39 +808,14 @@ def _free_of(node: _Interned) -> FrozenSet[Symbol]:
     if cached is not _UNSET:
         return cached
     cls = type(node)
-    result: FrozenSet[Symbol]
-    if cls is Const or cls is TrueF or cls is FalseF:
-        result = frozenset()
-    elif cls is SymTerm:
+    if cls is SymTerm:
         result = frozenset((node.symbol,))
-    elif cls is Ite:
-        result = _free_of(node.condition) | _free_of(node.then_term) | _free_of(node.else_term)
-    elif cls is Select:
-        result = _free_of(node.index)
-    elif cls is Store:
-        result = _free_of(node.index) | _free_of(node.value)
-        if isinstance(node.array, Store):
-            result |= _free_of(node.array)
-    elif cls is Atom:
-        result = _free_of(node.left) | _free_of(node.right)
-    elif cls is Divides:
-        result = _free_of(node.term)
-    elif cls is And or cls is Or:
-        result = frozenset()
-        for operand in node.operands:
-            result |= _free_of(operand)
-    elif cls is Not:
-        result = _free_of(node.operand)
-    elif cls is Implies:
-        result = _free_of(node.antecedent) | _free_of(node.consequent)
-    elif cls is Iff:
-        result = _free_of(node.left) | _free_of(node.right)
-    elif cls is Exists or cls is Forall:
-        result = _free_of(node.body) - frozenset((node.symbol,))
-    elif isinstance(node, _BinTerm):
-        result = _free_of(node.left) | _free_of(node.right)
     else:
-        raise TypeError(f"unknown formula {node!r}")
+        result = _EMPTY
+        for child in node_children(node):
+            result = _union(result, _free_of(child))
+        if (cls is Exists or cls is Forall) and node.symbol in result:
+            result = result - {node.symbol}
     object.__setattr__(node, "_free", result)
     return result
 
@@ -838,39 +825,11 @@ def _arrays_of(node: _Interned) -> FrozenSet[Symbol]:
     if cached is not _UNSET:
         return cached
     cls = type(node)
-    result: FrozenSet[Symbol]
-    if cls is Const or cls is SymTerm or cls is TrueF or cls is FalseF:
-        result = frozenset()
-    elif cls is Ite:
-        result = _arrays_of(node.condition) | _arrays_of(node.then_term) | _arrays_of(node.else_term)
-    elif cls is Select:
-        result = frozenset((node.array,)) | _arrays_of(node.index)
-    elif cls is Store:
-        if isinstance(node.array, Symbol):
-            result = frozenset((node.array,))
-        else:
-            result = _arrays_of(node.array)
-        result |= _arrays_of(node.index) | _arrays_of(node.value)
-    elif cls is Atom:
-        result = _arrays_of(node.left) | _arrays_of(node.right)
-    elif cls is Divides:
-        result = _arrays_of(node.term)
-    elif cls is And or cls is Or:
-        result = frozenset()
-        for operand in node.operands:
-            result |= _arrays_of(operand)
-    elif cls is Not:
-        result = _arrays_of(node.operand)
-    elif cls is Implies:
-        result = _arrays_of(node.antecedent) | _arrays_of(node.consequent)
-    elif cls is Iff:
-        result = _arrays_of(node.left) | _arrays_of(node.right)
-    elif cls is Exists or cls is Forall:
-        result = _arrays_of(node.body)
-    elif isinstance(node, _BinTerm):
-        result = _arrays_of(node.left) | _arrays_of(node.right)
-    else:
-        raise TypeError(f"unknown formula {node!r}")
+    result = _EMPTY
+    if (cls is Select or cls is Store) and type(node.array) is Symbol:
+        result = frozenset((node.array,))
+    for child in node_children(node):
+        result = _union(result, _arrays_of(child))
     object.__setattr__(node, "_arrays", result)
     return result
 
@@ -879,29 +838,9 @@ def _size_of(node: _Interned) -> int:
     cached = node._size
     if cached is not _UNSET:
         return cached
-    cls = type(node)
-    if cls is Ite:
-        result = 1 + _size_of(node.condition) + _size_of(node.then_term) + _size_of(node.else_term)
-    elif cls is Atom:
-        result = 1 + _size_of(node.left) + _size_of(node.right)
-    elif cls is Divides:
-        result = 1 + _size_of(node.term)
-    elif cls is And or cls is Or:
-        result = 1 + sum(_size_of(op) for op in node.operands)
-    elif cls is Not:
-        result = 1 + _size_of(node.operand)
-    elif cls is Implies:
-        result = 1 + _size_of(node.antecedent) + _size_of(node.consequent)
-    elif cls is Iff:
-        result = 1 + _size_of(node.left) + _size_of(node.right)
-    elif cls is Exists or cls is Forall:
-        result = 1 + _size_of(node.body)
-    elif isinstance(node, Term):
-        result = 1 + sum(_size_of(child) for child in term_children(node))
-    elif cls is TrueF or cls is FalseF:
-        result = 1
-    else:
-        raise TypeError(f"unknown formula {node!r}")
+    result = 1
+    for child in node_children(node):
+        result += _size_of(child)
     object.__setattr__(node, "_size", result)
     return result
 
@@ -910,35 +849,14 @@ def _qdepth_of(node: _Interned) -> int:
     cached = node._qdepth
     if cached is not _UNSET:
         return cached
+    result = 0
+    for child in node_children(node):
+        depth = _qdepth_of(child)
+        if depth > result:
+            result = depth
     cls = type(node)
     if cls is Exists or cls is Forall:
-        result = 1 + _qdepth_of(node.body)
-    elif cls is Const or cls is SymTerm or cls is TrueF or cls is FalseF:
-        result = 0
-    elif cls is Ite:
-        result = max(_qdepth_of(node.condition), _qdepth_of(node.then_term), _qdepth_of(node.else_term))
-    elif cls is Select:
-        result = _qdepth_of(node.index)
-    elif cls is Store:
-        result = max(_qdepth_of(node.index), _qdepth_of(node.value))
-        if isinstance(node.array, Store):
-            result = max(result, _qdepth_of(node.array))
-    elif cls is Atom:
-        result = max(_qdepth_of(node.left), _qdepth_of(node.right))
-    elif cls is Divides:
-        result = _qdepth_of(node.term)
-    elif cls is And or cls is Or:
-        result = max((_qdepth_of(op) for op in node.operands), default=0)
-    elif cls is Not:
-        result = _qdepth_of(node.operand)
-    elif cls is Implies:
-        result = max(_qdepth_of(node.antecedent), _qdepth_of(node.consequent))
-    elif cls is Iff:
-        result = max(_qdepth_of(node.left), _qdepth_of(node.right))
-    elif isinstance(node, _BinTerm):
-        result = max(_qdepth_of(node.left), _qdepth_of(node.right))
-    else:
-        raise TypeError(f"unknown formula {node!r}")
+        result += 1
     object.__setattr__(node, "_qdepth", result)
     return result
 

@@ -1,19 +1,14 @@
-"""Shared fold/transform framework over the interned formula IR.
+"""Shared traversals over the interned formula IR.
 
-Before this module existed every layer carried its own hand-rolled
-``isinstance`` recursion over :mod:`repro.logic.formula` — substitution,
-the solver's normalisation passes, obligation fingerprinting, the bounded
-model search — each spelling out the same twenty-case dispatch.  This
-module centralises that structure once:
+The IR's shape is stated once, in :mod:`repro.logic.formula`:
+:func:`node_children` reads a node's children off its class's ``_fields``
+and :func:`rebuild` puts new ones back in the same places.  Substitution,
+the cached structural queries, the solver's normalisation passes and the
+diagnostics all walk the IR through that one rule.  This module builds the
+shared walks on it:
 
-* :func:`node_children` / :func:`rebuild` — the child spec and the
-  identity-preserving reconstructor every traversal is built from;
 * :func:`iter_nodes` — sharing-aware iterative post-order (each interned
   node is visited once, however many times the DAG references it);
-* :func:`fold` — memoised bottom-up reduction;
-* :func:`transform` — memoised bottom-up rewriting that returns the
-  original node (not a copy) whenever nothing below it changed, which with
-  interning means untouched subtrees are shared, not rebuilt;
 * :func:`replace_node` — outermost-first replacement of one subterm;
 * :func:`map_atom_terms` — rewrite the terms of every atom, preserving the
   formula skeleton;
@@ -21,134 +16,24 @@ module centralises that structure once:
   Hoare VC generators in place of linear ``isinstance`` chains.
 
 Traversal memo tables are keyed by node identity, which interning makes
-equivalent to keying by structure.  Memoisation is only safe for
-*deterministic* rewrites: a pass that consumes fresh names per occurrence
-(e.g. compound-term elimination) must not reuse results across occurrences
-and therefore opts out.
+equivalent to keying by structure.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, TypeVar, Union
+from typing import Callable, Dict, Iterator, List, Tuple, Union
 
 from .formula import (
-    And,
     Atom,
-    Const,
     Divides,
-    Exists,
-    FalseF,
-    Forall,
     Formula,
-    Iff,
-    Implies,
     Ite,
-    Not,
-    Or,
-    Select,
-    Store,
-    SymTerm,
     Term,
-    TrueF,
-    _BinTerm,
+    node_children,
+    rebuild,
 )
 
 Node = Union[Term, Formula]
-T = TypeVar("T")
-
-_LEAVES = (Const, SymTerm, TrueF, FalseF)
-
-
-def node_children(node: Node) -> Tuple[Node, ...]:
-    """The immediate term/formula children of a node, in field order.
-
-    ``Ite`` conditions count as children (they are formulas nested inside a
-    term); ``Select``/``Store`` array *symbols* do not (symbols are not
-    nodes), but a chained ``Store`` array does.
-    """
-    if isinstance(node, _LEAVES):
-        return ()
-    if isinstance(node, _BinTerm):
-        return (node.left, node.right)
-    if isinstance(node, Atom):
-        return (node.left, node.right)
-    if isinstance(node, (And, Or)):
-        return node.operands
-    if isinstance(node, Not):
-        return (node.operand,)
-    if isinstance(node, Implies):
-        return (node.antecedent, node.consequent)
-    if isinstance(node, Iff):
-        return (node.left, node.right)
-    if isinstance(node, (Exists, Forall)):
-        return (node.body,)
-    if isinstance(node, Divides):
-        return (node.term,)
-    if isinstance(node, Ite):
-        return (node.condition, node.then_term, node.else_term)
-    if isinstance(node, Select):
-        return (node.index,)
-    if isinstance(node, Store):
-        if isinstance(node.array, Store):
-            return (node.array, node.index, node.value)
-        return (node.index, node.value)
-    raise TypeError(f"unknown node {node!r}")
-
-
-def formula_subformulas(formula: Formula) -> Tuple[Formula, ...]:
-    """Immediate *formula* children only (terms are not descended into).
-
-    This matches the formula-level cost model of the bounded model search:
-    quantifiers and connectives matter, atom internals do not.
-    """
-    if isinstance(formula, (And, Or)):
-        return formula.operands
-    if isinstance(formula, Not):
-        return (formula.operand,)
-    if isinstance(formula, Implies):
-        return (formula.antecedent, formula.consequent)
-    if isinstance(formula, Iff):
-        return (formula.left, formula.right)
-    if isinstance(formula, (Exists, Forall)):
-        return (formula.body,)
-    return ()
-
-
-def rebuild(node: Node, children: Tuple[Node, ...]) -> Node:
-    """Reconstruct ``node`` with its children replaced (same order as
-    :func:`node_children`), returning ``node`` itself when nothing changed."""
-    old = node_children(node)
-    if len(children) != len(old):
-        raise ValueError(f"child arity mismatch rebuilding {node!r}")
-    if all(new is prev for new, prev in zip(children, old)):
-        return node
-    cls = type(node)
-    if isinstance(node, _BinTerm):
-        return cls(children[0], children[1])
-    if cls is Atom:
-        return Atom(node.rel, children[0], children[1])
-    if cls is And or cls is Or:
-        return cls(tuple(children))
-    if cls is Not:
-        return Not(children[0])
-    if cls is Implies:
-        return Implies(children[0], children[1])
-    if cls is Iff:
-        return Iff(children[0], children[1])
-    if cls is Exists or cls is Forall:
-        return cls(node.symbol, children[0])
-    if cls is Divides:
-        return Divides(node.divisor, children[0])
-    if cls is Ite:
-        return Ite(children[0], children[1], children[2])
-    if cls is Select:
-        return Select(node.array, children[0])
-    if cls is Store:
-        if isinstance(node.array, Store):
-            return Store(children[0], children[1], children[2])
-        return Store(node.array, children[0], children[1])
-    raise TypeError(f"unknown node {node!r}")
-
 
 def iter_nodes(root: Node) -> Iterator[Node]:
     """Sharing-aware iterative post-order over a node DAG.
@@ -171,46 +56,6 @@ def iter_nodes(root: Node) -> Iterator[Node]:
         for child in reversed(node_children(node)):
             if id(child) not in seen:
                 stack.append((child, False))
-
-
-def fold(root: Node, fn: Callable[[Node, Tuple[T, ...]], T]) -> T:
-    """Memoised bottom-up reduction: ``fn(node, child_results)`` per node.
-
-    Shared subtrees are reduced once; the fold therefore runs in time
-    proportional to the number of *distinct* nodes, not tree size.
-    """
-    results: Dict[int, T] = {}
-    for node in iter_nodes(root):
-        results[id(node)] = fn(
-            node, tuple(results[id(child)] for child in node_children(node))
-        )
-    return results[id(root)]
-
-
-def transform(
-    root: Node,
-    fn: Callable[[Node], Node],
-    memo: Optional[Dict[int, Node]] = None,
-) -> Node:
-    """Memoised bottom-up rewrite: children first, then ``fn`` on the
-    (identity-preserving) rebuilt node.
-
-    Only use with deterministic ``fn`` — results are shared across all
-    occurrences of a subtree.
-    """
-    if memo is None:
-        memo = {}
-    result = memo.get(id(root))
-    if result is not None:
-        return result
-    children = node_children(root)
-    if children:
-        rebuilt = rebuild(root, tuple(transform(child, fn, memo) for child in children))
-    else:
-        rebuilt = root
-    result = fn(rebuilt)
-    memo[id(root)] = result
-    return result
 
 
 def replace_node(root: Node, target: Node, replacement: Node) -> Node:
@@ -261,10 +106,8 @@ def map_atom_terms(
         done = memo.get(id(f))
         if done is not None:
             return done
-        if isinstance(f, (TrueF, FalseF)):
-            result: Formula = f
-        elif isinstance(f, Atom):
-            result = Atom(f.rel, term_fn(f.left), term_fn(f.right))
+        if isinstance(f, Atom):
+            result: Formula = Atom(f.rel, term_fn(f.left), term_fn(f.right))
         elif isinstance(f, Divides):
             result = Divides(f.divisor, term_fn(f.term))
         else:

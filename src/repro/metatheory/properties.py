@@ -19,9 +19,8 @@ for (they must never fail on programs the proof systems verified).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
-from ..hoare.obligations import VerificationReport
 from ..lang.analysis import gamma as build_gamma
 from ..lang.ast import Program, Stmt
 from ..semantics.enumerate import EnumerationConfig, enumerate_executions

@@ -35,7 +35,7 @@ fingerprinted, deduplicated and reported stably across processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..lang import builder as b
 from ..lang.analysis import bool_vars, modified_vars

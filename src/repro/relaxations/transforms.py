@@ -18,18 +18,15 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..lang import builder as b
-from ..lang.analysis import modified_vars
 from ..lang.ast import (
     Assign,
     BoolExpr,
     Program,
     Relate,
     Relax,
-    Seq,
-    Skip,
     Stmt,
     While,
     replace_statement as _replace_statement,

@@ -15,13 +15,13 @@ metatheory harness checks this dynamically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from ..lang.ast import BoolExpr
 from ..logic.evaluate import EvaluationError, Valuation, evaluate
 from ..logic.formula import Formula, Symbol, Tag
 from ..logic.translate import formula_of_rel_bool
-from .state import Observation, ObservationList, State
+from .state import ObservationList, State
 
 
 @dataclass(frozen=True)

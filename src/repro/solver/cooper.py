@@ -24,9 +24,8 @@ universally quantified subformulas and as a cross-checking oracle in tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List
 
 from ..logic.formula import (
     And,

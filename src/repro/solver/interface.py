@@ -21,18 +21,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from .. import telemetry
 from ..logic.formula import (
-    FALSE,
     FalseF,
     Formula,
-    FreshSymbols,
     Symbol,
-    TRUE,
     TrueF,
-    conj,
     free_symbols,
     neg,
 )

@@ -21,7 +21,7 @@ so every cube that mentions the atom reads the same :class:`LinearAtom`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from typing import Dict, FrozenSet, Mapping, Optional, Tuple, Union
 

@@ -82,13 +82,14 @@ from ..logic.formula import (
     formula_size,
     quantifier_depth,
 )
-from ..logic.traverse import formula_subformulas
+from ..logic.traverse import node_children
 from .backend import active_backend
 
 
 def _subformulas(node: Formula) -> Sequence[Formula]:
-    """Immediate formula children (And/Or keep theirs in an ``operands`` tuple)."""
-    return formula_subformulas(node)
+    """Immediate formula children: the terms of an atom are not descended
+    into (the cost model counts connectives and quantifiers only)."""
+    return [child for child in node_children(node) if isinstance(child, Formula)]
 
 
 def _evaluation_blowup(formula: Formula, domain_size: int, cap: int = 10**9) -> int:

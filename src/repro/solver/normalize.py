@@ -23,7 +23,7 @@ The pipeline applied by :class:`repro.solver.interface.Solver` is:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..logic.formula import (
     Add,
@@ -58,7 +58,6 @@ from ..logic.formula import (
     TrueF,
     conj,
     disj,
-    exists,
     free_symbols,
     neg,
 )

@@ -19,7 +19,7 @@ This module simulates the substrate that produces those values:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..semantics.choosers import Chooser, MinimalChangeChooser

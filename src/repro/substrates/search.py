@@ -22,8 +22,8 @@ the pieces a realistic differential experiment needs:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from ..semantics.choosers import Chooser, MinimalChangeChooser
 from ..semantics.state import State

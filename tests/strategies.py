@@ -498,11 +498,12 @@ def ref_children(node):
         return (node.left, node.right)
     if isinstance(node, F.Ite):
         return (node.condition, node.then_term, node.else_term)
-    if isinstance(node, Select):
-        return (node.index,)
-    if isinstance(node, F.Store):
-        chained = (node.array,) if isinstance(node.array, F.Store) else ()
-        return chained + (node.index, node.value)
+    if isinstance(node, (Select, F.Store)):
+        # A store array (chained, or read before expansion) is a child; an
+        # array symbol is not.
+        array = (node.array,) if isinstance(node.array, F.Store) else ()
+        rest = (node.index,) if isinstance(node, Select) else (node.index, node.value)
+        return array + rest
     if isinstance(node, F.Atom):
         return (node.left, node.right)
     if isinstance(node, F.Divides):

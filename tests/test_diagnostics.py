@@ -24,6 +24,8 @@ import pickle
 import pytest
 
 from repro.casestudies import all_case_studies, get_case_study
+from repro.cli import main
+from repro.diagnostics import explain as explain_module
 from repro.diagnostics import (
     AtomEvaluation,
     FailureDiagnostic,
@@ -50,7 +52,8 @@ from repro.hoare.obligations import (
 from repro.hoare.verifier import AcceptabilitySpec, AcceptabilityVerifier
 from repro.lang.ast import Span
 from repro.lang.parser import parse_program
-from repro.logic.formula import FALSE, Symbol, Tag
+from repro.logic.formula import FALSE, Symbol, Tag, forall, gt, sym, var
+from repro.solver import interface
 from repro.solver.interface import Solver
 from repro.solver.lia import Status
 
@@ -366,3 +369,63 @@ class TestRenderHelpers:
             study="s", program="p", verified=True, replayed=True
         )
         assert "replayed" in report.render()
+
+
+class TestRecheckBudget:
+    """The solver queries behind a diagnostic's re-check run under the
+    budget the engine's obligations ran under, and unbounded without one."""
+
+    @pytest.fixture
+    def budgets(self, monkeypatch):
+        """The budget of every solver the re-check builds."""
+        seen = []
+
+        class RecordingSolver(interface.Solver):
+            def __init__(self, budget_seconds=None):
+                seen.append(budget_seconds)
+                super().__init__(budget_seconds)
+
+        monkeypatch.setattr(interface, "Solver", RecordingSolver)
+        return seen
+
+    @pytest.mark.parametrize("budget", [None, 7.5])
+    def test_diagnose_result_rechecks_under_budget(self, budgets, budget):
+        # Five nested quantifiers are too deep to enumerate, so the model is
+        # grounded into the formula and the solver refutes it.
+        formula = forall([sym(name) for name in "abcde"], gt(var("x"), 0))
+        obligation = ProofObligation(
+            formula=formula,
+            kind=ObligationKind.VALIDITY,
+            system=ProofSystem.ORIGINAL,
+            rule="assert",
+            description="assertion holds",
+        )
+        result = ObligationResult(
+            obligation, Status.INVALID, counterexample={sym("x"): 0}
+        )
+        diagnostic = diagnose_result(result, budget)
+        assert diagnostic.check_method == "solver-substitution"
+        assert diagnostic.formula_value is False
+        assert budgets == [budget]
+
+    @pytest.mark.parametrize("budget", [None, 30.0])
+    def test_verify_batch_explain_rechecks_under_budget(self, budgets, budget, capsys):
+        argv = ["verify-batch", "--dir", os.path.dirname(BROKEN_FIXTURE), "--explain"]
+        if budget is not None:
+            argv += ["--budget", str(budget)]
+        assert main(argv) == 1
+        assert "refuted by the solver" in capsys.readouterr().out
+        assert budgets and set(budgets) == {budget}
+
+    def test_explain_passes_engine_budget(self, monkeypatch):
+        seen = []
+
+        def recording(report, budget_seconds=None):
+            seen.append(budget_seconds)
+            return []
+
+        monkeypatch.setattr(explain_module, "diagnose_report", recording)
+        with ObligationEngine.for_batch(budget_seconds=30.0) as engine:
+            explain_case_study("lu", ["knob:N:f1"], engine=engine)
+        explain_case_study("lu", ["knob:N:f1"])
+        assert seen == [30.0, None]

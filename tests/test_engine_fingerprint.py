@@ -156,6 +156,15 @@ class TestTermCoverage:
         assert "(st " in canonical_form(one)
         assert fp(one) != fp(other)
 
+    def test_select_over_store_is_not_cached_under_a_binder_of_its_index(self):
+        # The store's index is free in the read, so the read's canonical
+        # text where the index is free and under a binder of it must differ,
+        # whichever is computed (and cached) first.
+        atom = eq(Select(Store(sym("A"), var("i"), Const(3)), var("k")), Const(0))
+        assert "s:i" not in canonical_form(exists(sym("i"), atom))
+        assert "s:i" in canonical_form(atom)
+        assert "s:i" not in canonical_form(exists(sym("i"), atom))
+
     def test_quantified_array_symbol_does_not_collide_with_free_array(self):
         # The proof rules never quantify arrays, but the fingerprint must
         # stay sound if such a formula ever reaches the cache: binding the

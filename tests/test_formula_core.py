@@ -52,22 +52,19 @@ from repro.logic.formula import (
     quantifier_depth,
     sym,
     sym_r,
-    term_children,
     var,
 )
 from repro.logic.subst import rename_arrays, substitute
 from repro.logic.traverse import (
     TypeDispatcher,
-    fold,
-    formula_subformulas,
     iter_nodes,
     node_children,
     rebuild,
     replace_node,
-    transform,
 )
+from repro.solver.models import _subformulas
 from repro.solver.normalize import to_nnf
-from strategies import ref_free, ref_qdepth, ref_size
+from strategies import ref_arrays, ref_free, ref_qdepth, ref_size
 
 
 def _study_corpus():
@@ -176,8 +173,19 @@ class TestCachedQueries:
         assert quantifier_depth(formula) == ref_qdepth(formula)
 
     @pytest.mark.parametrize("formula", SAMPLE_FORMULAS, ids=str)
+    def test_formula_arrays_matches_reference(self, formula):
+        assert formula_arrays(formula) == ref_arrays(formula)
+
+    @pytest.mark.parametrize("formula", SAMPLE_FORMULAS, ids=str)
     def test_formula_size_matches_reference(self, formula):
         assert formula_size(formula) == ref_size(formula)
+
+    def test_select_over_store_reads_the_store(self):
+        # A read of an unexpanded store mentions the store's index and value
+        # and reads the store's array, never the store term itself.
+        formula = F.eq(Select(Store(sym("A"), var("i"), var("v")), var("k")), Const(0))
+        assert free_symbols(formula) == {sym("i"), sym("v"), sym("k")}
+        assert formula_arrays(formula) == {sym("A")}
 
     def test_formula_size_counts_nodes(self):
         # Size counts terms and connectives but not array symbols, exactly
@@ -230,10 +238,6 @@ class TestIdentityPreservation:
         formula = conj(F.lt(var("x"), 3), F.gt(var("y"), 0))
         assert rebuild(formula, node_children(formula)) is formula
 
-    def test_transform_identity(self):
-        formula = Implies(F.lt(var("x"), 3), F.gt(var("y"), 0))
-        assert transform(formula, lambda node: node) is formula
-
     def test_with_tag_returns_self_when_unchanged(self):
         plain = sym("x")
         tagged = sym_r("x")
@@ -262,13 +266,6 @@ class TestTraversals:
             for child in node_children(parent):
                 assert nodes.index(child) < nodes.index(parent)
 
-    def test_fold_counts_distinct_nodes_once(self):
-        shared = F.lt(var("x"), 0)
-        formula = conj(shared, shared, F.gt(var("y"), 1))
-        visits = []
-        fold(formula, lambda node, children: visits.append(node))
-        assert visits.count(shared) == 1
-
     def test_replace_node_replaces_all_occurrences(self):
         target = var("x")
         formula = conj(F.lt(target, 3), F.gt(target + 1, 0))
@@ -283,10 +280,10 @@ class TestTraversals:
         assert replaced.condition is term.condition  # condition untouched
         assert replaced.then_term == var("z")
 
-    def test_formula_subformulas_skips_terms(self):
+    def test_model_search_subformulas_skip_terms(self):
         formula = Implies(F.lt(var("x"), 0), F.TRUE)
-        assert formula_subformulas(formula) == (formula.antecedent, formula.consequent)
-        assert formula_subformulas(F.lt(var("x"), 0)) == ()
+        assert _subformulas(formula) == [formula.antecedent, formula.consequent]
+        assert _subformulas(F.lt(var("x"), 0)) == []
 
     def test_type_dispatcher_dispatches_and_rejects(self):
         dispatch = TypeDispatcher("demo")
