@@ -13,8 +13,14 @@ commands cannot drift apart:
   process: ``cube_count``, ``cooper_eliminations``,
   ``bounded_fallbacks``, ``unknown_results``, ``total_seconds``,
   ``prefiltered_cubes``, ...) and, when a cache is attached, ``cache``
-  (hit/miss counters with ``hits`` / ``misses`` / ``hit_rate``) —
-  injected uniformly by :func:`report_payload` from the engine instance;
+  (``hits`` / ``misses`` / ``hit_rate``, which are the engine's
+  ``cache_hits`` / ``cache_misses``, plus the cache's ``entries`` and
+  ``stores``) — injected uniformly by :func:`report_payload` from the
+  engine instance, the ``cache`` section through
+  :meth:`~repro.engine.core.ObligationEngine.cache_stats`;
+* the ``explore`` payload's ``incremental`` section is built from the
+  engine's ``incremental_reused`` / ``delta_obligations`` counters and
+  the size of the search's verdict store;
 * both cube counters stop at each query's deciding cube (its first SAT
   cube, else its last): ``cube_count`` counts the cubes walked, pruned
   or solved, and ``prefiltered_cubes`` the ones the interval box pruned.
@@ -102,7 +108,7 @@ def report_payload(
         payload.setdefault("engine", engine.statistics.as_dict())
         payload.setdefault("solver", dict(engine.solver_statistics.as_dict()))
         if engine.cache is not None:
-            payload.setdefault("cache", engine.cache.stats())
+            payload.setdefault("cache", engine.cache_stats())
     if telemetry_session is not None:
         from .telemetry import telemetry_section
 

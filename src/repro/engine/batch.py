@@ -416,6 +416,6 @@ def _finish(collected: CollectedBatch) -> BatchReport:
     report.elapsed_seconds = collected.seconds + time.perf_counter() - start
     report.engine_stats = engine.statistics.as_dict()
     report.solver_stats = engine.solver_statistics.as_dict()
-    report.cache_stats = engine.cache.stats()
+    report.cache_stats = engine.cache_stats()
     return report
 

@@ -19,6 +19,12 @@ Caching policy
   corrupt store, or one written under another store version or another
   :data:`~repro.solver.interface.SOLVER_SEMANTICS`, is discarded rather
   than trusted.
+
+The cache counts only the verdicts it stored (``stores``).  The hits and
+misses of obligation lookups are counted once, in the engine's
+:class:`~repro.engine.core.EngineStatistics`, and
+:meth:`~repro.engine.core.ObligationEngine.cache_stats` builds a report's
+``cache`` section from both.
 """
 
 from __future__ import annotations
@@ -76,8 +82,8 @@ class ObligationCache:
             raise ValueError("cache capacity must be positive")
         self.capacity = capacity
         self.cache_dir = cache_dir
-        self.hits = 0
-        self.misses = 0
+        #: Verdicts stored by :meth:`put`; the engine's statistics count
+        #: the hits and misses of its lookups.
         self.stores = 0
         self._entries: "OrderedDict[str, CachedVerdict]" = OrderedDict()
         self._dirty = False
@@ -89,21 +95,11 @@ class ObligationCache:
 
     # -- lookup / insert ---------------------------------------------------------
 
-    def get(self, key: str, counted: bool = True) -> Optional[CachedVerdict]:
-        """The cached verdict for ``key``, or ``None``.
-
-        ``counted=False`` leaves the hit/miss counters alone: they count
-        obligations, and the engine's premise lookups share the entries
-        but not the counters.
-        """
+    def get(self, key: str) -> Optional[CachedVerdict]:
+        """The cached verdict for ``key``, or ``None``."""
         entry = self._entries.get(key)
-        if entry is None:
-            if counted:
-                self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        if counted:
-            self.hits += 1
+        if entry is not None:
+            self._entries.move_to_end(key)
         return entry
 
     def put(
@@ -216,19 +212,3 @@ class ObligationCache:
             raise
         self._dirty = False
         return path
-
-    # -- reporting ---------------------------------------------------------------
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> Dict[str, float]:
-        return {
-            "entries": float(len(self._entries)),
-            "hits": float(self.hits),
-            "misses": float(self.misses),
-            "stores": float(self.stores),
-            "hit_rate": self.hit_rate,
-        }

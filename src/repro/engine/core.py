@@ -21,15 +21,15 @@ of a wave in five steps:
 :meth:`ObligationEngine.prefetch` runs step 1 early, as soon as a
 program's obligations are collected, and with ``jobs > 1`` already starts
 step 5 on the worker pool for every obligation that neither the store, an
-earlier prefetch nor the cache (peeked without counting) answers.  That
-is speculation only: ``discharge_all`` still takes the five steps in
-index order and alone decides which obligations reach the solver.  A
-pending obligation joins its prefetched discharge instead of submitting
-one; a prefetched discharge that the wave does not need (a convergence
-premise put its verdict in the cache meanwhile) is cancelled and counted
-as unused; and one lost to a pool that another task broke is run once
-more, so that only a discharge submitted at booking settles as ``worker
-died``.
+earlier prefetch nor the cache answers (a peek: only booking counts
+cache hits and misses).  That is speculation only: ``discharge_all``
+still takes the five steps in index order and alone decides which
+obligations reach the solver.  A pending obligation joins its
+prefetched discharge instead of submitting one; a prefetched discharge
+that the wave does not need (a convergence premise put its verdict in
+the cache meanwhile) is cancelled and counted as unused; and one lost to
+a pool that another task broke is run once more, so that only a
+discharge submitted at booking settles as ``worker died``.
 
 Every caller takes this path, one wave per collected proof: batch
 verification, the explorer and the fuzz funnel with an engine of their
@@ -52,7 +52,7 @@ wave until :meth:`ObligationEngine.close`; use it as a context manager
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence
 
 from .. import telemetry
@@ -104,22 +104,7 @@ class EngineStatistics:
     total_seconds: float = 0.0
 
     def as_dict(self) -> Dict[str, float]:
-        return {
-            "obligations": float(self.obligations),
-            "cache_hits": float(self.cache_hits),
-            "cache_misses": float(self.cache_misses),
-            "dedup_hits": float(self.dedup_hits),
-            "incremental_reused": float(self.incremental_reused),
-            "delta_obligations": float(self.delta_obligations),
-            "solver_calls": float(self.solver_calls),
-            "premise_cache_hits": float(self.premise_cache_hits),
-            "premise_solver_calls": float(self.premise_solver_calls),
-            "parallel_batches": float(self.parallel_batches),
-            "prefetched": float(self.prefetched),
-            "prefetch_unused": float(self.prefetch_unused),
-            "unknown_results": float(self.unknown_results),
-            "total_seconds": self.total_seconds,
-        }
+        return {item.name: float(getattr(self, item.name)) for item in fields(self)}
 
 
 def _result(
@@ -256,7 +241,7 @@ class ObligationEngine:
                     self.jobs == 1
                     or key in self._speculative
                     or (store is not None and key in store)
-                    or self.cache.get(key, counted=False) is not None
+                    or self.cache.get(key) is not None
                 ):
                     continue
                 self._speculative[key] = self.scheduler.discharge(
@@ -450,12 +435,12 @@ class ObligationEngine:
         or on disk), else one in-process solve under ``budget_seconds``
         whose verdict is cached when conclusive.  An ``UNKNOWN`` verdict, or
         a premise that raises, answers ``False``: the prover then takes the
-        sound diverge rule.  Premises never move the obligation counters or
-        the cache's hit/miss counts.
+        sound diverge rule.  Premises never move the obligation counters,
+        the cache's hit/miss counts among them.
         """
         try:
             key = fingerprint(formula, ObligationKind.VALIDITY.value)
-            cached = self.cache.get(key, counted=False)
+            cached = self.cache.get(key)
             if cached is not None:
                 self.statistics.premise_cache_hits += 1
                 telemetry.count("engine.premise.cache_hits")
@@ -474,9 +459,24 @@ class ObligationEngine:
         """Flush the cache to its cache directory."""
         self.cache.save()
 
+    def cache_stats(self) -> Dict[str, float]:
+        """The ``cache`` section of a report.
+
+        Hits and misses are the obligation lookups of :attr:`statistics`;
+        the entries held and the verdicts stored come from the cache.
+        """
+        hits, misses = self.statistics.cache_hits, self.statistics.cache_misses
+        return {
+            "entries": float(len(self.cache)),
+            "hits": float(hits),
+            "misses": float(misses),
+            "stores": float(self.cache.stores),
+            "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+        }
+
     def stats(self) -> Dict[str, Dict[str, float]]:
         return {
             "engine": self.statistics.as_dict(),
             "solver": self.solver_statistics.as_dict(),
-            "cache": self.cache.stats(),
+            "cache": self.cache_stats(),
         }

@@ -27,11 +27,14 @@ cache:
   empty and the persistent cache still answers the first occurrence of
   each conclusive obligation.
 
-The reuse counters (``reused`` / ``delta``) are the evidence the
-incremental gate works: :meth:`stats` feeds the ``incremental`` section of
-the ``repro explore --json`` envelope, and the engine mirrors them into
-telemetry (``engine.incremental.reused`` / ``engine.incremental.delta``)
-and its statistics.
+The store counts nothing.  The engine counts each pooled obligation
+once, as reused or as delta, in its statistics
+(``incremental_reused`` / ``delta_obligations``) and in telemetry
+(``engine.incremental.reused`` / ``engine.incremental.delta``).  An
+obligation that cannot be fingerprinted never reaches the store, and
+still counts as delta.  The explorer builds the ``incremental`` section
+of the ``repro explore --json`` envelope from those statistics and the
+store's size.
 """
 
 from __future__ import annotations
@@ -53,37 +56,23 @@ class StoredVerdict:
 
 
 class VerdictStore:
-    """Session-scoped fingerprint → verdict memo over one search.
-
-    ``get`` counts a reuse on every hit; ``record`` counts a delta
-    discharge on every store.  ``reused + delta`` therefore equals the
-    total number of obligations the search pooled (duplicate occurrences
-    within one wave each count once — they are distinct pooled
-    obligations, even though the engine's in-wave dedup proves them once).
-    """
+    """Session-scoped fingerprint → verdict memo over one search."""
 
     def __init__(self) -> None:
         self._entries: Dict[str, StoredVerdict] = {}
-        self.reused = 0
-        self.delta = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __contains__(self, key: str) -> bool:
-        """Whether ``key`` is stored (a peek: counts nothing)."""
         return key in self._entries
 
     def get(self, key: str) -> Optional[StoredVerdict]:
-        """The stored verdict for ``key`` (counted as a reuse), or None."""
-        entry = self._entries.get(key)
-        if entry is not None:
-            self.reused += 1
-        return entry
+        """The stored verdict for ``key``, or None."""
+        return self._entries.get(key)
 
     def record(self, key: str, result: ObligationResult) -> None:
-        """Store a freshly discharged verdict (counted as a delta)."""
-        self.delta += 1
+        """Store a freshly discharged verdict."""
         self._entries[key] = StoredVerdict(
             status=result.status,
             model=(
@@ -93,22 +82,3 @@ class VerdictStore:
             ),
             reason=result.reason,
         )
-
-    @property
-    def total(self) -> int:
-        """Obligations seen by the store: reused + discharged as delta."""
-        return self.reused + self.delta
-
-    @property
-    def reuse_rate(self) -> float:
-        return self.reused / self.total if self.total else 0.0
-
-    def stats(self) -> Dict[str, float]:
-        """The ``incremental`` section of the explore report/envelope."""
-        return {
-            "reused": float(self.reused),
-            "delta_obligations": float(self.delta),
-            "total_obligations": float(self.total),
-            "reuse_rate": self.reuse_rate,
-            "store_entries": float(len(self._entries)),
-        }

@@ -172,8 +172,10 @@ class ExploreReport:
     #: True when ``search_budget_seconds`` stopped the search before the
     #: requested depth was reached.
     truncated: bool = False
-    #: The search-session verdict store's counters
-    #: (:meth:`repro.engine.incremental.VerdictStore.stats`).
+    #: The incremental gate's counters: the pooled obligations the
+    #: search-session verdict store answered (``reused``) and those
+    #: discharged as ``delta_obligations``, from the engine's statistics,
+    #: plus the store's size (``store_entries``).
     incremental: Dict[str, float] = field(default_factory=dict)
     #: The frontier scheduler's learned site-kind reward table.
     reward_table: Dict[str, Dict[str, float]] = field(default_factory=dict)
@@ -499,12 +501,26 @@ def explore(
         report.duplicate_candidates,
     ) = gated_counts or _space_counts(space)
     report.beam_pruned = scheduler.pruned
-    report.incremental = store.stats()
+    report.incremental = _incremental(engine, store)
     report.reward_table = scheduler.rewards.as_dict()
     report.engine_stats = engine.statistics.as_dict()
     report.solver_stats = engine.solver_statistics.as_dict()
-    report.cache_stats = engine.cache.stats()
+    report.cache_stats = engine.cache_stats()
     return report
+
+
+def _incremental(engine: ObligationEngine, store: VerdictStore) -> Dict[str, float]:
+    """The ``incremental`` section: every obligation the search pooled
+    through ``store``, as counted by ``engine``, and the store's size."""
+    reused = engine.statistics.incremental_reused
+    total = reused + engine.statistics.delta_obligations
+    return {
+        "reused": float(reused),
+        "delta_obligations": float(total - reused),
+        "total_obligations": float(total),
+        "reuse_rate": reused / total if total else 0.0,
+        "store_entries": float(len(store)),
+    }
 
 
 def _space_counts(space: CandidateSpace) -> Tuple[int, int, int]:

@@ -20,7 +20,7 @@ which the verification layer treats as "obligation not discharged".
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Optional
 
 from .. import telemetry
@@ -97,16 +97,7 @@ class SolverStatistics:
     prefiltered_cubes: int = 0
 
     def as_dict(self) -> Dict[str, float]:
-        return {
-            "sat_queries": self.sat_queries,
-            "validity_queries": self.validity_queries,
-            "cube_count": self.cube_count,
-            "cooper_eliminations": self.cooper_eliminations,
-            "bounded_fallbacks": self.bounded_fallbacks,
-            "unknown_results": self.unknown_results,
-            "total_seconds": self.total_seconds,
-            "prefiltered_cubes": self.prefiltered_cubes,
-        }
+        return {item.name: getattr(self, item.name) for item in fields(self)}
 
     def merge(self, counters: Dict[str, float]) -> None:
         """Add another statistics dict (e.g. from a worker's solver) into this one.
@@ -114,14 +105,9 @@ class SolverStatistics:
         Unknown keys are ignored, so the format can grow without breaking
         older counters shipped back from worker processes.
         """
-        self.sat_queries += int(counters.get("sat_queries", 0))
-        self.validity_queries += int(counters.get("validity_queries", 0))
-        self.cube_count += int(counters.get("cube_count", 0))
-        self.cooper_eliminations += int(counters.get("cooper_eliminations", 0))
-        self.bounded_fallbacks += int(counters.get("bounded_fallbacks", 0))
-        self.unknown_results += int(counters.get("unknown_results", 0))
-        self.total_seconds += float(counters.get("total_seconds", 0.0))
-        self.prefiltered_cubes += int(counters.get("prefiltered_cubes", 0))
+        for item in fields(self):
+            value = getattr(self, item.name)
+            setattr(self, item.name, value + type(value)(counters.get(item.name, 0)))
 
 
 #: The version of what :class:`Solver` decides: which verdict and which

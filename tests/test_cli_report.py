@@ -40,10 +40,6 @@ class TestReportPayload:
         assert payload["verified"] is False
 
     def test_engine_counters_are_injected(self):
-        class FakeCache:
-            def stats(self):
-                return {"hits": 3, "misses": 1, "hit_rate": 0.75}
-
         class FakeStats:
             def as_dict(self):
                 return {"obligations": 4}
@@ -60,9 +56,12 @@ class TestReportPayload:
                 }
 
         class FakeEngine:
-            cache = FakeCache()
+            cache = object()
             statistics = FakeStats()
             solver_statistics = FakeSolverStats()
+
+            def cache_stats(self):
+                return {"hits": 3, "misses": 1, "hit_rate": 0.75}
 
         payload = report_payload("verify-case-study", {}, verified=True, engine=FakeEngine())
         assert payload["engine"] == {"obligations": 4}

@@ -38,7 +38,8 @@ from repro.hoare.obligations import (
     ProofObligation,
     ProofSystem,
 )
-from repro.logic.formula import eq, sym, var
+from repro.hoare.verifier import AcceptabilityVerifier
+from repro.logic.formula import eq, ge, sym, var
 from repro.solver.lia import Status
 
 
@@ -88,25 +89,6 @@ class TestVerdictStore:
         verdict = store.get("key")
         assert verdict is not None
         assert verdict.status is Status.UNKNOWN
-
-    def test_counters_partition_the_total(self):
-        store = VerdictStore()
-        result = ObligationResult(obligation=_obligation(1), status=Status.SAT)
-        store.record("a", result)
-        store.record("b", result)
-        assert store.get("a") is not None
-        assert store.get("a") is not None
-        assert store.get("missing") is None
-        assert store.reused == 2
-        assert store.delta == 2
-        assert store.total == 4
-        assert store.reuse_rate == 0.5
-        stats = store.stats()
-        assert stats["reused"] == 2.0
-        assert stats["delta_obligations"] == 2.0
-        assert stats["total_obligations"] == 4.0
-        assert stats["store_entries"] == 2.0
-        assert len(store) == 2
 
 
 class TestRewardTable:
@@ -323,6 +305,35 @@ class TestIncrementalGate:
             report.engine_stats["delta_obligations"]
             == report.incremental["delta_obligations"]
         )
+
+    def test_unfingerprintable_obligations_are_delta(self, monkeypatch):
+        """An obligation nested past the recursion limit cannot be
+        fingerprinted, so the store never sees it; it is still pooled and
+        discharged, and the incremental section counts it as delta."""
+        collect = AcceptabilityVerifier.collect
+
+        def collect_with_a_deep_obligation(self, *args, **kwargs):
+            bundle = collect(self, *args, **kwargs)
+            term = var("x")
+            for _ in range(1200):
+                term = term + 1
+            bundle.original.add(
+                ge(term, 0), ObligationKind.SATISFIABILITY, rule="deep",
+                description="nested past the recursion limit",
+            )
+            return bundle
+
+        monkeypatch.setattr(AcceptabilityVerifier, "collect", collect_with_a_deep_obligation)
+        report = explore("lu", depth=1, samples=1, seed=0)
+        pooled = sum(outcome.obligations for outcome in report.outcomes)
+        incremental = report.incremental
+        assert incremental["reused"] > 0
+        assert (
+            incremental["reused"] + incremental["delta_obligations"]
+            == incremental["total_obligations"]
+            == pooled
+        )
+        assert incremental["delta_obligations"] == report.engine_stats["delta_obligations"]
 
     def test_depth_four_beam_reuses_parent_verdicts(self):
         report = explore(

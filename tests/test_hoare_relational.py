@@ -202,7 +202,7 @@ class TestConvergencePremises:
         assert (stats.premise_solver_calls, stats.premise_cache_hits) == (1, 1)
         # Premises never move the obligation counters.
         assert (stats.obligations, stats.solver_calls, stats.cache_misses) == (0, 0, 0)
-        assert engine.cache.stats()["misses"] == 0
+        assert engine.cache_stats()["misses"] == 0
 
     @pytest.mark.parametrize("check_valid", [_raise, _unknown], ids=["raises", "unknown"])
     def test_inconclusive_premise_takes_the_diverge_rule(self, monkeypatch, check_valid):
