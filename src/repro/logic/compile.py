@@ -92,38 +92,6 @@ _REL_OPS = {
 _MISSING = object()
 
 
-class _CompileStats:
-    """Counters for the per-node closure cache (cold vs warm compilation)."""
-
-    __slots__ = ("requests", "hits", "nodes_compiled")
-
-    def __init__(self) -> None:
-        self.requests = 0
-        self.hits = 0
-        self.nodes_compiled = 0
-
-
-_STATS = _CompileStats()
-
-
-def compile_stats() -> Dict[str, float]:
-    """Closure-cache counters: top-level requests, warm hits, nodes compiled."""
-    requests, hits = _STATS.requests, _STATS.hits
-    return {
-        "requests": requests,
-        "hits": hits,
-        "nodes_compiled": _STATS.nodes_compiled,
-        "hit_rate": (hits / requests) if requests else 0.0,
-    }
-
-
-def reset_compile_stats() -> None:
-    """Zero the compile counters (cached closures are left on the nodes)."""
-    _STATS.requests = 0
-    _STATS.hits = 0
-    _STATS.nodes_compiled = 0
-
-
 # ---------------------------------------------------------------------------
 # Term compilation
 # ---------------------------------------------------------------------------
@@ -321,7 +289,6 @@ def _term(term: Term) -> CompiledTerm:
     if compiled is not _UNSET:
         return compiled
     compiled = _build_term(term)
-    _STATS.nodes_compiled += 1
     object.__setattr__(term, "_compiled", compiled)
     return compiled
 
@@ -331,7 +298,6 @@ def _formula(formula: Formula) -> CompiledFormula:
     if compiled is not _UNSET:
         return compiled
     compiled = _build_formula(formula)
-    _STATS.nodes_compiled += 1
     object.__setattr__(formula, "_compiled", compiled)
     return compiled
 
@@ -340,9 +306,6 @@ def compile_term(term: Term) -> CompiledTerm:
     """Compile a term to a closure, memoised on the interned node."""
     if not isinstance(term, Term):
         raise TypeError(f"unknown term {term!r}")
-    _STATS.requests += 1
-    if term._compiled is not _UNSET:
-        _STATS.hits += 1
     return _term(term)
 
 
@@ -350,9 +313,6 @@ def compile_formula(formula: Formula) -> CompiledFormula:
     """Compile a formula to a closure, memoised on the interned node."""
     if not isinstance(formula, Formula):
         raise TypeError(f"unknown formula {formula!r}")
-    _STATS.requests += 1
-    if formula._compiled is not _UNSET:
-        _STATS.hits += 1
     return _formula(formula)
 
 

@@ -157,39 +157,10 @@ def sym_r(name: str) -> Symbol:
 # ---------------------------------------------------------------------------
 
 
-class _InternStats:
-    """Counters for intern-table traffic (hit rate is a sharing measure)."""
-
-    __slots__ = ("hits", "misses")
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
-
 _INTERN: Dict[tuple, "_Interned"] = {}
-_INTERN_STATS = _InternStats()
 
 # Lazy-cache sentinel: slots are initialised to this until first computed.
 _UNSET = object()
-
-
-def intern_stats() -> Dict[str, float]:
-    """Intern-table counters: constructor hits/misses, live nodes, hit rate."""
-    hits, misses = _INTERN_STATS.hits, _INTERN_STATS.misses
-    total = hits + misses
-    return {
-        "hits": hits,
-        "misses": misses,
-        "live_nodes": len(_INTERN),
-        "hit_rate": (hits / total) if total else 0.0,
-    }
-
-
-def reset_intern_stats() -> None:
-    """Zero the hit/miss counters (the table itself is left untouched)."""
-    _INTERN_STATS.hits = 0
-    _INTERN_STATS.misses = 0
 
 
 class _Interned:
@@ -230,9 +201,7 @@ def _mk(cls, args: tuple) -> "_Interned":
     key = (cls, *args)
     node = _INTERN.get(key)
     if node is not None:
-        _INTERN_STATS.hits += 1
         return node
-    _INTERN_STATS.misses += 1
     node = object.__new__(cls)
     set_ = object.__setattr__
     for name, value in zip(cls._fields, args):

@@ -67,38 +67,23 @@ ArraySubstitution = Mapping[Symbol, "Term"]  # array symbol -> Store/Symbol-root
 #: exploration holds about 3,600 and the studies batch about 5,000.
 _MEMO_LIMIT = 65_536
 
-
-class _MemoStats:
-    """Rewrite-memo counters: results held, top-level hits and misses."""
-
-    __slots__ = ("entries", "hits", "misses")
-
-    def __init__(self) -> None:
-        self.entries = 0
-        self.hits = 0
-        self.misses = 0
-
-
 _PASSES: Dict[Tuple[FrozenSet, FrozenSet], "_Subst"] = {}
-_MEMO_STATS = _MemoStats()
+#: Results memoised over all passes, held against :data:`_MEMO_LIMIT`.
+_memo_entries = 0
 
 
 def rewrite_memo_stats() -> Dict[str, int]:
-    """Rewrite-memo counters: passes, memoised results, top-level hits/misses."""
-    return {
-        "passes": len(_PASSES),
-        "entries": _MEMO_STATS.entries,
-        "hits": _MEMO_STATS.hits,
-        "misses": _MEMO_STATS.misses,
-    }
+    """The rewrite memo's size: passes and memoised results.  Traced runs
+    count its top-level hits and misses (``logic.rewrite.hits`` /
+    ``logic.rewrite.misses``)."""
+    return {"passes": len(_PASSES), "entries": _memo_entries}
 
 
 def clear_rewrite_memo() -> None:
-    """Drop every memoised rewrite and zero the counters."""
+    """Drop every memoised rewrite."""
+    global _memo_entries
     _PASSES.clear()
-    _MEMO_STATS.entries = 0
-    _MEMO_STATS.hits = 0
-    _MEMO_STATS.misses = 0
+    _memo_entries = 0
 
 
 def _pass(mapping: Substitution, arrays: Mapping[Symbol, Term]) -> "_Subst":
@@ -113,18 +98,15 @@ def _pass(mapping: Substitution, arrays: Mapping[Symbol, Term]) -> "_Subst":
 
 def _rewrite(node, mapping: Substitution, arrays: Mapping[Symbol, Term]):
     """Top-level entry: rewrite ``node`` (a term or a formula) through the memo."""
-    if _MEMO_STATS.entries >= _MEMO_LIMIT:
-        _PASSES.clear()
-        _MEMO_STATS.entries = 0
+    if _memo_entries >= _MEMO_LIMIT:
+        clear_rewrite_memo()
     ctx = _pass(mapping, arrays)
     if ctx.untouched(node):
         return node
     done = ctx.memo.get(node)
     if done is not None:
-        _MEMO_STATS.hits += 1
         telemetry.count("logic.rewrite.hits")
         return done
-    _MEMO_STATS.misses += 1
     telemetry.count("logic.rewrite.misses")
     return ctx.term(node) if isinstance(node, Term) else ctx.formula(node)
 
@@ -161,8 +143,9 @@ class _Subst:
         return captured
 
     def _remember(self, node, result):
+        global _memo_entries
         self.memo[node] = result
-        _MEMO_STATS.entries += 1
+        _memo_entries += 1
         return result
 
     # -- terms -----------------------------------------------------------------

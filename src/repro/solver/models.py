@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..logic.compile import compile_formula
@@ -124,56 +124,6 @@ def _candidate_values(radius: int) -> List[int]:
         values.append(magnitude)
         values.append(-magnitude)
     return values
-
-
-# ---------------------------------------------------------------------------
-# Search statistics (benchmark/report instrumentation)
-# ---------------------------------------------------------------------------
-
-
-class _SearchStats:
-    """Counters across every search in this process (prune/throughput rates)."""
-
-    __slots__ = (
-        "searches",
-        "assignments_evaluated",
-        "assignment_space",
-        "pruned_space",
-        "models_found",
-    )
-
-    def __init__(self) -> None:
-        self.searches = 0
-        self.assignments_evaluated = 0
-        self.assignment_space = 0  # product of unpruned candidate-list sizes
-        self.pruned_space = 0  # product of pruned candidate-list sizes
-        self.models_found = 0
-
-
-_SEARCH_STATS = _SearchStats()
-_SPACE_CAP = 10**12  # keep the space products finite for reporting
-
-
-def search_stats() -> Dict[str, float]:
-    """Model-search counters, including the unit-propagation prune rate."""
-    space, pruned = _SEARCH_STATS.assignment_space, _SEARCH_STATS.pruned_space
-    return {
-        "searches": _SEARCH_STATS.searches,
-        "assignments_evaluated": _SEARCH_STATS.assignments_evaluated,
-        "assignment_space": space,
-        "pruned_space": pruned,
-        "prune_rate": (1.0 - pruned / space) if space else 0.0,
-        "models_found": _SEARCH_STATS.models_found,
-    }
-
-
-def reset_search_stats() -> None:
-    """Zero the search counters."""
-    _SEARCH_STATS.searches = 0
-    _SEARCH_STATS.assignments_evaluated = 0
-    _SEARCH_STATS.assignment_space = 0
-    _SEARCH_STATS.pruned_space = 0
-    _SEARCH_STATS.models_found = 0
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +242,6 @@ def _prune_values(
     admissible candidate — the conjunction has no model in the box.
     """
     pruned: List[List[int]] = []
-    full_space = kept_space = 1
     for symbol, values in zip(symbols, per_symbol_values):
         constraint = constraints.get(symbol)
         if constraint is None:
@@ -302,10 +251,6 @@ def _prune_values(
         else:
             kept = [value for value in values if constraint.admits(value)]
         pruned.append(kept)
-        full_space = min(_SPACE_CAP, full_space * max(1, len(values)))
-        kept_space = min(_SPACE_CAP, kept_space * len(kept))
-    _SEARCH_STATS.assignment_space += full_space
-    _SEARCH_STATS.pruned_space += kept_space
     if any(not kept for kept in pruned):
         return None
     return pruned
@@ -364,6 +309,55 @@ def _assignment_checker(
     return check
 
 
+def _models(
+    formula: Formula,
+    candidates: Optional[Dict[Symbol, Sequence[int]]],
+    radius: int,
+    quantifier_domain_radius: int,
+    budget: Optional[int] = None,
+    max_seconds: Optional[float] = None,
+) -> Iterator[Dict[Symbol, int]]:
+    """The models of ``formula`` in its pruned candidate box, in sweep order.
+
+    Each free symbol ranges over its ``candidates`` list where one is
+    given, else over ``[-radius, radius]`` by magnitude; unit atoms prune
+    each list first.  The sweep stops at the first
+    :class:`~repro.logic.evaluate.EvaluationError`, after ``budget``
+    assignments, or once ``max_seconds`` have passed (checked every 256
+    assignments).  A closed formula is one assignment, the empty one.
+    """
+    symbols = sorted(free_symbols(formula))
+    domain = range(-quantifier_domain_radius, quantifier_domain_radius + 1)
+    conjuncts = _flatten_conjuncts(formula)
+    check = _assignment_checker(formula, conjuncts)
+    default_values = _candidate_values(radius)
+    candidates = candidates or {}
+    per_symbol_values = [
+        # Deduplicated, in order.
+        list(dict.fromkeys(candidates[symbol])) or default_values
+        if symbol in candidates
+        else default_values
+        for symbol in symbols
+    ]
+    pruned = _prune_values(symbols, per_symbol_values, _unit_constraints(conjuncts))
+    if pruned is None:
+        return
+    deadline = time.perf_counter() + max_seconds if max_seconds is not None else None
+    scalars: Dict[Symbol, int] = {}
+    for index, assignment in enumerate(itertools.product(*pruned)):
+        if budget is not None and index >= budget:
+            return
+        if deadline is not None and index % 256 == 0 and time.perf_counter() > deadline:
+            return
+        for symbol, value in zip(symbols, assignment):
+            scalars[symbol] = value
+        try:
+            if check(scalars, domain):
+                yield dict(zip(symbols, assignment))
+        except EvaluationError:
+            return
+
+
 def bounded_model_search(
     formula: Formula,
     radius: int = 4,
@@ -399,8 +393,6 @@ def _bounded_model_search(
 ) -> Optional[Dict[Symbol, int]]:
     if formula_arrays(formula):
         return None
-    symbols = sorted(free_symbols(formula))
-    domain = range(-quantifier_domain_radius, quantifier_domain_radius + 1)
     # Scale the assignment budget by the per-assignment evaluation cost:
     # quantified formulas evaluate their bodies once per domain element
     # (multiplicatively when nested), so expensive formulas get
@@ -408,46 +400,15 @@ def _bounded_model_search(
     # — instead of wedging the whole discharge pipeline on one obligation.
     # This guards the closed-formula path too: a fully quantified formula
     # is one "assignment" whose evaluation can still be astronomically deep.
+    domain = range(-quantifier_domain_radius, quantifier_domain_radius + 1)
     budget = max_assignments // _evaluation_blowup(formula, len(domain))
     telemetry.observe("solver.bounded_search.budget", budget)
     if budget <= 0:
         telemetry.count("solver.bounded_search.starved")
         return None
-    _SEARCH_STATS.searches += 1
     telemetry.count("solver.bounded_search.searches")
-    conjuncts = _flatten_conjuncts(formula)
-    check = _assignment_checker(formula, conjuncts)
-    if not symbols:
-        try:
-            _SEARCH_STATS.assignments_evaluated += 1
-            if check({}, domain):
-                _SEARCH_STATS.models_found += 1
-                return {}
-            return None
-        except EvaluationError:
-            return None
-    values = _candidate_values(radius)
-    pruned = _prune_values(symbols, [values] * len(symbols), _unit_constraints(conjuncts))
-    if pruned is None:
-        return None
-    deadline = time.perf_counter() + max_seconds if max_seconds is not None else None
-    scalars: Dict[Symbol, int] = {}
-    for index, assignment in enumerate(itertools.product(*pruned)):
-        budget -= 1
-        if budget < 0:
-            return None
-        if deadline is not None and index % 256 == 0 and time.perf_counter() > deadline:
-            return None
-        for symbol, value in zip(symbols, assignment):
-            scalars[symbol] = value
-        try:
-            _SEARCH_STATS.assignments_evaluated += 1
-            if check(scalars, domain):
-                _SEARCH_STATS.models_found += 1
-                return dict(zip(symbols, assignment))
-        except EvaluationError:
-            return None
-    return None
+    models = _models(formula, None, radius, quantifier_domain_radius, budget, max_seconds)
+    return next(models, None)
 
 
 def enumerate_models(
@@ -472,46 +433,6 @@ def enumerate_models(
     """
     if formula_arrays(formula):
         return []
-    symbols = sorted(free_symbols(formula))
-    domain = range(-quantifier_domain_radius, quantifier_domain_radius + 1)
-    _SEARCH_STATS.searches += 1
     telemetry.count("solver.enumerate_models.calls")
-    conjuncts = _flatten_conjuncts(formula)
-    check = _assignment_checker(formula, conjuncts)
-    models: List[Dict[Symbol, int]] = []
-    if not symbols:
-        try:
-            _SEARCH_STATS.assignments_evaluated += 1
-            if check({}, domain):
-                _SEARCH_STATS.models_found += 1
-                return [{}]
-        except EvaluationError:
-            return []
-        return []
-    default_values = _candidate_values(radius)
-    per_symbol_values: List[Sequence[int]] = []
-    for symbol in symbols:
-        if candidates is not None and symbol in candidates:
-            # Deduplicate while preserving order.
-            per_symbol_values.append(
-                list(dict.fromkeys(candidates[symbol])) or default_values
-            )
-        else:
-            per_symbol_values.append(default_values)
-    pruned = _prune_values(symbols, per_symbol_values, _unit_constraints(conjuncts))
-    if pruned is None:
-        return []
-    scalars: Dict[Symbol, int] = {}
-    for assignment in itertools.product(*pruned):
-        for symbol, value in zip(symbols, assignment):
-            scalars[symbol] = value
-        try:
-            _SEARCH_STATS.assignments_evaluated += 1
-            if check(scalars, domain):
-                _SEARCH_STATS.models_found += 1
-                models.append(dict(zip(symbols, assignment)))
-                if len(models) >= limit:
-                    break
-        except EvaluationError:
-            return models
-    return models
+    models = _models(formula, candidates, radius, quantifier_domain_radius)
+    return list(itertools.islice(models, limit))

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import telemetry
 from repro.casestudies import all_case_studies
 from repro.cli import main
 from repro.engine import (
@@ -23,7 +24,7 @@ from repro.hoare.verifier import AcceptabilitySpec
 from repro.logic.formula import eq, var
 from repro.solver.interface import Solver
 from repro.solver.lia import Status
-from repro.solver.models import reset_search_stats, search_stats
+from repro.telemetry import TelemetrySession
 
 
 #: Two programs that state their own specs; only the annotated one verifies.
@@ -132,8 +133,8 @@ class TestBatchVerification:
 
     def test_warm_cache_issues_zero_solver_calls(self, tmp_path, monkeypatch):
         cold = ObligationEngine.for_batch(cache_dir=str(tmp_path))
-        reset_search_stats()
-        cold_report = verify_batch(case_study_items(), engine=cold)
+        with telemetry.activated(TelemetrySession()) as session:
+            cold_report = verify_batch(case_study_items(), engine=cold)
         assert cold_report.all_verified
         assert cold.statistics.solver_calls > 0
         # The whole study corpus is decided by the complete procedures: no
@@ -141,7 +142,7 @@ class TestBatchVerification:
         # prefilter settles a real share of the cubes.
         assert cold.solver_statistics.unknown_results == 0
         assert cold.solver_statistics.bounded_fallbacks == 0
-        assert search_stats()["searches"] == 0
+        assert "solver.bounded_search.searches" not in session.counters
         assert cold.solver_statistics.prefiltered_cubes > 0
 
         assert cold.statistics.premise_solver_calls > 0

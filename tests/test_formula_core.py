@@ -3,7 +3,7 @@
 Covers:
 
 * hash-consing invariants (structural equality == identity, pickling
-  re-interns, intern statistics),
+  re-interns),
 * correctness of the cached structural queries (``free_symbols``,
   ``formula_size``, ``formula_arrays``, ``quantifier_depth``) against
   independent reference recursions — including *after* transforms,
@@ -48,7 +48,6 @@ from repro.logic.formula import (
     formula_arrays,
     formula_size,
     free_symbols,
-    intern_stats,
     quantifier_depth,
     sym,
     sym_r,
@@ -111,25 +110,13 @@ class TestInterning:
         clone = pickle.loads(pickle.dumps(original))
         assert clone is original
 
-    def test_intern_stats_counts_hits(self):
-        F.reset_intern_stats()
-        before = intern_stats()
-        formula = F.le(var("p"), var("q"))
-        again = F.le(var("p"), var("q"))
-        after = intern_stats()
-        assert again is formula
-        assert after["hits"] > before["hits"]
-        assert 0.0 <= after["hit_rate"] <= 1.0
-
     def test_recollected_study_corpus_is_shared(self):
         """Re-collecting every study's obligations rebuilds the very same
         objects, so the rebuild runs on intern-table hits."""
         first = _study_corpus()
-        F.reset_intern_stats()
         second = _study_corpus()
         assert len(second) == len(first) > 0
         assert all(a is b for (_, a), (_, b) in zip(first, second))
-        assert intern_stats()["hit_rate"] > 0.5
         # What makes the no-op substitution and the warm fingerprint pass
         # cheap on this corpus: a disjoint substitution returns each
         # obligation itself, and a second fingerprint pass is answered by

@@ -8,8 +8,8 @@ division/modulo by zero, quantifiers without a domain, integer-valued
 ``Store`` terms, missing array elements).  Hypothesis drives the
 differential over randomly generated formulas (including quantifiers,
 ``Ite``, ``Div``/``Mod``, ``Divides`` and array ``Select``) and partial
-valuations; deterministic tests pin memoisation, cache statistics and
-valuation non-mutation.
+valuations; deterministic tests pin memoisation and valuation
+non-mutation.
 """
 
 import pytest
@@ -19,11 +19,9 @@ from hypothesis import strategies as st
 from repro.logic import formula as F
 from repro.logic.compile import (
     compile_formula,
-    compile_stats,
     compile_term,
     evaluate_compiled,
     evaluate_term_compiled,
-    reset_compile_stats,
 )
 from repro.logic.evaluate import EvaluationError, Valuation, evaluate, evaluate_term
 from repro.logic.formula import (
@@ -169,26 +167,15 @@ class TestCompilationCache:
         assert compile_formula(again) is compile_formula(formula)
 
     def test_shared_subterm_compiles_once(self):
-        reset_compile_stats()
         shared = F.eq(var("x") + var("y"), Const(0))
         left = conj(shared, F.gt(var("x"), Const(-5)))
         right = disj(shared, F.lt(var("y"), Const(5)))
         compile_formula(left)
-        first = compile_stats()["nodes_compiled"]
+        closures = (shared._compiled, shared.left._compiled)
         compile_formula(right)
-        second = compile_stats()["nodes_compiled"]
         # Compiling `right` must not recompile the shared atom or its terms.
-        assert second - first <= F.formula_size(right) - F.formula_size(shared)
-
-    def test_stats_track_cold_and_warm_requests(self):
-        reset_compile_stats()
-        formula = F.ne(var("x") * Const(3), Const(7))
-        compile_formula(formula)  # may be warm already (interned across tests)
-        warm_before = compile_stats()["hits"]
-        compile_formula(formula)
-        stats = compile_stats()
-        assert stats["hits"] == warm_before + 1
-        assert stats["requests"] >= 2
+        assert (shared._compiled, shared.left._compiled) == closures
+        assert compile_formula(shared) is closures[0]
 
     def test_store_term_raises_like_tree_walker(self):
         stored = Store(ARRAY, Const(0), Const(1))

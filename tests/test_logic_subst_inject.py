@@ -340,5 +340,3 @@ class TestRewriteMemo:
         assert again is first and untouched is formula
         assert session.counters["logic.rewrite.misses"] == 1
         assert session.counters["logic.rewrite.hits"] == 1
-        stats = subst.rewrite_memo_stats()
-        assert (stats["hits"], stats["misses"]) == (1, 1)

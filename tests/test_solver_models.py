@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.casestudies.lu import LU
 from repro.explore.scoring import score_candidate
 from repro.logic import formula as F
-from repro.logic.compile import compile_formula, compile_stats, reset_compile_stats
 from repro.logic.evaluate import EvaluationError, Valuation, evaluate
 from repro.logic.formula import (
     Const,
@@ -30,10 +29,11 @@ from repro.logic.formula import (
 from repro.solver.backend import BACKENDS, active_backend, use_backend
 from repro.solver.models import (
     _candidate_values,
+    _flatten_conjuncts,
+    _prune_values,
+    _unit_constraints,
     bounded_model_search,
     enumerate_models,
-    reset_search_stats,
-    search_stats,
 )
 
 NAMES = ["x", "y", "z"]
@@ -158,21 +158,27 @@ class TestEnumerateModels:
         assert len(models) == 3
 
 
+def _pruned(formula, radius):
+    """Each free symbol's candidate list after unit propagation."""
+    symbols = sorted(F.free_symbols(formula))
+    return _prune_values(
+        symbols,
+        [_candidate_values(radius)] * len(symbols),
+        _unit_constraints(_flatten_conjuncts(formula)),
+    )
+
+
 class TestUnitPropagation:
     """Unit atoms among the top-level conjuncts prune the candidate sweep."""
 
     def test_pinned_symbol_prunes_to_one_candidate(self):
-        reset_search_stats()
         formula = conj(F.eq(var("x"), Const(3)), F.eq(var("y"), var("x") + Const(1)))
         model = bounded_model_search(formula, radius=4)
         assert model == {sym("x"): 3, sym("y"): 4}
-        stats = search_stats()
         # x is pinned to one candidate, so at most |values| assignments run.
-        assert stats["assignments_evaluated"] <= 9
-        assert stats["prune_rate"] > 0.8
+        assert _pruned(formula, radius=4) == [[3], _candidate_values(4)]
 
     def test_bounds_and_disequalities_prune(self):
-        reset_search_stats()
         formula = conj(
             F.ge(var("x"), Const(1)),
             F.lt(var("x"), Const(4)),
@@ -181,8 +187,7 @@ class TestUnitPropagation:
         )
         model = bounded_model_search(formula, radius=4)
         assert model == {sym("x"): 3}
-        stats = search_stats()
-        assert stats["pruned_space"] <= 2  # {1, 3} survive the unit atoms
+        assert _pruned(formula, radius=4) == [[1, 3]]  # the unit atoms keep {1, 3}
 
     def test_flipped_and_negated_unit_atoms(self):
         formula = conj(
@@ -246,14 +251,6 @@ class TestUnitPropagation:
         assert bounded_model_search(formula, radius=4) == {sym("y"): 1}
         models = enumerate_models(formula, radius=4)
         assert {m[sym("y")] for m in models} == {1}
-
-    def test_search_stats_shape(self):
-        reset_search_stats()
-        bounded_model_search(F.ge(var("x"), Const(0)), radius=2)
-        stats = search_stats()
-        assert stats["searches"] == 1
-        assert stats["models_found"] == 1
-        assert 0.0 <= stats["prune_rate"] <= 1.0
 
 
 class TestEvaluatorSwitch:
@@ -372,16 +369,17 @@ class TestEvaluatorParity:
                     return None
             return None
 
-        reset_search_stats()
         for formula in queries:
             model = bounded_model_search(formula, radius=4, max_seconds=None)
             assert model == blind_sweep(formula)
-        assert search_stats()["prune_rate"] > 0.0
-        # Every query's closures were compiled by the searches above.
-        reset_compile_stats()
-        for formula in queries:
-            compile_formula(formula)
-        assert compile_stats()["hit_rate"] == 1.0
+        # Unit atoms pruned some query's box, and every query's closures
+        # were compiled by the searches above.
+        assert any(
+            len(values) < len(_candidate_values(4))
+            for formula in queries
+            for values in _pruned(formula, radius=4)
+        )
+        assert all(formula._compiled is not F._UNSET for formula in queries)
 
     def test_monte_carlo_scores_identical(self):
         case = LU
