@@ -30,6 +30,7 @@ from typing import Callable, List, Sequence, Set, Tuple
 
 from ..lang.ast import Program
 from ..lang.pretty import pretty_stmt
+from ..lang.source import ensure_source
 from ..relaxations.sites import RelaxationSite, apply_site
 
 #: A function yielding the applicable sites of a program (typically the
@@ -170,9 +171,11 @@ class CandidateSpace:
                     f"{self.program.name}"
                     f"+{'+'.join(parent.site_ids + (site.site_id,))}"
                 )
+                # Printed once here, under its own name, rather than by
+                # every collect of the candidate.
                 candidate = Candidate(
                     name=name,
-                    program=dc_replace(result.program, name=name),
+                    program=ensure_source(dc_replace(result.program, name=name)),
                     fingerprint=fingerprint,
                     depth=level,
                     applied=parent.applied + (site,),

@@ -18,8 +18,10 @@ from repro.explore import (
     score_candidate,
 )
 from repro.explore.candidates import Candidate
-from repro.hoare.verifier import AcceptabilitySpec
+from repro.hoare.verifier import AcceptabilitySpec, AcceptabilityVerifier
 from repro.lang import builder as b
+from repro.lang import source
+from repro.lang.pretty import pretty_program, print_with_spans
 
 
 class TestFingerprint:
@@ -74,6 +76,30 @@ class TestEnumeration:
         )
         assert len(enumeration.candidates) == 3
         assert enumeration.capped > 0
+
+    def test_candidates_are_printed_once_at_enumeration(self, monkeypatch):
+        case = LU
+        program = case.build_program()
+        enumeration = enumerate_candidates(program, case.relaxation_sites, depth=2)
+        printed = []
+
+        def counting_print(program):
+            printed.append(program.name)
+            return print_with_spans(program)
+
+        monkeypatch.setattr(source, "print_with_spans", counting_print)
+        verifier = AcceptabilityVerifier(engine=ObligationEngine())
+        for candidate in enumeration.candidates:
+            verifier.collect(candidate.program, case.acceptability_spec(candidate.program))
+        assert printed == []
+        # Each child carries its own printed form, headed by its name (the
+        # baseline keeps the study's source).
+        children = enumeration.candidates[1:]
+        assert children
+        for candidate in children:
+            text = candidate.program.source
+            assert text == pretty_program(candidate.program)
+            assert text.startswith(f"// program: {candidate.name}\n")
 
     def test_invalid_parameters(self):
         case = LU
