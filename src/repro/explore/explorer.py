@@ -512,13 +512,13 @@ def explore(
 def _incremental(engine: ObligationEngine, store: VerdictStore) -> Dict[str, float]:
     """The ``incremental`` section: every obligation the search pooled
     through ``store``, as counted by ``engine``, and the store's size."""
-    reused = engine.statistics.incremental_reused
-    total = reused + engine.statistics.delta_obligations
+    stats = engine.statistics
+    total = stats.incremental_reused + stats.delta_obligations
     return {
-        "reused": float(reused),
-        "delta_obligations": float(total - reused),
+        "reused": float(stats.incremental_reused),
+        "delta_obligations": float(stats.delta_obligations),
         "total_obligations": float(total),
-        "reuse_rate": reused / total if total else 0.0,
+        "reuse_rate": stats.incremental_reused / total if total else 0.0,
         "store_entries": float(len(store)),
     }
 
