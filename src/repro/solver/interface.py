@@ -116,7 +116,10 @@ class SolverStatistics:
 #: discarded rather than replayed (see repro.engine.cache).
 #: Version 2: one configuration answers every query, so a version-1 store
 #: may hold models that another configuration chose.
-SOLVER_SEMANTICS = 2
+#: Version 3: existentials below a universal are left to Cooper; earlier
+#: versions skolemised them as constants, which could answer VALID or
+#: UNSAT wrongly.
+SOLVER_SEMANTICS = 3
 
 #: DNF expansion aborts (and the query falls back) beyond this many cubes.
 MAX_CUBES = 4096

@@ -418,8 +418,10 @@ def strip_positive_existentials(formula: Formula, fresh: Optional[FreshSymbols] 
 
     For a satisfiability query, an existential quantifier in positive
     position can be replaced by a fresh free symbol (constant skolemisation).
-    Universal quantifiers are left in place (the caller decides how to handle
-    them — Cooper elimination or bounded fallback).
+    Universal quantifiers are left in place, bodies included (the caller
+    decides how to handle them — Cooper elimination or bounded fallback):
+    an existential below a universal depends on the universal's variable,
+    so a constant cannot stand for it.
     """
     if fresh is None:
         fresh = FreshSymbols([s.name for s in free_symbols(formula)])
@@ -433,8 +435,6 @@ def strip_positive_existentials(formula: Formula, fresh: Optional[FreshSymbols] 
             return conj(*[process(op) for op in f.operands])
         if isinstance(f, Or):
             return disj(*[process(op) for op in f.operands])
-        if isinstance(f, Forall):
-            return Forall(f.symbol, process(f.body))
         return f
 
     return process(formula)

@@ -121,6 +121,24 @@ class TestValidity:
         assert solver.is_valid(formula)
 
 
+class TestExistentialBelowUniversal:
+    """An existential below a universal is not a constant: skolemising it
+    as one decided these wrongly (VALID, UNSAT)."""
+
+    def test_exists_forall_is_invalid(self, solver):
+        # exists x. forall y. y != x + 1 is false: take y = x + 1.
+        formula = exists(sym("x"), forall(sym("y"), F.ne(var("y"), var("x") + 1)))
+        assert solver.check_valid(formula).status is Status.INVALID
+
+    def test_forall_exists_is_sat(self, solver):
+        formula = forall(sym("x"), exists(sym("y"), F.eq(var("y"), var("x") + 1)))
+        assert solver.check_sat(formula).status is Status.SAT
+
+    def test_forall_exists_is_valid(self, solver):
+        formula = forall(sym("x"), exists(sym("y"), F.eq(var("y"), var("x") + 1)))
+        assert solver.check_valid(formula).status is Status.VALID
+
+
 class TestSatisfiability:
     def test_sat_with_model(self, solver):
         formula = conj(F.gt(var("x"), Const(3)), F.lt(var("x"), Const(6)))
