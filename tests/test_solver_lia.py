@@ -458,3 +458,63 @@ class TestEliminateOnce:
         assert result.status is Status.SAT
         assert result.model[sym("x")] == result.model[sym("y")] + 1 != 1
         assert result.model == _reference_solve(cube).model
+
+
+# -- one solver per query ----------------------------------------------------------
+#
+# The solver builds one CubeSolver per query and feeds it every surviving
+# cube of the DNF walk.  Those cubes share equality sets, disequalities
+# and literals, so whatever the solver keeps from one cube to the next
+# must leave each cube's answer as a fresh solver gives it.
+
+
+def _outcome(solver, cube):
+    """Status and model (aux symbols, numbered per solver, left out), or
+    the error's message."""
+    try:
+        result = solver.solve(cube)
+    except NonLinearError as error:
+        return ("error", str(error))
+    model = {s: v for s, v in (result.model or {}).items() if "_aux" not in s.name}
+    return (result.status, model)
+
+
+@st.composite
+def shared_cube_sequences(draw):
+    """Cubes drawn from one pool of literals: equalities, bounds,
+    disequalities, divisibilities and two non-linear literals, so the
+    cubes repeat equality sets and literals in varying orders."""
+    equalities = draw(
+        st.lists(st.builds(lambda t: Atom(Rel.EQ, t, Const(0)), linear_terms()), min_size=1, max_size=3)
+    )
+    others = draw(st.lists(cube_literals(), min_size=2, max_size=6))
+    nonlinear = [
+        atom(Rel.EQ, var("x") * var("y"), Const(1)),
+        atom(Rel.LE, var("y") * var("z"), Const(2)),
+    ]
+    pool = equalities + others + nonlinear
+    # Linear literals four times as likely as the non-linear ones.
+    literal = st.sampled_from(pool[: len(pool) - 2] * 4 + nonlinear)
+    return draw(st.lists(st.lists(literal, min_size=1, max_size=6), min_size=2, max_size=8))
+
+
+class TestOneSolverPerQuery:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(shared_cube_sequences())
+    def test_shared_solver_answers_as_fresh_ones(self, cubes):
+        shared = CubeSolver()
+        for cube in cubes:
+            assert _outcome(shared, cube) == _outcome(CubeSolver(), cube)
+
+    def test_first_nonlinear_literal_names_the_error(self):
+        first = atom(Rel.EQ, var("x") * var("y"), Const(1))
+        second = atom(Rel.LE, var("y") * var("z"), Const(2))
+        solver = CubeSolver()
+        equality = atom(Rel.EQ, var("x"), var("z") + Const(1))
+        assert solver.solve([equality, atom(Rel.GE, var("z"), Const(0))]).status is Status.SAT
+        for cube, culprit in (([equality, first, second], first), ([second, equality, first], second)):
+            with pytest.raises(NonLinearError) as caught:
+                solver.solve(cube)
+            with pytest.raises(NonLinearError) as fresh:
+                CubeSolver().solve([culprit])
+            assert str(caught.value) == str(fresh.value)
