@@ -11,9 +11,11 @@ procedure is:
 2. eliminate equalities that contain a unit-coefficient variable by
    substitution (recording the eliminations for model reconstruction),
    apply the GCD test to the rest, and substitute the eliminations into
-   the cube's inequalities — once per cube;
+   the cube's inequalities.  A :class:`CubeSolver` lives for one query
+   and does this once per distinct equality set, keeping each literal's
+   substituted row for the next cube with the same equalities;
 3. split disequalities into strict inequalities (case split); each branch
-   substitutes only its own branch inequalities;
+   takes its own two substituted branch rows;
 4. a cube with divisibility constraints instead keeps the order split →
    residue → eliminate: after the split, residue enumeration substitutes
    ``x = L*x' + r`` for the lcm ``L`` of the relevant divisors and each
@@ -68,30 +70,19 @@ class CubeResult:
     model: Optional[Dict[Symbol, int]] = None
 
 
-@dataclass(frozen=True)
-class Inequality:
-    """The constraint ``term <= 0``."""
-
-    term: LinearTerm
-
-    def tighten(self) -> "Inequality":
-        """Divide by the coefficient gcd, rounding the constant soundly."""
-        content = self.term.content()
-        if content <= 1:
-            return self
-        # Dividing every (nonzero) coefficient by their positive gcd keeps
-        # the tuple sorted and zero-free.
-        coeffs = tuple([(s, c // content) for s, c in self.term.coeffs])
-        # sum(c_i x_i) + k <= 0  <=>  sum(c_i/g x_i) <= -k/g
-        # integer left side  =>  sum <= floor(-k/g)  <=>  sum + ceil(k/g) <= 0
-        return Inequality(LinearTerm(coeffs, -(-self.term.constant // content)))
-
-
-@dataclass(frozen=True)
-class Equality:
-    """The constraint ``term == 0``."""
-
-    term: LinearTerm
+def tighten(row: LinearTerm) -> LinearTerm:
+    """The row ``row <= 0`` divided by the gcd of its coefficients, the
+    constant rounded soundly: the same integer solutions, a smaller
+    rational hull."""
+    content = row.content()
+    if content <= 1:
+        return row
+    # Dividing every (nonzero) coefficient by their positive gcd keeps
+    # the tuple sorted and zero-free.
+    coeffs = tuple([(s, c // content) for s, c in row.coeffs])
+    # sum(c_i x_i) + k <= 0  <=>  sum(c_i/g x_i) <= -k/g
+    # integer left side  =>  sum <= floor(-k/g)  <=>  sum + ceil(k/g) <= 0
+    return LinearTerm(coeffs, -(-row.constant // content))
 
 
 @dataclass(frozen=True)
@@ -142,19 +133,73 @@ def _eliminate(
     return LinearTerm.of(coeffs, constant)
 
 
-def _eliminate_equalities(
-    equalities: Sequence[Equality],
-) -> Optional[Tuple[List[Tuple[Symbol, LinearTerm]], Set[Symbol], List[LinearTerm]]]:
-    """Eliminate ``equalities`` by unit-coefficient substitution.
+class _Elimination:
+    """The elimination of one set of equalities, and the rows substituted
+    through it.
 
-    Returns the eliminations in order, the eliminated symbols, and the
-    ``term <= 0`` pairs standing for equalities without a unit
-    coefficient (which the tightened Fourier-Motzkin / branch and bound
-    enforce); ``None`` when an equality is refuted outright (a nonzero
-    constant, or the GCD test).  Eliminations are substituted lazily: into
-    an equality when it is popped, and by :func:`_substituted` into the
-    inequalities afterwards.  Applying them in order gives the terms an
-    eager substitution after each elimination would, but leaves every
+    ``eliminations`` are the ``(symbol, replacement)`` substitutions in
+    order and ``eliminated`` their symbols; ``pairs`` are the tightened
+    ``term <= 0`` rows standing for equalities without a unit coefficient.
+    :meth:`row` and :meth:`sides` substitute and tighten a literal's rows
+    once and keep them, so the cubes of one query that share the equality
+    set share them too.
+    """
+
+    __slots__ = ("eliminations", "eliminated", "pairs", "_rows", "_sides")
+
+    def __init__(
+        self,
+        eliminations: List[Tuple[Symbol, LinearTerm]],
+        eliminated: Set[Symbol],
+        pairs: List[LinearTerm],
+    ) -> None:
+        self.eliminations = eliminations
+        self.eliminated = eliminated
+        self.pairs = [self.substitute(term) for term in pairs]
+        self._rows: Dict[Formula, LinearTerm] = {}
+        self._sides: Dict[Formula, Tuple[LinearTerm, LinearTerm]] = {}
+
+    def substitute(self, row: LinearTerm) -> LinearTerm:
+        """``row <= 0`` after the eliminations, tightened."""
+        return tighten(_eliminate(row, self.eliminations, self.eliminated))
+
+    def row(self, literal: Formula) -> LinearTerm:
+        """The substituted row of an inequality literal."""
+        row = self._rows.get(literal)
+        if row is None:
+            row = self._rows[literal] = self.substitute(atom_linear(literal).rows[0])
+        return row
+
+    def sides(self, literal: Formula) -> Tuple[LinearTerm, LinearTerm]:
+        """The substituted branch rows of a disequality ``term != 0``:
+        ``term <= -1`` and ``-term <= -1``."""
+        sides = self._sides.get(literal)
+        if sides is None:
+            term = atom_linear(literal).term
+            sides = self._sides[literal] = (
+                self.substitute(term.add(ONE)),
+                self.substitute(term.negate().add(ONE)),
+            )
+        return sides
+
+    def model(self, model: Dict[Symbol, int]) -> Dict[Symbol, int]:
+        """A model of the substituted rows extended to the eliminated symbols."""
+        model = dict(model)
+        for symbol, replacement in reversed(self.eliminations):
+            for s in replacement.symbols():
+                model.setdefault(s, 0)
+            model[symbol] = replacement.evaluate(model)
+        return model
+
+
+def _eliminate_equalities(equalities: Sequence[LinearTerm]) -> Optional[_Elimination]:
+    """Eliminate the equalities ``term == 0`` by unit-coefficient substitution.
+
+    ``None`` when an equality is refuted outright (a nonzero constant, or
+    the GCD test).  Eliminations are substituted lazily: into an equality
+    when it is popped, and by :meth:`_Elimination.substitute` into the
+    rows afterwards.  Applying them in order gives the terms an eager
+    substitution after each elimination would, but leaves every
     constraint that mentions no eliminated symbol untouched.
     """
     eliminations: List[Tuple[Symbol, LinearTerm]] = []
@@ -162,7 +207,7 @@ def _eliminate_equalities(
     pairs: List[LinearTerm] = []
     pending = list(equalities)
     while pending:
-        term = _eliminate(pending.pop().term, eliminations, eliminated)
+        term = _eliminate(pending.pop(), eliminations, eliminated)
         if term.is_constant():
             if term.constant != 0:
                 return None
@@ -185,17 +230,7 @@ def _eliminate_equalities(
         replacement = rest.negate() if unit_coeff == 1 else rest
         eliminations.append((unit_symbol, replacement))
         eliminated.add(unit_symbol)
-    return eliminations, eliminated, pairs
-
-
-def _substituted(
-    terms: Sequence[LinearTerm],
-    eliminations: Sequence[Tuple[Symbol, LinearTerm]],
-    eliminated: AbstractSet[Symbol],
-) -> List[Inequality]:
-    """The tightened inequalities ``term <= 0`` of ``terms`` after the
-    eliminations."""
-    return [Inequality(_eliminate(term, eliminations, eliminated)).tighten() for term in terms]
+    return _Elimination(eliminations, eliminated, pairs)
 
 
 def _literal_rows(literal: Formula) -> Tuple[LinearTerm, ...]:
@@ -215,8 +250,8 @@ def cube_inequality_rows(literals: Sequence[Formula]) -> List[LinearTerm]:
     Each row is a :class:`LinearTerm` ``sum(c*x) + k`` that every integer
     model of the cube keeps at or below zero: the cached
     :attr:`LinearAtom.rows <repro.solver.linear.LinearAtom.rows>` of its
-    atoms, which are exactly the inequalities :meth:`CubeSolver._translate`
-    builds plus both sides of its equalities.  The rows are shared with
+    atoms, which are exactly the inequality rows :class:`CubeSolver` builds
+    plus both sides of its equalities.  The rows are shared with
     every other cube mentioning the same atom, so they are immutable.
     Literals that carry no such content (disequalities, divisibility
     constraints, non-linear atoms) are *skipped*, which is conservative for
@@ -358,53 +393,42 @@ def prefilter_unsat_cubes(cubes: Sequence[Sequence[Formula]]) -> List[bool]:
 
 
 class CubeSolver:
-    """Decides integer feasibility of cubes of linear literals."""
+    """Decides integer feasibility of cubes of linear literals.
+
+    The solver builds one per query and feeds it the query's cubes, which
+    share most of their equalities.  It keeps the elimination of each
+    distinct equality set, keyed by the cube's equality literals in cube
+    order, with the rows substituted through it (:class:`_Elimination`),
+    for as long as it lives.  Each answer is the one a fresh solver gives.
+    """
 
     def __init__(self) -> None:
         self._aux_counter = 0
-        self.statistics: Dict[str, int] = {
-            "cubes": 0,
-            "branch_nodes": 0,
-            "fm_eliminations": 0,
-            "residue_branches": 0,
-        }
+        self._eliminations: Dict[Tuple[Formula, ...], Optional[_Elimination]] = {}
 
     # -- public API -----------------------------------------------------------
 
     def solve(self, literals: Sequence[Formula]) -> CubeResult:
-        """Decide a cube given as a sequence of literal formulas."""
-        self.statistics["cubes"] += 1
+        """Decide a cube given as a sequence of literal formulas.
+
+        Raises :class:`NonLinearError` for the first literal, in cube
+        order, that is not linear.
+        """
         telemetry.count("lia.cube_solves")
-        inequalities, equalities, disequalities, divisibilities = self._translate(literals)
-        if len(disequalities) > _MAX_DISEQUALITY_SPLITS:
-            return CubeResult(Status.UNKNOWN)
-        if divisibilities:
-            return self._solve_split(inequalities, equalities, disequalities, divisibilities)
-        return self._solve_linear(inequalities, equalities, disequalities)
-
-    # -- literal translation ----------------------------------------------------
-
-    def _fresh_aux(self, base: str) -> Symbol:
-        self._aux_counter += 1
-        return Symbol(f"{base}_aux{self._aux_counter}")
-
-    def _translate(
-        self, literals: Sequence[Formula]
-    ) -> Tuple[List[Inequality], List[Equality], List[LinearTerm], List[Divisibility]]:
-        inequalities: List[Inequality] = []
-        equalities: List[Equality] = []
-        disequalities: List[LinearTerm] = []
+        inequalities: List[Formula] = []
+        equalities: List[Formula] = []
+        disequalities: List[Formula] = []
         divisibilities: List[Divisibility] = []
         for literal in literals:
             if isinstance(literal, Atom):
-                form = atom_linear(literal)
+                atom_linear(literal)
                 rel = literal.rel
                 if rel is Rel.EQ:
-                    equalities.append(Equality(form.term))
+                    equalities.append(literal)
                 elif rel is Rel.NE:
-                    disequalities.append(form.term)
+                    disequalities.append(literal)
                 else:  # <, <=, >, >=: the atom's single one-sided row
-                    inequalities.append(Inequality(form.rows[0]))
+                    inequalities.append(literal)
             elif isinstance(literal, Divides):
                 divisor = abs(literal.divisor)
                 if divisor == 0:
@@ -418,14 +442,40 @@ class CubeSolver:
                 divisibilities.append(Divisibility(divisor, atom_linear(divides).term, False))
             else:
                 raise NonLinearError(f"unsupported literal {literal}")
-        return inequalities, equalities, disequalities, divisibilities
+        if len(disequalities) > _MAX_DISEQUALITY_SPLITS:
+            return CubeResult(Status.UNKNOWN)
+        if divisibilities:
+            return self._solve_split(
+                [atom_linear(literal).rows[0] for literal in inequalities],
+                [atom_linear(literal).term for literal in equalities],
+                [atom_linear(literal).term for literal in disequalities],
+                divisibilities,
+            )
+        key = tuple(equalities)
+        if key in self._eliminations:
+            elimination = self._eliminations[key]
+        else:
+            elimination = self._eliminations[key] = _eliminate_equalities(
+                [atom_linear(literal).term for literal in equalities]
+            )
+        if elimination is None:
+            return CubeResult(Status.UNSAT)
+        return self._solve_eliminated(
+            elimination,
+            [elimination.row(literal) for literal in inequalities],
+            [elimination.sides(literal) for literal in disequalities],
+        )
+
+    def _fresh_aux(self, base: str) -> Symbol:
+        self._aux_counter += 1
+        return Symbol(f"{base}_aux{self._aux_counter}")
 
     # -- disequality splitting ----------------------------------------------------
 
     def _solve_split(
         self,
-        inequalities: List[Inequality],
-        equalities: List[Equality],
+        inequalities: List[LinearTerm],
+        equalities: List[LinearTerm],
         disequalities: List[LinearTerm],
         divisibilities: List[Divisibility],
     ) -> CubeResult:
@@ -436,7 +486,7 @@ class CubeSolver:
         # term != 0  <=>  term <= -1  or  -term <= -1
         for branch_term in (first.add(ONE), first.negate().add(ONE)):
             result = self._solve_split(
-                inequalities + [Inequality(branch_term)], equalities, rest, divisibilities
+                inequalities + [branch_term], equalities, rest, divisibilities
             )
             if result.status is Status.SAT:
                 return result
@@ -448,8 +498,8 @@ class CubeSolver:
 
     def _solve_divisibility(
         self,
-        inequalities: List[Inequality],
-        equalities: List[Equality],
+        inequalities: List[LinearTerm],
+        equalities: List[LinearTerm],
         divisibilities: List[Divisibility],
         branch_budget: int,
     ) -> CubeResult:
@@ -462,7 +512,11 @@ class CubeSolver:
             else:
                 pending.append(constraint)
         if not pending:
-            return self._solve_linear(inequalities, equalities, [])
+            elimination = _eliminate_equalities(equalities)
+            if elimination is None:
+                return CubeResult(Status.UNSAT)
+            rows = [elimination.substitute(term) for term in inequalities]
+            return self._solve_eliminated(elimination, rows, [])
 
         # Pick a variable occurring in a divisibility constraint and enumerate
         # its residues modulo the lcm of the divisors that mention it.
@@ -477,14 +531,9 @@ class CubeSolver:
         replacement_symbol = self._fresh_aux(symbol.name)
         saw_unknown = False
         for residue in range(modulus):
-            self.statistics["residue_branches"] += 1
             replacement = LinearTerm.of({replacement_symbol: modulus}, residue)
-            new_inequalities = [
-                Inequality(ineq.term.substitute(symbol, replacement)) for ineq in inequalities
-            ]
-            new_equalities = [
-                Equality(eq.term.substitute(symbol, replacement)) for eq in equalities
-            ]
+            new_inequalities = [term.substitute(symbol, replacement) for term in inequalities]
+            new_equalities = [term.substitute(symbol, replacement) for term in equalities]
             new_divisibilities: List[Divisibility] = []
             infeasible = False
             for constraint in pending:
@@ -520,51 +569,36 @@ class CubeSolver:
                 saw_unknown = True
         return CubeResult(Status.UNKNOWN if saw_unknown else Status.UNSAT)
 
-    # -- equality elimination -------------------------------------------------------
+    # -- after equality elimination -------------------------------------------------
 
-    def _solve_linear(
+    def _solve_eliminated(
         self,
-        inequalities: List[Inequality],
-        equalities: List[Equality],
-        disequalities: List[LinearTerm],
+        elimination: _Elimination,
+        rows: List[LinearTerm],
+        sides: List[Tuple[LinearTerm, LinearTerm]],
     ) -> CubeResult:
         """A cube, or a residue branch of one, without divisibility
-        constraints: its equalities are eliminated, and substituted into its
-        inequalities, once; each disequality branch substitutes only its own
-        branch inequalities.
+        constraints, once its equalities are eliminated: ``rows`` are its
+        substituted inequalities and ``sides`` the substituted branch rows
+        of each disequality.
 
         The branches come in the order :meth:`_solve_split` splits them
         (the ``term <= -1`` side first), so the first SAT branch and its
         model are those a split before the elimination would find.
         """
-        eliminated = _eliminate_equalities(equalities)
-        if eliminated is None:
-            return CubeResult(Status.UNSAT)
-        eliminations, symbols, pairs = eliminated
-        base = _substituted([ineq.term for ineq in inequalities], eliminations, symbols)
-        pairs = _substituted(pairs, eliminations, symbols)
         saw_unknown = False
-        # term != 0  <=>  term <= -1  or  -term <= -1
-        for branch in product(*[(term.add(ONE), term.negate().add(ONE)) for term in disequalities]):
-            branch_inequalities = _substituted(branch, eliminations, symbols)
-            result = self._solve_inequalities(base + branch_inequalities + pairs, 0)
+        for branch in product(*sides):
+            result = self._solve_inequalities(rows + list(branch) + elimination.pairs, 0)
             if result.status is Status.SAT:
-                model = dict(result.model or {})
-                for symbol, replacement in reversed(eliminations):
-                    for s in replacement.symbols():
-                        model.setdefault(s, 0)
-                    model[symbol] = replacement.evaluate(model)
-                return CubeResult(Status.SAT, model)
+                return CubeResult(Status.SAT, elimination.model(result.model or {}))
             if result.status is Status.UNKNOWN:
                 saw_unknown = True
         return CubeResult(Status.UNKNOWN if saw_unknown else Status.UNSAT)
 
     # -- inequalities: Fourier-Motzkin + branch and bound -----------------------------
 
-    def _solve_inequalities(
-        self, inequalities: List[Inequality], depth: int
-    ) -> CubeResult:
-        self.statistics["branch_nodes"] += 1
+    def _solve_inequalities(self, inequalities: List[LinearTerm], depth: int) -> CubeResult:
+        """Integer feasibility of the rows ``term <= 0``."""
         point = self._rational_sample(inequalities)
         if point is None:
             return CubeResult(Status.UNSAT)
@@ -579,14 +613,14 @@ class CubeSolver:
         upper = int(ceil(value))
         saw_unknown = False
         # Branch x <= floor(v)
-        left = inequalities + [Inequality(LinearTerm.of({symbol: 1}, -lower))]
+        left = inequalities + [LinearTerm.of({symbol: 1}, -lower)]
         result = self._solve_inequalities(left, depth + 1)
         if result.status is Status.SAT:
             return result
         if result.status is Status.UNKNOWN:
             saw_unknown = True
         # Branch x >= ceil(v)
-        right = inequalities + [Inequality(LinearTerm.of({symbol: -1}, upper))]
+        right = inequalities + [LinearTerm.of({symbol: -1}, upper)]
         result = self._solve_inequalities(right, depth + 1)
         if result.status is Status.SAT:
             return result
@@ -595,7 +629,7 @@ class CubeSolver:
         return CubeResult(Status.UNKNOWN if saw_unknown else Status.UNSAT)
 
     def _rational_sample(
-        self, inequalities: List[Inequality]
+        self, inequalities: List[LinearTerm]
     ) -> Optional[Dict[Symbol, Fraction]]:
         """Rational feasibility via Fourier-Motzkin; returns a sample point.
 
@@ -603,7 +637,7 @@ class CubeSolver:
         point search space preserves integer solutions exactly while pruning
         rationally-feasible but integer-infeasible slabs.
         """
-        constraints: List[LinearTerm] = [ineq.term for ineq in inequalities]
+        constraints = inequalities
         for term in constraints:
             if term.is_constant() and term.constant > 0:
                 return None
@@ -614,7 +648,6 @@ class CubeSolver:
         levels: List[Tuple[Symbol, List[LinearTerm]]] = []
         current = constraints
         for symbol in order:
-            self.statistics["fm_eliminations"] += 1
             levels.append((symbol, current))
             lowers: List[Tuple[LinearTerm, int]] = []
             uppers: List[Tuple[LinearTerm, int]] = []
@@ -638,7 +671,7 @@ class CubeSolver:
                     # Integer tightening preserves all integer solutions and lets
                     # the elimination detect "thin" rationally-feasible but
                     # integer-infeasible systems such as 2a <= 2b - 1 <= 2a.
-                    combined = Inequality(combined).tighten().term
+                    combined = tighten(combined)
                     if combined.is_constant():
                         if combined.constant > 0:
                             return None

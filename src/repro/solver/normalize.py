@@ -11,9 +11,9 @@ The pipeline applied by :class:`repro.solver.interface.Solver` is:
    (Ackermann's reduction), valid because our obligations never store into
    arrays after weakest-precondition expansion.
 3. :func:`to_nnf` — negation normal form, expanding ``==>`` and ``<=>``.
-4. :func:`strip_positive_existentials` — skolemise top-level existential
-   quantifiers of a satisfiability query by renaming the bound variables to
-   fresh free symbols.
+4. :func:`strip_positive_existentials` — skolemise the existential
+   quantifiers of a satisfiability query that sit below no universal, by
+   renaming the bound variables to fresh free symbols in one pass.
 5. :class:`DnfWalk` — a depth-first search of the disjunctive normal form
    (with :func:`to_dnf`'s size cap and cube order), pruned by an interval
    box, whose surviving cubes are decided by the linear-arithmetic core.
@@ -56,10 +56,14 @@ from ..logic.formula import (
     TRUE,
     Term,
     TrueF,
+    _free_of,
+    _qdepth_of,
     conj,
     disj,
     free_symbols,
     neg,
+    node_children,
+    rebuild,
 )
 from ..logic.subst import substitute
 from ..logic.traverse import iter_nodes, map_atom_terms, replace_node
@@ -413,6 +417,67 @@ def _nnf_uncached(
 # ---------------------------------------------------------------------------
 
 
+class _Renaming:
+    """The skolem constants of the existentials above a point of the walk.
+
+    ``mapping`` holds one entry per renamed variable, in the order their
+    binders were stripped.  :meth:`apply` gives the node a substitution of
+    one existential at a time would: a quantifier-free subformula is
+    rebuilt once, every renamed symbol replaced at once (no binder can
+    capture), and the result memoised on the renaming; one that mentions
+    none of them comes back as itself.  A universal takes the
+    substitutions one at a time, in binder order, so its binder is renamed
+    wherever one of them would capture it.
+    """
+
+    __slots__ = ("mapping", "domain", "memo")
+
+    def __init__(self, mapping: Dict[Symbol, Term]) -> None:
+        self.mapping = mapping
+        self.domain = frozenset(mapping)
+        self.memo: Dict[object, object] = {}
+
+    def extend(self, symbol: Symbol, constant: Symbol) -> "_Renaming":
+        mapping = dict(self.mapping)
+        # A shadowing binder's substitution comes after those above it.
+        mapping.pop(symbol, None)
+        mapping[symbol] = SymTerm(constant)
+        return _Renaming(mapping)
+
+    def binder(self, quantifier: Exists) -> Symbol:
+        """``quantifier``'s binder as the substitutions above it leave it:
+        the one whose constant it is renames it, if its body mentions that
+        substitution's variable (the capture-avoiding renaming of
+        :func:`~repro.logic.subst.substitute`)."""
+        symbol = quantifier.symbol
+        body = _free_of(quantifier.body)
+        target = SymTerm(symbol)
+        earlier: Dict[Symbol, Term] = {}
+        for bound, constant in self.mapping.items():
+            if constant is target and bound in body:
+                used = {earlier.get(s, SymTerm(s)).symbol.name for s in body}
+                used.add(symbol.name)
+                return FreshSymbols(sorted(used)).fresh(symbol.name, symbol.tag)
+            earlier[bound] = constant
+        return symbol
+
+    def apply(self, node):
+        if self.domain.isdisjoint(_free_of(node)):
+            return node
+        done = self.memo.get(node)
+        if done is None:
+            if type(node) is SymTerm:
+                done = self.mapping[node.symbol]
+            elif _qdepth_of(node):
+                done = node
+                for bound, constant in self.mapping.items():
+                    done = substitute(done, {bound: constant})
+            else:
+                done = rebuild(node, tuple(self.apply(child) for child in node_children(node)))
+            self.memo[node] = done
+        return done
+
+
 def strip_positive_existentials(formula: Formula, fresh: Optional[FreshSymbols] = None) -> Formula:
     """Remove existential quantifiers in positive positions of an NNF formula.
 
@@ -422,22 +487,30 @@ def strip_positive_existentials(formula: Formula, fresh: Optional[FreshSymbols] 
     decides how to handle them — Cooper elimination or bounded fallback):
     an existential below a universal depends on the universal's variable,
     so a constant cannot stand for it.
+
+    One pass: the walk carries the renaming of the existentials above it
+    down ``And``/``Or`` and applies it once to each subformula below the
+    connectives.  Each existential adds its fresh symbol, drawn in walk
+    order from its binder's name, so the result is the node that
+    substituting each existential's symbol into its body in turn builds.
     """
     if fresh is None:
         fresh = FreshSymbols([s.name for s in free_symbols(formula)])
+    drawn: Set[Symbol] = set()
 
-    def process(f: Formula) -> Formula:
+    def process(f: Formula, renaming: _Renaming) -> Formula:
         if isinstance(f, Exists):
-            replacement = fresh.fresh(f.symbol.name, f.symbol.tag)
-            body = substitute(f.body, {f.symbol: SymTerm(replacement)})
-            return process(body)
+            binder = renaming.binder(f) if f.symbol in drawn else f.symbol
+            constant = fresh.fresh(binder.name, binder.tag)
+            drawn.add(constant)
+            return process(f.body, renaming.extend(f.symbol, constant))
         if isinstance(f, And):
-            return conj(*[process(op) for op in f.operands])
+            return conj(*[process(op, renaming) for op in f.operands])
         if isinstance(f, Or):
-            return disj(*[process(op) for op in f.operands])
-        return f
+            return disj(*[process(op, renaming) for op in f.operands])
+        return renaming.apply(f)
 
-    return process(formula)
+    return process(formula, _Renaming({}))
 
 
 def has_universal(formula: Formula) -> bool:

@@ -64,6 +64,13 @@ def test_one_pass_matches_sequential(monkeypatch, run):
         ),
         # a universal keeps its body; the outer renaming reaches into it
         exists(sym("x"), forall(sym("y"), exists(sym("w"), F.le(var("x"), var("y") + var("w"))))),
+        # x's constant is x_f1, the name of a binder below that mentions x:
+        # substituting renames that binder, and its constant follows suit
+        exists(sym("x"), exists(sym("x_f1"), F.lt(var("x"), var("x_f1")))),
+        exists(sym("x"), F.conj(
+            forall(sym("x_f1"), F.lt(var("x"), var("x_f1"))),
+            exists(sym("y"), exists(sym("x_f1"), F.le(var("x") + var("y"), var("x_f1")))),
+        )),
     ],
 )
 def test_one_pass_matches_sequential_on_binder_shapes(formula):
