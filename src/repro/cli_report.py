@@ -16,8 +16,9 @@ commands cannot drift apart:
   (``hits`` / ``misses`` / ``hit_rate``, which are the engine's
   ``cache_hits`` / ``cache_misses``, plus the cache's ``entries`` and
   ``stores``) — injected uniformly by :func:`report_payload` from the
-  engine instance, the ``cache`` section through
-  :meth:`~repro.engine.core.ObligationEngine.cache_stats`;
+  engine instance's :meth:`~repro.engine.core.ObligationEngine.stats`,
+  which builds all three (the reports of ``verify_batch`` and
+  ``explore`` take theirs from it too);
 * the ``explore`` payload's ``incremental`` section is built from the
   engine's ``incremental_reused`` / ``delta_obligations`` counters and
   the size of the search's verdict store;
@@ -105,10 +106,9 @@ def report_payload(
     """
     payload: Dict[str, object] = dict(core)
     if engine is not None:
-        payload.setdefault("engine", engine.statistics.as_dict())
-        payload.setdefault("solver", dict(engine.solver_statistics.as_dict()))
-        if engine.cache is not None:
-            payload.setdefault("cache", engine.cache_stats())
+        for name, section in engine.stats().items():
+            if name != "cache" or engine.cache is not None:
+                payload.setdefault(name, section)
     if telemetry_session is not None:
         from .telemetry import telemetry_section
 

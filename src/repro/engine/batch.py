@@ -414,8 +414,9 @@ def _finish(collected: CollectedBatch) -> BatchReport:
 
     engine.save()
     report.elapsed_seconds = collected.seconds + time.perf_counter() - start
-    report.engine_stats = engine.statistics.as_dict()
-    report.solver_stats = engine.solver_statistics.as_dict()
-    report.cache_stats = engine.cache_stats()
+    sections = engine.stats()
+    report.engine_stats = sections["engine"]
+    report.solver_stats = sections["solver"]
+    report.cache_stats = sections["cache"]
     return report
 

@@ -475,6 +475,12 @@ class ObligationEngine:
         }
 
     def stats(self) -> Dict[str, Dict[str, float]]:
+        """The ``engine``, ``solver`` and ``cache`` sections of a report.
+
+        This is where they are built: the reports of ``verify_batch`` and
+        ``explore`` and :func:`~repro.cli_report.report_payload` all take
+        theirs from here.
+        """
         return {
             "engine": self.statistics.as_dict(),
             "solver": self.solver_statistics.as_dict(),

@@ -503,9 +503,10 @@ def explore(
     report.beam_pruned = scheduler.pruned
     report.incremental = _incremental(engine, store)
     report.reward_table = scheduler.rewards.as_dict()
-    report.engine_stats = engine.statistics.as_dict()
-    report.solver_stats = engine.solver_statistics.as_dict()
-    report.cache_stats = engine.cache_stats()
+    sections = engine.stats()
+    report.engine_stats = sections["engine"]
+    report.solver_stats = sections["solver"]
+    report.cache_stats = sections["cache"]
     return report
 
 

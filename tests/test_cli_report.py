@@ -57,11 +57,13 @@ class TestReportPayload:
 
         class FakeEngine:
             cache = object()
-            statistics = FakeStats()
-            solver_statistics = FakeSolverStats()
 
-            def cache_stats(self):
-                return {"hits": 3, "misses": 1, "hit_rate": 0.75}
+            def stats(self):
+                return {
+                    "engine": FakeStats().as_dict(),
+                    "solver": FakeSolverStats().as_dict(),
+                    "cache": {"hits": 3, "misses": 1, "hit_rate": 0.75},
+                }
 
         payload = report_payload("verify-case-study", {}, verified=True, engine=FakeEngine())
         assert payload["engine"] == {"obligations": 4}
@@ -73,15 +75,13 @@ class TestReportPayload:
         class FakeEngine:
             cache = None
 
-            class statistics:  # noqa: N801 - attribute-style stub
-                @staticmethod
-                def as_dict():
-                    return {"obligations": 99}
-
-            class solver_statistics:  # noqa: N801 - attribute-style stub
-                @staticmethod
-                def as_dict():
-                    return {"cube_count": 99}
+            @staticmethod
+            def stats():
+                return {
+                    "engine": {"obligations": 99},
+                    "solver": {"cube_count": 99},
+                    "cache": {"hits": 99},
+                }
 
         payload = report_payload(
             "verify-batch",
@@ -91,6 +91,7 @@ class TestReportPayload:
         )
         assert payload["engine"] == {"obligations": 7}
         assert payload["solver"] == {"cube_count": 7}
+        assert "cache" not in payload  # no cache section without a cache
 
     def test_validate_rejects_incomplete_solver_counters(self):
         payload = report_payload("verify-batch", {"solver": {"cube_count": 1}}, verified=True)
@@ -114,15 +115,9 @@ class TestReportPayload:
         class FakeEngine:
             cache = None
 
-            class statistics:  # noqa: N801 - attribute-style stub
-                @staticmethod
-                def as_dict():
-                    return {}
-
-            class solver_statistics:  # noqa: N801 - attribute-style stub
-                @staticmethod
-                def as_dict():
-                    return {"cube_count": 3, "prefiltered_cubes": 2}
+            @staticmethod
+            def stats():
+                return {"engine": {}, "solver": {"cube_count": 3, "prefiltered_cubes": 2}}
 
         payload = report_payload("verify-batch", {}, verified=True, engine=FakeEngine())
         assert "backend" not in payload["solver"]
