@@ -421,7 +421,7 @@ class CubeSolver:
         divisibilities: List[Divisibility] = []
         for literal in literals:
             if isinstance(literal, Atom):
-                atom_linear(literal)
+                atom_linear(literal)  # raises here for a non-linear atom
                 rel = literal.rel
                 if rel is Rel.EQ:
                     equalities.append(literal)

@@ -421,13 +421,12 @@ class _Renaming:
     """The skolem constants of the existentials above a point of the walk.
 
     ``mapping`` holds one entry per renamed variable, in the order their
-    binders were stripped.  :meth:`apply` gives the node a substitution of
-    one existential at a time would: a quantifier-free subformula is
-    rebuilt once, every renamed symbol replaced at once (no binder can
-    capture), and the result memoised on the renaming; one that mentions
-    none of them comes back as itself.  A universal takes the
-    substitutions one at a time, in binder order, so its binder is renamed
-    wherever one of them would capture it.
+    binders were stripped.  :meth:`apply` replaces every renamed symbol at
+    once: a quantifier-free subformula is rebuilt once and the result
+    memoised on the renaming, one that mentions none of them comes back as
+    itself, and a universal goes through
+    :func:`~repro.logic.subst.substitute`, which renames its binder where a
+    constant would be captured.
     """
 
     __slots__ = ("mapping", "domain", "memo")
@@ -455,8 +454,10 @@ class _Renaming:
         earlier: Dict[Symbol, Term] = {}
         for bound, constant in self.mapping.items():
             if constant is target and bound in body:
-                used = {earlier.get(s, SymTerm(s)).symbol.name for s in body}
-                used.add(symbol.name)
+                # The names free in the body when that substitution reaches
+                # it; the binder's own symbol is its own, not an earlier one.
+                used = {symbol.name}
+                used.update(earlier.get(s, SymTerm(s)).symbol.name for s in body if s is not symbol)
                 return FreshSymbols(sorted(used)).fresh(symbol.name, symbol.tag)
             earlier[bound] = constant
         return symbol
@@ -469,9 +470,7 @@ class _Renaming:
             if type(node) is SymTerm:
                 done = self.mapping[node.symbol]
             elif _qdepth_of(node):
-                done = node
-                for bound, constant in self.mapping.items():
-                    done = substitute(done, {bound: constant})
+                done = substitute(node, self.mapping)
             else:
                 done = rebuild(node, tuple(self.apply(child) for child in node_children(node)))
             self.memo[node] = done

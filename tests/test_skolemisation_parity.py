@@ -9,13 +9,15 @@ names, their order and the formula's shape are all unchanged.
 """
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from reference_skolemisation import sequential_strip
 from repro.engine import case_study_items, program_items, verify_batch
 from repro.fuzz.generator import synthesize_corpus
 from repro.hoare.verifier import AcceptabilitySpec
 from repro.logic import formula as F
-from repro.logic.formula import exists, forall, sym, var
+from repro.logic.formula import Exists, Forall, Symbol, SymTerm, Tag, exists, forall, sym, var
 from repro.solver import interface
 from repro.solver.normalize import strip_positive_existentials, to_nnf
 
@@ -71,8 +73,43 @@ def test_one_pass_matches_sequential(monkeypatch, run):
             forall(sym("x_f1"), F.lt(var("x"), var("x_f1"))),
             exists(sym("y"), exists(sym("x_f1"), F.le(var("x") + var("y"), var("x_f1")))),
         )),
+        # a renamed binder over a universal of the same name, which keeps
+        # the constant of y apart from the renamed binder's
+        exists(sym("y"), exists(sym("y_f1"), forall(
+            sym("y_f1"), F.le(var("y") + var("x_f1"), -2),
+        ))),
+        # the captured binder shadows an outer one of its name
+        exists(sym("y_f2"), exists(sym("y"), exists(sym("y_f2"), F.le(var("y_f2") + var("y"), 0)))),
     ],
 )
 def test_one_pass_matches_sequential_on_binder_shapes(formula):
     nnf = to_nnf(formula)
     assert strip_positive_existentials(nnf) is sequential_strip(nnf)
+
+
+#: Binder and free names that collide with the fresh names the walk draws.
+_NAMES = ["x", "y", "x_f1", "y_f1", "y_f2", "x_f1_f1", "y_f1_f1"]
+
+
+def _nnf_quantified():
+    symbols = st.builds(Symbol, st.sampled_from(_NAMES), st.sampled_from([None, Tag.ORIGINAL]))
+    atoms = st.builds(
+        lambda a, b, c: F.le(SymTerm(a) + SymTerm(b), F.Const(c)),
+        symbols, symbols, st.integers(-2, 2),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.builds(lambda fs: F.conj(*fs), st.lists(children, min_size=2, max_size=3)),
+            st.builds(lambda fs: F.disj(*fs), st.lists(children, min_size=2, max_size=3)),
+            st.builds(Exists, symbols, children),
+            st.builds(Forall, symbols, children),
+        )
+
+    return st.recursive(atoms, extend, max_leaves=16)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_nnf_quantified())
+def test_one_pass_matches_sequential_on_colliding_names(formula):
+    assert strip_positive_existentials(formula) is sequential_strip(formula)

@@ -495,9 +495,8 @@ def shared_cube_sequences(draw):
     """Cubes drawn from one pool of literals: equalities, bounds,
     disequalities, divisibilities and two non-linear literals, so the
     cubes repeat equality sets and literals in varying orders."""
-    equalities = draw(
-        st.lists(st.builds(lambda t: Atom(Rel.EQ, t, Const(0)), linear_terms()), min_size=1, max_size=3)
-    )
+    equality = st.builds(lambda term: Atom(Rel.EQ, term, Const(0)), linear_terms())
+    equalities = draw(st.lists(equality, min_size=1, max_size=3))
     others = draw(st.lists(cube_literals(), min_size=2, max_size=6))
     nonlinear = [
         atom(Rel.EQ, var("x") * var("y"), Const(1)),
@@ -523,7 +522,8 @@ class TestOneSolverPerQuery:
         solver = CubeSolver()
         equality = atom(Rel.EQ, var("x"), var("z") + Const(1))
         assert solver.solve([equality, atom(Rel.GE, var("z"), Const(0))]).status is Status.SAT
-        for cube, culprit in (([equality, first, second], first), ([second, equality, first], second)):
+        cases = (([equality, first, second], first), ([second, equality, first], second))
+        for cube, culprit in cases:
             with pytest.raises(NonLinearError) as caught:
                 solver.solve(cube)
             with pytest.raises(NonLinearError) as fresh:
