@@ -457,7 +457,9 @@ class _Renaming:
                 # The names free in the body when that substitution reaches
                 # it; the binder's own symbol is its own, not an earlier one.
                 used = {symbol.name}
-                used.update(earlier.get(s, SymTerm(s)).symbol.name for s in body if s is not symbol)
+                used.update(
+                    earlier.get(s, SymTerm(s)).symbol.name for s in body if s is not symbol
+                )
                 return FreshSymbols(sorted(used)).fresh(symbol.name, symbol.tag)
             earlier[bound] = constant
         return symbol
