@@ -10,7 +10,8 @@ to a statement span in the program source.
 Diagnostics are built in two composed stages.  :func:`attribute_result`
 reads provenance and the model only (what failed, where, under which
 model); :func:`diagnose_result` adds the source excerpt, the atom table
-and the mechanical re-check of the model on compiled closures.
+and the mechanical re-check of the model by
+:func:`~repro.logic.evaluate.evaluate`.
 
 Everything in a :class:`FailureDiagnostic` is plain data with a lossless
 ``as_dict``/``from_dict`` round-trip, so a diagnostics section embedded in a
@@ -25,8 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..hoare.obligations import ObligationKind, ObligationResult
 from ..lang.ast import Span
-from ..logic.compile import evaluate_compiled
-from ..logic.evaluate import EvaluationError, Valuation
+from ..logic.evaluate import EvaluationError, Valuation, evaluate
 from ..logic.formula import (
     Atom,
     Const,
@@ -110,7 +110,7 @@ def reevaluate(formula: Formula, model: Dict[Symbol, int]) -> Optional[bool]:
     if not _enumerable(formula, domain):
         return None
     try:
-        return evaluate_compiled(formula, _model_valuation(model), domain)
+        return evaluate(formula, _model_valuation(model), domain)
     except EvaluationError:
         return None
 
@@ -198,9 +198,7 @@ def _reevaluate_with_arrays(
     arrays = sorted(formula_arrays(formula), key=str)
     if arrays and _enumerable(formula, domain):
         try:
-            value = evaluate_compiled(
-                formula, _model_valuation(model, arrays), domain
-            )
+            value = evaluate(formula, _model_valuation(model, arrays), domain)
             return value, [str(array) for array in arrays], "evaluation"
         except EvaluationError:
             pass
@@ -264,11 +262,11 @@ def evaluate_atoms(
             )
             continue
         try:
-            value = evaluate_compiled(atom, valuation, domain)
+            value = evaluate(atom, valuation, domain)
             evaluations.append(AtomEvaluation(text, bool(value)))
         except EvaluationError as error:
             try:
-                value = evaluate_compiled(atom, zero_arrays, domain)
+                value = evaluate(atom, zero_arrays, domain)
                 evaluations.append(
                     AtomEvaluation(text, bool(value), "array cells assumed 0")
                 )

@@ -6,9 +6,15 @@ state pairs.  Concretely we provide an *evaluator*: given a valuation of the
 free symbols (and array symbols) a formula evaluates to a boolean.
 
 Quantifiers are evaluated over an explicit finite ``domain`` (a bounded
-range of integers).  This is exactly what the metatheory test harness needs:
-it checks the paper's soundness statements over bounded state spaces.  For
-unbounded reasoning, use the decision procedures in :mod:`repro.solver`.
+range of integers); a quantifier binds its symbol in a copy, so evaluation
+never changes the valuation it is given.  For unbounded reasoning, use the
+decision procedures in :mod:`repro.solver`.
+
+This is the logic's one evaluator.  The bounded model search and
+:func:`~repro.solver.models.enumerate_models`, the choosers' predicate
+checks, the relate checks of :mod:`repro.semantics.observation` and the
+counterexample re-check of :mod:`repro.diagnostics.report` all call
+:func:`evaluate`, and the tests keep it as their oracle.
 """
 
 from __future__ import annotations

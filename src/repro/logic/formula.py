@@ -171,9 +171,7 @@ class _Interned:
     reconstruction and a dataclass-style ``repr`` for free.
     """
 
-    __slots__ = (
-        "_hash", "_free", "_arrays", "_size", "_qdepth", "_compiled", "_linear", "__weakref__"
-    )
+    __slots__ = ("_hash", "_free", "_arrays", "_size", "_qdepth", "_linear", "__weakref__")
     _fields: Tuple[str, ...] = ()
 
     def __hash__(self) -> int:
@@ -211,7 +209,6 @@ def _mk(cls, args: tuple) -> "_Interned":
     set_(node, "_arrays", _UNSET)
     set_(node, "_size", _UNSET)
     set_(node, "_qdepth", _UNSET)
-    set_(node, "_compiled", _UNSET)
     set_(node, "_linear", _UNSET)
     _INTERN[key] = node
     return node

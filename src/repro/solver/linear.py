@@ -15,7 +15,7 @@ canonicalisation (over the integers ``a = b`` iff ``a < b + 1 && b < a + 1``).
 
 :func:`atom_linear` linearizes an interned :class:`~repro.logic.formula.Atom`
 or :class:`~repro.logic.formula.Divides` once per process and keeps the
-result on the node (the ``_linear`` slot, like the compiled-closure cache),
+result on the node (the ``_linear`` slot, like the ``free_symbols`` cache),
 so every cube that mentions the atom reads the same :class:`LinearAtom`.
 """
 

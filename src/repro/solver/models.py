@@ -7,12 +7,10 @@ box of integers.  A found model is a genuine model (so ``SAT`` answers are
 sound); exhausting the box proves nothing, so the caller reports ``UNKNOWN``
 rather than ``UNSAT``.
 
-The search is *compiled and pruned* rather than a blind ``values ** n``
-interpretation sweep:
+The search is *pruned* rather than a blind ``values ** n`` sweep, and
+every candidate assignment is checked by the one evaluator of the
+assertion logic, :func:`repro.logic.evaluate.evaluate`:
 
-* the formula is compiled once into closures
-  (:mod:`repro.logic.compile`) and each candidate assignment is checked by
-  direct closure calls instead of a recursive tree walk;
 * *unit atoms* among the top-level conjuncts — comparisons of one symbol
   against a constant (``x == 3``, ``x >= 1``, ``!(x < 0)``) and
   single-symbol divisibility atoms — are propagated onto each symbol's
@@ -22,38 +20,35 @@ interpretation sweep:
   count) so inexpensive frequently-failing atoms reject an assignment
   before its quantified conjuncts run their domain loops.
 
-All three are search-space optimisations that never weaken soundness:
+Both are search-space optimisations that never weaken soundness:
 pruning only removes assignments that falsify a conjunct (never a model),
 and an assignment accepted by the reordered conjunct check satisfies the
 conjunction under any order.  When a reordered conjunct raises an
 :class:`~repro.logic.evaluate.EvaluationError` the assignment is
 re-checked in original operand order, so any error the checker *does*
-surface is exactly the tree walker's error for that assignment.
+surface is exactly the error of evaluating the whole formula for that
+assignment.
 
 Two deliberate divergences remain at the whole-search level, both in the
-same direction — the old blind sweep aborted the entire search (returning
-``None``/partial models) when *any* visited evaluation raised, and the new
-search can avoid some of those aborts:
+same direction — a blind sweep aborts the entire search (returning
+``None``/partial models) when *any* visited evaluation raises, and the
+pruned search can avoid some of those aborts:
 
-* **pruned assignments are never visited** — a sweep the old code aborted
-  on (say) a division by zero at ``y = 0`` under the conjunct ``y >= 1``
-  runs to completion, because ``y = 0`` is pruned before evaluation;
+* **pruned assignments are never visited** — a sweep a blind search
+  aborts on (say) a division by zero at ``y = 0`` under the conjunct
+  ``y >= 1`` runs to completion, because ``y = 0`` is pruned before
+  evaluation;
 * **a cheaper conjunct can reject first** — when a reordered cheap
-  conjunct returns ``False``, the erroring conjunct the old
-  original-order short-circuit would have reached is never evaluated, so
-  the assignment is rejected instead of aborting the sweep (the
-  original-order re-check only runs when an error actually surfaces).
+  conjunct returns ``False``, the erroring conjunct the original-order
+  short-circuit would have reached is never evaluated, so the assignment
+  is rejected instead of aborting the sweep (the original-order re-check
+  only runs when an error actually surfaces).
 
 Every such divergence turns an abort (``UNKNOWN`` to the caller) into a
 sound conclusive answer, never the reverse: a model is only ever reported
-after its accepting evaluation completed without error.  The case-study
-obligation corpus is verified byte-identical (``tests``/CI), and
+after its accepting evaluation completed without error.
 ``TestUnitPropagation::test_pruned_error_assignments_cannot_abort`` pins
 the direction.
-
-Under the ``tree`` evaluator (:mod:`repro.solver.backend`) the
-recursive tree walker is the checker instead: the slowest path, kept as
-the semantic reference the tests compare the compiled closures against.
 """
 
 from __future__ import annotations
@@ -63,7 +58,6 @@ import time
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .. import telemetry
-from ..logic.compile import compile_formula
 from ..logic.evaluate import EvaluationError, Valuation, evaluate
 from ..logic.formula import (
     And,
@@ -83,7 +77,6 @@ from ..logic.formula import (
     quantifier_depth,
 )
 from ..logic.traverse import node_children
-from .backend import active_backend
 
 
 def _subformulas(node: Formula) -> Sequence[Formula]:
@@ -257,54 +250,38 @@ def _prune_values(
 
 
 # ---------------------------------------------------------------------------
-# Compiled assignment checking
+# Assignment checking
 # ---------------------------------------------------------------------------
 
 
 def _assignment_checker(
     formula: Formula, conjuncts: Sequence[Formula]
-) -> Callable[[Dict[Symbol, int], Optional[Sequence[int]]], bool]:
-    """A compiled cheap-conjuncts-first satisfaction check for ``formula``.
+) -> Callable[[Valuation, Optional[Sequence[int]]], bool]:
+    """A cheap-conjuncts-first satisfaction check for ``formula``.
 
     Conjuncts run ordered by (quantifier depth, node count): constant-time
     atoms reject an assignment before quantified conjuncts loop over their
     domains.  Reordering cannot change the boolean outcome of a conjunction,
     but it changes which errors surface: a newly-surfaced
     :class:`EvaluationError` triggers a re-check of the whole formula in
-    original operand order (reproducing the tree walker exactly for that
-    assignment), while an error the reordering *masks* — a cheaper conjunct
-    rejected the assignment before the erroring one ran — simply rejects
-    the assignment, where the old sweep would have aborted the whole search
-    (see the module docstring's divergence notes).
-
-    Under the ``tree`` evaluator (:mod:`repro.solver.backend`) the checker
-    is instead the recursive tree walker on the whole formula in original
-    operand order — the semantic reference the differential suite compares
-    the compiled closures against.
+    original operand order, while an error the reordering *masks* — a
+    cheaper conjunct rejected the assignment before the erroring one ran —
+    simply rejects the assignment, where a blind sweep would have aborted
+    the whole search (see the module docstring's divergence notes).
     """
-    if active_backend() == "tree":
-
-        def tree_check(scalars: Dict[Symbol, int], domain: Optional[Sequence[int]]) -> bool:
-            return evaluate(formula, Valuation(scalars=dict(scalars)), domain)
-
-        return tree_check
-    whole = compile_formula(formula)
     if len(conjuncts) <= 1:
-        return lambda scalars, domain: whole(scalars, {}, domain)
-    ordered = sorted(
-        range(len(conjuncts)),
-        key=lambda i: (quantifier_depth(conjuncts[i]), formula_size(conjuncts[i]), i),
-    )
-    compiled = [compile_formula(conjuncts[i]) for i in ordered]
+        return lambda valuation, domain: evaluate(formula, valuation, domain)
+    # The sort is stable: equally cheap conjuncts keep their original order.
+    ordered = sorted(conjuncts, key=lambda c: (quantifier_depth(c), formula_size(c)))
 
-    def check(scalars: Dict[Symbol, int], domain: Optional[Sequence[int]]) -> bool:
+    def check(valuation: Valuation, domain: Optional[Sequence[int]]) -> bool:
         try:
-            for conjunct in compiled:
-                if not conjunct(scalars, {}, domain):
+            for conjunct in ordered:
+                if not evaluate(conjunct, valuation, domain):
                     return False
             return True
         except EvaluationError:
-            return whole(scalars, {}, domain)
+            return evaluate(formula, valuation, domain)
 
     return check
 
@@ -343,7 +320,10 @@ def _models(
     if pruned is None:
         return
     deadline = time.perf_counter() + max_seconds if max_seconds is not None else None
+    # One valuation for the whole sweep: quantifiers bind on copies, so
+    # evaluation never changes it.
     scalars: Dict[Symbol, int] = {}
+    valuation = Valuation(scalars=scalars)
     for index, assignment in enumerate(itertools.product(*pruned)):
         if budget is not None and index >= budget:
             return
@@ -352,7 +332,7 @@ def _models(
         for symbol, value in zip(symbols, assignment):
             scalars[symbol] = value
         try:
-            if check(scalars, domain):
+            if check(valuation, domain):
                 yield dict(zip(symbols, assignment))
         except EvaluationError:
             return

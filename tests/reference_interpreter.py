@@ -2,9 +2,8 @@
 
 This is the ``isinstance`` ladder :class:`repro.semantics.interpreter.Interpreter`
 used before statements were compiled to closures, kept verbatim as the
-oracle of the differential tests — as :mod:`repro.logic.evaluate` is kept
-as the oracle for :mod:`repro.logic.compile`.  Expressions go through the
-same :func:`eval_expr`/:func:`eval_bool` as the compiled interpreter.
+oracle of the differential tests.  Expressions go through the same
+:func:`eval_expr`/:func:`eval_bool` as the compiled interpreter.
 """
 
 from __future__ import annotations

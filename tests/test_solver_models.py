@@ -2,12 +2,9 @@
 
 import itertools
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.casestudies.lu import LU
-from repro.explore.scoring import score_candidate
 from repro.logic import formula as F
 from repro.logic.evaluate import EvaluationError, Valuation, evaluate
 from repro.logic.formula import (
@@ -26,9 +23,10 @@ from repro.logic.formula import (
     sym,
     var,
 )
-from repro.solver.backend import BACKENDS, active_backend, use_backend
+from repro.solver.backend import active_backend
 from repro.solver.models import (
     _candidate_values,
+    _evaluation_blowup,
     _flatten_conjuncts,
     _prune_values,
     _unit_constraints,
@@ -92,12 +90,35 @@ def total_formulas(draw, depth=2):
     return quantifier(sym(draw(names)), draw(total_formulas(depth=depth - 1)))
 
 
-def _search_both_evaluators(formula, **kwargs):
-    results = {}
-    for name in BACKENDS:
-        with use_backend(name):
-            results[name] = bounded_model_search(formula, **kwargs)
-    return results
+def _reference_sweep(formula, radius, domain_radius, pruned=False, limit=1, budget=None):
+    """The models a plain sweep finds: every assignment of the candidate
+    box in order (only the unit-pruned one when ``pruned``), the whole
+    formula evaluated in original operand order, stopping at the first
+    error, after ``limit`` models or after ``budget`` assignments."""
+    symbols = sorted(F.free_symbols(formula))
+    values = [_candidate_values(radius)] * len(symbols)
+    if pruned:
+        values = _prune_values(symbols, values, _unit_constraints(_flatten_conjuncts(formula)))
+        if values is None:
+            return []
+    domain = range(-domain_radius, domain_radius + 1)
+    models = []
+    for index, assignment in enumerate(itertools.product(*values)):
+        if budget is not None and index >= budget:
+            break
+        model = dict(zip(symbols, assignment))
+        try:
+            if evaluate(formula, Valuation(scalars=model), domain):
+                models.append(model)
+                if len(models) == limit:
+                    break
+        except EvaluationError:
+            break
+    return models
+
+
+def _first(models):
+    return models[0] if models else None
 
 
 class TestBoundedModelSearch:
@@ -253,83 +274,58 @@ class TestUnitPropagation:
         assert {m[sym("y")] for m in models} == {1}
 
 
-class TestEvaluatorSwitch:
-    def test_evaluator_universe(self):
-        assert BACKENDS == ("tree", "compiled")
-
-    def test_default_is_compiled(self):
-        assert active_backend() == "compiled"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            with use_backend("quantum"):
-                pass
-
-    def test_use_backend_restores_previous(self):
-        before = active_backend()
-        with use_backend("tree"):
-            assert active_backend() == "tree"
-        assert active_backend() == before
-
-    def test_use_backend_none_is_noop(self):
-        before = active_backend()
-        with use_backend(None):
-            assert active_backend() == before
+def test_active_backend_names_the_tree_evaluator():
+    assert active_backend() == "tree"
 
 
-class TestEvaluatorParity:
-    """The compiled closures against the reference tree walker."""
+class TestSearchAgainstReference:
+    """The pruned, cheapest-first search against plain original-order sweeps."""
 
     @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(total_formulas())
-    def test_search_parity(self, formula):
-        results = _search_both_evaluators(formula, radius=2, quantifier_domain_radius=2)
-        # Any reported model is a genuine model under the tree semantics.
-        for name, model in results.items():
-            if model is not None:
-                assert evaluate(
-                    formula, Valuation(scalars=dict(model)), range(-2, 3)
-                ), f"{name} reported a non-model"
-        # The total fragment has no error channel, so both must agree
-        # exactly (same model: both sweep the identical candidate order).
-        assert results["tree"] == results["compiled"]
-
-    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(total_formulas())
-    def test_enumerate_models_parity(self, formula):
-        outcomes = {}
-        for name in BACKENDS:
-            with use_backend(name):
-                outcomes[name] = enumerate_models(
-                    formula, radius=2, limit=5, quantifier_domain_radius=2
-                )
-        assert outcomes["tree"] == outcomes["compiled"]
-
-    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(total_formulas())
-    def test_budget_parity(self, formula):
-        """Both evaluators stop after exactly the same assignment budget."""
-        results = _search_both_evaluators(
-            formula, radius=2, quantifier_domain_radius=2, max_assignments=7
+    def test_search_matches_blind_sweep(self, formula):
+        model = bounded_model_search(
+            formula, radius=2, quantifier_domain_radius=2, max_seconds=None
         )
-        assert results["tree"] == results["compiled"]
+        # The total fragment has no error channel, so pruning and conjunct
+        # order cannot change the first model of the unpruned sweep.
+        assert model == _first(_reference_sweep(formula, 2, 2))
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(total_formulas())
+    def test_enumerate_models_matches_blind_sweep(self, formula):
+        models = enumerate_models(formula, radius=2, limit=5, quantifier_domain_radius=2)
+        assert models == _reference_sweep(formula, 2, 2, limit=5)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(total_formulas())
+    def test_budget_counts_pruned_assignments(self, formula):
+        """The search stops after exactly its budget of pruned assignments."""
+        model = bounded_model_search(
+            formula, radius=2, quantifier_domain_radius=2, max_assignments=7, max_seconds=None
+        )
+        budget = 7 // _evaluation_blowup(formula, 5)
+        expected = _reference_sweep(formula, 2, 2, pruned=True, budget=budget)
+        assert model == (_first(expected) if budget > 0 else None)
 
     @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(total_formulas(), st.sampled_from([None, 1]))
     def test_divergence_direction_only(self, guard, divisor_slot):
         """Mixing an erroring conjunct in never flips a conclusive answer:
-        a tree-walker model is the compiled model, and a compiled model is
-        a genuine model."""
+        a model of the original-order sweep over the pruned box is the
+        search's model, and a model the search reports is a genuine
+        model."""
         x = var("x")
         erroring = F.eq(F.Div(Const(6), x), Const(6))
         formula = conj(erroring, guard) if divisor_slot else conj(guard, erroring)
-        results = _search_both_evaluators(formula, radius=2, quantifier_domain_radius=2)
-        if results["tree"] is not None:
-            assert results["compiled"] == results["tree"]
-        if results["compiled"] is not None:
-            assert evaluate(
-                formula, Valuation(scalars=dict(results["compiled"])), range(-2, 3)
-            )
+        model = bounded_model_search(
+            formula, radius=2, quantifier_domain_radius=2, max_seconds=None
+        )
+        reference = _first(_reference_sweep(formula, 2, 2, pruned=True))
+        if reference is not None:
+            assert model == reference
+        if model is not None:
+            assert evaluate(formula, Valuation(scalars=dict(model)), range(-2, 3))
 
     def test_pruned_search_matches_blind_tree_sweep(self):
         """Fallback-shaped queries (box-UNSAT sweeps, unit-pinned symbols,
@@ -356,36 +352,12 @@ class TestEvaluatorParity:
                 F.le(x, Const(2)),
             ),
         ]
-        domain = range(-6, 7)
-
-        def blind_sweep(formula):
-            symbols = sorted(F.free_symbols(formula))
-            for values in itertools.product(_candidate_values(4), repeat=len(symbols)):
-                model = dict(zip(symbols, values))
-                try:
-                    if evaluate(formula, Valuation(scalars=model), domain):
-                        return model
-                except EvaluationError:
-                    return None
-            return None
-
         for formula in queries:
             model = bounded_model_search(formula, radius=4, max_seconds=None)
-            assert model == blind_sweep(formula)
-        # Unit atoms pruned some query's box, and every query's closures
-        # were compiled by the searches above.
+            assert model == _first(_reference_sweep(formula, 4, 6))
+        # Unit atoms pruned some query's box.
         assert any(
             len(values) < len(_candidate_values(4))
             for formula in queries
             for values in _pruned(formula, radius=4)
         )
-        assert all(formula._compiled is not F._UNSET for formula in queries)
-
-    def test_monte_carlo_scores_identical(self):
-        case = LU
-        program = case.build_program()
-        scores = {}
-        for name in BACKENDS:
-            with use_backend(name):
-                scores[name] = score_candidate(case, program, samples=4, seed=3).as_dict()
-        assert scores["tree"] == scores["compiled"]
