@@ -29,6 +29,7 @@ from ..logic.formula import (
     Formula,
     Symbol,
     TrueF,
+    conj,
     free_symbols,
     neg,
 )
@@ -119,7 +120,10 @@ class SolverStatistics:
 #: Version 3: existentials below a universal are left to Cooper; earlier
 #: versions skolemised them as constants, which could answer VALID or
 #: UNSAT wrongly.
-SOLVER_SEMANTICS = 3
+#: Version 4: skolem constants avoid the query's bound names as well as its
+#: free ones, so a constant may get another name, and the cube solver
+#: orders symbols by name.
+SOLVER_SEMANTICS = 4
 
 #: DNF expansion aborts (and the query falls back) beyond this many cubes.
 MAX_CUBES = 4096
@@ -223,10 +227,11 @@ class Solver:
         stripped = strip_positive_existentials(nnf)
         try:
             ackermann = ackermannize(stripped)
-            stripped = to_nnf(ackermann.combined())
-            stripped = strip_positive_existentials(stripped)
         except UnsupportedFormulaError as error:
             return self._fallback(formula, start, f"unsupported construct: {error}")
+        # Replacing reads by symbols keeps the stripped formula in NNF and
+        # free of positive existentials; only the constraints need NNF.
+        stripped = conj(to_nnf(ackermann.constraints), ackermann.formula)
 
         if has_universal(stripped):
             try:

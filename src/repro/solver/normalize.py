@@ -238,10 +238,6 @@ class AckermannResult:
 
     formula: Formula
     constraints: Formula
-    select_map: Tuple[Tuple[Select, Symbol], ...]
-
-    def combined(self) -> Formula:
-        return conj(self.constraints, self.formula)
 
 
 def ackermannize(formula: Formula, fresh: Optional[FreshSymbols] = None) -> AckermannResult:
@@ -255,7 +251,7 @@ def ackermannize(formula: Formula, fresh: Optional[FreshSymbols] = None) -> Acke
     """
     selects = _collect_selects(formula)
     if not selects:
-        return AckermannResult(formula, TRUE, ())
+        return AckermannResult(formula, TRUE)
     bound = _bound_symbols(formula)
     if fresh is None:
         fresh = FreshSymbols([s.name for s in free_symbols(formula)] + [s.name for s in bound])
@@ -292,7 +288,7 @@ def ackermannize(formula: Formula, fresh: Optional[FreshSymbols] = None) -> Acke
     constraint_formula = conj(*constraints) if constraints else TRUE
     # Constraint indices may themselves contain selects over other arrays; in our
     # fragment indices are scalar expressions, so no recursion is needed.
-    return AckermannResult(rewritten, constraint_formula, tuple(select_map.items()))
+    return AckermannResult(rewritten, constraint_formula)
 
 
 def _term_depth(term: Term) -> int:
@@ -425,8 +421,7 @@ class _Renaming:
     once: a quantifier-free subformula is rebuilt once and the result
     memoised on the renaming, one that mentions none of them comes back as
     itself, and a universal goes through
-    :func:`~repro.logic.subst.substitute`, which renames its binder where a
-    constant would be captured.
+    :func:`~repro.logic.subst.substitute`.
     """
 
     __slots__ = ("mapping", "domain", "memo")
@@ -442,27 +437,6 @@ class _Renaming:
         mapping.pop(symbol, None)
         mapping[symbol] = SymTerm(constant)
         return _Renaming(mapping)
-
-    def binder(self, quantifier: Exists) -> Symbol:
-        """``quantifier``'s binder as the substitutions above it leave it:
-        the one whose constant it is renames it, if its body mentions that
-        substitution's variable (the capture-avoiding renaming of
-        :func:`~repro.logic.subst.substitute`)."""
-        symbol = quantifier.symbol
-        body = _free_of(quantifier.body)
-        target = SymTerm(symbol)
-        earlier: Dict[Symbol, Term] = {}
-        for bound, constant in self.mapping.items():
-            if constant is target and bound in body:
-                # The names free in the body when that substitution reaches
-                # it; the binder's own symbol is its own, not an earlier one.
-                used = {symbol.name}
-                used.update(
-                    earlier.get(s, SymTerm(s)).symbol.name for s in body if s is not symbol
-                )
-                return FreshSymbols(sorted(used)).fresh(symbol.name, symbol.tag)
-            earlier[bound] = constant
-        return symbol
 
     def apply(self, node):
         if self.domain.isdisjoint(_free_of(node)):
@@ -494,16 +468,16 @@ def strip_positive_existentials(formula: Formula, fresh: Optional[FreshSymbols] 
     connectives.  Each existential adds its fresh symbol, drawn in walk
     order from its binder's name, so the result is the node that
     substituting each existential's symbol into its body in turn builds.
+    The fresh names avoid every free and bound name of ``formula``, so no
+    binder ever captures a constant.
     """
     if fresh is None:
-        fresh = FreshSymbols([s.name for s in free_symbols(formula)])
-    drawn: Set[Symbol] = set()
+        names = free_symbols(formula) | _bound_symbols(formula)
+        fresh = FreshSymbols([s.name for s in names])
 
     def process(f: Formula, renaming: _Renaming) -> Formula:
         if isinstance(f, Exists):
-            binder = renaming.binder(f) if f.symbol in drawn else f.symbol
-            constant = fresh.fresh(binder.name, binder.tag)
-            drawn.add(constant)
+            constant = fresh.fresh(f.symbol.name, f.symbol.tag)
             return process(f.body, renaming.extend(f.symbol, constant))
         if isinstance(f, And):
             return conj(*[process(op, renaming) for op in f.operands])

@@ -6,7 +6,8 @@ subformula.  This is the version it replaced, kept as the oracle of the
 differential test: each existential draws its fresh symbol and
 substitutes it into its whole remaining body at once, so a chain of
 binders re-walks the body once per binder.  A universal's body is left
-unstripped, as in the solver.
+unstripped, as in the solver, and the fresh names avoid every free and
+bound name of the input, as in the solver.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Optional
 from repro.logic.formula import (
     And,
     Exists,
+    Forall,
     Formula,
     FreshSymbols,
     Or,
@@ -25,11 +27,15 @@ from repro.logic.formula import (
     free_symbols,
 )
 from repro.logic.subst import substitute
+from repro.logic.traverse import iter_nodes
 
 
 def sequential_strip(formula: Formula, fresh: Optional[FreshSymbols] = None) -> Formula:
     if fresh is None:
-        fresh = FreshSymbols([s.name for s in free_symbols(formula)])
+        bound = [
+            node.symbol.name for node in iter_nodes(formula) if isinstance(node, (Exists, Forall))
+        ]
+        fresh = FreshSymbols([s.name for s in free_symbols(formula)] + bound)
 
     def process(f: Formula) -> Formula:
         if isinstance(f, Exists):

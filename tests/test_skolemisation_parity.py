@@ -66,19 +66,19 @@ def test_one_pass_matches_sequential(monkeypatch, run):
         ),
         # a universal keeps its body; the outer renaming reaches into it
         exists(sym("x"), forall(sym("y"), exists(sym("w"), F.le(var("x"), var("y") + var("w"))))),
-        # x's constant is x_f1, the name of a binder below that mentions x:
-        # substituting renames that binder, and its constant follows suit
+        # binders named like the constants the walk draws (x_f1, y_f1,
+        # y_f2): their names are reserved, so no constant takes them and
+        # no binder is renamed
         exists(sym("x"), exists(sym("x_f1"), F.lt(var("x"), var("x_f1")))),
         exists(sym("x"), F.conj(
             forall(sym("x_f1"), F.lt(var("x"), var("x_f1"))),
             exists(sym("y"), exists(sym("x_f1"), F.le(var("x") + var("y"), var("x_f1")))),
         )),
-        # a renamed binder over a universal of the same name, which keeps
-        # the constant of y apart from the renamed binder's
+        # an existential over a universal of the same name
         exists(sym("y"), exists(sym("y_f1"), forall(
             sym("y_f1"), F.le(var("y") + var("x_f1"), -2),
         ))),
-        # the captured binder shadows an outer one of its name
+        # a binder that shadows an outer one of its name
         exists(sym("y_f2"), exists(sym("y"), exists(sym("y_f2"), F.le(var("y_f2") + var("y"), 0)))),
     ],
 )

@@ -269,7 +269,9 @@ class TestAckermann:
             F.eq(Select(array, var("j")), Const(2)),
         )
         result = ackermannize(formula)
-        assert len(result.select_map) == 2
+        # Each read becomes its own fresh symbol.
+        assert not F.formula_arrays(result.formula)
+        assert len(F.free_symbols(result.formula) - {sym("i"), sym("j")}) == 2
         assert "==>" in str(result.constraints)
 
     def test_quantified_index_rejected(self):
