@@ -6,7 +6,7 @@ owns the one schema they share and the emission plumbing, so the three
 commands cannot drift apart:
 
 * every payload carries the envelope keys ``command`` (which subcommand
-  produced it), ``schema_version`` (currently 10) and ``verified`` (the
+  produced it), ``schema_version`` (currently 11) and ``verified`` (the
   overall boolean the command's exit code is based on);
 * engine-backed commands carry ``engine`` (scheduler/cache counters),
   ``solver`` (solver-level counters aggregated across every worker
@@ -29,7 +29,7 @@ commands cannot drift apart:
   also counted the pruned cubes after a SAT cube;
 * when the command ran under ``--trace`` (an active telemetry session),
   the payload carries a ``telemetry`` section — span aggregates by name
-  plus the session's counters/gauges/histograms
+  plus the session's counters and histograms
   (:func:`repro.telemetry.telemetry_section`);
 * when the command ran with ``--explain`` (or is ``repro explain``), the
   payload carries a ``diagnostics`` section — one forensic record per
@@ -42,7 +42,9 @@ commands cannot drift apart:
 
 JSON is serialised deterministically (sorted keys, 2-space indent).
 
-Schema history: version 10 added the engine counters ``prefetched``
+Schema history: version 11 dropped the ``gauges`` table from the
+``telemetry`` section, since nothing set a gauge;
+version 10 added the engine counters ``prefetched``
 (discharges started on the worker pool as soon as their program was
 collected) and ``prefetch_unused`` (those no wave booked) to the
 ``engine`` section;
@@ -81,7 +83,7 @@ from __future__ import annotations
 import json
 from typing import Dict, Optional
 
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 
 #: Envelope keys every CLI JSON report carries (tested in
 #: tests/test_cli_report.py; bump SCHEMA_VERSION when this changes).

@@ -3,9 +3,9 @@
 The package splits into a runtime half and a sink half:
 
 * :mod:`repro.telemetry.core` — the collector (:class:`TelemetrySession`),
-  spans, counters/gauges/histograms, and the module-level instrumentation
-  API (:func:`span`, :func:`count`, :func:`observe`, :func:`gauge`) whose
-  disabled path costs one global read;
+  spans, counters/histograms, and the module-level instrumentation API
+  (:func:`span`, :func:`count`, :func:`observe`) whose disabled path
+  costs one global read;
 * :mod:`repro.telemetry.sinks` — the envelope section and the Chrome
   ``trace_event`` exporter behind ``--trace``;
 * :mod:`repro.telemetry.summary` — the offline analyzer behind
@@ -35,7 +35,6 @@ from .core import (
     count,
     current_span_id,
     enabled,
-    gauge,
     install,
     merge_exported,
     observe,
@@ -64,7 +63,6 @@ __all__ = [
     "count",
     "current_span_id",
     "enabled",
-    "gauge",
     "install",
     "merge_exported",
     "observe",

@@ -5,10 +5,10 @@ across processes; this module is how a run *explains where the time went*.
 It is dependency-free (standard library only) and built around one hard
 constraint: **telemetry off must be indistinguishable from telemetry
 absent**.  Every instrumentation point in the hot path calls a
-module-level helper (:func:`span`, :func:`count`, :func:`observe`,
-:func:`gauge`) whose disabled path is a single module-global read and a
-``None`` check — no allocation, no string formatting, no clock read (the
-untraced ``wall_s`` bounds of ``python3 perfbench/run.py`` cover it).
+module-level helper (:func:`span`, :func:`count`, :func:`observe`) whose
+disabled path is a single module-global read and a ``None`` check — no
+allocation, no string formatting, no clock read (the untraced ``wall_s``
+bounds of ``python3 perfbench/run.py`` cover it).
 
 Concepts
 --------
@@ -31,10 +31,10 @@ Concepts
     a raising body still records the span (with an ``error`` attribute)
     and the exception propagates.
 
-counters / gauges / histograms
-    Plain named aggregates (:func:`count`, :func:`gauge`,
-    :func:`observe`).  Histograms keep count/sum/min/max — enough for
-    rates and latency summaries without storing samples.
+counters / histograms
+    Plain named aggregates (:func:`count`, :func:`observe`).  Histograms
+    keep count/sum/min/max — enough for rates and latency summaries
+    without storing samples.
 
 Sinks (:mod:`repro.telemetry.sinks`) consume a *finished* session: the
 envelope section for ``--json`` reports, a JSONL event log, and a Chrome
@@ -208,7 +208,7 @@ class Histogram:
 
 
 class TelemetrySession:
-    """The in-memory collector for spans, counters, gauges and histograms.
+    """The in-memory collector for spans, counters and histograms.
 
     Span times use an *epoch-anchored monotonic clock*: ``time.time()`` is
     read once at construction and every later timestamp is that anchor
@@ -223,11 +223,10 @@ class TelemetrySession:
         self.pid = os.getpid()
         self.records: List[SpanRecord] = []
         self.counters: Dict[str, float] = {}
-        self.gauges: Dict[str, float] = {}
         self.histograms: Dict[str, Histogram] = {}
-        #: Metric update count (span closes + counter/gauge/histogram
-        #: events) — the overhead benchmark uses it to estimate the
-        #: disabled-path cost of a run without re-instrumenting.
+        #: Metric update count (span closes + counter/histogram events) —
+        #: the overhead benchmark uses it to estimate the disabled-path
+        #: cost of a run without re-instrumenting.
         self.metric_events = 0
         self._stack: List[int] = []
         self._next_id = 1
@@ -255,10 +254,6 @@ class TelemetrySession:
         self.metric_events += 1
         self.counters[name] = self.counters.get(name, 0.0) + value
 
-    def gauge(self, name: str, value: float) -> None:
-        self.metric_events += 1
-        self.gauges[name] = float(value)
-
     def observe(self, name: str, value: float) -> None:
         self.metric_events += 1
         histogram = self.histograms.get(name)
@@ -273,7 +268,6 @@ class TelemetrySession:
         return {
             "spans": [record.as_dict() for record in self.records],
             "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
             "histograms": {
                 name: histogram.as_dict() for name, histogram in self.histograms.items()
             },
@@ -314,8 +308,6 @@ class TelemetrySession:
             )
         for name, value in payload.get("counters", {}).items():
             self.counters[name] = self.counters.get(name, 0.0) + float(value)
-        for name, value in payload.get("gauges", {}).items():
-            self.gauges[name] = float(value)
         for name, summary in payload.get("histograms", {}).items():
             histogram = self.histograms.get(name)
             if histogram is None:
@@ -402,13 +394,6 @@ def count(name: str, value: float = 1.0) -> None:
     session = _ACTIVE
     if session is not None:
         session.count(name, value)
-
-
-def gauge(name: str, value: float) -> None:
-    """Set a named gauge to ``value`` (no-op when disabled)."""
-    session = _ACTIVE
-    if session is not None:
-        session.gauge(name, value)
 
 
 def observe(name: str, value: float) -> None:

@@ -8,7 +8,7 @@ plug in without touching the collection side.  Two sinks ship here:
 :func:`telemetry_section`
     The ``telemetry`` section of the shared CLI JSON envelope
     (:mod:`repro.cli_report`): per-span-name aggregates plus the raw
-    counter/gauge/histogram tables.  Compact by design — the envelope is
+    counter/histogram tables.  Compact by design — the envelope is
     diffed in tests and archived by CI, so it carries aggregates, not the
     full span list.
 
@@ -59,7 +59,6 @@ def telemetry_section(session: TelemetrySession) -> Dict[str, object]:
         "span_count": len(session.records),
         "spans": span_aggregates(session.records),
         "counters": dict(session.counters),
-        "gauges": dict(session.gauges),
         "histograms": {
             name: histogram.as_dict()
             for name, histogram in session.histograms.items()
@@ -109,7 +108,6 @@ def chrome_trace_payload(session: TelemetrySession) -> Dict[str, object]:
             "generator": "repro --trace",
             "format_version": TRACE_FORMAT_VERSION,
             "counters": dict(session.counters),
-            "gauges": dict(session.gauges),
             "histograms": {
                 name: histogram.as_dict()
                 for name, histogram in session.histograms.items()

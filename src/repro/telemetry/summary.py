@@ -61,7 +61,6 @@ class TraceSummary:
     path: str
     events: List[TraceEvent]
     counters: Dict[str, float]
-    gauges: Dict[str, float]
     histograms: Dict[str, Dict[str, float]]
     top: int = 10
 
@@ -215,7 +214,6 @@ def _load_chrome(payload: Dict[str, object], path: str, top: int) -> TraceSummar
         path=path,
         events=events,
         counters={k: float(v) for k, v in other.get("counters", {}).items()},
-        gauges={k: float(v) for k, v in other.get("gauges", {}).items()},
         histograms=dict(other.get("histograms", {})),
         top=top,
     )

@@ -129,7 +129,6 @@ class TestDisabledPath:
 
     def test_metrics_are_dropped_without_a_session(self):
         telemetry.count("c")
-        telemetry.gauge("g", 1.0)
         telemetry.observe("h", 2.0)
         assert telemetry.active_session() is None
 
@@ -141,14 +140,11 @@ class TestDisabledPath:
 
 
 class TestMetrics:
-    def test_counters_accumulate_gauges_overwrite(self):
+    def test_counters_accumulate(self):
         session = telemetry.install(TelemetrySession())
         telemetry.count("hits")
         telemetry.count("hits", 2)
-        telemetry.gauge("depth", 3)
-        telemetry.gauge("depth", 5)
         assert session.counters["hits"] == 3.0
-        assert session.gauges["depth"] == 5.0
 
     def test_histograms_summarise_the_stream(self):
         session = telemetry.install(TelemetrySession())
@@ -224,7 +220,6 @@ class TestSinks:
                 pass
         telemetry.count("engine.cache.hits.memory", 3)
         telemetry.count("engine.cache.misses", 1)
-        telemetry.gauge("jobs", 2)
         telemetry.observe("solver.cubes_per_query", 4)
         telemetry.uninstall()
         return session
@@ -236,7 +231,7 @@ class TestSinks:
         assert section["spans"]["batch"]["count"] == 1
         assert section["spans"]["discharge"]["total_seconds"] >= 0.0
         assert section["counters"]["engine.cache.hits.memory"] == 3.0
-        assert section["gauges"]["jobs"] == 2.0
+        assert "gauges" not in section
         assert section["histograms"]["solver.cubes_per_query"]["count"] == 1.0
 
     def test_span_aggregates(self):
